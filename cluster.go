@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -104,16 +103,17 @@ type ClusterConfig struct {
 	Topology *Topology
 	// Groups, when non-nil, shards the ordering layer: each group runs
 	// its own protocol stack, Broadcast addresses the sender's home group
-	// and Multicast any destination set, with cross-group messages merged
-	// into one total order at the destinations. A nil (or single-group)
+	// (see CrossShard) and Multicast any destination set, with cross-group
+	// messages merged into one total order at the destinations. A nil (or single-group)
 	// map is bit-identical to the paper's one-group broadcast path.
 	// Crash-recovery (Recover events) is supported in groups mode for the
 	// FD algorithm only.
 	Groups *GroupMap
-	// CrossShard is the fraction of the built-in Poisson workload sent
-	// cross-shard (home group plus one uniformly random other group);
-	// the rest stays shard-local. Groups mode only; ShardMixAt (or a
-	// ShardMix load event) changes it mid-run.
+	// CrossShard is the fraction of broadcasts — the built-in Poisson
+	// workload's arrivals and Broadcast calls alike — sent cross-shard
+	// (home group plus one uniformly random other group); the rest stays
+	// shard-local. Groups mode only; ShardMixAt (or a ShardMix load
+	// event) changes it mid-run.
 	CrossShard float64
 	// ParallelSim executes the simulation's conflict domains concurrently
 	// inside safe windows bounded by the minimum cross-domain wire cost.
@@ -163,37 +163,19 @@ type HeartbeatConfig = experiment.Heartbeat
 // engine — scripted sessions need no changes and replay bit-identically
 // either way. In groups mode, crash-recovery (RecoverAt, Recover plan
 // events) is supported for the FD algorithm only; NewCluster rejects a
-// GM-algorithm plan containing Recover events at construction.
+// GM-algorithm plan containing Recover events at construction, and
+// RecoverAt rejects one at the call.
 type Cluster struct {
-	cfg   ClusterConfig
-	eng   *sim.Engine
-	sys   *proto.System
-	bcast []func(body any) MessageID
-	// core is the shared builder's assembled system; recovery (hbfd
-	// restarts, GM rejoin incarnations) delegates to it.
-	core   *experiment.Core
-	faults *experiment.Faults
-	loads  *experiment.Loads
-	// sentBy counts A-broadcast calls per process: the ID-sequence base a
-	// recovered GM incarnation continues from (Core.SentBy).
-	sentBy []uint64
-	// crossFrac/mixRng/mixDests drive the workload's shard-local vs
-	// cross-shard mix in groups mode; mixRng is drawn only for mixing, so
-	// a zero fraction is bit-identical to a pure shard-local workload.
-	// mixDests is per-sender scratch: workload sources of different
-	// conflict domains fire concurrently under ParallelSim.
-	crossFrac float64
-	mixRng    *sim.Rand
-	mixDests  [][2]int
+	// core is the assembled system: the same experiment.Core a Runner
+	// replication runs on. The Cluster only adapts types and hooks.
+	core *experiment.Core
 }
 
-// NewCluster builds a cluster. It panics on invalid configuration.
+// NewCluster builds a cluster. It panics on invalid configuration, with
+// the error the experiment Runner rejects the same configuration with.
 func NewCluster(cfg ClusterConfig) *Cluster {
 	if cfg.Algorithm == 0 {
 		cfg.Algorithm = FD
-	}
-	if cfg.N < 1 {
-		panic(fmt.Sprintf("repro: N = %d", cfg.N))
 	}
 	if cfg.Lambda == 0 {
 		cfg.Lambda = 1
@@ -201,76 +183,39 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if err := cfg.Plan.Validate(cfg.N); err != nil {
-		panic(err)
-	}
-	if cfg.Topology != nil && cfg.Topology.N != cfg.N {
-		panic(fmt.Sprintf("repro: topology %q is for %d processes, cluster has N=%d",
-			cfg.Topology.Name, cfg.Topology.N, cfg.N))
-	}
-	if err := cfg.Load.Validate(cfg.N); err != nil {
-		panic(err)
-	}
-	if cfg.Throughput < 0 {
-		panic("repro: negative throughput")
-	}
-	if cfg.Groups != nil {
-		if err := cfg.Groups.Validate(cfg.N, cfg.Topology); err != nil {
-			panic(err)
-		}
-		if cfg.Groups.Trivial() {
-			cfg.Groups = nil // single group covering everyone: the broadcast path
-		}
-	}
-	if cfg.CrossShard < 0 || cfg.CrossShard > 1 || cfg.CrossShard != cfg.CrossShard {
-		panic(fmt.Sprintf("repro: CrossShard = %v outside [0, 1]", cfg.CrossShard))
-	}
-	if cfg.Groups == nil {
-		if cfg.CrossShard != 0 {
-			panic("repro: CrossShard needs a multi-group ClusterConfig.Groups")
-		}
-		if cfg.Load != nil {
-			for _, ev := range cfg.Load.Events {
-				if _, ok := ev.(ShardMix); ok {
-					panic("repro: a ShardMix load event needs a multi-group ClusterConfig.Groups")
-				}
+	cc := experiment.CoreConfig{
+		Algorithm:  cfg.Algorithm,
+		N:          cfg.N,
+		Lambda:     cfg.Lambda,
+		Topology:   cfg.Topology,
+		Groups:     cfg.Groups,
+		CrossShard: cfg.CrossShard,
+		QoS:        cfg.QoS,
+		Detector:   cfg.Heartbeat,
+		Renumber:   true,
+		Seed:       cfg.Seed,
+		Parallel:   cfg.ParallelSim,
+		Workers:    cfg.SimWorkers,
+		PreCrashed: make([]proto.PID, len(cfg.PreCrashed)),
+		Plan:       cfg.Plan,
+		Throughput: cfg.Throughput,
+		Load:       cfg.Load,
+		Deliver: func(pid proto.PID, id proto.MsgID, body any, at sim.Time) {
+			if cfg.OnDeliver != nil {
+				cfg.OnDeliver(Delivery{
+					Process: int(pid),
+					ID:      id,
+					Body:    body,
+					At:      at.Duration(),
+				})
 			}
-		}
-	} else if cfg.Algorithm != FD && cfg.Plan != nil {
-		for _, ev := range cfg.Plan.Events {
-			if _, ok := ev.(Recover); ok {
-				panic("repro: crash-recovery is unsupported for the GM algorithms in groups mode")
-			}
-		}
+		},
 	}
-	// Pre-crashes: the PreCrashed list first, then the plan's PreCrash
-	// events, duplicates dropped.
-	var preOrder []proto.PID
-	preCrashed := make(map[proto.PID]bool, len(cfg.PreCrashed))
-	addPre := func(p proto.PID) {
-		if int(p) < 0 || int(p) >= cfg.N {
-			panic(fmt.Sprintf("repro: pre-crashed process %d out of range", p))
-		}
-		if !preCrashed[p] {
-			preCrashed[p] = true
-			preOrder = append(preOrder, p)
-		}
+	for i, p := range cfg.PreCrashed {
+		cc.PreCrashed[i] = proto.PID(p)
 	}
-	for _, p := range cfg.PreCrashed {
-		addPre(proto.PID(p))
-	}
-	if cfg.Plan != nil {
-		for _, ev := range cfg.Plan.Events {
-			if pre, ok := ev.(PreCrash); ok {
-				addPre(pre.P)
-			}
-		}
-	}
-
-	c := &Cluster{cfg: cfg}
-	var onView func(p proto.PID, v gm.View, at sim.Time)
 	if cfg.OnView != nil {
-		onView = func(pid proto.PID, v gm.View, at sim.Time) {
+		cc.OnView = func(pid proto.PID, v gm.View, at sim.Time) {
 			ms := make([]int, len(v.Members))
 			for i, m := range v.Members {
 				ms[i] = int(m)
@@ -283,129 +228,36 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 			})
 		}
 	}
-	// Configurations whose randomness crosses domains mid-run must fall
-	// back to a single domain for bit-exactness: lossy link faults draw
-	// on the network's shared fault stream, cross-shard mixing on the
-	// shared mix stream. The window machinery still runs; it just has
-	// one domain to advance. (Mirrors the experiment runner's gating.)
-	serialDomains := false
-	if cfg.Plan != nil {
-		for _, ev := range cfg.Plan.Events {
-			if lf, ok := ev.(LinkFault); ok && lf.Loss > 0 {
-				serialDomains = true
-			}
-		}
+	if err := cc.Validate(); err != nil {
+		panic(err)
 	}
-	if cfg.Groups != nil {
-		if cfg.CrossShard > 0 {
-			serialDomains = true
-		}
-		if cfg.Load != nil {
-			for _, ev := range cfg.Load.Events {
-				if _, ok := ev.(ShardMix); ok {
-					serialDomains = true
-				}
-			}
-		}
+	core := experiment.NewCore(cc)
+	c := &Cluster{core: core}
+	if cfg.OnFault != nil {
+		core.Faults.OnEvent = func(ev PlanEvent) { cfg.OnFault(c.Now(), ev) }
 	}
-	c.core = experiment.NewCore(experiment.CoreConfig{
-		Algorithm:     cfg.Algorithm,
-		N:             cfg.N,
-		Lambda:        cfg.Lambda,
-		Topology:      cfg.Topology,
-		QoS:           cfg.QoS,
-		Detector:      cfg.Heartbeat,
-		Renumber:      true,
-		Seed:          cfg.Seed,
-		PreCrashed:    preOrder,
-		Groups:        cfg.Groups,
-		Parallel:      cfg.ParallelSim,
-		Workers:       cfg.SimWorkers,
-		SerialDomains: serialDomains,
-		Deliver: func(pid proto.PID, id proto.MsgID, body any, at sim.Time) {
-			if cfg.OnDeliver != nil {
-				cfg.OnDeliver(Delivery{
-					Process: int(pid),
-					ID:      id,
-					Body:    body,
-					At:      at.Duration(),
-				})
-			}
-		},
-		OnView: onView,
-	})
-	eng := c.core.Eng
-	c.eng = eng
-	c.sys = c.core.Sys
-	c.bcast = c.core.Bcast
-	c.sentBy = c.core.SentBy
-	c.faults = &experiment.Faults{
-		Sys:     c.sys,
-		Recover: c.core.Recover,
-		Healed:  c.core.Healed,
-		OnEvent: func(ev PlanEvent) {
-			if cfg.OnFault != nil {
-				cfg.OnFault(eng.Now().Duration(), ev)
-			}
-		},
-	}
-	if cfg.Plan != nil {
-		c.faults.Install(cfg.Plan)
-	}
-
-	// The Poisson workload: one source per non-pre-crashed process at
-	// rate Throughput/N (possibly zero, i.e. silent until a load event
-	// raises it), on an independent random stream — mirroring the
-	// experiment scenarios' Setup.
-	senders := make([]int, 0, len(c.core.Members))
-	for _, p := range c.core.Members {
-		senders = append(senders, int(p))
-	}
-	c.loads = experiment.NewSpreadLoads(eng, sim.NewRand(cfg.Seed).Fork("load"),
-		cfg.Throughput, cfg.N, senders, func(s int) {
-			if c.sys.Proc(proto.PID(s)).Crashed() {
-				return // crashed mid-run: no load generated
-			}
-			c.sentBy[s]++
-			if c.cfg.Groups != nil {
-				c.mixedMulticast(s, nil)
-				return
-			}
-			c.bcast[s](nil)
-		})
-	if cfg.Groups != nil {
-		c.crossFrac = cfg.CrossShard
-		c.mixRng = sim.NewRand(cfg.Seed).Fork("mix")
-		c.mixDests = make([][2]int, cfg.N)
-		c.loads.OnShardMix = func(fraction float64) { c.crossFrac = fraction }
-	}
-	c.loads.OnEvent = func(ev LoadEvent) {
-		if cfg.OnLoad != nil {
-			cfg.OnLoad(eng.Now().Duration(), ev)
-		}
-	}
-	if cfg.Load != nil {
-		c.loads.Install(cfg.Load)
+	core.StartLoad(func(s int) { core.Broadcast(s, nil) })
+	if cfg.OnLoad != nil {
+		core.Loads.OnEvent = func(ev LoadEvent) { cfg.OnLoad(c.Now(), ev) }
 	}
 	return c
 }
 
 // Now returns the current virtual time.
-func (c *Cluster) Now() time.Duration { return c.eng.Now().Duration() }
+func (c *Cluster) Now() time.Duration { return c.core.Eng.Now().Duration() }
 
 // Broadcast A-broadcasts body from process p at the current instant and
-// returns the message ID.
+// returns the message ID — the same entry point the built-in workload
+// fires, so in groups mode the message goes to p's home group plus, with
+// probability CrossShard, one other group.
 func (c *Cluster) Broadcast(p int, body any) MessageID {
-	c.sentBy[p]++
-	return c.bcast[p](body)
+	id, _ := c.core.Broadcast(p, body)
+	return id
 }
 
 // BroadcastAt schedules an A-broadcast from process p at virtual time at.
 func (c *Cluster) BroadcastAt(p int, at time.Duration, body any) {
-	c.eng.Schedule(sim.Time(at), func() {
-		c.sentBy[p]++
-		c.bcast[p](body)
-	})
+	c.core.Eng.Schedule(sim.Time(at), func() { c.core.Broadcast(p, body) })
 }
 
 // Multicast A-multicasts body from process p to the given destination
@@ -414,65 +266,30 @@ func (c *Cluster) BroadcastAt(p int, at time.Duration, body any) {
 // member of the destination groups in one total order. Groups mode only
 // (ClusterConfig.Groups non-nil); destinations may come in any order.
 func (c *Cluster) Multicast(p int, dests []int, body any) MessageID {
-	c.sentBy[p]++
-	return c.multicast(p, dests, body)
+	if c.core.Mcast == nil {
+		panic("repro: Multicast needs a multi-group ClusterConfig.Groups")
+	}
+	ds := append([]int(nil), dests...)
+	sort.Ints(ds)
+	c.core.SentBy[p]++
+	return c.core.Mcast(proto.PID(p), ds, body)
 }
 
 // MulticastAt schedules an A-multicast from process p to the given
 // destination groups at virtual time at.
 func (c *Cluster) MulticastAt(p int, at time.Duration, dests []int, body any) {
 	ds := append([]int(nil), dests...)
-	c.eng.Schedule(sim.Time(at), func() {
-		c.sentBy[p]++
-		c.multicast(p, ds, body)
-	})
-}
-
-func (c *Cluster) multicast(p int, dests []int, body any) MessageID {
-	if c.cfg.Groups == nil {
-		panic("repro: Multicast needs a multi-group ClusterConfig.Groups")
-	}
-	ds := append([]int(nil), dests...)
-	sort.Ints(ds)
-	return c.core.Mcast(proto.PID(p), ds, body)
-}
-
-// mixedMulticast sends one workload message from s: shard-local to its
-// home group, or — with probability crossFrac — to the home group plus
-// one uniformly random other group (the experiment workload's mix).
-func (c *Cluster) mixedMulticast(s int, body any) {
-	m := c.cfg.Groups
-	dests := c.mixDests[s][:1]
-	home := m.Home(proto.PID(s))
-	dests[0] = home
-	if c.crossFrac > 0 && m.NumGroups() > 1 && c.mixRng.Float64() < c.crossFrac {
-		other := c.mixRng.Intn(m.NumGroups() - 1)
-		if other >= home {
-			other++
-		}
-		if other < home {
-			dests = append(dests[:0], other, home)
-		} else {
-			dests = append(dests, other)
-		}
-	}
-	c.core.Mcast(proto.PID(s), dests, body)
+	c.core.Eng.Schedule(sim.Time(at), func() { c.Multicast(p, ds, body) })
 }
 
 // Apply schedules one fault-plan event at its instant — the primitive
-// every *At fault method below is sugar for. It panics on an invalid
-// event or one scheduled in the simulation's past.
+// every *At fault method below is sugar for. It panics on an event the
+// system cannot honour (the rules ClusterConfig.Plan is held to) or one
+// scheduled in the simulation's past.
 func (c *Cluster) Apply(ev PlanEvent) {
-	if _, pre := ev.(PreCrash); pre {
-		panic("repro: PreCrash is an initial condition; list it in ClusterConfig")
-	}
-	if lf, ok := ev.(LinkFault); ok && lf.Loss > 0 && c.eng.Domains() > 1 {
-		panic("repro: lossy link faults draw on a shared random stream and need a single conflict domain; list the fault in ClusterConfig.Plan (the cluster then serialises itself) or leave ParallelSim off")
-	}
-	if err := (&FaultPlan{Events: []PlanEvent{ev}}).Validate(c.cfg.N); err != nil {
+	if err := c.core.Apply(ev); err != nil {
 		panic(err)
 	}
-	c.faults.Schedule(ev)
 }
 
 // CrashAt schedules a crash of process p at virtual time at.
@@ -528,13 +345,9 @@ func (c *Cluster) SetLinkAt(at time.Duration, from, to int, loss float64, extraD
 // It panics on an invalid event or one scheduled in the simulation's
 // past.
 func (c *Cluster) ApplyLoad(ev LoadEvent) {
-	if mix, ok := ev.(ShardMix); ok && mix.Fraction > 0 && c.eng.Domains() > 1 {
-		panic("repro: cross-shard mixing draws on a shared random stream and needs a single conflict domain; set ClusterConfig.CrossShard or list the ShardMix in ClusterConfig.Load (the cluster then serialises itself) or leave ParallelSim off")
-	}
-	if err := (&LoadPlan{Events: []LoadEvent{ev}}).Validate(c.cfg.N); err != nil {
+	if err := c.core.ApplyLoad(ev); err != nil {
 		panic(err)
 	}
-	c.loads.Schedule(ev)
 }
 
 // SetRateAt schedules a rate change at virtual time at: sender
@@ -568,9 +381,6 @@ func (c *Cluster) UnmuteAt(at time.Duration, sender int) {
 // fraction at virtual time at (groups mode only): fraction of messages
 // go cross-shard from then on, the rest stay shard-local.
 func (c *Cluster) ShardMixAt(at time.Duration, fraction float64) {
-	if c.cfg.Groups == nil {
-		panic("repro: ShardMixAt needs a multi-group ClusterConfig.Groups")
-	}
 	c.ApplyLoad(ShardMix{At: at, Fraction: fraction})
 }
 
@@ -583,7 +393,7 @@ func (c *Cluster) ResumeAt(at time.Duration) { c.ApplyLoad(Resume{At: at}) }
 
 // Run advances virtual time by d, processing all events on the way.
 func (c *Cluster) Run(d time.Duration) {
-	c.eng.RunUntil(c.eng.Now().Add(d))
+	c.core.Eng.RunUntil(c.core.Eng.Now().Add(d))
 }
 
 // RunUntilIdle processes events until none remain. A cluster whose
@@ -591,14 +401,14 @@ func (c *Cluster) Run(d time.Duration) {
 // forever — so pause or silence the workload (PauseAt, SetRateAt with
 // rate 0) before draining with this method; use Run to advance a live
 // workload by a bounded amount instead.
-func (c *Cluster) RunUntilIdle() { c.eng.Run() }
+func (c *Cluster) RunUntilIdle() { c.core.Eng.Run() }
 
 // Crashed reports whether process p has crashed.
-func (c *Cluster) Crashed(p int) bool { return c.sys.Proc(proto.PID(p)).Crashed() }
+func (c *Cluster) Crashed(p int) bool { return c.core.Sys.Proc(proto.PID(p)).Crashed() }
 
 // Stats snapshots network activity so far.
 func (c *Cluster) Stats() NetStats {
-	counters := c.sys.Net.Counters()
+	counters := c.core.Sys.Net.Counters()
 	return NetStats{
 		Unicasts:   counters.Unicasts,
 		Multicasts: counters.Multicasts,
@@ -612,10 +422,10 @@ func (c *Cluster) Stats() NetStats {
 // printing Fig. 1-style message diagrams; see examples/trace.
 func (c *Cluster) SetTrace(fn func(NetEvent)) {
 	if fn == nil {
-		c.sys.Net.SetTrace(nil)
+		c.core.Sys.Net.SetTrace(nil)
 		return
 	}
-	c.sys.Net.SetTrace(func(ev netmodel.TraceEvent) {
+	c.core.Sys.Net.SetTrace(func(ev netmodel.TraceEvent) {
 		fn(NetEvent{
 			Stage:   ev.Kind.String(),
 			From:    ev.From,

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -14,18 +15,16 @@ import (
 	"repro/internal/seqabcast"
 	"repro/internal/sim"
 	"repro/internal/topo"
+	"repro/internal/workload"
 )
 
-// CoreConfig parameterises the shared cluster builder. Both the
-// experiment harness (newCluster) and the interactive facade
-// (repro.NewCluster) construct their simulated systems through NewCore,
-// so the per-process endpoint and recovery bookkeeping — heartbeat
-// wrapping, GM rejoin incarnations, broadcast-sequence bases — lives in
-// exactly one place.
-//
-// Callers pass already-validated, already-defaulted values: NewCore
-// panics on malformed configuration only as a backstop, because the
-// configuration is code, not input.
+// CoreConfig describes one simulated system: which algorithm, on what
+// network, under which detectors, faults and load. The experiment Runner
+// (one system per replication) and the interactive facade
+// (repro.NewCluster) each translate their own configuration into a
+// CoreConfig, check it once with Validate and hand it to NewCore;
+// everything between the description and the running system is decided
+// here and nowhere else.
 type CoreConfig struct {
 	// Algorithm selects the protocol stack (FD, GM or GMNonUniform).
 	Algorithm Algorithm
@@ -44,6 +43,10 @@ type CoreConfig struct {
 	// map (one group covering everyone) is normalized to nil, keeping the
 	// plain broadcast path bit-identical.
 	Groups *groups.GroupMap
+	// CrossShard is the fraction of Broadcast calls addressed to a second
+	// group besides the sender's home group (groups mode only), in
+	// [0, 1]. A ShardMix load event changes it mid-run.
+	CrossShard float64
 	// QoS parameterises the modelled failure detectors. The experiment
 	// harness silences it when a concrete Detector is configured; the
 	// interactive facade passes it through as given. NewCore applies
@@ -60,23 +63,29 @@ type CoreConfig struct {
 	// mode: the topology (plus the groups map, if any) is partitioned
 	// into conflict domains (netmodel.ConflictDomains) and independent
 	// domains advance concurrently inside safe windows, with observable
-	// behavior bit-identical to the serial engine.
+	// behavior bit-identical to the serial engine. A description that
+	// draws from shared random streams mid-window — a plan with lossy
+	// links, or groups-mode cross-shard mixing (active from the start, or
+	// activatable by a ShardMix load event) — only preserves the serial
+	// draw order inside a single conflict domain, so NewCore collapses it
+	// to one: the window machinery still runs, without concurrency.
 	Parallel bool
 	// Workers bounds the goroutines draining domains concurrently when
 	// Parallel is set; values below 1 (or above the domain count) are
 	// clamped.
 	Workers int
-	// SerialDomains forces a single conflict domain even when Parallel
-	// is set. Callers use it when the run exercises features that draw
-	// from shared random streams mid-window — lossy link faults,
-	// cross-shard workload mixing — whose draw order only a single
-	// domain preserves. The parallel window machinery still runs, so the
-	// run remains a valid parallel-path check, just without concurrency.
-	SerialDomains bool
-	// PreCrashed lists processes crashed long before the start, deduped,
-	// in declaration order. They are excluded from the initial GM view
-	// and PreCrash-ed before Start.
+	// PreCrashed lists processes crashed long before the start. They, and
+	// after them the Plan's PreCrash targets (duplicates dropped), are
+	// excluded from the initial GM view and PreCrash-ed before Start.
 	PreCrashed []proto.PID
+	// Plan is the fault timeline; NewCore installs it on Core.Faults.
+	Plan *FaultPlan
+	// Throughput is the total rate of the Poisson workload StartLoad
+	// starts: every live sender fires at Throughput/N.
+	Throughput float64
+	// Load is the workload-shaping timeline; StartLoad installs it on
+	// Core.Loads.
+	Load *LoadPlan
 	// Deliver observes every A-delivery at every process; at is the
 	// delivery instant. It must be non-nil.
 	Deliver func(p proto.PID, id proto.MsgID, body any, at sim.Time)
@@ -85,29 +94,183 @@ type CoreConfig struct {
 	OnView func(p proto.PID, v gm.View, at sim.Time)
 }
 
-// Core is one assembled simulated system: engine, network, detectors and
-// per-process protocol stacks. The exported slices are live state shared
-// with the caller — SentBy in particular is incremented by the caller on
-// every A-broadcast and read back by recovered GM incarnations as their
-// ID-sequence base.
+// endpointSpec is what a stack needs, besides the runtime it runs on, to
+// build one protocol endpoint.
+type endpointSpec struct {
+	deliver func(id proto.MsgID, body any)
+	// onView, if non-nil, observes the views a membership-based endpoint
+	// enters; the other stacks ignore it.
+	onView func(v gm.View)
+	// members is the initial membership in the runtime's id space (nil
+	// means everyone); seqBase is the number of message IDs earlier
+	// incarnations of the process consumed.
+	members []proto.PID
+	seqBase uint64
+	// renumber is CoreConfig.Renumber.
+	renumber bool
+}
+
+// stack is one row of the algorithm table: the only place that knows
+// which protocol an Algorithm runs and how it comes back from a crash.
+// Adding an algorithm is adding a row (and its Algorithm constant).
+type stack struct {
+	// build constructs one endpoint on rt: the handler, the A-broadcast
+	// entry point and, for stacks that catch up in place, the Resume hook
+	// arming the catch-up probe.
+	build func(rt proto.Runtime, s endpointSpec) groups.Endpoint
+	// rejoins selects the recovery policy. A rejoining stack models a true
+	// crash-recovery: a fresh incarnation starts excluded, rejoins through
+	// its membership service and catches up via state transfer. The others
+	// are crash-stop, so recovery is the end of a long outage: the process
+	// resumes with its state intact and Resume closes the gap.
+	rejoins bool
+}
+
+var stacks = [...]stack{
+	FD: {build: func(rt proto.Runtime, s endpointSpec) groups.Endpoint {
+		proc := ctabcast.New(rt, ctabcast.Config{Deliver: s.deliver, Renumber: s.renumber})
+		return groups.Endpoint{Handler: proc, ABroadcast: proc.ABroadcast, Resume: proc.Resume}
+	}},
+	GM:           {build: sequencer(true), rejoins: true},
+	GMNonUniform: {build: sequencer(false), rejoins: true},
+}
+
+// sequencer builds the fixed-sequencer stack in its uniform or
+// non-uniform variant.
+func sequencer(uniform bool) func(proto.Runtime, endpointSpec) groups.Endpoint {
+	return func(rt proto.Runtime, s endpointSpec) groups.Endpoint {
+		proc := seqabcast.New(rt, seqabcast.Config{
+			Deliver:        s.deliver,
+			Uniform:        uniform,
+			InitialMembers: s.members,
+			SeqBase:        s.seqBase,
+			OnView:         s.onView,
+		})
+		return groups.Endpoint{Handler: proc, ABroadcast: proc.ABroadcast}
+	}
+}
+
+// stackOf returns the table row of a, or nil for an unknown algorithm.
+func stackOf(a Algorithm) *stack {
+	if a < 0 || int(a) >= len(stacks) || stacks[a].build == nil {
+		return nil
+	}
+	return &stacks[a]
+}
+
+// grouped reports whether the description runs in groups mode.
+func (cfg *CoreConfig) grouped() bool {
+	return cfg.Groups != nil && !cfg.Groups.Trivial()
+}
+
+// preCrashOrder returns the processes crashed before the run starts —
+// PreCrashed first, then the plan's PreCrash events — in declaration
+// order with duplicates dropped.
+func (cfg *CoreConfig) preCrashOrder() []proto.PID {
+	out := make([]proto.PID, 0, len(cfg.PreCrashed))
+	seen := make(map[proto.PID]bool, len(cfg.PreCrashed))
+	for _, list := range [2][]proto.PID{cfg.PreCrashed, cfg.Plan.preCrashes()} {
+		for _, p := range list {
+			if !seen[p] {
+				seen[p] = true
+				out = append(out, p)
+			}
+		}
+	}
+	return out
+}
+
+// Validate is the one statement of what a valid system is. Both shells
+// call it once per description — the Runner per experiment point, the
+// facade per cluster — and reject with its error; NewCore itself only
+// keeps backstop panics, so that replications of an already-checked point
+// do not pay for the checks again.
+func (cfg CoreConfig) Validate() error {
+	switch {
+	case stackOf(cfg.Algorithm) == nil:
+		return fmt.Errorf("experiment: unknown algorithm %d", int(cfg.Algorithm))
+	case cfg.N < 1:
+		return fmt.Errorf("experiment: N = %d", cfg.N)
+	case cfg.Throughput < 0:
+		return fmt.Errorf("experiment: negative throughput")
+	case cfg.Topology != nil && cfg.Topology.N != cfg.N:
+		return fmt.Errorf("experiment: topology %q is for %d processes, config has N=%d", cfg.Topology.Name, cfg.Topology.N, cfg.N)
+	}
+	if cfg.Topology != nil {
+		if err := cfg.Topology.Validate(); err != nil {
+			return err
+		}
+	}
+	if cfg.Groups != nil {
+		if err := cfg.Groups.Validate(cfg.N, cfg.Topology); err != nil {
+			return err
+		}
+	}
+	if err := cfg.checkPlan(cfg.Plan); err != nil {
+		return err
+	}
+	if err := cfg.checkLoad(cfg.Load); err != nil {
+		return err
+	}
+	if cfg.CrossShard < 0 || cfg.CrossShard > 1 || cfg.CrossShard != cfg.CrossShard {
+		return fmt.Errorf("experiment: CrossShard = %v, want a fraction in [0, 1]", cfg.CrossShard)
+	}
+	if cfg.CrossShard != 0 && !cfg.grouped() {
+		return fmt.Errorf("experiment: CrossShard without a (non-trivial) Groups map")
+	}
+	for _, p := range cfg.PreCrashed {
+		if p < 0 || int(p) >= cfg.N {
+			return fmt.Errorf("experiment: pre-crashed process %d, want 0..%d", p, cfg.N-1)
+		}
+	}
+	if pre := len(cfg.preCrashOrder()); pre >= (cfg.N+1)/2 {
+		return fmt.Errorf("experiment: %d pre-crashes exceed the f < n/2 bound for n = %d", pre, cfg.N)
+	}
+	return nil
+}
+
+// checkPlan states the rules a fault plan must meet on this system: the
+// configured Plan at validation, a one-event plan per interactive Apply.
+func (cfg *CoreConfig) checkPlan(plan *FaultPlan) error {
+	if err := plan.validate(cfg.N); err != nil {
+		return err
+	}
+	if plan.hasRecover() && cfg.grouped() && stackOf(cfg.Algorithm).rejoins {
+		return fmt.Errorf("experiment: crash-recovery is unsupported for %v in groups mode (it recovers by rejoining, and group instances have no per-group rejoin)", cfg.Algorithm)
+	}
+	return nil
+}
+
+// checkLoad is checkPlan's load-side sibling.
+func (cfg *CoreConfig) checkLoad(load *LoadPlan) error {
+	if err := load.validate(cfg.N); err != nil {
+		return err
+	}
+	if load.hasShardMix() && !cfg.grouped() {
+		return fmt.Errorf("experiment: shardmix load event without a (non-trivial) Groups map")
+	}
+	return nil
+}
+
+// Core is one assembled simulated system: engine, network, detectors,
+// per-process protocol stacks, the fault and load installers and the
+// groups-mode workload mix. The exported slices are live state shared
+// with the caller.
 type Core struct {
 	Eng *sim.Engine
 	Sys *proto.System
-	// Bcast[p] is process p's A-broadcast entry point; recovery refreshes
-	// the entries of rebuilt incarnations in place.
+	// Bcast[p] is process p's raw A-broadcast entry point (in groups mode,
+	// a multicast to p's home group); recovery refreshes the entries of
+	// rebuilt incarnations in place. Callers that bypass Broadcast
+	// increment SentBy themselves.
 	Bcast []func(body any) proto.MsgID
-	// Wrappers holds the heartbeat detectors when Detector is set.
-	Wrappers []*hbfd.Wrapper
-	// SentBy counts the A-broadcasts issued per process — callers
-	// increment it; a recovered GM incarnation continues its ID sequence
-	// from it.
+	// SentBy counts the A-broadcasts issued per process; a recovered
+	// rejoining incarnation continues its ID sequence from it.
 	SentBy []uint64
 	// Members lists the processes alive at start (everyone not
-	// pre-crashed), ascending: the initial GM view.
+	// pre-crashed), ascending: the initial GM view and the workload's
+	// senders.
 	Members []proto.PID
-	// FDProcs holds the ctabcast endpoints when Algorithm is FD (nil
-	// entries otherwise): Recover and Healed arm their catch-up probes.
-	FDProcs []*ctabcast.Process
 	// Mcast is the destination-group-addressed multicast entry point,
 	// non-nil only in groups mode: it initiates a genuine multicast from
 	// p to the listed groups (sorted, unique) and returns its global id.
@@ -115,28 +278,54 @@ type Core struct {
 	// Coord is the group layer's coordinator, non-nil only in groups
 	// mode.
 	Coord *groups.Coordinator
+	// Faults is the system's single fault-injection path, with
+	// CoreConfig.Plan already installed; shells hook its OnEvent.
+	Faults Faults
+	// Loads is the system's single workload-shaping path, built by
+	// StartLoad.
+	Loads *Loads
 
-	// endpoint[p] constructs one protocol-stack incarnation of process p;
-	// Recover uses it to rebuild after a GM crash-recovery.
-	endpoint []func(rt proto.Runtime, rejoin bool) proto.Handler
-	alg      Algorithm
+	// cfg is the description, with Groups normalized and PreCrashed
+	// resolved to the full pre-crash order.
+	cfg   CoreConfig
+	stack *stack
+	// specs[p] and ends[p] are process p's endpoint recipe and current
+	// incarnation on the ungrouped path (in groups mode the routers own
+	// the per-group endpoints).
+	specs []endpointSpec
+	ends  []groups.Endpoint
+	// crossFrac and mixRng drive the groups-mode destination choice of
+	// Broadcast. The dedicated "mix" stream is drawn only when crossFrac
+	// is positive, so a zero fraction consumes no randomness. mixDests is
+	// per-sender scratch: sources in different conflict domains fire
+	// concurrently.
+	crossFrac float64
+	mixRng    *sim.Rand
+	mixDests  [][2]int
 }
 
-// NewCore builds engine + network + detectors + algorithm stacks and
-// starts the system. The construction order — engine, network
-// configuration, root random stream, protocol system, per-process
-// endpoints, pre-crashes, start — is observable through the forked
-// random streams and must not be reordered: simulations are bit-for-bit
-// reproductions of it.
+// NewCore builds engine + network + detectors + algorithm stacks, starts
+// the system and installs the fault plan. The construction order —
+// engine, network configuration, root random stream, protocol system,
+// per-process endpoints, pre-crashes, start, plan — is observable through
+// the forked random streams and the event sequence and must not be
+// reordered: simulations are bit-for-bit reproductions of it. NewCore
+// expects a description that passed Validate and panics on a malformed
+// one only as a backstop.
 func NewCore(cfg CoreConfig) *Core {
 	if cfg.Deliver == nil {
 		panic("experiment: NewCore requires a Deliver callback")
 	}
-	if cfg.Groups != nil && cfg.Groups.Trivial() {
+	st := stackOf(cfg.Algorithm)
+	if st == nil {
+		panic(fmt.Sprintf("experiment: unknown algorithm %v", cfg.Algorithm))
+	}
+	if !cfg.grouped() {
 		// One group covering everyone is plain atomic broadcast: use the
 		// ungrouped path so the run is bit-identical to a nil map.
 		cfg.Groups = nil
 	}
+	cfg.PreCrashed = cfg.preCrashOrder()
 	eng := sim.New()
 	netCfg := netmodel.Config{
 		N:        cfg.N,
@@ -159,7 +348,7 @@ func NewCore(cfg CoreConfig) *Core {
 			}
 		}
 		domainOf, lookahead := netmodel.ConflictDomains(netCfg, shards)
-		if cfg.SerialDomains {
+		if cfg.Plan.hasLinkLoss() || (cfg.Groups != nil && (cfg.CrossShard > 0 || cfg.Load.hasShardMix())) {
 			domainOf = make([]int, cfg.N)
 			lookahead = 0
 		}
@@ -167,183 +356,143 @@ func NewCore(cfg CoreConfig) *Core {
 	}
 	sys := proto.NewSystem(eng, netCfg, cfg.QoS, sim.NewRand(cfg.Seed))
 	c := &Core{
-		Eng:      eng,
-		Sys:      sys,
-		Bcast:    make([]func(any) proto.MsgID, cfg.N),
-		Wrappers: make([]*hbfd.Wrapper, cfg.N),
-		SentBy:   make([]uint64, cfg.N),
-		FDProcs:  make([]*ctabcast.Process, cfg.N),
-		endpoint: make([]func(proto.Runtime, bool) proto.Handler, cfg.N),
-		alg:      cfg.Algorithm,
+		Eng:    eng,
+		Sys:    sys,
+		Bcast:  make([]func(any) proto.MsgID, cfg.N),
+		SentBy: make([]uint64, cfg.N),
+		cfg:    cfg,
+		stack:  st,
 	}
+	c.Faults.core = c
 
-	crashed := make(map[proto.PID]bool, len(cfg.PreCrashed))
+	pre := make([]bool, cfg.N)
 	for _, p := range cfg.PreCrashed {
-		crashed[p] = true
+		pre[p] = true
 	}
 	for p := 0; p < cfg.N; p++ {
-		if !crashed[proto.PID(p)] {
+		if !pre[p] {
 			c.Members = append(c.Members, proto.PID(p))
 		}
 	}
 
 	if cfg.Groups != nil {
-		c.buildGroups(cfg, sys)
-		for _, p := range cfg.PreCrashed {
-			sys.PreCrash(p)
-		}
-		sys.Start()
-		return c
-	}
-
-	for p := 0; p < cfg.N; p++ {
-		p := p
-		pid := proto.PID(p)
-		h := eng.For(p)
-		// The delivery instant is read from the process's own domain
-		// clock at the moment of delivery; inside a parallel window the
-		// observer call itself is deferred to the window commit, where it
-		// runs in exact serial order.
-		deliver := func(id proto.MsgID, body any) {
-			at := h.Now()
-			if h.Deferring() {
-				h.Emit(func() { cfg.Deliver(pid, id, body, at) })
-				return
+		c.crossFrac = cfg.CrossShard
+		c.mixRng = sim.NewRand(cfg.Seed).Fork("mix")
+		c.mixDests = make([][2]int, cfg.N)
+		c.buildGroups(pre)
+	} else {
+		c.specs = make([]endpointSpec, cfg.N)
+		c.ends = make([]groups.Endpoint, cfg.N)
+		for p := 0; p < cfg.N; p++ {
+			pid := proto.PID(p)
+			h := eng.For(p)
+			spec := endpointSpec{members: c.Members, renumber: cfg.Renumber}
+			// The delivery instant is read from the process's own domain
+			// clock at the moment of delivery; inside a parallel window the
+			// observer call itself is deferred to the window commit, where it
+			// runs in exact serial order.
+			spec.deliver = func(id proto.MsgID, body any) {
+				at := h.Now()
+				if h.Deferring() {
+					h.Emit(func() { c.cfg.Deliver(pid, id, body, at) })
+					return
+				}
+				c.cfg.Deliver(pid, id, body, at)
 			}
-			cfg.Deliver(pid, id, body, at)
-		}
-		// build constructs the algorithm endpoint against rt and returns
-		// the handler plus the broadcast entry point; rt is the plain
-		// process runtime, or the heartbeat wrapper's when Detector is
-		// set. rejoin marks a recovered GM incarnation: its initial view
-		// omits itself (so it starts excluded and rejoins through the
-		// membership service) and its message IDs continue the previous
-		// incarnations' sequence.
-		build := func(rt proto.Runtime, rejoin bool) (proto.Handler, func(any) proto.MsgID) {
-			switch cfg.Algorithm {
-			case FD:
-				proc := ctabcast.New(rt, ctabcast.Config{
-					Deliver:  deliver,
-					Renumber: cfg.Renumber,
-				})
-				c.FDProcs[p] = proc
-				return proc, proc.ABroadcast
-			case GM, GMNonUniform:
-				scfg := seqabcast.Config{
-					Deliver:        deliver,
-					Uniform:        cfg.Algorithm == GM,
-					InitialMembers: c.Members,
-				}
-				if rejoin {
-					scfg.InitialMembers = withoutPID(c.Members, pid)
-					scfg.SeqBase = c.SentBy[p]
-				}
-				if cfg.OnView != nil {
-					scfg.OnView = func(v gm.View) {
-						at := h.Now()
-						if h.Deferring() {
-							// Copy the member list: the observation runs at
-							// the window commit, and the protocol may touch
-							// its view state in later events of the window.
-							cp := gm.View{ID: v.ID, Members: append([]proto.PID(nil), v.Members...)}
-							h.Emit(func() { cfg.OnView(pid, cp, at) })
-							return
-						}
-						cfg.OnView(pid, v, at)
+			if cfg.OnView != nil {
+				spec.onView = func(v gm.View) {
+					at := h.Now()
+					if h.Deferring() {
+						// Copy the member list: the observation runs at
+						// the window commit, and the protocol may touch
+						// its view state in later events of the window.
+						cp := gm.View{ID: v.ID, Members: append([]proto.PID(nil), v.Members...)}
+						h.Emit(func() { c.cfg.OnView(pid, cp, at) })
+						return
 					}
+					c.cfg.OnView(pid, v, at)
 				}
-				proc := seqabcast.New(rt, scfg)
-				return proc, proc.ABroadcast
-			default:
-				panic(fmt.Sprintf("experiment: unknown algorithm %v", cfg.Algorithm))
 			}
+			c.specs[p] = spec
+			sys.SetHandler(pid, c.incarnate(p, sys.Proc(pid), false))
 		}
-		c.endpoint[p] = func(rt proto.Runtime, rejoin bool) proto.Handler {
-			if hb := cfg.Detector; hb != nil {
-				w := hbfd.Wrap(rt, hbfd.Config{Interval: hb.Interval, Timeout: hb.Timeout},
-					func(inner proto.Runtime) proto.Handler {
-						h, bc := build(inner, rejoin)
-						c.Bcast[p] = bc
-						return h
-					})
-				c.Wrappers[p] = w
-				return w
-			}
-			h, bc := build(rt, rejoin)
-			c.Bcast[p] = bc
-			return h
-		}
-		sys.SetHandler(pid, c.endpoint[p](sys.Proc(pid), false))
 	}
 	for _, p := range cfg.PreCrashed {
 		sys.PreCrash(p)
 	}
 	sys.Start()
+	c.Faults.Install(cfg.Plan)
 	return c
+}
+
+// newEndpoint builds one endpoint of the configured stack on rt — behind
+// the concrete heartbeat detector when one is configured: the wrapper's
+// runtime answers Suspects from heartbeats, the wrapper becomes the
+// outermost handler and contributes the Restart hook.
+func (c *Core) newEndpoint(rt proto.Runtime, spec endpointSpec) groups.Endpoint {
+	hb := c.cfg.Detector
+	if hb == nil {
+		return c.stack.build(rt, spec)
+	}
+	var ep groups.Endpoint
+	w := hbfd.Wrap(rt, hbfd.Config{Interval: hb.Interval, Timeout: hb.Timeout},
+		func(inner proto.Runtime) proto.Handler {
+			ep = c.stack.build(inner, spec)
+			return ep.Handler
+		})
+	ep.Handler, ep.Restart = w, w.Restart
+	return ep
+}
+
+// incarnate builds one incarnation of process p on the ungrouped path and
+// makes it p's current endpoint. rejoin marks a recovered incarnation of
+// a rejoining stack: its initial view omits itself (so it starts excluded
+// and rejoins through the membership service) and its message IDs
+// continue the previous incarnations' sequence.
+func (c *Core) incarnate(p int, rt proto.Runtime, rejoin bool) proto.Handler {
+	spec := c.specs[p]
+	if rejoin {
+		spec.members = withoutPID(c.Members, proto.PID(p))
+		spec.seqBase = c.SentBy[p]
+	}
+	ep := c.newEndpoint(rt, spec)
+	c.ends[p] = ep
+	c.Bcast[p] = ep.ABroadcast
+	return ep.Handler
 }
 
 // buildGroups assembles the groups-mode system: one groups.Router per
 // process as the root handler, owning one protocol instance per group
-// the process belongs to. Each instance is the same FD or GM stack the
-// ungrouped path builds — constructed here through a factory that runs
-// it in the group's local id space — and the router's timestamp merge
-// provides the cross-group total order.
-func (c *Core) buildGroups(cfg CoreConfig, sys *proto.System) {
-	pre := make([]bool, cfg.N)
-	for _, p := range cfg.PreCrashed {
-		pre[p] = true
-	}
+// the process belongs to. Each instance is the same stack the ungrouped
+// path builds, run in the group's local id space, and the router's
+// timestamp merge provides the cross-group total order.
+func (c *Core) buildGroups(pre []bool) {
+	cfg, sys := &c.cfg, c.Sys
 	factory := func(ic groups.InstanceConfig) groups.Endpoint {
-		var ep groups.Endpoint
-		build := func(rt proto.Runtime) proto.Handler {
-			switch cfg.Algorithm {
-			case FD:
-				proc := ctabcast.New(rt, ctabcast.Config{
-					Deliver:  func(_ proto.MsgID, body any) { ic.Deliver(body) },
-					Renumber: cfg.Renumber,
-				})
-				ep.ABroadcast = proc.ABroadcast
-				ep.Resume = proc.Resume
-				return proc
-			case GM, GMNonUniform:
-				scfg := seqabcast.Config{
-					Deliver:        func(_ proto.MsgID, body any) { ic.Deliver(body) },
-					Uniform:        cfg.Algorithm == GM,
-					InitialMembers: ic.InitialLocal,
+		spec := endpointSpec{
+			deliver:  func(_ proto.MsgID, body any) { ic.Deliver(body) },
+			members:  ic.InitialLocal,
+			renumber: cfg.Renumber,
+		}
+		if cfg.OnView != nil {
+			global := ic.Members[ic.Local]
+			h := c.Eng.For(int(global))
+			spec.onView = func(v gm.View) {
+				// Report view members in global pids; the view id
+				// sequence is the group's own.
+				mapped := gm.View{ID: v.ID, Members: make([]proto.PID, len(v.Members))}
+				for i, lq := range v.Members {
+					mapped.Members[i] = ic.Members[lq]
 				}
-				if cfg.OnView != nil {
-					global := ic.Members[ic.Local]
-					h := c.Eng.For(int(global))
-					scfg.OnView = func(v gm.View) {
-						// Report view members in global pids; the view id
-						// sequence is the group's own.
-						mapped := gm.View{ID: v.ID, Members: make([]proto.PID, len(v.Members))}
-						for i, lq := range v.Members {
-							mapped.Members[i] = ic.Members[lq]
-						}
-						at := h.Now()
-						if h.Deferring() {
-							h.Emit(func() { cfg.OnView(global, mapped, at) })
-							return
-						}
-						cfg.OnView(global, mapped, at)
-					}
+				at := h.Now()
+				if h.Deferring() {
+					h.Emit(func() { cfg.OnView(global, mapped, at) })
+					return
 				}
-				proc := seqabcast.New(rt, scfg)
-				ep.ABroadcast = proc.ABroadcast
-				return proc
-			default:
-				panic(fmt.Sprintf("experiment: unknown algorithm %v", cfg.Algorithm))
+				cfg.OnView(global, mapped, at)
 			}
 		}
-		if hb := cfg.Detector; hb != nil {
-			w := hbfd.Wrap(ic.Runtime, hbfd.Config{Interval: hb.Interval, Timeout: hb.Timeout}, build)
-			ep.Restart = w.Restart
-			ep.Handler = w
-		} else {
-			ep.Handler = build(ic.Runtime)
-		}
-		return ep
+		return c.newEndpoint(ic.Runtime, spec)
 	}
 	// The routers invoke the coordinator's deliver inline, from the
 	// delivering process's domain; defer the observation to the window
@@ -370,66 +519,143 @@ func (c *Core) buildGroups(cfg CoreConfig, sys *proto.System) {
 	}
 }
 
-// Recover revives a crashed process, algorithm-aware: the GM algorithms
-// model a true crash-recovery (a fresh incarnation starts excluded,
-// rejoins through the membership service and catches up via state
-// transfer), while the crash-stop FD algorithm models recovery as the
-// end of a long outage — the process resumes with its state intact and
-// closes its decision gap through decision-log catch-up (ctabcast's
-// suffix transfer; Resume arms the probe). Either way the heartbeat
-// detector, when configured, starts beating again. Recovering a live
+// Broadcast issues one A-broadcast of body from sender — the entry point
+// of every workload source and every scripted or interactive call. In
+// groups mode it is a multicast to the sender's home group plus, with
+// probability CrossShard, one uniformly drawn other group; the
+// destination groups come back alongside the id (nil outside groups mode;
+// scratch, valid until the sender's next call).
+func (c *Core) Broadcast(sender int, body any) (proto.MsgID, []int) {
+	c.SentBy[sender]++
+	if c.Coord == nil {
+		return c.Bcast[sender](body), nil
+	}
+	m := c.cfg.Groups
+	home := m.Home(proto.PID(sender))
+	dests := c.mixDests[sender][:1]
+	dests[0] = home
+	if c.crossFrac > 0 && m.NumGroups() > 1 && c.mixRng.Float64() < c.crossFrac {
+		other := c.mixRng.Intn(m.NumGroups() - 1)
+		if other >= home {
+			other++
+		}
+		if other < home {
+			dests = append(dests[:0], other, home)
+		} else {
+			dests = append(dests, other)
+		}
+	}
+	return c.Mcast(proto.PID(sender), dests, body), dests
+}
+
+// StartLoad starts the paper's Poisson workload — one source per live
+// sender at rate Throughput/N (possibly zero: silent until a load event
+// raises it), on the dedicated "load" stream — and builds the Loads
+// installer with CoreConfig.Load installed. fire receives each arrival's
+// sender and is expected to Broadcast; a sender crashed mid-run keeps its
+// source but generates no load, so its arrivals never reach fire.
+func (c *Core) StartLoad(fire func(sender int)) {
+	senders := make([]int, len(c.Members))
+	for i, p := range c.Members {
+		senders[i] = int(p)
+	}
+	rng := sim.NewRand(c.cfg.Seed).Fork("load")
+	sources := workload.Spread(c.Eng, rng, c.cfg.Throughput, c.cfg.N, senders, func(sender int) {
+		if !c.Sys.Proc(proto.PID(sender)).Crashed() {
+			fire(sender)
+		}
+	})
+	byPID := make([]*workload.Poisson, c.cfg.N)
+	for i, s := range senders {
+		byPID[s] = sources[i]
+	}
+	c.Loads = NewLoads(c.Eng, c.cfg.Throughput, c.cfg.N, byPID)
+	if c.Coord != nil {
+		c.Loads.OnShardMix = func(fraction float64) { c.crossFrac = fraction }
+	}
+	c.Loads.Install(c.cfg.Load)
+}
+
+// Apply checks one fault event against the running system and schedules
+// it at its instant: the interactive counterpart of CoreConfig.Plan, held
+// to the same rules.
+func (c *Core) Apply(ev PlanEvent) error {
+	if _, pre := ev.(PreCrash); pre {
+		return errors.New("experiment: PreCrash is an initial condition, not a timeline event; list it in the configuration")
+	}
+	one := &FaultPlan{Events: []PlanEvent{ev}}
+	if err := c.cfg.checkPlan(one); err != nil {
+		return err
+	}
+	if one.hasLinkLoss() && c.Eng.Domains() > 1 {
+		return errors.New("experiment: lossy link faults draw on a shared random stream and need a single conflict domain; list the fault in the configured plan (the system then serialises itself) or leave the parallel mode off")
+	}
+	c.Faults.Schedule(ev)
+	return nil
+}
+
+// ApplyLoad is Apply's load-side sibling; StartLoad must have run.
+func (c *Core) ApplyLoad(ev LoadEvent) error {
+	if err := c.cfg.checkLoad(&LoadPlan{Events: []LoadEvent{ev}}); err != nil {
+		return err
+	}
+	if mix, ok := ev.(ShardMix); ok && mix.Fraction > 0 && c.Eng.Domains() > 1 {
+		return errors.New("experiment: cross-shard mixing draws on a shared random stream and needs a single conflict domain; configure CrossShard or list the ShardMix in the configured load plan (the system then serialises itself) or leave the parallel mode off")
+	}
+	c.Loads.Schedule(ev)
+	return nil
+}
+
+// Recover revives a crashed process by its stack's recovery policy (see
+// stack.rejoins): a rejoining stack gets a fresh incarnation, the others
+// resume in place — the heartbeat detector, when configured, starts
+// beating again and Resume arms the catch-up probe. Recovering a live
 // process is a no-op.
 func (c *Core) Recover(p proto.PID) {
 	if !c.Sys.Proc(p).Crashed() {
 		return
 	}
-	if c.Coord != nil {
-		// Groups mode: every group instance is an FD stack with its state
-		// intact; restart the detector and arm each instance's catch-up
-		// probe. The GM algorithms would need a per-group rejoin protocol,
-		// which the group layer does not model — validate() rejects that
-		// combination, so reaching here is a bug.
-		if c.alg != FD {
-			panic("experiment: crash-recovery is unsupported for the GM algorithms in groups mode")
+	if c.stack.rejoins {
+		if c.Coord != nil {
+			// A rejoin would need a per-group rejoin protocol, which the
+			// group layer does not model — checkPlan rejects the
+			// combination, so reaching here is a bug.
+			panic("experiment: crash-recovery of a rejoining stack in groups mode")
 		}
-		c.Sys.Recover(p, nil)
+		c.Sys.Recover(p, func(rt proto.Runtime) proto.Handler {
+			return c.incarnate(int(p), rt, true)
+		})
+		return
+	}
+	c.Sys.Recover(p, nil)
+	if c.Coord != nil {
 		c.Coord.Router(p).Recovered()
 		return
 	}
-	if c.alg == FD {
-		c.Sys.Recover(p, nil)
-		if w := c.Wrappers[p]; w != nil {
-			w.Restart()
-		}
-		c.FDProcs[p].Resume()
-		return
+	ep := c.ends[p]
+	if ep.Restart != nil {
+		ep.Restart()
 	}
-	c.Sys.Recover(p, func(rt proto.Runtime) proto.Handler {
-		return c.endpoint[p](rt, true)
-	})
+	if ep.Resume != nil {
+		ep.Resume()
+	}
 }
 
-// Healed arms the FD catch-up probe on every live process after a
-// partition heal: a healed minority segment has missed the majority's
-// decisions and must ask for the suffix — decision forwarding alone
-// cannot unwedge it once the gap is real. The GM algorithms run their
-// own staleness probe off the heal's trust edges, so this is a no-op
-// for them. Probes on processes that were not behind disarm silently.
+// Healed arms the catch-up probe of every live process after a partition
+// heal: a healed minority segment has missed the majority's decisions and
+// must ask for the suffix — decision forwarding alone cannot unwedge it
+// once the gap is real. Stacks without a Resume hook (the GM algorithms
+// run their own staleness probe off the heal's trust edges) are left
+// alone. Probes on processes that were not behind disarm silently.
 func (c *Core) Healed() {
-	if c.alg != FD {
-		return
-	}
-	if c.Coord != nil {
-		for p := 0; p < c.Coord.Map().N(); p++ {
-			if !c.Sys.Proc(proto.PID(p)).Crashed() {
-				c.Coord.Router(proto.PID(p)).Resumed()
-			}
+	for p := 0; p < c.cfg.N; p++ {
+		if c.Sys.Proc(proto.PID(p)).Crashed() {
+			continue
 		}
-		return
-	}
-	for p, proc := range c.FDProcs {
-		if proc != nil && !c.Sys.Proc(proto.PID(p)).Crashed() {
-			proc.Resume()
+		if c.Coord != nil {
+			c.Coord.Router(proto.PID(p)).Resumed()
+		} else if resume := c.ends[p].Resume; resume != nil {
+			resume()
 		}
 	}
 }

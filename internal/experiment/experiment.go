@@ -236,53 +236,44 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// core translates the experiment point into the description of one of
+// its replications' systems; seed is the replication's seed.
+func (c Config) core(seed uint64) CoreConfig {
+	qos := c.QoS
+	if c.Detector != nil {
+		// The concrete heartbeat detector replaces the abstract model:
+		// silence the modelled detectors so QoS is genuinely ignored and a
+		// Detector point is bit-identical whatever QoS it inherited.
+		qos = fd.QoS{}
+	}
+	return CoreConfig{
+		Algorithm:  c.Algorithm,
+		N:          c.N,
+		Lambda:     c.Lambda,
+		Topology:   c.Topology,
+		Groups:     c.Groups,
+		CrossShard: c.CrossShard,
+		QoS:        qos,
+		Detector:   c.Detector,
+		Renumber:   !c.DisableRenumber,
+		Seed:       seed,
+		Parallel:   c.ParallelSim,
+		Workers:    c.SimWorkers,
+		PreCrashed: c.Crashed,
+		Plan:       c.Plan,
+		Throughput: c.Throughput,
+		Load:       c.Load,
+	}
+}
+
+// validate checks the point once, before any replication runs: the
+// system rules are CoreConfig.Validate's, only the aggregation knobs are
+// the Runner's own.
 func (c Config) validate() error {
-	switch {
-	case c.Algorithm < FD || c.Algorithm > GMNonUniform:
-		return fmt.Errorf("experiment: unknown algorithm %d", int(c.Algorithm))
-	case c.N < 1:
-		return fmt.Errorf("experiment: N = %d", c.N)
-	case c.Throughput < 0:
-		return fmt.Errorf("experiment: negative throughput")
-	case c.DistSketch < 0 || c.DistSketch >= 1:
+	if c.DistSketch < 0 || c.DistSketch >= 1 {
 		return fmt.Errorf("experiment: DistSketch = %v, want 0 (exact) or a relative error in (0, 1)", c.DistSketch)
-	case c.Topology != nil && c.Topology.N != c.N:
-		return fmt.Errorf("experiment: topology %q is for %d processes, config has N=%d", c.Topology.Name, c.Topology.N, c.N)
 	}
-	if c.Topology != nil {
-		if err := c.Topology.Validate(); err != nil {
-			return err
-		}
-	}
-	if err := c.Plan.validate(c.N); err != nil {
-		return err
-	}
-	if err := c.Load.validate(c.N); err != nil {
-		return err
-	}
-	if c.Groups != nil {
-		if err := c.Groups.Validate(c.N, c.Topology); err != nil {
-			return err
-		}
-		if c.Algorithm != FD && !c.Groups.Trivial() && c.Plan.hasRecover() {
-			return fmt.Errorf("experiment: crash-recovery is unsupported for the GM algorithms in groups mode (group instances have no per-group rejoin)")
-		}
-	}
-	if c.CrossShard < 0 || c.CrossShard > 1 || c.CrossShard != c.CrossShard {
-		return fmt.Errorf("experiment: CrossShard = %v, want a fraction in [0, 1]", c.CrossShard)
-	}
-	if c.Groups == nil || c.Groups.Trivial() {
-		if c.CrossShard != 0 {
-			return fmt.Errorf("experiment: CrossShard without a (non-trivial) Groups map")
-		}
-		if c.Load.hasShardMix() {
-			return fmt.Errorf("experiment: load plan carries a shardmix event without a (non-trivial) Groups map")
-		}
-	}
-	if pre := len(c.preCrashOrder()); pre >= (c.N+1)/2 {
-		return fmt.Errorf("experiment: %d pre-crashes exceed the f < n/2 bound for n = %d", pre, c.N)
-	}
-	return nil
+	return c.core(c.Seed).Validate()
 }
 
 // newDistCollector returns an empty latency collector in the mode
@@ -293,27 +284,6 @@ func (c Config) newDistCollector() stats.Collector {
 		return stats.NewSketchCollector(c.DistSketch)
 	}
 	return stats.Collector{}
-}
-
-// preCrashOrder returns the processes crashed before the run starts —
-// Config.Crashed first, then the plan's PreCrash events — in declaration
-// order with duplicates dropped.
-func (c Config) preCrashOrder() []proto.PID {
-	out := make([]proto.PID, 0, len(c.Crashed))
-	seen := make(map[proto.PID]bool, len(c.Crashed))
-	for _, p := range c.Crashed {
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
-	for _, p := range c.Plan.preCrashes() {
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // Result aggregates an experiment's replications.
@@ -352,27 +322,12 @@ type Result struct {
 // under legitimate load are orders of magnitude smaller.
 const DivergenceBacklog = 2000
 
-// cluster assembles one simulated system running one algorithm. The
-// engine, network, detectors and per-process protocol stacks are built
-// by the shared Core builder (see builder.go); cluster adds the
-// experiment harness's concerns — backlog accounting, observers, fault
-// and load installation.
+// cluster is the Runner's shell around one replication's Core: it adds
+// what only the experiment harness needs — the divergence backlog and the
+// observer feeds. Everything else (validation aside, which runs once per
+// point) is the Core's.
 type cluster struct {
-	cfg   Config
-	core  *Core
-	eng   *sim.Engine
-	sys   *proto.System
-	bcast []func(body any) proto.MsgID
-	// faults is the replication's single fault-injection path: the plan
-	// installs through it and scripted scenario faults fire through it.
-	faults *Faults
-	// loads is the replication's single workload-shaping path, built by
-	// setupLoad when the scenario installs its workload; Config.Load
-	// installs through it.
-	loads *Loads
-	// sentBy counts the A-broadcasts issued per process, the ID-sequence
-	// base a recovered GM incarnation continues from (Core.SentBy).
-	sentBy []uint64
+	core *Core
 	// onDeliver is invoked for every A-delivery at every process; at is
 	// the delivery instant (passed explicitly: under the parallel engine
 	// the callback runs at the window commit, when the root clock no
@@ -382,12 +337,6 @@ type cluster struct {
 	// through broadcast() — the feed of BroadcastObservers; at is the
 	// broadcast instant, explicit for the same reason as onDeliver's.
 	onBroadcast func(sender proto.PID, id proto.MsgID, at sim.Time)
-	// onPlanEvent, if non-nil, observes plan events as they apply — the
-	// feed of PlanObservers.
-	onPlanEvent func(ev PlanEvent)
-	// onLoadEvent, if non-nil, observes load events as they apply — the
-	// feed of LoadObservers.
-	onLoadEvent func(ev LoadEvent)
 	// broadcasts and deliveredAt0 are the backlog accounting used for
 	// divergence detection: every broadcast issued through broadcast()
 	// versus deliveries observed at process 0 (always alive in steady
@@ -396,34 +345,20 @@ type cluster struct {
 	// never delivers the rest.
 	broadcasts   int
 	deliveredAt0 int
-	// crossFrac and mixRng drive the groups-mode destination choice:
-	// each broadcast goes to the sender's home group, plus one other
-	// group with probability crossFrac, drawn from the dedicated "mix"
-	// stream (unused in broadcast mode, so a zero fraction consumes no
-	// randomness and shard-local-only runs are insensitive to it).
-	crossFrac float64
-	mixRng    *sim.Rand
-	// mixDests is per-sender destination scratch: sources in different
-	// conflict domains fire concurrently, so the scratch cannot be
-	// shared.
-	mixDests [][2]int
 }
 
-// broadcast A-broadcasts body from sender and maintains the backlog
-// accounting. Scenarios must broadcast through it rather than calling
-// bcast directly. A crashed sender generates no load: the zero MsgID is
-// returned and nothing is counted (a message ID's Seq is always >= 1, so
-// the zero ID is unambiguous).
+// broadcast A-broadcasts body from sender through the Core and maintains
+// the backlog accounting. Scenarios must broadcast through it.
 func (c *cluster) broadcast(sender int, body any) proto.MsgID {
-	if c.sys.Proc(proto.PID(sender)).Crashed() {
-		return proto.MsgID{}
+	id, dests := c.core.Broadcast(sender, body)
+	counts := dests == nil
+	for _, g := range dests {
+		if c.core.Coord.Map().Contains(g, 0) {
+			counts = true
+			break
+		}
 	}
-	if m := c.cfg.Groups; m != nil {
-		return c.multicastMixed(m, sender, body)
-	}
-	c.sentBy[sender]++
-	id := c.bcast[sender](body)
-	c.countBroadcast(sender, id, true)
+	c.countBroadcast(sender, id, counts)
 	return id
 }
 
@@ -432,7 +367,7 @@ func (c *cluster) broadcast(sender int, body any) proto.MsgID {
 // to the window commit — the counter and the observers are shared
 // across domains — where it runs in exact serial order.
 func (c *cluster) countBroadcast(sender int, id proto.MsgID, counts bool) {
-	h := c.eng.For(sender)
+	h := c.core.Eng.For(sender)
 	at := h.Now()
 	apply := func() {
 		if counts {
@@ -449,146 +384,23 @@ func (c *cluster) countBroadcast(sender int, id proto.MsgID, counts bool) {
 	apply()
 }
 
-// multicastMixed issues one groups-mode broadcast: to the sender's home
-// group, plus one uniformly-drawn other group with probability
-// crossFrac. Only messages whose destinations contain p0 count toward
-// the divergence backlog — p0 never delivers the rest.
-func (c *cluster) multicastMixed(m *groups.GroupMap, sender int, body any) proto.MsgID {
-	home := m.Home(proto.PID(sender))
-	dests := c.mixDests[sender][:1]
-	dests[0] = home
-	if c.crossFrac > 0 && m.NumGroups() > 1 && c.mixRng.Float64() < c.crossFrac {
-		other := c.mixRng.Intn(m.NumGroups() - 1)
-		if other >= home {
-			other++
-		}
-		if other < home {
-			dests = append(dests[:0], other, home)
-		} else {
-			dests = append(dests, other)
-		}
-	}
-	c.sentBy[sender]++
-	counts := false
-	for _, g := range dests {
-		if m.Contains(g, 0) {
-			counts = true
-			break
-		}
-	}
-	id := c.core.Mcast(proto.PID(sender), dests, body)
-	c.countBroadcast(sender, id, counts)
-	return id
-}
-
 // backlog returns the number of broadcasts not yet delivered at p0.
 func (c *cluster) backlog() int { return c.broadcasts - c.deliveredAt0 }
 
-// newCluster builds engine + network + detectors + algorithm stack
-// through the shared Core builder, and installs the configuration's
-// fault plan.
+// newCluster assembles one replication's system from a validated point.
 func newCluster(cfg Config, seed uint64) *cluster {
-	qos := cfg.QoS
-	if cfg.Detector != nil {
-		// The concrete heartbeat detector replaces the abstract model:
-		// silence the modelled detectors so QoS is genuinely ignored and a
-		// Detector point is bit-identical whatever QoS it inherited.
-		qos = fd.QoS{}
+	c := &cluster{}
+	cc := cfg.core(seed)
+	cc.Deliver = func(pid proto.PID, id proto.MsgID, body any, at sim.Time) {
+		if pid == 0 {
+			c.deliveredAt0++
+		}
+		if c.onDeliver != nil {
+			c.onDeliver(pid, id, at)
+		}
 	}
-	if cfg.Groups != nil && cfg.Groups.Trivial() {
-		// Normalize here too (NewCore normalizes its own copy): the
-		// cluster's broadcast path keys off cfg.Groups.
-		cfg.Groups = nil
-	}
-	c := &cluster{cfg: cfg}
-	if cfg.Groups != nil {
-		c.crossFrac = cfg.CrossShard
-		c.mixRng = sim.NewRand(seed).Fork("mix")
-		c.mixDests = make([][2]int, cfg.N)
-	}
-	// Configurations that draw from shared random streams mid-window —
-	// a plan with lossy links, or groups-mode cross-shard mixing (active
-	// now, or activatable by a ShardMix load event) — only preserve the
-	// serial draw order inside a single conflict domain.
-	serialDomains := cfg.Plan.hasLinkLoss() ||
-		(cfg.Groups != nil && (cfg.CrossShard > 0 || cfg.Load.hasShardMix()))
-	c.core = NewCore(CoreConfig{
-		Algorithm:     cfg.Algorithm,
-		N:             cfg.N,
-		Lambda:        cfg.Lambda,
-		Topology:      cfg.Topology,
-		Groups:        cfg.Groups,
-		QoS:           qos,
-		Detector:      cfg.Detector,
-		Renumber:      !cfg.DisableRenumber,
-		Seed:          seed,
-		Parallel:      cfg.ParallelSim,
-		Workers:       cfg.SimWorkers,
-		SerialDomains: serialDomains,
-		PreCrashed:    cfg.preCrashOrder(),
-		Deliver: func(pid proto.PID, id proto.MsgID, body any, at sim.Time) {
-			if pid == 0 {
-				c.deliveredAt0++
-			}
-			if c.onDeliver != nil {
-				c.onDeliver(pid, id, at)
-			}
-		},
-	})
-	c.eng = c.core.Eng
-	c.sys = c.core.Sys
-	c.bcast = c.core.Bcast
-	c.sentBy = c.core.SentBy
-	c.faults = &Faults{
-		Sys:     c.sys,
-		Recover: c.core.Recover,
-		Healed:  c.core.Healed,
-		OnEvent: func(ev PlanEvent) {
-			if c.onPlanEvent != nil {
-				c.onPlanEvent(ev)
-			}
-		},
-	}
-	c.faults.Install(cfg.Plan)
+	c.core = NewCore(cc)
 	return c
-}
-
-// setupLoad installs the replication's Poisson workload — one source per
-// live sender, exactly as workload.Spread always did — and the Loads
-// installer that Config.Load (and, through it, every load event) acts on.
-// Scenarios call it from Setup; fire receives each arriving broadcast's
-// sender. With a nil Config.Load the installer schedules nothing and the
-// sources run at their constant spread rate, bit-identical to the
-// pre-LoadPlan behaviour.
-func (c *cluster) setupLoad(cfg Config, rep int, fire func(sender int)) {
-	rng := sim.NewRand(repSeed(cfg.Seed, rep)).Fork("load")
-	c.loads = NewSpreadLoads(c.eng, rng, cfg.Throughput, cfg.N, liveSenders(cfg), fire)
-	c.loads.OnEvent = func(ev LoadEvent) {
-		if c.onLoadEvent != nil {
-			c.onLoadEvent(ev)
-		}
-	}
-	if cfg.Groups != nil {
-		c.loads.OnShardMix = func(fraction float64) { c.crossFrac = fraction }
-	}
-	c.loads.Install(cfg.Load)
-}
-
-// liveSenders returns the processes that generate load: everyone not
-// crashed before the run starts. Processes crashed by plan events keep
-// their Poisson source, but broadcast() drops its firings while crashed.
-func liveSenders(cfg Config) []int {
-	crashed := make(map[proto.PID]bool)
-	for _, p := range cfg.preCrashOrder() {
-		crashed[p] = true
-	}
-	var out []int
-	for p := 0; p < cfg.N; p++ {
-		if !crashed[proto.PID(p)] {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // repSeed derives the seed of one replication.

@@ -309,7 +309,7 @@ func (p *FaultPlan) preCrashes() []proto.PID {
 }
 
 // hasRecover reports whether the plan schedules a Recover event, which
-// groups mode only supports for the FD algorithm.
+// groups mode only supports for stacks that resume in place.
 func (p *FaultPlan) hasRecover() bool {
 	if p == nil {
 		return false
@@ -422,20 +422,14 @@ func (p *FaultPlan) validate(n int) error {
 }
 
 // Faults applies plan events to a running system. It is the single fault
-// injection path: the replication engine installs Config.Plan through it,
-// the crash-transient scenario fires its scripted crash through it, and
-// the interactive Cluster's fault methods schedule through it, so every
-// current and future scenario shares one set of semantics.
+// injection path: NewCore builds it and installs CoreConfig.Plan through
+// it, the crash-transient scenario fires its scripted crash through it,
+// and the interactive Cluster's fault methods schedule through it
+// (Core.Apply), so every current and future scenario shares one set of
+// semantics. Recover and Heal events act through the Core's
+// algorithm-aware hooks (Core.Recover, Core.Healed).
 type Faults struct {
-	// Sys is the system the events act on.
-	Sys *proto.System
-	// Recover performs algorithm-aware recovery of a process; it must be
-	// set before a Recover event applies.
-	Recover func(p proto.PID)
-	// Healed, if non-nil, runs after a Heal event restores reachability —
-	// the hook algorithm-aware builders use to arm catch-up probes on
-	// processes a partition left behind (see Core.Healed).
-	Healed func()
+	core *Core
 	// OnEvent, if non-nil, observes each event at the instant it applies.
 	OnEvent func(ev PlanEvent)
 }
@@ -452,40 +446,36 @@ func (f *Faults) Install(plan *FaultPlan) {
 // Schedule arms one event to apply at its instant. Scheduling an event in
 // the simulation's past panics, as any scheduling in the past does.
 func (f *Faults) Schedule(ev PlanEvent) {
-	f.Sys.Eng.Schedule(sim.Time(ev.When()), func() { f.Fire(ev) })
+	f.core.Eng.Schedule(sim.Time(ev.When()), func() { f.Fire(ev) })
 }
 
 // Fire applies one event at the current instant, regardless of its When.
 func (f *Faults) Fire(ev PlanEvent) {
+	sys := f.core.Sys
 	switch e := ev.(type) {
 	case Crash:
-		f.Sys.Crash(e.P)
+		sys.Crash(e.P)
 	case Recover:
-		if f.Recover == nil {
-			panic("experiment: Recover event without a recovery hook")
-		}
-		f.Recover(e.P)
+		f.core.Recover(e.P)
 	case SuspicionBurst:
 		if e.By != nil {
 			for _, q := range e.By {
-				f.Sys.FDs.InjectMistake(int(q), int(e.P), e.For)
+				sys.FDs.InjectMistake(int(q), int(e.P), e.For)
 			}
 		} else {
-			for q := 0; q < f.Sys.N(); q++ {
+			for q := 0; q < sys.N(); q++ {
 				if proto.PID(q) != e.P {
-					f.Sys.FDs.InjectMistake(q, int(e.P), e.For)
+					sys.FDs.InjectMistake(q, int(e.P), e.For)
 				}
 			}
 		}
 	case Partition:
-		f.Sys.Partition(e.Groups)
+		sys.Partition(e.Groups)
 	case Heal:
-		f.Sys.Heal()
-		if f.Healed != nil {
-			f.Healed()
-		}
+		sys.Heal()
+		f.core.Healed()
 	case LinkFault:
-		f.Sys.Net.SetLink(int(e.From), int(e.To), e.Loss, e.ExtraDelay)
+		sys.Net.SetLink(int(e.From), int(e.To), e.Loss, e.ExtraDelay)
 	case PreCrash:
 		panic("experiment: PreCrash applies before the system starts, not on the timeline")
 	default:

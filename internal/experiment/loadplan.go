@@ -313,10 +313,11 @@ const (
 	maxBurstFactor = 1e6
 )
 
-// Loads applies load events to a replication's workload sources. It is
-// the single workload-shaping path: scenarios install Config.Load through
-// it and the interactive Cluster's load methods schedule through it, so
-// every surface shares one set of semantics.
+// Loads applies load events to a system's workload sources. It is the
+// single workload-shaping path: Core.StartLoad builds it and installs
+// CoreConfig.Load through it, and the interactive Cluster's load methods
+// schedule through it (Core.ApplyLoad), so every surface shares one set
+// of semantics.
 //
 // The installer keeps the logical state — per-sender base rate, the
 // product of active burst factors, mute flags and the global pause — and
@@ -335,9 +336,9 @@ type Loads struct {
 	sources []*workload.Poisson
 	// OnEvent, if non-nil, observes each event at the instant it applies.
 	OnEvent func(ev LoadEvent)
-	// OnShardMix, if non-nil, receives ShardMix events' fractions — the
-	// groups-mode cluster hooks it to retarget generated traffic. Without
-	// the hook the event is a no-op (validation rejects the combination).
+	// OnShardMix, if non-nil, receives ShardMix events' fractions — a
+	// groups-mode Core hooks it to retarget Broadcast. Without the hook
+	// the event is a no-op (validation rejects the combination).
 	OnShardMix func(fraction float64)
 
 	base   []float64 // logical per-sender rate, msgs/s
@@ -346,23 +347,10 @@ type Loads struct {
 	paused bool
 }
 
-// NewSpreadLoads starts the paper's spread workload — one Poisson source
-// per listed sender at rate total/nominal, exactly workload.Spread — and
-// returns its Loads installer. It is the shared workload construction of
-// the experiment scenarios and the interactive Cluster: one place owns
-// the sender→source mapping that load events act on.
-func NewSpreadLoads(eng *sim.Engine, rng *sim.Rand, total float64, nominal int, senders []int, fire func(sender int)) *Loads {
-	sources := workload.Spread(eng, rng, total, nominal, senders, fire)
-	byPID := make([]*workload.Poisson, nominal)
-	for i, s := range senders {
-		byPID[s] = sources[i]
-	}
-	return NewLoads(eng, total, nominal, byPID)
-}
-
-// NewLoads creates the installer for one replication's workload: total is
-// the configured throughput (spread as total/nominal over each non-nil
-// source, mirroring workload.Spread) and sources is PID-indexed.
+// NewLoads creates the installer for one system's workload: total is the
+// configured throughput (spread as total/nominal over each non-nil
+// source, mirroring workload.Spread) and sources is PID-indexed — the
+// sender→source mapping that load events act on.
 func NewLoads(eng *sim.Engine, total float64, nominal int, sources []*workload.Poisson) *Loads {
 	l := &Loads{
 		eng:     eng,

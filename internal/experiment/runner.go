@@ -113,7 +113,7 @@ func (r *Runner) SteadyAll(cfgs []Config) []Result {
 		reps[i] = make([]RepStats, cfg.Replications)
 	}
 	r.runGrid(counts, func(point, rep int) {
-		reps[point][rep] = runReplication(pts[point], point, rep, newSteadyScenario(pts[point], rep))
+		reps[point][rep] = runReplication(pts[point], point, rep, newSteadyScenario(pts[point]))
 	})
 	out := make([]Result, len(pts))
 	for i := range pts {
@@ -148,7 +148,7 @@ func (r *Runner) TransientAll(cfgs []TransientConfig) []TransientResult {
 	r.runGrid(counts, func(point, rep int) {
 		cfg := pts[point].Config
 		cfg.transient = &transientInfo{crash: pts[point].Crash, sender: pts[point].Sender}
-		reps[point][rep] = runReplication(cfg, point, rep, CrashTransient(pts[point], rep))
+		reps[point][rep] = runReplication(cfg, point, rep, CrashTransient(pts[point]))
 	})
 	out := make([]TransientResult, len(pts))
 	for i := range pts {
@@ -256,80 +256,57 @@ type Sweep struct {
 	GroupMaps []*groups.GroupMap
 }
 
-// Points expands the grid in canonical order: Algorithm outermost, then
-// N, then Throughput, then QoS, then Lambda, then CrashSet, then
-// Detector, then Plan, then Load, then Topology, then GroupMap
-// innermost.
+// sweepAxes is the grid's axis table, outermost axis first: the canonical
+// point order — Algorithm outermost, then N, Throughput, QoS, Lambda,
+// CrashSet, Detector, Plan, Load, Topology, and GroupMap innermost — is
+// stated here and nowhere else. An axis of length zero is not swept: every
+// point inherits Base's value.
+var sweepAxes = [...]struct {
+	len   func(s *Sweep) int
+	apply func(s *Sweep, c *Config, i int)
+}{
+	{func(s *Sweep) int { return len(s.Algorithms) },
+		func(s *Sweep, c *Config, i int) { c.Algorithm = s.Algorithms[i] }},
+	{func(s *Sweep) int { return len(s.Ns) },
+		func(s *Sweep, c *Config, i int) { c.N = s.Ns[i] }},
+	{func(s *Sweep) int { return len(s.Throughputs) },
+		func(s *Sweep, c *Config, i int) { c.Throughput = s.Throughputs[i] }},
+	{func(s *Sweep) int { return len(s.QoS) },
+		func(s *Sweep, c *Config, i int) { c.QoS = s.QoS[i] }},
+	{func(s *Sweep) int { return len(s.Lambdas) },
+		func(s *Sweep, c *Config, i int) { c.Lambda = s.Lambdas[i] }},
+	{func(s *Sweep) int { return len(s.CrashSets) },
+		func(s *Sweep, c *Config, i int) { c.Crashed = s.CrashSets[i] }},
+	{func(s *Sweep) int { return len(s.Detectors) },
+		func(s *Sweep, c *Config, i int) { c.Detector = s.Detectors[i] }},
+	{func(s *Sweep) int { return len(s.Plans) },
+		func(s *Sweep, c *Config, i int) { c.Plan = s.Plans[i] }},
+	{func(s *Sweep) int { return len(s.Loads) },
+		func(s *Sweep, c *Config, i int) { c.Load = s.Loads[i] }},
+	{func(s *Sweep) int { return len(s.Topologies) },
+		func(s *Sweep, c *Config, i int) { c.Topology = s.Topologies[i] }},
+	{func(s *Sweep) int { return len(s.GroupMaps) },
+		func(s *Sweep, c *Config, i int) { c.Groups = s.GroupMaps[i] }},
+}
+
+// Points expands the grid in the canonical order of sweepAxes: point k's
+// axis indices are the digits of k in the mixed radix of the swept axes'
+// lengths, the innermost axis least significant.
 func (s Sweep) Points() []Config {
-	algs := s.Algorithms
-	if len(algs) == 0 {
-		algs = []Algorithm{s.Base.Algorithm}
+	total := 1
+	for _, ax := range sweepAxes {
+		if n := ax.len(&s); n > 0 {
+			total *= n
+		}
 	}
-	ns := s.Ns
-	if len(ns) == 0 {
-		ns = []int{s.Base.N}
-	}
-	thrs := s.Throughputs
-	if len(thrs) == 0 {
-		thrs = []float64{s.Base.Throughput}
-	}
-	qos := s.QoS
-	if len(qos) == 0 {
-		qos = []fd.QoS{s.Base.QoS}
-	}
-	lambdas := s.Lambdas
-	if len(lambdas) == 0 {
-		lambdas = []float64{s.Base.Lambda}
-	}
-	crashes := s.CrashSets
-	if len(crashes) == 0 {
-		crashes = [][]proto.PID{s.Base.Crashed}
-	}
-	dets := s.Detectors
-	if len(dets) == 0 {
-		dets = []*Heartbeat{s.Base.Detector}
-	}
-	plans := s.Plans
-	if len(plans) == 0 {
-		plans = []*FaultPlan{s.Base.Plan}
-	}
-	loads := s.Loads
-	if len(loads) == 0 {
-		loads = []*LoadPlan{s.Base.Load}
-	}
-	topos := s.Topologies
-	if len(topos) == 0 {
-		topos = []*topo.Topology{s.Base.Topology}
-	}
-	gmaps := s.GroupMaps
-	if len(gmaps) == 0 {
-		gmaps = []*groups.GroupMap{s.Base.Groups}
-	}
-	out := make([]Config, 0, len(algs)*len(ns)*len(thrs)*len(qos)*len(lambdas)*len(crashes)*len(dets)*len(plans)*len(loads)*len(topos)*len(gmaps))
-	for _, a := range algs {
-		for _, n := range ns {
-			for _, t := range thrs {
-				for _, q := range qos {
-					for _, l := range lambdas {
-						for _, cr := range crashes {
-							for _, det := range dets {
-								for _, plan := range plans {
-									for _, load := range loads {
-										for _, tp := range topos {
-											for _, gmap := range gmaps {
-												cfg := s.Base
-												cfg.Algorithm, cfg.N, cfg.Throughput, cfg.QoS = a, n, t, q
-												cfg.Lambda, cfg.Crashed, cfg.Detector, cfg.Plan = l, cr, det, plan
-												cfg.Load, cfg.Topology, cfg.Groups = load, tp, gmap
-												out = append(out, cfg)
-											}
-										}
-									}
-								}
-							}
-						}
-					}
-				}
+	out := make([]Config, total)
+	for k := range out {
+		out[k] = s.Base
+		rest := k
+		for a := len(sweepAxes) - 1; a >= 0; a-- {
+			if n := sweepAxes[a].len(&s); n > 0 {
+				sweepAxes[a].apply(&s, &out[k], rest%n)
+				rest /= n
 			}
 		}
 	}

@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"repro/internal/fd"
+	"repro/internal/groups"
 	"repro/internal/proto"
+	"repro/internal/topo"
 )
 
 // fastTransient shrinks a crash-transient experiment to test-suite scale.
@@ -130,6 +132,42 @@ func TestSweepPoints(t *testing.T) {
 	single := Sweep{Base: Config{Algorithm: GM, N: 7, Throughput: 50}}.Points()
 	if len(single) != 1 || single[0].Algorithm != GM || single[0].N != 7 || single[0].Throughput != 50 {
 		t.Fatalf("degenerate sweep = %+v", single)
+	}
+	// All eleven axes at length 2: point k's axis indices are the bits of
+	// k, Algorithm the most significant and GroupMap the least.
+	hb, plan, load := &Heartbeat{}, NewFaultPlan(), NewLoadPlan()
+	ring, shards := topo.Ring(4), groups.Disjoint(4, 2)
+	all := Sweep{
+		Algorithms:  []Algorithm{FD, GM},
+		Ns:          []int{3, 4},
+		Throughputs: []float64{10, 20},
+		QoS:         []fd.QoS{{}, {TD: time.Millisecond}},
+		Lambdas:     []float64{1, 2},
+		CrashSets:   [][]proto.PID{nil, {2}},
+		Detectors:   []*Heartbeat{nil, hb},
+		Plans:       []*FaultPlan{nil, plan},
+		Loads:       []*LoadPlan{nil, load},
+		Topologies:  []*topo.Topology{nil, ring},
+		GroupMaps:   []*groups.GroupMap{nil, shards},
+	}.Points()
+	if len(all) != 2048 {
+		t.Fatalf("2^11 grid expanded to %d points", len(all))
+	}
+	for k, p := range all {
+		bits := []bool{
+			p.Algorithm == GM, p.N == 4, p.Throughput == 20, p.QoS.TD != 0, p.Lambda == 2, p.Crashed != nil,
+			p.Detector == hb, p.Plan == plan, p.Load == load, p.Topology == ring, p.Groups == shards,
+		}
+		got := 0
+		for _, b := range bits {
+			got <<= 1
+			if b {
+				got |= 1
+			}
+		}
+		if got != k {
+			t.Fatalf("point %d decomposes to axis indices %011b: %+v", k, got, p)
+		}
 	}
 }
 

@@ -61,8 +61,9 @@ type phases struct {
 type Scenario interface {
 	// Phases reports the replication's time structure to the engine.
 	Phases() phases
-	// Setup installs the replication's workload and scheduled faults on a
-	// freshly built cluster, before any virtual time elapses.
+	// Setup starts the replication's workload (Core.StartLoad) and
+	// schedules the scenario's own faults on a freshly built cluster,
+	// before any virtual time elapses.
 	Setup(c *cluster)
 	// Observer delivers every A-delivery at every process to the
 	// scenario, ahead of the configured observers.
@@ -83,6 +84,7 @@ type Scenario interface {
 // any order; point and rep only name the replication to its observers.
 func runReplication(cfg Config, point, rep int, s Scenario) RepStats {
 	c := newCluster(cfg, repSeed(cfg.Seed, rep))
+	eng := c.core.Eng
 
 	var observers []Observer
 	var bcastObservers []BroadcastObserver
@@ -125,30 +127,32 @@ func runReplication(cfg Config, point, rep int, s Scenario) RepStats {
 		}
 	}
 	if len(netObservers) > 0 {
-		c.sys.Net.SetTrace(func(ev netmodel.TraceEvent) {
+		c.core.Sys.Net.SetTrace(func(ev netmodel.TraceEvent) {
 			for _, o := range netObservers {
 				o.ObserveNet(ev)
 			}
 		})
 	}
 	if len(planObservers) > 0 {
-		c.onPlanEvent = func(ev PlanEvent) {
-			at := c.eng.Now()
+		c.core.Faults.OnEvent = func(ev PlanEvent) {
+			at := eng.Now()
 			for _, o := range planObservers {
 				o.ObservePlan(at, ev)
 			}
 		}
 	}
+
+	s.Setup(c)
+	// Setup started the workload, so the Loads installer exists now;
+	// nothing fires before the first RunUntil below.
 	if len(loadObservers) > 0 {
-		c.onLoadEvent = func(ev LoadEvent) {
-			at := c.eng.Now()
+		c.core.Loads.OnEvent = func(ev LoadEvent) {
+			at := eng.Now()
 			for _, o := range loadObservers {
 				o.ObserveLoad(at, ev)
 			}
 		}
 	}
-
-	s.Setup(c)
 	ph := s.Phases()
 
 	// Measure phase. Run in slices so a diverging system (backlog beyond
@@ -156,30 +160,30 @@ func runReplication(cfg Config, point, rep int, s Scenario) RepStats {
 	// quadratic agony.
 	diverged := false
 	if ph.divergence {
-		for c.eng.Now() < ph.measureEnd {
-			step := c.eng.Now().Add(ph.measureSlice)
+		for eng.Now() < ph.measureEnd {
+			step := eng.Now().Add(ph.measureSlice)
 			if step > ph.measureEnd {
 				step = ph.measureEnd
 			}
-			c.eng.RunUntil(step)
+			eng.RunUntil(step)
 			if c.backlog() > DivergenceBacklog {
 				diverged = true
 				break
 			}
 		}
 	} else {
-		c.eng.RunUntil(ph.measureEnd)
+		eng.RunUntil(ph.measureEnd)
 	}
 
 	// Drain phase, in slices so the run can stop early once every awaited
 	// delivery landed.
 	deadline := ph.measureEnd.Add(ph.drain)
-	for !diverged && c.eng.Now() < deadline && !s.Done() {
-		step := c.eng.Now().Add(ph.drainSlice)
+	for !diverged && eng.Now() < deadline && !s.Done() {
+		step := eng.Now().Add(ph.drainSlice)
 		if step > deadline {
 			step = deadline
 		}
-		c.eng.RunUntil(step)
+		eng.RunUntil(step)
 		if ph.divergence && c.backlog() > DivergenceBacklog {
 			diverged = true
 		}
@@ -191,12 +195,12 @@ func runReplication(cfg Config, point, rep int, s Scenario) RepStats {
 }
 
 // steadyScenario measures every message A-broadcast inside the measure
-// window. It covers normal-steady, crash-steady and suspicion-steady,
-// which differ only in Config (Crashed and QoS); the named constructors
-// below document that correspondence.
+// window. It is all three steady scenarios, which differ only in Config:
+// normal-steady (Fig. 4) has no crashes and no suspicions, crash-steady
+// (Fig. 5) lists the long-crashed processes in Config.Crashed, and
+// suspicion-steady (Figs. 6, 7) sets the mistake rate in Config.QoS.
 type steadyScenario struct {
 	cfg        Config
-	rep        int
 	start, end sim.Time
 	sent       map[proto.MsgID]sim.Time
 	first      map[proto.MsgID]sim.Time
@@ -204,28 +208,16 @@ type steadyScenario struct {
 
 // newSteadyScenario builds the scenario for one replication of a steady
 // experiment; cfg must already have defaults applied.
-func newSteadyScenario(cfg Config, rep int) *steadyScenario {
+func newSteadyScenario(cfg Config) *steadyScenario {
 	start := sim.Time(0).Add(cfg.Warmup)
 	return &steadyScenario{
 		cfg:   cfg,
-		rep:   rep,
 		start: start,
 		end:   start.Add(cfg.Measure),
 		sent:  make(map[proto.MsgID]sim.Time),
 		first: make(map[proto.MsgID]sim.Time),
 	}
 }
-
-// NormalSteady is the no-crash, no-suspicion scenario (Fig. 4).
-func NormalSteady(cfg Config, rep int) Scenario { return newSteadyScenario(cfg, rep) }
-
-// CrashSteady is the scenario with processes crashed long before the
-// measurement (Fig. 5); cfg.Crashed selects them.
-func CrashSteady(cfg Config, rep int) Scenario { return newSteadyScenario(cfg, rep) }
-
-// SuspicionSteady is the scenario with wrong suspicions at QoS (TMR, TM)
-// but no crashes (Figs. 6, 7); cfg.QoS selects the mistake rate.
-func SuspicionSteady(cfg Config, rep int) Scenario { return newSteadyScenario(cfg, rep) }
 
 func (s *steadyScenario) Phases() phases {
 	return phases{
@@ -238,14 +230,11 @@ func (s *steadyScenario) Phases() phases {
 }
 
 func (s *steadyScenario) Setup(c *cluster) {
-	c.setupLoad(s.cfg, s.rep, func(sender int) {
+	c.core.StartLoad(func(sender int) {
 		id := c.broadcast(sender, nil)
-		if id.Seq == 0 {
-			return // crashed sender (plan-driven): no load generated
-		}
 		// The firing runs in the sender's conflict domain: read its own
 		// clock, and defer the shared sent-map write to the window commit.
-		h := c.eng.For(sender)
+		h := c.core.Eng.For(sender)
 		now := h.Now()
 		if now >= s.start && now < s.end {
 			if h.Deferring() {
@@ -292,7 +281,6 @@ func (s *steadyScenario) Collect() RepStats {
 // instant of a forced crash (Fig. 8): CrashTransient below.
 type transientScenario struct {
 	cfg                       TransientConfig
-	rep                       int
 	crashAt                   sim.Time
 	probe                     proto.MsgID
 	probeSent, probeDelivered sim.Time
@@ -301,8 +289,8 @@ type transientScenario struct {
 
 // CrashTransient builds the crash-transient scenario for one replication;
 // cfg must already have defaults applied.
-func CrashTransient(cfg TransientConfig, rep int) Scenario {
-	return &transientScenario{cfg: cfg, rep: rep, crashAt: sim.Time(0).Add(cfg.Warmup)}
+func CrashTransient(cfg TransientConfig) Scenario {
+	return &transientScenario{cfg: cfg, crashAt: sim.Time(0).Add(cfg.Warmup)}
 }
 
 func (t *transientScenario) Phases() phases {
@@ -314,15 +302,15 @@ func (t *transientScenario) Phases() phases {
 }
 
 func (t *transientScenario) Setup(c *cluster) {
-	c.setupLoad(t.cfg.Config, t.rep, func(sender int) {
+	c.core.StartLoad(func(sender int) {
 		c.broadcast(sender, nil)
 	})
 	// The scripted crash is a plan event fired through the shared fault
 	// machinery, in the same instant and before the probe broadcast.
-	c.eng.Schedule(t.crashAt, func() {
-		c.faults.Fire(Crash{At: t.crashAt.Duration(), P: t.cfg.Crash})
+	c.core.Eng.Schedule(t.crashAt, func() {
+		c.core.Faults.Fire(Crash{At: t.crashAt.Duration(), P: t.cfg.Crash})
 		t.probe = c.broadcast(int(t.cfg.Sender), "probe")
-		t.probeSent = c.eng.Now()
+		t.probeSent = c.core.Eng.Now()
 	})
 }
 

@@ -648,10 +648,10 @@ func replayOne(h traceHeader) (uint64, error) {
 	}
 	switch h.Kind {
 	case "steady":
-		runReplication(cfg, h.Point, h.Rep, newSteadyScenario(cfg, h.Rep))
+		runReplication(cfg, h.Point, h.Rep, newSteadyScenario(cfg))
 	case "transient":
 		tc := TransientConfig{Config: cfg, Crash: proto.PID(h.Crash), Sender: proto.PID(h.Sender)}
-		runReplication(cfg, h.Point, h.Rep, CrashTransient(tc, h.Rep))
+		runReplication(cfg, h.Point, h.Rep, CrashTransient(tc))
 	default:
 		return 0, fmt.Errorf("experiment: unknown trace kind %q", h.Kind)
 	}

@@ -72,7 +72,7 @@ type Runtime interface {
 }
 
 // Timer is a cancellable pending callback. *sim.Event implements it in
-// simulations; the real-time runtime (internal/rt) wraps *time.Timer.
+// simulations; a real-time runtime would wrap *time.Timer.
 type Timer interface {
 	// Cancel prevents the callback from firing; cancelling a fired or
 	// cancelled timer is a no-op.

@@ -1,6 +1,8 @@
 package repro
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -277,4 +279,101 @@ func TestClusterLoadValidation(t *testing.T) {
 	}()
 	c := NewCluster(ClusterConfig{Algorithm: FD, N: 3})
 	c.MuteAt(time.Millisecond, 7)
+}
+
+// rejection runs fn and returns the message it panicked with ("" if it
+// returned normally).
+func rejection(fn func()) (msg string) {
+	defer func() {
+		switch v := recover().(type) {
+		case nil:
+		case error:
+			msg = v.Error()
+		default:
+			msg = fmt.Sprint(v)
+		}
+	}()
+	fn()
+	return ""
+}
+
+// TestShellsRejectAlike feeds the same bad systems to both entry points:
+// the Runner and NewCluster must reject each one before building
+// anything, with the same message — experiment.CoreConfig.Validate's.
+func TestShellsRejectAlike(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  Config // the fields ClusterConfig shares; Crashed is PreCrashed
+		want string // a fragment the message must carry
+	}{
+		{"pre-crash out of range", Config{Algorithm: FD, N: 3, Crashed: []ProcessID{9}}, "process 9"},
+		{"majority pre-crashed", Config{Algorithm: FD, N: 3, Crashed: []ProcessID{1, 2}}, "f < n/2"},
+		{"majority pre-crashed via plan", Config{Algorithm: GM, N: 3, Crashed: []ProcessID{2}, Plan: NewFaultPlan(PreCrash{P: 1})}, "f < n/2"},
+		{"unknown algorithm", Config{Algorithm: 7, N: 3}, "unknown algorithm 7"},
+		{"no processes", Config{Algorithm: FD}, "N = 0"},
+		{"negative throughput", Config{Algorithm: FD, N: 3, Throughput: -1}, "throughput"},
+		{"topology of another size", Config{Algorithm: FD, N: 3, Topology: Ring(4)}, "4 processes"},
+		{"plan names a missing process", Config{Algorithm: FD, N: 3, Plan: NewFaultPlan(Crash{P: 5})}, "process 5"},
+		{"load names a missing sender", Config{Algorithm: FD, N: 3, Load: NewLoadPlan(Mute{Sender: 4})}, "sender 4"},
+		{"cross-shard without groups", Config{Algorithm: FD, N: 4, CrossShard: 0.5}, "CrossShard"},
+		{"shardmix without groups", Config{Algorithm: FD, N: 4, Load: NewLoadPlan(ShardMix{Fraction: 0.5})}, "shardmix"},
+		{"groups of another size", Config{Algorithm: FD, N: 4, Groups: Disjoint(6, 2)}, "6 processes"},
+		{"rejoining stack recovering in groups mode", Config{Algorithm: GM, N: 4, Groups: Disjoint(4, 2),
+			Plan: NewFaultPlan(Crash{At: time.Millisecond, P: 1}, Recover{At: time.Second, P: 1})}, "crash-recovery"},
+	}
+	for _, tc := range cases {
+		cfg := tc.cfg
+		cfg.Warmup, cfg.Measure, cfg.Replications = time.Millisecond, time.Millisecond, 1
+		fromRunner := rejection(func() {
+			var r Runner
+			r.SteadyAll([]Config{{Algorithm: FD, N: 3, Warmup: time.Millisecond, Measure: time.Millisecond, Replications: 1}, cfg})
+		})
+		pre := make([]int, len(cfg.Crashed))
+		for i, p := range cfg.Crashed {
+			pre[i] = int(p)
+		}
+		fromCluster := rejection(func() {
+			NewCluster(ClusterConfig{
+				Algorithm: cfg.Algorithm, N: cfg.N, Throughput: cfg.Throughput, Topology: cfg.Topology,
+				Groups: cfg.Groups, CrossShard: cfg.CrossShard, PreCrashed: pre, Plan: cfg.Plan, Load: cfg.Load,
+			})
+		})
+		if fromRunner == "" || fromRunner != fromCluster || !strings.Contains(fromRunner, tc.want) {
+			t.Errorf("%s:\n  Runner:     %q\n  NewCluster: %q\n  want both to mention %q", tc.name, fromRunner, fromCluster, tc.want)
+		}
+	}
+}
+
+// TestClusterRejectsInteractiveEventsAtTheCall holds interactively
+// scheduled events to the rules of planned ones: what NewCluster would
+// reject in ClusterConfig.Plan or Load, Apply rejects when called, not
+// later inside Run.
+func TestClusterRejectsInteractiveEventsAtTheCall(t *testing.T) {
+	sharded := func(alg Algorithm) *Cluster {
+		return NewCluster(ClusterConfig{Algorithm: alg, N: 4, Groups: Disjoint(4, 2)})
+	}
+	gm := sharded(GM)
+	gm.CrashAt(1, time.Millisecond)
+	if msg := rejection(func() { gm.RecoverAt(1, time.Second) }); !strings.Contains(msg, "crash-recovery") {
+		t.Errorf("RecoverAt on a GM groups-mode cluster: %q, want a crash-recovery rejection at the call", msg)
+	}
+	gm.Run(2 * time.Second) // nothing was scheduled: Run must not panic
+
+	fd := sharded(FD)
+	fd.CrashAt(1, time.Millisecond)
+	if msg := rejection(func() { fd.RecoverAt(1, time.Second) }); msg != "" {
+		t.Errorf("RecoverAt on an FD groups-mode cluster rejected: %s", msg)
+	}
+	fd.Run(2 * time.Second)
+	if fd.Crashed(1) {
+		t.Error("p1 did not recover")
+	}
+
+	plain := NewCluster(ClusterConfig{Algorithm: FD, N: 3})
+	if msg := rejection(func() { plain.ShardMixAt(time.Millisecond, 0.5) }); !strings.Contains(msg, "shardmix") {
+		t.Errorf("ShardMixAt without groups: %q, want the shardmix rejection", msg)
+	}
+	if msg := rejection(func() { plain.Apply(PreCrash{P: 1}) }); !strings.Contains(msg, "PreCrash") {
+		t.Errorf("Apply(PreCrash): %q, want a rejection", msg)
+	}
 }
