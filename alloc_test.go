@@ -1,11 +1,10 @@
 //go:build !race
 
 // Allocation-budget regression guards for the pooled hot paths. The
-// budgets pin the memory-diet pass (BENCH_kernel.json records the
-// measured values) so a refactor can't silently reintroduce per-message
-// or per-instance allocation. The race detector instruments allocation
-// itself, so the file is excluded under -race and CI runs it in a
-// separate uninstrumented step.
+// budgets pin the memory-diet pass so a refactor can't silently
+// reintroduce per-message or per-instance allocation. The race detector
+// instruments allocation itself, so the file is excluded under -race and
+// CI runs it in a separate uninstrumented step.
 package repro
 
 import (

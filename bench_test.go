@@ -184,7 +184,7 @@ func BenchmarkAblationLambda(b *testing.B) {
 // replications = 24 independent simulations): serial versus all-cores.
 // Results are bit-identical at any worker count, so ns/op is the only
 // thing that moves; the speedup is roughly min(workers, 24) on idle
-// hardware. BENCH_sweep.json records a measured data point.
+// hardware.
 func BenchmarkSweepParallel(b *testing.B) {
 	sweep := Sweep{
 		Base: Config{
@@ -214,52 +214,6 @@ func BenchmarkSweepParallel(b *testing.B) {
 				msgs += res.Messages
 			}
 			b.ReportMetric(float64(msgs), "msgs")
-		})
-	}
-}
-
-// BenchmarkParallelSim measures one simulation executed serially vs
-// through the parallel engine on the canonical multi-domain topology
-// (OneWayRing: one conflict domain per process, lookahead one wire
-// traversal). On a multi-core host the parallel variants buy wall-clock
-// time; on one CPU they price the window/commit machinery's overhead.
-// Results are bit-identical in every variant — the msgs metric must
-// agree across all sub-benchmarks.
-func BenchmarkParallelSim(b *testing.B) {
-	cfg := Config{
-		Algorithm:    FD,
-		N:            8,
-		Topology:     OneWayRing(8),
-		QoS:          Detectors(10, 0, 0),
-		Throughput:   100,
-		Warmup:       500 * time.Millisecond,
-		Measure:      2 * time.Second,
-		Drain:        10 * time.Second,
-		Replications: 1,
-	}
-	type variant struct {
-		name     string
-		parallel bool
-		workers  int
-	}
-	variants := []variant{
-		{"serial", false, 0},
-		{"parallel/workers=1", true, 1},
-	}
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		variants = append(variants, variant{fmt.Sprintf("parallel/workers=%d", n), true, n})
-	}
-	for _, v := range variants {
-		b.Run(v.name, func(b *testing.B) {
-			c := cfg
-			c.ParallelSim = v.parallel
-			c.SimWorkers = v.workers
-			r := &Runner{Workers: 1}
-			var last Result
-			for i := 0; i < b.N; i++ {
-				last = r.Steady(c)
-			}
-			b.ReportMetric(float64(last.Messages), "msgs")
 		})
 	}
 }
@@ -314,8 +268,7 @@ func BenchmarkTopologyNScale(b *testing.B) {
 // so the per-group rate falls as 1/groups while the aggregate stays
 // fixed. ns/op is what the group layer costs the simulator as the
 // instance count grows; latency_ms is the virtual-time result, falling
-// as each shard's wire decongests. BENCH_sweep.json records a measured
-// data point.
+// as each shard's wire decongests.
 func BenchmarkMultiGroupThroughput(b *testing.B) {
 	const totalRate = 240.0
 	for _, k := range []int{1, 2, 4, 8} {

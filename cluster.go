@@ -115,26 +115,6 @@ type ClusterConfig struct {
 	// shard-local. Groups mode only; ShardMixAt (or a ShardMix load
 	// event) changes it mid-run.
 	CrossShard float64
-	// ParallelSim executes the simulation's conflict domains concurrently
-	// inside safe windows bounded by the minimum cross-domain wire cost.
-	// Every observable — deliveries, views, traces, stats — is
-	// bit-identical to the serial engine at any worker count; the switch
-	// trades nothing but wall-clock time. How far it helps depends on the
-	// topology: shared-wire graphs (FullMesh, Ring, Star, Clique, Geo)
-	// collapse to a single conflict domain, while fully directed graphs
-	// like Topology OneWayRing split into one domain per process.
-	// Configurations whose randomness crosses domains mid-run — a fault
-	// plan with link loss, or groups mode with cross-shard mixing — are
-	// detected and executed serially for exactness. Interactive calls
-	// that would introduce such randomness into a multi-domain run
-	// (SetLinkAt with loss, ShardMixAt) panic instead of degrading
-	// silently; plan them in ClusterConfig.Plan/CrossShard so the
-	// cluster serialises itself up front.
-	ParallelSim bool
-	// SimWorkers caps the worker goroutines of a parallel run; zero or
-	// negative means one per CPU. Ignored unless ParallelSim is set. The
-	// worker count never affects results, only speed.
-	SimWorkers int
 }
 
 // HeartbeatConfig tunes the concrete heartbeat failure detector: the
@@ -157,14 +137,10 @@ type HeartbeatConfig = experiment.Heartbeat
 // at construction, SetRateAt/BurstAt/MuteAt/UnmuteAt/PauseAt/ResumeAt
 // and ApplyLoad interactively.
 //
-// With ClusterConfig.ParallelSim the engine advances independent
-// conflict domains concurrently between Run calls, yet every observer
-// fires in the same order with the same timestamps as the serial
-// engine — scripted sessions need no changes and replay bit-identically
-// either way. In groups mode, crash-recovery (RecoverAt, Recover plan
-// events) is supported for the FD algorithm only; NewCluster rejects a
-// GM-algorithm plan containing Recover events at construction, and
-// RecoverAt rejects one at the call.
+// In groups mode, crash-recovery (RecoverAt, Recover plan events) is
+// supported for the FD algorithm only; NewCluster rejects a GM-algorithm
+// plan containing Recover events at construction, and RecoverAt rejects
+// one at the call.
 type Cluster struct {
 	// core is the assembled system: the same experiment.Core a Runner
 	// replication runs on. The Cluster only adapts types and hooks.
@@ -194,8 +170,6 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		Detector:   cfg.Heartbeat,
 		Renumber:   true,
 		Seed:       cfg.Seed,
-		Parallel:   cfg.ParallelSim,
-		Workers:    cfg.SimWorkers,
 		PreCrashed: make([]proto.PID, len(cfg.PreCrashed)),
 		Plan:       cfg.Plan,
 		Throughput: cfg.Throughput,

@@ -60,7 +60,7 @@ func figGroups() {
 			Replications: reps,
 		})
 	}
-	res := steadyAll(cfgs)
+	res := runner.SteadyAll(cfgs)
 	rate := func(r repro.Result) float64 {
 		return float64(r.Messages) / (measure.Seconds() * float64(reps))
 	}
@@ -102,7 +102,7 @@ func figGroups() {
 			Replications: reps,
 		})
 	}
-	res2 := steadyAll(cfgs2)
+	res2 := runner.SteadyAll(cfgs2)
 	for i, f := range fractions {
 		r := res2[i]
 		fmt.Printf("%.2f\t%.1f\t%.2f\t%s\t%d\n",

@@ -22,14 +22,51 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"sync"
 	"time"
 
 	"repro"
 )
 
+// figures is the one table of what -fig accepts, in "all" order: the
+// flag's help text, the dispatch and the unknown-figure error all read it.
+// nscale and groups are the large-N grids and smoke is CI's golden grid;
+// "all" leaves them to be asked for by name.
+var figures = []struct {
+	name  string
+	inAll bool
+	run   func()
+}{
+	{"1", true, fig1},
+	{"4", true, fig4},
+	{"5", true, fig5},
+	{"6", true, fig6},
+	{"7", true, fig7},
+	{"8", true, fig8},
+	{"dist", true, figDist},
+	{"hb", true, figHeartbeat},
+	{"partition", true, figPartition},
+	{"churn", true, figChurn},
+	{"overload", true, figOverload},
+	{"burst", true, figBurst},
+	{"nscale", false, figNScale},
+	{"groups", false, figGroups},
+	{"smoke", false, figSmoke},
+	{"ablations", true, ablations},
+}
+
+// figNames lists every -fig value, for the help text and the error.
+func figNames() string {
+	names := make([]string, 0, len(figures)+1)
+	for _, f := range figures {
+		names = append(names, f.name)
+	}
+	return strings.Join(append(names, "all"), ", ")
+}
+
 var (
-	figFlag     = flag.String("fig", "all", "figure to regenerate: 1, 4, 5, 6, 7, 8, dist, hb, partition, churn, overload, burst, nscale, groups, smoke, ablations or all")
+	figFlag     = flag.String("fig", "all", "figure to regenerate: "+figNames())
 	quickFlag   = flag.Bool("quick", false, "reduced sweeps and durations (~20x faster)")
 	seedFlag    = flag.Uint64("seed", 1, "base random seed")
 	repsFlag    = flag.Int("reps", 0, "replications per point (0 = scenario default)")
@@ -37,52 +74,11 @@ var (
 	progFlag    = flag.Bool("progress", false, "report replication progress on stderr")
 	traceFlag   = flag.String("trace", "", "write the smoke grid's replayable trace to this file (fig smoke)")
 	replayFlag  = flag.String("replay", "", "replay a trace file, verify delivery digests and exit")
-	// -parallel flips every simulation into the engine's parallel
-	// execution mode (conflict domains advanced concurrently inside safe
-	// windows); all output, digests included, is bit-identical to serial.
-	parallelFlag   = flag.Bool("parallel", false, "execute each simulation's conflict domains concurrently (bit-identical output)")
-	simWorkersFlag = flag.Int("simworkers", 0, "worker goroutines per parallel simulation (0 = one per CPU)")
 )
 
 // runner fans every figure's (point, replication) grid out over a worker
 // pool; results are bit-identical at any worker count.
 var runner *repro.Runner
-
-// par stamps the -parallel/-simworkers flags onto a config. The
-// steady/sweepRun/transient wrappers below route every figure through
-// it, so the one flag flips the whole binary; the flags never change
-// output, only how each replication spends its wall-clock time.
-func par(cfg repro.Config) repro.Config {
-	cfg.ParallelSim = *parallelFlag
-	cfg.SimWorkers = *simWorkersFlag
-	return cfg
-}
-
-func steady(cfg repro.Config) repro.Result { return runner.Steady(par(cfg)) }
-
-func steadyAll(cfgs []repro.Config) []repro.Result {
-	for i := range cfgs {
-		cfgs[i] = par(cfgs[i])
-	}
-	return runner.SteadyAll(cfgs)
-}
-
-func sweepRun(s repro.Sweep) []repro.Result {
-	s.Base = par(s.Base)
-	return runner.Sweep(s)
-}
-
-func transientAll(cfgs []repro.TransientConfig) []repro.TransientResult {
-	for i := range cfgs {
-		cfgs[i].Config = par(cfgs[i].Config)
-	}
-	return runner.TransientAll(cfgs)
-}
-
-func worstCaseTransient(cfg repro.TransientConfig, sweepCrash bool) repro.TransientResult {
-	cfg.Config = par(cfg.Config)
-	return runner.WorstCaseTransient(cfg, sweepCrash)
-}
 
 func main() {
 	flag.Parse()
@@ -111,55 +107,15 @@ func main() {
 			}
 		}
 	}
-	switch *figFlag {
-	case "1":
-		fig1()
-	case "4":
-		fig4()
-	case "5":
-		fig5()
-	case "6":
-		fig6()
-	case "7":
-		fig7()
-	case "8":
-		fig8()
-	case "dist":
-		figDist()
-	case "hb":
-		figHeartbeat()
-	case "partition":
-		figPartition()
-	case "churn":
-		figChurn()
-	case "overload":
-		figOverload()
-	case "burst":
-		figBurst()
-	case "nscale":
-		figNScale()
-	case "groups":
-		figGroups()
-	case "smoke":
-		figSmoke()
-	case "ablations":
-		ablations()
-	case "all":
-		fig1()
-		fig4()
-		fig5()
-		fig6()
-		fig7()
-		fig8()
-		figDist()
-		figHeartbeat()
-		figPartition()
-		figChurn()
-		figOverload()
-		figBurst()
-		ablations()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown figure %q\n", *figFlag)
+	ran := false
+	for _, f := range figures {
+		if f.name == *figFlag || (*figFlag == "all" && f.inAll) {
+			f.run()
+			ran = true
+		}
+	}
+	if !ran {
+		fmt.Fprintf(os.Stderr, "unknown figure %q (want one of: %s)\n", *figFlag, figNames())
 		os.Exit(2)
 	}
 }
@@ -223,7 +179,7 @@ func fig1() {
 				cfg := steadyCfg(alg, n, thr)
 				cfg.Measure = 3 * time.Second
 				cfg.Replications = 1
-				res := steady(cfg)
+				res := runner.Steady(cfg)
 				lats[alg] = res.PerMessage.Mean
 				// Wire counts come from a dedicated cluster run with the
 				// same arrivals.
@@ -257,7 +213,7 @@ func fig4() {
 				Algorithms: []repro.Algorithm{repro.FD, repro.GM},
 			}.Points()...)
 		}
-		res := steadyAll(cfgs)
+		res := runner.SteadyAll(cfgs)
 		for i, thr := range thrs {
 			fmt.Printf("%.0f\t%s\t%s\n", thr, cell(res[2*i]), cell(res[2*i+1]))
 		}
@@ -300,7 +256,7 @@ func fig5() {
 				CrashSets:  sets,
 			}.Points()...)
 		}
-		res := steadyAll(cfgs)
+		res := runner.SteadyAll(cfgs)
 		// Each throughput's block comes back in canonical sweep order:
 		// all FD crash-sets, then all GM crash-sets.
 		block := 2 * len(sets)
@@ -334,7 +290,7 @@ func fig6() {
 		for _, tmr := range tmrs {
 			qos = append(qos, repro.Detectors(0, tmr, 0))
 		}
-		res := sweepRun(repro.Sweep{
+		res := runner.Sweep(repro.Sweep{
 			Base:       steadyCfg(repro.FD, panel.n, panel.thr),
 			Algorithms: []repro.Algorithm{repro.FD, repro.GM},
 			QoS:        qos,
@@ -366,7 +322,7 @@ func fig7() {
 		for _, tm := range tms {
 			qos = append(qos, repro.Detectors(0, panel.tmr, tm))
 		}
-		res := sweepRun(repro.Sweep{
+		res := runner.Sweep(repro.Sweep{
 			Base:       steadyCfg(repro.FD, panel.n, panel.thr),
 			Algorithms: []repro.Algorithm{repro.FD, repro.GM},
 			QoS:        qos,
@@ -423,12 +379,12 @@ func fig8() {
 			for i := range cfgs {
 				cfgs[i].Sender = 1
 			}
-			results = transientAll(cfgs)
+			results = runner.TransientAll(cfgs)
 		} else {
 			// Full mode worst-cases each point over senders; each call
 			// already fans its sender x replication grid out.
 			for _, cfg := range cfgs {
-				results = append(results, worstCaseTransient(cfg, false))
+				results = append(results, runner.WorstCaseTransient(cfg, false))
 			}
 		}
 		i := 0
@@ -466,7 +422,7 @@ func ablations() {
 		offCfg.DisableRenumber = true
 		cfgsA = append(cfgsA, onCfg, offCfg)
 	}
-	resA := steadyAll(cfgsA)
+	resA := runner.SteadyAll(cfgsA)
 	for i, thr := range thrsA {
 		fmt.Printf("%.0f\t%s\t%s\n", thr, cell(resA[2*i]), cell(resA[2*i+1]))
 	}
@@ -484,7 +440,7 @@ func ablations() {
 			Algorithms: []repro.Algorithm{repro.GM, repro.GMNonUniform},
 		}.Points()...)
 	}
-	resB := steadyAll(cfgsB)
+	resB := runner.SteadyAll(cfgsB)
 	for i, thr := range thrsB {
 		fmt.Printf("%.0f\t%s\t%s\n", thr, cell(resB[2*i]), cell(resB[2*i+1]))
 	}
@@ -495,7 +451,7 @@ func ablations() {
 	fmt.Println("# Ablation C: lambda sweep, normal-steady, n=3, throughput=100/s")
 	fmt.Println("# lambda\tFD_lat(ms)\tci")
 	lambdas := []float64{0.5, 1, 2, 4}
-	resC := sweepRun(repro.Sweep{
+	resC := runner.Sweep(repro.Sweep{
 		Base:    steadyCfg(repro.FD, 3, 100),
 		Lambdas: lambdas,
 	})
@@ -535,7 +491,7 @@ func figDist() {
 	for _, tmr := range tmrs {
 		qos = append(qos, repro.Detectors(0, tmr, 0))
 	}
-	res := sweepRun(repro.Sweep{
+	res := runner.Sweep(repro.Sweep{
 		Base:       steadyCfg(repro.FD, n, thr),
 		Algorithms: []repro.Algorithm{repro.FD, repro.GM},
 		QoS:        qos,
@@ -589,7 +545,7 @@ func figDist() {
 			})
 		}
 	}
-	tres := transientAll(cfgs)
+	tres := runner.TransientAll(cfgs)
 	for i, thr := range thrs {
 		fmt.Printf("%.0f\t%s\t%s\n", thr,
 			qcell(tres[2*i].Quantiles, tres[2*i].Quantiles.N > 0),
@@ -619,7 +575,7 @@ func figHeartbeat() {
 			Detectors: detectors,
 		}.Points()...)
 	}
-	res := steadyAll(cfgs)
+	res := runner.SteadyAll(cfgs)
 	for ti, thr := range thrs {
 		for di, name := range names {
 			r := res[ti*len(detectors)+di]
@@ -729,7 +685,7 @@ func figOverload() {
 			Loads:      []*repro.LoadPlan{nil, load},
 		}.Points()...)
 	}
-	res := steadyAll(cfgs)
+	res := runner.SteadyAll(cfgs)
 	for i, r := range res {
 		faults, loadName := "none", "none"
 		if r.Config.Plan != nil {
@@ -791,7 +747,7 @@ func figBurst() {
 			Loads:      []*repro.LoadPlan{nil, load},
 		}.Points()...)
 	}
-	res := steadyAll(cfgs)
+	res := runner.SteadyAll(cfgs)
 	for i, r := range res {
 		loadName := "steady"
 		if r.Config.Load != nil {
@@ -844,7 +800,7 @@ func planFigure(header []string, n int, plan *repro.FaultPlan, label string) {
 			Plans:      []*repro.FaultPlan{nil, plan},
 		}.Points()...)
 	}
-	res := steadyAll(cfgs)
+	res := runner.SteadyAll(cfgs)
 	for i, r := range res {
 		name := "none"
 		if r.Config.Plan != nil {
@@ -905,7 +861,7 @@ func figSmoke() {
 		},
 		Detectors: []*repro.HeartbeatConfig{nil, repro.HeartbeatDetector(10, 30)},
 	}
-	res := sweepRun(sweep)
+	res := runner.Sweep(sweep)
 	fmt.Println("# Smoke grid: FD n=3 T=50/s seed=1, QoS model (point 0) vs heartbeat 10/30ms (point 1)")
 	fmt.Println("# point\tmean(ms)\tP50\tP90\tP99\tmessages")
 	for i, r := range res {
@@ -943,7 +899,7 @@ func figSmoke() {
 		},
 		Algorithms: []repro.Algorithm{repro.FD, repro.GM},
 	}
-	planRes := sweepRun(planSweep)
+	planRes := runner.Sweep(planSweep)
 	fmt.Println("# Plan grid: partition {0 1}|{2} at 600ms, heal at 900ms; FD (point 0) vs GM (point 1)")
 	fmt.Println("# point\tmean(ms)\tP50\tP90\tP99\tmessages\tundelivered")
 	for i, r := range planRes {
@@ -982,7 +938,7 @@ func figSmoke() {
 		},
 		Algorithms: []repro.Algorithm{repro.FD, repro.GM},
 	}
-	loadRes := sweepRun(loadSweep)
+	loadRes := runner.Sweep(loadSweep)
 	fmt.Println("# Load grid: 4x burst 400..600ms + mute p2 600..900ms; FD (point 0) vs GM (point 1)")
 	fmt.Println("# point\tmean(ms)\tP50\tP90\tP99\tmessages\tundelivered")
 	for i, r := range loadRes {
@@ -1021,7 +977,7 @@ func figSmoke() {
 		},
 		Algorithms: []repro.Algorithm{repro.FD, repro.GM},
 	}
-	outageRes := sweepRun(outageSweep)
+	outageRes := runner.Sweep(outageSweep)
 	fmt.Println("# Outage grid: crash p2 at 300ms, recover at 1300ms, T=150/s; FD (point 0) vs GM (point 1)")
 	fmt.Println("# point\tmean(ms)\tP50\tP90\tP99\tmessages\tundelivered")
 	for i, r := range outageRes {
@@ -1059,7 +1015,7 @@ func figSmoke() {
 		},
 		GroupMaps: []*repro.GroupMap{repro.Disjoint(6, 2), repro.Disjoint(6, 3), repro.Chained(6, 3)},
 	}
-	groupRes := sweepRun(groupSweep)
+	groupRes := runner.Sweep(groupSweep)
 	fmt.Println("# Group grid: n=6 T=60/s cross-shard=0.25; disjoint/2 (point 0), disjoint/3 (point 1), chained/3 (point 2)")
 	fmt.Println("# point\tmean(ms)\tP50\tP90\tP99\tmessages\tundelivered")
 	for i, r := range groupRes {

@@ -61,7 +61,7 @@ func figNScale() {
 			})
 		}
 	}
-	res := steadyAll(cfgs)
+	res := runner.SteadyAll(cfgs)
 	for i, r := range res {
 		fmt.Printf("%d\t%s\t%s\t%s\t%d\t%d\n",
 			r.Config.N, shapes[i%len(shapes)].name,

@@ -58,10 +58,15 @@ func main() {
 			},
 		})
 
-		// The plan's final Pause silences the workload at 2s, so after
-		// running past it the cluster can drain to idle.
+		// The plan's final Pause silences the workload at 2s; run past it,
+		// then drain. The drain is a bounded Run, not RunUntilIdle: under
+		// FD the process partitioned away never finishes decision-log
+		// catch-up (bodies of nil-body workload messages are never stashed)
+		// and polls about once a second forever, so the cluster never goes
+		// idle — wedge #4 of ROADMAP.md's oracle item. Ten more seconds is
+		// long after everything that will be delivered has been.
 		c.Run(2 * time.Second)
-		c.RunUntilIdle()
+		c.Run(10 * time.Second)
 
 		total := 0
 		fmt.Print("  deliveries at p0, by sender:")

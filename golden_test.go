@@ -36,11 +36,8 @@ var goldenDigests = map[string]uint64{
 	// group-addressed dissemination and cross-group timestamp merging.
 	"FD/n=6/groups-disjoint-crash": 0x765b818e418f0638,
 	"GM/n=7/groups-chained-cross":  0x2978f936b1b229c1,
-	// Parallel-era scenario: recorded (from a serial run) when the
-	// parallel engine landed, pinning the one topology that genuinely
-	// splits into many conflict domains. TestGoldenTraceDigestsParallel
-	// holds every scenario in this table — this one across six true
-	// domains — to the same digest under concurrent execution.
+	// Directed-topology scenario: the one graph whose wires each have a
+	// single transmitter, so relays go hop by hop the one way round.
 	"FD/n=6/one-way-ring-crash": 0x6a65ba96c1dc1e43,
 }
 
@@ -269,12 +266,11 @@ func goldenScenarios() []goldenScenario {
 			run: 2 * time.Second,
 		},
 		{
-			// The one-way ring is the fully directed topology — one
-			// conflict domain per process under ParallelSim. Every
+			// The one-way ring is the fully directed topology. Every
 			// unicast and multicast relays hop by hop the one way round,
 			// a crash severs the relay chain mid-run, and a link fault
-			// stretches then clears one hop's delay. Pins the
-			// multi-domain wire trace bit for bit.
+			// stretches then clears one hop's delay. Pins the per-hop
+			// wire trace bit for bit.
 			name: "FD/n=6/one-way-ring-crash",
 			cfg: ClusterConfig{
 				Algorithm: FD, N: 6, Seed: 71, QoS: Detectors(10, 0, 0),
@@ -382,29 +378,6 @@ func TestFDLongOutageClusterUnwedges(t *testing.T) {
 		if perProc[0][i] != perProc[2][i] {
 			t.Fatalf("delivery order diverges at %d: p0 has %v, p2 has %v", i, perProc[0][i], perProc[2][i])
 		}
-	}
-}
-
-// TestGoldenTraceDigestsParallel reruns every golden scenario with
-// ParallelSim at several worker counts and holds it to the same digest
-// as the serial engine: concurrent execution must not reorder, retime
-// or drop a single observable event. The shared-wire scenarios pin the
-// single-domain window machinery; the one-way-ring scenario pins a
-// genuine six-domain run.
-func TestGoldenTraceDigestsParallel(t *testing.T) {
-	for _, sc := range goldenScenarios() {
-		sc := sc
-		t.Run(sc.name, func(t *testing.T) {
-			want := goldenDigests[sc.name]
-			for _, workers := range []int{1, 2, 4} {
-				pc := sc
-				pc.cfg.ParallelSim = true
-				pc.cfg.SimWorkers = workers
-				if got := digestScenario(pc); got != want {
-					t.Fatalf("parallel digest (workers=%d) = %#016x, want %#016x — parallel execution diverged from serial", workers, got, want)
-				}
-			}
-		})
 	}
 }
 

@@ -59,21 +59,6 @@ type CoreConfig struct {
 	Renumber bool
 	// Seed is the root seed of the run's random streams.
 	Seed uint64
-	// Parallel enables the engine's conservative parallel execution
-	// mode: the topology (plus the groups map, if any) is partitioned
-	// into conflict domains (netmodel.ConflictDomains) and independent
-	// domains advance concurrently inside safe windows, with observable
-	// behavior bit-identical to the serial engine. A description that
-	// draws from shared random streams mid-window — a plan with lossy
-	// links, or groups-mode cross-shard mixing (active from the start, or
-	// activatable by a ShardMix load event) — only preserves the serial
-	// draw order inside a single conflict domain, so NewCore collapses it
-	// to one: the window machinery still runs, without concurrency.
-	Parallel bool
-	// Workers bounds the goroutines draining domains concurrently when
-	// Parallel is set; values below 1 (or above the domain count) are
-	// clamped.
-	Workers int
 	// PreCrashed lists processes crashed long before the start. They, and
 	// after them the Plan's PreCrash targets (duplicates dropped), are
 	// excluded from the initial GM view and PreCrash-ed before Start.
@@ -297,11 +282,10 @@ type Core struct {
 	// crossFrac and mixRng drive the groups-mode destination choice of
 	// Broadcast. The dedicated "mix" stream is drawn only when crossFrac
 	// is positive, so a zero fraction consumes no randomness. mixDests is
-	// per-sender scratch: sources in different conflict domains fire
-	// concurrently.
+	// Broadcast's scratch for the destination list it returns.
 	crossFrac float64
 	mixRng    *sim.Rand
-	mixDests  [][2]int
+	mixDests  [2]int
 }
 
 // NewCore builds engine + network + detectors + algorithm stacks, starts
@@ -333,27 +317,6 @@ func NewCore(cfg CoreConfig) *Core {
 		Slot:     time.Millisecond,
 		Topology: cfg.Topology,
 	}
-	if cfg.Parallel {
-		// The engine must learn its domains before any component fetches
-		// a handle, i.e. before the protocol system is built.
-		var shards [][]int
-		if cfg.Groups != nil {
-			for g := 0; g < cfg.Groups.NumGroups(); g++ {
-				ms := cfg.Groups.Members(g)
-				shard := make([]int, len(ms))
-				for i, m := range ms {
-					shard[i] = int(m)
-				}
-				shards = append(shards, shard)
-			}
-		}
-		domainOf, lookahead := netmodel.ConflictDomains(netCfg, shards)
-		if cfg.Plan.hasLinkLoss() || (cfg.Groups != nil && (cfg.CrossShard > 0 || cfg.Load.hasShardMix())) {
-			domainOf = make([]int, cfg.N)
-			lookahead = 0
-		}
-		eng.EnableParallel(domainOf, lookahead, cfg.Workers)
-	}
 	sys := proto.NewSystem(eng, netCfg, cfg.QoS, sim.NewRand(cfg.Seed))
 	c := &Core{
 		Eng:    eng,
@@ -378,40 +341,18 @@ func NewCore(cfg CoreConfig) *Core {
 	if cfg.Groups != nil {
 		c.crossFrac = cfg.CrossShard
 		c.mixRng = sim.NewRand(cfg.Seed).Fork("mix")
-		c.mixDests = make([][2]int, cfg.N)
 		c.buildGroups(pre)
 	} else {
 		c.specs = make([]endpointSpec, cfg.N)
 		c.ends = make([]groups.Endpoint, cfg.N)
 		for p := 0; p < cfg.N; p++ {
 			pid := proto.PID(p)
-			h := eng.For(p)
 			spec := endpointSpec{members: c.Members, renumber: cfg.Renumber}
-			// The delivery instant is read from the process's own domain
-			// clock at the moment of delivery; inside a parallel window the
-			// observer call itself is deferred to the window commit, where it
-			// runs in exact serial order.
 			spec.deliver = func(id proto.MsgID, body any) {
-				at := h.Now()
-				if h.Deferring() {
-					h.Emit(func() { c.cfg.Deliver(pid, id, body, at) })
-					return
-				}
-				c.cfg.Deliver(pid, id, body, at)
+				c.cfg.Deliver(pid, id, body, eng.Now())
 			}
 			if cfg.OnView != nil {
-				spec.onView = func(v gm.View) {
-					at := h.Now()
-					if h.Deferring() {
-						// Copy the member list: the observation runs at
-						// the window commit, and the protocol may touch
-						// its view state in later events of the window.
-						cp := gm.View{ID: v.ID, Members: append([]proto.PID(nil), v.Members...)}
-						h.Emit(func() { c.cfg.OnView(pid, cp, at) })
-						return
-					}
-					c.cfg.OnView(pid, v, at)
-				}
+				spec.onView = func(v gm.View) { c.cfg.OnView(pid, v, eng.Now()) }
 			}
 			c.specs[p] = spec
 			sys.SetHandler(pid, c.incarnate(p, sys.Proc(pid), false))
@@ -476,7 +417,6 @@ func (c *Core) buildGroups(pre []bool) {
 		}
 		if cfg.OnView != nil {
 			global := ic.Members[ic.Local]
-			h := c.Eng.For(int(global))
 			spec.onView = func(v gm.View) {
 				// Report view members in global pids; the view id
 				// sequence is the group's own.
@@ -484,28 +424,12 @@ func (c *Core) buildGroups(pre []bool) {
 				for i, lq := range v.Members {
 					mapped.Members[i] = ic.Members[lq]
 				}
-				at := h.Now()
-				if h.Deferring() {
-					h.Emit(func() { cfg.OnView(global, mapped, at) })
-					return
-				}
-				cfg.OnView(global, mapped, at)
+				cfg.OnView(global, mapped, c.Eng.Now())
 			}
 		}
 		return c.newEndpoint(ic.Runtime, spec)
 	}
-	// The routers invoke the coordinator's deliver inline, from the
-	// delivering process's domain; defer the observation to the window
-	// commit (the router already captured the delivery instant).
-	deliver := func(p proto.PID, id proto.MsgID, body any, at sim.Time) {
-		h := c.Eng.For(int(p))
-		if h.Deferring() {
-			h.Emit(func() { cfg.Deliver(p, id, body, at) })
-			return
-		}
-		cfg.Deliver(p, id, body, at)
-	}
-	coord := groups.NewCoordinator(sys, cfg.Groups, pre, factory, deliver)
+	coord := groups.NewCoordinator(sys, cfg.Groups, pre, factory, cfg.Deliver)
 	c.Coord = coord
 	for p := 0; p < cfg.N; p++ {
 		pid := proto.PID(p)
@@ -524,7 +448,7 @@ func (c *Core) buildGroups(pre []bool) {
 // groups mode it is a multicast to the sender's home group plus, with
 // probability CrossShard, one uniformly drawn other group; the
 // destination groups come back alongside the id (nil outside groups mode;
-// scratch, valid until the sender's next call).
+// scratch, valid until the next call).
 func (c *Core) Broadcast(sender int, body any) (proto.MsgID, []int) {
 	c.SentBy[sender]++
 	if c.Coord == nil {
@@ -532,7 +456,7 @@ func (c *Core) Broadcast(sender int, body any) (proto.MsgID, []int) {
 	}
 	m := c.cfg.Groups
 	home := m.Home(proto.PID(sender))
-	dests := c.mixDests[sender][:1]
+	dests := c.mixDests[:1]
 	dests[0] = home
 	if c.crossFrac > 0 && m.NumGroups() > 1 && c.mixRng.Float64() < c.crossFrac {
 		other := c.mixRng.Intn(m.NumGroups() - 1)
@@ -583,12 +507,8 @@ func (c *Core) Apply(ev PlanEvent) error {
 	if _, pre := ev.(PreCrash); pre {
 		return errors.New("experiment: PreCrash is an initial condition, not a timeline event; list it in the configuration")
 	}
-	one := &FaultPlan{Events: []PlanEvent{ev}}
-	if err := c.cfg.checkPlan(one); err != nil {
+	if err := c.cfg.checkPlan(&FaultPlan{Events: []PlanEvent{ev}}); err != nil {
 		return err
-	}
-	if one.hasLinkLoss() && c.Eng.Domains() > 1 {
-		return errors.New("experiment: lossy link faults draw on a shared random stream and need a single conflict domain; list the fault in the configured plan (the system then serialises itself) or leave the parallel mode off")
 	}
 	c.Faults.Schedule(ev)
 	return nil
@@ -598,9 +518,6 @@ func (c *Core) Apply(ev PlanEvent) error {
 func (c *Core) ApplyLoad(ev LoadEvent) error {
 	if err := c.cfg.checkLoad(&LoadPlan{Events: []LoadEvent{ev}}); err != nil {
 		return err
-	}
-	if mix, ok := ev.(ShardMix); ok && mix.Fraction > 0 && c.Eng.Domains() > 1 {
-		return errors.New("experiment: cross-shard mixing draws on a shared random stream and needs a single conflict domain; configure CrossShard or list the ShardMix in the configured load plan (the system then serialises itself) or leave the parallel mode off")
 	}
 	c.Loads.Schedule(ev)
 	return nil

@@ -21,11 +21,10 @@
 //     A-broadcast at the crash instant; the metric is the probe's latency,
 //     worst-cased over the crashed/sender pair (Fig. 8).
 //
-// Parallelism exists at two independent levels, neither of which changes
-// a single bit of output: Runner.Workers fans the (point, replication)
-// grid out over a worker pool (each replication is its own simulation),
-// and Config.ParallelSim executes conflict domains concurrently inside
-// one simulation (see internal/sim and netmodel.ConflictDomains).
+// Parallelism exists at one level, and it does not change a single bit
+// of output: Runner.Workers fans the (point, replication) grid out over
+// a worker pool. Each replication is its own single-threaded simulation
+// (docs/ARCHITECTURE.md records why there is no parallelism inside one).
 package experiment
 
 import (
@@ -137,26 +136,19 @@ type Config struct {
 	// point), LoadObserver watches events apply, and trace headers embed
 	// the plan for replay. A nil plan is the constant-rate workload.
 	Load *LoadPlan
-	// Renumber enables the FD algorithm's coordinator renumbering
-	// optimisation (§7, crash-steady discussion). On by default through
-	// DisableRenumber.
+	// DisableRenumber turns off the FD algorithm's coordinator
+	// renumbering optimisation (§7, crash-steady discussion), which is on
+	// by default.
 	DisableRenumber bool
-	// ParallelSim enables conservative parallel execution inside each
-	// replication's simulation: the topology (and groups map) is
-	// partitioned into conflict domains that advance concurrently inside
-	// safe windows bounded by the minimum cross-domain wire cost. The
-	// run's observable behavior — deliveries, views, traces, figures —
-	// is bit-identical to the serial engine at any worker count.
-	// Topologies whose wires are all shared (the paper's full mesh)
-	// collapse to one domain and run serially regardless; configurations
-	// that draw from shared random streams mid-window (lossy link plans,
-	// cross-shard mixing) are serialised automatically. Trace headers
-	// record the mode.
+	// ParallelSim and SimWorkers are accepted and ignored. They selected
+	// the intra-simulation parallel engine, deleted after the benchmark
+	// measured it at 0.3-0.4x of serial; their contract was "output
+	// bit-identical, only wall clock moves", which ignoring them honours.
+	// They remain only because cmd/bench/drives.go (frozen by
+	// BENCHMARK.json) still sets them: the next benchmark issue drops the
+	// sim.psim_* drive and these two fields together.
 	ParallelSim bool
-	// SimWorkers bounds the goroutines draining conflict domains when
-	// ParallelSim is set. Zero (or any value below 1) means 1; values
-	// above the domain count are clamped.
-	SimWorkers int
+	SimWorkers  int
 	// Seed makes the experiment reproducible. Zero means seed 1.
 	Seed uint64
 	// Warmup is discarded virtual time before measurement starts.
@@ -257,8 +249,6 @@ func (c Config) core(seed uint64) CoreConfig {
 		Detector:   c.Detector,
 		Renumber:   !c.DisableRenumber,
 		Seed:       seed,
-		Parallel:   c.ParallelSim,
-		Workers:    c.SimWorkers,
 		PreCrashed: c.Crashed,
 		Plan:       c.Plan,
 		Throughput: c.Throughput,
@@ -329,13 +319,11 @@ const DivergenceBacklog = 2000
 type cluster struct {
 	core *Core
 	// onDeliver is invoked for every A-delivery at every process; at is
-	// the delivery instant (passed explicitly: under the parallel engine
-	// the callback runs at the window commit, when the root clock no
-	// longer reads the delivery instant).
+	// the delivery instant.
 	onDeliver func(p proto.PID, id proto.MsgID, at sim.Time)
 	// onBroadcast, if non-nil, is invoked for every A-broadcast issued
 	// through broadcast() — the feed of BroadcastObservers; at is the
-	// broadcast instant, explicit for the same reason as onDeliver's.
+	// broadcast instant.
 	onBroadcast func(sender proto.PID, id proto.MsgID, at sim.Time)
 	// broadcasts and deliveredAt0 are the backlog accounting used for
 	// divergence detection: every broadcast issued through broadcast()
@@ -347,8 +335,9 @@ type cluster struct {
 	deliveredAt0 int
 }
 
-// broadcast A-broadcasts body from sender through the Core and maintains
-// the backlog accounting. Scenarios must broadcast through it.
+// broadcast A-broadcasts body from sender through the Core, maintains the
+// backlog accounting and feeds the broadcast observers. Scenarios must
+// broadcast through it.
 func (c *cluster) broadcast(sender int, body any) proto.MsgID {
 	id, dests := c.core.Broadcast(sender, body)
 	counts := dests == nil
@@ -358,30 +347,13 @@ func (c *cluster) broadcast(sender int, body any) proto.MsgID {
 			break
 		}
 	}
-	c.countBroadcast(sender, id, counts)
+	if counts {
+		c.broadcasts++
+	}
+	if c.onBroadcast != nil {
+		c.onBroadcast(proto.PID(sender), id, c.core.Eng.Now())
+	}
 	return id
-}
-
-// countBroadcast updates the shared backlog counter and feeds the
-// broadcast observers. Inside a parallel window the update is deferred
-// to the window commit — the counter and the observers are shared
-// across domains — where it runs in exact serial order.
-func (c *cluster) countBroadcast(sender int, id proto.MsgID, counts bool) {
-	h := c.core.Eng.For(sender)
-	at := h.Now()
-	apply := func() {
-		if counts {
-			c.broadcasts++
-		}
-		if c.onBroadcast != nil {
-			c.onBroadcast(proto.PID(sender), id, at)
-		}
-	}
-	if h.Deferring() {
-		h.Emit(apply)
-		return
-	}
-	apply()
 }
 
 // backlog returns the number of broadcasts not yet delivered at p0.

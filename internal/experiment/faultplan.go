@@ -322,22 +322,6 @@ func (p *FaultPlan) hasRecover() bool {
 	return false
 }
 
-// hasLinkLoss reports whether the plan schedules a lossy link fault.
-// Lossy links draw from the network's shared fault stream at every
-// affected handoff, which parallel execution only preserves with a
-// single conflict domain — the builder serialises such runs.
-func (p *FaultPlan) hasLinkLoss() bool {
-	if p == nil {
-		return false
-	}
-	for _, ev := range p.Events {
-		if lf, ok := ev.(LinkFault); ok && lf.Loss > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Validate checks every event against a system of n processes: process
 // IDs in range, non-negative times and durations, loss probabilities in
 // [0, 1], partition groups disjoint. A nil plan is valid.

@@ -54,8 +54,8 @@ func NewLoadPlan(events ...LoadEvent) *LoadPlan {
 }
 
 // LoadEvent is one typed event on a LoadPlan's timeline. The concrete
-// types are RateChange, Burst, Mute, Unmute, Pause and Resume; the set is
-// closed because every consumer (the installer, the trace format,
+// types are RateChange, Burst, Mute, Unmute, Pause, Resume and ShardMix;
+// the set is closed because every consumer (the installer, the trace format,
 // validation) must understand every event.
 type LoadEvent interface {
 	// When returns the virtual instant the event applies at.

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"io"
 	"math"
 	"sync"
 	"testing"
@@ -294,4 +295,45 @@ func TestRunnerValidatesBeforeFanout(t *testing.T) {
 		{Algorithm: FD, N: 3, Throughput: 10},
 		{Algorithm: FD, N: 0}, // invalid
 	})
+}
+
+// TestParallelSimFieldsAreInert pins what cmd/bench's sim.psim_* drive
+// relies on while the two fields outlive the engine they selected: on
+// its configuration (FD on OneWayRing(8)), ParallelSim and SimWorkers
+// change neither a replication's delivery digest nor the Result.
+func TestParallelSimFieldsAreInert(t *testing.T) {
+	run := func(parallelSim bool, simWorkers int) ([]TraceDigest, Result) {
+		tr := NewTrace(io.Discard)
+		res := (&Runner{Workers: 1}).Steady(Config{
+			Algorithm:    FD,
+			N:            8,
+			Topology:     topo.OneWayRing(8),
+			QoS:          fd.QoS{TD: 10 * time.Millisecond},
+			Throughput:   100,
+			Warmup:       200 * time.Millisecond,
+			Measure:      time.Second,
+			Drain:        10 * time.Second,
+			Replications: 2,
+			Seed:         3,
+			Observers:    []ObserverFactory{tr.Observer},
+			ParallelSim:  parallelSim,
+			SimWorkers:   simWorkers,
+		})
+		return tr.Digests(), res
+	}
+	wantDigests, want := run(false, 0)
+	gotDigests, got := run(true, 2)
+	if want.Messages == 0 || len(wantDigests) != 2 {
+		t.Fatalf("baseline measured %d messages over %d replications", want.Messages, len(wantDigests))
+	}
+	for i, w := range wantDigests {
+		if gotDigests[i] != w {
+			t.Fatalf("replication %d: digest %+v with the fields set, %+v without", i, gotDigests[i], w)
+		}
+	}
+	if got.Messages != want.Messages || got.Undelivered != want.Undelivered || got.Stable != want.Stable ||
+		!summariesBitIdentical(got.Latency, want.Latency) || !summariesBitIdentical(got.PerMessage, want.PerMessage) ||
+		!quantilesBitIdentical(got.Quantiles, want.Quantiles) {
+		t.Fatalf("results differ:\nset:   %+v\nunset: %+v", got, want)
+	}
 }

@@ -232,16 +232,8 @@ func (s *steadyScenario) Phases() phases {
 func (s *steadyScenario) Setup(c *cluster) {
 	c.core.StartLoad(func(sender int) {
 		id := c.broadcast(sender, nil)
-		// The firing runs in the sender's conflict domain: read its own
-		// clock, and defer the shared sent-map write to the window commit.
-		h := c.core.Eng.For(sender)
-		now := h.Now()
-		if now >= s.start && now < s.end {
-			if h.Deferring() {
-				h.Emit(func() { s.sent[id] = now })
-			} else {
-				s.sent[id] = now
-			}
+		if now := c.core.Eng.Now(); now >= s.start && now < s.end {
+			s.sent[id] = now
 		}
 	})
 }

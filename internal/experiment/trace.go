@@ -255,11 +255,6 @@ type traceHeader struct {
 	// CrossShard is the starting cross-shard traffic fraction (groups
 	// mode).
 	CrossShard float64 `json:"crossShard,omitempty"`
-	// ParallelSim and SimWorkers record the execution mode the trace was
-	// recorded under. Parallel execution is bit-identical to serial, so
-	// replay honours the mode for fidelity, not for correctness.
-	ParallelSim bool `json:"parallelSim,omitempty"`
-	SimWorkers  int  `json:"simWorkers,omitempty"`
 	// Plan is the configuration's fault plan, flattened one event per
 	// entry, so planned replications replay from the header alone.
 	Plan []planEventJSON `json:"plan,omitempty"`
@@ -464,8 +459,6 @@ func headerFromConfig(cfg Config, point, rep int) traceHeader {
 		Measure:         int64(cfg.Measure),
 		Drain:           int64(cfg.Drain),
 		Replications:    cfg.Replications,
-		ParallelSim:     cfg.ParallelSim,
-		SimWorkers:      cfg.SimWorkers,
 	}
 	for _, p := range cfg.Crashed {
 		h.Crashed = append(h.Crashed, int(p))
@@ -513,8 +506,6 @@ func configFromHeader(h traceHeader) (Config, error) {
 		Measure:         time.Duration(h.Measure),
 		Drain:           time.Duration(h.Drain),
 		Replications:    h.Replications,
-		ParallelSim:     h.ParallelSim,
-		SimWorkers:      h.SimWorkers,
 	}
 	cfg.QoS.TD = time.Duration(h.TD)
 	cfg.QoS.TMR = time.Duration(h.TMR)

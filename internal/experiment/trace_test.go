@@ -58,20 +58,29 @@ func TestTraceReplayRoundTrip(t *testing.T) {
 		}
 	}
 
-	results, err := Replay(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("Replay: %v", err)
+	// The second input is the same trace as a build with the since-deleted
+	// intra-simulation parallel mode recorded it: two more header keys,
+	// which replay must keep accepting.
+	legacy := strings.ReplaceAll(text, "C {", `C {"parallelSim":true,"simWorkers":4,`)
+	if n := strings.Count(legacy, `"parallelSim":true`); n != 4 {
+		t.Fatalf("legacy trace carries %d rewritten headers, want 4", n)
 	}
-	if len(results) != 4 {
-		t.Fatalf("replayed %d replications, want 4", len(results))
-	}
-	for i, rr := range results {
-		if !rr.Match {
-			t.Fatalf("replication (point %d, rep %d) does not replay: recorded %016x, replayed %016x",
-				rr.Point, rr.Rep, rr.Recorded, rr.Replayed)
+	for name, trace := range map[string]string{"recorded": text, "legacy header": legacy} {
+		results, err := Replay(strings.NewReader(trace))
+		if err != nil {
+			t.Fatalf("%s: Replay: %v", name, err)
 		}
-		if rr.Recorded != digests[i].Digest || rr.Point != digests[i].Point || rr.Rep != digests[i].Rep {
-			t.Fatalf("replay %d = %+v, digest listing said %+v", i, rr, digests[i])
+		if len(results) != 4 {
+			t.Fatalf("%s: replayed %d replications, want 4", name, len(results))
+		}
+		for i, rr := range results {
+			if !rr.Match {
+				t.Fatalf("%s: replication (point %d, rep %d) does not replay: recorded %016x, replayed %016x",
+					name, rr.Point, rr.Rep, rr.Recorded, rr.Replayed)
+			}
+			if rr.Recorded != digests[i].Digest || rr.Point != digests[i].Point || rr.Rep != digests[i].Rep {
+				t.Fatalf("%s: replay %d = %+v, digest listing said %+v", name, i, rr, digests[i])
+			}
 		}
 	}
 }

@@ -122,12 +122,7 @@ type pairState struct {
 // Sim drives the failure detectors of all n processes according to a
 // common QoS parameterisation.
 type Sim struct {
-	eng *sim.Engine
-	// engs holds per-monitor engine handles: every timer of a module
-	// (q monitors p) — mistake arrivals, detection delays, trust edges —
-	// runs in monitor q's conflict domain, so suspicion edges fire inside
-	// the domain that consumes them.
-	engs      []*sim.Engine
+	eng       *sim.Engine
 	n         int
 	qos       QoS
 	detectors []*Detector
@@ -157,7 +152,6 @@ func NewSim(eng *sim.Engine, n int, qos QoS, rng *sim.Rand) *Sim {
 	}
 	s := &Sim{
 		eng:        eng,
-		engs:       make([]*sim.Engine, n),
 		n:          n,
 		qos:        qos,
 		crashed:    make([]bool, n),
@@ -166,7 +160,6 @@ func NewSim(eng *sim.Engine, n int, qos QoS, rng *sim.Rand) *Sim {
 	s.detectors = make([]*Detector, n)
 	s.pairs = make([][]pairState, n)
 	for q := 0; q < n; q++ {
-		s.engs[q] = eng.For(q)
 		s.detectors[q] = &Detector{owner: q, sim: s, suspects: make([]bool, n)}
 		s.pairs[q] = make([]pairState, n)
 		for p := 0; p < n; p++ {
@@ -211,7 +204,7 @@ func (s *Sim) Crash(p int) {
 			continue
 		}
 		q := q
-		s.engs[q].After(s.qos.TD, func() {
+		s.eng.After(s.qos.TD, func() {
 			if s.crashEpoch[p] != epoch {
 				return // the crash was reversed by Recover before TD elapsed
 			}
@@ -258,7 +251,7 @@ func (s *Sim) Sever(q, p int) {
 	}
 	st.severed = true
 	epoch := st.severEpoch
-	s.engs[q].After(s.qos.TD, func() {
+	s.eng.After(s.qos.TD, func() {
 		if !st.severed || st.severEpoch != epoch {
 			return // healed before the detection time elapsed
 		}
@@ -314,7 +307,7 @@ func (s *Sim) InjectMistake(q, p int, duration time.Duration) {
 func (s *Sim) scheduleNextMistake(q, p int) {
 	st := &s.pairs[q][p]
 	gap := sim.Millis(st.rng.Exp(float64(s.qos.TMR) / float64(time.Millisecond)))
-	s.engs[q].After(gap, func() {
+	s.eng.After(gap, func() {
 		if s.quiesced {
 			return
 		}
@@ -336,7 +329,7 @@ func (s *Sim) beginMistake(q, p int, duration time.Duration) {
 		return
 	}
 	s.detectors[q].setSuspect(p, true)
-	s.engs[q].After(duration, func() {
+	s.eng.After(duration, func() {
 		if !st.crashDetected && !st.severed {
 			s.detectors[q].setSuspect(p, false)
 		}

@@ -108,10 +108,9 @@ func (c *Coordinator) Router(p proto.PID) *Router { return c.routers[p] }
 
 // envelope wraps a group instance's payload for transit, naming the
 // group so the receiving router can dispatch it. Envelopes are pooled
-// per sending router — a domain-local free list, so concurrent group
-// domains under the parallel engine never contend — and delegate
-// reference counts to the wrapped payload, so the protocols' pooled
-// messages keep their recycling discipline.
+// per sending router and delegate reference counts to the wrapped
+// payload, so the protocols' pooled messages keep their recycling
+// discipline.
 type envelope struct {
 	home  *Router
 	gid   int32
@@ -285,7 +284,7 @@ type Router struct {
 	order  []*pending             // deterministic iteration (insertion order)
 	done   map[proto.MsgID]uint64 // a-delivered ids -> final timestamp
 
-	envFree []*envelope // domain-local envelope pool (see wrap)
+	envFree []*envelope // this router's envelope pool (see wrap)
 
 	stallArmed bool
 }

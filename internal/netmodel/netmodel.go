@@ -53,16 +53,6 @@
 // warm. Pooled payloads are reference-counted across their in-flight
 // copies; the Pooled interface documents the Retain/Release contract
 // handlers and observers must respect.
-//
-// Under the engine's parallel mode, each pipeline stage runs in the
-// conflict domain of the process acting at that stage: send-CPU and wire
-// occupancy in the sender's (a wire's transmitters always share a
-// domain), receive-CPU and delivery in the destination's, with the
-// wire→destination handoff as the one cross-domain step — its cost is
-// what bounds the safe window. ConflictDomains derives the partition and
-// the lookahead from a Config's wire structure; per-domain counters,
-// deferred trace emission and deferred terminal releases keep every
-// observable bit-identical to serial execution.
 package netmodel
 
 import (
@@ -173,9 +163,12 @@ func retain(payload any, n int) {
 	}
 }
 
-func release(payload any) {
+// release drops n terminal references to payload.
+func release(payload any, n int) {
 	if p, ok := payload.(Pooled); ok {
-		p.Release()
+		for i := 0; i < n; i++ {
+			p.Release()
+		}
 	}
 }
 
@@ -229,16 +222,8 @@ const (
 )
 
 // Network simulates the transmission model on top of a sim.Engine.
-// Under the parallel engine every pipeline stage runs in the domain of
-// the process acting at that stage: sends and wire occupancy in the
-// transmitter's domain, arrival and receive CPU in the destination's.
-// The wire→destination handoff is the one cross-domain step, and its
-// cost — the wire's slot plus propagation delay — is exactly what the
-// conflict partitioner (ConflictDomains) reports as the lookahead, so
-// handoffs always clear the safe window.
 type Network struct {
 	eng     *sim.Engine
-	engs    []*sim.Engine // per-process domain handles (all eng when serial)
 	cfg     Config
 	deliver DeliverFunc
 	trace   func(TraceEvent)
@@ -265,9 +250,7 @@ type Network struct {
 	activeLinks int               // number of links with a non-zero fault
 	faultRand   *sim.Rand         // loss stream; lazily defaulted
 
-	// Activity counters, sharded by acting process so concurrent
-	// domains never contend; Counters() sums the shards.
-	ctrs []Counters
+	ctrs Counters
 }
 
 // New creates a network. deliver must not be nil; it is invoked for every
@@ -288,7 +271,6 @@ func New(eng *sim.Engine, cfg Config, deliver DeliverFunc) *Network {
 	rt := t.Routing()
 	nw := &Network{
 		eng:       eng,
-		engs:      make([]*sim.Engine, cfg.N),
 		cfg:       cfg,
 		deliver:   deliver,
 		cpuBusy:   make([]sim.Time, cfg.N),
@@ -298,10 +280,6 @@ func New(eng *sim.Engine, cfg Config, deliver DeliverFunc) *Network {
 		wireSlot:  make([]time.Duration, len(t.Wires)),
 		wireDelay: make([]time.Duration, len(t.Wires)),
 		wireLoss:  make([]float64, len(t.Wires)),
-		ctrs:      make([]Counters, cfg.N),
-	}
-	for p := 0; p < cfg.N; p++ {
-		nw.engs[p] = eng.For(p)
 	}
 	for i, w := range t.Wires {
 		nw.wireSlot[i] = w.Slot
@@ -325,22 +303,8 @@ func New(eng *sim.Engine, cfg Config, deliver DeliverFunc) *Network {
 // trace tool; it has no effect on timing.
 func (nw *Network) SetTrace(fn func(TraceEvent)) { nw.trace = fn }
 
-// Counters returns a snapshot of the activity counters, summed over the
-// per-process shards.
-func (nw *Network) Counters() Counters {
-	var sum Counters
-	for i := range nw.ctrs {
-		c := &nw.ctrs[i]
-		sum.Unicasts += c.Unicasts
-		sum.Multicasts += c.Multicasts
-		sum.WireSlots += c.WireSlots
-		sum.Deliveries += c.Deliveries
-		sum.Drops += c.Drops
-		sum.LocalSends += c.LocalSends
-		sum.Lost += c.Lost
-	}
-	return sum
-}
+// Counters returns a snapshot of the activity counters.
+func (nw *Network) Counters() Counters { return nw.ctrs }
 
 // N returns the number of processes.
 func (nw *Network) N() int { return nw.cfg.N }
@@ -425,13 +389,6 @@ func (nw *Network) SetLink(from, to int, loss float64, extraDelay time.Duration)
 	case extraDelay < 0:
 		panic(fmt.Sprintf("netmodel: negative link delay %v", extraDelay))
 	}
-	if loss > 0 && nw.eng.Domains() > 1 {
-		// A lossy link draws from the shared faultRand stream at every
-		// affected handoff — unserialisable across domains. The experiment
-		// layer forces a single domain when a plan contains loss; reaching
-		// this panic means a caller bypassed that gate.
-		panic("netmodel: SetLink with loss requires a single conflict domain (lossy plans must disable multi-domain parallel execution)")
-	}
 	if nw.linkLoss == nil {
 		nw.linkLoss = make([][]float64, nw.cfg.N)
 		nw.linkDelay = make([][]time.Duration, nw.cfg.N)
@@ -462,44 +419,10 @@ func (nw *Network) reachable(from, to int) bool {
 	return nw.group == nil || nw.group[from] == nw.group[to]
 }
 
-// emit reports one lifecycle point to the trace observer. h is the
-// acting process's engine handle: inside a parallel window drain the
-// observer call is deferred to the window commit, where it runs in
-// exact serial order relative to every other emission.
-func (nw *Network) emit(h *sim.Engine, kind TraceKind, at sim.Time, from, to int, payload any) {
-	if nw.trace == nil {
-		return
-	}
-	if h.Deferring() {
-		h.Emit(func() {
-			nw.trace(TraceEvent{Kind: kind, At: at, From: from, To: to, Payload: payload})
-		})
-		return
-	}
-	nw.trace(TraceEvent{Kind: kind, At: at, From: from, To: to, Payload: payload})
-}
-
-// releaseOn releases n terminal references to payload. Inside a
-// parallel window drain the release is deferred to the window commit:
-// deferred trace emissions may still reference the payload, pooled free
-// lists live in other domains, and running all terminal releases on the
-// committing goroutine in serial order keeps both safe and keeps the
-// pools' reuse order bit-identical to serial execution.
-func releaseOn(h *sim.Engine, payload any, n int) {
-	p, ok := payload.(Pooled)
-	if !ok || n == 0 {
-		return
-	}
-	if h.Deferring() {
-		h.Emit(func() {
-			for i := 0; i < n; i++ {
-				p.Release()
-			}
-		})
-		return
-	}
-	for i := 0; i < n; i++ {
-		p.Release()
+// emit reports one lifecycle point to the trace observer.
+func (nw *Network) emit(kind TraceKind, at sim.Time, from, to int, payload any) {
+	if nw.trace != nil {
+		nw.trace(TraceEvent{Kind: kind, At: at, From: from, To: to, Payload: payload})
 	}
 }
 
@@ -543,10 +466,10 @@ func (nw *Network) Send(from, to int, payload any) {
 		nw.localDeliver(from, payload)
 		return
 	}
-	nw.ctrs[from].Unicasts++
-	nw.emit(nw.engs[from], TraceSend, nw.engs[from].Now(), from, to, payload)
+	nw.ctrs.Unicasts++
+	nw.emit(TraceSend, nw.eng.Now(), from, to, payload)
 	if nw.rt.Next[from][to] < 0 {
-		nw.lose(from, -1, from, from, to, to, payload)
+		nw.lose(-1, from, from, to, to, payload)
 		return
 	}
 	nw.throughCPU(-1, from, from, to, payload)
@@ -568,8 +491,8 @@ func (nw *Network) Multicast(from int, payload any) {
 	// One reference for the local copy plus one per reachable remote
 	// destination: each copy reaches exactly one terminal point.
 	retain(payload, 1+int(nw.rt.Reach[from]))
-	nw.ctrs[from].Multicasts++
-	nw.emit(nw.engs[from], TraceSend, nw.engs[from].Now(), from, -1, payload)
+	nw.ctrs.Multicasts++
+	nw.emit(TraceSend, nw.eng.Now(), from, -1, payload)
 	nw.localDeliver(from, payload)
 	nw.forward(-1, from, from, payload)
 }
@@ -607,8 +530,8 @@ func (nw *Network) MulticastSet(from int, set SetID, payload any) {
 		return
 	}
 	retain(payload, local+int(sr.Reach[from]))
-	nw.ctrs[from].Multicasts++
-	nw.emit(nw.engs[from], TraceSend, nw.engs[from].Now(), from, -1, payload)
+	nw.ctrs.Multicasts++
+	nw.emit(TraceSend, nw.eng.Now(), from, -1, payload)
 	if local == 1 {
 		nw.localDeliver(from, payload)
 	}
@@ -634,9 +557,6 @@ func (nw *Network) HandleMsg(op uint8, a, b int, payload any) {
 	case opSenderCPUDone:
 		nw.throughWire(set, origin, node, b, payload)
 	case opWireDone:
-		// Runs in the receiving side's domain: throughWire scheduled it
-		// there (every destination of a tree segment shares a domain, by
-		// the conflict partition).
 		if b >= 0 {
 			next := int(nw.rt.Next[node][b])
 			nw.arrive(set, origin, node, next, int(nw.rt.HopWire[node][b]), b, payload)
@@ -661,37 +581,35 @@ func (nw *Network) HandleMsg(op uint8, a, b int, payload any) {
 // It still goes through the event queue so that the delivery handler never
 // reenters the caller.
 func (nw *Network) localDeliver(p int, payload any) {
-	nw.ctrs[p].LocalSends++
-	nw.engs[p].AfterMsg(0, nw, opLocalDeliver, nw.pack(-1, p, p), p, payload)
+	nw.ctrs.LocalSends++
+	nw.eng.AfterMsg(0, nw, opLocalDeliver, nw.pack(-1, p, p), p, payload)
 }
 
 // deliverLocal completes a self-delivery, honouring a crash that happened
 // between the send and this instant.
 func (nw *Network) deliverLocal(p int, payload any) {
-	h := nw.engs[p]
 	if nw.crashed[p] {
-		nw.ctrs[p].Drops++
-		nw.emit(h, TraceDrop, h.Now(), p, p, payload)
-		releaseOn(h, payload, 1)
+		nw.ctrs.Drops++
+		nw.emit(TraceDrop, nw.eng.Now(), p, p, payload)
+		release(payload, 1)
 		return
 	}
-	nw.ctrs[p].Deliveries++
-	nw.emit(h, TraceDeliver, h.Now(), p, p, payload)
+	nw.ctrs.Deliveries++
+	nw.emit(TraceDeliver, nw.eng.Now(), p, p, payload)
 	nw.deliver(p, p, payload)
-	releaseOn(h, payload, 1)
+	release(payload, 1)
 }
 
 // throughCPU occupies node's CPU for λ and then hands the hop to the wire
 // stage. The CPU is FIFO: occupancy accumulates on a busy-until horizon.
 func (nw *Network) throughCPU(set, origin, node, b int, payload any) {
-	h := nw.engs[node]
-	start := h.Now()
+	start := nw.eng.Now()
 	if nw.cpuBusy[node] > start {
 		start = nw.cpuBusy[node]
 	}
 	done := start.Add(nw.cfg.Lambda)
 	nw.cpuBusy[node] = done
-	h.ScheduleMsg(done, nw, opSenderCPUDone, nw.pack(set, origin, node), b, payload)
+	nw.eng.ScheduleMsg(done, nw, opSenderCPUDone, nw.pack(set, origin, node), b, payload)
 }
 
 // throughWire occupies the hop's wire for its slot, then fans the hop out
@@ -702,16 +620,11 @@ func (nw *Network) throughCPU(set, origin, node, b int, payload any) {
 func (nw *Network) throughWire(set, origin, node, b int, payload any) {
 	var wire int32
 	traceTo := b
-	owner := b // domain that executes the arrival
 	if b >= 0 {
 		wire = nw.rt.HopWire[node][b]
-		owner = int(nw.rt.Next[node][b])
 	} else {
 		g := &nw.treeRow(set, origin, node)[-b-1]
 		wire = g.Wire
-		// Every destination of the segment shares a conflict domain, so
-		// the fan-out event is owned by any of them.
-		owner = int(g.Dsts[0])
 		if len(g.Dsts) == 1 {
 			// A segment with a single destination traces the concrete
 			// destination, as every one-destination wire hop does.
@@ -720,18 +633,15 @@ func (nw *Network) throughWire(set, origin, node, b int, payload any) {
 			traceTo = -1
 		}
 	}
-	h := nw.engs[node]
-	start := h.Now()
+	start := nw.eng.Now()
 	if nw.wireBusy[wire] > start {
 		start = nw.wireBusy[wire]
 	}
 	done := start.Add(nw.wireSlot[wire])
 	nw.wireBusy[wire] = done
-	nw.ctrs[node].WireSlots++
-	nw.emit(h, TraceWire, start, node, traceTo, payload)
-	// The one cross-domain step: slot + propagation delay is at least
-	// the partition's lookahead, so the handoff clears the safe window.
-	h.ScheduleMsgOn(nw.engs[owner], done.Add(nw.wireDelay[wire]), nw, opWireDone, nw.pack(set, origin, node), b, payload)
+	nw.ctrs.WireSlots++
+	nw.emit(TraceWire, start, node, traceTo, payload)
+	nw.eng.ScheduleMsg(done.Add(nw.wireDelay[wire]), nw, opWireDone, nw.pack(set, origin, node), b, payload)
 }
 
 // arrive is the wire→destination handoff of one hop, where partitions,
@@ -744,26 +654,23 @@ func (nw *Network) throughWire(set, origin, node, b int, payload any) {
 func (nw *Network) arrive(set, origin, node, dst, wire, b int, payload any) {
 	if nw.faults {
 		if !nw.reachable(node, dst) {
-			nw.lose(dst, set, origin, node, dst, b, payload)
+			nw.lose(set, origin, node, dst, b, payload)
 			return
 		}
 		if nw.linkLoss != nil {
 			if loss := nw.linkLoss[node][dst]; loss > 0 && nw.faultRand.Float64() < loss {
-				nw.lose(dst, set, origin, node, dst, b, payload)
+				nw.lose(set, origin, node, dst, b, payload)
 				return
 			}
 		}
 	}
 	if wl := nw.wireLoss[wire]; wl > 0 && nw.faultRand.Float64() < wl {
-		nw.lose(dst, set, origin, node, dst, b, payload)
+		nw.lose(set, origin, node, dst, b, payload)
 		return
 	}
 	if nw.faults && nw.linkDelay != nil {
 		if d := nw.linkDelay[node][dst]; d > 0 {
-			// The extra delay acts on the destination side of the handoff
-			// — scheduled here, in dst's own domain — so SetLink never
-			// shrinks the cross-domain lookahead.
-			nw.engs[dst].AfterMsg(d, nw, opFaultArrive, nw.pack(set, origin, dst), b, payload)
+			nw.eng.AfterMsg(d, nw, opFaultArrive, nw.pack(set, origin, dst), b, payload)
 			return
 		}
 	}
@@ -773,44 +680,39 @@ func (nw *Network) arrive(set, origin, node, dst, wire, b int, payload any) {
 // lose discards a copy to a fault (partition, link or wire loss, or a
 // route that does not exist). For a multicast hop (b < 0) the whole
 // subtree behind dst dies with it: every copy it would have fanned into
-// is released and counted lost, under one drop trace. acting is the
-// process in whose domain the loss is decided — the sender for a
-// no-route drop, the destination for every handoff fault.
-func (nw *Network) lose(acting, set, origin, node, dst, b int, payload any) {
+// is released and counted lost, under one drop trace.
+func (nw *Network) lose(set, origin, node, dst, b int, payload any) {
 	copies := 1
 	if b < 0 {
 		copies = nw.subCopies(set, origin, dst)
 	}
-	h := nw.engs[acting]
-	nw.emit(h, TraceDrop, h.Now(), node, dst, payload)
-	nw.ctrs[acting].Lost += uint64(copies)
-	releaseOn(h, payload, copies)
+	nw.emit(TraceDrop, nw.eng.Now(), node, dst, payload)
+	nw.ctrs.Lost += uint64(copies)
+	release(payload, copies)
 }
 
 // intoCPU occupies the destination CPU for λ and hands the hop to the
 // receive stage.
 func (nw *Network) intoCPU(set, origin, dst, b int, payload any) {
-	h := nw.engs[dst]
-	start := h.Now()
+	start := nw.eng.Now()
 	if nw.cpuBusy[dst] > start {
 		start = nw.cpuBusy[dst]
 	}
 	done := start.Add(nw.cfg.Lambda)
 	nw.cpuBusy[dst] = done
-	h.ScheduleMsg(done, nw, opRecvCPUDone, nw.pack(set, origin, dst), b, payload)
+	nw.eng.ScheduleMsg(done, nw, opRecvCPUDone, nw.pack(set, origin, dst), b, payload)
 }
 
 // received completes a hop's receive stage at node: final deliveries go
 // up to the process, relay hops forward — unless the node crashed while
 // the hop was in flight, which on a multicast kills the whole subtree.
 func (nw *Network) received(set, origin, node, b int, payload any) {
-	h := nw.engs[node]
 	if b >= 0 && node != b {
 		// Unicast relay: forward toward b, unless this relay is dead.
 		if nw.crashed[node] {
-			nw.ctrs[node].Drops++
-			nw.emit(h, TraceDrop, h.Now(), origin, node, payload)
-			releaseOn(h, payload, 1)
+			nw.ctrs.Drops++
+			nw.emit(TraceDrop, nw.eng.Now(), origin, node, payload)
+			release(payload, 1)
 			return
 		}
 		nw.throughCPU(set, origin, node, b, payload)
@@ -822,26 +724,26 @@ func (nw *Network) received(set, origin, node, b int, payload any) {
 		// relay still kills every member behind it.
 		if nw.crashed[node] {
 			sub := nw.subCopies(set, origin, node)
-			nw.emit(h, TraceDrop, h.Now(), origin, node, payload)
-			nw.ctrs[node].Lost += uint64(sub)
-			releaseOn(h, payload, sub)
+			nw.emit(TraceDrop, nw.eng.Now(), origin, node, payload)
+			nw.ctrs.Lost += uint64(sub)
+			release(payload, sub)
 			return
 		}
 		nw.forward(set, origin, node, payload)
 		return
 	}
 	if nw.crashed[node] {
-		nw.ctrs[node].Drops++
-		nw.emit(h, TraceDrop, h.Now(), origin, node, payload)
+		nw.ctrs.Drops++
+		nw.emit(TraceDrop, nw.eng.Now(), origin, node, payload)
 		if b < 0 {
 			// The dead node's copy is a crash drop; the subtree behind it
 			// is lost to the environment.
 			if sub := nw.subCopies(set, origin, node); sub > 1 {
-				nw.ctrs[node].Lost += uint64(sub - 1)
-				releaseOn(h, payload, sub-1)
+				nw.ctrs.Lost += uint64(sub - 1)
+				release(payload, sub-1)
 			}
 		}
-		releaseOn(h, payload, 1)
+		release(payload, 1)
 		return
 	}
 	if b < 0 {
@@ -849,8 +751,8 @@ func (nw *Network) received(set, origin, node, b int, payload any) {
 		// the tree, then the local copy goes up to the process.
 		nw.forward(set, origin, node, payload)
 	}
-	nw.ctrs[node].Deliveries++
-	nw.emit(h, TraceDeliver, h.Now(), origin, node, payload)
+	nw.ctrs.Deliveries++
+	nw.emit(TraceDeliver, nw.eng.Now(), origin, node, payload)
 	nw.deliver(node, origin, payload)
-	releaseOn(h, payload, 1)
+	release(payload, 1)
 }

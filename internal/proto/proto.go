@@ -5,13 +5,9 @@
 //
 // Algorithms are written as event-driven state machines implementing
 // Handler. The runtime guarantees deterministic, serialised delivery of
-// messages, timers and failure-detector edges — per process, through the
-// process's own engine handle, so a handler also runs correctly when the
-// engine executes conflict domains in parallel — and it enforces crash
-// semantics: once a process crashes, its handler never runs again.
-// Handler code itself never observes concurrency: everything a process
-// does (its timers via Proc.After, its sends, its clock via Proc.Now)
-// stays inside the conflict domain the process belongs to.
+// messages, timers and failure-detector edges on the one single-threaded
+// engine, so handler code never observes concurrency, and it enforces
+// crash semantics: once a process crashes, its handler never runs again.
 package proto
 
 import (
@@ -120,7 +116,6 @@ func NewSystem(eng *sim.Engine, netCfg netmodel.Config, qos fd.QoS, rng *sim.Ran
 		proc := &Proc{
 			sys: s,
 			id:  PID(p),
-			eng: eng.For(p),
 			rng: rng.ForkN(p),
 		}
 		s.procs[p] = proc
@@ -294,13 +289,8 @@ func (s *System) dispatch(to, from int, payload any) {
 
 // Proc is the per-process runtime. It implements Runtime.
 type Proc struct {
-	sys *System
-	id  PID
-	// eng is the process's engine handle: its conflict-domain queue under
-	// the parallel engine, the system engine itself when serial. All
-	// per-process clock reads and timers go through it, so protocol code
-	// runs entirely inside its own domain.
-	eng     *sim.Engine
+	sys     *System
+	id      PID
 	rng     *sim.Rand
 	handler Handler
 	crashed bool
@@ -319,14 +309,8 @@ func (p *Proc) ID() PID { return p.id }
 // N implements Runtime.
 func (p *Proc) N() int { return p.sys.N() }
 
-// Now implements Runtime. The clock read is the process's own domain
-// clock, which inside a parallel window is the instant of the event
-// being executed.
-func (p *Proc) Now() sim.Time { return p.eng.Now() }
-
-// Eng returns the process's engine handle (the domain queue under the
-// parallel engine, the system engine when serial).
-func (p *Proc) Eng() *sim.Engine { return p.eng }
+// Now implements Runtime.
+func (p *Proc) Now() sim.Time { return p.sys.Eng.Now() }
 
 // Rand implements Runtime.
 func (p *Proc) Rand() *sim.Rand { return p.rng }
@@ -372,7 +356,7 @@ func (p *Proc) MulticastSet(set netmodel.SetID, payload any) {
 // the time it fires.
 func (p *Proc) After(d time.Duration, fn func()) Timer {
 	gen := p.gen
-	return p.eng.After(d, func() {
+	return p.sys.Eng.After(d, func() {
 		if !p.crashed && p.gen == gen {
 			fn()
 		}

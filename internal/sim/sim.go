@@ -5,20 +5,12 @@
 // The kernel plays the role that the Neko framework played in the paper
 // "Comparison of Failure Detectors and Group Membership" (Urbán,
 // Shnayderman, Schiper; DSN 2003): it executes protocol code against a
-// simulated environment. By default the engine is single-threaded;
-// callbacks run one at a time in a deterministic order, so a simulation
-// is reproducible bit-for-bit from its seed. Events scheduled for the
-// same instant run in the order they were scheduled.
-//
-// EnableParallel partitions the processes into conflict domains and
-// advances independent domains concurrently inside safe windows bounded
-// by a lookahead (the minimum cross-domain interaction cost), committing
-// each window through a deterministic merge — a conservative
-// parallel-DES scheme whose observable event order is identical to the
-// serial engine's, at any worker count. The equivalence rules model code
-// must follow under parallel execution are documented in parallel.go;
-// code written against the serial engine's For/Emit/ScheduleMsgOn
-// surface runs unchanged (and at full speed) in both modes.
+// simulated environment. The engine is single-threaded: callbacks run
+// one at a time in a deterministic order, so a simulation is
+// reproducible bit-for-bit from its seed. Events scheduled for the same
+// instant run in the order they were scheduled. Parallelism lives one
+// level up, across independent simulations (experiment.Runner.Workers);
+// docs/ARCHITECTURE.md records why there is none inside one.
 //
 // Two scheduling forms exist. Schedule and After take a closure and return
 // a cancellable *Event handle — the form protocol timers use. ScheduleMsg
@@ -103,19 +95,9 @@ type Event struct {
 	a, b    int
 	op      uint8
 
-	index     int // heap index, -1 once removed, -2 awaiting a window commit
+	index     int // heap index, -1 once removed
 	cancelled bool
 	free      *Event // free-list link, non-nil only while recycled
-
-	// Parallel-window bookkeeping (see parallel.go). An event scheduled
-	// while a domain drains a window has no sequence number yet: its
-	// position in the deterministic total order is (parent, kidx) — the
-	// event that scheduled it and the call index within that event. The
-	// window commit collapses the pair to a real seq in exact serial
-	// order. Serial engines never set these fields.
-	parent *Event
-	kidx   uint32 // schedule index within parent
-	nkids  uint32 // children scheduled by this event so far
 }
 
 // When returns the instant the event is scheduled to fire at.
@@ -144,7 +126,7 @@ func (ev *Event) Cancelled() bool { return ev.cancelled }
 // usable; create engines with New.
 type Engine struct {
 	now     Time
-	heap    []*Event // binary heap ordered by (when, schedBefore)
+	heap    []*Event // binary heap ordered by (when, seq)
 	free    *Event   // free list of recycled typed-event records
 	seq     uint64
 	stopped bool
@@ -152,21 +134,6 @@ type Engine struct {
 	// Executed counts events that have fired, for diagnostics and for
 	// runaway-simulation guards in tests.
 	executed uint64
-
-	// Parallel execution (see parallel.go). par is non-nil on a root
-	// engine that called EnableParallel and on every domain handle it
-	// created; it is nil on a plain serial engine, and every parallel
-	// field below stays zero. cur is the event this domain is currently
-	// executing inside a window drain — the parent of everything it
-	// schedules. ops is the domain's interleaved record of deferred
-	// emissions and scheduled children, replayed in serial order at the
-	// window commit; fired lists the events this domain executed in the
-	// current window.
-	par       *parState
-	cur       *Event
-	deferring bool
-	ops       []opEntry
-	fired     []firedRec
 }
 
 // New returns an engine with the clock at zero and an empty event queue.
@@ -177,30 +144,12 @@ func New() *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Executed returns the number of events that have fired so far. On a
-// parallel root engine it aggregates across every domain.
-func (e *Engine) Executed() uint64 {
-	n := e.executed
-	if e.par != nil && e.par.root == e {
-		for _, d := range e.par.domains {
-			n += d.executed
-		}
-	}
-	return n
-}
+// Executed returns the number of events that have fired so far.
+func (e *Engine) Executed() uint64 { return e.executed }
 
 // Pending returns the number of events currently scheduled. Cancelled
-// events are removed from the queue eagerly, so they never count. On a
-// parallel root engine it aggregates across every domain.
-func (e *Engine) Pending() int {
-	n := len(e.heap)
-	if e.par != nil && e.par.root == e {
-		for _, d := range e.par.domains {
-			n += len(d.heap)
-		}
-	}
-	return n
-}
+// events are removed from the queue eagerly, so they never count.
+func (e *Engine) Pending() int { return len(e.heap) }
 
 // checkAt guards against scheduling in the past (before Now): it would
 // silently reorder causality, which is always a bug in the caller.
@@ -217,36 +166,10 @@ func (e *Engine) Schedule(at Time, fn func()) *Event {
 	if fn == nil {
 		panic("sim: schedule with nil callback")
 	}
-	ev := &Event{eng: e, when: at, fn: fn}
-	e.assignOrder(ev)
+	ev := &Event{eng: e, when: at, seq: e.seq, fn: fn}
+	e.seq++
 	e.push(ev)
 	return ev
-}
-
-// assignOrder stamps ev's position in the deterministic total order: a
-// global sequence number when executing serially (or between parallel
-// windows), or a provisional (parent, kidx) key while this domain is
-// draining a window — the commit turns the key into the sequence number
-// serial execution would have assigned.
-func (e *Engine) assignOrder(ev *Event) {
-	if e.par == nil {
-		ev.seq = e.seq
-		e.seq++
-		return
-	}
-	if e.cur != nil { // draining: provisional key, committed at the barrier
-		ev.parent = e.cur
-		ev.kidx = e.cur.nkids
-		e.cur.nkids++
-		e.ops = append(e.ops, opEntry{ev: ev})
-		return
-	}
-	if e.par.committing {
-		panic("sim: scheduling from an Emit callback")
-	}
-	root := e.par.root
-	ev.seq = root.seq
-	root.seq++
 }
 
 // After registers fn to run d after the current instant. Negative
@@ -266,54 +189,17 @@ func (e *Engine) ScheduleMsg(at Time, h MsgHandler, op uint8, a, b int, payload 
 	}
 	// Typed records never carry the eng back-pointer: no handle escapes,
 	// so Cancel can never be called on them.
-	ev := e.takeFree()
-	ev.when = at
-	ev.h, ev.op, ev.a, ev.b, ev.payload = h, op, a, b, payload
-	e.assignOrder(ev)
-	e.push(ev)
-}
-
-// takeFree returns a recycled typed-event record, or a fresh one.
-func (e *Engine) takeFree() *Event {
 	ev := e.free
 	if ev != nil {
 		e.free = ev.free
 		ev.free = nil
-		ev.cancelled = false
-		ev.seq, ev.parent, ev.kidx, ev.nkids = 0, nil, 0, 0
 	} else {
 		ev = &Event{}
 	}
-	return ev
-}
-
-// ScheduleMsgOn schedules a closure-free event into target's queue. On a
-// serial engine (or when target is the calling engine) it is exactly
-// target.ScheduleMsg. During a parallel window drain it is the one legal
-// way to hand an event to another domain: the record is tagged with the
-// scheduling event's provisional key, held back, and pushed into
-// target's queue at the window commit — after the deterministic merge
-// has assigned it the sequence number serial execution would have. The
-// target instant must clear the cross-domain lookahead, which every
-// wire-delay-bounded caller satisfies by construction.
-func (e *Engine) ScheduleMsgOn(target *Engine, at Time, h MsgHandler, op uint8, a, b int, payload any) {
-	if target == e || e.cur == nil {
-		target.ScheduleMsg(at, h, op, a, b, payload)
-		return
-	}
-	e.checkAt(at)
-	if h == nil {
-		panic("sim: ScheduleMsg with nil handler")
-	}
-	ev := e.takeFree()
-	ev.eng = target // owning domain: the commit pushes it there
-	ev.when = at
+	ev.when, ev.seq = at, e.seq
+	e.seq++
 	ev.h, ev.op, ev.a, ev.b, ev.payload = h, op, a, b, payload
-	ev.parent = e.cur
-	ev.kidx = e.cur.nkids
-	e.cur.nkids++
-	ev.index = -2
-	e.ops = append(e.ops, opEntry{ev: ev})
+	e.push(ev)
 }
 
 // AfterMsg schedules a closure-free event d after the current instant.
@@ -322,56 +208,24 @@ func (e *Engine) AfterMsg(d time.Duration, h MsgHandler, op uint8, a, b int, pay
 }
 
 // Stop makes the current Run or RunUntil call return after the in-progress
-// callback finishes (in parallel mode: after the in-progress window
-// commits). Pending events remain queued. In parallel mode Stop must be
-// called from a global event or between runs, never from inside a
-// window drain.
-func (e *Engine) Stop() {
-	if e.par != nil {
-		e.par.root.stopped = true
-		return
-	}
-	e.stopped = true
-}
+// callback finishes. Pending events remain queued.
+func (e *Engine) Stop() { e.stopped = true }
 
 // Run executes events in timestamp order until the queue drains or Stop is
 // called. It returns the number of events executed by this call.
 func (e *Engine) Run() uint64 {
-	return e.runAny(Time(math.MaxInt64))
+	return e.run(Time(math.MaxInt64))
 }
 
 // RunUntil executes events with timestamps at or before deadline, then
 // advances the clock to deadline. It returns the number of events executed
 // by this call.
 func (e *Engine) RunUntil(deadline Time) uint64 {
-	n := e.runAny(deadline)
+	n := e.run(deadline)
 	if !e.stopped && e.now < deadline {
-		e.setNow(deadline)
+		e.now = deadline
 	}
 	return n
-}
-
-// runAny dispatches to the windowed parallel loop when EnableParallel
-// was called, and to the classic serial loop otherwise.
-func (e *Engine) runAny(deadline Time) uint64 {
-	if e.par != nil {
-		if e.par.root != e {
-			panic("sim: Run on a parallel domain handle")
-		}
-		return e.par.run(deadline)
-	}
-	return e.run(deadline)
-}
-
-// setNow advances the clock — and, on a parallel root, every domain
-// handle's clock — to t.
-func (e *Engine) setNow(t Time) {
-	e.now = t
-	if e.par != nil && e.par.root == e {
-		for _, d := range e.par.domains {
-			d.now = t
-		}
-	}
 }
 
 func (e *Engine) run(deadline Time) uint64 {
@@ -417,35 +271,7 @@ func (e *Engine) less(i, j int) bool {
 	if a.when != b.when {
 		return a.when < b.when
 	}
-	return schedBefore(a, b)
-}
-
-// schedBefore reports whether a was — or, for events scheduled inside a
-// still-open parallel window, will provably be — scheduled before b.
-// Committed events compare by sequence number. A committed event always
-// precedes a provisional one: provisional events receive their numbers
-// at the next commit, after every number assigned so far. Two
-// provisional events compare by their scheduling events' execution
-// order (fire time, then recursively the same order), then by call
-// index within the same parent. On a serial engine parents are always
-// nil and this is exactly the classic seq tie-break.
-func schedBefore(a, b *Event) bool {
-	if a.parent == nil && b.parent == nil {
-		return a.seq < b.seq
-	}
-	if a.parent == nil {
-		return true
-	}
-	if b.parent == nil {
-		return false
-	}
-	if a.parent == b.parent {
-		return a.kidx < b.kidx
-	}
-	if a.parent.when != b.parent.when {
-		return a.parent.when < b.parent.when
-	}
-	return schedBefore(a.parent, b.parent)
+	return a.seq < b.seq
 }
 
 // push appends ev and restores the heap invariant.

@@ -200,6 +200,9 @@ func TestRunUntilStopsAtDeadlineAndAdvancesClock(t *testing.T) {
 	if e.Now() != Time(25) {
 		t.Fatalf("Now() = %v, want 25", e.Now())
 	}
+	if e.Executed() != 2 || e.Pending() != 2 {
+		t.Fatalf("Executed()/Pending() = %d/%d at the deadline, want 2/2", e.Executed(), e.Pending())
+	}
 	n = e.RunUntil(Time(100))
 	if n != 2 {
 		t.Fatalf("second RunUntil executed %d, want 2", n)

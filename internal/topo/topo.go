@@ -186,11 +186,9 @@ func Ring(n int) *Topology {
 // OneWayRing joins process i to its successor (i+1) mod n with a
 // dedicated unidirectional wire: messages travel one way around the
 // ring, so a unicast to the predecessor relays through every other
-// process. It is the fully directed topology — each wire has exactly
+// process. It is the fully directed topology: each wire has exactly
 // one transmitter and one receiver and no process shares a medium with
-// any other — which makes it the canonical multi-domain graph for the
-// parallel engine: netmodel.ConflictDomains splits it into n conflict
-// domains with a lookahead of one wire traversal.
+// any other.
 func OneWayRing(n int) *Topology {
 	t := &Topology{Name: fmt.Sprintf("onewayring-%d", n), N: n, gen: &genInfo{kind: "onewayring"}}
 	if n == 1 {

@@ -149,9 +149,7 @@ func Spread(eng *sim.Engine, rng *sim.Rand, total float64, nominal int, senders 
 	out := make([]*Poisson, 0, len(senders))
 	for _, s := range senders {
 		s := s
-		// Each source lives in its sender's conflict domain, so the
-		// broadcasts it fires originate inside the domain that owns them.
-		out = append(out, NewPoisson(eng.For(s), rng.ForkN(s), perProcess, func() { fire(s) }))
+		out = append(out, NewPoisson(eng, rng.ForkN(s), perProcess, func() { fire(s) }))
 	}
 	return out
 }

@@ -101,9 +101,10 @@ func WorstCaseTransient(cfg TransientConfig, sweepCrash bool) TransientResult {
 // reports completed replications.
 type Runner = experiment.Runner
 
-// Sweep describes a grid of steady-state experiment points over
-// Algorithm × N × Throughput × QoS × Lambda × Crashed × Detector; unset
-// axes inherit the Base config.
+// Sweep describes a grid of steady-state experiment points: every slice
+// field is an axis, crossed in the canonical order that sweepAxes
+// (internal/experiment/runner.go) states once; unset axes inherit the
+// Base config.
 type Sweep = experiment.Sweep
 
 // RunSweep runs every point of the grid on GOMAXPROCS workers and
@@ -291,13 +292,14 @@ type PlanObserver = experiment.PlanObserver
 type LoadPlan = experiment.LoadPlan
 
 // NewLoadPlan creates a plan from the given events; the plan's chainable
-// helpers (Rate, Burst, Mute, Unmute, Pause, Resume) append further ones.
+// helpers (Rate, Burst, Mute, Unmute, Pause, Resume, Mix) append further
+// ones.
 func NewLoadPlan(events ...LoadEvent) *LoadPlan {
 	return experiment.NewLoadPlan(events...)
 }
 
 // LoadEvent is one typed event on a LoadPlan's timeline: one of
-// RateChange, Burst, Mute, Unmute, Pause or Resume.
+// RateChange, Burst, Mute, Unmute, Pause, Resume or ShardMix.
 type LoadEvent = experiment.LoadEvent
 
 // RateChange sets the A-broadcast rate: sender AllSenders re-spreads the
@@ -382,9 +384,8 @@ func Star(n int) *Topology { return topo.Star(n) }
 func Ring(n int) *Topology { return topo.Ring(n) }
 
 // OneWayRing joins each process to its successor over a dedicated
-// unidirectional wire — the fully directed topology, and the canonical
-// multi-domain graph for ParallelSim: it splits into one conflict
-// domain per process with a lookahead of one wire traversal.
+// unidirectional wire — the fully directed topology: messages relay hop
+// by hop the one way round.
 func OneWayRing(n int) *Topology { return topo.OneWayRing(n) }
 
 // Clique joins every process pair with a dedicated wire — full direct
