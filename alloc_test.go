@@ -15,9 +15,9 @@ import (
 	"repro/internal/sim"
 )
 
-// TestClusterBroadcastAllocBudget bounds the full-stack hot path of
-// BenchmarkClusterBroadcast: one atomic broadcast ordered and delivered
-// on a 3-process FD cluster. The pooling pass took it from 42 to a
+// TestClusterBroadcastAllocBudget bounds the full-stack hot path that
+// cmd/bench times as stack.fd.ns_per_abcast / stack.fd.allocs_per_abcast:
+// one atomic broadcast ordered and delivered on a 3-process FD cluster. The pooling pass took it from 42 to a
 // measured 11 allocs/op; the budget leaves slack for toolchain noise
 // while staying far below the old cost.
 func TestClusterBroadcastAllocBudget(t *testing.T) {
@@ -57,8 +57,8 @@ func TestClusterBroadcastAllocBudget(t *testing.T) {
 // set-multicasts) pools its envelopes but allocates one pending entry
 // and its proposal map per multi-group message, so its budget is a
 // handful of set-multicasts like this one plus O(1) small allocations
-// per message — BenchmarkMultiGroupThroughput records the measured
-// end-to-end figures.
+// per message — cmd/bench's groups-shard workload and its
+// groups.ns_per_mcast_local/_cross metrics record the measured figures.
 func TestMulticastSetAllocBudget(t *testing.T) {
 	const budget = 1.0
 	eng := sim.New()
@@ -87,8 +87,8 @@ func TestMulticastSetAllocBudget(t *testing.T) {
 }
 
 // TestNetModelMulticastAllocBudget bounds the contention model's
-// message pipeline of BenchmarkNetModelMulticast: one multicast fan-out
-// to 7 processes. With a pre-boxed payload the model itself allocates
+// message pipeline that cmd/bench times as netmodel.ns_per_delivery /
+// netmodel.allocs_per_multicast: one multicast fan-out to 7 processes. With a pre-boxed payload the model itself allocates
 // nothing once warm; the budget of 1 tolerates a stray amortised
 // engine-queue growth.
 func TestNetModelMulticastAllocBudget(t *testing.T) {

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/cli"
 )
 
 var (
@@ -54,6 +55,10 @@ func algorithm(name string) repro.Algorithm {
 
 func main() {
 	flag.Parse()
+	os.Exit(cli.Run("abcast-sim", os.Stderr, run))
+}
+
+func run() {
 	cfg := repro.Config{
 		Algorithm:    algorithm(*algFlag),
 		N:            *nFlag,

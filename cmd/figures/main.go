@@ -15,6 +15,10 @@
 //
 // Unstable points (messages left undelivered, the regime where the paper
 // omits the GM curve) print "unstable" in place of a latency.
+//
+// A figure is data — panels of header lines, a grid of points and a row
+// layout, rendered by two emitters (curve, listing) — and
+// golden/figures_quick.tsv pins the -quick output of every one.
 package main
 
 import (
@@ -27,6 +31,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/cli"
 )
 
 // figures is the one table of what -fig accepts, in "all" order: the
@@ -34,9 +39,9 @@ import (
 // nscale and groups are the large-N grids and smoke is CI's golden grid;
 // "all" leaves them to be asked for by name.
 var figures = []struct {
-	name  string
-	inAll bool
-	run   func()
+	name   string
+	inAll  bool
+	panels func() []panel
 }{
 	{"1", true, fig1},
 	{"4", true, fig4},
@@ -65,6 +70,20 @@ func figNames() string {
 	return strings.Join(append(names, "all"), ", ")
 }
 
+// selected returns the panel builders -fig name asks for, in table order.
+func selected(name string) ([]func() []panel, error) {
+	var out []func() []panel
+	for _, f := range figures {
+		if f.name == name || (name == "all" && f.inAll) {
+			out = append(out, f.panels)
+		}
+	}
+	if out == nil {
+		return nil, fmt.Errorf("unknown figure %q (want one of: %s)", name, figNames())
+	}
+	return out, nil
+}
+
 var (
 	figFlag     = flag.String("fig", "all", "figure to regenerate: "+figNames())
 	quickFlag   = flag.Bool("quick", false, "reduced sweeps and durations (~20x faster)")
@@ -76,13 +95,15 @@ var (
 	replayFlag  = flag.String("replay", "", "replay a trace file, verify delivery digests and exit")
 )
 
-// runner fans every figure's (point, replication) grid out over a worker
-// pool; results are bit-identical at any worker count.
-var runner *repro.Runner
-
 func main() {
 	flag.Parse()
-	runner = &repro.Runner{Workers: *workersFlag}
+	os.Exit(cli.Run("figures", os.Stderr, run))
+}
+
+func run() {
+	// The runner fans every panel's (point, replication) grid out over a
+	// worker pool; results are bit-identical at any worker count.
+	runner := &repro.Runner{Workers: *workersFlag}
 	if *replayFlag != "" {
 		replayTrace(*replayFlag)
 		return
@@ -107,57 +128,197 @@ func main() {
 			}
 		}
 	}
-	ran := false
-	for _, f := range figures {
-		if f.name == *figFlag || (*figFlag == "all" && f.inAll) {
-			f.run()
-			ran = true
-		}
-	}
-	if !ran {
-		fmt.Fprintf(os.Stderr, "unknown figure %q (want one of: %s)\n", *figFlag, figNames())
+	builders, err := selected(*figFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	for _, build := range builders {
+		for _, p := range build() {
+			p.render(os.Stdout, runner)
+		}
+	}
 }
 
-// throughputs returns the x-axis sweep of the latency-vs-throughput
-// figures.
-func throughputs() []float64 {
-	if *quickFlag {
-		return []float64{10, 100, 300, 500, 650}
-	}
-	return []float64{10, 50, 100, 200, 300, 400, 500, 600, 650, 700}
+// A panel is one block of a figure's output, as data: the comment and
+// column-header lines, the grid of points behind the rows — batched into
+// one pool run — and the layout that turns the results into rows.
+type panel struct {
+	head []string
+	// The point list, in row order: exactly one of steady and transient.
+	// worst runs each transient point worst-cased over its senders (the
+	// paper's Lcrash), one pool run per point.
+	steady    []repro.Config
+	transient []repro.TransientConfig
+	worst     bool
+	// The row layout. A curve panel sets xs, one label per row; its points
+	// are row-major, len(points)/len(xs) cells — one per series — a row.
+	// A listing panel leaves xs nil: one row per point, labelled off the
+	// point's Config, a blank line after every `every` rows (0 = none).
+	xs    []string
+	label func(i int, c repro.Config) string
+	every int
+	cell  func(repro.Result) string
+	tcell func(repro.TransientResult) string
+	// emit, when set, replaces the layout for the few panels whose rows
+	// are not a function of their own point alone.
+	emit func(w io.Writer, res []repro.Result)
 }
 
-// steadyCfg builds a Config with durations scaled to gather a useful
-// number of messages at throughput T.
-func steadyCfg(alg repro.Algorithm, n int, thr float64) repro.Config {
-	target := 600.0 // messages per replication
-	reps := 3
-	if *quickFlag {
-		target = 150
-		reps = 2
+// render runs the panel's grid and writes the block.
+func (p panel) render(w io.Writer, r *repro.Runner) {
+	switch {
+	case p.transient == nil:
+		p.write(w, r.SteadyAll(p.steady), nil)
+	case p.worst:
+		tres := make([]repro.TransientResult, len(p.transient))
+		for i, cfg := range p.transient {
+			tres[i] = r.WorstCaseTransient(cfg, false)
+		}
+		p.write(w, nil, tres)
+	default:
+		p.write(w, nil, r.TransientAll(p.transient))
 	}
+}
+
+// write lays the results of the panel's points out as the block.
+func (p panel) write(w io.Writer, res []repro.Result, tres []repro.TransientResult) {
+	for _, line := range p.head {
+		fmt.Fprintln(w, line)
+	}
+	switch {
+	case p.emit != nil:
+		p.emit(w, res)
+	case p.xs != nil:
+		cells := make([]string, 0, len(res)+len(tres))
+		for _, r := range res {
+			cells = append(cells, p.cell(r))
+		}
+		for _, r := range tres {
+			cells = append(cells, p.tcell(r))
+		}
+		curve(w, p.xs, cells)
+	default:
+		listing(w, res, p.label, p.cell, p.every)
+	}
+}
+
+// curve emits one row per x-value — the label, then that row's cells —
+// and a blank line closing the block.
+func curve(w io.Writer, xs, cells []string) {
+	per := len(cells) / len(xs)
+	for i, x := range xs {
+		fmt.Fprintln(w, x+"\t"+strings.Join(cells[i*per:(i+1)*per], "\t"))
+	}
+	fmt.Fprintln(w)
+}
+
+// listing emits one row per grid point — label columns read off the
+// point's Config, then its cell — with a blank line after every `every`
+// rows for gnuplot indexing.
+func listing(w io.Writer, res []repro.Result, label func(int, repro.Config) string, cell func(repro.Result) string, every int) {
+	for i, r := range res {
+		fmt.Fprintln(w, label(i, r.Config)+"\t"+cell(r))
+		if every > 0 && i%every == every-1 {
+			fmt.Fprintln(w)
+		}
+	}
+}
+
+// atRes picks an axis or a duration by resolution: full, or -quick.
+func atRes[T any](full, quick T) T {
+	if *quickFlag {
+		return quick
+	}
+	return full
+}
+
+// reps is the replication rule, stated once: -reps when given, else the
+// figure's own count at the chosen resolution.
+func reps(full, quick int) int {
 	if *repsFlag > 0 {
-		reps = *repsFlag
+		return *repsFlag
 	}
-	measure := time.Duration(target / thr * float64(time.Second))
-	if measure < 3*time.Second {
-		measure = 3 * time.Second
-	}
-	if measure > 120*time.Second {
-		measure = 120 * time.Second
-	}
+	return atRes(full, quick)
+}
+
+// base is the point every grid starts from: the FD algorithm on n
+// processes at throughput thr, the -seed, one second of warmup.
+func base(n int, thr float64, measure, drain time.Duration, replications int) repro.Config {
 	return repro.Config{
-		Algorithm:    alg,
+		Algorithm:    repro.FD,
 		N:            n,
 		Throughput:   thr,
 		Seed:         *seedFlag,
 		Warmup:       time.Second,
 		Measure:      measure,
-		Drain:        20 * time.Second,
-		Replications: reps,
+		Drain:        drain,
+		Replications: replications,
 	}
+}
+
+// steadyCfg is base with the measure window scaled to gather a useful
+// number of messages at throughput thr.
+func steadyCfg(n int, thr float64) repro.Config {
+	target := atRes(600.0, 150.0) // messages per replication
+	measure := time.Duration(target / thr * float64(time.Second))
+	measure = min(max(measure, 3*time.Second), 120*time.Second)
+	return base(n, thr, measure, 20*time.Second, reps(3, 2))
+}
+
+var (
+	fdgm = []repro.Algorithm{repro.FD, repro.GM}
+	td10 = repro.Detectors(10, 0, 0)
+)
+
+// both is one point under each of the two algorithms: FD, then GM.
+func both(cfg repro.Config) []repro.Config {
+	return repro.Sweep{Base: cfg, Algorithms: fdgm}.Points()
+}
+
+// labels formats an axis as row labels.
+func labels(format string, xs []float64) []string {
+	out := make([]string, len(xs))
+	for i, x := range xs {
+		out[i] = fmt.Sprintf(format, x)
+	}
+	return out
+}
+
+// curveOf builds a mean ± CI curve panel over the axis xs: row(x) is the
+// points of x's row, one per series.
+func curveOf(head []string, format string, xs []float64, row func(x float64) []repro.Config) panel {
+	p := panel{head: head, xs: labels(format, xs), cell: cell}
+	for _, x := range xs {
+		p.steady = append(p.steady, row(x)...)
+	}
+	return p
+}
+
+// transientCurve builds a crash-transient curve panel: one row per
+// throughput, and in it both algorithms at each detection time of tds (ms).
+// The coordinator/sequencer p0 crashes at the instant p1 broadcasts the
+// probe.
+func transientCurve(head []string, n int, thrs, tds []float64, tcell func(repro.TransientResult) string) panel {
+	p := panel{head: head, xs: labels("%.0f", thrs), tcell: tcell}
+	for _, thr := range thrs {
+		for _, td := range tds {
+			for _, alg := range fdgm {
+				cfg := base(n, thr, 0, 20*time.Second, reps(10, 5))
+				cfg.Algorithm, cfg.QoS = alg, repro.Detectors(td, 0, 0)
+				p.transient = append(p.transient, repro.TransientConfig{Config: cfg, Crash: 0, Sender: 1})
+			}
+		}
+	}
+	return p
+}
+
+// throughputs returns the x-axis sweep of the latency-vs-throughput
+// figures.
+func throughputs() []float64 {
+	return atRes(
+		[]float64{10, 50, 100, 200, 300, 400, 500, 600, 650, 700},
+		[]float64{10, 100, 300, 500, 650})
 }
 
 // cell formats one latency ± CI pair, or "unstable".
@@ -165,300 +326,17 @@ func cell(res repro.Result) string {
 	if !res.Stable {
 		return "unstable\tunstable"
 	}
-	return fmt.Sprintf("%.2f\t%.2f", res.Latency.Mean, res.Latency.CI95)
+	return meanCI(res.Latency)
 }
 
-func fig1() {
-	fmt.Println("# Figure 1 check: identical failure-free message pattern (FD vs GM)")
-	fmt.Println("# n\tthroughput(1/s)\tFD_wire_msgs\tGM_wire_msgs\tFD_lat(ms)\tGM_lat(ms)")
-	for _, n := range []int{3, 7} {
-		for _, thr := range []float64{10, 300} {
-			counts := make(map[repro.Algorithm]uint64)
-			lats := make(map[repro.Algorithm]float64)
-			for _, alg := range []repro.Algorithm{repro.FD, repro.GM} {
-				cfg := steadyCfg(alg, n, thr)
-				cfg.Measure = 3 * time.Second
-				cfg.Replications = 1
-				res := runner.Steady(cfg)
-				lats[alg] = res.PerMessage.Mean
-				// Wire counts come from a dedicated cluster run with the
-				// same arrivals.
-				var wires uint64
-				func() {
-					c := repro.NewCluster(repro.ClusterConfig{Algorithm: alg, N: n, Seed: *seedFlag})
-					for i := 0; i < 20; i++ {
-						c.BroadcastAt(i%n, time.Duration(i)*7*time.Millisecond, i)
-					}
-					c.Run(2 * time.Second)
-					wires = c.Stats().WireSlots
-				}()
-				counts[alg] = wires
-			}
-			fmt.Printf("%d\t%.0f\t%d\t%d\t%.4f\t%.4f\n",
-				n, thr, counts[repro.FD], counts[repro.GM], lats[repro.FD], lats[repro.GM])
-		}
+// meanCI formats mean ± CI of whatever was measured, or "lost": the plan
+// and load figures report undelivered messages honestly in their own
+// column instead of suppressing the whole row as cell does.
+func meanCI(s repro.Summary) string {
+	if s.N == 0 {
+		return "lost\tlost"
 	}
-	fmt.Println()
-}
-
-func fig4() {
-	for _, n := range []int{3, 7} {
-		fmt.Printf("# Figure 4: latency vs throughput, normal-steady, n=%d\n", n)
-		fmt.Println("# throughput(1/s)\tFD_lat(ms)\tFD_ci\tGM_lat(ms)\tGM_ci")
-		thrs := throughputs()
-		var cfgs []repro.Config
-		for _, thr := range thrs {
-			cfgs = append(cfgs, repro.Sweep{
-				Base:       steadyCfg(repro.FD, n, thr),
-				Algorithms: []repro.Algorithm{repro.FD, repro.GM},
-			}.Points()...)
-		}
-		res := runner.SteadyAll(cfgs)
-		for i, thr := range thrs {
-			fmt.Printf("%.0f\t%s\t%s\n", thr, cell(res[2*i]), cell(res[2*i+1]))
-		}
-		fmt.Println()
-	}
-}
-
-func fig5() {
-	panels := []struct {
-		n       int
-		crashes []int
-	}{
-		{3, []int{0, 1}},
-		{7, []int{0, 1, 2, 3}},
-	}
-	for _, panel := range panels {
-		fmt.Printf("# Figure 5: latency vs throughput, crash-steady, n=%d\n", panel.n)
-		header := "# throughput(1/s)"
-		for _, c := range panel.crashes {
-			header += fmt.Sprintf("\tFD_%dcr\tci\tGM_%dcr\tci", c, c)
-		}
-		fmt.Println(header)
-		thrs := throughputs()
-		// One crash-set per curve: crash the highest PIDs — non-coordinator
-		// processes, matching the paper's Fig. 5 presentation.
-		sets := make([][]repro.ProcessID, len(panel.crashes))
-		for i, crashes := range panel.crashes {
-			for k := 0; k < crashes; k++ {
-				sets[i] = append(sets[i], pid(panel.n-1-k))
-			}
-		}
-		// Measure durations scale with throughput, so the grid is one
-		// Algorithm × CrashSet sweep per throughput, batched into a single
-		// pool run.
-		var cfgs []repro.Config
-		for _, thr := range thrs {
-			cfgs = append(cfgs, repro.Sweep{
-				Base:       steadyCfg(repro.FD, panel.n, thr),
-				Algorithms: []repro.Algorithm{repro.FD, repro.GM},
-				CrashSets:  sets,
-			}.Points()...)
-		}
-		res := runner.SteadyAll(cfgs)
-		// Each throughput's block comes back in canonical sweep order:
-		// all FD crash-sets, then all GM crash-sets.
-		block := 2 * len(sets)
-		for ti, thr := range thrs {
-			row := fmt.Sprintf("%.0f", thr)
-			for ci := range sets {
-				row += "\t" + cell(res[ti*block+ci]) + "\t" + cell(res[ti*block+len(sets)+ci])
-			}
-			fmt.Println(row)
-		}
-		fmt.Println()
-	}
-}
-
-func fig6() {
-	tmrs := []float64{1, 3, 10, 30, 100, 300, 1000, 3000, 10000, 100000, 1000000}
-	if *quickFlag {
-		tmrs = []float64{10, 100, 1000, 10000, 1000000}
-	}
-	panels := []struct {
-		n   int
-		thr float64
-	}{
-		{3, 10}, {7, 10}, {3, 300}, {7, 300},
-	}
-	for _, panel := range panels {
-		fmt.Printf("# Figure 6: latency vs TMR, suspicion-steady, TM=0, n=%d, throughput=%.0f/s\n",
-			panel.n, panel.thr)
-		fmt.Println("# TMR(ms)\tFD_lat(ms)\tFD_ci\tGM_lat(ms)\tGM_ci")
-		var qos []repro.QoS
-		for _, tmr := range tmrs {
-			qos = append(qos, repro.Detectors(0, tmr, 0))
-		}
-		res := runner.Sweep(repro.Sweep{
-			Base:       steadyCfg(repro.FD, panel.n, panel.thr),
-			Algorithms: []repro.Algorithm{repro.FD, repro.GM},
-			QoS:        qos,
-		})
-		for i, tmr := range tmrs {
-			fmt.Printf("%.0f\t%s\t%s\n", tmr, cell(res[i]), cell(res[len(tmrs)+i]))
-		}
-		fmt.Println()
-	}
-}
-
-func fig7() {
-	tms := []float64{1, 3, 10, 30, 100, 300, 1000}
-	if *quickFlag {
-		tms = []float64{1, 10, 100, 1000}
-	}
-	panels := []struct {
-		n   int
-		thr float64
-		tmr float64
-	}{
-		{3, 10, 1000}, {7, 10, 10000}, {3, 300, 10000}, {7, 300, 100000},
-	}
-	for _, panel := range panels {
-		fmt.Printf("# Figure 7: latency vs TM, suspicion-steady, n=%d, throughput=%.0f/s, TMR=%.0fms\n",
-			panel.n, panel.thr, panel.tmr)
-		fmt.Println("# TM(ms)\tFD_lat(ms)\tFD_ci\tGM_lat(ms)\tGM_ci")
-		var qos []repro.QoS
-		for _, tm := range tms {
-			qos = append(qos, repro.Detectors(0, panel.tmr, tm))
-		}
-		res := runner.Sweep(repro.Sweep{
-			Base:       steadyCfg(repro.FD, panel.n, panel.thr),
-			Algorithms: []repro.Algorithm{repro.FD, repro.GM},
-			QoS:        qos,
-		})
-		for i, tm := range tms {
-			fmt.Printf("%.0f\t%s\t%s\n", tm, cell(res[i]), cell(res[len(tms)+i]))
-		}
-		fmt.Println()
-	}
-}
-
-func fig8() {
-	tds := []float64{0, 10, 100}
-	thrs := throughputs()
-	reps := 10
-	if *quickFlag {
-		reps = 5
-	}
-	if *repsFlag > 0 {
-		reps = *repsFlag
-	}
-	for _, n := range []int{3, 7} {
-		fmt.Printf("# Figure 8: latency overhead (L - TD) vs throughput, crash-transient,\n")
-		fmt.Printf("# crash of the coordinator/sequencer p0 at the broadcast instant, n=%d\n", n)
-		header := "# throughput(1/s)"
-		for _, td := range tds {
-			header += fmt.Sprintf("\tFD_TD%.0f\tci\tGM_TD%.0f\tci", td, td)
-		}
-		fmt.Println(header)
-		var cfgs []repro.TransientConfig
-		for _, thr := range thrs {
-			for _, td := range tds {
-				for _, alg := range []repro.Algorithm{repro.FD, repro.GM} {
-					cfgs = append(cfgs, repro.TransientConfig{
-						Config: repro.Config{
-							Algorithm:    alg,
-							N:            n,
-							Throughput:   thr,
-							QoS:          repro.Detectors(td, 0, 0),
-							Seed:         *seedFlag,
-							Warmup:       time.Second,
-							Drain:        20 * time.Second,
-							Replications: reps,
-						},
-						Crash: 0,
-					})
-				}
-			}
-		}
-		var results []repro.TransientResult
-		if *quickFlag {
-			// Quick mode measures the single pair (p0, p1): batch the
-			// whole panel's grid through the pool.
-			for i := range cfgs {
-				cfgs[i].Sender = 1
-			}
-			results = runner.TransientAll(cfgs)
-		} else {
-			// Full mode worst-cases each point over senders; each call
-			// already fans its sender x replication grid out.
-			for _, cfg := range cfgs {
-				results = append(results, runner.WorstCaseTransient(cfg, false))
-			}
-		}
-		i := 0
-		for _, thr := range thrs {
-			row := fmt.Sprintf("%.0f", thr)
-			for range tds {
-				for range []repro.Algorithm{repro.FD, repro.GM} {
-					res := results[i]
-					i++
-					if res.Overhead.N == 0 {
-						row += "\tlost\tlost"
-					} else {
-						row += fmt.Sprintf("\t%.2f\t%.2f", res.Overhead.Mean, res.Overhead.CI95)
-					}
-				}
-			}
-			fmt.Println(row)
-		}
-		fmt.Println()
-	}
-}
-
-func ablations() {
-	// Ablation A: the §7 coordinator renumbering optimisation,
-	// crash-steady with the round-1 coordinator long dead.
-	fmt.Println("# Ablation A: FD coordinator renumbering, crash-steady with p0 crashed, n=3")
-	fmt.Println("# throughput(1/s)\trenumber_on(ms)\tci\trenumber_off(ms)\tci")
-	thrsA := []float64{10, 100, 300, 500}
-	var cfgsA []repro.Config
-	for _, thr := range thrsA {
-		onCfg := steadyCfg(repro.FD, 3, thr)
-		onCfg.Crashed = []repro.ProcessID{0}
-		offCfg := steadyCfg(repro.FD, 3, thr)
-		offCfg.Crashed = []repro.ProcessID{0}
-		offCfg.DisableRenumber = true
-		cfgsA = append(cfgsA, onCfg, offCfg)
-	}
-	resA := runner.SteadyAll(cfgsA)
-	for i, thr := range thrsA {
-		fmt.Printf("%.0f\t%s\t%s\n", thr, cell(resA[2*i]), cell(resA[2*i+1]))
-	}
-	fmt.Println()
-
-	// Ablation B: the §8 non-uniform sequencer variant — an Algorithms
-	// sweep per throughput (measure durations depend on the throughput).
-	fmt.Println("# Ablation B: GM uniform vs non-uniform (§8), normal-steady, n=3")
-	fmt.Println("# throughput(1/s)\tuniform(ms)\tci\tnonuniform(ms)\tci")
-	thrsB := []float64{10, 100, 300, 500, 700}
-	var cfgsB []repro.Config
-	for _, thr := range thrsB {
-		cfgsB = append(cfgsB, repro.Sweep{
-			Base:       steadyCfg(repro.GM, 3, thr),
-			Algorithms: []repro.Algorithm{repro.GM, repro.GMNonUniform},
-		}.Points()...)
-	}
-	resB := runner.SteadyAll(cfgsB)
-	for i, thr := range thrsB {
-		fmt.Printf("%.0f\t%s\t%s\n", thr, cell(resB[2*i]), cell(resB[2*i+1]))
-	}
-	fmt.Println()
-
-	// Ablation C: the λ parameter of the network model (§6.1) — a Lambdas
-	// sweep. The DSN paper presents λ=1; the extended TR sweeps it.
-	fmt.Println("# Ablation C: lambda sweep, normal-steady, n=3, throughput=100/s")
-	fmt.Println("# lambda\tFD_lat(ms)\tci")
-	lambdas := []float64{0.5, 1, 2, 4}
-	resC := runner.Sweep(repro.Sweep{
-		Base:    steadyCfg(repro.FD, 3, 100),
-		Lambdas: lambdas,
-	})
-	for i, lambda := range lambdas {
-		fmt.Printf("%.1f\t%s\n", lambda, cell(resC[i]))
-	}
-	fmt.Println()
+	return fmt.Sprintf("%.2f\t%.2f", s.Mean, s.CI95)
 }
 
 // qcell formats one point's P50/P90/P99 columns, or "unstable".
@@ -469,6 +347,195 @@ func qcell(q repro.Quantiles, stable bool) string {
 	return fmt.Sprintf("%.2f\t%.2f\t%.2f", q.P50, q.P90, q.P99)
 }
 
+// named picks a label column's value.
+func named(on bool, yes, no string) string {
+	if on {
+		return yes
+	}
+	return no
+}
+
+// fig1 checks that the two algorithms generate the same failure-free
+// message pattern. The latencies come from the panel's points; the wire
+// counts come from a dedicated cluster run per row, which is why the
+// panel lays itself out.
+func fig1() []panel {
+	var xs []string
+	var pts []repro.Config
+	for _, n := range []int{3, 7} {
+		for _, thr := range []float64{10, 300} {
+			xs = append(xs, fmt.Sprintf("%d\t%.0f", n, thr))
+			cfg := steadyCfg(n, thr)
+			cfg.Measure = 3 * time.Second
+			cfg.Replications = 1
+			pts = append(pts, both(cfg)...)
+		}
+	}
+	wires := func(alg repro.Algorithm, n int) uint64 {
+		c := repro.NewCluster(repro.ClusterConfig{Algorithm: alg, N: n, Seed: *seedFlag})
+		for i := 0; i < 20; i++ {
+			c.BroadcastAt(i%n, time.Duration(i)*7*time.Millisecond, i)
+		}
+		c.Run(2 * time.Second)
+		return c.Stats().WireSlots
+	}
+	return []panel{{
+		head: []string{
+			"# Figure 1 check: identical failure-free message pattern (FD vs GM)",
+			"# n\tthroughput(1/s)\tFD_wire_msgs\tGM_wire_msgs\tFD_lat(ms)\tGM_lat(ms)",
+		},
+		steady: pts,
+		xs:     xs,
+		emit: func(w io.Writer, res []repro.Result) {
+			for i, x := range xs {
+				fd, gm := res[2*i], res[2*i+1]
+				fmt.Fprintf(w, "%s\t%d\t%d\t%.4f\t%.4f\n", x,
+					wires(repro.FD, fd.Config.N), wires(repro.GM, gm.Config.N),
+					fd.PerMessage.Mean, gm.PerMessage.Mean)
+			}
+			fmt.Fprintln(w)
+		},
+	}}
+}
+
+func fig4() (ps []panel) {
+	for _, n := range []int{3, 7} {
+		ps = append(ps, curveOf([]string{
+			fmt.Sprintf("# Figure 4: latency vs throughput, normal-steady, n=%d", n),
+			"# throughput(1/s)\tFD_lat(ms)\tFD_ci\tGM_lat(ms)\tGM_ci",
+		}, "%.0f", throughputs(), func(thr float64) []repro.Config { return both(steadyCfg(n, thr)) }))
+	}
+	return ps
+}
+
+func fig5() (ps []panel) {
+	for _, n := range []int{3, 7} {
+		// One pair of curves per tolerated crash count, f < n/2.
+		maxCrashes := (n - 1) / 2
+		header := "# throughput(1/s)"
+		for crashes := 0; crashes <= maxCrashes; crashes++ {
+			header += fmt.Sprintf("\tFD_%dcr\tci\tGM_%dcr\tci", crashes, crashes)
+		}
+		ps = append(ps, curveOf([]string{
+			fmt.Sprintf("# Figure 5: latency vs throughput, crash-steady, n=%d", n),
+			header,
+		}, "%.0f", throughputs(), func(thr float64) (row []repro.Config) {
+			for crashes := 0; crashes <= maxCrashes; crashes++ {
+				// Crash the highest PIDs — non-coordinator processes,
+				// matching the paper's Fig. 5 presentation.
+				cfg := steadyCfg(n, thr)
+				for k := 0; k < crashes; k++ {
+					cfg.Crashed = append(cfg.Crashed, repro.ProcessID(n-1-k))
+				}
+				row = append(row, both(cfg)...)
+			}
+			return row
+		}))
+	}
+	return ps
+}
+
+// suspicionPanel is one latency-vs-QoS curve of the suspicion-steady
+// figures: both algorithms at (n, thr) under each row's detector QoS.
+func suspicionPanel(title, axis string, n int, thr float64, xs []float64, qos func(x float64) repro.QoS) panel {
+	return curveOf([]string{title, "# " + axis + "\tFD_lat(ms)\tFD_ci\tGM_lat(ms)\tGM_ci"},
+		"%.0f", xs, func(x float64) []repro.Config {
+			cfg := steadyCfg(n, thr)
+			cfg.QoS = qos(x)
+			return both(cfg)
+		})
+}
+
+// suspicionPanels are the four panels of Figs. 6 and 7 each: system size,
+// throughput and — in Fig. 7, which sweeps TM — the TMR held fixed.
+var suspicionPanels = []struct {
+	n        int
+	thr, tmr float64
+}{
+	{3, 10, 1000}, {7, 10, 10000}, {3, 300, 10000}, {7, 300, 100000},
+}
+
+func fig6() (ps []panel) {
+	tmrs := atRes(
+		[]float64{1, 3, 10, 30, 100, 300, 1000, 3000, 10000, 100000, 1000000},
+		[]float64{10, 100, 1000, 10000, 1000000})
+	for _, fig := range suspicionPanels {
+		ps = append(ps, suspicionPanel(
+			fmt.Sprintf("# Figure 6: latency vs TMR, suspicion-steady, TM=0, n=%d, throughput=%.0f/s", fig.n, fig.thr),
+			"TMR(ms)", fig.n, fig.thr, tmrs,
+			func(tmr float64) repro.QoS { return repro.Detectors(0, tmr, 0) }))
+	}
+	return ps
+}
+
+func fig7() (ps []panel) {
+	tms := atRes([]float64{1, 3, 10, 30, 100, 300, 1000}, []float64{1, 10, 100, 1000})
+	for _, fig := range suspicionPanels {
+		ps = append(ps, suspicionPanel(
+			fmt.Sprintf("# Figure 7: latency vs TM, suspicion-steady, n=%d, throughput=%.0f/s, TMR=%.0fms", fig.n, fig.thr, fig.tmr),
+			"TM(ms)", fig.n, fig.thr, tms,
+			func(tm float64) repro.QoS { return repro.Detectors(0, fig.tmr, tm) }))
+	}
+	return ps
+}
+
+func fig8() (ps []panel) {
+	tds := []float64{0, 10, 100}
+	for _, n := range []int{3, 7} {
+		header := "# throughput(1/s)"
+		for _, td := range tds {
+			header += fmt.Sprintf("\tFD_TD%.0f\tci\tGM_TD%.0f\tci", td, td)
+		}
+		p := transientCurve([]string{
+			"# Figure 8: latency overhead (L - TD) vs throughput, crash-transient,",
+			fmt.Sprintf("# crash of the coordinator/sequencer p0 at the broadcast instant, n=%d", n),
+			header,
+		}, n, throughputs(), tds, func(r repro.TransientResult) string { return meanCI(r.Overhead) })
+		// Quick mode measures the single pair (p0, p1), the whole panel in
+		// one pool run; full mode worst-cases each point over senders.
+		p.worst = atRes(true, false)
+		ps = append(ps, p)
+	}
+	return ps
+}
+
+func ablations() []panel {
+	return []panel{
+		// Ablation A: the §7 coordinator renumbering optimisation,
+		// crash-steady with the round-1 coordinator long dead.
+		curveOf([]string{
+			"# Ablation A: FD coordinator renumbering, crash-steady with p0 crashed, n=3",
+			"# throughput(1/s)\trenumber_on(ms)\tci\trenumber_off(ms)\tci",
+		}, "%.0f", []float64{10, 100, 300, 500}, func(thr float64) []repro.Config {
+			on := steadyCfg(3, thr)
+			on.Crashed = []repro.ProcessID{0}
+			off := on
+			off.DisableRenumber = true
+			return []repro.Config{on, off}
+		}),
+		// Ablation B: the §8 non-uniform sequencer variant.
+		curveOf([]string{
+			"# Ablation B: GM uniform vs non-uniform (§8), normal-steady, n=3",
+			"# throughput(1/s)\tuniform(ms)\tci\tnonuniform(ms)\tci",
+		}, "%.0f", []float64{10, 100, 300, 500, 700}, func(thr float64) []repro.Config {
+			return repro.Sweep{
+				Base:       steadyCfg(3, thr),
+				Algorithms: []repro.Algorithm{repro.GM, repro.GMNonUniform},
+			}.Points()
+		}),
+		// Ablation C: the λ parameter of the network model (§6.1). The DSN
+		// paper presents λ=1; the extended TR sweeps it.
+		curveOf([]string{
+			"# Ablation C: lambda sweep, normal-steady, n=3, throughput=100/s",
+			"# lambda\tFD_lat(ms)\tci",
+		}, "%.1f", []float64{0.5, 1, 2, 4}, func(lambda float64) []repro.Config {
+			cfg := steadyCfg(3, 100)
+			cfg.Lambda = lambda
+			return []repro.Config{cfg}
+		}),
+	}
+}
+
 // figDist emits the distribution view the mean-with-CI figures cannot
 // show. Block D1 revisits the suspicion-steady scenario (Fig. 6) as
 // quantiles with the early/late population split: most messages deliver
@@ -476,118 +543,125 @@ func qcell(q repro.Quantiles, stable bool) string {
 // population far out, and only the split makes that visible. Block D2
 // revisits the crash-transient scenario (Fig. 8) as probe-latency
 // quantiles over replications.
-func figDist() {
-	// D1: suspicion-steady quantiles. The first QoS entry is the
-	// no-suspicion baseline; the early/late threshold is twice its median.
-	tmrs := []float64{30, 100, 300, 1000, 3000, 10000}
-	if *quickFlag {
-		tmrs = []float64{100, 1000, 10000}
-	}
+func figDist() []panel {
 	const n, thr = 3, 100.0
-	fmt.Printf("# Figure D1: latency quantiles vs TMR, suspicion-steady, TM=0, n=%d, throughput=%.0f/s\n", n, thr)
-	fmt.Println("# late% = share of messages above 2x the no-suspicion median latency")
-	fmt.Println("# TMR(ms)\tFD_P50\tFD_P90\tFD_P99\tFD_late%\tGM_P50\tGM_P90\tGM_P99\tGM_late%")
-	qos := []repro.QoS{{}} // baseline: no suspicions
-	for _, tmr := range tmrs {
-		qos = append(qos, repro.Detectors(0, tmr, 0))
-	}
-	res := runner.Sweep(repro.Sweep{
-		Base:       steadyCfg(repro.FD, n, thr),
-		Algorithms: []repro.Algorithm{repro.FD, repro.GM},
-		QoS:        qos,
-	})
-	lateCell := func(r repro.Result, threshold float64) string {
-		if !r.Stable || r.Quantiles.N == 0 {
-			return "unstable"
+	d1 := curveOf([]string{
+		fmt.Sprintf("# Figure D1: latency quantiles vs TMR, suspicion-steady, TM=0, n=%d, throughput=%.0f/s", n, thr),
+		"# late% = share of messages above 2x the no-suspicion median latency",
+		"# TMR(ms)\tFD_P50\tFD_P90\tFD_P99\tFD_late%\tGM_P50\tGM_P90\tGM_P99\tGM_late%",
+	}, "%.0f", atRes([]float64{30, 100, 300, 1000, 3000, 10000}, []float64{100, 1000, 10000}),
+		func(tmr float64) []repro.Config {
+			cfg := steadyCfg(n, thr)
+			cfg.QoS = repro.Detectors(0, tmr, 0)
+			return both(cfg)
+		})
+	// Ahead of the rows goes the no-suspicion baseline: it prints nothing,
+	// and twice its median is each algorithm's early/late threshold —
+	// which is why the panel lays itself out.
+	d1.steady = append(both(steadyCfg(n, thr)), d1.steady...)
+	d1.emit = func(w io.Writer, res []repro.Result) {
+		baseline, res := res[:2], res[2:]
+		cells := make([]string, len(res))
+		for i, r := range res {
+			late := "unstable"
+			if r.Stable && r.Quantiles.N > 0 {
+				_, tail := r.Dist.SplitAt(2 * baseline[i%2].Quantiles.P50)
+				late = fmt.Sprintf("%.1f", 100*float64(tail.N())/float64(r.Quantiles.N))
+			}
+			cells[i] = qcell(r.Quantiles, r.Stable) + "\t" + late
 		}
-		_, late := r.Dist.SplitAt(threshold)
-		return fmt.Sprintf("%.1f", 100*float64(late.N())/float64(r.Quantiles.N))
+		curve(w, d1.xs, cells)
 	}
-	fdThreshold := 2 * res[0].Quantiles.P50
-	gmThreshold := 2 * res[len(qos)].Quantiles.P50
-	for i, tmr := range tmrs {
-		fd, gm := res[1+i], res[len(qos)+1+i]
-		fmt.Printf("%.0f\t%s\t%s\t%s\t%s\n",
-			tmr,
-			qcell(fd.Quantiles, fd.Stable), lateCell(fd, fdThreshold),
-			qcell(gm.Quantiles, gm.Stable), lateCell(gm, gmThreshold))
-	}
-	fmt.Println()
 
-	// D2: crash-transient probe-latency quantiles over replications.
-	thrs := []float64{10, 100, 300, 500}
-	reps := 10
-	if *quickFlag {
-		reps = 5
-	}
-	if *repsFlag > 0 {
-		reps = *repsFlag
-	}
-	fmt.Printf("# Figure D2: crash-transient probe latency quantiles (Fig. 8 revisited),\n")
-	fmt.Printf("# crash of coordinator/sequencer p0, sender p1, n=3, TD=10ms, %d replications\n", reps)
-	fmt.Println("# throughput(1/s)\tFD_P50\tFD_P90\tFD_P99\tGM_P50\tGM_P90\tGM_P99")
-	var cfgs []repro.TransientConfig
-	for _, thr := range thrs {
-		for _, alg := range []repro.Algorithm{repro.FD, repro.GM} {
-			cfgs = append(cfgs, repro.TransientConfig{
-				Config: repro.Config{
-					Algorithm:    alg,
-					N:            3,
-					Throughput:   thr,
-					QoS:          repro.Detectors(10, 0, 0),
-					Seed:         *seedFlag,
-					Warmup:       time.Second,
-					Drain:        20 * time.Second,
-					Replications: reps,
-				},
-				Crash:  0,
-				Sender: 1,
-			})
-		}
-	}
-	tres := runner.TransientAll(cfgs)
-	for i, thr := range thrs {
-		fmt.Printf("%.0f\t%s\t%s\n", thr,
-			qcell(tres[2*i].Quantiles, tres[2*i].Quantiles.N > 0),
-			qcell(tres[2*i+1].Quantiles, tres[2*i+1].Quantiles.N > 0))
-	}
-	fmt.Println()
+	return []panel{d1, transientCurve([]string{
+		"# Figure D2: crash-transient probe latency quantiles (Fig. 8 revisited),",
+		fmt.Sprintf("# crash of coordinator/sequencer p0, sender p1, n=3, TD=10ms, %d replications", reps(10, 5)),
+		"# throughput(1/s)\tFD_P50\tFD_P90\tFD_P99\tGM_P50\tGM_P90\tGM_P99",
+	}, 3, []float64{10, 100, 300, 500}, []float64{10},
+		func(r repro.TransientResult) string { return qcell(r.Quantiles, r.Quantiles.N > 0) })}
 }
 
 // figHeartbeat drives the concrete heartbeat failure detector through
 // the Sweep Detector axis: the same workload under the abstract QoS
 // model and under real heartbeat traffic that contends for the wire.
-func figHeartbeat() {
+func figHeartbeat() []panel {
 	detectors := []*repro.HeartbeatConfig{
 		nil, // abstract QoS model, perfect detector
 		repro.HeartbeatDetector(10, 30),
 		repro.HeartbeatDetector(20, 60),
 	}
-	names := []string{"qos-model", "hb-10/30ms", "hb-20/60ms"}
-	thrs := []float64{10, 100, 300}
-	fmt.Println("# Figure H: concrete heartbeat FD vs abstract QoS model, normal-steady, FD algorithm, n=3")
-	fmt.Println("# heartbeats share the contended wire, so detection cost appears as added latency")
-	fmt.Println("# throughput(1/s)\tdetector\tmean(ms)\tci\tP50\tP90\tP99")
-	var cfgs []repro.Config
-	for _, thr := range thrs {
-		cfgs = append(cfgs, repro.Sweep{
-			Base:      steadyCfg(repro.FD, 3, thr),
-			Detectors: detectors,
-		}.Points()...)
+	var pts []repro.Config
+	for _, thr := range []float64{10, 100, 300} {
+		pts = append(pts, repro.Sweep{Base: steadyCfg(3, thr), Detectors: detectors}.Points()...)
 	}
-	res := runner.SteadyAll(cfgs)
-	for ti, thr := range thrs {
-		for di, name := range names {
-			r := res[ti*len(detectors)+di]
-			if !r.Stable {
-				fmt.Printf("%.0f\t%s\tunstable\tunstable\tunstable\tunstable\tunstable\n", thr, name)
-				continue
+	return []panel{{
+		head: []string{
+			"# Figure H: concrete heartbeat FD vs abstract QoS model, normal-steady, FD algorithm, n=3",
+			"# heartbeats share the contended wire, so detection cost appears as added latency",
+			"# throughput(1/s)\tdetector\tmean(ms)\tci\tP50\tP90\tP99",
+		},
+		steady: pts,
+		label: func(_ int, c repro.Config) string {
+			name := "qos-model"
+			if hb := c.Detector; hb != nil {
+				name = fmt.Sprintf("hb-%d/%dms", hb.Interval.Milliseconds(), hb.Timeout.Milliseconds())
 			}
-			fmt.Printf("%.0f\t%s\t%.2f\t%.2f\t%s\n", thr, name, r.Latency.Mean, r.Latency.CI95,
-				qcell(r.Quantiles, true))
-		}
+			return fmt.Sprintf("%.0f\t%s", c.Throughput, name)
+		},
+		cell:  func(r repro.Result) string { return cell(r) + "\t" + qcell(r.Quantiles, r.Stable) },
+		every: len(pts),
+	}}
+}
+
+// stressFigure is the one body of the plan- and load-driven listings: at
+// each throughput, both algorithms through every combination of the
+// plans and the loads over a 5 s measure, one block per throughput. Each
+// row reports mean/CI and the quantiles of whatever was delivered, then —
+// with max — the maximum latency, then the undelivered count; columns
+// names, and label fills, the columns that say which plan and load the
+// row ran under.
+func stressFigure(head []string, n int, thrs []float64, qos repro.QoS, plans []*repro.FaultPlan, loads []*repro.LoadPlan,
+	columns string, label func(c repro.Config) string, max bool) []panel {
+	var pts []repro.Config
+	for _, thr := range thrs {
+		cfg := base(n, thr, 5*time.Second, 15*time.Second, reps(3, 2))
+		cfg.QoS = qos
+		pts = append(pts, repro.Sweep{Base: cfg, Algorithms: fdgm, Plans: plans, Loads: loads}.Points()...)
 	}
-	fmt.Println()
+	tail := "\tundelivered"
+	if max {
+		tail = "\tmax" + tail
+	}
+	return []panel{{
+		head:   append(head, "# throughput(1/s)\talg\t"+columns+"\tmean(ms)\tci\tP50\tP90\tP99"+tail),
+		steady: pts,
+		label: func(_ int, c repro.Config) string {
+			return fmt.Sprintf("%.0f\t%v\t%s", c.Throughput, c.Algorithm, label(c))
+		},
+		cell: func(r repro.Result) string {
+			s := meanCI(r.Latency) + "\t" + qcell(r.Quantiles, r.Quantiles.N > 0)
+			if max {
+				s += fmt.Sprintf("\t%.4f", r.Quantiles.Max)
+			}
+			return fmt.Sprintf("%s\t%d", s, r.Undelivered)
+		},
+		every: len(pts) / len(thrs),
+	}}
+}
+
+// planFigure is a stressFigure of one fault plan against its absence.
+func planFigure(head []string, n int, plan *repro.FaultPlan, name string) []panel {
+	return stressFigure(head, n, atRes([]float64{10, 100, 300}, []float64{10, 100}), td10,
+		[]*repro.FaultPlan{nil, plan}, nil,
+		"plan", func(c repro.Config) string { return named(c.Plan != nil, name, "none") }, false)
+}
+
+// splitAndHeal is the partition of the partition and overload figures:
+// {0 1 2}|{3 4} from +1.5s to +3s of the measure window (warmup is 1 s).
+func splitAndHeal() *repro.FaultPlan {
+	return repro.NewFaultPlan().
+		Partition(2500*time.Millisecond, []repro.ProcessID{0, 1, 2}, []repro.ProcessID{3, 4}).
+		Heal(4 * time.Second)
 }
 
 // figPartition drives both algorithms through a partition-and-heal
@@ -600,17 +674,12 @@ func figHeartbeat() {
 // excludes the minority, welcomes it back through rejoin + state
 // transfer, and recovers every message — at the price of a heavy late
 // tail in the latency distribution.
-func figPartition() {
-	const n = 5
-	warmup := time.Second
-	plan := repro.NewFaultPlan().
-		Partition(warmup+1500*time.Millisecond, []repro.ProcessID{0, 1, 2}, []repro.ProcessID{3, 4}).
-		Heal(warmup + 3*time.Second)
-	planFigure([]string{
-		fmt.Sprintf("# Figure P: partition-and-heal, n=%d, groups {0 1 2}|{3 4}, split at +1.5s, healed at +3s of a 5s measure", n),
+func figPartition() []panel {
+	return planFigure([]string{
+		"# Figure P: partition-and-heal, n=5, groups {0 1 2}|{3 4}, split at +1.5s, healed at +3s of a 5s measure",
 		"# FD keeps the majority running and loses the minority's partition-era messages;",
 		"# GM excludes and rejoins the minority (state transfer) and delivers them late.",
-	}, n, plan, "part+heal")
+	}, 5, splitAndHeal(), "part+heal")
 }
 
 // figChurn drives both algorithms through a crash-recover-crash schedule
@@ -620,18 +689,16 @@ func figPartition() {
 // the recovery as the end of an outage and resumes the process with its
 // state intact, closing its gap through decision-log catch-up (short
 // gaps also close through ordinary decision forwarding).
-func figChurn() {
-	const n = 3
+func figChurn() []panel {
 	warmup := time.Second
-	plan := repro.NewFaultPlan().
+	return planFigure([]string{
+		"# Figure C: churn of the coordinator/sequencer (crash p0 at +1s, recover at +2.5s,",
+		"# crash again at +4s of a 5s measure), n=3, TD=10ms",
+		"# GM pays sequencer failover + rejoin/state transfer; crash-stop FD resumes p0 in place.",
+	}, 3, repro.NewFaultPlan().
 		Crash(warmup+time.Second, 0).
 		Recover(warmup+2500*time.Millisecond, 0).
-		Crash(warmup+4*time.Second, 0)
-	planFigure([]string{
-		"# Figure C: churn of the coordinator/sequencer (crash p0 at +1s, recover at +2.5s,",
-		fmt.Sprintf("# crash again at +4s of a 5s measure), n=%d, TD=10ms", n),
-		"# GM pays sequencer failover + rejoin/state transfer; crash-stop FD resumes p0 in place.",
-	}, n, plan, "churn")
+		Crash(warmup+4*time.Second, 0), "churn")
 }
 
 // figOverload crosses a FaultPlan with a LoadPlan: a majority/minority
@@ -644,64 +711,17 @@ func figChurn() {
 // sheds the rest, while the GM algorithm pays for completeness with a
 // tail that the overload compounds (the rejoining minority's state
 // transfer now competes with the burst's backlog).
-func figOverload() {
-	const n = 5
+func figOverload() []panel {
 	warmup := time.Second
-	plan := repro.NewFaultPlan().
-		Partition(warmup+1500*time.Millisecond, []repro.ProcessID{0, 1, 2}, []repro.ProcessID{3, 4}).
-		Heal(warmup + 3*time.Second)
-	load := repro.NewLoadPlan().
-		Burst(warmup+2*time.Second, 1500*time.Millisecond, repro.AllSenders, 4)
-	thrs := []float64{10, 50, 100}
-	if *quickFlag {
-		thrs = []float64{10, 50}
-	}
-	reps := 3
-	if *quickFlag {
-		reps = 2
-	}
-	if *repsFlag > 0 {
-		reps = *repsFlag
-	}
-	fmt.Printf("# Figure O: overload while partitioned, n=%d, groups {0 1 2}|{3 4} split +1.5s..+3s,\n", n)
-	fmt.Println("# 4x global burst +2s..+3.5s of a 5s measure, TD=10ms; all four plan combinations.")
-	fmt.Println("# throughput(1/s)\talg\tfaults\tload\tmean(ms)\tci\tP50\tP90\tP99\tmax\tundelivered")
-	var cfgs []repro.Config
-	for _, thr := range thrs {
-		cfgs = append(cfgs, repro.Sweep{
-			Base: repro.Config{
-				Algorithm:    repro.FD,
-				N:            n,
-				Throughput:   thr,
-				QoS:          repro.Detectors(10, 0, 0),
-				Seed:         *seedFlag,
-				Warmup:       warmup,
-				Measure:      5 * time.Second,
-				Drain:        15 * time.Second,
-				Replications: reps,
-			},
-			Algorithms: []repro.Algorithm{repro.FD, repro.GM},
-			Plans:      []*repro.FaultPlan{nil, plan},
-			Loads:      []*repro.LoadPlan{nil, load},
-		}.Points()...)
-	}
-	res := runner.SteadyAll(cfgs)
-	for i, r := range res {
-		faults, loadName := "none", "none"
-		if r.Config.Plan != nil {
-			faults = "partition"
-		}
-		if r.Config.Load != nil {
-			loadName = "burst"
-		}
-		fmt.Printf("%.0f\t%v\t%s\t%s\t%s\t%s\t%.4f\t%d\n",
-			r.Config.Throughput, r.Config.Algorithm, faults, loadName,
-			cellAny(r), qcell(r.Quantiles, r.Quantiles.N > 0), r.Quantiles.Max, r.Undelivered)
-		if i%8 == 7 {
-			// Blank line between throughput blocks for gnuplot indexing.
-			fmt.Println()
-		}
-	}
+	return stressFigure([]string{
+		"# Figure O: overload while partitioned, n=5, groups {0 1 2}|{3 4} split +1.5s..+3s,",
+		"# 4x global burst +2s..+3.5s of a 5s measure, TD=10ms; all four plan combinations.",
+	}, 5, atRes([]float64{10, 50, 100}, []float64{10, 50}), td10,
+		[]*repro.FaultPlan{nil, splitAndHeal()},
+		[]*repro.LoadPlan{nil, repro.NewLoadPlan().Burst(warmup+2*time.Second, 1500*time.Millisecond, repro.AllSenders, 4)},
+		"faults\tload", func(c repro.Config) string {
+			return named(c.Plan != nil, "partition", "none") + "\t" + named(c.Load != nil, "burst", "none")
+		}, true)
 }
 
 // figBurst measures recovery from a pure overload spike, no faults: a
@@ -711,325 +731,14 @@ func figOverload() {
 // the max is reached by the last message to clear the backlog, so it
 // reads as the recovery horizon) and whether everything was eventually
 // delivered.
-func figBurst() {
-	const n = 3
+func figBurst() []panel {
 	warmup := time.Second
-	load := repro.NewLoadPlan().
-		Burst(warmup+2*time.Second, 500*time.Millisecond, repro.AllSenders, 10)
-	thrs := []float64{10, 50, 100, 200}
-	if *quickFlag {
-		thrs = []float64{10, 100}
-	}
-	reps := 3
-	if *quickFlag {
-		reps = 2
-	}
-	if *repsFlag > 0 {
-		reps = *repsFlag
-	}
-	fmt.Printf("# Figure B: recovery from a 10x burst (500ms spike at +2s of a 5s measure), n=%d\n", n)
-	fmt.Println("# max is the latency of the last message to clear the backlog: the recovery horizon.")
-	fmt.Println("# throughput(1/s)\talg\tload\tmean(ms)\tci\tP50\tP90\tP99\tmax\tundelivered")
-	var cfgs []repro.Config
-	for _, thr := range thrs {
-		cfgs = append(cfgs, repro.Sweep{
-			Base: repro.Config{
-				Algorithm:    repro.FD,
-				N:            n,
-				Throughput:   thr,
-				Seed:         *seedFlag,
-				Warmup:       warmup,
-				Measure:      5 * time.Second,
-				Drain:        15 * time.Second,
-				Replications: reps,
-			},
-			Algorithms: []repro.Algorithm{repro.FD, repro.GM},
-			Loads:      []*repro.LoadPlan{nil, load},
-		}.Points()...)
-	}
-	res := runner.SteadyAll(cfgs)
-	for i, r := range res {
-		loadName := "steady"
-		if r.Config.Load != nil {
-			loadName = "burst-10x"
-		}
-		fmt.Printf("%.0f\t%v\t%s\t%s\t%s\t%.4f\t%d\n",
-			r.Config.Throughput, r.Config.Algorithm, loadName,
-			cellAny(r), qcell(r.Quantiles, r.Quantiles.N > 0), r.Quantiles.Max, r.Undelivered)
-		if i%4 == 3 {
-			fmt.Println()
-		}
-	}
-}
-
-// planFigure is the shared body of the plan-driven figures: both
-// algorithms with and without the plan, across the throughput sweep,
-// reporting mean/CI/quantiles plus the undelivered count.
-func planFigure(header []string, n int, plan *repro.FaultPlan, label string) {
-	warmup := time.Second
-	thrs := []float64{10, 100, 300}
-	if *quickFlag {
-		thrs = []float64{10, 100}
-	}
-	reps := 3
-	if *quickFlag {
-		reps = 2
-	}
-	if *repsFlag > 0 {
-		reps = *repsFlag
-	}
-	for _, line := range header {
-		fmt.Println(line)
-	}
-	fmt.Println("# throughput(1/s)\talg\tplan\tmean(ms)\tci\tP50\tP90\tP99\tundelivered")
-	var cfgs []repro.Config
-	for _, thr := range thrs {
-		cfgs = append(cfgs, repro.Sweep{
-			Base: repro.Config{
-				Algorithm:    repro.FD,
-				N:            n,
-				Throughput:   thr,
-				QoS:          repro.Detectors(10, 0, 0),
-				Seed:         *seedFlag,
-				Warmup:       warmup,
-				Measure:      5 * time.Second,
-				Drain:        15 * time.Second,
-				Replications: reps,
-			},
-			Algorithms: []repro.Algorithm{repro.FD, repro.GM},
-			Plans:      []*repro.FaultPlan{nil, plan},
-		}.Points()...)
-	}
-	res := runner.SteadyAll(cfgs)
-	for i, r := range res {
-		name := "none"
-		if r.Config.Plan != nil {
-			name = label
-		}
-		fmt.Printf("%.0f\t%v\t%s\t%s\t%s\t%d\n",
-			r.Config.Throughput, r.Config.Algorithm, name,
-			cellAny(r), qcell(r.Quantiles, r.Quantiles.N > 0), r.Undelivered)
-		if i%4 == 3 {
-			// Blank line between throughput blocks for gnuplot indexing.
-			fmt.Println()
-		}
-	}
-}
-
-// cellAny formats mean ± CI even for points with undelivered messages
-// (the partition and churn figures report those honestly in their own
-// column instead of suppressing the whole row).
-func cellAny(res repro.Result) string {
-	if res.Latency.N == 0 {
-		return "lost\tlost"
-	}
-	return fmt.Sprintf("%.2f\t%.2f", res.Latency.Mean, res.Latency.CI95)
-}
-
-// figSmoke runs three fixed pinned grids — the abstract QoS model vs the
-// concrete heartbeat detector, a plan-driven partition-and-heal pair,
-// and a load-shaped burst-and-mute pair — with the trace observer
-// attached, and prints each replication's delivery digest plus each
-// point's summary. Everything is pinned (seed, durations, grids), so the
-// output is byte-stable across machines and lives in
-// golden/figures_smoke.tsv; CI regenerates it and fails on any diff,
-// then replays the trace. The -trace flag selects the trace file
-// (default: discard).
-func figSmoke() {
-	var w io.Writer = io.Discard
-	if *traceFlag != "" {
-		f, err := os.Create(*traceFlag)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "trace file: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
-	}
-	tr := repro.NewTrace(w)
-	sweep := repro.Sweep{
-		Base: repro.Config{
-			Algorithm:    repro.FD,
-			N:            3,
-			Throughput:   50,
-			Seed:         1,
-			Warmup:       200 * time.Millisecond,
-			Measure:      time.Second,
-			Drain:        5 * time.Second,
-			Replications: 2,
-			Observers:    []repro.ObserverFactory{tr.Observer},
-		},
-		Detectors: []*repro.HeartbeatConfig{nil, repro.HeartbeatDetector(10, 30)},
-	}
-	res := runner.Sweep(sweep)
-	fmt.Println("# Smoke grid: FD n=3 T=50/s seed=1, QoS model (point 0) vs heartbeat 10/30ms (point 1)")
-	fmt.Println("# point\tmean(ms)\tP50\tP90\tP99\tmessages")
-	for i, r := range res {
-		fmt.Printf("%d\t%.4f\t%.4f\t%.4f\t%.4f\t%d\n", i,
-			r.Latency.Mean, r.Quantiles.P50, r.Quantiles.P90, r.Quantiles.P99, r.Messages)
-	}
-	fmt.Println("# point\trep\tdelivery_digest")
-	for _, d := range tr.Digests() {
-		fmt.Printf("%d\t%d\t%016x\n", d.Point, d.Rep, d.Digest)
-	}
-	if err := tr.Flush(); err != nil {
-		fmt.Fprintf(os.Stderr, "trace flush: %v\n", err)
-		os.Exit(1)
-	}
-
-	// Second pinned grid: one plan-driven point per algorithm — a
-	// partition-and-heal mid-measure — exercising the FaultPlan path end
-	// to end, trace record and replay included.
-	plan := repro.NewFaultPlan().
-		Partition(600*time.Millisecond, []repro.ProcessID{0, 1}, []repro.ProcessID{2}).
-		Heal(900 * time.Millisecond)
-	planSweep := repro.Sweep{
-		Base: repro.Config{
-			Algorithm:    repro.FD,
-			N:            3,
-			Throughput:   50,
-			QoS:          repro.Detectors(10, 0, 0),
-			Seed:         1,
-			Warmup:       200 * time.Millisecond,
-			Measure:      time.Second,
-			Drain:        5 * time.Second,
-			Replications: 2,
-			Plan:         plan,
-			Observers:    []repro.ObserverFactory{tr.Observer},
-		},
-		Algorithms: []repro.Algorithm{repro.FD, repro.GM},
-	}
-	planRes := runner.Sweep(planSweep)
-	fmt.Println("# Plan grid: partition {0 1}|{2} at 600ms, heal at 900ms; FD (point 0) vs GM (point 1)")
-	fmt.Println("# point\tmean(ms)\tP50\tP90\tP99\tmessages\tundelivered")
-	for i, r := range planRes {
-		fmt.Printf("%d\t%.4f\t%.4f\t%.4f\t%.4f\t%d\t%d\n", i,
-			r.Latency.Mean, r.Quantiles.P50, r.Quantiles.P90, r.Quantiles.P99, r.Messages, r.Undelivered)
-	}
-	fmt.Println("# point\trep\tdelivery_digest")
-	for _, d := range tr.Digests() {
-		fmt.Printf("%d\t%d\t%016x\n", d.Point, d.Rep, d.Digest)
-	}
-	if err := tr.Flush(); err != nil {
-		fmt.Fprintf(os.Stderr, "trace flush: %v\n", err)
-		os.Exit(1)
-	}
-
-	// Third pinned grid: one load-shaped point per algorithm — a 4x burst
-	// plus a mute/unmute of sender 2 mid-measure — exercising the LoadPlan
-	// path end to end, trace record and replay included.
-	load := repro.NewLoadPlan().
-		Burst(400*time.Millisecond, 200*time.Millisecond, repro.AllSenders, 4).
-		Mute(600*time.Millisecond, 2).
-		Unmute(900*time.Millisecond, 2)
-	loadSweep := repro.Sweep{
-		Base: repro.Config{
-			Algorithm:    repro.FD,
-			N:            3,
-			Throughput:   50,
-			QoS:          repro.Detectors(10, 0, 0),
-			Seed:         1,
-			Warmup:       200 * time.Millisecond,
-			Measure:      time.Second,
-			Drain:        5 * time.Second,
-			Replications: 2,
-			Load:         load,
-			Observers:    []repro.ObserverFactory{tr.Observer},
-		},
-		Algorithms: []repro.Algorithm{repro.FD, repro.GM},
-	}
-	loadRes := runner.Sweep(loadSweep)
-	fmt.Println("# Load grid: 4x burst 400..600ms + mute p2 600..900ms; FD (point 0) vs GM (point 1)")
-	fmt.Println("# point\tmean(ms)\tP50\tP90\tP99\tmessages\tundelivered")
-	for i, r := range loadRes {
-		fmt.Printf("%d\t%.4f\t%.4f\t%.4f\t%.4f\t%d\t%d\n", i,
-			r.Latency.Mean, r.Quantiles.P50, r.Quantiles.P90, r.Quantiles.P99, r.Messages, r.Undelivered)
-	}
-	fmt.Println("# point\trep\tdelivery_digest")
-	for _, d := range tr.Digests() {
-		fmt.Printf("%d\t%d\t%016x\n", d.Point, d.Rep, d.Digest)
-	}
-	if err := tr.Flush(); err != nil {
-		fmt.Fprintf(os.Stderr, "trace flush: %v\n", err)
-		os.Exit(1)
-	}
-
-	// Fourth pinned grid: a long outage — p2 down for a full second of
-	// dense traffic, far more decisions than the FD consensus instance
-	// window retains — exercising the decision-log catch-up path end to
-	// end (GM rides the same plan through its rejoin machinery).
-	outagePlan := repro.NewFaultPlan().
-		Crash(300*time.Millisecond, 2).
-		Recover(1300*time.Millisecond, 2)
-	outageSweep := repro.Sweep{
-		Base: repro.Config{
-			Algorithm:    repro.FD,
-			N:            3,
-			Throughput:   150,
-			QoS:          repro.Detectors(10, 0, 0),
-			Seed:         1,
-			Warmup:       200 * time.Millisecond,
-			Measure:      1300 * time.Millisecond,
-			Drain:        5 * time.Second,
-			Replications: 2,
-			Plan:         outagePlan,
-			Observers:    []repro.ObserverFactory{tr.Observer},
-		},
-		Algorithms: []repro.Algorithm{repro.FD, repro.GM},
-	}
-	outageRes := runner.Sweep(outageSweep)
-	fmt.Println("# Outage grid: crash p2 at 300ms, recover at 1300ms, T=150/s; FD (point 0) vs GM (point 1)")
-	fmt.Println("# point\tmean(ms)\tP50\tP90\tP99\tmessages\tundelivered")
-	for i, r := range outageRes {
-		fmt.Printf("%d\t%.4f\t%.4f\t%.4f\t%.4f\t%d\t%d\n", i,
-			r.Latency.Mean, r.Quantiles.P50, r.Quantiles.P90, r.Quantiles.P99, r.Messages, r.Undelivered)
-	}
-	fmt.Println("# point\trep\tdelivery_digest")
-	for _, d := range tr.Digests() {
-		fmt.Printf("%d\t%d\t%016x\n", d.Point, d.Rep, d.Digest)
-	}
-	if err := tr.Flush(); err != nil {
-		fmt.Fprintf(os.Stderr, "trace flush: %v\n", err)
-		os.Exit(1)
-	}
-
-	// Fifth pinned grid: the group-sharded ordering layer — one point per
-	// GroupMap across the overlap spectrum (disjoint shards, finer shards,
-	// chained bridges) at a fixed cross-shard mix — exercising group-
-	// addressed dissemination, per-group protocol stacks and the
-	// cross-group timestamp merge, trace record and replay included (the
-	// trace header embeds each point's GroupMap spec).
-	groupSweep := repro.Sweep{
-		Base: repro.Config{
-			Algorithm:    repro.FD,
-			N:            6,
-			Throughput:   60,
-			QoS:          repro.Detectors(10, 0, 0),
-			Seed:         1,
-			Warmup:       200 * time.Millisecond,
-			Measure:      time.Second,
-			Drain:        5 * time.Second,
-			Replications: 2,
-			CrossShard:   0.25,
-			Observers:    []repro.ObserverFactory{tr.Observer},
-		},
-		GroupMaps: []*repro.GroupMap{repro.Disjoint(6, 2), repro.Disjoint(6, 3), repro.Chained(6, 3)},
-	}
-	groupRes := runner.Sweep(groupSweep)
-	fmt.Println("# Group grid: n=6 T=60/s cross-shard=0.25; disjoint/2 (point 0), disjoint/3 (point 1), chained/3 (point 2)")
-	fmt.Println("# point\tmean(ms)\tP50\tP90\tP99\tmessages\tundelivered")
-	for i, r := range groupRes {
-		fmt.Printf("%d\t%.4f\t%.4f\t%.4f\t%.4f\t%d\t%d\n", i,
-			r.Latency.Mean, r.Quantiles.P50, r.Quantiles.P90, r.Quantiles.P99, r.Messages, r.Undelivered)
-	}
-	fmt.Println("# point\trep\tdelivery_digest")
-	for _, d := range tr.Digests() {
-		fmt.Printf("%d\t%d\t%016x\n", d.Point, d.Rep, d.Digest)
-	}
-	if err := tr.Flush(); err != nil {
-		fmt.Fprintf(os.Stderr, "trace flush: %v\n", err)
-		os.Exit(1)
-	}
+	return stressFigure([]string{
+		"# Figure B: recovery from a 10x burst (500ms spike at +2s of a 5s measure), n=3",
+		"# max is the latency of the last message to clear the backlog: the recovery horizon.",
+	}, 3, atRes([]float64{10, 50, 100, 200}, []float64{10, 100}), repro.QoS{}, nil,
+		[]*repro.LoadPlan{nil, repro.NewLoadPlan().Burst(warmup+2*time.Second, 500*time.Millisecond, repro.AllSenders, 10)},
+		"load", func(c repro.Config) string { return named(c.Load != nil, "burst-10x", "steady") }, true)
 }
 
 // replayTrace re-runs every replication of a trace file and verifies the
@@ -1061,7 +770,3 @@ func replayTrace(path string) {
 	}
 	fmt.Printf("replayed %d replications, all digests match\n", len(results))
 }
-
-// pid converts an int to the facade's process identifier type used in
-// Config.Crashed.
-func pid(p int) repro.ProcessID { return repro.ProcessID(p) }

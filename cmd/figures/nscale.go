@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro"
@@ -17,59 +18,43 @@ import (
 // links through gateways). The spread between the curves is pure
 // dissemination topology: the agreement protocol, workload and seed are
 // identical across a row.
-func figNScale() {
-	ns := []int{64, 256, 512}
-	if *quickFlag {
-		ns = []int{16, 64, 256}
-	}
-	reps := 2
-	if *repsFlag > 0 {
-		reps = *repsFlag
-	}
-	shapes := []struct {
-		name  string
-		build func(n int) *repro.Topology
-	}{
-		{"fullmesh", repro.FullMesh},
-		{"clique", repro.Clique},
-		{"ring", repro.Ring},
-		{"geo", func(n int) *repro.Topology {
+func figNScale() []panel {
+	shapes := []func(n int) *repro.Topology{
+		repro.FullMesh,
+		repro.Clique,
+		repro.Ring,
+		func(n int) *repro.Topology {
 			return repro.Geo(repro.GeoConfig{
 				Sites:   4,
 				PerSite: n / 4,
 				WAN:     repro.Wire{Delay: 5 * time.Millisecond},
 			})
-		}},
+		},
 	}
-	fmt.Println("# Figure N: latency vs system size across topologies, FD algorithm,")
-	fmt.Println("# total rate 3/s (batching keeps large n stable; latency is the signal).")
-	fmt.Println("# geo = 4 sites joined pairwise by 5ms WAN links through gateways.")
-	fmt.Println("# n\ttopology\tmean(ms)\tci\tP50\tP90\tP99\tmessages\tundelivered")
-	var cfgs []repro.Config
-	for _, n := range ns {
+	var pts []repro.Config
+	for _, n := range atRes([]int{64, 256, 512}, []int{16, 64, 256}) {
 		for _, shape := range shapes {
-			cfgs = append(cfgs, repro.Config{
-				Algorithm:    repro.FD,
-				N:            n,
-				Throughput:   3,
-				Topology:     shape.build(n),
-				Seed:         *seedFlag,
-				Warmup:       time.Second,
-				Measure:      5 * time.Second,
-				Drain:        60 * time.Second,
-				Replications: reps,
-			})
+			cfg := base(n, 3, 5*time.Second, 60*time.Second, reps(2, 2))
+			cfg.Topology = shape(n)
+			pts = append(pts, cfg)
 		}
 	}
-	res := runner.SteadyAll(cfgs)
-	for i, r := range res {
-		fmt.Printf("%d\t%s\t%s\t%s\t%d\t%d\n",
-			r.Config.N, shapes[i%len(shapes)].name,
-			cellAny(r), qcell(r.Quantiles, r.Quantiles.N > 0),
-			r.Messages, r.Undelivered)
-		if i%len(shapes) == len(shapes)-1 {
-			// Blank line between size blocks for gnuplot indexing.
-			fmt.Println()
-		}
-	}
+	return []panel{{
+		head: []string{
+			"# Figure N: latency vs system size across topologies, FD algorithm,",
+			"# total rate 3/s (batching keeps large n stable; latency is the signal).",
+			"# geo = 4 sites joined pairwise by 5ms WAN links through gateways.",
+			"# n\ttopology\tmean(ms)\tci\tP50\tP90\tP99\tmessages\tundelivered",
+		},
+		steady: pts,
+		label: func(_ int, c repro.Config) string {
+			// Generated topologies are named "<shape>-<size>".
+			shape, _, _ := strings.Cut(c.Topology.Name, "-")
+			return fmt.Sprintf("%d\t%s", c.N, shape)
+		},
+		cell: func(r repro.Result) string {
+			return fmt.Sprintf("%s\t%s\t%d\t%d", meanCI(r.Latency), qcell(r.Quantiles, r.Quantiles.N > 0), r.Messages, r.Undelivered)
+		},
+		every: len(shapes), // one block per size
+	}}
 }

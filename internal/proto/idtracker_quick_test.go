@@ -1,6 +1,8 @@
 package proto
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -147,7 +149,20 @@ func TestSortMsgIDsMatchesTotalOrder(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	// A relay batch is a handful of IDs, a replication's Collect sorts
+	// every tracked ID at once: draw lengths from both regimes.
+	lengths := func(args []reflect.Value, r *rand.Rand) {
+		n := r.Intn(64)
+		if r.Intn(2) == 0 {
+			n = 4096 + r.Intn(4097)
+		}
+		raw := make([]uint16, n)
+		for i := range raw {
+			raw[i] = uint16(r.Intn(1 << 16))
+		}
+		args[0] = reflect.ValueOf(raw)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200, Values: lengths}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -11,7 +11,9 @@
 package proto
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/fd"
@@ -387,11 +389,10 @@ func (l fdListener) OnTrust(q int) {
 // SortMsgIDs sorts ids in place in the canonical (origin, seq) order used
 // for deterministic intra-batch delivery.
 func SortMsgIDs(ids []MsgID) {
-	// Insertion sort: batches are small and this avoids an import cycle
-	// trap if a future refactor moves this helper.
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j].Less(ids[j-1]); j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
+	slices.SortFunc(ids, func(a, b MsgID) int {
+		if c := cmp.Compare(a.Origin, b.Origin); c != 0 {
+			return c
 		}
-	}
+		return cmp.Compare(a.Seq, b.Seq)
+	})
 }

@@ -19,7 +19,7 @@
 // Two entry points:
 //
 //   - the experiment API (RunSteady, RunTransient) reproduces the paper's
-//     figures — see cmd/figures and bench_test.go;
+//     figures — see cmd/figures;
 //   - the Cluster API drives a simulated cluster interactively: broadcast
 //     messages, crash processes, inject wrong suspicions, observe
 //     deliveries and views — see the examples directory.
