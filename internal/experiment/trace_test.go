@@ -2,11 +2,16 @@ package experiment
 
 import (
 	"bytes"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/fd"
+	"repro/internal/groups"
+	"repro/internal/proto"
+	"repro/internal/topo"
 )
 
 // traceSweep is a small two-point grid — abstract QoS model versus the
@@ -191,5 +196,131 @@ func TestReplayRejectsTruncatedTrace(t *testing.T) {
 	}
 	if _, err := Replay(strings.NewReader("C not-json\n")); err == nil {
 		t.Fatal("bad header did not error")
+	}
+}
+
+// goldenHeaderConfigs returns the two configurations of
+// TestTraceHeaderGolden, which together set every field a trace header
+// carries: a steady point on a geo-sharded system whose plans use every
+// event kind — with zero-valued At/P/Sender cases, which the header omits
+// — and a crash-transient point under the QoS detector model.
+func goldenHeaderConfigs() (steady, transient Config) {
+	ms := time.Millisecond
+	geo := topo.Geo(topo.GeoConfig{Sites: 4, PerSite: 2, LAN: topo.Wire{Slot: ms / 2}, WAN: topo.Wire{Delay: 20 * ms, Loss: 0.01}})
+	steady = Config{
+		Algorithm:       FD,
+		N:               8,
+		Throughput:      120,
+		Lambda:          2,
+		Topology:        geo,
+		Groups:          groups.FromSites(geo),
+		CrossShard:      0.25,
+		Detector:        &Heartbeat{Interval: 5 * ms},
+		Crashed:         []proto.PID{7, 5},
+		DisableRenumber: true,
+		DistSketch:      0.01,
+		Seed:            42,
+		Warmup:          300 * ms,
+		Measure:         4 * time.Second,
+		Drain:           6 * time.Second,
+		Replications:    3,
+		Plan: NewFaultPlan(
+			Crash{},
+			Crash{At: 1000 * ms, P: 3},
+			Recover{At: 2000 * ms, P: 3},
+			SuspicionBurst{At: 1500 * ms, P: 2, For: 50 * ms, By: []proto.PID{0, 1}},
+			SuspicionBurst{At: 1600 * ms, P: 1},
+			Partition{At: 2500 * ms, Groups: [][]proto.PID{{0, 1, 2, 3}, {4, 5, 6}}},
+			Heal{At: 3000 * ms},
+			LinkFault{At: 3200 * ms, From: 1, To: 4, Loss: 0.5, ExtraDelay: 3 * ms},
+			LinkFault{At: 3400 * ms, From: 4},
+		).PartitionSites(3600*ms, geo, 1, 2).Heal(3700 * ms),
+		Load: NewLoadPlan(
+			RateChange{},
+			RateChange{At: 1000 * ms, Sender: AllSenders, Rate: 300},
+			Burst{At: 1200 * ms, For: 200 * ms, Sender: 2, Factor: 4},
+			Burst{At: 1300 * ms, Sender: AllSenders, Factor: 0.5},
+			Mute{},
+			Mute{At: 2000 * ms, Sender: 3},
+			Unmute{At: 2100 * ms, Sender: AllSenders},
+			Pause{At: 3000 * ms},
+			Resume{At: 3100 * ms},
+			ShardMix{At: 3500 * ms, Fraction: 0.75},
+			ShardMix{At: 3600 * ms},
+		),
+	}
+	transient = Config{
+		Algorithm:    GM,
+		N:            3,
+		Throughput:   30,
+		QoS:          fd.QoS{TD: 10 * ms, TMR: 1000 * ms, TM: 2 * ms},
+		Detector:     &Heartbeat{},
+		Warmup:       300 * ms,
+		Drain:        8 * time.Second,
+		Replications: 2,
+		transient:    &transientInfo{crash: 2, sender: 1},
+	}
+	return steady.withDefaults(), transient.withDefaults()
+}
+
+// The C lines the two golden configurations produced when this test was
+// written, from the code that preceded the event-codec refactor. They are
+// the byte fence of the header format: never re-record them to make a
+// change pass.
+const (
+	goldenSteadyHeader    = `C {"kind":"steady","point":3,"rep":1,"alg":1,"n":8,"throughput":120,"lambda":2,"crashed":[7,5],"disableRenumber":true,"distSketch":0.01,"seed":42,"warmup":300000000,"measure":4000000000,"drain":6000000000,"replications":3,"hbInterval":5000000,"hbTimeout":15000000,"topo":{"gen":"geo","n":8,"sites":4,"perSite":2,"lan":{"slot":500000},"wan":{"delay":20000000,"loss":0.01}},"groups":{"kind":"raw","n":8,"raw":[[0,1],[2,3],[4,5],[6,7]]},"crossShard":0.25,"plan":[{"kind":"crash"},{"kind":"crash","at":1000000000,"p":3},{"kind":"recover","at":2000000000,"p":3},{"kind":"suspect","at":1500000000,"p":2,"for":50000000,"by":[0,1]},{"kind":"suspect","at":1600000000,"p":1},{"kind":"partition","at":2500000000,"groups":[[0,1,2,3],[4,5,6]]},{"kind":"heal","at":3000000000},{"kind":"link","at":3200000000,"from":1,"to":4,"loss":0.5,"delay":3000000},{"kind":"link","at":3400000000,"from":4},{"kind":"partition","at":3600000000,"groups":[[2,3,4,5],[0,1,6,7]]},{"kind":"heal","at":3700000000}],"load":[{"kind":"rate"},{"kind":"rate","at":1000000000,"sender":-1,"rate":300},{"kind":"burst","at":1200000000,"sender":2,"factor":4,"for":200000000},{"kind":"burst","at":1300000000,"sender":-1,"factor":0.5},{"kind":"mute"},{"kind":"mute","at":2000000000,"sender":3},{"kind":"unmute","at":2100000000,"sender":-1},{"kind":"pause","at":3000000000},{"kind":"resume","at":3100000000},{"kind":"shardmix","at":3500000000,"fraction":0.75},{"kind":"shardmix","at":3600000000}]}`
+	goldenTransientHeader = `C {"kind":"transient","point":0,"rep":0,"alg":2,"n":3,"throughput":30,"lambda":1,"td":10000000,"tmr":1000000000,"tm":2000000,"seed":1,"warmup":300000000,"measure":20000000000,"drain":8000000000,"replications":2,"hbInterval":10000000,"hbTimeout":30000000,"crash":2,"sender":1}`
+)
+
+// TestTraceHeaderGolden pins the trace header byte for byte, and checks
+// the recorded bytes decode back to the configuration that wrote them.
+func TestTraceHeaderGolden(t *testing.T) {
+	steady, transient := goldenHeaderConfigs()
+	for _, tc := range []struct {
+		name       string
+		cfg        Config
+		point, rep int
+		want       string
+	}{
+		{"steady", steady, 3, 1, goldenSteadyHeader},
+		{"transient", transient, 0, 0, goldenTransientHeader},
+	} {
+		if err := tc.cfg.validate(); err != nil {
+			t.Fatalf("%s: golden configuration is invalid: %v", tc.name, err)
+		}
+		var buf bytes.Buffer
+		tr := NewTrace(&buf)
+		tr.Observer(tc.point, tc.rep, tc.cfg)
+		if err := tr.Flush(); err != nil {
+			t.Fatalf("%s: Flush: %v", tc.name, err)
+		}
+		// An unrun replication is its header plus the digest of no deliveries.
+		if got, want := buf.String(), tc.want+"\nE cbf29ce484222325\n"; got != want {
+			t.Errorf("%s: trace header changed\n got: %s\nwant: %s", tc.name, got, want)
+		}
+
+		var h traceHeader
+		if err := json.Unmarshal([]byte(strings.TrimPrefix(tc.want, "C ")), &h); err != nil {
+			t.Errorf("%s: golden header does not parse: %v", tc.name, err)
+			continue
+		}
+		back, err := configFromHeader(h)
+		if err != nil {
+			t.Errorf("%s: configFromHeader: %v", tc.name, err)
+			continue
+		}
+		if !reflect.DeepEqual(back.Plan, tc.cfg.Plan) || !reflect.DeepEqual(back.Load, tc.cfg.Load) {
+			t.Errorf("%s: plans do not survive the header:\n plan %v\n load %v", tc.name, back.Plan, back.Load)
+		}
+		if h.Kind == "transient" {
+			back.transient = &transientInfo{crash: proto.PID(h.Crash), sender: proto.PID(h.Sender)}
+		}
+		again, err := json.Marshal(headerFromConfig(back, h.Point, h.Rep))
+		if err != nil {
+			t.Fatalf("%s: re-encoding: %v", tc.name, err)
+		}
+		if got := "C " + string(again); got != tc.want {
+			t.Errorf("%s: decoded header re-encodes differently\n got: %s\nwant: %s", tc.name, got, tc.want)
+		}
 	}
 }
