@@ -61,9 +61,10 @@ type ClusterConfig struct {
 	QoS QoS
 	// Seed makes the run reproducible (default 1).
 	Seed uint64
-	// PreCrashed lists processes crashed long before the start. It is a
-	// constructor for the plan's PreCrash events — the two spellings
-	// produce bit-identical runs.
+	// PreCrashed lists processes crashed long before the start: suspected
+	// from time zero, outside the initial GM view, sending nothing. It is
+	// an initial condition, so it is configuration rather than a Plan
+	// event — the same thing Config.Crashed states for experiments.
 	PreCrashed []int
 	// Plan is a fault- and environment-injection timeline installed at
 	// construction: crashes and recoveries, suspicion bursts, partitions
@@ -289,14 +290,7 @@ func (c *Cluster) SuspectAt(monitor, target int, at, duration time.Duration) {
 // PartitionAt schedules a network partition into the given groups at
 // virtual time at; processes listed in no group are isolated alone.
 func (c *Cluster) PartitionAt(at time.Duration, groups ...[]int) {
-	ev := Partition{At: at, Groups: make([][]proto.PID, len(groups))}
-	for gi, g := range groups {
-		ev.Groups[gi] = make([]proto.PID, len(g))
-		for i, p := range g {
-			ev.Groups[gi][i] = proto.PID(p)
-		}
-	}
-	c.Apply(ev)
+	c.Apply(Partition{At: at, Groups: proto.PIDGroups(groups)})
 }
 
 // HealAt schedules the removal of the partition in force at virtual time

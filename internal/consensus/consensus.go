@@ -324,9 +324,6 @@ func (in *Instance) Decided() bool { return in.decided }
 // meaningful once Decided reports true.
 func (in *Instance) Decision() (Value, proto.PID) { return in.decision, in.proposer }
 
-// Round returns the participant round, for diagnostics.
-func (in *Instance) Round() int { return in.round }
-
 // Start supplies the local initial value (proposal). A nil value is
 // ignored. Starting twice keeps the first value. If this process
 // coordinates round 1, it proposes immediately — the round-1 fast path.

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -59,9 +58,10 @@ type CoreConfig struct {
 	Renumber bool
 	// Seed is the root seed of the run's random streams.
 	Seed uint64
-	// PreCrashed lists processes crashed long before the start. They, and
-	// after them the Plan's PreCrash targets (duplicates dropped), are
-	// excluded from the initial GM view and PreCrash-ed before Start.
+	// PreCrashed lists processes crashed long before the start — the
+	// failure pattern's value at time zero, which is configuration, not a
+	// plan event. They are outside the initial GM view and suspected by
+	// every detector from the start (proto.System.PreCrash).
 	PreCrashed []proto.PID
 	// Plan is the fault timeline; NewCore installs it on Core.Faults.
 	Plan *FaultPlan
@@ -148,18 +148,15 @@ func (cfg *CoreConfig) grouped() bool {
 	return cfg.Groups != nil && !cfg.Groups.Trivial()
 }
 
-// preCrashOrder returns the processes crashed before the run starts —
-// PreCrashed first, then the plan's PreCrash events — in declaration
-// order with duplicates dropped.
+// preCrashOrder returns PreCrashed in declaration order with duplicates
+// dropped.
 func (cfg *CoreConfig) preCrashOrder() []proto.PID {
 	out := make([]proto.PID, 0, len(cfg.PreCrashed))
 	seen := make(map[proto.PID]bool, len(cfg.PreCrashed))
-	for _, list := range [2][]proto.PID{cfg.PreCrashed, cfg.Plan.preCrashes()} {
-		for _, p := range list {
-			if !seen[p] {
-				seen[p] = true
-				out = append(out, p)
-			}
+	for _, p := range cfg.PreCrashed {
+		if !seen[p] {
+			seen[p] = true
+			out = append(out, p)
 		}
 	}
 	return out
@@ -178,6 +175,8 @@ func (cfg CoreConfig) Validate() error {
 		return fmt.Errorf("experiment: N = %d", cfg.N)
 	case cfg.Throughput < 0:
 		return fmt.Errorf("experiment: negative throughput")
+	case cfg.Lambda < 0 || cfg.Lambda != cfg.Lambda:
+		return fmt.Errorf("experiment: Lambda = %v, want a non-negative CPU/wire cost ratio", cfg.Lambda)
 	case cfg.Topology != nil && cfg.Topology.N != cfg.N:
 		return fmt.Errorf("experiment: topology %q is for %d processes, config has N=%d", cfg.Topology.Name, cfg.Topology.N, cfg.N)
 	}
@@ -191,10 +190,10 @@ func (cfg CoreConfig) Validate() error {
 			return err
 		}
 	}
-	if err := cfg.checkPlan(cfg.Plan); err != nil {
+	if err := cfg.checkPlan(orEmpty(cfg.Plan).Events); err != nil {
 		return err
 	}
-	if err := cfg.checkLoad(cfg.Load); err != nil {
+	if err := cfg.checkLoad(orEmpty(cfg.Load).Events); err != nil {
 		return err
 	}
 	if cfg.CrossShard < 0 || cfg.CrossShard > 1 || cfg.CrossShard != cfg.CrossShard {
@@ -214,24 +213,24 @@ func (cfg CoreConfig) Validate() error {
 	return nil
 }
 
-// checkPlan states the rules a fault plan must meet on this system: the
-// configured Plan at validation, a one-event plan per interactive Apply.
-func (cfg *CoreConfig) checkPlan(plan *FaultPlan) error {
-	if err := plan.validate(cfg.N); err != nil {
+// checkPlan states the rules fault events must meet on this system: the
+// configured Plan's at validation, the one event of an interactive Apply.
+func (cfg *CoreConfig) checkPlan(events []PlanEvent) error {
+	if err := validate("plan", events, cfg.N); err != nil {
 		return err
 	}
-	if plan.hasRecover() && cfg.grouped() && stackOf(cfg.Algorithm).rejoins {
+	if hasEvent[Recover](events) && cfg.grouped() && stackOf(cfg.Algorithm).rejoins {
 		return fmt.Errorf("experiment: crash-recovery is unsupported for %v in groups mode (it recovers by rejoining, and group instances have no per-group rejoin)", cfg.Algorithm)
 	}
 	return nil
 }
 
 // checkLoad is checkPlan's load-side sibling.
-func (cfg *CoreConfig) checkLoad(load *LoadPlan) error {
-	if err := load.validate(cfg.N); err != nil {
+func (cfg *CoreConfig) checkLoad(events []LoadEvent) error {
+	if err := validate("load", events, cfg.N); err != nil {
 		return err
 	}
-	if load.hasShardMix() && !cfg.grouped() {
+	if hasEvent[ShardMix](events) && !cfg.grouped() {
 		return fmt.Errorf("experiment: shardmix load event without a (non-trivial) Groups map")
 	}
 	return nil
@@ -271,7 +270,7 @@ type Core struct {
 	Loads *Loads
 
 	// cfg is the description, with Groups normalized and PreCrashed
-	// resolved to the full pre-crash order.
+	// deduplicated.
 	cfg   CoreConfig
 	stack *stack
 	// specs[p] and ends[p] are process p's endpoint recipe and current
@@ -326,7 +325,7 @@ func NewCore(cfg CoreConfig) *Core {
 		cfg:    cfg,
 		stack:  st,
 	}
-	c.Faults.core = c
+	c.Faults = Faults{eng: eng, apply: func(ev PlanEvent) { ev.apply(c) }}
 
 	pre := make([]bool, cfg.N)
 	for _, p := range cfg.PreCrashed {
@@ -362,7 +361,7 @@ func NewCore(cfg CoreConfig) *Core {
 		sys.PreCrash(p)
 	}
 	sys.Start()
-	c.Faults.Install(cfg.Plan)
+	c.Faults.Install(orEmpty(cfg.Plan).Events)
 	return c
 }
 
@@ -497,17 +496,14 @@ func (c *Core) StartLoad(fire func(sender int)) {
 	if c.Coord != nil {
 		c.Loads.OnShardMix = func(fraction float64) { c.crossFrac = fraction }
 	}
-	c.Loads.Install(c.cfg.Load)
+	c.Loads.Install(orEmpty(c.cfg.Load).Events)
 }
 
 // Apply checks one fault event against the running system and schedules
 // it at its instant: the interactive counterpart of CoreConfig.Plan, held
 // to the same rules.
 func (c *Core) Apply(ev PlanEvent) error {
-	if _, pre := ev.(PreCrash); pre {
-		return errors.New("experiment: PreCrash is an initial condition, not a timeline event; list it in the configuration")
-	}
-	if err := c.cfg.checkPlan(&FaultPlan{Events: []PlanEvent{ev}}); err != nil {
+	if err := c.cfg.checkPlan([]PlanEvent{ev}); err != nil {
 		return err
 	}
 	c.Faults.Schedule(ev)
@@ -516,7 +512,7 @@ func (c *Core) Apply(ev PlanEvent) error {
 
 // ApplyLoad is Apply's load-side sibling; StartLoad must have run.
 func (c *Core) ApplyLoad(ev LoadEvent) error {
-	if err := c.cfg.checkLoad(&LoadPlan{Events: []LoadEvent{ev}}); err != nil {
+	if err := c.cfg.checkLoad([]LoadEvent{ev}); err != nil {
 		return err
 	}
 	c.Loads.Schedule(ev)

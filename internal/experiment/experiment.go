@@ -116,9 +116,9 @@ type Config struct {
 	// QoS axis with a Detectors axis without invalid points.
 	Detector *Heartbeat
 	// Crashed lists pre-crashed processes (crash-steady): suspected from
-	// the start, outside the initial GM view, sending nothing. It is a
-	// constructor for the plan's PreCrash events — listing a process here
-	// and planning PreCrash for it produce bit-identical runs.
+	// the start, outside the initial GM view, sending nothing. It is the
+	// failure pattern's value at time zero — configuration, where Plan is
+	// everything that happens after.
 	Crashed []proto.PID
 	// Plan is the replication's fault- and environment-injection timeline:
 	// crashes and recoveries, suspicion bursts, partitions and heals,

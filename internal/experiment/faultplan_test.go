@@ -128,28 +128,21 @@ func TestFaultPlanGoldenDigests(t *testing.T) {
 	}
 }
 
-// TestCrashedIsPreCrashConstructor asserts the acceptance criterion that
-// Config.Crashed and a plan of PreCrash events are the same thing: the
-// delivery digests agree bit for bit.
+// TestCrashedIsPreCrashConstructor pins the crash-steady initial
+// condition — Config.Crashed, which NewCore hands to
+// proto.System.PreCrash — to its golden digest.
 func TestCrashedIsPreCrashConstructor(t *testing.T) {
-	legacy := planBase(GM)
-	legacy.Crashed = []proto.PID{4, 3}
+	cfg := planBase(GM)
+	cfg.Crashed = []proto.PID{4, 3}
 
-	planned := planBase(GM)
-	planned.Plan = NewFaultPlan().PreCrash(4).PreCrash(3)
-
-	a := planDigests(t, legacy, 1)
-	b := planDigests(t, planned, 1)
+	got := planDigests(t, cfg, 1)
 	want := goldenPlanDigests["precrash-vs-legacy"]
-	if len(a) != len(b) || len(a) != len(want) {
-		t.Fatalf("digest counts differ: %d vs %d vs golden %d", len(a), len(b), len(want))
+	if len(got) != len(want) {
+		t.Fatalf("got %d replication digests, want %d", len(got), len(want))
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("rep %d: Crashed digest %#016x != PreCrash plan digest %#016x", i, a[i], b[i])
-		}
-		if a[i] != want[i] {
-			t.Fatalf("rep %d: digest %#016x, want golden %#016x", i, a[i], want[i])
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("rep %d: digest %#016x, want golden %#016x", i, got[i], want[i])
 		}
 	}
 }
@@ -389,6 +382,7 @@ func TestPlanValidation(t *testing.T) {
 		"duplicate in group": NewFaultPlan().Partition(0, []proto.PID{0, 1}, []proto.PID{1}),
 		"negative duration":  NewFaultPlan().Suspect(0, 1, -time.Second),
 		"bad monitor":        NewFaultPlan().Suspect(0, 1, 0, proto.PID(7)),
+		"empty monitor list": NewFaultPlan(SuspicionBurst{P: 1, By: []proto.PID{}}),
 	}
 	for name, plan := range bad {
 		cfg := planBase(FD)
@@ -401,12 +395,6 @@ func TestPlanValidation(t *testing.T) {
 	good.Plan = partitionHealPlan()
 	if err := good.withDefaults().validate(); err != nil {
 		t.Errorf("valid plan rejected: %v", err)
-	}
-	// PreCrash events count against the f < n/2 bound like Crashed does.
-	over := planBase(FD)
-	over.Plan = NewFaultPlan().PreCrash(1).PreCrash(2).PreCrash(3)
-	if err := over.withDefaults().validate(); err == nil {
-		t.Error("three pre-crashes of five accepted; want f < n/2 rejection")
 	}
 }
 

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/proto"
@@ -53,17 +52,40 @@ func NewLoadPlan(events ...LoadEvent) *LoadPlan {
 	return &LoadPlan{Events: events}
 }
 
+// add appends one event and returns the plan for chaining.
+func (p *LoadPlan) add(ev LoadEvent) *LoadPlan {
+	p.Events = append(p.Events, ev)
+	return p
+}
+
 // LoadEvent is one typed event on a LoadPlan's timeline. The concrete
-// types are RateChange, Burst, Mute, Unmute, Pause, Resume and ShardMix;
-// the set is closed because every consumer (the installer, the trace format,
-// validation) must understand every event.
+// types are RateChange, Burst, Mute, Unmute, Pause, Resume and ShardMix
+// (loadKinds lists them); the set is closed because every consumer (the
+// installer, the trace format, validation) must understand every event.
 type LoadEvent interface {
-	// When returns the virtual instant the event applies at.
-	When() time.Duration
-	// String renders the event canonically — the trace format's L lines
-	// and error messages use it.
-	String() string
-	loadEvent()
+	event
+	// loadEvent names the event's kind in trace headers. Being unexported
+	// it also closes the set, and keeps it disjoint from PlanEvent.
+	loadEvent() string
+	// apply performs the event on a workload.
+	apply(l *Loads)
+}
+
+// senderName renders a load event's target: "all" or "p<i>".
+func senderName(p proto.PID) string {
+	if p == AllSenders {
+		return "all"
+	}
+	return fmt.Sprintf("p%d", p)
+}
+
+// checkSender reports a target that is neither AllSenders nor a sender of
+// an n-process system; what names the event for the error.
+func checkSender(n int, what string, s proto.PID) error {
+	if s != AllSenders && (s < 0 || int(s) >= n) {
+		return fmt.Errorf("experiment: load %s names sender %d, want 0..%d or AllSenders", what, s, n-1)
+	}
+	return nil
 }
 
 // RateChange sets the A-broadcast rate at instant At. Sender AllSenders
@@ -75,9 +97,40 @@ type LoadEvent interface {
 // randomness (so changing a rate to its current value is a bit-identical
 // no-op).
 type RateChange struct {
-	At     time.Duration
-	Sender proto.PID
-	Rate   float64
+	At     time.Duration `json:"at,omitempty"`
+	Sender proto.PID     `json:"sender,omitempty"`
+	Rate   float64       `json:"rate,omitempty"`
+}
+
+func (e RateChange) When() time.Duration { return e.At }
+func (RateChange) loadEvent() string     { return "rate" }
+
+func (e RateChange) String() string {
+	return fmt.Sprintf("rate %s=%g/s", senderName(e.Sender), e.Rate)
+}
+
+func (e RateChange) check(n int) error {
+	if err := checkSender(n, "rate change", e.Sender); err != nil {
+		return err
+	}
+	if e.Rate < 0 || e.Rate != e.Rate || e.Rate > maxRate {
+		return fmt.Errorf("experiment: load rate change to invalid rate %v (want 0..%g msgs/s)", e.Rate, float64(maxRate))
+	}
+	return nil
+}
+
+func (e RateChange) apply(l *Loads) {
+	if e.Sender == AllSenders {
+		per := e.Rate / float64(l.nominal)
+		for i := range l.base {
+			if l.sources[i] != nil {
+				l.base[i] = per
+			}
+		}
+	} else {
+		l.base[e.Sender] = e.Rate
+	}
+	l.push(e.Sender)
 }
 
 // Burst multiplies the rate of Sender (AllSenders for everyone) by Factor
@@ -86,10 +139,37 @@ type RateChange struct {
 // burst ends, its factor divides back out (exact for non-overlapping
 // bursts). A Factor below 1 is a lull.
 type Burst struct {
-	At     time.Duration
-	For    time.Duration
-	Sender proto.PID
-	Factor float64
+	At     time.Duration `json:"at,omitempty"`
+	Sender proto.PID     `json:"sender,omitempty"`
+	Factor float64       `json:"factor,omitempty"`
+	For    time.Duration `json:"for,omitempty"`
+}
+
+func (e Burst) When() time.Duration { return e.At }
+func (Burst) loadEvent() string     { return "burst" }
+
+func (e Burst) String() string {
+	return fmt.Sprintf("burst %s x%g for %v", senderName(e.Sender), e.Factor, e.For)
+}
+
+func (e Burst) check(n int) error {
+	if err := checkSender(n, "burst", e.Sender); err != nil {
+		return err
+	}
+	if !(e.Factor > 0) || e.Factor > maxBurstFactor {
+		return fmt.Errorf("experiment: load burst with invalid factor %v (want 0..%g]", e.Factor, float64(maxBurstFactor))
+	}
+	if e.For < 0 {
+		return fmt.Errorf("experiment: load burst with negative duration %v", e.For)
+	}
+	return nil
+}
+
+// apply starts the burst and schedules its own end (the factor divides
+// back out For later); only the start is observed as an event.
+func (e Burst) apply(l *Loads) {
+	l.scale(e.Sender, e.Factor, false)
+	l.eng.After(e.For, func() { l.scale(e.Sender, e.Factor, true) })
 }
 
 // Mute silences Sender (AllSenders for everyone) at instant At: its
@@ -98,30 +178,54 @@ type Burst struct {
 // Unmute. Muting a crashed sender is harmless: the source keeps running
 // and the cluster already drops a crashed sender's broadcasts.
 type Mute struct {
-	At     time.Duration
-	Sender proto.PID
+	At     time.Duration `json:"at,omitempty"`
+	Sender proto.PID     `json:"sender,omitempty"`
 }
+
+func (e Mute) When() time.Duration { return e.At }
+func (Mute) loadEvent() string     { return "mute" }
+func (e Mute) String() string      { return "mute " + senderName(e.Sender) }
+func (e Mute) check(n int) error   { return checkSender(n, "mute", e.Sender) }
+func (e Mute) apply(l *Loads)      { l.setMuted(e.Sender, true) }
 
 // Unmute lifts a Mute of Sender at instant At, resuming the frozen gap at
 // the sender's current logical rate. Unmuting a sender that was never
 // muted is a no-op.
 type Unmute struct {
-	At     time.Duration
-	Sender proto.PID
+	At     time.Duration `json:"at,omitempty"`
+	Sender proto.PID     `json:"sender,omitempty"`
 }
+
+func (e Unmute) When() time.Duration { return e.At }
+func (Unmute) loadEvent() string     { return "unmute" }
+func (e Unmute) String() string      { return "unmute " + senderName(e.Sender) }
+func (e Unmute) check(n int) error   { return checkSender(n, "unmute", e.Sender) }
+func (e Unmute) apply(l *Loads)      { l.setMuted(e.Sender, false) }
 
 // Pause silences every sender at instant At, independently of per-sender
 // mutes: Resume lifts the pause, but muted senders stay muted. Pause is
 // the workload analogue of stopping the world — gaps freeze exactly where
 // they are.
 type Pause struct {
-	At time.Duration
+	At time.Duration `json:"at,omitempty"`
 }
+
+func (e Pause) When() time.Duration { return e.At }
+func (Pause) loadEvent() string     { return "pause" }
+func (Pause) String() string        { return "pause" }
+func (Pause) check(int) error       { return nil }
+func (Pause) apply(l *Loads)        { l.setPaused(true) }
 
 // Resume lifts the Pause in force at instant At.
 type Resume struct {
-	At time.Duration
+	At time.Duration `json:"at,omitempty"`
 }
+
+func (e Resume) When() time.Duration { return e.At }
+func (Resume) loadEvent() string     { return "resume" }
+func (Resume) String() string        { return "resume" }
+func (Resume) check(int) error       { return nil }
+func (Resume) apply(l *Loads)        { l.setPaused(false) }
 
 // ShardMix sets the workload's cross-shard fraction at instant At
 // (groups mode only, see Config.Groups): from this instant each
@@ -131,174 +235,64 @@ type Resume struct {
 // spectrum mid-run; Config.CrossShard sets the fraction the run starts
 // with.
 type ShardMix struct {
-	At       time.Duration
-	Fraction float64
+	At       time.Duration `json:"at,omitempty"`
+	Fraction float64       `json:"fraction,omitempty"`
 }
 
-func (e RateChange) When() time.Duration { return e.At }
-func (e Burst) When() time.Duration      { return e.At }
-func (e Mute) When() time.Duration       { return e.At }
-func (e Unmute) When() time.Duration     { return e.At }
-func (e Pause) When() time.Duration      { return e.At }
-func (e Resume) When() time.Duration     { return e.At }
-func (e ShardMix) When() time.Duration   { return e.At }
+func (e ShardMix) When() time.Duration { return e.At }
+func (ShardMix) loadEvent() string     { return "shardmix" }
+func (e ShardMix) String() string      { return fmt.Sprintf("shardmix f=%g", e.Fraction) }
 
-func (RateChange) loadEvent() {}
-func (Burst) loadEvent()      {}
-func (Mute) loadEvent()       {}
-func (Unmute) loadEvent()     {}
-func (Pause) loadEvent()      {}
-func (Resume) loadEvent()     {}
-func (ShardMix) loadEvent()   {}
-
-// senderName renders a load event's target: "all" or "p<i>".
-func senderName(p proto.PID) string {
-	if p == AllSenders {
-		return "all"
+func (e ShardMix) check(int) error {
+	if e.Fraction < 0 || e.Fraction > 1 || e.Fraction != e.Fraction {
+		return fmt.Errorf("experiment: load shardmix with invalid fraction %v (want 0..1)", e.Fraction)
 	}
-	return fmt.Sprintf("p%d", p)
+	return nil
 }
 
-func (e RateChange) String() string {
-	return fmt.Sprintf("rate %s=%g/s", senderName(e.Sender), e.Rate)
+// apply hands the fraction to the groups-mode Core's hook; without one
+// the event is a no-op (validation rejects the combination).
+func (e ShardMix) apply(l *Loads) {
+	if l.OnShardMix != nil {
+		l.OnShardMix(e.Fraction)
+	}
 }
-
-func (e Burst) String() string {
-	return fmt.Sprintf("burst %s x%g for %v", senderName(e.Sender), e.Factor, e.For)
-}
-
-func (e Mute) String() string     { return "mute " + senderName(e.Sender) }
-func (e Unmute) String() string   { return "unmute " + senderName(e.Sender) }
-func (e Pause) String() string    { return "pause" }
-func (e Resume) String() string   { return "resume" }
-func (e ShardMix) String() string { return fmt.Sprintf("shardmix f=%g", e.Fraction) }
 
 // Rate appends a RateChange event and returns the plan for chaining;
 // sender AllSenders re-spreads rate as a new total throughput.
 func (p *LoadPlan) Rate(at time.Duration, sender proto.PID, rate float64) *LoadPlan {
-	p.Events = append(p.Events, RateChange{At: at, Sender: sender, Rate: rate})
-	return p
+	return p.add(RateChange{At: at, Sender: sender, Rate: rate})
 }
 
 // Burst appends a Burst event: sender's rate (or everyone's, with
 // AllSenders) multiplied by factor during [at, at+d).
 func (p *LoadPlan) Burst(at, d time.Duration, sender proto.PID, factor float64) *LoadPlan {
-	p.Events = append(p.Events, Burst{At: at, For: d, Sender: sender, Factor: factor})
-	return p
+	return p.add(Burst{At: at, For: d, Sender: sender, Factor: factor})
 }
 
 // Mute appends a Mute event.
 func (p *LoadPlan) Mute(at time.Duration, sender proto.PID) *LoadPlan {
-	p.Events = append(p.Events, Mute{At: at, Sender: sender})
-	return p
+	return p.add(Mute{At: at, Sender: sender})
 }
 
 // Unmute appends an Unmute event.
 func (p *LoadPlan) Unmute(at time.Duration, sender proto.PID) *LoadPlan {
-	p.Events = append(p.Events, Unmute{At: at, Sender: sender})
-	return p
+	return p.add(Unmute{At: at, Sender: sender})
 }
 
 // Pause appends a Pause event.
 func (p *LoadPlan) Pause(at time.Duration) *LoadPlan {
-	p.Events = append(p.Events, Pause{At: at})
-	return p
+	return p.add(Pause{At: at})
 }
 
 // Resume appends a Resume event.
 func (p *LoadPlan) Resume(at time.Duration) *LoadPlan {
-	p.Events = append(p.Events, Resume{At: at})
-	return p
+	return p.add(Resume{At: at})
 }
 
 // Mix appends a ShardMix event setting the cross-shard fraction.
 func (p *LoadPlan) Mix(at time.Duration, fraction float64) *LoadPlan {
-	p.Events = append(p.Events, ShardMix{At: at, Fraction: fraction})
-	return p
-}
-
-// hasShardMix reports whether the plan carries a ShardMix event, which
-// only a groups-mode configuration can honour.
-func (p *LoadPlan) hasShardMix() bool {
-	if p == nil {
-		return false
-	}
-	for _, ev := range p.Events {
-		if _, ok := ev.(ShardMix); ok {
-			return true
-		}
-	}
-	return false
-}
-
-// timed returns the plan's events sorted by time, stable so same-instant
-// events apply in slice order. A nil plan yields nil.
-func (p *LoadPlan) timed() []LoadEvent {
-	if p == nil {
-		return nil
-	}
-	out := make([]LoadEvent, len(p.Events))
-	copy(out, p.Events)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].When() < out[j].When() })
-	return out
-}
-
-// Validate checks every event against a system of n processes: sender IDs
-// in range or AllSenders, non-negative times and durations, finite
-// non-negative rates, positive finite burst factors. A nil plan is valid.
-func (p *LoadPlan) Validate(n int) error { return p.validate(n) }
-
-func (p *LoadPlan) validate(n int) error {
-	if p == nil {
-		return nil
-	}
-	checkSender := func(s proto.PID, what string) error {
-		if s != AllSenders && (int(s) < 0 || int(s) >= n) {
-			return fmt.Errorf("experiment: load %s names sender %d, want 0..%d or AllSenders", what, s, n-1)
-		}
-		return nil
-	}
-	for _, ev := range p.Events {
-		if ev.When() < 0 {
-			return fmt.Errorf("experiment: load event %q at negative time %v", ev, ev.When())
-		}
-		switch e := ev.(type) {
-		case RateChange:
-			if err := checkSender(e.Sender, "rate change"); err != nil {
-				return err
-			}
-			if e.Rate < 0 || e.Rate != e.Rate || e.Rate > maxRate {
-				return fmt.Errorf("experiment: load rate change to invalid rate %v (want 0..%g msgs/s)", e.Rate, float64(maxRate))
-			}
-		case Burst:
-			if err := checkSender(e.Sender, "burst"); err != nil {
-				return err
-			}
-			if !(e.Factor > 0) || e.Factor > maxBurstFactor {
-				return fmt.Errorf("experiment: load burst with invalid factor %v (want 0..%g]", e.Factor, float64(maxBurstFactor))
-			}
-			if e.For < 0 {
-				return fmt.Errorf("experiment: load burst with negative duration %v", e.For)
-			}
-		case Mute:
-			if err := checkSender(e.Sender, "mute"); err != nil {
-				return err
-			}
-		case Unmute:
-			if err := checkSender(e.Sender, "unmute"); err != nil {
-				return err
-			}
-		case Pause, Resume:
-			// Nothing beyond the time check.
-		case ShardMix:
-			if e.Fraction < 0 || e.Fraction > 1 || e.Fraction != e.Fraction {
-				return fmt.Errorf("experiment: load shardmix with invalid fraction %v (want 0..1)", e.Fraction)
-			}
-		default:
-			return fmt.Errorf("experiment: unknown load event type %T", ev)
-		}
-	}
-	return nil
+	return p.add(ShardMix{At: at, Fraction: fraction})
 }
 
 // maxRate bounds any per-sender rate a load plan can produce, and
@@ -326,7 +320,8 @@ const (
 // is a no-op in the source, so events that leave a sender's rate where it
 // was cost nothing, bit for bit.
 type Loads struct {
-	eng *sim.Engine
+	// The embedded installer carries Install, Schedule, Fire and OnEvent.
+	installer[LoadEvent]
 	// nominal is the nominal system size: a global RateChange re-spreads
 	// its rate over it, exactly like Config.Throughput.
 	nominal int
@@ -334,11 +329,8 @@ type Loads struct {
 	// entries (pre-crashed senders, which generate no load) absorb events
 	// as no-ops.
 	sources []*workload.Poisson
-	// OnEvent, if non-nil, observes each event at the instant it applies.
-	OnEvent func(ev LoadEvent)
 	// OnShardMix, if non-nil, receives ShardMix events' fractions — a
-	// groups-mode Core hooks it to retarget Broadcast. Without the hook
-	// the event is a no-op (validation rejects the combination).
+	// groups-mode Core hooks it to retarget Broadcast.
 	OnShardMix func(fraction float64)
 
 	base   []float64 // logical per-sender rate, msgs/s
@@ -353,13 +345,13 @@ type Loads struct {
 // sender→source mapping that load events act on.
 func NewLoads(eng *sim.Engine, total float64, nominal int, sources []*workload.Poisson) *Loads {
 	l := &Loads{
-		eng:     eng,
 		nominal: nominal,
 		sources: sources,
 		base:    make([]float64, len(sources)),
 		factor:  make([]float64, len(sources)),
 		muted:   make([]bool, len(sources)),
 	}
+	l.installer = installer[LoadEvent]{eng: eng, apply: func(ev LoadEvent) { ev.apply(l) }}
 	per := total / float64(nominal)
 	for i := range sources {
 		l.factor[i] = 1
@@ -368,62 +360,6 @@ func NewLoads(eng *sim.Engine, total float64, nominal int, sources []*workload.P
 		}
 	}
 	return l
-}
-
-// Install schedules every event of the plan on the engine, sorted by time
-// with ties in slice order.
-func (l *Loads) Install(plan *LoadPlan) {
-	for _, ev := range plan.timed() {
-		l.Schedule(ev)
-	}
-}
-
-// Schedule arms one event to apply at its instant. Scheduling an event in
-// the simulation's past panics, as any scheduling in the past does.
-func (l *Loads) Schedule(ev LoadEvent) {
-	l.eng.Schedule(sim.Time(ev.When()), func() { l.Fire(ev) })
-}
-
-// Fire applies one event at the current instant, regardless of its When.
-// A Burst schedules its own end (the factor divides back out For later);
-// only the burst's start is observed as an event.
-func (l *Loads) Fire(ev LoadEvent) {
-	switch e := ev.(type) {
-	case RateChange:
-		if e.Sender == AllSenders {
-			per := e.Rate / float64(l.nominal)
-			for i := range l.base {
-				if l.sources[i] != nil {
-					l.base[i] = per
-				}
-			}
-		} else {
-			l.base[e.Sender] = e.Rate
-		}
-		l.apply(e.Sender)
-	case Burst:
-		l.scale(e.Sender, e.Factor, false)
-		l.eng.After(e.For, func() { l.scale(e.Sender, e.Factor, true) })
-	case Mute:
-		l.setMuted(e.Sender, true)
-	case Unmute:
-		l.setMuted(e.Sender, false)
-	case Pause:
-		l.paused = true
-		l.apply(AllSenders)
-	case Resume:
-		l.paused = false
-		l.apply(AllSenders)
-	case ShardMix:
-		if l.OnShardMix != nil {
-			l.OnShardMix(e.Fraction)
-		}
-	default:
-		panic(fmt.Sprintf("experiment: unknown load event type %T", ev))
-	}
-	if l.OnEvent != nil {
-		l.OnEvent(ev)
-	}
 }
 
 // scale multiplies (or, on undo, divides) the burst factor of the
@@ -444,7 +380,7 @@ func (l *Loads) scale(sender proto.PID, f float64, undo bool) {
 	} else {
 		each(int(sender))
 	}
-	l.apply(sender)
+	l.push(sender)
 }
 
 func (l *Loads) setMuted(sender proto.PID, m bool) {
@@ -455,22 +391,27 @@ func (l *Loads) setMuted(sender proto.PID, m bool) {
 	} else {
 		l.muted[int(sender)] = m
 	}
-	l.apply(sender)
+	l.push(sender)
 }
 
-// apply pushes the effective rate of the targeted sender (or all) to the
+func (l *Loads) setPaused(paused bool) {
+	l.paused = paused
+	l.push(AllSenders)
+}
+
+// push hands the effective rate of the targeted sender (or all) to the
 // underlying sources.
-func (l *Loads) apply(sender proto.PID) {
+func (l *Loads) push(sender proto.PID) {
 	if sender == AllSenders {
 		for i := range l.sources {
-			l.applyOne(i)
+			l.pushOne(i)
 		}
 		return
 	}
-	l.applyOne(int(sender))
+	l.pushOne(int(sender))
 }
 
-func (l *Loads) applyOne(i int) {
+func (l *Loads) pushOne(i int) {
 	src := l.sources[i]
 	if src == nil {
 		return

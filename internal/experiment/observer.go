@@ -60,8 +60,8 @@ type NetObserver interface {
 
 // PlanObserver is implemented by observers that also want the fault
 // plan's events — scripted crashes included — at the instants they apply.
-// PreCrash events are initial conditions, not timeline events, and are
-// not observed; they are part of the configuration instead.
+// Processes crashed from the start (Config.Crashed) are configuration,
+// not events, and are not observed.
 type PlanObserver interface {
 	// ObservePlan is invoked when a plan event applies.
 	ObservePlan(at sim.Time, ev PlanEvent)

@@ -6,6 +6,7 @@ import (
 	"compress/gzip"
 	"encoding/json"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"io"
 	"sort"
@@ -13,7 +14,9 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/fd"
 	"repro/internal/groups"
+	"repro/internal/hbfd"
 	"repro/internal/netmodel"
 	"repro/internal/proto"
 	"repro/internal/sim"
@@ -93,9 +96,8 @@ func NewTrace(w io.Writer, opts ...TraceOption) *Trace {
 // Observer is the ObserverFactory of the exporter: pass it in
 // Config.Observers.
 func (t *Trace) Observer(point, rep int, cfg Config) Observer {
-	r := &traceRep{limit: t.bufLimit}
-	hdr := headerFromConfig(cfg, point, rep)
-	b, err := json.Marshal(hdr)
+	r := newTraceRep(t.bufLimit)
+	b, err := json.Marshal(headerFromConfig(cfg, point, rep))
 	if err != nil {
 		// The header is plain numbers and slices; failure is a bug here.
 		panic(fmt.Sprintf("experiment: trace header: %v", err))
@@ -131,7 +133,7 @@ func (t *Trace) Flush() error {
 				return err
 			}
 		}
-		if _, err := fmt.Fprintf(w, "E %016x\n", r.digest()); err != nil {
+		if _, err := fmt.Fprintf(w, "E %016x\n", r.sum.Sum64()); err != nil {
 			return err
 		}
 	}
@@ -149,7 +151,7 @@ func (t *Trace) Digests() []TraceDigest {
 	defer t.mu.Unlock()
 	out := make([]TraceDigest, 0, len(t.reps))
 	for _, k := range t.sortedKeys() {
-		out = append(out, TraceDigest{Point: k.point, Rep: k.rep, Digest: t.reps[k].digest()})
+		out = append(out, TraceDigest{Point: k.point, Rep: k.rep, Digest: t.reps[k].sum.Sum64()})
 	}
 	return out
 }
@@ -179,22 +181,26 @@ type TraceDigest struct {
 // traceRep buffers one replication's records. It runs on the
 // replication's goroutine only; the Trace mutex guards only the registry.
 type traceRep struct {
-	buf    bytes.Buffer
-	dLines bytes.Buffer // delivery records only, the digested subset
+	buf bytes.Buffer
+	// sum is the running FNV-1a of the delivery (D) records, the digested
+	// subset; reading it (Sum64) does not consume it.
+	sum hash.Hash64
 	// limit bounds buf: at or past it, N records are dropped and counted
 	// instead of appended. Zero means unbounded.
 	limit      int
 	droppedNet int
 }
 
+func newTraceRep(limit int) *traceRep { return &traceRep{sum: fnv.New64a(), limit: limit} }
+
 func (r *traceRep) ObserveBroadcast(b Broadcast) {
 	fmt.Fprintf(&r.buf, "B %d %d %d %d\n", b.Sender, b.ID.Origin, b.ID.Seq, int64(b.At))
 }
 
 func (r *traceRep) ObserveDelivery(d Delivery) {
-	line := fmt.Sprintf("D %d %d %d %d\n", d.Process, d.ID.Origin, d.ID.Seq, int64(d.At))
-	r.buf.WriteString(line)
-	r.dLines.WriteString(line)
+	start := r.buf.Len()
+	fmt.Fprintf(&r.buf, "D %d %d %d %d\n", d.Process, d.ID.Origin, d.ID.Seq, int64(d.At))
+	r.sum.Write(r.buf.Bytes()[start:])
 }
 
 func (r *traceRep) ObserveNet(ev netmodel.TraceEvent) {
@@ -214,38 +220,31 @@ func (r *traceRep) ObserveLoad(at sim.Time, ev LoadEvent) {
 	fmt.Fprintf(&r.buf, "L %d %s\n", int64(at), ev)
 }
 
-// digest folds the replication's delivery records into FNV-1a.
-func (r *traceRep) digest() uint64 {
-	h := fnv.New64a()
-	h.Write(r.dLines.Bytes())
-	return h.Sum64()
-}
-
 // traceHeader is the serialisable image of one replication's
 // configuration: enough to re-run it. Durations are nanoseconds.
 type traceHeader struct {
-	Kind            string  `json:"kind"` // "steady" or "transient"
-	Point           int     `json:"point"`
-	Rep             int     `json:"rep"`
-	Algorithm       int     `json:"alg"`
-	N               int     `json:"n"`
-	Throughput      float64 `json:"throughput"`
-	Lambda          float64 `json:"lambda,omitempty"`
-	TD              int64   `json:"td,omitempty"`
-	TMR             int64   `json:"tmr,omitempty"`
-	TM              int64   `json:"tm,omitempty"`
-	Crashed         []int   `json:"crashed,omitempty"`
-	DisableRenumber bool    `json:"disableRenumber,omitempty"`
-	DistSketch      float64 `json:"distSketch,omitempty"`
-	Seed            uint64  `json:"seed"`
-	Warmup          int64   `json:"warmup"`
-	Measure         int64   `json:"measure"`
-	Drain           int64   `json:"drain"`
-	Replications    int     `json:"replications"`
-	HbInterval      int64   `json:"hbInterval,omitempty"`
-	HbTimeout       int64   `json:"hbTimeout,omitempty"`
-	Crash           int     `json:"crash,omitempty"`
-	Sender          int     `json:"sender,omitempty"`
+	Kind            string        `json:"kind"` // "steady" or "transient"
+	Point           int           `json:"point"`
+	Rep             int           `json:"rep"`
+	Algorithm       Algorithm     `json:"alg"`
+	N               int           `json:"n"`
+	Throughput      float64       `json:"throughput"`
+	Lambda          float64       `json:"lambda,omitempty"`
+	TD              time.Duration `json:"td,omitempty"`
+	TMR             time.Duration `json:"tmr,omitempty"`
+	TM              time.Duration `json:"tm,omitempty"`
+	Crashed         []proto.PID   `json:"crashed,omitempty"`
+	DisableRenumber bool          `json:"disableRenumber,omitempty"`
+	DistSketch      float64       `json:"distSketch,omitempty"`
+	Seed            uint64        `json:"seed"`
+	Warmup          time.Duration `json:"warmup"`
+	Measure         time.Duration `json:"measure"`
+	Drain           time.Duration `json:"drain"`
+	Replications    int           `json:"replications"`
+	HbInterval      time.Duration `json:"hbInterval,omitempty"`
+	HbTimeout       time.Duration `json:"hbTimeout,omitempty"`
+	Crash           proto.PID     `json:"crash,omitempty"`
+	Sender          proto.PID     `json:"sender,omitempty"`
 	// Topo is the configuration's topology, as a generator call or a raw
 	// graph dump, so topology replications replay from the header alone.
 	Topo *topo.Spec `json:"topo,omitempty"`
@@ -255,186 +254,87 @@ type traceHeader struct {
 	// CrossShard is the starting cross-shard traffic fraction (groups
 	// mode).
 	CrossShard float64 `json:"crossShard,omitempty"`
-	// Plan is the configuration's fault plan, flattened one event per
-	// entry, so planned replications replay from the header alone.
-	Plan []planEventJSON `json:"plan,omitempty"`
-	// Load is the configuration's load plan, flattened the same way.
-	Load []loadEventJSON `json:"load,omitempty"`
+	// Plan and Load are the configuration's fault and load plans, one
+	// kind-tagged object per event (encodeEvents), so planned replications
+	// replay from the header alone.
+	Plan []json.RawMessage `json:"plan,omitempty"`
+	Load []json.RawMessage `json:"load,omitempty"`
 }
 
-// planEventJSON is the flat, kind-tagged image of one PlanEvent.
-type planEventJSON struct {
-	Kind   string  `json:"kind"`
-	At     int64   `json:"at,omitempty"`
-	P      int     `json:"p,omitempty"`
-	For    int64   `json:"for,omitempty"`
-	By     []int   `json:"by,omitempty"`
-	Groups [][]int `json:"groups,omitempty"`
-	From   int     `json:"from,omitempty"`
-	To     int     `json:"to,omitempty"`
-	Loss   float64 `json:"loss,omitempty"`
-	Delay  int64   `json:"delay,omitempty"`
-}
-
-// planToJSON flattens a plan for the trace header. A nil plan yields nil.
-func planToJSON(plan *FaultPlan) []planEventJSON {
-	if plan == nil {
-		return nil
+// planKinds and loadKinds map each event kind a trace header can carry to
+// the decoder of its type. They are the only lists of event types:
+// everything else about an event is stated beside its type.
+var (
+	planKinds = map[string]func([]byte) (PlanEvent, error){
+		"crash":     decodeAs[Crash, PlanEvent],
+		"recover":   decodeAs[Recover, PlanEvent],
+		"suspect":   decodeAs[SuspicionBurst, PlanEvent],
+		"partition": decodeAs[Partition, PlanEvent],
+		"heal":      decodeAs[Heal, PlanEvent],
+		"link":      decodeAs[LinkFault, PlanEvent],
 	}
-	out := make([]planEventJSON, 0, len(plan.Events))
-	for _, ev := range plan.Events {
-		var j planEventJSON
-		switch e := ev.(type) {
-		case Crash:
-			j = planEventJSON{Kind: "crash", At: int64(e.At), P: int(e.P)}
-		case Recover:
-			j = planEventJSON{Kind: "recover", At: int64(e.At), P: int(e.P)}
-		case SuspicionBurst:
-			j = planEventJSON{Kind: "suspect", At: int64(e.At), P: int(e.P), For: int64(e.For)}
-			for _, q := range e.By {
-				j.By = append(j.By, int(q))
-			}
-		case Partition:
-			j = planEventJSON{Kind: "partition", At: int64(e.At)}
-			j.Groups = make([][]int, len(e.Groups))
-			for gi, g := range e.Groups {
-				j.Groups[gi] = make([]int, len(g))
-				for i, p := range g {
-					j.Groups[gi][i] = int(p)
-				}
-			}
-		case Heal:
-			j = planEventJSON{Kind: "heal", At: int64(e.At)}
-		case LinkFault:
-			j = planEventJSON{Kind: "link", At: int64(e.At), From: int(e.From), To: int(e.To),
-				Loss: e.Loss, Delay: int64(e.ExtraDelay)}
-		case PreCrash:
-			j = planEventJSON{Kind: "precrash", P: int(e.P)}
-		default:
-			panic(fmt.Sprintf("experiment: unknown plan event type %T", ev))
+	loadKinds = map[string]func([]byte) (LoadEvent, error){
+		"rate":     decodeAs[RateChange, LoadEvent],
+		"burst":    decodeAs[Burst, LoadEvent],
+		"mute":     decodeAs[Mute, LoadEvent],
+		"unmute":   decodeAs[Unmute, LoadEvent],
+		"pause":    decodeAs[Pause, LoadEvent],
+		"resume":   decodeAs[Resume, LoadEvent],
+		"shardmix": decodeAs[ShardMix, LoadEvent],
+	}
+)
+
+// decodeAs decodes a header object into event type T, through T's own
+// JSON tags, as a member of the closed set E.
+func decodeAs[T any, E event](raw []byte) (E, error) {
+	var ev T
+	err := json.Unmarshal(raw, &ev)
+	return any(ev).(E), err
+}
+
+// encodeEvents renders a timeline for the trace header: each event
+// marshals itself, and its kind is spliced in front of its own object. A
+// timeline without events yields nil, which the header omits.
+func encodeEvents[E event](events []E, kind func(E) string) []json.RawMessage {
+	var out []json.RawMessage
+	for _, ev := range events {
+		body, err := json.Marshal(ev)
+		if err != nil {
+			// Events are plain numbers and slices; failure is a bug here.
+			panic(fmt.Sprintf("experiment: trace header: %v", err))
 		}
-		out = append(out, j)
+		head := `{"kind":"` + kind(ev) + `"`
+		if len(body) > len("{}") {
+			head += ","
+		}
+		out = append(out, json.RawMessage(head+string(body[1:])))
 	}
 	return out
 }
 
-// planFromJSON rebuilds a plan from its header image. Unknown kinds are
-// an error: replaying a trace from a newer writer must fail loudly, not
-// silently skip faults.
-func planFromJSON(events []planEventJSON) (*FaultPlan, error) {
-	if len(events) == 0 {
-		return nil, nil
-	}
-	plan := &FaultPlan{Events: make([]PlanEvent, 0, len(events))}
-	for _, j := range events {
-		switch j.Kind {
-		case "crash":
-			plan.Events = append(plan.Events, Crash{At: time.Duration(j.At), P: proto.PID(j.P)})
-		case "recover":
-			plan.Events = append(plan.Events, Recover{At: time.Duration(j.At), P: proto.PID(j.P)})
-		case "suspect":
-			e := SuspicionBurst{At: time.Duration(j.At), P: proto.PID(j.P), For: time.Duration(j.For)}
-			for _, q := range j.By {
-				e.By = append(e.By, proto.PID(q))
-			}
-			plan.Events = append(plan.Events, e)
-		case "partition":
-			e := Partition{At: time.Duration(j.At), Groups: make([][]proto.PID, len(j.Groups))}
-			for gi, g := range j.Groups {
-				e.Groups[gi] = make([]proto.PID, len(g))
-				for i, p := range g {
-					e.Groups[gi][i] = proto.PID(p)
-				}
-			}
-			plan.Events = append(plan.Events, e)
-		case "heal":
-			plan.Events = append(plan.Events, Heal{At: time.Duration(j.At)})
-		case "link":
-			plan.Events = append(plan.Events, LinkFault{At: time.Duration(j.At),
-				From: proto.PID(j.From), To: proto.PID(j.To),
-				Loss: j.Loss, ExtraDelay: time.Duration(j.Delay)})
-		case "precrash":
-			plan.Events = append(plan.Events, PreCrash{P: proto.PID(j.P)})
-		default:
-			return nil, fmt.Errorf("experiment: trace header has unknown plan event kind %q", j.Kind)
+// decodeEvents rebuilds a timeline (what: "plan" or "load") from its
+// header image. Unknown kinds are an error: replaying a trace from a newer
+// writer must fail loudly, not silently skip faults or load shaping.
+func decodeEvents[E event](what string, raws []json.RawMessage, kinds map[string]func([]byte) (E, error)) ([]E, error) {
+	var out []E
+	for _, raw := range raws {
+		var tag struct {
+			Kind string `json:"kind"`
 		}
-	}
-	return plan, nil
-}
-
-// loadEventJSON is the flat, kind-tagged image of one LoadEvent.
-// AllSenders marshals as its literal value, -1.
-type loadEventJSON struct {
-	Kind     string  `json:"kind"`
-	At       int64   `json:"at,omitempty"`
-	Sender   int     `json:"sender,omitempty"`
-	Rate     float64 `json:"rate,omitempty"`
-	Factor   float64 `json:"factor,omitempty"`
-	For      int64   `json:"for,omitempty"`
-	Fraction float64 `json:"fraction,omitempty"`
-}
-
-// loadToJSON flattens a load plan for the trace header. A nil plan yields
-// nil.
-func loadToJSON(plan *LoadPlan) []loadEventJSON {
-	if plan == nil {
-		return nil
-	}
-	out := make([]loadEventJSON, 0, len(plan.Events))
-	for _, ev := range plan.Events {
-		var j loadEventJSON
-		switch e := ev.(type) {
-		case RateChange:
-			j = loadEventJSON{Kind: "rate", At: int64(e.At), Sender: int(e.Sender), Rate: e.Rate}
-		case Burst:
-			j = loadEventJSON{Kind: "burst", At: int64(e.At), Sender: int(e.Sender), Factor: e.Factor, For: int64(e.For)}
-		case Mute:
-			j = loadEventJSON{Kind: "mute", At: int64(e.At), Sender: int(e.Sender)}
-		case Unmute:
-			j = loadEventJSON{Kind: "unmute", At: int64(e.At), Sender: int(e.Sender)}
-		case Pause:
-			j = loadEventJSON{Kind: "pause", At: int64(e.At)}
-		case Resume:
-			j = loadEventJSON{Kind: "resume", At: int64(e.At)}
-		case ShardMix:
-			j = loadEventJSON{Kind: "shardmix", At: int64(e.At), Fraction: e.Fraction}
-		default:
-			panic(fmt.Sprintf("experiment: unknown load event type %T", ev))
+		if err := json.Unmarshal(raw, &tag); err != nil {
+			return nil, fmt.Errorf("experiment: trace header %s event: %w", what, err)
 		}
-		out = append(out, j)
-	}
-	return out
-}
-
-// loadFromJSON rebuilds a load plan from its header image. Unknown kinds
-// are an error: replaying a trace from a newer writer must fail loudly,
-// not silently skip load shaping.
-func loadFromJSON(events []loadEventJSON) (*LoadPlan, error) {
-	if len(events) == 0 {
-		return nil, nil
-	}
-	plan := &LoadPlan{Events: make([]LoadEvent, 0, len(events))}
-	for _, j := range events {
-		switch j.Kind {
-		case "rate":
-			plan.Events = append(plan.Events, RateChange{At: time.Duration(j.At), Sender: proto.PID(j.Sender), Rate: j.Rate})
-		case "burst":
-			plan.Events = append(plan.Events, Burst{At: time.Duration(j.At), Sender: proto.PID(j.Sender), Factor: j.Factor, For: time.Duration(j.For)})
-		case "mute":
-			plan.Events = append(plan.Events, Mute{At: time.Duration(j.At), Sender: proto.PID(j.Sender)})
-		case "unmute":
-			plan.Events = append(plan.Events, Unmute{At: time.Duration(j.At), Sender: proto.PID(j.Sender)})
-		case "pause":
-			plan.Events = append(plan.Events, Pause{At: time.Duration(j.At)})
-		case "resume":
-			plan.Events = append(plan.Events, Resume{At: time.Duration(j.At)})
-		case "shardmix":
-			plan.Events = append(plan.Events, ShardMix{At: time.Duration(j.At), Fraction: j.Fraction})
-		default:
-			return nil, fmt.Errorf("experiment: trace header has unknown load event kind %q", j.Kind)
+		decode, ok := kinds[tag.Kind]
+		if !ok {
+			return nil, fmt.Errorf("experiment: trace header has unknown %s event kind %q", what, tag.Kind)
 		}
+		ev, err := decode(raw)
+		if err != nil {
+			return nil, fmt.Errorf("experiment: trace header %s event %q: %w", what, tag.Kind, err)
+		}
+		out = append(out, ev)
 	}
-	return plan, nil
+	return out, nil
 }
 
 // headerFromConfig captures cfg (already defaulted by the runner) for
@@ -445,34 +345,28 @@ func headerFromConfig(cfg Config, point, rep int) traceHeader {
 		Kind:            "steady",
 		Point:           point,
 		Rep:             rep,
-		Algorithm:       int(cfg.Algorithm),
+		Algorithm:       cfg.Algorithm,
 		N:               cfg.N,
 		Throughput:      cfg.Throughput,
 		Lambda:          cfg.Lambda,
-		TD:              int64(cfg.QoS.TD),
-		TMR:             int64(cfg.QoS.TMR),
-		TM:              int64(cfg.QoS.TM),
+		TD:              cfg.QoS.TD,
+		TMR:             cfg.QoS.TMR,
+		TM:              cfg.QoS.TM,
+		Crashed:         cfg.Crashed,
 		DisableRenumber: cfg.DisableRenumber,
 		DistSketch:      cfg.DistSketch,
 		Seed:            cfg.Seed,
-		Warmup:          int64(cfg.Warmup),
-		Measure:         int64(cfg.Measure),
-		Drain:           int64(cfg.Drain),
+		Warmup:          cfg.Warmup,
+		Measure:         cfg.Measure,
+		Drain:           cfg.Drain,
 		Replications:    cfg.Replications,
-	}
-	for _, p := range cfg.Crashed {
-		h.Crashed = append(h.Crashed, int(p))
+		Plan:            encodeEvents(orEmpty(cfg.Plan).Events, PlanEvent.planEvent),
+		Load:            encodeEvents(orEmpty(cfg.Load).Events, LoadEvent.loadEvent),
 	}
 	if cfg.Detector != nil {
-		h.HbInterval = int64(cfg.Detector.Interval)
-		h.HbTimeout = int64(cfg.Detector.Timeout)
-		if h.HbInterval == 0 {
-			// Make the default explicit so the header is self-contained.
-			h.HbInterval = int64(10 * time.Millisecond)
-		}
-		if h.HbTimeout == 0 {
-			h.HbTimeout = 3 * h.HbInterval
-		}
+		// Make the defaults explicit so the header is self-contained.
+		hb := hbfd.Config(*cfg.Detector).WithDefaults()
+		h.HbInterval, h.HbTimeout = hb.Interval, hb.Timeout
 	}
 	if cfg.Topology != nil {
 		spec := cfg.Topology.Spec()
@@ -482,12 +376,8 @@ func headerFromConfig(cfg Config, point, rep int) traceHeader {
 		h.Groups = cfg.Groups.Spec()
 		h.CrossShard = cfg.CrossShard
 	}
-	h.Plan = planToJSON(cfg.Plan)
-	h.Load = loadToJSON(cfg.Load)
 	if ti := cfg.transient; ti != nil {
-		h.Kind = "transient"
-		h.Crash = int(ti.crash)
-		h.Sender = int(ti.sender)
+		h.Kind, h.Crash, h.Sender = "transient", ti.crash, ti.sender
 	}
 	return h
 }
@@ -495,29 +385,22 @@ func headerFromConfig(cfg Config, point, rep int) traceHeader {
 // configFromHeader rebuilds the replication's Config (no observers).
 func configFromHeader(h traceHeader) (Config, error) {
 	cfg := Config{
-		Algorithm:       Algorithm(h.Algorithm),
+		Algorithm:       h.Algorithm,
 		N:               h.N,
 		Throughput:      h.Throughput,
 		Lambda:          h.Lambda,
+		QoS:             fd.QoS{TD: h.TD, TMR: h.TMR, TM: h.TM},
+		Crashed:         h.Crashed,
 		DisableRenumber: h.DisableRenumber,
 		DistSketch:      h.DistSketch,
 		Seed:            h.Seed,
-		Warmup:          time.Duration(h.Warmup),
-		Measure:         time.Duration(h.Measure),
-		Drain:           time.Duration(h.Drain),
+		Warmup:          h.Warmup,
+		Measure:         h.Measure,
+		Drain:           h.Drain,
 		Replications:    h.Replications,
 	}
-	cfg.QoS.TD = time.Duration(h.TD)
-	cfg.QoS.TMR = time.Duration(h.TMR)
-	cfg.QoS.TM = time.Duration(h.TM)
-	for _, p := range h.Crashed {
-		cfg.Crashed = append(cfg.Crashed, proto.PID(p))
-	}
 	if h.HbInterval != 0 || h.HbTimeout != 0 {
-		cfg.Detector = &Heartbeat{
-			Interval: time.Duration(h.HbInterval),
-			Timeout:  time.Duration(h.HbTimeout),
-		}
+		cfg.Detector = &Heartbeat{Interval: h.HbInterval, Timeout: h.HbTimeout}
 	}
 	if h.Topo != nil {
 		t, err := topo.FromSpec(*h.Topo)
@@ -534,16 +417,22 @@ func configFromHeader(h traceHeader) (Config, error) {
 		cfg.Groups = m
 		cfg.CrossShard = h.CrossShard
 	}
-	plan, err := planFromJSON(h.Plan)
+	plan, err := decodeEvents("plan", h.Plan, planKinds)
 	if err != nil {
 		return cfg, err
 	}
-	cfg.Plan = plan
-	load, err := loadFromJSON(h.Load)
+	load, err := decodeEvents("load", h.Load, loadKinds)
 	if err != nil {
 		return cfg, err
 	}
-	cfg.Load = load
+	// A header without events reads back as a nil plan: it was recorded
+	// from one, or from an empty one, which runs identically.
+	if plan != nil {
+		cfg.Plan = &FaultPlan{Events: plan}
+	}
+	if load != nil {
+		cfg.Load = &LoadPlan{Events: load}
+	}
 	return cfg, nil
 }
 
@@ -633,7 +522,7 @@ func replayOne(h traceHeader) (uint64, error) {
 	if err := cfg.validate(); err != nil {
 		return 0, fmt.Errorf("experiment: trace header invalid: %w", err)
 	}
-	rec := &traceRep{}
+	rec := newTraceRep(0)
 	cfg.Observers = []ObserverFactory{
 		func(int, int, Config) Observer { return rec },
 	}
@@ -641,10 +530,10 @@ func replayOne(h traceHeader) (uint64, error) {
 	case "steady":
 		runReplication(cfg, h.Point, h.Rep, newSteadyScenario(cfg))
 	case "transient":
-		tc := TransientConfig{Config: cfg, Crash: proto.PID(h.Crash), Sender: proto.PID(h.Sender)}
+		tc := TransientConfig{Config: cfg, Crash: h.Crash, Sender: h.Sender}
 		runReplication(cfg, h.Point, h.Rep, CrashTransient(tc))
 	default:
 		return 0, fmt.Errorf("experiment: unknown trace kind %q", h.Kind)
 	}
-	return rec.digest(), nil
+	return rec.sum.Sum64(), nil
 }

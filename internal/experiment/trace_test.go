@@ -199,6 +199,33 @@ func TestReplayRejectsTruncatedTrace(t *testing.T) {
 	}
 }
 
+// TestReplayRejectsBadHeaders feeds Replay headers that parse as JSON but
+// describe nothing runnable. Each must come back as an error — a header
+// is input, so none may panic or be silently repaired.
+func TestReplayRejectsBadHeaders(t *testing.T) {
+	const base = `"kind":"steady","alg":1,"n":3,"throughput":10,"seed":1,"warmup":1,"measure":1,"drain":1,"replications":1`
+	for name, extra := range map[string]string{
+		"geo topology without sites": `"topo":{"gen":"geo","n":3,"sites":0,"perSite":0}`,
+		"unknown plan kind":          `"plan":[{"kind":"meteor","at":5}]`,
+		"retired precrash kind":      `"plan":[{"kind":"precrash","p":1}]`,
+		"unknown load kind":          `"load":[{"kind":"flood"}]`,
+		"plan event of a load kind":  `"plan":[{"kind":"mute","sender":1}]`,
+		"event without a kind":       `"plan":[{"at":5,"p":1}]`,
+		"plan is no array":           `"plan":{"kind":"crash"}`,
+		"event is no object":         `"load":[7]`,
+		"wrong field type":           `"plan":[{"kind":"crash","p":"one"}]`,
+		"fractional instant":         `"load":[{"kind":"pause","at":1.5}]`,
+		"empty monitor list":         `"plan":[{"kind":"suspect","p":1,"by":[]}]`,
+		"process out of range":       `"plan":[{"kind":"crash","p":3}]`,
+		"negative lambda":            `"lambda":-1`,
+	} {
+		results, err := Replay(strings.NewReader("C {" + base + "," + extra + "}\nE 0000000000000000\n"))
+		if err == nil {
+			t.Errorf("%s: replayed without error: %+v", name, results)
+		}
+	}
+}
+
 // goldenHeaderConfigs returns the two configurations of
 // TestTraceHeaderGolden, which together set every field a trace header
 // carries: a steady point on a geo-sharded system whose plans use every

@@ -184,9 +184,6 @@ func NewSim(eng *sim.Engine, n int, qos QoS, rng *sim.Rand) *Sim {
 // N returns the number of processes.
 func (s *Sim) N() int { return s.n }
 
-// QoS returns the parameterisation.
-func (s *Sim) QoS() QoS { return s.qos }
-
 // Detector returns the failure detector owned by process q.
 func (s *Sim) Detector(q int) *Detector { return s.detectors[q] }
 

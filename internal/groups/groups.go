@@ -254,14 +254,7 @@ func FromSites(t *topo.Topology) *GroupMap {
 	if len(t.Groups) == 0 {
 		panic(fmt.Sprintf("groups: topology %q declares no site groups", t.Name))
 	}
-	members := make([][]proto.PID, len(t.Groups))
-	for g, site := range t.Groups {
-		for _, p := range site {
-			members[g] = append(members[g], proto.PID(p))
-		}
-	}
-	m := New(t.N, members)
-	return m
+	return New(t.N, proto.PIDGroups(t.Groups))
 }
 
 // Spec is the compact serializable description of a GroupMap — the

@@ -42,7 +42,9 @@ type Config struct {
 
 const defaultInterval = 10 * time.Millisecond
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns the tuning the detector actually runs with: zero
+// (or negative) fields replaced by their defaults.
+func (c Config) WithDefaults() Config {
 	if c.Interval <= 0 {
 		c.Interval = defaultInterval
 	}
@@ -85,7 +87,7 @@ func (r *runtime) Suspects(p proto.PID) bool { return r.w.suspected[p] }
 func Wrap(rt proto.Runtime, cfg Config, makeInner func(proto.Runtime) proto.Handler) *Wrapper {
 	w := &Wrapper{
 		rt:        rt,
-		cfg:       cfg.withDefaults(),
+		cfg:       cfg.WithDefaults(),
 		lastBeat:  make([]sim.Time, rt.N()),
 		suspected: make([]bool, rt.N()),
 	}
@@ -95,9 +97,6 @@ func Wrap(rt proto.Runtime, cfg Config, makeInner func(proto.Runtime) proto.Hand
 	}
 	return w
 }
-
-// Inner returns the wrapped handler, for tests and type assertions.
-func (w *Wrapper) Inner() proto.Handler { return w.inner }
 
 // Suspects reports the current heartbeat-derived suspicion of p.
 func (w *Wrapper) Suspects(p proto.PID) bool { return w.suspected[int(p)] }

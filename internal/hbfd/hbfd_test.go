@@ -218,7 +218,7 @@ func TestWrapValidation(t *testing.T) {
 }
 
 func TestDefaults(t *testing.T) {
-	cfg := Config{}.withDefaults()
+	cfg := Config{}.WithDefaults()
 	if cfg.Interval != defaultInterval || cfg.Timeout != 3*defaultInterval {
 		t.Fatalf("defaults = %+v", cfg)
 	}

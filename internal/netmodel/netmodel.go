@@ -306,18 +306,6 @@ func (nw *Network) SetTrace(fn func(TraceEvent)) { nw.trace = fn }
 // Counters returns a snapshot of the activity counters.
 func (nw *Network) Counters() Counters { return nw.ctrs }
 
-// N returns the number of processes.
-func (nw *Network) N() int { return nw.cfg.N }
-
-// Config returns the model parameters (with Topology resolved).
-func (nw *Network) Config() Config { return nw.cfg }
-
-// Topology returns the connectivity graph the network routes over.
-func (nw *Network) Topology() *topo.Topology { return nw.cfg.Topology }
-
-// Crashed reports whether process p has crashed.
-func (nw *Network) Crashed(p int) bool { return nw.crashed[p] }
-
 // Crash marks p as crashed as of the current instant. Messages already on
 // p's CPU still go out; nothing is delivered to p from now on. Crashing a
 // crashed process is a no-op.

@@ -24,6 +24,19 @@ import (
 // PID identifies a process: 0 .. n-1. The paper's p1 corresponds to PID 0.
 type PID int
 
+// PIDGroups converts lists of plain process indices — a topology's site
+// groups, a facade caller's []int arguments — to lists of PIDs.
+func PIDGroups(groups [][]int) [][]PID {
+	out := make([][]PID, len(groups))
+	for i, g := range groups {
+		out[i] = make([]PID, len(g))
+		for k, p := range g {
+			out[i][k] = PID(p)
+		}
+	}
+	return out
+}
+
 // MsgID uniquely identifies an atomic-broadcast message: the origin
 // process plus a per-origin sequence number. The deterministic delivery
 // order the paper prescribes ("according to the order of their IDs") is
@@ -319,9 +332,6 @@ func (p *Proc) Rand() *sim.Rand { return p.rng }
 
 // Crashed reports whether the process has crashed.
 func (p *Proc) Crashed() bool { return p.crashed }
-
-// Handler returns the installed root protocol.
-func (p *Proc) Handler() Handler { return p.handler }
 
 // Send implements Runtime.
 func (p *Proc) Send(to PID, payload any) {

@@ -236,14 +236,15 @@ func ReplayTrace(r io.Reader) ([]ReplayResult, error) { return experiment.Replay
 type FaultPlan = experiment.FaultPlan
 
 // NewFaultPlan creates a plan from the given events; the plan's
-// chainable helpers (Crash, Recover, Suspect, Partition, Heal, Link,
-// PreCrash) append further ones.
+// chainable helpers (Crash, Recover, Suspect, Partition, Heal, Link)
+// append further ones. Processes crashed from the start are not events:
+// list them in Config.Crashed or ClusterConfig.PreCrashed.
 func NewFaultPlan(events ...PlanEvent) *FaultPlan {
 	return experiment.NewFaultPlan(events...)
 }
 
 // PlanEvent is one typed event on a FaultPlan's timeline: one of Crash,
-// Recover, SuspicionBurst, Partition, Heal, LinkFault or PreCrash.
+// Recover, SuspicionBurst, Partition, Heal or LinkFault.
 type PlanEvent = experiment.PlanEvent
 
 // Crash kills a process at an instant (reversible by Recover).
@@ -269,10 +270,6 @@ type Heal = experiment.Heal
 // LinkFault degrades one directed link: probabilistic loss and/or extra
 // delay. Zero both to clear it.
 type LinkFault = experiment.LinkFault
-
-// PreCrash establishes the crash-steady initial condition for a process;
-// Config.Crashed and ClusterConfig.PreCrashed are constructors for it.
-type PreCrash = experiment.PreCrash
 
 // PlanObserver is the optional observer interface receiving fault-plan
 // events at the instants they apply.
@@ -418,14 +415,7 @@ type GroupSpec = groups.Spec
 // group. Every process must belong to at least one group. It panics on
 // invalid input.
 func NewGroupMap(n int, members [][]int) *GroupMap {
-	ms := make([][]proto.PID, len(members))
-	for g, ps := range members {
-		ms[g] = make([]proto.PID, len(ps))
-		for i, p := range ps {
-			ms[g][i] = proto.PID(p)
-		}
-	}
-	return groups.New(n, ms)
+	return groups.New(n, proto.PIDGroups(members))
 }
 
 // Disjoint partitions n processes into k equal (±1) disjoint groups —

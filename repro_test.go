@@ -2,6 +2,7 @@ package repro
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -308,12 +309,14 @@ func TestShellsRejectAlike(t *testing.T) {
 	}{
 		{"pre-crash out of range", Config{Algorithm: FD, N: 3, Crashed: []ProcessID{9}}, "process 9"},
 		{"majority pre-crashed", Config{Algorithm: FD, N: 3, Crashed: []ProcessID{1, 2}}, "f < n/2"},
-		{"majority pre-crashed via plan", Config{Algorithm: GM, N: 3, Crashed: []ProcessID{2}, Plan: NewFaultPlan(PreCrash{P: 1})}, "f < n/2"},
 		{"unknown algorithm", Config{Algorithm: 7, N: 3}, "unknown algorithm 7"},
 		{"no processes", Config{Algorithm: FD}, "N = 0"},
 		{"negative throughput", Config{Algorithm: FD, N: 3, Throughput: -1}, "throughput"},
+		{"negative lambda", Config{Algorithm: FD, N: 3, Lambda: -1}, "Lambda = -1"},
+		{"NaN lambda", Config{Algorithm: FD, N: 3, Lambda: math.NaN()}, "Lambda = NaN"},
 		{"topology of another size", Config{Algorithm: FD, N: 3, Topology: Ring(4)}, "4 processes"},
 		{"plan names a missing process", Config{Algorithm: FD, N: 3, Plan: NewFaultPlan(Crash{P: 5})}, "process 5"},
+		{"suspicion by an empty monitor list", Config{Algorithm: FD, N: 3, Plan: NewFaultPlan(SuspicionBurst{P: 1, By: []ProcessID{}})}, "empty monitor list"},
 		{"load names a missing sender", Config{Algorithm: FD, N: 3, Load: NewLoadPlan(Mute{Sender: 4})}, "sender 4"},
 		{"cross-shard without groups", Config{Algorithm: FD, N: 4, CrossShard: 0.5}, "CrossShard"},
 		{"shardmix without groups", Config{Algorithm: FD, N: 4, Load: NewLoadPlan(ShardMix{Fraction: 0.5})}, "shardmix"},
@@ -334,7 +337,7 @@ func TestShellsRejectAlike(t *testing.T) {
 		}
 		fromCluster := rejection(func() {
 			NewCluster(ClusterConfig{
-				Algorithm: cfg.Algorithm, N: cfg.N, Throughput: cfg.Throughput, Topology: cfg.Topology,
+				Algorithm: cfg.Algorithm, N: cfg.N, Lambda: cfg.Lambda, Throughput: cfg.Throughput, Topology: cfg.Topology,
 				Groups: cfg.Groups, CrossShard: cfg.CrossShard, PreCrashed: pre, Plan: cfg.Plan, Load: cfg.Load,
 			})
 		})
@@ -373,7 +376,7 @@ func TestClusterRejectsInteractiveEventsAtTheCall(t *testing.T) {
 	if msg := rejection(func() { plain.ShardMixAt(time.Millisecond, 0.5) }); !strings.Contains(msg, "shardmix") {
 		t.Errorf("ShardMixAt without groups: %q, want the shardmix rejection", msg)
 	}
-	if msg := rejection(func() { plain.Apply(PreCrash{P: 1}) }); !strings.Contains(msg, "PreCrash") {
-		t.Errorf("Apply(PreCrash): %q, want a rejection", msg)
+	if msg := rejection(func() { plain.Apply(SuspicionBurst{P: 1, By: []ProcessID{}}) }); !strings.Contains(msg, "empty monitor list") {
+		t.Errorf("Apply of a suspicion by no monitor: %q, want the empty-monitor-list rejection", msg)
 	}
 }
