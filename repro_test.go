@@ -2,11 +2,86 @@ package repro
 
 import (
 	"fmt"
+	"go/ast"
+	"go/doc"
+	"go/parser"
+	"go/token"
 	"math"
+	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 )
+
+// TestFacadeAPI pins the facade's surface: golden/api.txt holds one sorted
+// line per exported identifier this package declares — constants,
+// functions, types, their methods and struct fields — so what a PR adds to
+// or removes from `go doc repro` is the diff of a tracked file.
+func TestFacadeAPI(t *testing.T) {
+	names, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	var files []*ast.File
+	for _, name := range names {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	pkg, err := doc.NewFromFiles(fset, files, "repro")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	values := func(kind string, vs []*doc.Value) {
+		for _, v := range vs {
+			for _, name := range v.Names {
+				lines = append(lines, kind+" "+name)
+			}
+		}
+	}
+	funcs := func(fs []*doc.Func) {
+		for _, f := range fs {
+			lines = append(lines, "func "+f.Name)
+		}
+	}
+	values("const", pkg.Consts)
+	values("var", pkg.Vars)
+	funcs(pkg.Funcs)
+	for _, typ := range pkg.Types {
+		lines = append(lines, "type "+typ.Name)
+		values("const", typ.Consts)
+		values("var", typ.Vars)
+		funcs(typ.Funcs)
+		for _, m := range typ.Methods {
+			lines = append(lines, "method "+typ.Name+"."+m.Name)
+		}
+		if st, ok := typ.Decl.Specs[0].(*ast.TypeSpec).Type.(*ast.StructType); ok {
+			for _, field := range st.Fields.List {
+				for _, name := range field.Names {
+					lines = append(lines, "field "+typ.Name+"."+name.Name)
+				}
+			}
+		}
+	}
+	sort.Strings(lines)
+	got := strings.Join(lines, "\n") + "\n"
+	want, err := os.ReadFile("golden/api.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("exported identifiers differ from golden/api.txt; the package now declares:\n%s", got)
+	}
+}
 
 func TestQuickSteadyRun(t *testing.T) {
 	res := RunSteady(Config{
