@@ -68,21 +68,19 @@ type ClusterConfig struct {
 	PreCrashed []int
 	// Plan is a fault- and environment-injection timeline installed at
 	// construction: crashes and recoveries, suspicion bursts, partitions
-	// and heals, link faults. The interactive fault methods (CrashAt,
-	// SuspectAt, RecoverAt, PartitionAt, HealAt, SetLinkAt) schedule the
-	// same events through the same machinery, so a scripted session and a
-	// planned one are interchangeable.
+	// and heals, link faults. Apply schedules the same events through the
+	// same machinery interactively, so a scripted session and a planned
+	// one are interchangeable.
 	Plan *FaultPlan
 	// Throughput, when positive, runs the paper's Poisson workload on the
 	// cluster: every non-pre-crashed process A-broadcasts nil bodies at
 	// rate Throughput/N, exactly as experiments do. Zero starts the
-	// sources silent — the load methods (SetRateAt and friends) can still
-	// raise them mid-run.
+	// sources silent — a RateChange load event can still raise them
+	// mid-run.
 	Throughput float64
 	// Load is a workload-shaping timeline installed at construction: rate
-	// changes, bursts, per-sender mutes, pauses. The interactive load
-	// methods (SetRateAt, BurstAt, MuteAt, UnmuteAt, PauseAt, ResumeAt)
-	// schedule the same events through the same machinery.
+	// changes, bursts, per-sender mutes, pauses. ApplyLoad schedules the
+	// same events through the same machinery interactively.
 	Load *LoadPlan
 	// OnDeliver observes every A-delivery at every process.
 	OnDeliver func(d Delivery)
@@ -113,8 +111,8 @@ type ClusterConfig struct {
 	// CrossShard is the fraction of broadcasts — the built-in Poisson
 	// workload's arrivals and Broadcast calls alike — sent cross-shard
 	// (home group plus one uniformly random other group); the rest stays
-	// shard-local. Groups mode only; ShardMixAt (or a ShardMix load
-	// event) changes it mid-run.
+	// shard-local. Groups mode only; a ShardMix load event changes it
+	// mid-run.
 	CrossShard float64
 }
 
@@ -131,17 +129,17 @@ type HeartbeatConfig = experiment.Heartbeat
 //
 // Faults — crashes, recoveries, wrong suspicions, partitions and heals,
 // link loss and delay — are FaultPlan events: give a full timeline in
-// ClusterConfig.Plan, or script interactively with the *At methods and
-// Apply, which schedule the same events through the same machinery.
-// Load — the built-in Poisson workload's rate, bursts, mutes and pauses
-// — is LoadPlan events the same way: ClusterConfig.Throughput and Load
-// at construction, SetRateAt/BurstAt/MuteAt/UnmuteAt/PauseAt/ResumeAt
-// and ApplyLoad interactively.
+// ClusterConfig.Plan, or script interactively with Apply and the event
+// literal (Apply(Recover{At: at, P: 2})), which schedules the same event
+// through the same machinery; CrashAt and SuspectAt abbreviate the two
+// events every walkthrough uses. Load — the built-in Poisson workload's
+// rate, bursts, mutes and pauses — is LoadPlan events the same way:
+// ClusterConfig.Throughput and Load at construction, ApplyLoad with the
+// event literal interactively.
 //
-// In groups mode, crash-recovery (RecoverAt, Recover plan events) is
-// supported for the FD algorithm only; NewCluster rejects a GM-algorithm
-// plan containing Recover events at construction, and RecoverAt rejects
-// one at the call.
+// In groups mode, crash-recovery (Recover events) is supported for the FD
+// algorithm only; NewCluster rejects a GM-algorithm plan containing
+// Recover events at construction, and Apply rejects one at the call.
 type Cluster struct {
 	// core is the assembled system: the same experiment.Core a Runner
 	// replication runs on. The Cluster only adapts types and hooks.
@@ -257,10 +255,11 @@ func (c *Cluster) MulticastAt(p int, at time.Duration, dests []int, body any) {
 	c.core.Eng.Schedule(sim.Time(at), func() { c.Multicast(p, ds, body) })
 }
 
-// Apply schedules one fault-plan event at its instant — the primitive
-// every *At fault method below is sugar for. It panics on an event the
-// system cannot honour (the rules ClusterConfig.Plan is held to) or one
-// scheduled in the simulation's past.
+// Apply schedules one fault-plan event at its instant: the interactive
+// spelling of every fault (CrashAt and SuspectAt below are sugar for it).
+// It panics on an event the system cannot honour (the rules
+// ClusterConfig.Plan is held to) or one scheduled in the simulation's
+// past.
 func (c *Cluster) Apply(ev PlanEvent) {
 	if err := c.core.Apply(ev); err != nil {
 		panic(err)
@@ -272,14 +271,6 @@ func (c *Cluster) CrashAt(p int, at time.Duration) {
 	c.Apply(Crash{At: at, P: proto.PID(p)})
 }
 
-// RecoverAt schedules a recovery of crashed process p at virtual time at:
-// GM algorithms rejoin through the membership service with state
-// transfer, the crash-stop FD algorithm resumes from its pre-crash state
-// (see the Recover event).
-func (c *Cluster) RecoverAt(p int, at time.Duration) {
-	c.Apply(Recover{At: at, P: proto.PID(p)})
-}
-
 // SuspectAt schedules a wrong suspicion: monitor starts suspecting target
 // at the given instant, for the given duration (0 is an instantaneous
 // mistake whose edges still fire).
@@ -287,27 +278,8 @@ func (c *Cluster) SuspectAt(monitor, target int, at, duration time.Duration) {
 	c.Apply(SuspicionBurst{At: at, P: proto.PID(target), For: duration, By: []ProcessID{proto.PID(monitor)}})
 }
 
-// PartitionAt schedules a network partition into the given groups at
-// virtual time at; processes listed in no group are isolated alone.
-func (c *Cluster) PartitionAt(at time.Duration, groups ...[]int) {
-	c.Apply(Partition{At: at, Groups: proto.PIDGroups(groups)})
-}
-
-// HealAt schedules the removal of the partition in force at virtual time
-// at.
-func (c *Cluster) HealAt(at time.Duration) {
-	c.Apply(Heal{At: at})
-}
-
-// SetLinkAt schedules a fault on the directed link from → to at virtual
-// time at: loss probability per message copy plus extra delay. Zero both
-// to clear the link.
-func (c *Cluster) SetLinkAt(at time.Duration, from, to int, loss float64, extraDelay time.Duration) {
-	c.Apply(LinkFault{At: at, From: proto.PID(from), To: proto.PID(to), Loss: loss, ExtraDelay: extraDelay})
-}
-
-// ApplyLoad schedules one load-plan event at its instant — the primitive
-// every load method below is sugar for. The cluster's Poisson sources
+// ApplyLoad schedules one load-plan event at its instant: the interactive
+// spelling of every load change. The cluster's Poisson sources
 // exist whatever ClusterConfig.Throughput was (a zero throughput just
 // starts them silent), so load events always have something to act on.
 // It panics on an invalid event or one scheduled in the simulation's
@@ -318,47 +290,6 @@ func (c *Cluster) ApplyLoad(ev LoadEvent) {
 	}
 }
 
-// SetRateAt schedules a rate change at virtual time at: sender
-// AllSenders (-1) re-spreads rate as a new total throughput (each
-// process sends at rate/N), a concrete sender gets rate as its absolute
-// per-second rate. The gap in flight rescales deterministically, so
-// setting the current rate is a bit-identical no-op.
-func (c *Cluster) SetRateAt(at time.Duration, sender int, rate float64) {
-	c.ApplyLoad(RateChange{At: at, Sender: proto.PID(sender), Rate: rate})
-}
-
-// BurstAt schedules a rate spike: the rate of sender (AllSenders for
-// everyone) is multiplied by factor during [at, at+d).
-func (c *Cluster) BurstAt(at, d time.Duration, sender int, factor float64) {
-	c.ApplyLoad(Burst{At: at, For: d, Sender: proto.PID(sender), Factor: factor})
-}
-
-// MuteAt schedules a mute of sender (AllSenders for everyone) at virtual
-// time at: its source stops firing but keeps its logical rate and frozen
-// gap for UnmuteAt.
-func (c *Cluster) MuteAt(at time.Duration, sender int) {
-	c.ApplyLoad(Mute{At: at, Sender: proto.PID(sender)})
-}
-
-// UnmuteAt schedules the lifting of a mute of sender at virtual time at.
-func (c *Cluster) UnmuteAt(at time.Duration, sender int) {
-	c.ApplyLoad(Unmute{At: at, Sender: proto.PID(sender)})
-}
-
-// ShardMixAt schedules a change of the built-in workload's cross-shard
-// fraction at virtual time at (groups mode only): fraction of messages
-// go cross-shard from then on, the rest stay shard-local.
-func (c *Cluster) ShardMixAt(at time.Duration, fraction float64) {
-	c.ApplyLoad(ShardMix{At: at, Fraction: fraction})
-}
-
-// PauseAt schedules a pause of the whole workload at virtual time at.
-func (c *Cluster) PauseAt(at time.Duration) { c.ApplyLoad(Pause{At: at}) }
-
-// ResumeAt schedules the lifting of a pause at virtual time at; senders
-// muted individually stay muted.
-func (c *Cluster) ResumeAt(at time.Duration) { c.ApplyLoad(Resume{At: at}) }
-
 // Run advances virtual time by d, processing all events on the way.
 func (c *Cluster) Run(d time.Duration) {
 	c.core.Eng.RunUntil(c.core.Eng.Now().Add(d))
@@ -366,9 +297,9 @@ func (c *Cluster) Run(d time.Duration) {
 
 // RunUntilIdle processes events until none remain. A cluster whose
 // Poisson workload is active never idles — it keeps scheduling arrivals
-// forever — so pause or silence the workload (PauseAt, SetRateAt with
-// rate 0) before draining with this method; use Run to advance a live
-// workload by a bounded amount instead.
+// forever — so pause or silence the workload (a Pause event, or a
+// RateChange to 0) before draining with this method; use Run to advance a
+// live workload by a bounded amount instead.
 func (c *Cluster) RunUntilIdle() { c.core.Eng.Run() }
 
 // Crashed reports whether process p has crashed.
@@ -403,9 +334,6 @@ func (c *Cluster) SetTrace(fn func(NetEvent)) {
 		})
 	})
 }
-
-// Perfect returns a QoS with instant detection and no mistakes.
-func Perfect() QoS { return QoS{} }
 
 // Detectors returns a QoS with the given metrics in milliseconds, the
 // unit the paper uses throughout.

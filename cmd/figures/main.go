@@ -755,6 +755,11 @@ func replayTrace(path string) {
 		fmt.Fprintf(os.Stderr, "replay: %v\n", err)
 		os.Exit(1)
 	}
+	if len(results) == 0 {
+		// Not "all digests match": a compressed trace reads as no record.
+		fmt.Fprintf(os.Stderr, "replay: no replication in %s (a compressed trace replays as zcat t.gz | figures -replay /dev/stdin)\n", path)
+		os.Exit(1)
+	}
 	bad := 0
 	for _, r := range results {
 		status := "ok"

@@ -5,19 +5,19 @@ package ctabcast
 // transfer.
 //
 // Every process appends each decided batch — IDs, payload references and
-// the proposer — to a bounded decision log (Config.LogRetain entries,
-// trimmed oldest-first). A process that falls behind detects its gap from
+// the proposer — to a bounded decision log (logRetain entries, trimmed
+// oldest-first). A process that falls behind detects its gap from
 // the instance numbers piggy-backed on ordinary consensus traffic: a
 // message for instance k proves its sender had delivered everything below
 // k, so k strictly above our frontier is evidence of lag. Detection is
 // two-fold:
 //
-//   - Passive: a message at least InstanceWindow ahead of the frontier
+//   - Passive: a message at least instanceWindow ahead of the frontier
 //     means peers have garbage-collected the instances we need; ordinary
 //     decision forwarding can never close that gap, so catch-up starts
 //     immediately.
 //   - Probed: Resume() — armed by the harness on Recover and on partition
-//     Heal — checks after CatchUpDelay whether any evidence of lag
+//     Heal — checks after catchUpDelay whether any evidence of lag
 //     accumulated and, if so, starts catch-up even for in-window gaps
 //     (which otherwise wedge until a suspicion happens to trigger a
 //     relay).
@@ -27,7 +27,7 @@ package ctabcast
 // most advanced peer observed; the reply carries the decision suffix
 // [from, next) out of the responder's log, which the straggler re-delivers
 // in order through the normal drain path. Retries rotate targets with
-// doubling backoff (base CatchUpRetry, capped), so a crashed responder
+// doubling backoff (base catchUpRetry, capped), so a crashed responder
 // only costs one timeout. If even the responder's log no longer reaches
 // back to `from`, the reply degrades to a full-snapshot handoff: the
 // retained suffix plus a copy of the responder's delivery tracker. The
@@ -44,12 +44,26 @@ import (
 	"repro/internal/proto"
 )
 
+// The catch-up constants. No figure, command or example ever set a second
+// value, so they are not configuration.
 const (
-	defaultLogRetain    = 1024
-	defaultCatchUpDelay = 150 * time.Millisecond
-	defaultCatchUpRetry = 100 * time.Millisecond
+	// logRetain bounds the decision log kept for suffix transfer: 16
+	// instance windows, so a gap that has just outgrown decision
+	// forwarding is far from the snapshot handoff and its delivery gap.
+	// The partition figure's highest loads do outrun it, which keeps the
+	// handoff exercised.
+	logRetain = 1024
+	// catchUpDelay is how long after Resume the probe looks for evidence
+	// of lag: well above the ~10 ms a consensus instance takes, so a live
+	// system has spoken by then, and well below the seconds a recovery is
+	// measured in.
+	catchUpDelay = 150 * time.Millisecond
+	// catchUpRetry is the base retry backoff of the exchange: an order of
+	// magnitude above an uncongested request/reply round trip, so only a
+	// lost message or a dead responder times out.
+	catchUpRetry = 100 * time.Millisecond
 	// catchUpBackoffCap bounds the retry backoff at this multiple of
-	// CatchUpRetry.
+	// catchUpRetry.
 	catchUpBackoffCap = 16
 	// maxIdleProbes is how many consecutive probe checks may observe a
 	// totally silent network before the probe stops waiting for evidence
@@ -71,23 +85,11 @@ type logEntry struct {
 }
 
 // catchUpReq asks a peer for the decision suffix starting at instance
-// From. Wire copies are pooled boxes, like consMsg.
+// From. Catch-up messages travel as plain values, not pooled boxes like
+// consMsg: a run sends a few hundred of them against millions of
+// consensus messages.
 type catchUpReq struct {
 	From uint64
-
-	refs int32
-	home *Process
-}
-
-// Retain implements the network's pooled-payload protocol.
-func (m *catchUpReq) Retain(n int) { m.refs += int32(n) }
-
-// Release drops one in-flight copy reference, returning the box to its
-// Process's free list when none remain.
-func (m *catchUpReq) Release() {
-	if m.refs--; m.refs == 0 && m.home != nil {
-		m.home.reqFree = append(m.home.reqFree, m)
-	}
 }
 
 // String renders the request for traces.
@@ -102,21 +104,6 @@ type catchUpReply struct {
 	Entries    []logEntry
 	Snap       *proto.TrackerSnapshot
 	FirstCoord proto.PID
-
-	refs int32
-	home *Process
-}
-
-// Retain implements the network's pooled-payload protocol.
-func (m *catchUpReply) Retain(n int) { m.refs += int32(n) }
-
-// Release drops one in-flight copy reference, returning the box to its
-// Process's free list when none remain.
-func (m *catchUpReply) Release() {
-	if m.refs--; m.refs == 0 && m.home != nil {
-		m.Entries, m.Snap = nil, nil
-		m.home.replyFree = append(m.home.replyFree, m)
-	}
 }
 
 // String renders the reply for traces.
@@ -127,30 +114,9 @@ func (m catchUpReply) String() string {
 	return fmt.Sprintf("CatchUpReply[%d..%d]", m.Start, m.Next)
 }
 
-// reqBox draws a catchUpReq wire box from the process free list.
-func (p *Process) reqBox(from uint64) *catchUpReq {
-	if n := len(p.reqFree); n > 0 {
-		b := p.reqFree[n-1]
-		p.reqFree = p.reqFree[:n-1]
-		b.From = from
-		return b
-	}
-	return &catchUpReq{From: from, home: p}
-}
-
-// replyBox draws a catchUpReply wire box from the process free list.
-func (p *Process) replyBox() *catchUpReply {
-	if n := len(p.replyFree); n > 0 {
-		b := p.replyFree[n-1]
-		p.replyFree = p.replyFree[:n-1]
-		return b
-	}
-	return &catchUpReply{home: p}
-}
-
 // appendLog records the batch the drain is about to deliver (instance
 // nextDeliver) in the decision log, capturing bodies before delivery
-// deletes them. The log is trimmed to LogRetain entries with hysteresis,
+// deletes them. The log is trimmed to logRetain entries with hysteresis,
 // always onto a fresh backing array so sub-slices shipped in earlier
 // replies stay immutable.
 func (p *Process) appendLog(ids []proto.MsgID) {
@@ -159,12 +125,12 @@ func (p *Process) appendLog(ids []proto.MsgID) {
 		bodies[i] = p.bodies[id]
 	}
 	p.log = append(p.log, logEntry{ids: ids, bodies: bodies, proposer: p.proposers[p.nextDeliver]})
-	slack := p.cfg.LogRetain / 2
-	if len(p.log) <= p.cfg.LogRetain+slack {
+	slack := p.logRetain / 2
+	if len(p.log) <= p.logRetain+slack {
 		return
 	}
-	fresh := make([]logEntry, p.cfg.LogRetain, p.cfg.LogRetain+slack)
-	drop := len(p.log) - p.cfg.LogRetain
+	fresh := make([]logEntry, p.logRetain, p.logRetain+slack)
+	drop := len(p.log) - p.logRetain
 	copy(fresh, p.log[drop:])
 	p.log = fresh
 	p.logStart += uint64(drop)
@@ -181,14 +147,14 @@ func (p *Process) noteInstance(from proto.PID, k uint64) {
 		p.maxSeen = k
 		p.maxSeenFrom = from
 	}
-	if k >= p.nextDeliver+uint64(p.cfg.InstanceWindow) {
+	if k >= p.nextDeliver+instanceWindow {
 		p.startCatchUp()
 	}
 }
 
 // Resume arms the catch-up probe. The harness calls it when the process
 // recovers from an outage and, on every live process, when a partition
-// heals: after CatchUpDelay the process checks whether evidence of lag
+// heals: after catchUpDelay the process checks whether evidence of lag
 // has accumulated (a peer frontier above ours, or consensus messages
 // buffered for instances we cannot build yet) and starts catch-up if so.
 // With no evidence the probe's next move depends on what it heard in the
@@ -210,7 +176,7 @@ func (p *Process) Resume() {
 
 // armProbe schedules the next probe check of chain seq.
 func (p *Process) armProbe(seq uint64) {
-	p.rt.After(p.cfg.CatchUpDelay, func() { p.probeCatchUp(seq) })
+	p.rt.After(catchUpDelay, func() { p.probeCatchUp(seq) })
 }
 
 // probeCatchUp is the Resume probe body.
@@ -252,7 +218,7 @@ func (p *Process) startCatchUp() {
 		return
 	}
 	p.cuActive = true
-	p.cuBackoff = p.cfg.CatchUpRetry
+	p.cuBackoff = catchUpRetry
 	p.cuBlind = 0
 	p.cuTarget = p.maxSeenFrom
 	p.sendCatchUpReq()
@@ -266,22 +232,22 @@ func (p *Process) sendCatchUpReq() {
 	if p.cuTarget == p.rt.ID() {
 		p.cuTarget = proto.PID((int(p.cuTarget) + 1) % len(p.all))
 	}
-	p.rt.Send(p.cuTarget, p.reqBox(p.nextDeliver))
+	p.rt.Send(p.cuTarget, catchUpReq{From: p.nextDeliver})
 	p.cuSeq++
 	seq := p.cuSeq
 	d := p.cuBackoff
-	if p.cuBackoff < catchUpBackoffCap*p.cfg.CatchUpRetry {
+	if p.cuBackoff < catchUpBackoffCap*catchUpRetry {
 		p.cuBackoff *= 2
 	}
-	p.rt.After(d, func() { p.onCatchUpRetry(seq) })
+	p.rt.After(d, func() { p.retryCatchUp(seq) })
 }
 
-// onCatchUpRetry fires when a request went unanswered for a full backoff
+// retryCatchUp fires when a request went unanswered for a full backoff
 // period. Evidence is re-checked first: the gap may have closed through
 // ordinary operation (a late reply, or in-window decision forwarding).
 // A forced (evidence-free) exchange instead spends its bounded cuBlind
 // budget before giving up, so one crashed responder cannot strand it.
-func (p *Process) onCatchUpRetry(seq uint64) {
+func (p *Process) retryCatchUp(seq uint64) {
 	if !p.cuActive || seq != p.cuSeq {
 		return
 	}
@@ -309,9 +275,7 @@ func (p *Process) stopCatchUp() {
 // frontier, so even an empty reply tells the requester where the
 // responder stands.
 func (p *Process) onCatchUpReq(from proto.PID, reqFrom uint64) {
-	r := p.replyBox()
-	r.Next = p.nextDeliver
-	r.FirstCoord = p.firstCoord
+	r := catchUpReply{Next: p.nextDeliver, FirstCoord: p.firstCoord}
 	if reqFrom >= p.logStart {
 		i := min(reqFrom-p.logStart, uint64(len(p.log)))
 		r.Start = p.logStart + i
@@ -328,7 +292,7 @@ func (p *Process) onCatchUpReq(from proto.PID, reqFrom uint64) {
 // idempotent: duplicates and overlaps re-apply harmlessly — delivery is
 // deduplicated by adelivered and the frontier never rewinds — so a slow
 // responder answering after a retry already succeeded costs nothing.
-func (p *Process) onCatchUpReply(r *catchUpReply) {
+func (p *Process) onCatchUpReply(r catchUpReply) {
 	before := p.nextDeliver
 	if r.Snap != nil && r.Start > p.nextDeliver {
 		p.applySnapshot(r)
@@ -348,7 +312,7 @@ func (p *Process) onCatchUpReply(r *catchUpReply) {
 		// the new frontier, re-targeting the most advanced peer. A reply
 		// that made no progress instead waits for the armed retry timer,
 		// which rotates targets.
-		p.cuBackoff = p.cfg.CatchUpRetry
+		p.cuBackoff = catchUpRetry
 		p.cuTarget = p.maxSeenFrom
 		p.sendCatchUpReq()
 	}
@@ -356,7 +320,7 @@ func (p *Process) onCatchUpReply(r *catchUpReply) {
 
 // applySuffix folds a contiguous decision suffix into the ordinary drain
 // path: record each batch as a decision, stash its bodies, and drain.
-func (p *Process) applySuffix(r *catchUpReply) {
+func (p *Process) applySuffix(r catchUpReply) {
 	for i := range r.Entries {
 		k := r.Start + uint64(i)
 		if k < p.nextDeliver || k >= r.Next {
@@ -393,7 +357,7 @@ func (p *Process) stashBodies(e *logEntry) {
 // IDs seen and suppress their delivery), then the tracker covers the
 // truncated prefix and the frontier jumps. The truncated prefix is a
 // delivery gap at this process — the documented price of unwedging.
-func (p *Process) applySnapshot(r *catchUpReply) {
+func (p *Process) applySnapshot(r catchUpReply) {
 	for i := range r.Entries {
 		p.deliverEntry(&r.Entries[i])
 	}

@@ -75,25 +75,14 @@ type Config struct {
 	// proposer of decision k coordinates round 1 of instance k+1. All
 	// processes must agree on this setting.
 	Renumber bool
-	// InstanceWindow bounds how many finished consensus instances are
-	// retained for decision forwarding to stragglers. Zero selects a
-	// sensible default.
-	InstanceWindow int
-	// LogRetain bounds the decision log kept for catch-up suffix
-	// transfer — the recovery path for gaps wider than InstanceWindow
-	// (see catchup.go). It should exceed InstanceWindow by a comfortable
-	// margin; a straggler whose gap outgrows even the log falls back to
-	// the full-snapshot handoff. Zero selects a sensible default.
-	LogRetain int
-	// CatchUpDelay is how long after Resume() the catch-up probe checks
-	// for evidence of lag. Zero selects a sensible default.
-	CatchUpDelay time.Duration
-	// CatchUpRetry is the base retry backoff of the catch-up exchange
-	// (doubling, capped). Zero selects a sensible default.
-	CatchUpRetry time.Duration
 }
 
-const defaultInstanceWindow = 64
+// instanceWindow bounds how many finished consensus instances are
+// retained for decision forwarding to stragglers: 64 covers the lag a
+// wrong suspicion or a lost message causes while the instance map stays a
+// handful of recycled slots; wider gaps are the decision log's job
+// (catchup.go).
+const instanceWindow = 64
 
 // Process is the FD atomic broadcast endpoint at one process. It
 // implements proto.Handler.
@@ -121,6 +110,7 @@ type Process struct {
 	// nextDeliver always holds.
 	log         []logEntry
 	logStart    uint64
+	logRetain   int           // the logRetain constant; only the snapshot-handoff test shrinks it
 	maxSeen     uint64        // highest instance seen in peer consensus traffic
 	maxSeenFrom proto.PID     // sender of that traffic: the most advanced peer known
 	cuActive    bool          // a catch-up exchange is in progress
@@ -135,10 +125,8 @@ type Process struct {
 
 	// Free lists and cached callbacks: the high-rate allocation sites of
 	// the hot path, each reused across instances and messages.
-	msgFree     []*consMsg      // recycled consMsg wire boxes
-	reqFree     []*catchUpReq   // recycled catch-up request boxes
-	replyFree   []*catchUpReply // recycled catch-up reply boxes
-	slotFree    []*instSlot     // recycled instance slots (GC'd instances)
+	msgFree     []*consMsg  // recycled consMsg wire boxes
+	slotFree    []*instSlot // recycled instance slots (GC'd instances)
 	sortScratch []proto.MsgID
 	suspectsFn  func(proto.PID) bool
 	refreshFn   func() consensus.Value
@@ -169,18 +157,6 @@ func New(rt proto.Runtime, cfg Config) *Process {
 	if cfg.Deliver == nil {
 		panic("ctabcast: nil Deliver")
 	}
-	if cfg.InstanceWindow <= 0 {
-		cfg.InstanceWindow = defaultInstanceWindow
-	}
-	if cfg.LogRetain <= 0 {
-		cfg.LogRetain = defaultLogRetain
-	}
-	if cfg.CatchUpDelay <= 0 {
-		cfg.CatchUpDelay = defaultCatchUpDelay
-	}
-	if cfg.CatchUpRetry <= 0 {
-		cfg.CatchUpRetry = defaultCatchUpRetry
-	}
 	p := &Process{
 		rt:          rt,
 		cfg:         cfg,
@@ -194,6 +170,7 @@ func New(rt proto.Runtime, cfg Config) *Process {
 		nextDeliver: 1,
 		oldest:      1,
 		logStart:    1,
+		logRetain:   logRetain,
 	}
 	p.all = make([]proto.PID, rt.N())
 	for i := range p.all {
@@ -233,12 +210,11 @@ func (p *Process) OnMessage(from proto.PID, payload any) {
 	case *consMsg:
 		// Copy K and M out of the pooled box before it is released.
 		p.onConsensusMsg(from, m.K, m.M)
-	case *catchUpReq:
+	case catchUpReq:
 		p.onCatchUpReq(from, m.From)
-	case *catchUpReply:
-		// Handled synchronously before the pooled box is released; entry
-		// slices taken from it are immutable shares of the responder's
-		// log, the established cross-process idiom for decided values.
+	case catchUpReply:
+		// Entry slices are immutable shares of the responder's log, the
+		// established cross-process idiom for decided values.
 		p.onCatchUpReply(m)
 	default:
 		panic(fmt.Sprintf("ctabcast: unknown payload %T", payload))
@@ -489,10 +465,10 @@ func (p *Process) flushBuffered() {
 // window. Decision forwarding for recently finished instances keeps
 // working inside the window.
 func (p *Process) collectGarbage() {
-	if p.nextDeliver < uint64(p.cfg.InstanceWindow) {
+	if p.nextDeliver < instanceWindow {
 		return
 	}
-	floor := p.nextDeliver - uint64(p.cfg.InstanceWindow)
+	floor := p.nextDeliver - instanceWindow
 	for p.oldest < floor {
 		if s, ok := p.instances[p.oldest]; ok {
 			s.inst.Close()

@@ -35,7 +35,7 @@ type clusterOpts struct {
 	renumber  bool
 	seed      uint64
 	preCrash  []proto.PID
-	logRetain int // decision-log retention; 0 = package default
+	logRetain int // decision-log retention; 0 = the logRetain constant
 }
 
 func newCluster(o clusterOpts) *cluster {
@@ -54,12 +54,14 @@ func newCluster(o clusterOpts) *cluster {
 	for i := 0; i < o.n; i++ {
 		i := i
 		c.procs[i] = New(sys.Proc(proto.PID(i)), Config{
-			Renumber:  o.renumber,
-			LogRetain: o.logRetain,
+			Renumber: o.renumber,
 			Deliver: func(id proto.MsgID, body any) {
 				c.deliveries[i] = append(c.deliveries[i], delivery{id: id, at: eng.Now()})
 			},
 		})
+		if o.logRetain > 0 {
+			c.procs[i].logRetain = o.logRetain
+		}
 		sys.SetHandler(proto.PID(i), c.procs[i])
 	}
 	for _, p := range o.preCrash {
@@ -471,8 +473,8 @@ func TestGarbageCollectionBoundsState(t *testing.T) {
 	if p.NextInstance() < 100 {
 		t.Fatalf("expected many instances, got %d", p.NextInstance())
 	}
-	if len(p.instances) > p.cfg.InstanceWindow+2 {
-		t.Fatalf("instance map grew to %d despite window %d", len(p.instances), p.cfg.InstanceWindow)
+	if len(p.instances) > instanceWindow+2 {
+		t.Fatalf("instance map grew to %d despite window %d", len(p.instances), instanceWindow)
 	}
 	if len(p.bodies) != 0 || len(p.pending) != 0 {
 		t.Fatalf("leftover state: %d bodies, %d pending", len(p.bodies), len(p.pending))

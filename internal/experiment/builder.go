@@ -173,12 +173,15 @@ func (cfg CoreConfig) Validate() error {
 		return fmt.Errorf("experiment: unknown algorithm %d", int(cfg.Algorithm))
 	case cfg.N < 1:
 		return fmt.Errorf("experiment: N = %d", cfg.N)
-	case cfg.Throughput < 0:
-		return fmt.Errorf("experiment: negative throughput")
+	case cfg.Throughput < 0 || cfg.Throughput != cfg.Throughput || cfg.Throughput > maxRate:
+		return fmt.Errorf("experiment: throughput %v, want 0..%g msgs/s", cfg.Throughput, float64(maxRate))
 	case cfg.Lambda < 0 || cfg.Lambda != cfg.Lambda:
 		return fmt.Errorf("experiment: Lambda = %v, want a non-negative CPU/wire cost ratio", cfg.Lambda)
 	case cfg.Topology != nil && cfg.Topology.N != cfg.N:
 		return fmt.Errorf("experiment: topology %q is for %d processes, config has N=%d", cfg.Topology.Name, cfg.Topology.N, cfg.N)
+	}
+	if err := cfg.QoS.Validate(); err != nil {
+		return err
 	}
 	if cfg.Topology != nil {
 		if err := cfg.Topology.Validate(); err != nil {

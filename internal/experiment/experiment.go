@@ -260,8 +260,13 @@ func (c Config) core(seed uint64) CoreConfig {
 // system rules are CoreConfig.Validate's, only the aggregation knobs are
 // the Runner's own.
 func (c Config) validate() error {
-	if c.DistSketch < 0 || c.DistSketch >= 1 {
+	switch {
+	case c.DistSketch < 0 || c.DistSketch >= 1:
 		return fmt.Errorf("experiment: DistSketch = %v, want 0 (exact) or a relative error in (0, 1)", c.DistSketch)
+	case c.Replications < 0:
+		return fmt.Errorf("experiment: Replications = %d", c.Replications)
+	case c.Warmup < 0 || c.Measure < 0 || c.Drain < 0:
+		return fmt.Errorf("experiment: negative window (Warmup %v, Measure %v, Drain %v)", c.Warmup, c.Measure, c.Drain)
 	}
 	return c.core(c.Seed).Validate()
 }
@@ -400,6 +405,24 @@ type TransientConfig struct {
 	// Sender is the process whose probe message is measured. It must
 	// differ from Crash.
 	Sender proto.PID
+}
+
+// validate checks the point once, as Config.validate does for steady
+// ones: the steady rules plus a crashed process and a sender that exist
+// and differ.
+func (c TransientConfig) validate() error {
+	if err := c.Config.validate(); err != nil {
+		return err
+	}
+	for _, p := range []proto.PID{c.Crash, c.Sender} {
+		if p < 0 || int(p) >= c.N {
+			return fmt.Errorf("experiment: crash-transient process %d, want 0..%d", p, c.N-1)
+		}
+	}
+	if c.Crash == c.Sender {
+		return fmt.Errorf("experiment: crash-transient sender must differ from the crashed process (both %d)", c.Crash)
+	}
+	return nil
 }
 
 // TransientResult reports the crash-transient latency L(p, q).

@@ -104,8 +104,7 @@ type repKey struct{ point, rep int }
 //
 // One LatencyDist accumulates one run: point indices restart at 0 for
 // every Runner call, so reusing the observer across runs would overwrite
-// colliding (point, replication) slots. Call Reset between runs, or use
-// a fresh LatencyDist per run.
+// colliding (point, replication) slots. Use a fresh LatencyDist per run.
 type LatencyDist struct {
 	mu   sync.Mutex
 	reps map[repKey]*latencyDistRep
@@ -152,14 +151,6 @@ func (l *LatencyDist) Dist(point int) stats.Collector {
 func (l *LatencyDist) Quantiles(point int) stats.Quantiles {
 	d := l.Dist(point)
 	return d.Quantiles()
-}
-
-// Reset drops every collected distribution, readying the observer for
-// another run.
-func (l *LatencyDist) Reset() {
-	l.mu.Lock()
-	l.reps = make(map[repKey]*latencyDistRep)
-	l.mu.Unlock()
 }
 
 // Points lists the point indices observed so far, ascending.

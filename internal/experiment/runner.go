@@ -135,11 +135,8 @@ func (r *Runner) TransientAll(cfgs []TransientConfig) []TransientResult {
 	reps := make([][]RepStats, len(cfgs))
 	for i, cfg := range cfgs {
 		cfg.Config = cfg.Config.withDefaults()
-		if err := cfg.Config.validate(); err != nil {
+		if err := cfg.validate(); err != nil {
 			panic(err)
-		}
-		if cfg.Crash == cfg.Sender {
-			panic("experiment: crash-transient sender must differ from the crashed process")
 		}
 		pts[i] = cfg
 		counts[i] = cfg.Replications
@@ -180,6 +177,11 @@ func (r *Runner) WorstCaseTransient(cfg TransientConfig, sweepCrash bool) Transi
 			point.Sender = proto.PID(q)
 			points = append(points, point)
 		}
+	}
+	if len(points) == 0 {
+		// Fewer than two processes leave no (crash, sender) pair: hand the
+		// point over as it came, for TransientAll to reject.
+		points = append(points, cfg)
 	}
 	results := r.TransientAll(points)
 	// Pick the maximum in canonical grid order, so ties resolve the same

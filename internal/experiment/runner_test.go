@@ -3,6 +3,7 @@ package experiment
 import (
 	"io"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -282,19 +283,45 @@ func TestRunnerProgress(t *testing.T) {
 }
 
 // TestRunnerValidatesBeforeFanout keeps configuration panics on the
-// caller's goroutine: a bad point anywhere in a batch must panic before
-// any worker starts.
+// caller's goroutine, where a command can report them: a bad point
+// anywhere in a batch must panic before any worker starts, and with an
+// error — the value internal/cli turns into one line — not a runtime
+// fault from inside a replication.
 func TestRunnerValidatesBeforeFanout(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid point in a batch did not panic")
-		}
-	}()
-	var r Runner
-	r.SteadyAll([]Config{
-		{Algorithm: FD, N: 3, Throughput: 10},
-		{Algorithm: FD, N: 0}, // invalid
-	})
+	ok := Config{Algorithm: FD, N: 3, Throughput: 10}
+	steady := func(edit func(*Config)) func(*Runner) {
+		bad := ok
+		edit(&bad)
+		return func(r *Runner) { r.SteadyAll([]Config{ok, bad}) }
+	}
+	transient := func(n int, crash, sender proto.PID) TransientConfig {
+		return TransientConfig{Config: Config{Algorithm: FD, N: n, Throughput: 10}, Crash: crash, Sender: sender}
+	}
+	for name, run := range map[string]func(*Runner){
+		"no processes":             steady(func(c *Config) { c.N = 0 }),
+		"negative replications":    steady(func(c *Config) { c.Replications = -1 }),
+		"negative measure window":  steady(func(c *Config) { c.Measure = -time.Second }),
+		"negative warmup":          steady(func(c *Config) { c.Warmup = -time.Second }),
+		"negative drain":           steady(func(c *Config) { c.Drain = -time.Second }),
+		"transient sender missing": func(r *Runner) { r.Transient(transient(3, 0, 9)) },
+		"transient crash missing":  func(r *Runner) { r.Transient(transient(3, -1, 1)) },
+		"transient sender crashes": func(r *Runner) { r.Transient(transient(3, 1, 1)) },
+		"transient of one process": func(r *Runner) { r.Transient(transient(1, 0, 1)) },
+		"worst case of one process": func(r *Runner) {
+			r.WorstCaseTransient(transient(1, 0, 0), false)
+		},
+	} {
+		func() {
+			defer func() {
+				r := recover()
+				_, bug := r.(runtime.Error)
+				if _, rejected := r.(error); !rejected || bug {
+					t.Errorf("%s: panic(%v), want a rejection with an error before the fan-out", name, r)
+				}
+			}()
+			run(&Runner{Workers: 2})
+		}()
+	}
 }
 
 // TestParallelSimFieldsAreInert pins what cmd/bench's sim.psim_* drive

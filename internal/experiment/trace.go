@@ -3,7 +3,6 @@ package experiment
 import (
 	"bufio"
 	"bytes"
-	"compress/gzip"
 	"encoding/json"
 	"fmt"
 	"hash"
@@ -48,55 +47,22 @@ import (
 //	F <at> <event>                     fault-plan event applied
 //	L <at> <event>                     load-plan event applied
 //	D <process> <origin> <seq> <at>    A-delivery
-//	T <dropped>                        N records dropped to the buffer bound
 //	E <fnv1a digest of the D records>  end of replication
 type Trace struct {
 	mu   sync.Mutex
 	w    io.Writer
 	reps map[repKey]*traceRep
-
-	gzipOut  bool
-	bufLimit int
-}
-
-// TraceOption configures a Trace at construction.
-type TraceOption func(*Trace)
-
-// TraceGzip makes Flush gzip-compress its output: each Flush writes one
-// gzip member, so appending several runs to one file still yields a valid
-// stream. ReplayTrace detects compression automatically, so traces stay
-// replayable either way. Long traces are dominated by repetitive N
-// records and compress by an order of magnitude.
-func TraceGzip() TraceOption { return func(t *Trace) { t.gzipOut = true } }
-
-// TraceBufferLimit bounds each replication's in-memory buffer to roughly
-// the given number of bytes: once a replication's buffer reaches the
-// limit, further N (network lifecycle) records are dropped and counted,
-// and the replication closes with a "T <dropped>" marker. B and D records
-// are always kept — they are small, and the D records carry the replay
-// digest — so a bounded trace still replays and verifies. Multi-minute
-// replications are dominated by N records (tens per message), which is
-// what makes the bound effective.
-func TraceBufferLimit(bytes int) TraceOption {
-	if bytes <= 0 {
-		panic(fmt.Sprintf("experiment: TraceBufferLimit(%d) is not positive", bytes))
-	}
-	return func(t *Trace) { t.bufLimit = bytes }
 }
 
 // NewTrace creates a trace exporter writing to w.
-func NewTrace(w io.Writer, opts ...TraceOption) *Trace {
-	t := &Trace{w: w, reps: make(map[repKey]*traceRep)}
-	for _, opt := range opts {
-		opt(t)
-	}
-	return t
+func NewTrace(w io.Writer) *Trace {
+	return &Trace{w: w, reps: make(map[repKey]*traceRep)}
 }
 
 // Observer is the ObserverFactory of the exporter: pass it in
 // Config.Observers.
 func (t *Trace) Observer(point, rep int, cfg Config) Observer {
-	r := newTraceRep(t.bufLimit)
+	r := newTraceRep()
 	b, err := json.Marshal(headerFromConfig(cfg, point, rep))
 	if err != nil {
 		// The header is plain numbers and slices; failure is a bug here.
@@ -117,30 +83,16 @@ func (t *Trace) Observer(point, rep int, cfg Config) Observer {
 func (t *Trace) Flush() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	w := t.w
-	var gz *gzip.Writer
-	if t.gzipOut {
-		gz = gzip.NewWriter(t.w)
-		w = gz
-	}
 	for _, k := range t.sortedKeys() {
 		r := t.reps[k]
-		if _, err := w.Write(r.buf.Bytes()); err != nil {
+		if _, err := t.w.Write(r.buf.Bytes()); err != nil {
 			return err
 		}
-		if r.droppedNet > 0 {
-			if _, err := fmt.Fprintf(w, "T %d\n", r.droppedNet); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "E %016x\n", r.sum.Sum64()); err != nil {
+		if _, err := fmt.Fprintf(t.w, "E %016x\n", r.sum.Sum64()); err != nil {
 			return err
 		}
 	}
 	t.reps = make(map[repKey]*traceRep)
-	if gz != nil {
-		return gz.Close()
-	}
 	return nil
 }
 
@@ -185,13 +137,9 @@ type traceRep struct {
 	// sum is the running FNV-1a of the delivery (D) records, the digested
 	// subset; reading it (Sum64) does not consume it.
 	sum hash.Hash64
-	// limit bounds buf: at or past it, N records are dropped and counted
-	// instead of appended. Zero means unbounded.
-	limit      int
-	droppedNet int
 }
 
-func newTraceRep(limit int) *traceRep { return &traceRep{sum: fnv.New64a(), limit: limit} }
+func newTraceRep() *traceRep { return &traceRep{sum: fnv.New64a()} }
 
 func (r *traceRep) ObserveBroadcast(b Broadcast) {
 	fmt.Fprintf(&r.buf, "B %d %d %d %d\n", b.Sender, b.ID.Origin, b.ID.Seq, int64(b.At))
@@ -204,10 +152,6 @@ func (r *traceRep) ObserveDelivery(d Delivery) {
 }
 
 func (r *traceRep) ObserveNet(ev netmodel.TraceEvent) {
-	if r.limit > 0 && r.buf.Len() >= r.limit {
-		r.droppedNet++
-		return
-	}
 	fmt.Fprintf(&r.buf, "N %s %d %d %d %s\n",
 		ev.Kind, ev.From, ev.To, int64(ev.At), netmodel.PayloadName(ev.Payload))
 }
@@ -449,22 +393,9 @@ type ReplayResult struct {
 // embedded configuration and compares the delivery digests. The
 // underlying simulations are deterministic, so a mismatch means either
 // the trace was edited or the simulator's behaviour changed since the
-// trace was recorded. Gzip-compressed traces (TraceGzip) are detected
-// automatically.
+// trace was recorded. Lines that are neither a C nor an E record are not
+// needed to re-run and are skipped.
 func Replay(r io.Reader) ([]ReplayResult, error) {
-	br := bufio.NewReader(r)
-	if magic, err := br.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
-		gz, err := gzip.NewReader(br)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: gzip trace: %w", err)
-		}
-		defer gz.Close()
-		return replayPlain(gz)
-	}
-	return replayPlain(br)
-}
-
-func replayPlain(r io.Reader) ([]ReplayResult, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	var out []ReplayResult
@@ -515,25 +446,41 @@ func replayPlain(r io.Reader) ([]ReplayResult, error) {
 // replayOne re-runs a single recorded replication and returns the
 // delivery digest of the re-run.
 func replayOne(h traceHeader) (uint64, error) {
-	cfg, err := configFromHeader(h)
+	cfg, scenario, err := scenarioFromHeader(h)
 	if err != nil {
 		return 0, err
 	}
-	if err := cfg.validate(); err != nil {
-		return 0, fmt.Errorf("experiment: trace header invalid: %w", err)
-	}
-	rec := newTraceRep(0)
+	rec := newTraceRep()
 	cfg.Observers = []ObserverFactory{
 		func(int, int, Config) Observer { return rec },
 	}
+	runReplication(cfg, h.Point, h.Rep, scenario)
+	return rec.sum.Sum64(), nil
+}
+
+// scenarioFromHeader rebuilds what a header recorded — the configuration
+// and the scenario of its kind — and validates it as the Runner would
+// have: a header is input, so everything wrong with it is an error here
+// and nothing is left to panic in the run.
+func scenarioFromHeader(h traceHeader) (Config, Scenario, error) {
+	cfg, err := configFromHeader(h)
+	if err != nil {
+		return cfg, nil, err
+	}
+	var scenario Scenario
 	switch h.Kind {
 	case "steady":
-		runReplication(cfg, h.Point, h.Rep, newSteadyScenario(cfg))
+		err = cfg.validate()
+		scenario = newSteadyScenario(cfg)
 	case "transient":
 		tc := TransientConfig{Config: cfg, Crash: h.Crash, Sender: h.Sender}
-		runReplication(cfg, h.Point, h.Rep, CrashTransient(tc))
+		err = tc.validate()
+		scenario = CrashTransient(tc)
 	default:
-		return 0, fmt.Errorf("experiment: unknown trace kind %q", h.Kind)
+		return cfg, nil, fmt.Errorf("experiment: unknown trace kind %q", h.Kind)
 	}
-	return rec.sum.Sum64(), nil
+	if err != nil {
+		return cfg, nil, fmt.Errorf("experiment: trace header invalid: %w", err)
+	}
+	return cfg, scenario, nil
 }

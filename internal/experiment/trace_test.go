@@ -199,31 +199,96 @@ func TestReplayRejectsTruncatedTrace(t *testing.T) {
 	}
 }
 
-// TestReplayRejectsBadHeaders feeds Replay headers that parse as JSON but
-// describe nothing runnable. Each must come back as an error — a header
-// is input, so none may panic or be silently repaired.
+// badHeaders are trace headers that parse as JSON but describe nothing
+// runnable: a valid steady header (badHeaderLine) with one thing wrong.
+// A key given twice takes its last value, so a row can also replace one
+// of the base's.
+var badHeaders = map[string]string{
+	"geo topology without sites": `"topo":{"gen":"geo","n":3,"sites":0,"perSite":0}`,
+	"unknown plan kind":          `"plan":[{"kind":"meteor","at":5}]`,
+	"retired precrash kind":      `"plan":[{"kind":"precrash","p":1}]`,
+	"unknown load kind":          `"load":[{"kind":"flood"}]`,
+	"plan event of a load kind":  `"plan":[{"kind":"mute","sender":1}]`,
+	"event without a kind":       `"plan":[{"at":5,"p":1}]`,
+	"plan is no array":           `"plan":{"kind":"crash"}`,
+	"event is no object":         `"load":[7]`,
+	"wrong field type":           `"plan":[{"kind":"crash","p":"one"}]`,
+	"fractional instant":         `"load":[{"kind":"pause","at":1.5}]`,
+	"empty monitor list":         `"plan":[{"kind":"suspect","p":1,"by":[]}]`,
+	"process out of range":       `"plan":[{"kind":"crash","p":3}]`,
+	"negative lambda":            `"lambda":-1`,
+	"negative window":            `"drain":-1`,
+	"negative detection time":    `"td":-5`,
+	"transient sender missing":   `"kind":"transient","sender":9`,
+	"transient sender crashes":   `"kind":"transient","crash":1,"sender":1`,
+}
+
+func badHeaderLine(extra string) string {
+	return `C {"kind":"steady","alg":1,"n":3,"throughput":10,"seed":1,"warmup":1,"measure":1,"drain":1,"replications":1,` + extra + "}"
+}
+
+// TestReplayRejectsBadHeaders feeds Replay the bad headers. Each must come
+// back as an error — a header is input, so none may panic or be silently
+// repaired.
 func TestReplayRejectsBadHeaders(t *testing.T) {
-	const base = `"kind":"steady","alg":1,"n":3,"throughput":10,"seed":1,"warmup":1,"measure":1,"drain":1,"replications":1`
-	for name, extra := range map[string]string{
-		"geo topology without sites": `"topo":{"gen":"geo","n":3,"sites":0,"perSite":0}`,
-		"unknown plan kind":          `"plan":[{"kind":"meteor","at":5}]`,
-		"retired precrash kind":      `"plan":[{"kind":"precrash","p":1}]`,
-		"unknown load kind":          `"load":[{"kind":"flood"}]`,
-		"plan event of a load kind":  `"plan":[{"kind":"mute","sender":1}]`,
-		"event without a kind":       `"plan":[{"at":5,"p":1}]`,
-		"plan is no array":           `"plan":{"kind":"crash"}`,
-		"event is no object":         `"load":[7]`,
-		"wrong field type":           `"plan":[{"kind":"crash","p":"one"}]`,
-		"fractional instant":         `"load":[{"kind":"pause","at":1.5}]`,
-		"empty monitor list":         `"plan":[{"kind":"suspect","p":1,"by":[]}]`,
-		"process out of range":       `"plan":[{"kind":"crash","p":3}]`,
-		"negative lambda":            `"lambda":-1`,
-	} {
-		results, err := Replay(strings.NewReader("C {" + base + "," + extra + "}\nE 0000000000000000\n"))
+	for name, extra := range badHeaders {
+		results, err := Replay(strings.NewReader(badHeaderLine(extra) + "\nE 0000000000000000\n"))
 		if err == nil {
 			t.Errorf("%s: replayed without error: %+v", name, results)
 		}
 	}
+}
+
+// FuzzTraceHeader feeds arbitrary bytes to Replay's header path — a whole
+// C line, topology and group specs included — up to the point where the
+// replication would run: whatever the bytes say, the answer is a scenario
+// or an error, never a panic. The topology and group generators allocate
+// by process count, so the target (not the product) caps the sizes it lets
+// through.
+func FuzzTraceHeader(f *testing.F) {
+	f.Add([]byte(goldenSteadyHeader))
+	f.Add([]byte(goldenTransientHeader))
+	for _, extra := range badHeaders {
+		f.Add([]byte(badHeaderLine(extra)))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		var h traceHeader
+		if json.Unmarshal(bytes.TrimPrefix(line, []byte("C ")), &h) != nil || oversized(h) {
+			return
+		}
+		scenarioFromHeader(h)
+	})
+}
+
+// oversized reports whether a header names more than 64 of anything a
+// generator or validator allocates by: processes, sites, groups, wires,
+// edges, or a member id beyond them.
+func oversized(h traceHeader) bool {
+	big := false
+	cap64 := func(vs ...int) {
+		for _, v := range vs {
+			big = big || v > 64
+		}
+	}
+	cap64(h.N)
+	if s := h.Topo; s != nil {
+		cap64(s.N, s.Sites, s.PerSite, s.Sites*s.PerSite, len(s.Wires), len(s.Edges), len(s.Groups))
+		for _, e := range s.Edges {
+			cap64(e[:]...)
+		}
+		for _, g := range s.Groups {
+			cap64(g...)
+		}
+	}
+	if s := h.Groups; s != nil {
+		cap64(s.N, s.K, len(s.Raw))
+		for _, g := range s.Raw {
+			for _, p := range g {
+				cap64(int(p))
+			}
+		}
+	}
+	return big
 }
 
 // goldenHeaderConfigs returns the two configurations of

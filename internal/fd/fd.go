@@ -43,7 +43,8 @@ type QoS struct {
 	TM time.Duration
 }
 
-func (q QoS) validate() error {
+// Validate rejects negative parameters.
+func (q QoS) Validate() error {
 	if q.TD < 0 || q.TMR < 0 || q.TM < 0 {
 		return fmt.Errorf("fd: negative QoS parameter: %+v", q)
 	}
@@ -144,7 +145,7 @@ func (s *Sim) StopMistakes() { s.quiesced = true }
 // independent stream per ordered process pair. The mistake processes (if
 // TMR > 0) start immediately.
 func NewSim(eng *sim.Engine, n int, qos QoS, rng *sim.Rand) *Sim {
-	if err := qos.validate(); err != nil {
+	if err := qos.Validate(); err != nil {
 		panic(err)
 	}
 	if n < 1 {

@@ -108,26 +108,23 @@ type App interface {
 	InstallSync(v View, payload any)
 }
 
-// Config parameterises the membership service.
-type Config struct {
-	// JoinRetry is the interval at which an excluded process re-sends its
-	// join request. Zero selects the default (20 ms — several round trips
-	// of the paper's network model; rejoining too eagerly would understate
-	// the exclusion cost the paper charges to the GM algorithm).
-	JoinRetry time.Duration
-	// StaleTimeout is how long a member may stay behind buffered
+const (
+	// joinRetry is the interval at which an excluded process re-sends its
+	// join request: 20 ms, several round trips of the paper's network
+	// model — rejoining more eagerly would understate the exclusion cost
+	// the paper charges to the GM algorithm.
+	joinRetry = 20 * time.Millisecond
+	// staleTimeout is how long a member may stay behind buffered
 	// future-view traffic, with no view installed meanwhile, before it
 	// concludes the group reconfigured without it — it was partitioned
 	// away and excluded in absentia — and rejoins through the join
 	// protocol. A process excluded while reachable learns its exclusion
 	// from the view-change decision it participates in; a partitioned one
 	// cannot, and without this probe it would stay wedged in its old view
-	// forever after the partition heals. Zero selects 5x JoinRetry.
-	StaleTimeout time.Duration
-}
-
-const (
-	defaultJoinRetry = 20 * time.Millisecond
+	// forever after the partition heals. Five join retries, 100 ms: many
+	// times the few round trips a view change takes on an uncongested
+	// network, so a view merely being installed does not trip it.
+	staleTimeout = 5 * joinRetry
 	// maxExcludedBuffer bounds membership traffic buffered while excluded.
 	maxExcludedBuffer = 4096
 )
@@ -185,7 +182,6 @@ const (
 // GM is the membership endpoint at one process.
 type GM struct {
 	rt  proto.Runtime
-	cfg Config
 	app App
 
 	view    View
@@ -219,16 +215,9 @@ type futureMsg struct {
 }
 
 // New creates the membership service. SetApp must be called before Start.
-func New(rt proto.Runtime, cfg Config) *GM {
-	if cfg.JoinRetry <= 0 {
-		cfg.JoinRetry = defaultJoinRetry
-	}
-	if cfg.StaleTimeout <= 0 {
-		cfg.StaleTimeout = 5 * cfg.JoinRetry
-	}
+func New(rt proto.Runtime) *GM {
 	return &GM{
 		rt:           rt,
-		cfg:          cfg,
 		flushes:      make(map[proto.PID][]UnstableMsg),
 		targets:      make(map[proto.PID]bool),
 		pendingJoins: make(map[proto.PID]uint64),
@@ -438,10 +427,10 @@ func (g *GM) armStaleProbe() {
 		return
 	}
 	g.staleViewID = g.view.ID
-	g.staleTimer = g.rt.After(g.cfg.StaleTimeout, g.staleCheck)
+	g.staleTimer = g.rt.After(staleTimeout, g.staleCheck)
 }
 
-// staleCheck fires one StaleTimeout after future-view traffic appeared.
+// staleCheck fires one staleTimeout after future-view traffic appeared.
 // If a view was installed meanwhile, the member is making progress and
 // the probe re-arms; if not — a full timeout behind the group with no
 // install — the group demonstrably reconfigured without us while we could
@@ -749,9 +738,9 @@ func (g *GM) startJoinLoop() {
 			return
 		}
 		g.sendJoin()
-		g.joinTimer = g.rt.After(g.cfg.JoinRetry, tick)
+		g.joinTimer = g.rt.After(joinRetry, tick)
 	}
-	g.joinTimer = g.rt.After(g.cfg.JoinRetry, tick)
+	g.joinTimer = g.rt.After(joinRetry, tick)
 }
 
 func (g *GM) sendJoin() {

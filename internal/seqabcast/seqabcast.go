@@ -94,15 +94,6 @@ type Config struct {
 	// InitialMembers is the first view (nil means all processes). The
 	// crash-steady scenarios pass the surviving processes only.
 	InitialMembers []proto.PID
-	// GM configures the membership service.
-	GM gm.Config
-	// LogRetain bounds the delivered log kept for state transfer; zero
-	// selects the default. A rejoin reaching below the retained window
-	// panics — raise LogRetain for scenarios with very long exclusions.
-	LogRetain int
-	// BufferLimit bounds protocol messages buffered while excluded;
-	// zero selects the default.
-	BufferLimit int
 	// SeqBase is the initial value of the local A-broadcast counter. A
 	// recovered incarnation passes the number of message IDs its previous
 	// incarnations consumed, so new IDs never collide with pre-crash ones
@@ -114,8 +105,17 @@ type Config struct {
 }
 
 const (
-	defaultLogRetain   = 16384
-	defaultBufferLimit = 4096
+	// logRetain bounds the delivered log kept for state transfer. A joiner
+	// whose delivery count lies below the retained window cannot be served
+	// and SyncPayload panics; a recovered incarnation rejoins from zero, so
+	// for crash-recovery the bound is on the whole run. 16384 deliveries is
+	// 20 s at 800 msgs/s, beyond any figure's or example's run before a
+	// Recover (one that reached it would panic).
+	logRetain = 16384
+	// bufferLimit bounds protocol messages buffered while excluded (what
+	// overflows is dropped): a memory cap, the size of gm's
+	// maxExcludedBuffer.
+	bufferLimit = 4096
 )
 
 // Process is the GM atomic broadcast endpoint at one process. It
@@ -175,12 +175,6 @@ func New(rt proto.Runtime, cfg Config) *Process {
 	if cfg.Deliver == nil {
 		panic("seqabcast: nil Deliver")
 	}
-	if cfg.LogRetain <= 0 {
-		cfg.LogRetain = defaultLogRetain
-	}
-	if cfg.BufferLimit <= 0 {
-		cfg.BufferLimit = defaultBufferLimit
-	}
 	p := &Process{
 		rt:        rt,
 		cfg:       cfg,
@@ -189,7 +183,7 @@ func New(rt proto.Runtime, cfg Config) *Process {
 		delivered: proto.NewIDTracker(),
 	}
 	p.resetViewState()
-	p.gm = gm.New(rt, cfg.GM)
+	p.gm = gm.New(rt)
 	p.gm.SetApp(p)
 	return p
 }
@@ -445,7 +439,7 @@ func (p *Process) onDeliver(from proto.PID, m MsgDeliver) {
 // after its state transfer.
 func (p *Process) acceptProtocol(from proto.PID, view uint64, payload any) bool {
 	if p.IsExcluded() {
-		if len(p.buffered) < p.cfg.BufferLimit {
+		if len(p.buffered) < bufferLimit {
 			p.buffered = append(p.buffered, bufferedPayload{from: from, payload: payload})
 		}
 		return false
@@ -508,10 +502,10 @@ func (p *Process) pruneStable() {
 
 // trimLog bounds the state-transfer log.
 func (p *Process) trimLog() {
-	if len(p.log) <= p.cfg.LogRetain+1024 {
+	if len(p.log) <= logRetain+1024 {
 		return
 	}
-	drop := len(p.log) - p.cfg.LogRetain
+	drop := len(p.log) - logRetain
 	p.log = append([]LogEntry{}, p.log[drop:]...)
 	p.logStart += uint64(drop)
 }
@@ -594,8 +588,8 @@ func (p *Process) SyncRequest() uint64 { return p.DeliveredCount() }
 // SyncPayload implements gm.App: the missing suffix of the delivered log.
 func (p *Process) SyncPayload(afterCount uint64) any {
 	if afterCount < p.logStart {
-		panic(fmt.Sprintf("seqabcast: state transfer needs deliveries from %d but log starts at %d; raise LogRetain",
-			afterCount, p.logStart))
+		panic(fmt.Sprintf("seqabcast: state transfer needs deliveries from %d but log starts at %d (the last %d deliveries are kept)",
+			afterCount, p.logStart, logRetain))
 	}
 	start := afterCount - p.logStart
 	entries := make([]LogEntry, len(p.log[start:]))

@@ -115,14 +115,6 @@ func RunSweep(s Sweep) []Result {
 	return r.Sweep(s)
 }
 
-// RunSteadyAll runs several steady-state points at once, fanning every
-// (point, replication) pair out over GOMAXPROCS workers. Results come
-// back in point order, identical to running each point serially.
-func RunSteadyAll(cfgs []Config) []Result {
-	var r Runner
-	return r.SteadyAll(cfgs)
-}
-
 // Collector is a mergeable latency distribution: Welford moments plus
 // every raw observation, supporting exact quantiles, histograms and the
 // early/late population split of the paper's crash and suspicion
@@ -199,23 +191,9 @@ type Trace = experiment.Trace
 // TraceDigest names one replication's delivery digest.
 type TraceDigest = experiment.TraceDigest
 
-// TraceOption configures a Trace exporter at construction.
-type TraceOption = experiment.TraceOption
-
-// TraceGzip makes the trace exporter gzip-compress its output (one gzip
-// member per Flush); ReplayTrace auto-detects compressed traces.
-func TraceGzip() TraceOption { return experiment.TraceGzip() }
-
-// TraceBufferLimit bounds each replication's in-memory trace buffer to
-// roughly the given number of bytes by dropping further network
-// lifecycle records past it (broadcast and delivery records — the
-// replayable, digested core — are always kept). A "T <dropped>" marker
-// records the truncation.
-func TraceBufferLimit(bytes int) TraceOption { return experiment.TraceBufferLimit(bytes) }
-
 // NewTrace creates a trace exporter writing to w; attach it by appending
 // its Observer method to Config.Observers.
-func NewTrace(w io.Writer, opts ...TraceOption) *Trace { return experiment.NewTrace(w, opts...) }
+func NewTrace(w io.Writer) *Trace { return experiment.NewTrace(w) }
 
 // ReplayResult reports one replayed trace replication: the recorded and
 // re-run delivery digests and whether they match.
@@ -231,8 +209,8 @@ func ReplayTrace(r io.Reader) ([]ReplayResult, error) { return experiment.Replay
 // suspicion bursts, partitions and heals, per-link loss and delay. One
 // plan drives every surface — Config.Plan for experiments, Sweep.Plans
 // to cross whole failure schedules with every other axis, and
-// ClusterConfig.Plan (or the Cluster's *At methods) interactively — and
-// planned runs stay deterministic, sweepable and trace-replayable.
+// ClusterConfig.Plan (or the Cluster's Apply) interactively — and planned
+// runs stay deterministic, sweepable and trace-replayable.
 type FaultPlan = experiment.FaultPlan
 
 // NewFaultPlan creates a plan from the given events; the plan's
@@ -281,9 +259,8 @@ type PlanObserver = experiment.PlanObserver
 // pauses. One plan drives every surface — Config.Load for experiments,
 // Sweep.Loads to cross shaping schedules with every other axis (Plans
 // included, so "overload while partitioned" is one grid point), and
-// ClusterConfig.Load (or the Cluster's SetRateAt/BurstAt/MuteAt/...)
-// interactively — and shaped runs stay deterministic, sweepable and
-// trace-replayable. Rate changes consume no randomness: the gap in
+// ClusterConfig.Load (or the Cluster's ApplyLoad) interactively — and
+// shaped runs stay deterministic, sweepable and trace-replayable. Rate changes consume no randomness: the gap in
 // flight rescales (the exponential is memoryless), so a plan that leaves
 // every rate unchanged is bit-identical to no plan at all.
 type LoadPlan = experiment.LoadPlan

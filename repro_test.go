@@ -73,13 +73,28 @@ func TestFacadeAPI(t *testing.T) {
 		}
 	}
 	sort.Strings(lines)
-	got := strings.Join(lines, "\n") + "\n"
-	want, err := os.ReadFile("golden/api.txt")
+	golden, err := os.ReadFile("golden/api.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != string(want) {
-		t.Errorf("exported identifiers differ from golden/api.txt; the package now declares:\n%s", got)
+	if got := strings.Join(lines, "\n") + "\n"; got == string(golden) {
+		return
+	}
+	recorded := make(map[string]bool)
+	for _, line := range strings.Split(strings.TrimSuffix(string(golden), "\n"), "\n") {
+		recorded[line] = true
+	}
+	for _, line := range lines {
+		if !recorded[line] {
+			t.Errorf("not in golden/api.txt: %s", line)
+		}
+		delete(recorded, line)
+	}
+	for line := range recorded {
+		t.Errorf("only in golden/api.txt: %s", line)
+	}
+	if !t.Failed() {
+		t.Error("golden/api.txt holds the right lines in the wrong order or form (sorted, one per line, trailing newline)")
 	}
 }
 
@@ -224,9 +239,6 @@ func TestHelpers(t *testing.T) {
 	if q.TD != 10*time.Millisecond || q.TMR != 100*time.Millisecond || q.TM != 5*time.Millisecond {
 		t.Fatalf("Detectors = %+v", q)
 	}
-	if Perfect() != (QoS{}) {
-		t.Fatal("Perfect() not zero QoS")
-	}
 }
 
 func TestClusterWithHeartbeatDetector(t *testing.T) {
@@ -288,14 +300,14 @@ func TestClusterWorkloadAndLoadMethods(t *testing.T) {
 			eventTimes = append(eventTimes, at)
 		},
 	})
-	c.MuteAt(100*time.Millisecond, 2)
-	c.UnmuteAt(400*time.Millisecond, 2)
-	c.PauseAt(600 * time.Millisecond)
-	c.ResumeAt(700 * time.Millisecond)
-	c.SetRateAt(800*time.Millisecond, int(AllSenders), 600)
+	c.ApplyLoad(Mute{At: 100 * time.Millisecond, Sender: 2})
+	c.ApplyLoad(Unmute{At: 400 * time.Millisecond, Sender: 2})
+	c.ApplyLoad(Pause{At: 600 * time.Millisecond})
+	c.ApplyLoad(Resume{At: 700 * time.Millisecond})
+	c.ApplyLoad(RateChange{At: 800 * time.Millisecond, Sender: AllSenders, Rate: 600})
 	// Silence the workload before draining: RunUntilIdle never returns
 	// while a Poisson source keeps scheduling.
-	c.PauseAt(1200 * time.Millisecond)
+	c.ApplyLoad(Pause{At: 1200 * time.Millisecond})
 	c.Run(1200 * time.Millisecond)
 	c.RunUntilIdle()
 
@@ -354,7 +366,7 @@ func TestClusterLoadValidation(t *testing.T) {
 		}
 	}()
 	c := NewCluster(ClusterConfig{Algorithm: FD, N: 3})
-	c.MuteAt(time.Millisecond, 7)
+	c.ApplyLoad(Mute{At: time.Millisecond, Sender: 7})
 }
 
 // rejection runs fn and returns the message it panicked with ("" if it
@@ -386,7 +398,10 @@ func TestShellsRejectAlike(t *testing.T) {
 		{"majority pre-crashed", Config{Algorithm: FD, N: 3, Crashed: []ProcessID{1, 2}}, "f < n/2"},
 		{"unknown algorithm", Config{Algorithm: 7, N: 3}, "unknown algorithm 7"},
 		{"no processes", Config{Algorithm: FD}, "N = 0"},
-		{"negative throughput", Config{Algorithm: FD, N: 3, Throughput: -1}, "throughput"},
+		{"negative throughput", Config{Algorithm: FD, N: 3, Throughput: -1}, "throughput -1"},
+		{"NaN throughput", Config{Algorithm: FD, N: 3, Throughput: math.NaN()}, "throughput NaN"},
+		{"infinite throughput", Config{Algorithm: FD, N: 3, Throughput: math.Inf(1)}, "throughput +Inf"},
+		{"negative detection time", Config{Algorithm: FD, N: 3, QoS: Detectors(-5, 0, 0)}, "negative QoS"},
 		{"negative lambda", Config{Algorithm: FD, N: 3, Lambda: -1}, "Lambda = -1"},
 		{"NaN lambda", Config{Algorithm: FD, N: 3, Lambda: math.NaN()}, "Lambda = NaN"},
 		{"topology of another size", Config{Algorithm: FD, N: 3, Topology: Ring(4)}, "4 processes"},
@@ -412,7 +427,7 @@ func TestShellsRejectAlike(t *testing.T) {
 		}
 		fromCluster := rejection(func() {
 			NewCluster(ClusterConfig{
-				Algorithm: cfg.Algorithm, N: cfg.N, Lambda: cfg.Lambda, Throughput: cfg.Throughput, Topology: cfg.Topology,
+				Algorithm: cfg.Algorithm, N: cfg.N, Lambda: cfg.Lambda, QoS: cfg.QoS, Throughput: cfg.Throughput, Topology: cfg.Topology,
 				Groups: cfg.Groups, CrossShard: cfg.CrossShard, PreCrashed: pre, Plan: cfg.Plan, Load: cfg.Load,
 			})
 		})
@@ -432,15 +447,15 @@ func TestClusterRejectsInteractiveEventsAtTheCall(t *testing.T) {
 	}
 	gm := sharded(GM)
 	gm.CrashAt(1, time.Millisecond)
-	if msg := rejection(func() { gm.RecoverAt(1, time.Second) }); !strings.Contains(msg, "crash-recovery") {
-		t.Errorf("RecoverAt on a GM groups-mode cluster: %q, want a crash-recovery rejection at the call", msg)
+	if msg := rejection(func() { gm.Apply(Recover{At: time.Second, P: 1}) }); !strings.Contains(msg, "crash-recovery") {
+		t.Errorf("Recover on a GM groups-mode cluster: %q, want a crash-recovery rejection at the call", msg)
 	}
 	gm.Run(2 * time.Second) // nothing was scheduled: Run must not panic
 
 	fd := sharded(FD)
 	fd.CrashAt(1, time.Millisecond)
-	if msg := rejection(func() { fd.RecoverAt(1, time.Second) }); msg != "" {
-		t.Errorf("RecoverAt on an FD groups-mode cluster rejected: %s", msg)
+	if msg := rejection(func() { fd.Apply(Recover{At: time.Second, P: 1}) }); msg != "" {
+		t.Errorf("Recover on an FD groups-mode cluster rejected: %s", msg)
 	}
 	fd.Run(2 * time.Second)
 	if fd.Crashed(1) {
@@ -448,8 +463,8 @@ func TestClusterRejectsInteractiveEventsAtTheCall(t *testing.T) {
 	}
 
 	plain := NewCluster(ClusterConfig{Algorithm: FD, N: 3})
-	if msg := rejection(func() { plain.ShardMixAt(time.Millisecond, 0.5) }); !strings.Contains(msg, "shardmix") {
-		t.Errorf("ShardMixAt without groups: %q, want the shardmix rejection", msg)
+	if msg := rejection(func() { plain.ApplyLoad(ShardMix{At: time.Millisecond, Fraction: 0.5}) }); !strings.Contains(msg, "shardmix") {
+		t.Errorf("ShardMix without groups: %q, want the shardmix rejection", msg)
 	}
 	if msg := rejection(func() { plain.Apply(SuspicionBurst{P: 1, By: []ProcessID{}}) }); !strings.Contains(msg, "empty monitor list") {
 		t.Errorf("Apply of a suspicion by no monitor: %q, want the empty-monitor-list rejection", msg)
