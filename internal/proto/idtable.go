@@ -1,0 +1,104 @@
+package proto
+
+// IDTable is a table keyed by MsgID: one Window of sequence numbers per
+// origin, each slot carrying a presence bit. It stands where the stacks
+// kept a map[MsgID]T — origins are 0..n-1 and an origin's sequence
+// numbers run 1, 2, … — and it iterates in the canonical MsgID order, the
+// order the paper prescribes for delivery and the one every send path
+// needs to stay deterministic, without collecting and sorting keys.
+//
+// Window's two contracts carry over: a pointer returned by Get or handed
+// to an Each callback is valid until the next Put, and a row spans its
+// lowest to its highest live sequence number, so a gap costs gap-sized
+// memory. Delete keeps a row's lower end at its first live entry, so a
+// table whose entries come and go roughly in order stays a few slots per
+// origin however far the sequence numbers have run. The zero IDTable is
+// empty and ready for use.
+type IDTable[T any] struct {
+	rows []Window[idSlot[T]] // by origin
+	n    int
+}
+
+type idSlot[T any] struct {
+	v  T
+	ok bool
+}
+
+// Len returns the number of entries.
+func (t *IDTable[T]) Len() int { return t.n }
+
+// slot returns id's slot, in use or not; nil when its row does not reach
+// that far.
+func (t *IDTable[T]) slot(id MsgID) *idSlot[T] {
+	if uint(id.Origin) >= uint(len(t.rows)) {
+		return nil
+	}
+	return t.rows[id.Origin].Get(id.Seq)
+}
+
+// Get returns the value stored under id, nil when there is none.
+func (t *IDTable[T]) Get(id MsgID) *T {
+	if s := t.slot(id); s != nil && s.ok {
+		return &s.v
+	}
+	return nil
+}
+
+// Put stores v under id, replacing any previous value.
+func (t *IDTable[T]) Put(id MsgID, v T) {
+	for int(id.Origin) >= len(t.rows) {
+		t.rows = append(t.rows, Window[idSlot[T]]{})
+	}
+	row := &t.rows[id.Origin]
+	if row.Lo() == row.Hi() {
+		row.Advance(id.Seq) // an empty row restarts at id, whatever it held before
+	}
+	s := row.At(id.Seq)
+	if !s.ok {
+		s.ok = true
+		t.n++
+	}
+	s.v = v
+}
+
+// Delete removes id's entry, if any, zeroing its slot, and moves the row's
+// lower end past the holes that leaves.
+func (t *IDTable[T]) Delete(id MsgID) {
+	s := t.slot(id)
+	if s == nil || !s.ok {
+		return
+	}
+	*s = idSlot[T]{}
+	t.n--
+	row := &t.rows[id.Origin]
+	if id.Seq != row.Lo() {
+		return
+	}
+	lo := id.Seq + 1
+	for lo < row.Hi() && !row.Get(lo).ok {
+		lo++
+	}
+	row.Advance(lo)
+}
+
+// Each calls fn for every entry in canonical MsgID order. fn may Delete
+// any entry, the one it was handed included; it must not Put.
+func (t *IDTable[T]) Each(fn func(id MsgID, v *T)) {
+	for origin := range t.rows {
+		t.EachFrom(PID(origin), fn)
+	}
+}
+
+// EachFrom is Each over the entries of one origin.
+func (t *IDTable[T]) EachFrom(origin PID, fn func(id MsgID, v *T)) {
+	if uint(origin) >= uint(len(t.rows)) {
+		return
+	}
+	row := &t.rows[origin]
+	for seq, hi := row.Lo(), row.Hi(); seq < hi; seq++ {
+		// Looked up afresh each time: fn may have advanced the row.
+		if s := row.Get(seq); s != nil && s.ok {
+			fn(MsgID{Origin: origin, Seq: seq}, &s.v)
+		}
+	}
+}
