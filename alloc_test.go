@@ -17,14 +17,27 @@ import (
 
 // TestClusterBroadcastAllocBudget bounds the full-stack hot path that
 // cmd/bench times as stack.fd.ns_per_abcast / stack.fd.allocs_per_abcast:
-// one atomic broadcast ordered and delivered on a 3-process FD cluster. The pooling pass took it from 42 to a
-// measured 11 allocs/op; the budget leaves slack for toolchain noise
-// while staying far below the old cost.
+// one atomic broadcast ordered and delivered on a 3-process FD cluster.
+// The pooling pass took it from 42 to 13 allocs/op, the dense tables
+// under rbcast and ctabcast (proto.IDTable, proto.Window) to a measured
+// 7; the budget leaves slack for toolchain noise while staying below
+// what the hash maps cost.
 func TestClusterBroadcastAllocBudget(t *testing.T) {
-	const budget = 16.0
+	clusterBroadcastAllocBudget(t, FD, 9)
+}
+
+// TestClusterBroadcastAllocBudgetGM is the GM twin, stack.gm.* in
+// cmd/bench: measured 23 allocs/op. seqabcast still keeps its per-message
+// state in hash maps; this is the fence the change that moves it onto the
+// dense tables lowers.
+func TestClusterBroadcastAllocBudgetGM(t *testing.T) {
+	clusterBroadcastAllocBudget(t, GM, 26)
+}
+
+func clusterBroadcastAllocBudget(t *testing.T, alg Algorithm, budget float64) {
 	delivered := 0
 	c := NewCluster(ClusterConfig{
-		Algorithm: FD,
+		Algorithm: alg,
 		N:         3,
 		OnDeliver: func(Delivery) { delivered++ },
 	})
@@ -35,7 +48,7 @@ func TestClusterBroadcastAllocBudget(t *testing.T) {
 		iter++
 	}
 	// Warm the free lists: instance slots, message boxes, event records
-	// and map/slice capacity all settle within the first few broadcasts.
+	// and table/slice capacity all settle within the first few broadcasts.
 	for i := 0; i < 64; i++ {
 		step()
 	}
@@ -44,7 +57,7 @@ func TestClusterBroadcastAllocBudget(t *testing.T) {
 		t.Fatal("no deliveries")
 	}
 	if allocs > budget {
-		t.Fatalf("cluster broadcast hot path: %.1f allocs/op, budget %.0f", allocs, budget)
+		t.Fatalf("%v cluster broadcast hot path: %.1f allocs/op, budget %.0f", alg, allocs, budget)
 	}
 }
 

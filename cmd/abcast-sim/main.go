@@ -36,6 +36,7 @@ var (
 	measureFlag   = flag.Duration("measure", 10*time.Second, "virtual measurement window")
 	repsFlag      = flag.Int("reps", 5, "replications")
 	workersFlag   = flag.Int("workers", 0, "parallel replication workers (0 = GOMAXPROCS, 1 = serial)")
+	profiles      = cli.ProfileFlags(flag.CommandLine)
 )
 
 func algorithm(name string) repro.Algorithm {
@@ -59,8 +60,15 @@ func main() {
 }
 
 func run() {
+	alg := algorithm(*algFlag)
+	stop, err := profiles.Start()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "abcast-sim:", err)
+		os.Exit(2)
+	}
+	defer stop()
 	cfg := repro.Config{
-		Algorithm:    algorithm(*algFlag),
+		Algorithm:    alg,
 		N:            *nFlag,
 		Throughput:   *thrFlag,
 		Lambda:       *lambdaFlag,

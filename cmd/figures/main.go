@@ -93,6 +93,7 @@ var (
 	progFlag    = flag.Bool("progress", false, "report replication progress on stderr")
 	traceFlag   = flag.String("trace", "", "write the smoke grid's replayable trace to this file (fig smoke)")
 	replayFlag  = flag.String("replay", "", "replay a trace file, verify delivery digests and exit")
+	profiles    = cli.ProfileFlags(flag.CommandLine)
 )
 
 func main() {
@@ -101,6 +102,17 @@ func main() {
 }
 
 func run() {
+	builders, err := selected(*figFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	stop, err := profiles.Start()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "figures:", err)
+		os.Exit(2)
+	}
+	defer stop()
 	// The runner fans every panel's (point, replication) grid out over a
 	// worker pool; results are bit-identical at any worker count.
 	runner := &repro.Runner{Workers: *workersFlag}
@@ -127,11 +139,6 @@ func run() {
 				best = 0 // next batch counts from zero again
 			}
 		}
-	}
-	builders, err := selected(*figFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
 	}
 	for _, build := range builders {
 		for _, p := range build() {

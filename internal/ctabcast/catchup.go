@@ -74,7 +74,7 @@ const (
 )
 
 // logEntry is one decided batch in the decision log. ids is the decision
-// value in proposal order, shared (immutably) with the decisions map and
+// value in proposal order, shared (immutably) with the instance table and
 // any shipped replies; bodies is parallel to ids, nil where the batch
 // re-decided an ID an earlier batch already delivered (the earlier
 // entry carries the body).
@@ -119,12 +119,14 @@ func (m catchUpReply) String() string {
 // deletes them. The log is trimmed to logRetain entries with hysteresis,
 // always onto a fresh backing array so sub-slices shipped in earlier
 // replies stay immutable.
-func (p *Process) appendLog(ids []proto.MsgID) {
+func (p *Process) appendLog(ids []proto.MsgID, proposer proto.PID) {
 	bodies := make([]any, len(ids))
 	for i, id := range ids {
-		bodies[i] = p.bodies[id]
+		if m := p.msgs.Get(id); m != nil {
+			bodies[i] = m.body
+		}
 	}
-	p.log = append(p.log, logEntry{ids: ids, bodies: bodies, proposer: p.proposers[p.nextDeliver]})
+	p.log = append(p.log, logEntry{ids: ids, bodies: bodies, proposer: proposer})
 	slack := p.logRetain / 2
 	if len(p.log) <= p.logRetain+slack {
 		return
@@ -327,9 +329,8 @@ func (p *Process) applySuffix(r catchUpReply) {
 			continue
 		}
 		e := &r.Entries[i]
-		if _, ok := p.decisions[k]; !ok {
-			p.decisions[k] = e.ids
-			p.proposers[k] = e.proposer
+		if d := p.insts.At(k); !d.decided {
+			d.ids, d.decided, d.proposer = e.ids, true, e.proposer
 		}
 		p.stashBodies(e)
 	}
@@ -338,14 +339,14 @@ func (p *Process) applySuffix(r catchUpReply) {
 
 // stashBodies makes a caught-up entry's payloads available to the drain.
 // Decided IDs must not re-enter the pending set: they are already
-// ordered, so stashing only fills the bodies map.
+// ordered, so a stashed entry is not pending.
 func (p *Process) stashBodies(e *logEntry) {
 	for j, id := range e.ids {
 		if e.bodies[j] == nil || p.adelivered.Seen(id) {
 			continue
 		}
-		if _, have := p.bodies[id]; !have {
-			p.bodies[id] = e.bodies[j]
+		if p.msgs.Get(id) == nil {
+			p.msgs.Put(id, msgEntry{body: e.bodies[j]})
 		}
 	}
 }
@@ -369,45 +370,16 @@ func (p *Process) applySnapshot(r catchUpReply) {
 	// logStart+len(log) == nextDeliver must hold for our own replies.
 	p.log = append(p.log[:0:0], r.Entries...)
 	p.logStart = r.Start
-	// Drop ordering state below the new frontier. Slot recycling order is
-	// unobservable (slots are fully reset on reuse), so map iteration is
-	// safe here.
-	for k, s := range p.instances {
-		if k < p.nextDeliver {
-			s.inst.Close()
-			delete(p.instances, k)
-			p.slotFree = append(p.slotFree, s)
-		}
-	}
-	for k := range p.decisions {
-		if k < p.nextDeliver {
-			delete(p.decisions, k)
-			delete(p.proposers, k)
-		}
-	}
-	for k := range p.buffered {
-		if k < p.nextDeliver {
-			delete(p.buffered, k)
-		}
-	}
-	if p.oldest < p.nextDeliver {
-		p.oldest = p.nextDeliver
-	}
+	// Drop ordering state below the new frontier.
+	p.retire(p.nextDeliver)
 	// Pending messages the snapshot covers were delivered elsewhere:
-	// withdraw them from future proposals and relays, in canonical order
-	// so relay traffic cannot depend on map iteration.
-	var done []proto.MsgID
-	for id := range p.pending {
-		if p.adelivered.Seen(id) {
-			done = append(done, id)
+	// withdraw them from future proposals and relays.
+	p.msgs.Each(func(id proto.MsgID, m *msgEntry) {
+		if m.pending && p.adelivered.Seen(id) {
+			p.take(id)
+			p.rb.MarkStable(id)
 		}
-	}
-	proto.SortMsgIDs(done)
-	for _, id := range done {
-		delete(p.pending, id)
-		delete(p.bodies, id)
-		p.rb.MarkStable(id)
-	}
+	})
 	p.drainDecisions()
 }
 
@@ -422,7 +394,7 @@ func (p *Process) deliverEntry(e *logEntry) {
 		if !p.adelivered.Add(id) {
 			continue
 		}
-		body := p.bodies[id]
+		body := p.take(id)
 		if body == nil {
 			for j, eid := range e.ids {
 				if eid == id {
@@ -431,8 +403,6 @@ func (p *Process) deliverEntry(e *logEntry) {
 				}
 			}
 		}
-		delete(p.bodies, id)
-		delete(p.pending, id)
 		p.rb.MarkStable(id)
 		p.cfg.Deliver(id, body)
 	}

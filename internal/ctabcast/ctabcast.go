@@ -22,7 +22,6 @@ package ctabcast
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"time"
 
@@ -79,8 +78,8 @@ type Config struct {
 
 // instanceWindow bounds how many finished consensus instances are
 // retained for decision forwarding to stragglers: 64 covers the lag a
-// wrong suspicion or a lost message causes while the instance map stays a
-// handful of recycled slots; wider gaps are the decision log's job
+// wrong suspicion or a lost message causes while the instance table stays
+// a handful of recycled slots; wider gaps are the decision log's job
 // (catchup.go).
 const instanceWindow = 64
 
@@ -93,17 +92,24 @@ type Process struct {
 
 	all []proto.PID // all process IDs, the fixed participant set
 
-	pending    map[proto.MsgID]struct{} // received, not yet A-delivered
-	bodies     map[proto.MsgID]any
+	// msgs holds every message this process has a body for and has not
+	// A-delivered yet; npending counts those among them that still await
+	// an order (msgEntry.pending).
+	msgs       proto.IDTable[msgEntry]
+	npending   int
 	adelivered *proto.IDTracker
 
-	instances   map[uint64]*instSlot
-	decisions   map[uint64][]proto.MsgID
-	proposers   map[uint64]proto.PID
-	buffered    map[uint64][]bufferedMsg // consensus msgs for instances we cannot build yet
-	nextDeliver uint64                   // lowest instance whose decision is still undelivered
-	firstCoord  proto.PID                // round-1 coordinator of instance nextDeliver
-	oldest      uint64                   // lowest retained instance
+	// insts is the state of the retained consensus instances by instance
+	// number; its Lo is the oldest retained instance, and messages for
+	// anything below it are dropped.
+	insts proto.Window[instEntry]
+	// buffered holds consensus messages for instances that cannot be
+	// built yet. The one map of the process: it is keyed only by the few
+	// instances ahead of the frontier that a peer ran first under
+	// renumbering — sparse, and touched on no per-message path.
+	buffered    map[uint64][]bufferedMsg
+	nextDeliver uint64    // lowest instance whose decision is still undelivered
+	firstCoord  proto.PID // round-1 coordinator of instance nextDeliver
 
 	// Decision log and catch-up state (see catchup.go). The log covers
 	// instances [logStart, logStart+len(log)), and logStart+len(log) ==
@@ -145,6 +151,25 @@ type instSlot struct {
 	decide func(v consensus.Value, proposer proto.PID)
 }
 
+// msgEntry is one message of the msgs table. A message received by
+// reliable broadcast is pending until a decision orders it; a body
+// stashed from a catch-up reply is already ordered and never is.
+type msgEntry struct {
+	body    any
+	pending bool
+}
+
+// instEntry is what the process knows about one consensus instance: the
+// instance itself once it has been built, and its decision — the batch in
+// proposal order and who proposed it — once that is known, from the
+// instance or from a catch-up reply.
+type instEntry struct {
+	slot     *instSlot
+	ids      []proto.MsgID
+	decided  bool
+	proposer proto.PID
+}
+
 type bufferedMsg struct {
 	from proto.PID
 	m    consensus.Msg
@@ -160,18 +185,13 @@ func New(rt proto.Runtime, cfg Config) *Process {
 	p := &Process{
 		rt:          rt,
 		cfg:         cfg,
-		pending:     make(map[proto.MsgID]struct{}),
-		bodies:      make(map[proto.MsgID]any),
 		adelivered:  proto.NewIDTracker(),
-		instances:   make(map[uint64]*instSlot),
-		decisions:   make(map[uint64][]proto.MsgID),
-		proposers:   make(map[uint64]proto.PID),
 		buffered:    make(map[uint64][]bufferedMsg),
 		nextDeliver: 1,
-		oldest:      1,
 		logStart:    1,
 		logRetain:   logRetain,
 	}
+	p.insts.Advance(1) // instances are numbered from 1
 	p.all = make([]proto.PID, rt.N())
 	for i := range p.all {
 		p.all[i] = proto.PID(i)
@@ -180,7 +200,7 @@ func New(rt proto.Runtime, cfg Config) *Process {
 	// inside instance() would allocate on every instance.
 	p.suspectsFn = rt.Suspects
 	p.refreshFn = func() consensus.Value {
-		if len(p.pending) == 0 {
+		if p.npending == 0 {
 			return nil
 		}
 		return p.proposal()
@@ -226,15 +246,12 @@ func (p *Process) OnMessage(from proto.PID, payload any) {
 func (p *Process) OnSuspect(q proto.PID) {
 	p.rb.OnSuspect(q)
 	// Notify instances in ascending order: a suspicion can make an
-	// instance send (round change), and send order must not depend on map
-	// iteration order or simulations become nondeterministic.
-	ks := make([]uint64, 0, len(p.instances))
-	for k := range p.instances {
-		ks = append(ks, k)
-	}
-	slices.Sort(ks)
-	for _, k := range ks {
-		p.instances[k].inst.OnSuspect(q)
+	// instance send (round change), and the send order must not vary
+	// between runs. Instances built while the walk runs are not notified.
+	for k, hi := p.insts.Lo(), p.insts.Hi(); k < hi; k++ {
+		if e := p.insts.Get(k); e != nil && e.slot != nil {
+			e.slot.inst.OnSuspect(q)
+		}
 	}
 }
 
@@ -243,7 +260,7 @@ func (p *Process) OnSuspect(q proto.PID) {
 func (p *Process) OnTrust(proto.PID) {}
 
 // Pending returns the number of messages awaiting ordering (diagnostics).
-func (p *Process) Pending() int { return len(p.pending) }
+func (p *Process) Pending() int { return p.npending }
 
 // NextInstance returns the lowest undelivered consensus instance
 // (diagnostics).
@@ -254,8 +271,10 @@ func (p *Process) onRBDeliver(id proto.MsgID, body any) {
 	if p.adelivered.Seen(id) {
 		return
 	}
-	p.bodies[id] = body
-	p.pending[id] = struct{}{}
+	// Reliable broadcast delivers an ID once, so whatever the table holds
+	// under it is a stashed body, not a pending message.
+	p.msgs.Put(id, msgEntry{body: body, pending: true})
+	p.npending++
 	// A decided batch may have been stalled waiting for this body.
 	p.drainDecisions()
 	p.maybePropose()
@@ -264,7 +283,7 @@ func (p *Process) onRBDeliver(id proto.MsgID, body any) {
 // maybePropose starts (or feeds a value into) the current consensus
 // instance when there are unordered messages.
 func (p *Process) maybePropose() {
-	if len(p.pending) == 0 {
+	if p.npending == 0 {
 		return
 	}
 	inst := p.instance(p.nextDeliver)
@@ -290,14 +309,31 @@ func (p *Process) maybePropose() {
 	inst.StartLazy()
 }
 
-// proposal snapshots the pending set in canonical order.
+// proposal snapshots the pending set in canonical order, the order the
+// table iterates in.
 func (p *Process) proposal() consensus.Value {
-	ids := make([]proto.MsgID, 0, len(p.pending))
-	for id := range p.pending {
-		ids = append(ids, id)
-	}
-	proto.SortMsgIDs(ids)
+	ids := make([]proto.MsgID, 0, p.npending)
+	p.msgs.Each(func(id proto.MsgID, m *msgEntry) {
+		if m.pending {
+			ids = append(ids, id)
+		}
+	})
 	return ids
+}
+
+// take removes id from the message table and returns its body, nil when
+// the table has none.
+func (p *Process) take(id proto.MsgID) any {
+	m := p.msgs.Get(id)
+	if m == nil {
+		return nil
+	}
+	body := m.body
+	if m.pending {
+		p.npending--
+	}
+	p.msgs.Delete(id)
+	return body
 }
 
 // instance returns (creating on demand) the consensus instance k.
@@ -309,8 +345,8 @@ func (p *Process) proposal() consensus.Value {
 // operation reuses the same handful of slots instead of allocating an
 // instance, transport box, and callback closures per batch.
 func (p *Process) instance(k uint64) *consensus.Instance {
-	if s, ok := p.instances[k]; ok {
-		return s.inst
+	if e := p.insts.Get(k); e != nil && e.slot != nil {
+		return e.slot.inst
 	}
 	first := proto.PID(0)
 	if p.cfg.Renumber {
@@ -341,7 +377,7 @@ func (p *Process) instance(k uint64) *consensus.Instance {
 	} else {
 		s.inst.Reset(cfg, &s.tr)
 	}
-	p.instances[k] = s
+	p.insts.At(k).slot = s
 	return s.inst
 }
 
@@ -352,8 +388,8 @@ func (p *Process) firstCoordFor(k uint64) proto.PID {
 	if k == p.nextDeliver {
 		return p.firstCoord
 	}
-	if prop, ok := p.proposers[k-1]; ok {
-		return prop
+	if e := p.insts.Get(k - 1); e != nil && e.decided {
+		return e.proposer
 	}
 	return p.firstCoord
 }
@@ -364,11 +400,11 @@ func (p *Process) firstCoordFor(k uint64) proto.PID {
 // the coordinator order) arrive.
 func (p *Process) onConsensusMsg(from proto.PID, k uint64, m consensus.Msg) {
 	p.noteInstance(from, k)
-	if k < p.oldest {
+	if k < p.insts.Lo() {
 		return // instance already garbage-collected; peer is far behind
 	}
 	if p.cfg.Renumber && k > p.nextDeliver {
-		if _, exists := p.instances[k]; !exists {
+		if e := p.insts.Get(k); e == nil || e.slot == nil {
 			p.buffered[k] = append(p.buffered[k], bufferedMsg{from: from, m: m})
 			return
 		}
@@ -382,8 +418,8 @@ func (p *Process) onDecide(k uint64, v consensus.Value, proposer proto.PID) {
 	if !ok {
 		panic(fmt.Sprintf("ctabcast: decision of unexpected type %T", v))
 	}
-	p.decisions[k] = ids
-	p.proposers[k] = proposer
+	e := p.insts.Get(k) // in the table: its instance is the caller
+	e.ids, e.decided, e.proposer = ids, true, proposer
 	p.drainDecisions()
 }
 
@@ -392,15 +428,16 @@ func (p *Process) onDecide(k uint64, v consensus.Value, proposer proto.PID) {
 // onRBDeliver.
 func (p *Process) drainDecisions() {
 	for {
-		ids, ok := p.decisions[p.nextDeliver]
-		if !ok {
+		e := p.insts.Get(p.nextDeliver)
+		if e == nil || !e.decided {
 			break
 		}
+		ids, proposer := e.ids, e.proposer
 		// All bodies must be present before the batch is delivered, so
 		// delivery of the whole batch is atomic in ID order.
 		ready := true
 		for _, id := range ids {
-			if _, have := p.bodies[id]; !have && !p.adelivered.Seen(id) {
+			if p.msgs.Get(id) == nil && !p.adelivered.Seen(id) {
 				ready = false
 				break
 			}
@@ -411,7 +448,7 @@ func (p *Process) drainDecisions() {
 		// Log the batch before delivery consumes the bodies: catch-up
 		// serves stragglers from the log long after the consensus
 		// instances themselves are garbage-collected.
-		p.appendLog(ids)
+		p.appendLog(ids, proposer)
 		// Sort into a reused scratch slice; the decision slice itself must
 		// stay in proposal order for decision forwarding. Deliver never
 		// reenters drainDecisions synchronously (all sends go through the
@@ -422,14 +459,12 @@ func (p *Process) drainDecisions() {
 			if !p.adelivered.Add(id) {
 				continue // decided twice across batches; deliver once
 			}
-			body := p.bodies[id]
-			delete(p.bodies, id)
-			delete(p.pending, id)
+			body := p.take(id)
 			p.rb.MarkStable(id)
 			p.cfg.Deliver(id, body)
 		}
 		if p.cfg.Renumber {
-			p.firstCoord = p.proposers[p.nextDeliver]
+			p.firstCoord = proposer
 		}
 		p.nextDeliver++
 		// The previous instance's decision is now superseded by this
@@ -438,8 +473,8 @@ func (p *Process) drainDecisions() {
 		// Without this, a crash would trigger a relay storm across the
 		// whole retained window.
 		if p.nextDeliver >= 3 {
-			if s, ok := p.instances[p.nextDeliver-2]; ok {
-				s.inst.Close()
+			if e := p.insts.Get(p.nextDeliver - 2); e != nil && e.slot != nil {
+				e.slot.inst.Close()
 			}
 		}
 		p.collectGarbage()
@@ -468,19 +503,25 @@ func (p *Process) collectGarbage() {
 	if p.nextDeliver < instanceWindow {
 		return
 	}
-	floor := p.nextDeliver - instanceWindow
-	for p.oldest < floor {
-		if s, ok := p.instances[p.oldest]; ok {
+	p.retire(p.nextDeliver - instanceWindow)
+}
+
+// retire forgets every instance below floor: the instances are closed and
+// their slots recycled, the decisions and buffered messages dropped, and
+// the table's Lo — the watermark that filters any straggler message
+// addressed to a recycled slot's previous instance — rises to floor.
+func (p *Process) retire(floor uint64) {
+	for k, end := p.insts.Lo(), min(floor, p.insts.Hi()); k < end; k++ {
+		if s := p.insts.Get(k).slot; s != nil {
 			s.inst.Close()
-			delete(p.instances, p.oldest)
-			// The slot is safe to reuse: the oldest watermark now filters
-			// any straggler message addressed to its previous instance.
 			p.slotFree = append(p.slotFree, s)
 		}
-		delete(p.decisions, p.oldest)
-		delete(p.proposers, p.oldest)
-		delete(p.buffered, p.oldest)
-		p.oldest++
+	}
+	p.insts.Advance(floor)
+	for k := range p.buffered {
+		if k < floor {
+			delete(p.buffered, k)
+		}
 	}
 }
 

@@ -473,11 +473,11 @@ func TestGarbageCollectionBoundsState(t *testing.T) {
 	if p.NextInstance() < 100 {
 		t.Fatalf("expected many instances, got %d", p.NextInstance())
 	}
-	if len(p.instances) > instanceWindow+2 {
-		t.Fatalf("instance map grew to %d despite window %d", len(p.instances), instanceWindow)
+	if n := p.insts.Hi() - p.insts.Lo(); n > instanceWindow+2 {
+		t.Fatalf("instance table grew to %d despite window %d", n, instanceWindow)
 	}
-	if len(p.bodies) != 0 || len(p.pending) != 0 {
-		t.Fatalf("leftover state: %d bodies, %d pending", len(p.bodies), len(p.pending))
+	if p.msgs.Len() != 0 || p.npending != 0 {
+		t.Fatalf("leftover state: %d bodies, %d pending", p.msgs.Len(), p.npending)
 	}
 }
 
@@ -559,10 +559,10 @@ func TestVeryLateStragglerMessagesIgnored(t *testing.T) {
 	// Messages for instances below the GC window are dropped silently.
 	c := newCluster(clusterOpts{n: 3})
 	p := c.procs[0]
-	p.oldest = 100
+	p.insts.Advance(100)
 	p.OnMessage(1, &consMsg{K: 5, M: consensus.MsgAck{Round: 1}})
 	// Nothing to assert beyond "no panic and no instance created".
-	if _, ok := p.instances[5]; ok {
+	if p.insts.Get(5) != nil {
 		t.Fatal("GC'd instance resurrected")
 	}
 }

@@ -3,29 +3,29 @@ package proto
 // IDTracker is a duplicate-suppression set for MsgIDs with O(1) steady-state
 // memory: per-origin sequence numbers are absorbed into a contiguous
 // watermark as they complete, and only out-of-order IDs occupy the sparse
-// overflow set. Message sequence numbers start at 1.
+// overflow table. Message sequence numbers start at 1.
 //
-// The zero value is not usable; create trackers with NewIDTracker.
+// The zero value is an empty tracker.
 type IDTracker struct {
-	water  map[PID]uint64
-	sparse map[MsgID]struct{}
+	water  []uint64 // by origin; origins not reached yet read 0
+	sparse IDTable[struct{}]
 }
 
 // NewIDTracker returns an empty tracker.
-func NewIDTracker() *IDTracker {
-	return &IDTracker{
-		water:  make(map[PID]uint64),
-		sparse: make(map[MsgID]struct{}),
+func NewIDTracker() *IDTracker { return &IDTracker{} }
+
+// watermark returns the highest sequence number of origin p below which
+// every ID has been added.
+func (t *IDTracker) watermark(p PID) uint64 {
+	if int(p) < len(t.water) {
+		return t.water[p]
 	}
+	return 0
 }
 
 // Seen reports whether id was added before.
 func (t *IDTracker) Seen(id MsgID) bool {
-	if id.Seq <= t.water[id.Origin] {
-		return true
-	}
-	_, ok := t.sparse[id.Origin.pair(id.Seq)]
-	return ok
+	return id.Seq <= t.watermark(id.Origin) || t.sparse.Get(id) != nil
 }
 
 // Add inserts id and reports whether it was newly added (false on
@@ -34,28 +34,30 @@ func (t *IDTracker) Add(id MsgID) bool {
 	if t.Seen(id) {
 		return false
 	}
-	w := t.water[id.Origin]
-	if id.Seq == w+1 {
-		w++
-		// Absorb any sparse successors into the watermark.
-		for {
-			next := id.Origin.pair(w + 1)
-			if _, ok := t.sparse[next]; !ok {
-				break
-			}
-			delete(t.sparse, next)
-			w++
-		}
-		t.water[id.Origin] = w
+	if id.Seq != t.watermark(id.Origin)+1 {
+		t.sparse.Put(id, struct{}{})
 		return true
 	}
-	t.sparse[id.Origin.pair(id.Seq)] = struct{}{}
+	t.raise(id.Origin, id.Seq)
 	return true
+}
+
+// raise lifts origin p's watermark to w, which it must not lower, and
+// absorbs the sparse successors that have become contiguous.
+func (t *IDTracker) raise(p PID, w uint64) {
+	for int(p) >= len(t.water) {
+		t.water = append(t.water, 0)
+	}
+	for next := p.pair(w + 1); t.sparse.Get(next) != nil; next.Seq++ {
+		t.sparse.Delete(next)
+		w++
+	}
+	t.water[p] = w
 }
 
 // SparseLen returns the number of out-of-order IDs currently held, for
 // memory diagnostics in tests.
-func (t *IDTracker) SparseLen() int { return len(t.sparse) }
+func (t *IDTracker) SparseLen() int { return t.sparse.Len() }
 
 // TrackerSnapshot is a copied, point-in-time view of an IDTracker,
 // shippable to another process: the full-snapshot fallback of the FD
@@ -72,15 +74,14 @@ type TrackerSnapshot struct {
 func (t *IDTracker) Snapshot() *TrackerSnapshot {
 	s := &TrackerSnapshot{
 		Water:  make(map[PID]uint64, len(t.water)),
-		Sparse: make([]MsgID, 0, len(t.sparse)),
+		Sparse: make([]MsgID, 0, t.sparse.Len()),
 	}
 	for p, w := range t.water {
-		s.Water[p] = w
+		if w > 0 {
+			s.Water[PID(p)] = w
+		}
 	}
-	for id := range t.sparse {
-		s.Sparse = append(s.Sparse, id)
-	}
-	SortMsgIDs(s.Sparse)
+	t.sparse.Each(func(id MsgID, _ *struct{}) { s.Sparse = append(s.Sparse, id) })
 	return s
 }
 
@@ -90,24 +91,15 @@ func (t *IDTracker) Snapshot() *TrackerSnapshot {
 // cover are dropped.
 func (t *IDTracker) Merge(s *TrackerSnapshot) {
 	for p, w := range s.Water {
-		if w <= t.water[p] {
+		if w <= t.watermark(p) {
 			continue
 		}
-		t.water[p] = w
-		// Absorb sparse successors that have become contiguous.
-		for {
-			next := p.pair(t.water[p] + 1)
-			if _, ok := t.sparse[next]; !ok {
-				break
+		t.sparse.EachFrom(p, func(id MsgID, _ *struct{}) {
+			if id.Seq <= w {
+				t.sparse.Delete(id)
 			}
-			delete(t.sparse, next)
-			t.water[p]++
-		}
-	}
-	for id := range t.sparse {
-		if id.Seq <= t.water[id.Origin] {
-			delete(t.sparse, id)
-		}
+		})
+		t.raise(p, w)
 	}
 	for _, id := range s.Sparse {
 		t.Add(id)

@@ -68,10 +68,10 @@ type Broadcaster struct {
 	cfg       Config
 	seq       uint64
 	delivered *proto.IDTracker
-	// unstable holds the bodies of delivered-but-not-stable messages by
-	// origin: the relay set. MarkStable prunes it, bounding relay
-	// traffic and memory.
-	unstable map[proto.PID]map[proto.MsgID]any
+	// unstable holds the bodies of delivered-but-not-stable messages:
+	// the relay set. MarkStable prunes it, bounding relay traffic and
+	// memory.
+	unstable proto.IDTable[any]
 	// relayed marks messages this process already re-multicast: one relay
 	// per message suffices for agreement, and without the cap a low-TMR
 	// suspicion storm would re-relay the same pending messages every few
@@ -93,7 +93,6 @@ func New(cfg Config) *Broadcaster {
 	return &Broadcaster{
 		cfg:       cfg,
 		delivered: proto.NewIDTracker(),
-		unstable:  make(map[proto.PID]map[proto.MsgID]any),
 		relayed:   proto.NewIDTracker(),
 	}
 }
@@ -125,12 +124,7 @@ func (b *Broadcaster) OnMessage(m Msg) {
 	if !b.delivered.Add(m.ID) {
 		return
 	}
-	set, ok := b.unstable[m.ID.Origin]
-	if !ok {
-		set = make(map[proto.MsgID]any)
-		b.unstable[m.ID.Origin] = set
-	}
-	set[m.ID] = m.Body
+	b.unstable.Put(m.ID, m.Body)
 	b.cfg.Deliver(m.ID, m.Body)
 }
 
@@ -140,40 +134,22 @@ func (b *Broadcaster) OnMessage(m Msg) {
 // one-multicast cost; under suspicion storms each message costs this
 // process at most one extra multicast.
 func (b *Broadcaster) OnSuspect(p proto.PID) {
-	// Relay in canonical ID order: the multicast order decides how the
-	// contended network serialises the relays, so map iteration order
-	// here would make whole simulations nondeterministic.
-	set := b.unstable[p]
-	ids := make([]proto.MsgID, 0, len(set))
-	for id := range set {
-		ids = append(ids, id)
-	}
-	proto.SortMsgIDs(ids)
-	for _, id := range ids {
+	// The table walks p's messages in ID order: the multicast order
+	// decides how the contended network serialises the relays, so it
+	// must not vary between runs.
+	b.unstable.EachFrom(p, func(id proto.MsgID, body *any) {
 		if b.relayed.Add(id) {
-			b.cfg.Multicast(b.box(id, set[id]))
+			b.cfg.Multicast(b.box(id, *body))
 		}
-	}
+	})
 }
 
 // MarkStable records that id is known to be delivered everywhere it needs
 // to be (for the FD algorithm: it was A-delivered, so the consensus
 // decision guarantees system-wide receipt). Stable messages are no longer
 // relayed and their memory is released.
-func (b *Broadcaster) MarkStable(id proto.MsgID) {
-	set := b.unstable[id.Origin]
-	delete(set, id)
-	if len(set) == 0 {
-		delete(b.unstable, id.Origin)
-	}
-}
+func (b *Broadcaster) MarkStable(id proto.MsgID) { b.unstable.Delete(id) }
 
 // UnstableCount returns the current relay-set size, for tests and
 // diagnostics.
-func (b *Broadcaster) UnstableCount() int {
-	n := 0
-	for _, set := range b.unstable {
-		n += len(set)
-	}
-	return n
-}
+func (b *Broadcaster) UnstableCount() int { return b.unstable.Len() }

@@ -28,6 +28,10 @@ type Poisson struct {
 	rate    float64 // events per second of virtual time; <= 0 is silent
 	meanGap float64 // milliseconds between events; 0 when rate <= 0
 	fire    func()
+	// firedFn is the method value p.fired, bound once: arm hands it to the
+	// engine on every arrival, and binding it there would allocate each
+	// time.
+	firedFn func()
 	next    *sim.Event
 	// unitsLeft is the remainder of the inter-event gap in flight, in
 	// units of the mean gap — an Exp(1) draw counting down as virtual
@@ -45,6 +49,7 @@ type Poisson struct {
 // is one exponential gap away, making the process stationary from t=0.
 func NewPoisson(eng *sim.Engine, rng *sim.Rand, rate float64, fire func()) *Poisson {
 	p := &Poisson{eng: eng, rng: rng, fire: fire, unitsLeft: -1}
+	p.firedFn = p.fired
 	if rate > 0 {
 		p.rate = rate
 		p.meanGap = 1000 / rate
@@ -69,7 +74,7 @@ func (p *Poisson) arm() {
 		p.next = nil
 		return
 	}
-	p.next = p.eng.After(gap, p.fired)
+	p.next = p.eng.After(gap, p.firedFn)
 }
 
 func (p *Poisson) fired() {
