@@ -60,7 +60,7 @@ func main() {
 }
 
 func run() {
-	alg := algorithm(*algFlag)
+	alg := algorithm(*algFlag) // exits on an unknown name, before a profile starts
 	stop, err := profiles.Start()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "abcast-sim:", err)

@@ -102,6 +102,7 @@ func main() {
 }
 
 func run() {
+	// Checked first: the exits below would skip the profiles' deferred stop.
 	builders, err := selected(*figFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

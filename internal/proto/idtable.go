@@ -1,8 +1,8 @@
 package proto
 
 // IDTable is a table keyed by MsgID: one Window of sequence numbers per
-// origin, each slot carrying a presence bit. It stands where the stacks
-// kept a map[MsgID]T — origins are 0..n-1 and an origin's sequence
+// origin, each slot carrying a presence bit. It stands where a hash map
+// keyed by MsgID would — origins are 0..n-1 and an origin's sequence
 // numbers run 1, 2, … — and it iterates in the canonical MsgID order, the
 // order the paper prescribes for delivery and the one every send path
 // needs to stay deterministic, without collecting and sorting keys.

@@ -14,8 +14,8 @@ type IDTracker struct {
 // NewIDTracker returns an empty tracker.
 func NewIDTracker() *IDTracker { return &IDTracker{} }
 
-// watermark returns the highest sequence number of origin p below which
-// every ID has been added.
+// watermark returns the sequence number of origin p up to which every ID
+// has been added.
 func (t *IDTracker) watermark(p PID) uint64 {
 	if int(p) < len(t.water) {
 		return t.water[p]

@@ -57,17 +57,17 @@ func (w *Window[T]) At(k uint64) *T {
 	}
 	lo, hi = min(lo, k), max(hi, k+1)
 	if hi-lo > uint64(len(w.ring)) {
-		w.grow(lo, hi)
+		w.grow(hi - lo)
 	}
 	w.lo, w.hi = lo, hi
 	return &w.ring[k&uint64(len(w.ring)-1)]
 }
 
-// grow moves the live slots to a ring large enough for [lo, hi), at least
+// grow moves the live slots to a ring of at least need slots, at least
 // doubling it.
-func (w *Window[T]) grow(lo, hi uint64) {
+func (w *Window[T]) grow(need uint64) {
 	size := max(2*uint64(len(w.ring)), minRing)
-	for size < hi-lo {
+	for size < need {
 		size *= 2
 	}
 	ring := make([]T, size)
