@@ -67,10 +67,10 @@ func clusterBroadcastAllocBudget(t *testing.T, alg Algorithm, budget float64) {
 // fan-out above, the model allocates nothing once warm; the budget of 1
 // tolerates amortised engine-queue growth. The cross-group path on top
 // of this (the router's gram + per-group timestamp proposals, also
-// set-multicasts) pools its envelopes but allocates one pending entry
-// and its proposal map per multi-group message, so its budget is a
-// handful of set-multicasts like this one plus O(1) small allocations
-// per message — cmd/bench's groups-shard workload and its
+// set-multicasts) pools its envelopes and its pending records, so its
+// budget is a handful of set-multicasts like this one plus the gram and
+// proposal payloads — TestClusterMulticastAllocBudget below pins it,
+// cmd/bench's groups-shard workload and its
 // groups.ns_per_mcast_local/_cross metrics record the measured figures.
 func TestMulticastSetAllocBudget(t *testing.T) {
 	const budget = 1.0
@@ -96,6 +96,53 @@ func TestMulticastSetAllocBudget(t *testing.T) {
 	allocs := testing.AllocsPerRun(1024, step)
 	if allocs > budget {
 		t.Fatalf("set multicast hot path: %.2f allocs/op, budget %.0f", allocs, budget)
+	}
+}
+
+// TestClusterMulticastAllocBudget bounds the group-multicast hot path
+// that cmd/bench times as groups.ns_per_mcast_local/_cross: one
+// Cluster.Multicast ordered and delivered on a Disjoint(6, 2) FD cluster,
+// at every member of its destination groups. With the Router's per-message
+// state in hash maps and a fresh pending record and proposal map per
+// message and member it measured 20 allocs/op shard-local and 50 across
+// both groups; pooled records over proto's dense tables measure 11 and 31
+// (the gram, its destination list and one proposal per group remain).
+func TestClusterMulticastAllocBudget(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		dests  func(p int) []int
+		budget float64
+	}{
+		{"shard-local", func(p int) []int { return []int{p / 3} }, 13},
+		{"two-group", func(int) []int { return []int{0, 1} }, 36},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			delivered := 0
+			c := NewCluster(ClusterConfig{
+				Algorithm: FD,
+				N:         6,
+				Groups:    Disjoint(6, 2),
+				OnDeliver: func(Delivery) { delivered++ },
+			})
+			iter := 0
+			step := func() {
+				p := iter % 6
+				c.Multicast(p, tc.dests(p), "m")
+				c.Run(40 * time.Millisecond)
+				iter++
+			}
+			// Warm the free lists and let every table reach its working size.
+			for i := 0; i < 128; i++ {
+				step()
+			}
+			allocs := testing.AllocsPerRun(512, step)
+			if want := iter * 3 * len(tc.dests(0)); delivered != want {
+				t.Fatalf("%d deliveries, want %d", delivered, want)
+			}
+			if allocs > tc.budget {
+				t.Fatalf("%s multicast hot path: %.1f allocs/op, budget %.0f", tc.name, allocs, tc.budget)
+			}
+		})
 	}
 }
 

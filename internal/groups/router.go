@@ -208,9 +208,11 @@ type instance struct {
 	ep      Endpoint
 	sent    uint64
 	// seen dedups group-deliveries by global id (redundant initiations
-	// collapse here); initiated dedups our own initiations.
-	seen      map[proto.MsgID]bool
-	initiated map[proto.MsgID]bool
+	// collapse here; a home origin's ids arrive in sequence and collapse
+	// into its watermark); initiated dedups our own initiations, from
+	// initiation to group-delivery.
+	seen      proto.IDTracker
+	initiated proto.IDTable[struct{}]
 }
 
 // groupRuntime adapts the process's global runtime to one group's local
@@ -236,16 +238,19 @@ func (g *groupRuntime) Suspects(q proto.PID) bool {
 	return g.r.proc.Suspects(g.inst.members[q])
 }
 
-// pending is the ordering state of one multi-destination message at one
-// process: the proposals gathered so far and the delivery payload once
-// some local destination group has agreed on the message.
+// pending is the ordering state of one message at one process: the
+// proposals gathered so far and the delivery payload once some local
+// destination group has agreed on the message. Records are recycled
+// through the Router's free list (ensure, release).
 type pending struct {
 	id      proto.MsgID
 	from    proto.PID
 	dests   []int
 	body    any
 	hasBody bool
-	props   map[int]uint64 // per destination group, once known
+	// props is indexed by group id and kept with the record across reuse;
+	// 0 = unknown: a proposal is a group clock after its ++, so at least 1.
+	props   []uint64
 	known   int
 	final   bool
 	ts      uint64 // final timestamp when final, max known proposal otherwise
@@ -280,13 +285,23 @@ type Router struct {
 	seq    uint64 // per-process global message ids
 	clock  []uint64
 	reqAdv []uint64 // highest advance requested per local group
-	pend   map[proto.MsgID]*pending
-	order  []*pending             // deterministic iteration (insertion order)
-	done   map[proto.MsgID]uint64 // a-delivered ids -> final timestamp
+	pend   proto.IDTable[*pending]
+	order  []*pending // deterministic iteration (insertion order)
+	free   []*pending // released records, reused by ensure
+	// done holds the final timestamp of every a-delivered id, by origin
+	// and sequence number; 0 = not delivered (see doneTS, setDone). It is
+	// the one table here whose rows never advance, because stall recovery
+	// may ask for any delivered id's timestamp: 8 bytes per sequence
+	// number an origin has issued since the first one delivered here, for
+	// the life of one replication. A bare timestamp is half an
+	// IDTable[uint64] slot and needs no presence bit: a final timestamp is
+	// a maximum of proposals, so at least 1.
+	done []proto.Window[uint64]
 
 	envFree []*envelope // this router's envelope pool (see wrap)
 
 	stallArmed bool
+	stallFn    func() // the stall probe's callback, bound once
 }
 
 // NewRouter builds process p's router and its per-group instances, in
@@ -298,18 +313,19 @@ func (c *Coordinator) NewRouter(proc *proto.Proc) *Router {
 		coord: c,
 		proc:  proc,
 		self:  p,
-		pend:  make(map[proto.MsgID]*pending),
-		done:  make(map[proto.MsgID]uint64),
+		done:  make([]proto.Window[uint64], c.m.N()),
+	}
+	r.stallFn = func() {
+		r.stallArmed = false
+		r.retryStalled()
 	}
 	for _, gid := range c.m.GroupsOf(p) {
 		inst := &instance{
-			gid:       gid,
-			pos:       len(r.insts),
-			members:   c.m.Members(gid),
-			local:     c.m.LocalIndex(gid, p),
-			set:       c.sets[gid],
-			seen:      make(map[proto.MsgID]bool),
-			initiated: make(map[proto.MsgID]bool),
+			gid:     gid,
+			pos:     len(r.insts),
+			members: c.m.Members(gid),
+			local:   c.m.LocalIndex(gid, p),
+			set:     c.sets[gid],
 		}
 		var initial []proto.PID
 		if c.pre != nil {
@@ -382,7 +398,7 @@ func (r *Router) Multicast(dests []int, body any) proto.MsgID {
 }
 
 func (r *Router) initiate(inst *instance, g *gmsg) {
-	inst.initiated[g.id] = true
+	inst.initiated.Put(g.id, struct{}{})
 	inst.sent++
 	inst.ep.ABroadcast(g)
 }
@@ -464,12 +480,12 @@ func (r *Router) OnTrust(q proto.PID) {
 // sender is not in: the lowest member initiates immediately, higher
 // members arm rank-staggered fallbacks in case it crashed.
 func (r *Router) handleGram(g *gmsg) {
-	if _, ok := r.done[g.id]; ok {
+	if r.doneTS(g.id) != 0 {
 		return
 	}
 	for _, gid := range g.dests {
 		inst := r.instFor(gid)
-		if inst == nil || inst.seen[g.id] || inst.initiated[g.id] {
+		if inst == nil || inst.pastInitiation(g.id) {
 			continue
 		}
 		if r.coord.m.Contains(gid, g.from) {
@@ -480,21 +496,71 @@ func (r *Router) handleGram(g *gmsg) {
 			continue
 		}
 		r.proc.After(time.Duration(inst.local)*initFallback, func() {
-			if !inst.seen[g.id] && !inst.initiated[g.id] {
+			if !inst.pastInitiation(g.id) {
 				r.initiate(inst, g)
 			}
 		})
 	}
 }
 
-func (r *Router) ensure(id proto.MsgID) *pending {
-	if ent, ok := r.pend[id]; ok {
-		return ent
+// pastInitiation reports whether id needs no (further) initiation into
+// this instance: the group has delivered it or this process has already
+// a-broadcast it.
+func (inst *instance) pastInitiation(id proto.MsgID) bool {
+	return inst.seen.Seen(id) || inst.initiated.Get(id) != nil
+}
+
+// doneTS returns the final timestamp id was a-delivered with here, 0 if
+// it has not been.
+func (r *Router) doneTS(id proto.MsgID) uint64 {
+	if ts := r.done[id.Origin].Get(id.Seq); ts != nil {
+		return *ts
 	}
-	ent := &pending{id: id, props: make(map[int]uint64), created: r.proc.Now()}
-	r.pend[id] = ent
+	return 0
+}
+
+// setDone records id as a-delivered with final timestamp ts (at least 1).
+func (r *Router) setDone(id proto.MsgID, ts uint64) {
+	row := &r.done[id.Origin]
+	if row.Lo() == row.Hi() {
+		row.Advance(id.Seq) // the row starts at the first id delivered here
+	}
+	*row.At(id.Seq) = ts
+}
+
+// ensure returns id's pending record, taking one off the free list (or
+// the heap, while the pool warms up) on first sight of the id.
+func (r *Router) ensure(id proto.MsgID) *pending {
+	if ent := r.pend.Get(id); ent != nil {
+		return *ent
+	}
+	var ent *pending
+	if n := len(r.free); n > 0 {
+		ent, r.free = r.free[n-1], r.free[:n-1]
+	} else {
+		ent = &pending{props: make([]uint64, r.coord.m.NumGroups())}
+	}
+	ent.id, ent.created = id, r.proc.Now()
+	r.pend.Put(id, ent)
 	r.order = append(r.order, ent)
 	return ent
+}
+
+// release takes a delivered record out of the pending set and returns it
+// to the free list with nothing of this life left in it but the capacity
+// of props.
+func (r *Router) release(ent *pending) {
+	r.pend.Delete(ent.id)
+	for i, e := range r.order {
+		if e == ent {
+			r.order = append(r.order[:i], r.order[i+1:]...)
+			break
+		}
+	}
+	props := ent.props
+	clear(props)
+	*ent = pending{props: props}
+	r.free = append(r.free, ent)
 }
 
 // onGroupDeliver consumes one group's agreed stream: fresh messages tick
@@ -503,13 +569,12 @@ func (r *Router) ensure(id proto.MsgID) *pending {
 func (r *Router) onGroupDeliver(inst *instance, body any) {
 	switch b := body.(type) {
 	case *gmsg:
-		if inst.seen[b.id] {
+		if !inst.seen.Add(b.id) {
 			return
 		}
-		inst.seen[b.id] = true
-		delete(inst.initiated, b.id)
+		inst.initiated.Delete(b.id)
 		r.clock[inst.pos]++
-		if _, ok := r.done[b.id]; ok {
+		if r.doneTS(b.id) != 0 {
 			// Already a-delivered here (a recovery short-circuited the
 			// timestamp); the stream position still ticks the clock so
 			// this member stays aligned with the group.
@@ -520,7 +585,7 @@ func (r *Router) onGroupDeliver(inst *instance, body any) {
 		if !ent.hasBody {
 			ent.from, ent.dests, ent.body, ent.hasBody = b.from, b.dests, b.body, true
 		}
-		if _, ok := ent.props[inst.gid]; !ok {
+		if ent.props[inst.gid] == 0 {
 			ent.props[inst.gid] = prop
 			ent.known++
 			if prop > ent.ts {
@@ -528,7 +593,7 @@ func (r *Router) onGroupDeliver(inst *instance, body any) {
 			}
 			if ent.known == len(b.dests) {
 				ent.final = true
-				r.eagerAdvance(ent)
+				r.eagerAdvance(ent.ts)
 			}
 		}
 		if len(b.dests) > 1 {
@@ -564,11 +629,11 @@ func (r *Router) sendProps(inst *instance, b *gmsg, prop uint64) {
 }
 
 func (r *Router) onTSProp(t *tsProp) {
-	if _, ok := r.done[t.id]; ok {
+	if r.doneTS(t.id) != 0 {
 		return // late duplicate; we are done with this message
 	}
 	ent := r.ensure(t.id)
-	if _, ok := ent.props[t.gid]; ok {
+	if ent.props[t.gid] != 0 {
 		return
 	}
 	ent.props[t.gid] = t.ts
@@ -578,58 +643,59 @@ func (r *Router) onTSProp(t *tsProp) {
 	}
 	if ent.hasBody && ent.known == len(ent.dests) {
 		ent.final = true
-		r.eagerAdvance(ent)
+		r.eagerAdvance(ent.ts)
 	}
 	r.pump()
 }
 
 func (r *Router) onTSReq(from proto.PID, t *tsReq) {
-	if ts, ok := r.done[t.id]; ok {
+	if ts := r.doneTS(t.id); ts != 0 {
 		r.proc.Send(from, &tsFinal{id: t.id, ts: ts})
 		return
 	}
-	ent, ok := r.pend[t.id]
-	if !ok {
+	p := r.pend.Get(t.id)
+	if p == nil {
 		return
 	}
+	ent := *p
 	if ent.hasBody {
 		for _, gid := range ent.dests {
-			if ts, ok := ent.props[gid]; ok {
+			if ts := ent.props[gid]; ts != 0 {
 				r.proc.Send(from, &tsProp{id: t.id, gid: gid, ts: ts})
 			}
 		}
 		return
 	}
-	for gid := 0; gid < r.coord.m.NumGroups(); gid++ {
-		if ts, ok := ent.props[gid]; ok {
+	for gid, ts := range ent.props {
+		if ts != 0 {
 			r.proc.Send(from, &tsProp{id: t.id, gid: gid, ts: ts})
 		}
 	}
 }
 
 func (r *Router) onTSFinal(t *tsFinal) {
-	if _, ok := r.done[t.id]; ok {
+	if r.doneTS(t.id) != 0 {
 		return
 	}
 	ent := r.ensure(t.id)
 	if !ent.final {
 		ent.final = true
 		ent.ts = t.ts
-		r.eagerAdvance(ent)
+		r.eagerAdvance(t.ts)
 	}
 	r.pump()
 }
 
-// eagerAdvance requests clock advances for a just-finalized entry the
-// moment its timestamp is known, instead of waiting for it to reach the
+// eagerAdvance requests clock advances for a just-finalized entry (ts is
+// its final timestamp) the moment its timestamp is known, instead of waiting for it to reach the
 // head of the delivery queue: the advance's consensus round then runs
 // concurrently with the head-of-line wait behind earlier entries.
 // Without this, every cross-group delivery serializes behind a full
 // consensus round and the merge pipeline's capacity collapses.
-func (r *Router) eagerAdvance(ent *pending) {
+func (r *Router) eagerAdvance(ts uint64) {
 	for pos, inst := range r.insts {
-		if r.clock[pos] < ent.ts {
-			r.requestAdvance(inst, pos, ent.ts)
+		if r.clock[pos] < ts {
+			r.requestAdvance(inst, pos, ts)
 		}
 	}
 }
@@ -655,11 +721,11 @@ func (r *Router) pump() {
 			r.armStall()
 			return
 		}
-		lag := false
+		lag, ts := false, head.ts
 		for pos, inst := range r.insts {
-			if r.clock[pos] < head.ts {
+			if r.clock[pos] < ts {
 				lag = true
-				r.requestAdvance(inst, pos, head.ts)
+				r.requestAdvance(inst, pos, ts)
 			}
 		}
 		if lag {
@@ -670,15 +736,10 @@ func (r *Router) pump() {
 			// already passed this message, so the body must be here.
 			panic(fmt.Sprintf("groups: process %d delivering %s without a body", r.self, head.id))
 		}
-		r.done[head.id] = head.ts
-		delete(r.pend, head.id)
-		for i, e := range r.order {
-			if e == head {
-				r.order = append(r.order[:i], r.order[i+1:]...)
-				break
-			}
-		}
-		r.coord.deliver(r.self, head.id, head.body, r.proc.Now())
+		id, body := head.id, head.body
+		r.setDone(id, ts)
+		r.release(head)
+		r.coord.deliver(r.self, id, body, r.proc.Now())
 	}
 }
 
@@ -703,10 +764,7 @@ func (r *Router) armStall() {
 		return
 	}
 	r.stallArmed = true
-	r.proc.After(stallRetry, func() {
-		r.stallArmed = false
-		r.retryStalled()
-	})
+	r.proc.After(stallRetry, r.stallFn)
 }
 
 func (r *Router) retryStalled() {
@@ -725,7 +783,7 @@ func (r *Router) retryStalled() {
 	}
 	if r.proc.Now().Sub(head.created) >= stallRetry && head.hasBody {
 		for _, gid := range head.dests {
-			if _, ok := head.props[gid]; ok {
+			if head.props[gid] != 0 {
 				continue
 			}
 			if r.instFor(gid) == nil && !r.coord.m.Contains(gid, head.from) {

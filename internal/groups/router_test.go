@@ -240,3 +240,18 @@ func TestLateDuplicatesOfDelivered(t *testing.T) {
 		}
 	}
 }
+
+// A pending record recycled from a delivered message shows nothing of its
+// previous life — no proposal, body, destination list or final timestamp:
+// the next id to take it starts unknown in every group and stays pending.
+func TestRecycledRecordStartsEmpty(t *testing.T) {
+	g, _ := delivered62(t) // every process released a record that held g0@1 and g1@3
+	id := proto.MsgID{Origin: 5, Seq: 70}
+	for _, to := range []proto.PID{1, 4} {
+		g.sys.Proc(0).Send(to, &tsProp{id: id, gid: 0, ts: 5})
+	}
+	g.run(20 * time.Millisecond)
+	g.wantReplies(0, 1, id, "tsprop 5:70 g0@5")
+	g.wantReplies(0, 4, id, "tsprop 5:70 g0@5")
+	g.wantDelivered(id)
+}
