@@ -686,10 +686,11 @@ func (r *Router) onTSFinal(t *tsFinal) {
 	r.pump()
 }
 
-// eagerAdvance requests clock advances for a just-finalized entry (ts is
-// its final timestamp) the moment its timestamp is known, instead of waiting for it to reach the
-// head of the delivery queue: the advance's consensus round then runs
-// concurrently with the head-of-line wait behind earlier entries.
+// eagerAdvance requests clock advances for an entry just finalized at
+// timestamp ts the moment that timestamp is known, instead of waiting for
+// it to reach the head of the delivery queue: the advance's consensus
+// round then runs concurrently with the head-of-line wait behind earlier
+// entries.
 // Without this, every cross-group delivery serializes behind a full
 // consensus round and the merge pipeline's capacity collapses.
 func (r *Router) eagerAdvance(ts uint64) {
@@ -721,6 +722,8 @@ func (r *Router) pump() {
 			r.armStall()
 			return
 		}
+		// ts is read once: an a-broadcast below that delivered on the spot
+		// would re-enter pump and could recycle head under this loop.
 		lag, ts := false, head.ts
 		for pos, inst := range r.insts {
 			if r.clock[pos] < ts {
