@@ -8,6 +8,7 @@ import (
 	"repro/internal/fd"
 	"repro/internal/netmodel"
 	"repro/internal/proto"
+	"repro/internal/sim"
 )
 
 // countingObserver records every event kind the chain can feed it.
@@ -58,6 +59,53 @@ func TestObserverChainFeedsAllEventKinds(t *testing.T) {
 		if o.netEvents < o.broadcasts {
 			t.Fatalf("rep %d: %d net events for %d broadcasts", rep, o.netEvents, o.broadcasts)
 		}
+	}
+}
+
+// orderObserver appends its tag and the hook's letter to a log shared by
+// the observers of one replication.
+type orderObserver struct {
+	tag byte
+	log *[]byte
+}
+
+func (o orderObserver) note(hook byte)                  { *o.log = append(*o.log, o.tag, hook) }
+func (o orderObserver) ObserveDelivery(Delivery)        { o.note('D') }
+func (o orderObserver) ObserveBroadcast(Broadcast)      { o.note('B') }
+func (o orderObserver) ObserveNet(netmodel.TraceEvent)  { o.note('N') }
+func (o orderObserver) ObservePlan(sim.Time, PlanEvent) { o.note('F') }
+func (o orderObserver) ObserveLoad(sim.Time, LoadEvent) { o.note('L') }
+
+// TestObserversCalledInFactoryOrder pins the fan-out: every event of every
+// kind reaches the replication's observers in Config.Observers order.
+func TestObserversCalledInFactoryOrder(t *testing.T) {
+	const ms = time.Millisecond
+	var log []byte
+	tagged := func(tag byte) ObserverFactory {
+		return func(int, int, Config) Observer { return orderObserver{tag, &log} }
+	}
+	cfg := Config{
+		Algorithm:    FD,
+		N:            3,
+		Throughput:   50,
+		Plan:         NewFaultPlan().Suspect(250*ms, 0, 20*ms, 1),
+		Load:         NewLoadPlan().Burst(300*ms, 50*ms, AllSenders, 2),
+		Warmup:       200 * ms,
+		Measure:      300 * ms,
+		Drain:        5 * time.Second,
+		Replications: 1,
+		Observers:    []ObserverFactory{tagged('a'), tagged('b')},
+	}
+	(&Runner{Workers: 1}).Steady(cfg)
+	seen := map[byte]bool{}
+	for i := 0; i+3 < len(log); i += 4 {
+		if log[i] != 'a' || log[i+2] != 'b' || log[i+1] != log[i+3] {
+			t.Fatalf("event %d reached the observers as %q, want a then b", i/4, log[i:i+4])
+		}
+		seen[log[i+1]] = true
+	}
+	if len(log)%4 != 0 || len(seen) != 5 {
+		t.Fatalf("%d hook calls over kinds %v, want all of D B N F L, each to both observers", len(log)/2, seen)
 	}
 }
 

@@ -104,3 +104,75 @@ func TestClusterRunsTheRunnersReplication(t *testing.T) {
 		})
 	}
 }
+
+// TestClusterRunsTheRunnersTransientReplication is the crash-transient
+// twin: an interactive Cluster given the replication's seed and workload,
+// a CrashAt and a BroadcastAt at Warmup, is the Runner's crash-transient
+// replication — same deliveries up to the probe's first, which lands at
+// the instant the Runner measured.
+func TestClusterRunsTheRunnersTransientReplication(t *testing.T) {
+	for _, alg := range []experiment.Algorithm{experiment.FD, experiment.GM} {
+		t.Run(alg.String(), func(t *testing.T) {
+			var want []delivered
+			cfg := experiment.TransientConfig{
+				Config: experiment.Config{
+					Algorithm:    alg,
+					N:            3,
+					Throughput:   100,
+					QoS:          repro.Detectors(10, 0, 0),
+					Seed:         11,
+					Warmup:       500 * time.Millisecond,
+					Drain:        5 * time.Second,
+					Replications: 1,
+					Observers: []experiment.ObserverFactory{
+						func(point, rep int, _ experiment.Config) experiment.Observer { return recorder{&want} },
+					},
+				},
+				Crash:  0,
+				Sender: 1,
+			}
+			r := experiment.Runner{Workers: 1}
+			res := r.Transient(cfg)
+			if res.Lost != 0 {
+				t.Fatalf("the Runner's replication lost its probe: %+v", res)
+			}
+
+			var got []delivered
+			var probeAt time.Duration
+			c := repro.NewCluster(repro.ClusterConfig{
+				Algorithm:  cfg.Algorithm,
+				N:          cfg.N,
+				QoS:        cfg.QoS,
+				Seed:       experiment.RepSeed(cfg.Seed, 0),
+				Throughput: cfg.Throughput,
+				OnDeliver: func(d repro.Delivery) {
+					got = append(got, delivered{proto.PID(d.Process), d.ID, d.At})
+					if d.Body == "probe" && probeAt == 0 {
+						probeAt = d.At
+					}
+				},
+			})
+			c.CrashAt(int(cfg.Crash), cfg.Warmup)
+			c.BroadcastAt(int(cfg.Sender), cfg.Warmup, "probe")
+			c.Run(cfg.Warmup + cfg.Drain)
+
+			if probeAt == 0 {
+				t.Fatal("the cluster never delivered the probe")
+			}
+			latency := float64(probeAt-cfg.Warmup) / float64(time.Millisecond)
+			if latency != res.Latency.Mean {
+				t.Errorf("cluster delivered the probe %v ms after the crash, the Runner measured %v ms", latency, res.Latency.Mean)
+			}
+			// The Runner stops draining in the slice the probe landed in; the
+			// Cluster ran on.
+			if len(want) == 0 || len(got) < len(want) {
+				t.Fatalf("cluster delivered %d times, the replication %d times", len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("delivery %d: cluster %+v, replication %+v", i, got[i], want[i])
+				}
+			}
+		})
+	}
+}

@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"encoding/json"
+	"hash/fnv"
 	"reflect"
 	"strings"
 	"testing"
@@ -414,5 +415,89 @@ func TestTraceHeaderGolden(t *testing.T) {
 		if got := "C " + string(again); got != tc.want {
 			t.Errorf("%s: decoded header re-encodes differently\n got: %s\nwant: %s", tc.name, got, tc.want)
 		}
+	}
+}
+
+// fullTraceDigest is FNV-1a over every byte a Trace flushed — all of the
+// C/B/N/F/L/D/E lines, where the E record digests only the D lines.
+func fullTraceDigest(t *testing.T, run func(tr *Trace)) (uint64, string) {
+	t.Helper()
+	var buf bytes.Buffer
+	tr := NewTrace(&buf)
+	run(tr)
+	if err := tr.Flush(); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	h := fnv.New64a()
+	h.Write(buf.Bytes())
+	return h.Sum64(), buf.String()
+}
+
+// TestFullTraceGolden pins one steady and one crash-transient replication
+// line for line. The Trace's per-replication observer implements all five
+// observer interfaces, so the order of its lines is the order in which the
+// replication pipeline calls its observers' hooks: a refactor of that
+// pipeline must reproduce both streams byte for byte. The two digests were
+// recorded from the code that preceded the one-pipeline refactor; never
+// re-record them to make a change pass.
+func TestFullTraceGolden(t *testing.T) {
+	const ms = time.Millisecond
+	base := Config{
+		N:            3,
+		Throughput:   60,
+		QoS:          fd.QoS{TD: 10 * ms},
+		Seed:         23,
+		Warmup:       300 * ms,
+		Measure:      700 * ms,
+		Drain:        5 * time.Second,
+		Replications: 1,
+	}
+
+	steady := base
+	steady.Algorithm = FD
+	steady.Plan = NewFaultPlan().
+		Suspect(350*ms, 0, 30*ms, 1).
+		Crash(500*ms, 2).
+		Recover(800*ms, 2)
+	steady.Load = NewLoadPlan().
+		Burst(400*ms, 100*ms, AllSenders, 3).
+		Mute(600*ms, 1).
+		Unmute(900*ms, 1)
+	got, text := fullTraceDigest(t, func(tr *Trace) {
+		steady.Observers = []ObserverFactory{tr.Observer}
+		if res := (&Runner{Workers: 1}).Steady(steady); res.Messages == 0 || res.Diverged {
+			t.Fatalf("steady replication measured nothing: %+v", res)
+		}
+	})
+	for _, marker := range []string{"C {", "\nB ", "\nN send ", "\nN wire ", "\nN deliver ", "\nN drop ",
+		"\nF 350000000 ", "\nF 500000000 crash p2\n", "\nF 800000000 recover p2\n",
+		"\nL 400000000 ", "\nL 600000000 ", "\nL 900000000 ", "\nD ", "\nE "} {
+		if !strings.Contains(text, marker) {
+			t.Errorf("steady trace has no %q line", marker)
+		}
+	}
+	if want := uint64(0x40a5978ffb621203); got != want {
+		t.Errorf("steady full-trace digest = %#016x, want %#016x (%d lines)", got, want, strings.Count(text, "\n"))
+	}
+
+	transient := TransientConfig{Config: base, Crash: 0, Sender: 1}
+	transient.Algorithm = GM
+	got, text = fullTraceDigest(t, func(tr *Trace) {
+		transient.Observers = []ObserverFactory{tr.Observer}
+		if res := (&Runner{Workers: 1}).Transient(transient); res.Lost != 0 {
+			t.Fatalf("crash-transient replication lost its probe: %+v", res)
+		}
+	})
+	// At the crash instant the scripted crash applies first, then the
+	// sender A-broadcasts the probe: the first B line after the F line is
+	// the probe's, in the same instant.
+	_, after, crashed := strings.Cut(text, "\nF 300000000 crash p0\n")
+	_, after, _ = strings.Cut("\n"+after, "\nB ")
+	probe, _, _ := strings.Cut(after, "\n")
+	if !crashed || !strings.HasPrefix(probe, "1 1 ") || !strings.HasSuffix(probe, " 300000000") {
+		t.Errorf("crash-transient trace: first broadcast after the crash at 300 ms is %q, want the probe of p1 in that instant", "B "+probe)
+	}
+	if want := uint64(0x5f4e7be3033ba6ba); got != want {
+		t.Errorf("crash-transient full-trace digest = %#016x, want %#016x (%d lines)", got, want, strings.Count(text, "\n"))
 	}
 }
