@@ -29,6 +29,7 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/fd"
@@ -163,9 +164,8 @@ type Config struct {
 	// confidence interval. Zero selects 5.
 	Replications int
 	// Observers lists cross-cutting observer factories; the replication
-	// engine builds one observer per replication from each and feeds it
-	// the replication's events alongside the scenario. See Observer,
-	// LatencyDist and Trace.
+	// pipeline builds one observer per replication from each and feeds it
+	// the replication's events. See Observer, LatencyDist and Trace.
 	Observers []ObserverFactory
 	// DistSketch switches the per-point latency distributions
 	// (Result.Dist, RepStats.Latencies, LatencyDist) from exact raw-value
@@ -177,14 +177,14 @@ type Config struct {
 	// [0, 1). Sketch-mode results remain bit-identical at any worker
 	// count — bucket-count merges commute.
 	DistSketch float64
-	// transient carries the crash-transient parameters down to observers
-	// when the runner executes the transient scenario, so a trace records
-	// the replayable scenario kind. Set by Runner.TransientAll only.
+	// transient, when set, makes the point a crash-transient one: the
+	// kind travels as data to the replication pipeline, to validate and to
+	// trace headers. Set from a TransientConfig (point) or a trace header.
 	transient *transientInfo
 }
 
-// transientInfo is the crash-transient scenario's identity as seen by
-// observers.
+// transientInfo is the crash-transient kind's pair: the process crashed at
+// Warmup and the sender of the probe.
 type transientInfo struct {
 	crash, sender proto.PID
 }
@@ -257,8 +257,9 @@ func (c Config) core(seed uint64) CoreConfig {
 }
 
 // validate checks the point once, before any replication runs: the
-// system rules are CoreConfig.Validate's, only the aggregation knobs are
-// the Runner's own.
+// system rules are CoreConfig.Validate's, only the aggregation knobs and
+// the crash-transient pair — a crashed process and a sender that exist,
+// differ and are alive at the start — are the Runner's own.
 func (c Config) validate() error {
 	switch {
 	case c.DistSketch < 0 || c.DistSketch >= 1:
@@ -268,7 +269,22 @@ func (c Config) validate() error {
 	case c.Warmup < 0 || c.Measure < 0 || c.Drain < 0:
 		return fmt.Errorf("experiment: negative window (Warmup %v, Measure %v, Drain %v)", c.Warmup, c.Measure, c.Drain)
 	}
-	return c.core(c.Seed).Validate()
+	if err := c.core(c.Seed).Validate(); err != nil || c.transient == nil {
+		return err
+	}
+	crash, sender := c.transient.crash, c.transient.sender
+	for _, p := range []proto.PID{crash, sender} {
+		if p < 0 || int(p) >= c.N {
+			return fmt.Errorf("experiment: crash-transient process %d, want 0..%d", p, c.N-1)
+		}
+		if slices.Contains(c.Crashed, p) {
+			return fmt.Errorf("experiment: crash-transient process %d is in Crashed: the crashed process and the sender must be alive at the start", p)
+		}
+	}
+	if crash == sender {
+		return fmt.Errorf("experiment: crash-transient sender must differ from the crashed process (both %d)", crash)
+	}
+	return nil
 }
 
 // newDistCollector returns an empty latency collector in the mode
@@ -317,69 +333,6 @@ type Result struct {
 // under legitimate load are orders of magnitude smaller.
 const DivergenceBacklog = 2000
 
-// cluster is the Runner's shell around one replication's Core: it adds
-// what only the experiment harness needs — the divergence backlog and the
-// observer feeds. Everything else (validation aside, which runs once per
-// point) is the Core's.
-type cluster struct {
-	core *Core
-	// onDeliver is invoked for every A-delivery at every process; at is
-	// the delivery instant.
-	onDeliver func(p proto.PID, id proto.MsgID, at sim.Time)
-	// onBroadcast, if non-nil, is invoked for every A-broadcast issued
-	// through broadcast() — the feed of BroadcastObservers; at is the
-	// broadcast instant.
-	onBroadcast func(sender proto.PID, id proto.MsgID, at sim.Time)
-	// broadcasts and deliveredAt0 are the backlog accounting used for
-	// divergence detection: every broadcast issued through broadcast()
-	// versus deliveries observed at process 0 (always alive in steady
-	// scenarios: crash-steady crashes the highest PIDs). In groups mode
-	// only multicasts whose destination groups contain p0 count — p0
-	// never delivers the rest.
-	broadcasts   int
-	deliveredAt0 int
-}
-
-// broadcast A-broadcasts body from sender through the Core, maintains the
-// backlog accounting and feeds the broadcast observers. Scenarios must
-// broadcast through it.
-func (c *cluster) broadcast(sender int, body any) proto.MsgID {
-	id, dests := c.core.Broadcast(sender, body)
-	counts := dests == nil
-	for _, g := range dests {
-		if c.core.Coord.Map().Contains(g, 0) {
-			counts = true
-			break
-		}
-	}
-	if counts {
-		c.broadcasts++
-	}
-	if c.onBroadcast != nil {
-		c.onBroadcast(proto.PID(sender), id, c.core.Eng.Now())
-	}
-	return id
-}
-
-// backlog returns the number of broadcasts not yet delivered at p0.
-func (c *cluster) backlog() int { return c.broadcasts - c.deliveredAt0 }
-
-// newCluster assembles one replication's system from a validated point.
-func newCluster(cfg Config, seed uint64) *cluster {
-	c := &cluster{}
-	cc := cfg.core(seed)
-	cc.Deliver = func(pid proto.PID, id proto.MsgID, body any, at sim.Time) {
-		if pid == 0 {
-			c.deliveredAt0++
-		}
-		if c.onDeliver != nil {
-			c.onDeliver(pid, id, at)
-		}
-	}
-	c.core = NewCore(cc)
-	return c
-}
-
 // repSeed derives the seed of one replication.
 func repSeed(base uint64, rep int) uint64 {
 	r := sim.NewRand(base)
@@ -403,26 +356,16 @@ type TransientConfig struct {
 	// case: the coordinator/sequencer, process 0).
 	Crash proto.PID
 	// Sender is the process whose probe message is measured. It must
-	// differ from Crash.
+	// differ from Crash, and neither may be listed in Crashed.
 	Sender proto.PID
 }
 
-// validate checks the point once, as Config.validate does for steady
-// ones: the steady rules plus a crashed process and a sender that exist
-// and differ.
-func (c TransientConfig) validate() error {
-	if err := c.Config.validate(); err != nil {
-		return err
-	}
-	for _, p := range []proto.PID{c.Crash, c.Sender} {
-		if p < 0 || int(p) >= c.N {
-			return fmt.Errorf("experiment: crash-transient process %d, want 0..%d", p, c.N-1)
-		}
-	}
-	if c.Crash == c.Sender {
-		return fmt.Errorf("experiment: crash-transient sender must differ from the crashed process (both %d)", c.Crash)
-	}
-	return nil
+// point returns the crash-transient point as the replication pipeline
+// takes it: the Config with the kind and its pair attached.
+func (c TransientConfig) point() Config {
+	cfg := c.Config
+	cfg.transient = &transientInfo{crash: c.Crash, sender: c.Sender}
+	return cfg
 }
 
 // TransientResult reports the crash-transient latency L(p, q).

@@ -18,23 +18,21 @@ type Broadcast struct {
 	At     sim.Time
 }
 
-// Observer receives a replication's observable events. Observers are the
-// composable half of the scenario split: a Scenario decides what load and
-// faults a replication runs and which statistic it collects, while
-// observers attach cross-cutting measurement — latency distributions,
-// trace export, anything event-driven — to any scenario without touching
-// it. Config.Observers lists the factories; the replication engine builds
-// one observer instance per replication and feeds it every A-delivery.
-//
-// An observer that also implements BroadcastObserver receives every
-// A-broadcast, and one that implements NetObserver receives every
-// message lifecycle point from the network model's tracer.
+// Observer receives a replication's observable events. The replication
+// pipeline (runReplication) runs the workload and the faults and measures
+// the awaited messages' latency; observers attach everything else —
+// latency distributions, trace export, anything event-driven — to any
+// point of either kind without touching it. Config.Observers lists the
+// factories; the pipeline builds one instance per replication from each
+// and calls them in that order, for every A-delivery and for whichever of
+// BroadcastObserver, NetObserver, PlanObserver and LoadObserver the
+// instance also implements.
 //
 // Observer instances are confined to their replication (one goroutine);
 // anything shared across replications must synchronise, and anything
 // aggregated across replications must merge in canonical (point,
 // replication) order to keep results bit-identical at any worker count —
-// see LatencyDist for the pattern.
+// repRegistry is that half, shared by LatencyDist and Trace.
 type Observer interface {
 	// ObserveDelivery is invoked for every A-delivery at every process.
 	ObserveDelivery(d Delivery)
@@ -43,14 +41,14 @@ type Observer interface {
 // BroadcastObserver is implemented by observers that also want the
 // sending side of every message.
 type BroadcastObserver interface {
-	// ObserveBroadcast is invoked for every A-broadcast issued by the
-	// scenario, at the instant it is issued.
+	// ObserveBroadcast is invoked for every A-broadcast of the replication
+	// — the workload's and the crash-transient probe — as it is issued.
 	ObserveBroadcast(b Broadcast)
 }
 
 // NetObserver is implemented by observers that also want the network
 // model's message lifecycle points (send, wire, deliver, drop). The
-// engine installs netmodel's tracer only when at least one observer of a
+// pipeline installs netmodel's tracer only when at least one observer of a
 // replication asks for it, so replications without a NetObserver pay
 // nothing.
 type NetObserver interface {
@@ -87,6 +85,55 @@ type ObserverFactory func(point, rep int, cfg Config) Observer
 // cross-replication state.
 type repKey struct{ point, rep int }
 
+// repRegistry is the cross-replication half of an observer: replications
+// register their private instance from whatever goroutine runs them, and
+// the owner reads the instances back in canonical (point, replication)
+// order — what keeps its output bit-identical at any worker count. The
+// zero value is empty and ready.
+type repRegistry[T any] struct {
+	mu   sync.Mutex
+	reps map[repKey]T
+}
+
+// repInstance is one registered instance under its key.
+type repInstance[T any] struct {
+	repKey
+	v T
+}
+
+func (g *repRegistry[T]) register(point, rep int, v T) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.reps == nil {
+		g.reps = make(map[repKey]T)
+	}
+	g.reps[repKey{point, rep}] = v
+}
+
+// sorted returns the registered instances in canonical order.
+func (g *repRegistry[T]) sorted() []repInstance[T] {
+	g.mu.Lock()
+	out := make([]repInstance[T], 0, len(g.reps))
+	for k, v := range g.reps {
+		out = append(out, repInstance[T]{k, v})
+	}
+	g.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].point != out[j].point {
+			return out[i].point < out[j].point
+		}
+		return out[i].rep < out[j].rep
+	})
+	return out
+}
+
+// drop empties the registry.
+func (g *repRegistry[T]) drop() {
+	g.mu.Lock()
+	g.reps = nil
+	g.mu.Unlock()
+}
+
 // LatencyDist is a cross-cutting observer measuring the latency from
 // every A-broadcast to its earliest A-delivery on any process, pooled
 // per point into mergeable collectors. Unlike Result.Dist — which holds
@@ -97,23 +144,19 @@ type repKey struct{ point, rep int }
 // distribution around the crash).
 //
 // Attach it by appending its Observer method to Config.Observers: each
-// replication gets a private instance,
-// and per-replication collectors merge in canonical (point, replication)
-// order on first read, so the reported distributions are bit-identical
-// at any Runner.Workers count.
+// replication gets a private instance, and per-replication collectors
+// merge in canonical (point, replication) order on every read, so the
+// reported distributions are bit-identical at any Runner.Workers count.
 //
 // One LatencyDist accumulates one run: point indices restart at 0 for
 // every Runner call, so reusing the observer across runs would overwrite
 // colliding (point, replication) slots. Use a fresh LatencyDist per run.
 type LatencyDist struct {
-	mu   sync.Mutex
-	reps map[repKey]*latencyDistRep
+	reps repRegistry[*latencyDistRep]
 }
 
 // NewLatencyDist creates an empty distribution observer.
-func NewLatencyDist() *LatencyDist {
-	return &LatencyDist{reps: make(map[repKey]*latencyDistRep)}
-}
+func NewLatencyDist() *LatencyDist { return &LatencyDist{} }
 
 // Observer is the ObserverFactory of the distribution: pass it in
 // Config.Observers.
@@ -121,9 +164,7 @@ func (l *LatencyDist) Observer(point, rep int, cfg Config) Observer {
 	// The collector inherits the config's DistSketch mode, so sketch-mode
 	// sweeps keep their per-point observers O(sketch) too.
 	r := &latencyDistRep{sent: make(map[proto.MsgID]sim.Time), lat: cfg.newDistCollector()}
-	l.mu.Lock()
-	l.reps[repKey{point, rep}] = r
-	l.mu.Unlock()
+	l.reps.register(point, rep, r)
 	return r
 }
 
@@ -131,18 +172,11 @@ func (l *LatencyDist) Observer(point, rep int, cfg Config) Observer {
 // merged in replication order. Call it after the run; a point that was
 // never observed returns an empty collector.
 func (l *LatencyDist) Dist(point int) stats.Collector {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	keys := make([]repKey, 0, len(l.reps))
-	for k := range l.reps {
-		if k.point == point {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].rep < keys[j].rep })
 	var out stats.Collector
-	for _, k := range keys {
-		out.Merge(&l.reps[k].lat)
+	for _, r := range l.reps.sorted() {
+		if r.point == point {
+			out.Merge(&r.v.lat)
+		}
 	}
 	return out
 }
@@ -155,17 +189,12 @@ func (l *LatencyDist) Quantiles(point int) stats.Quantiles {
 
 // Points lists the point indices observed so far, ascending.
 func (l *LatencyDist) Points() []int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	seen := make(map[int]bool)
-	for k := range l.reps {
-		seen[k.point] = true
+	out := []int{}
+	for _, r := range l.reps.sorted() {
+		if len(out) == 0 || out[len(out)-1] != r.point {
+			out = append(out, r.point)
+		}
 	}
-	out := make([]int, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
-	}
-	sort.Ints(out)
 	return out
 }
 

@@ -168,10 +168,9 @@ func TestLatencyDistComposesWithSteady(t *testing.T) {
 	}
 }
 
-// TestLatencyDistComposesWithTransient attaches the observer to the
-// crash-transient scenario — the composition the old Scenario.Observe
-// could not express — and checks it captures the background traffic's
-// distribution around the crash.
+// TestLatencyDistComposesWithTransient attaches the observer to a
+// crash-transient point, which itself measures only the probe, and checks
+// it captures the background traffic's distribution around the crash.
 func TestLatencyDistComposesWithTransient(t *testing.T) {
 	ld := NewLatencyDist()
 	cfg := TransientConfig{

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -76,18 +77,30 @@ func (r *Runner) runJobs(n int, job func(i int)) {
 	wg.Wait()
 }
 
-// runGrid fans a (point, replication) grid out over the pool:
-// replications[i] jobs for point i, in canonical (point, replication)
-// order.
-func (r *Runner) runGrid(replications []int, run func(point, rep int)) {
+// runGrid is the body every kind of point shares: validate each (already
+// defaulted) point, panicking with the error of the first bad one, then
+// fan the (point, replication) grid out over the pool through the
+// replication pipeline, jobs in canonical (point, replication) order.
+// Replications come back per point, in replication order, for the
+// caller's own aggregation.
+func (r *Runner) runGrid(pts []Config) [][]RepStats {
 	type job struct{ point, rep int }
 	var jobs []job
-	for i, n := range replications {
-		for rep := 0; rep < n; rep++ {
+	reps := make([][]RepStats, len(pts))
+	for i, cfg := range pts {
+		if err := cfg.validate(); err != nil {
+			panic(err)
+		}
+		reps[i] = make([]RepStats, cfg.Replications)
+		for rep := range reps[i] {
 			jobs = append(jobs, job{i, rep})
 		}
 	}
-	r.runJobs(len(jobs), func(k int) { run(jobs[k].point, jobs[k].rep) })
+	r.runJobs(len(jobs), func(k int) {
+		j := jobs[k]
+		reps[j.point][j.rep] = runReplication(pts[j.point], j.point, j.rep)
+	})
+	return reps
 }
 
 // Steady runs one steady-state experiment point, replications in
@@ -101,23 +114,12 @@ func (r *Runner) Steady(cfg Config) Result {
 // point order and are identical to running each point serially.
 func (r *Runner) SteadyAll(cfgs []Config) []Result {
 	pts := make([]Config, len(cfgs))
-	counts := make([]int, len(cfgs))
-	reps := make([][]RepStats, len(cfgs))
 	for i, cfg := range cfgs {
-		cfg = cfg.withDefaults()
-		if err := cfg.validate(); err != nil {
-			panic(err)
-		}
-		pts[i] = cfg
-		counts[i] = cfg.Replications
-		reps[i] = make([]RepStats, cfg.Replications)
+		pts[i] = cfg.withDefaults()
 	}
-	r.runGrid(counts, func(point, rep int) {
-		reps[point][rep] = runReplication(pts[point], point, rep, newSteadyScenario(pts[point]))
-	})
 	out := make([]Result, len(pts))
-	for i := range pts {
-		out[i] = aggregateSteady(pts[i], reps[i])
+	for i, reps := range r.runGrid(pts) {
+		out[i] = aggregateSteady(pts[i], reps)
 	}
 	return out
 }
@@ -130,57 +132,50 @@ func (r *Runner) Transient(cfg TransientConfig) TransientResult {
 // TransientAll runs several crash-transient points at once, fanning every
 // (point, replication) pair out over the pool.
 func (r *Runner) TransientAll(cfgs []TransientConfig) []TransientResult {
-	pts := make([]TransientConfig, len(cfgs))
-	counts := make([]int, len(cfgs))
-	reps := make([][]RepStats, len(cfgs))
-	for i, cfg := range cfgs {
-		cfg.Config = cfg.Config.withDefaults()
-		if err := cfg.validate(); err != nil {
-			panic(err)
-		}
-		pts[i] = cfg
-		counts[i] = cfg.Replications
-		reps[i] = make([]RepStats, cfg.Replications)
+	cfgs = slices.Clone(cfgs)
+	pts := make([]Config, len(cfgs))
+	for i := range cfgs {
+		cfgs[i].Config = cfgs[i].Config.withDefaults()
+		pts[i] = cfgs[i].point()
 	}
-	r.runGrid(counts, func(point, rep int) {
-		cfg := pts[point].Config
-		cfg.transient = &transientInfo{crash: pts[point].Crash, sender: pts[point].Sender}
-		reps[point][rep] = runReplication(cfg, point, rep, CrashTransient(pts[point]))
-	})
 	out := make([]TransientResult, len(pts))
-	for i := range pts {
-		out[i] = aggregateTransient(pts[i], reps[i])
+	for i, reps := range r.runGrid(pts) {
+		out[i] = aggregateTransient(cfgs[i], reps)
 	}
 	return out
 }
 
 // WorstCaseTransient evaluates L(p, q) over every sender q for the given
-// crashed process (and every p too when sweepCrash is set), running the
-// whole grid's replications through the pool, and returns the maximum
-// mean — the paper's Lcrash.
+// crashed process (and every p too when sweepCrash is set), among the
+// processes alive at the start — those in Crashed can neither crash nor
+// send a probe —, running the whole grid's replications through the pool,
+// and returns the maximum mean — the paper's Lcrash.
 func (r *Runner) WorstCaseTransient(cfg TransientConfig, sweepCrash bool) TransientResult {
+	var live []proto.PID
+	for p := 0; p < cfg.N; p++ {
+		if !slices.Contains(cfg.Crashed, proto.PID(p)) {
+			live = append(live, proto.PID(p))
+		}
+	}
 	crashes := []proto.PID{cfg.Crash}
 	if sweepCrash {
-		crashes = crashes[:0]
-		for p := 0; p < cfg.N; p++ {
-			crashes = append(crashes, proto.PID(p))
-		}
+		crashes = live
 	}
 	var points []TransientConfig
 	for _, crash := range crashes {
-		for q := 0; q < cfg.N; q++ {
-			if proto.PID(q) == crash {
+		for _, q := range live {
+			if q == crash {
 				continue
 			}
 			point := cfg
 			point.Crash = crash
-			point.Sender = proto.PID(q)
+			point.Sender = q
 			points = append(points, point)
 		}
 	}
 	if len(points) == 0 {
-		// Fewer than two processes leave no (crash, sender) pair: hand the
-		// point over as it came, for TransientAll to reject.
+		// Fewer than two live processes leave no (crash, sender) pair: hand
+		// the point over as it came, for TransientAll to reject.
 		points = append(points, cfg)
 	}
 	results := r.TransientAll(points)

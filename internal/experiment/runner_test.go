@@ -86,6 +86,41 @@ func TestWorstCaseTransientAllProbesLost(t *testing.T) {
 	}
 }
 
+// TestWorstCaseTransientSkipsPreCrashed checks the grid holds live
+// processes only: a pre-crashed sender's probe is lost by construction and
+// crashing a pre-crashed process is no crash, so neither is a point —
+// every replication that runs belongs to a (crash, sender) pair of live
+// processes, and each such pair runs.
+func TestWorstCaseTransientSkipsPreCrashed(t *testing.T) {
+	for _, sweepCrash := range []bool{false, true} {
+		cfg := fastTransient(FD)
+		cfg.N, cfg.Crashed, cfg.Replications = 5, []proto.PID{4}, 1
+		var mu sync.Mutex
+		pairs := map[[2]proto.PID]bool{}
+		cfg.Observers = []ObserverFactory{func(_, _ int, c Config) Observer {
+			mu.Lock()
+			defer mu.Unlock()
+			pairs[[2]proto.PID{c.transient.crash, c.transient.sender}] = true
+			return nil
+		}}
+		if worst := WorstCaseTransient(cfg, sweepCrash); worst.Latency.N == 0 {
+			t.Fatalf("sweepCrash=%v: no probe delivered", sweepCrash)
+		}
+		want := 3 // crash p0, senders p1..p3
+		if sweepCrash {
+			want = 4 * 3
+		}
+		if len(pairs) != want {
+			t.Errorf("sweepCrash=%v: ran %d (crash, sender) pairs, want %d: %v", sweepCrash, len(pairs), want, pairs)
+		}
+		for pair := range pairs {
+			if pair[0] == 4 || pair[1] == 4 {
+				t.Errorf("sweepCrash=%v: ran crash=p%d sender=p%d with p4 pre-crashed", sweepCrash, pair[0], pair[1])
+			}
+		}
+	}
+}
+
 // TestWorstCaseTransientParallelMatchesSerial pins the worst-case sweep
 // to the same bits at any worker count, including its canonical-order
 // tie-breaking.
@@ -294,8 +329,8 @@ func TestRunnerValidatesBeforeFanout(t *testing.T) {
 		edit(&bad)
 		return func(r *Runner) { r.SteadyAll([]Config{ok, bad}) }
 	}
-	transient := func(n int, crash, sender proto.PID) TransientConfig {
-		return TransientConfig{Config: Config{Algorithm: FD, N: n, Throughput: 10}, Crash: crash, Sender: sender}
+	transient := func(n int, crash, sender proto.PID, crashed ...proto.PID) TransientConfig {
+		return TransientConfig{Config: Config{Algorithm: FD, N: n, Throughput: 10, Crashed: crashed}, Crash: crash, Sender: sender}
 	}
 	for name, run := range map[string]func(*Runner){
 		"no processes":             steady(func(c *Config) { c.N = 0 }),
@@ -307,6 +342,11 @@ func TestRunnerValidatesBeforeFanout(t *testing.T) {
 		"transient crash missing":  func(r *Runner) { r.Transient(transient(3, -1, 1)) },
 		"transient sender crashes": func(r *Runner) { r.Transient(transient(3, 1, 1)) },
 		"transient of one process": func(r *Runner) { r.Transient(transient(1, 0, 1)) },
+		// A pre-crashed sender's probe is lost in every replication, and
+		// crashing a pre-crashed process is a no-op: the point would measure
+		// steady latency under the crash-transient name.
+		"transient sender pre-crashed": func(r *Runner) { r.Transient(transient(5, 0, 4, 4)) },
+		"transient crash pre-crashed":  func(r *Runner) { r.Transient(transient(5, 4, 1, 4)) },
 		"worst case of one process": func(r *Runner) {
 			r.WorstCaseTransient(transient(1, 0, 0), false)
 		},

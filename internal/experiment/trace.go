@@ -8,9 +8,7 @@ import (
 	"hash"
 	"hash/fnv"
 	"io"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/fd"
@@ -49,15 +47,12 @@ import (
 //	D <process> <origin> <seq> <at>    A-delivery
 //	E <fnv1a digest of the D records>  end of replication
 type Trace struct {
-	mu   sync.Mutex
 	w    io.Writer
-	reps map[repKey]*traceRep
+	reps repRegistry[*traceRep]
 }
 
 // NewTrace creates a trace exporter writing to w.
-func NewTrace(w io.Writer) *Trace {
-	return &Trace{w: w, reps: make(map[repKey]*traceRep)}
-}
+func NewTrace(w io.Writer) *Trace { return &Trace{w: w} }
 
 // Observer is the ObserverFactory of the exporter: pass it in
 // Config.Observers.
@@ -71,9 +66,7 @@ func (t *Trace) Observer(point, rep int, cfg Config) Observer {
 	r.buf.WriteString("C ")
 	r.buf.Write(b)
 	r.buf.WriteByte('\n')
-	t.mu.Lock()
-	t.reps[repKey{point, rep}] = r
-	t.mu.Unlock()
+	t.reps.register(point, rep, r)
 	return r
 }
 
@@ -81,47 +74,26 @@ func (t *Trace) Observer(point, rep int, cfg Config) Observer {
 // (point, replication) order and drops the buffers. Call it once after
 // the run; a Trace can be reused for another run afterwards.
 func (t *Trace) Flush() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, k := range t.sortedKeys() {
-		r := t.reps[k]
-		if _, err := t.w.Write(r.buf.Bytes()); err != nil {
+	for _, r := range t.reps.sorted() {
+		if _, err := t.w.Write(r.v.buf.Bytes()); err != nil {
 			return err
 		}
-		if _, err := fmt.Fprintf(t.w, "E %016x\n", r.sum.Sum64()); err != nil {
+		if _, err := fmt.Fprintf(t.w, "E %016x\n", r.v.sum.Sum64()); err != nil {
 			return err
 		}
 	}
-	t.reps = make(map[repKey]*traceRep)
+	t.reps.drop()
 	return nil
 }
 
 // Digests returns the delivery digest of every buffered replication in
 // canonical (point, replication) order, without flushing.
 func (t *Trace) Digests() []TraceDigest {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]TraceDigest, 0, len(t.reps))
-	for _, k := range t.sortedKeys() {
-		out = append(out, TraceDigest{Point: k.point, Rep: k.rep, Digest: t.reps[k].sum.Sum64()})
+	out := []TraceDigest{}
+	for _, r := range t.reps.sorted() {
+		out = append(out, TraceDigest{Point: r.point, Rep: r.rep, Digest: r.v.sum.Sum64()})
 	}
 	return out
-}
-
-// sortedKeys returns the buffered replication keys in canonical order.
-// Callers must hold t.mu.
-func (t *Trace) sortedKeys() []repKey {
-	keys := make([]repKey, 0, len(t.reps))
-	for k := range t.reps {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].point != keys[j].point {
-			return keys[i].point < keys[j].point
-		}
-		return keys[i].rep < keys[j].rep
-	})
-	return keys
 }
 
 // TraceDigest names one replication's delivery digest.
@@ -446,7 +418,7 @@ func Replay(r io.Reader) ([]ReplayResult, error) {
 // replayOne re-runs a single recorded replication and returns the
 // delivery digest of the re-run.
 func replayOne(h traceHeader) (uint64, error) {
-	cfg, scenario, err := scenarioFromHeader(h)
+	cfg, err := scenarioFromHeader(h)
 	if err != nil {
 		return 0, err
 	}
@@ -454,33 +426,28 @@ func replayOne(h traceHeader) (uint64, error) {
 	cfg.Observers = []ObserverFactory{
 		func(int, int, Config) Observer { return rec },
 	}
-	runReplication(cfg, h.Point, h.Rep, scenario)
+	runReplication(cfg, h.Point, h.Rep)
 	return rec.sum.Sum64(), nil
 }
 
-// scenarioFromHeader rebuilds what a header recorded — the configuration
-// and the scenario of its kind — and validates it as the Runner would
-// have: a header is input, so everything wrong with it is an error here
-// and nothing is left to panic in the run.
-func scenarioFromHeader(h traceHeader) (Config, Scenario, error) {
+// scenarioFromHeader rebuilds what a header recorded — the configuration,
+// of the kind it names — and validates it as the Runner would have: a
+// header is input, so everything wrong with it is an error here and
+// nothing is left to panic in the run.
+func scenarioFromHeader(h traceHeader) (Config, error) {
 	cfg, err := configFromHeader(h)
 	if err != nil {
-		return cfg, nil, err
+		return cfg, err
 	}
-	var scenario Scenario
 	switch h.Kind {
 	case "steady":
-		err = cfg.validate()
-		scenario = newSteadyScenario(cfg)
 	case "transient":
-		tc := TransientConfig{Config: cfg, Crash: h.Crash, Sender: h.Sender}
-		err = tc.validate()
-		scenario = CrashTransient(tc)
+		cfg.transient = &transientInfo{crash: h.Crash, sender: h.Sender}
 	default:
-		return cfg, nil, fmt.Errorf("experiment: unknown trace kind %q", h.Kind)
+		return cfg, fmt.Errorf("experiment: unknown trace kind %q", h.Kind)
 	}
-	if err != nil {
-		return cfg, nil, fmt.Errorf("experiment: trace header invalid: %w", err)
+	if err := cfg.validate(); err != nil {
+		return cfg, fmt.Errorf("experiment: trace header invalid: %w", err)
 	}
-	return cfg, scenario, nil
+	return cfg, nil
 }

@@ -205,23 +205,25 @@ func TestReplayRejectsTruncatedTrace(t *testing.T) {
 // A key given twice takes its last value, so a row can also replace one
 // of the base's.
 var badHeaders = map[string]string{
-	"geo topology without sites": `"topo":{"gen":"geo","n":3,"sites":0,"perSite":0}`,
-	"unknown plan kind":          `"plan":[{"kind":"meteor","at":5}]`,
-	"retired precrash kind":      `"plan":[{"kind":"precrash","p":1}]`,
-	"unknown load kind":          `"load":[{"kind":"flood"}]`,
-	"plan event of a load kind":  `"plan":[{"kind":"mute","sender":1}]`,
-	"event without a kind":       `"plan":[{"at":5,"p":1}]`,
-	"plan is no array":           `"plan":{"kind":"crash"}`,
-	"event is no object":         `"load":[7]`,
-	"wrong field type":           `"plan":[{"kind":"crash","p":"one"}]`,
-	"fractional instant":         `"load":[{"kind":"pause","at":1.5}]`,
-	"empty monitor list":         `"plan":[{"kind":"suspect","p":1,"by":[]}]`,
-	"process out of range":       `"plan":[{"kind":"crash","p":3}]`,
-	"negative lambda":            `"lambda":-1`,
-	"negative window":            `"drain":-1`,
-	"negative detection time":    `"td":-5`,
-	"transient sender missing":   `"kind":"transient","sender":9`,
-	"transient sender crashes":   `"kind":"transient","crash":1,"sender":1`,
+	"geo topology without sites":   `"topo":{"gen":"geo","n":3,"sites":0,"perSite":0}`,
+	"unknown plan kind":            `"plan":[{"kind":"meteor","at":5}]`,
+	"retired precrash kind":        `"plan":[{"kind":"precrash","p":1}]`,
+	"unknown load kind":            `"load":[{"kind":"flood"}]`,
+	"plan event of a load kind":    `"plan":[{"kind":"mute","sender":1}]`,
+	"event without a kind":         `"plan":[{"at":5,"p":1}]`,
+	"plan is no array":             `"plan":{"kind":"crash"}`,
+	"event is no object":           `"load":[7]`,
+	"wrong field type":             `"plan":[{"kind":"crash","p":"one"}]`,
+	"fractional instant":           `"load":[{"kind":"pause","at":1.5}]`,
+	"empty monitor list":           `"plan":[{"kind":"suspect","p":1,"by":[]}]`,
+	"process out of range":         `"plan":[{"kind":"crash","p":3}]`,
+	"negative lambda":              `"lambda":-1`,
+	"negative window":              `"drain":-1`,
+	"negative detection time":      `"td":-5`,
+	"transient sender missing":     `"kind":"transient","sender":9`,
+	"transient sender crashes":     `"kind":"transient","crash":1,"sender":1`,
+	"transient sender pre-crashed": `"kind":"transient","crashed":[2],"sender":2`,
+	"transient crash pre-crashed":  `"kind":"transient","crashed":[2],"crash":2,"sender":1`,
 }
 
 func badHeaderLine(extra string) string {
@@ -242,8 +244,8 @@ func TestReplayRejectsBadHeaders(t *testing.T) {
 
 // FuzzTraceHeader feeds arbitrary bytes to Replay's header path — a whole
 // C line, topology and group specs included — up to the point where the
-// replication would run: whatever the bytes say, the answer is a scenario
-// or an error, never a panic. The topology and group generators allocate
+// replication would run: whatever the bytes say, the answer is a validated
+// configuration or an error, never a panic. The topology and group generators allocate
 // by process count, so the target (not the product) caps the sizes it lets
 // through.
 func FuzzTraceHeader(f *testing.F) {
