@@ -441,7 +441,10 @@ func fullTraceDigest(t *testing.T, run func(tr *Trace)) (uint64, string) {
 // replication pipeline calls its observers' hooks: a refactor of that
 // pipeline must reproduce both streams byte for byte. The two digests were
 // recorded from the code that preceded the one-pipeline refactor; never
-// re-record them to make a change pass.
+// re-record them to make a change pass. A third, GM replication through
+// exclusion, rejoin and crash-recovery pins the sequencer's bookkeeping
+// the same way; its digest was recorded from the sequencer that still
+// rescanned its whole flush set on every stability notice.
 func TestFullTraceGolden(t *testing.T) {
 	const ms = time.Millisecond
 	base := Config{
@@ -501,5 +504,37 @@ func TestFullTraceGolden(t *testing.T) {
 	}
 	if want := uint64(0x5f4e7be3033ba6ba); got != want {
 		t.Errorf("crash-transient full-trace digest = %#016x, want %#016x (%d lines)", got, want, strings.Count(text, "\n"))
+	}
+
+	// The GM stack under load through both of its rejoin paths: a wrong
+	// suspicion excludes p3, which rejoins by state transfer once it ends,
+	// and p4 crashes and comes back as a fresh incarnation that rejoins the
+	// same way. The sequencer's flush sets, stability pruning and
+	// re-sequencing after each view change all shape this stream.
+	gmRun := base
+	gmRun.Algorithm = GM
+	gmRun.N = 5
+	gmRun.Throughput = 400
+	gmRun.Plan = NewFaultPlan().
+		Suspect(400*ms, 3, 60*ms).
+		Crash(600*ms, 4).
+		Recover(750*ms, 4)
+	got, text = fullTraceDigest(t, func(tr *Trace) {
+		gmRun.Observers = []ObserverFactory{tr.Observer}
+		if res := (&Runner{Workers: 1}).Steady(gmRun); res.Messages == 0 || res.Diverged {
+			t.Fatalf("GM replication measured nothing: %+v", res)
+		}
+	})
+	welcomes := 0
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, "N send ") && strings.HasSuffix(line, " gm.MsgWelcome") {
+			welcomes++
+		}
+	}
+	if welcomes != 2 {
+		t.Errorf("GM trace sends %d state transfers, want one per rejoin (2)", welcomes)
+	}
+	if want := uint64(0xc0e57802bbb9359b); got != want {
+		t.Errorf("GM full-trace digest = %#016x, want %#016x (%d lines)", got, want, strings.Count(text, "\n"))
 	}
 }

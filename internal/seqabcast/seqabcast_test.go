@@ -34,6 +34,23 @@ type clusterOpts struct {
 	seed     uint64
 	preCrash []proto.PID
 	members  []proto.PID // initial view; nil means all
+	// afterStep, if non-nil, runs after every handler callback of every
+	// process: an invariant check on the state the step left behind.
+	afterStep func(p *Process)
+}
+
+// checkedHandler runs a state check after each callback of the process.
+type checkedHandler struct {
+	*Process
+	check func(p *Process)
+}
+
+func (h checkedHandler) Init()                 { h.Process.Init(); h.check(h.Process) }
+func (h checkedHandler) OnSuspect(q proto.PID) { h.Process.OnSuspect(q); h.check(h.Process) }
+func (h checkedHandler) OnTrust(q proto.PID)   { h.Process.OnTrust(q); h.check(h.Process) }
+func (h checkedHandler) OnMessage(from proto.PID, m any) {
+	h.Process.OnMessage(from, m)
+	h.check(h.Process)
 }
 
 func newCluster(o clusterOpts) *cluster {
@@ -62,7 +79,11 @@ func newCluster(o clusterOpts) *cluster {
 				c.deliveries[i] = append(c.deliveries[i], delivery{id: id, at: eng.Now()})
 			},
 		})
-		sys.SetHandler(proto.PID(i), c.procs[i])
+		var h proto.Handler = c.procs[i]
+		if o.afterStep != nil {
+			h = checkedHandler{c.procs[i], o.afterStep}
+		}
+		sys.SetHandler(proto.PID(i), h)
 	}
 	for _, p := range o.preCrash {
 		sys.PreCrash(p)
@@ -404,6 +425,28 @@ func TestSequencerAdvantageWithCrashes(t *testing.T) {
 	c.checkAllDelivered(t)
 }
 
+// prunedFlushSet checks stability pruning's postcondition: no delivered
+// message at or below the announced stable prefix is still in the flush
+// set, and every delivered message still there was delivered in this
+// view, below nextDeliver.
+func prunedFlushSet(p *Process) error {
+	for id := range p.received {
+		if !p.delivered.Seen(id) {
+			continue
+		}
+		seq, sequenced := p.seqOf[id]
+		switch {
+		case !sequenced:
+			return fmt.Errorf("delivered %v in the flush set without a sequence number", id)
+		case seq <= p.stableUpTo:
+			return fmt.Errorf("delivered %v (seq %d) in the flush set at stableUpTo %d", id, seq, p.stableUpTo)
+		case seq >= p.nextDeliver:
+			return fmt.Errorf("delivered %v has seq %d, not below nextDeliver %d", id, seq, p.nextDeliver)
+		}
+	}
+	return nil
+}
+
 func TestRandomisedFaultSchedules(t *testing.T) {
 	for seed := uint64(1); seed <= 12; seed++ {
 		rng := sim.NewRand(seed * 7919)
@@ -412,6 +455,11 @@ func TestRandomisedFaultSchedules(t *testing.T) {
 			n:    n,
 			qos:  fd.QoS{TD: 10 * time.Millisecond, TMR: 400 * time.Millisecond, TM: 10 * time.Millisecond},
 			seed: seed,
+			afterStep: func(p *Process) {
+				if err := prunedFlushSet(p); err != nil {
+					t.Fatalf("seed %d: p%d at %v: %v", seed, p.rt.ID(), p.rt.Now(), err)
+				}
+			},
 		})
 		for i := 0; i < 25; i++ {
 			c.broadcastAt(proto.PID(rng.Intn(n)), at(float64(rng.Intn(500))))
