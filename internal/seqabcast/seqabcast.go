@@ -32,7 +32,7 @@ package seqabcast
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/gm"
 	"repro/internal/proto"
@@ -135,20 +135,25 @@ type Process struct {
 	log       []LogEntry
 	logStart  uint64 // delivery count of log[0]
 
-	// Per-view ordering state (reset on every install).
+	// Per-view ordering state (reset on every install). assignments and
+	// seqOf hold only sequence numbers above prunedUpTo: pruneStable drops
+	// each stable delivered one, so they stay as small as the unstable
+	// window however long the view runs.
 	assignments map[uint64]proto.MsgID
 	seqOf       map[proto.MsgID]uint64
 	nextDeliver uint64 // next sequence number to A-deliver
 	haveUpTo    uint64 // contiguous data+seqnum prefix present locally
 	stableUpTo  uint64 // sequencer-announced all-ack prefix
+	prunedUpTo  uint64 // stable delivered prefix already pruned
 
 	// Sequencer-only state.
 	nextAssign uint64
 	toSequence []proto.MsgID
 	batchOpen  bool
 	batchMax   uint64
-	ackedUpTo  map[proto.PID]uint64
-	announced  uint64 // last MsgDeliver UpTo sent
+	ackedUpTo  []uint64 // indexed by PID
+	ackScratch []uint64 // recomputeDeliverable's reused sort buffer
+	announced  uint64   // last MsgDeliver UpTo sent
 
 	// Exclusion state.
 	queued   []queuedBroadcast
@@ -181,6 +186,7 @@ func New(rt proto.Runtime, cfg Config) *Process {
 		bcastSeq:  cfg.SeqBase,
 		received:  make(map[proto.MsgID]any),
 		delivered: proto.NewIDTracker(),
+		ackedUpTo: make([]uint64, rt.N()),
 	}
 	p.resetViewState()
 	p.gm = gm.New(rt)
@@ -368,7 +374,7 @@ func (p *Process) onAck(from proto.PID, m MsgAck) {
 // acknowledged by a majority of the view (sequencer included).
 func (p *Process) recomputeDeliverable() {
 	members := p.gm.View().Members
-	acks := make([]uint64, 0, len(members))
+	acks := p.ackScratch[:0]
 	for _, m := range members {
 		if m == p.rt.ID() {
 			acks = append(acks, p.haveUpTo)
@@ -376,9 +382,10 @@ func (p *Process) recomputeDeliverable() {
 			acks = append(acks, p.ackedUpTo[m])
 		}
 	}
-	sort.Slice(acks, func(i, j int) bool { return acks[i] > acks[j] })
+	p.ackScratch = acks
+	slices.Sort(acks)
 	majority := len(members)/2 + 1
-	deliverable := acks[majority-1]
+	deliverable := acks[len(acks)-majority] // the majority-th largest
 	if deliverable <= p.announced {
 		return
 	}
@@ -490,13 +497,20 @@ func (p *Process) noteStable(s uint64) {
 }
 
 // pruneStable drops bodies of delivered messages that every member is
-// known to have: they can never appear in a flush again.
+// known to have: they can never appear in a flush again. Within a view a
+// message of the flush set is delivered iff its sequence number is below
+// nextDeliver, so those are the assignments up to min(stableUpTo,
+// nextDeliver-1), and the walk resumes where the last one stopped. Their
+// ordering entries go too: neither advanceHave nor deliverUpTo looks
+// below the stable prefix again, and re-sequencing skips delivered IDs.
 func (p *Process) pruneStable() {
-	for id := range p.received {
-		seq, sequenced := p.seqOf[id]
-		if sequenced && seq <= p.stableUpTo && p.delivered.Seen(id) {
-			delete(p.received, id)
-		}
+	upTo := min(p.stableUpTo, p.nextDeliver-1)
+	for p.prunedUpTo < upTo {
+		p.prunedUpTo++
+		id := p.assignments[p.prunedUpTo]
+		delete(p.received, id)
+		delete(p.seqOf, id)
+		delete(p.assignments, p.prunedUpTo)
 	}
 }
 
@@ -506,7 +520,9 @@ func (p *Process) trimLog() {
 		return
 	}
 	drop := len(p.log) - logRetain
-	p.log = append([]LogEntry{}, p.log[drop:]...)
+	n := copy(p.log, p.log[drop:])
+	clear(p.log[n:]) // release the dropped bodies
+	p.log = p.log[:n]
 	p.logStart += uint64(drop)
 }
 
@@ -517,11 +533,12 @@ func (p *Process) resetViewState() {
 	p.nextDeliver = 1
 	p.haveUpTo = 0
 	p.stableUpTo = 0
+	p.prunedUpTo = 0
 	p.nextAssign = 1
 	p.toSequence = nil
 	p.batchOpen = false
 	p.batchMax = 0
-	p.ackedUpTo = make(map[proto.PID]uint64)
+	clear(p.ackedUpTo)
 	p.announced = 0
 }
 

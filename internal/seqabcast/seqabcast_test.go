@@ -568,3 +568,76 @@ func TestViewAccessors(t *testing.T) {
 	}
 	_ = gm.View{} // keep the import for the helper types
 }
+
+// TestViewStateBoundedByUnstableWindow runs one long view at 500 msgs/s,
+// well inside the n=3 capacity: the flush set and the per-view ordering
+// maps must stay as small as the unstable window (a few dozen entries
+// here) instead of growing with every message the view orders.
+func TestViewStateBoundedByUnstableWindow(t *testing.T) {
+	const (
+		broadcasts = 20000
+		bound      = 96
+	)
+	c := newCluster(clusterOpts{n: 3})
+	peak := 0
+	sample := func() {
+		for _, p := range c.procs {
+			peak = max(peak, len(p.received)+len(p.seqOf)+len(p.assignments))
+		}
+	}
+	for i := 0; i < broadcasts; i++ {
+		c.broadcastAt(proto.PID(i%3), at(float64(2*i)))
+		if i%100 == 0 {
+			c.eng.Schedule(at(float64(2*i)), sample)
+		}
+	}
+	c.run(45 * time.Second)
+	c.checkTotalOrder(t)
+	c.checkAllDelivered(t)
+	if v := c.procs[0].View(); v.ID != 1 {
+		t.Fatalf("view changed to %v; the run must stay in one view", v)
+	}
+	if peak > bound {
+		t.Fatalf("per-view state peaked at %d entries over %d broadcasts, want at most %d", peak, broadcasts, bound)
+	}
+}
+
+// TestTrimLogKeepsSuffixInPlace delivers through three trims of the
+// state-transfer log: each keeps the last logRetain deliveries, in place,
+// and state transfer still serves any suffix inside the retained window.
+func TestTrimLogKeepsSuffixInPlace(t *testing.T) {
+	eng := sim.New()
+	sys := proto.NewSystem(eng, netmodel.DefaultConfig(3), fd.QoS{}, sim.NewRand(1))
+	delivered := uint64(0)
+	p := New(sys.Proc(0), Config{Deliver: func(proto.MsgID, any) { delivered++ }})
+	id := func(k uint64) proto.MsgID { return proto.MsgID{Origin: 1, Seq: k} }
+	trims := 0
+	var backing *LogEntry
+	for k := uint64(1); trims < 3; k++ {
+		start := p.logStart
+		p.deliverOne(id(k), k)
+		if p.logStart == start {
+			continue
+		}
+		trims++
+		if p.logStart != k-logRetain || p.DeliveredCount() != k || delivered != k {
+			t.Fatalf("trim %d after %d deliveries: logStart %d, DeliveredCount %d, upcalls %d; want %d, %d, %d",
+				trims, k, p.logStart, p.DeliveredCount(), delivered, k-logRetain, k, k)
+		}
+		if trims > 1 && &p.log[0] != backing {
+			t.Fatalf("trim %d reallocated the log", trims)
+		}
+		backing = &p.log[0]
+		for _, after := range []uint64{p.logStart, k - 100, k} {
+			got := p.SyncPayload(after).(syncState).Entries
+			if uint64(len(got)) != k-after {
+				t.Fatalf("trim %d: SyncPayload(%d) has %d entries, want %d", trims, after, len(got), k-after)
+			}
+			for i, e := range got {
+				if want := after + uint64(i) + 1; e.ID != id(want) || e.Body != want {
+					t.Fatalf("trim %d: SyncPayload(%d)[%d] = %+v, want delivery %d", trims, after, i, e, want)
+				}
+			}
+		}
+	}
+}
