@@ -152,7 +152,7 @@ type Process struct {
 	batchOpen  bool
 	batchMax   uint64
 	ackedUpTo  []uint64 // indexed by PID
-	ackScratch []uint64 // recomputeDeliverable's reused sort buffer
+	ackBuf     []uint64 // recomputeDeliverable's reused sort buffer
 	announced  uint64   // last MsgDeliver UpTo sent
 
 	// Exclusion state.
@@ -374,7 +374,7 @@ func (p *Process) onAck(from proto.PID, m MsgAck) {
 // acknowledged by a majority of the view (sequencer included).
 func (p *Process) recomputeDeliverable() {
 	members := p.gm.View().Members
-	acks := p.ackScratch[:0]
+	acks := p.ackBuf[:0]
 	for _, m := range members {
 		if m == p.rt.ID() {
 			acks = append(acks, p.haveUpTo)
@@ -382,7 +382,7 @@ func (p *Process) recomputeDeliverable() {
 			acks = append(acks, p.ackedUpTo[m])
 		}
 	}
-	p.ackScratch = acks
+	p.ackBuf = acks
 	slices.Sort(acks)
 	majority := len(members)/2 + 1
 	deliverable := acks[len(acks)-majority] // the majority-th largest
