@@ -537,4 +537,33 @@ func TestFullTraceGolden(t *testing.T) {
 	if want := uint64(0xc0e57802bbb9359b); got != want {
 		t.Errorf("GM full-trace digest = %#016x, want %#016x (%d lines)", got, want, strings.Count(text, "\n"))
 	}
+
+	// Both stacks at n=7 under frequent instantaneous wrong suspicions
+	// (T_MR 100 ms, T_M 0): every mistake puts a suspect edge and its trust
+	// edge in one instant beside protocol events, so a detector timer or a
+	// view change that schedules out of order changes these bytes. The
+	// digests were recorded from the detector that still scheduled its
+	// mistakes as closures and the sequencer that sent unpooled messages.
+	for _, tc := range []struct {
+		alg  Algorithm
+		want uint64
+	}{
+		{FD, 0x6e95be2fc433ea79},
+		{GM, 0x2e0d511d8197e2b1},
+	} {
+		frequent := base
+		frequent.Algorithm = tc.alg
+		frequent.N = 7
+		frequent.Throughput = 100
+		frequent.QoS = fd.QoS{TMR: 100 * ms}
+		got, text = fullTraceDigest(t, func(tr *Trace) {
+			frequent.Observers = []ObserverFactory{tr.Observer}
+			if res := (&Runner{Workers: 1}).Steady(frequent); res.Messages == 0 || res.Diverged {
+				t.Fatalf("%v frequent-suspicion replication measured nothing: %+v", tc.alg, res)
+			}
+		})
+		if got != tc.want {
+			t.Errorf("%v n=7 frequent-suspicion full-trace digest = %#016x, want %#016x (%d lines)", tc.alg, got, tc.want, strings.Count(text, "\n"))
+		}
+	}
 }
