@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fd"
 	"repro/internal/netmodel"
 	"repro/internal/sim"
 )
@@ -29,20 +30,104 @@ func TestClusterBroadcastAllocBudget(t *testing.T) {
 // TestClusterBroadcastAllocBudgetGM is the GM twin, stack.gm.* in
 // cmd/bench. With a fresh buffer and a reflect sort per ack, and ordering
 // maps that grew with every message of the view, it measured 23 allocs/op;
-// with a reused ack buffer and the maps pruned down to the unstable window
-// it measures 14. seqabcast still keeps that per-message state in hash
-// maps; the change that moves it onto the dense tables lowers this fence
-// again.
+// with a reused ack buffer and the maps pruned down to the unstable window,
+// 14. Sending every sequencer message in a pooled box and handing the
+// received box through instead of re-boxing it took it to 0.92, nearly
+// all of it the boxing of the step's integer body: the ordering maps reuse
+// their slots once pruning keeps pace.
 func TestClusterBroadcastAllocBudgetGM(t *testing.T) {
-	clusterBroadcastAllocBudget(t, GM, 3, 16)
+	clusterBroadcastAllocBudget(t, GM, 3, 2)
 }
 
 // TestClusterBroadcastAllocBudgetGM7 is the same at n=7, where the
 // sequencer handles six acks per broadcast: the per-ack cost shows here
 // first. Measured 51 allocs/op before the ack path stopped allocating,
-// 30 after.
+// 30 after, 0.93 with the pooled boxes.
 func TestClusterBroadcastAllocBudgetGM7(t *testing.T) {
-	clusterBroadcastAllocBudget(t, GM, 7, 34)
+	clusterBroadcastAllocBudget(t, GM, 7, 2)
+}
+
+// TestGMViewChangeAllocBudget bounds the GM stack's failure path: one
+// wrong suspicion -> exclusion -> rejoin cycle per step on a loaded
+// 3-process cluster. p0 suspects p2 for 1 ms, the group excludes p2, and
+// p2 rejoins by state transfer once its next join request finds nobody
+// suspecting it. With a survivor list, a flush-union map and a reflect
+// sort per proposal attempt, fresh per-change maps and re-boxed sequencer
+// messages it measured 403 allocs/op; it measures 152, about 30 of them
+// the workload's own arrivals. The rest is per view change, not per
+// message: the consensus instance, the flush and proposal values every
+// member receives, view copies and the join loop's timer.
+func TestGMViewChangeAllocBudget(t *testing.T) {
+	const budget = 170
+	newCluster := func(onView func(ViewInfo)) *Cluster {
+		return NewCluster(ClusterConfig{Algorithm: GM, N: 3, Throughput: 300, OnView: onView})
+	}
+	step := func(c *Cluster) {
+		c.SuspectAt(0, 2, c.Now(), time.Millisecond)
+		c.Run(100 * time.Millisecond)
+	}
+
+	// The cycle itself, on a twin that observes views: every step installs
+	// the exclusion and the rejoin view at p0, and the rejoin view at p2.
+	views := make([]int, 3)
+	twin := newCluster(func(v ViewInfo) { views[v.Process]++ })
+	for i := 1; i <= 8; i++ {
+		step(twin)
+		if views[0] != 1+2*i || views[2] != 1+i {
+			t.Fatalf("after %d cycles p0 entered %d views, p2 %d; want %d and %d", i, views[0], views[2], 1+2*i, 1+i)
+		}
+	}
+
+	c := newCluster(nil)
+	for i := 0; i < 16; i++ {
+		step(c)
+	}
+	allocs := testing.AllocsPerRun(64, func() { step(c) })
+	if allocs > budget {
+		t.Fatalf("GM view-change cycle: %.1f allocs/op, budget %d", allocs, budget)
+	}
+}
+
+// TestQoSMistakeAllocBudget bounds the QoS failure detector's mistake
+// process: once warm, a 7-process fd.Sim making a wrong suspicion every
+// 10 ms per monitored pair (T_M 1 ms) runs one virtual second without
+// allocating. With a closure and an event record per timer — two per
+// mistake — it allocated 16 123 times per virtual second.
+func TestQoSMistakeAllocBudget(t *testing.T) {
+	eng := sim.New()
+	s := fd.NewSim(eng, 7, fd.QoS{TMR: 10 * time.Millisecond, TM: time.Millisecond}, sim.NewRand(1))
+	edges := &edgeCounter{}
+	for q := 0; q < s.N(); q++ {
+		s.Detector(q).SetListener(edges)
+	}
+	second := func() { eng.RunUntil(eng.Now().Add(time.Second)) }
+	second() // the event heap and its free list reach their working size
+	allocs := testing.AllocsPerRun(4, second)
+	if edges.n == 0 {
+		t.Fatal("no suspicion edges")
+	}
+	if allocs > 0 {
+		t.Fatalf("QoS mistake process: %.0f allocs per virtual second, budget 0", allocs)
+	}
+}
+
+type edgeCounter struct{ n int }
+
+func (c *edgeCounter) OnSuspect(int) { c.n++ }
+func (c *edgeCounter) OnTrust(int)   { c.n++ }
+
+// TestNewSimAllocBudget bounds building the QoS detector of one n=32
+// replication (wide-topo builds eight per pass). One random stream per
+// ordered pair and a detector, suspicion row and pair row per monitor cost
+// 1093 allocations; with the streams held by value and one backing array
+// per table it takes 6.
+func TestNewSimAllocBudget(t *testing.T) {
+	const budget = 10
+	eng, rng := sim.New(), sim.NewRand(1)
+	allocs := testing.AllocsPerRun(16, func() { fd.NewSim(eng, 32, fd.QoS{}, rng) })
+	if allocs > budget {
+		t.Fatalf("fd.NewSim(32): %.0f allocs, budget %d", allocs, budget)
+	}
 }
 
 func clusterBroadcastAllocBudget(t *testing.T, alg Algorithm, n int, budget float64) {

@@ -64,7 +64,6 @@ type Listener interface {
 // it monitors every other process. Obtain detectors from a Sim.
 type Detector struct {
 	owner    int
-	sim      *Sim
 	suspects []bool
 	listener Listener
 }
@@ -110,7 +109,7 @@ func (d *Detector) setSuspect(p int, suspected bool) {
 
 // pairState tracks the mistake process of one (monitor, target) module.
 type pairState struct {
-	rng           *sim.Rand
+	rng           sim.Rand
 	crashDetected bool // target's crash has been detected: suspicion is permanent
 	// severed marks the directed link broken by a network partition: the
 	// monitor suspects the target like a crash, but reversibly — Restore
@@ -122,12 +121,18 @@ type pairState struct {
 
 // Sim drives the failure detectors of all n processes according to a
 // common QoS parameterisation.
+//
+// Every table has one backing array (pairs and the detectors' suspicion
+// rows are n×n, indexed monitor-major), so building a Sim costs a handful
+// of allocations at any n. The stochastic mistake timers are typed engine
+// records with the Sim as their handler (HandleMsg), so a running mistake
+// process allocates nothing.
 type Sim struct {
 	eng       *sim.Engine
 	n         int
 	qos       QoS
-	detectors []*Detector
-	pairs     [][]pairState // [monitor][target]
+	detectors []Detector
+	pairs     []pairState // [monitor*n + target]
 	crashed   []bool
 	// crashEpoch invalidates the pending detection callbacks of a crash
 	// that was reversed by Recover before its TD elapsed.
@@ -155,19 +160,19 @@ func NewSim(eng *sim.Engine, n int, qos QoS, rng *sim.Rand) *Sim {
 		eng:        eng,
 		n:          n,
 		qos:        qos,
+		detectors:  make([]Detector, n),
+		pairs:      make([]pairState, n*n),
 		crashed:    make([]bool, n),
 		crashEpoch: make([]uint64, n),
 	}
-	s.detectors = make([]*Detector, n)
-	s.pairs = make([][]pairState, n)
+	suspects := make([]bool, n*n)
 	for q := 0; q < n; q++ {
-		s.detectors[q] = &Detector{owner: q, sim: s, suspects: make([]bool, n)}
-		s.pairs[q] = make([]pairState, n)
+		row := suspects[q*n : (q+1)*n : (q+1)*n]
+		s.detectors[q] = Detector{owner: q, suspects: row}
 		for p := 0; p < n; p++ {
-			if p == q {
-				continue
+			if p != q {
+				s.pair(q, p).rng = *rng.ForkN(q*n + p)
 			}
-			s.pairs[q][p] = pairState{rng: rng.ForkN(q*n + p)}
 		}
 	}
 	if qos.TMR > 0 {
@@ -186,7 +191,10 @@ func NewSim(eng *sim.Engine, n int, qos QoS, rng *sim.Rand) *Sim {
 func (s *Sim) N() int { return s.n }
 
 // Detector returns the failure detector owned by process q.
-func (s *Sim) Detector(q int) *Detector { return s.detectors[q] }
+func (s *Sim) Detector(q int) *Detector { return &s.detectors[q] }
+
+// pair returns the module in which q monitors p.
+func (s *Sim) pair(q, p int) *pairState { return &s.pairs[q*s.n+p] }
 
 // Crash records that p crashed at the current instant. Every other
 // process starts suspecting p permanently TD later (if it does not
@@ -206,7 +214,7 @@ func (s *Sim) Crash(p int) {
 			if s.crashEpoch[p] != epoch {
 				return // the crash was reversed by Recover before TD elapsed
 			}
-			s.pairs[q][p].crashDetected = true
+			s.pair(q, p).crashDetected = true
 			s.detectors[q].setSuspect(p, true)
 		})
 	}
@@ -227,7 +235,7 @@ func (s *Sim) Recover(p int) {
 		if q == p {
 			continue
 		}
-		st := &s.pairs[q][p]
+		st := s.pair(q, p)
 		st.crashDetected = false
 		if !st.severed {
 			s.detectors[q].setSuspect(p, false)
@@ -243,7 +251,7 @@ func (s *Sim) Sever(q, p int) {
 	if q == p {
 		return
 	}
-	st := &s.pairs[q][p]
+	st := s.pair(q, p)
 	if st.severed {
 		return
 	}
@@ -264,7 +272,7 @@ func (s *Sim) Restore(q, p int) {
 	if q == p {
 		return
 	}
-	st := &s.pairs[q][p]
+	st := s.pair(q, p)
 	if !st.severed {
 		return
 	}
@@ -285,7 +293,7 @@ func (s *Sim) PreSuspect(p int) {
 		if q == p {
 			continue
 		}
-		s.pairs[q][p].crashDetected = true
+		s.pair(q, p).crashDetected = true
 		s.detectors[q].suspects[p] = true
 	}
 }
@@ -300,12 +308,18 @@ func (s *Sim) InjectMistake(q, p int, duration time.Duration) {
 	s.beginMistake(q, p, duration)
 }
 
-// scheduleNextMistake arms the next wrong suspicion of the (q, p) module:
-// mistake starts are spaced Exp(TMR) apart.
-func (s *Sim) scheduleNextMistake(q, p int) {
-	st := &s.pairs[q][p]
-	gap := sim.Millis(st.rng.Exp(float64(s.qos.TMR) / float64(time.Millisecond)))
-	s.eng.After(gap, func() {
+// Opcodes of the mistake timers, the Sim's typed engine records: a is the
+// monitor q, b the target p.
+const (
+	opMistake uint8 = iota // the next wrong suspicion of (q, p) is due
+	opTrust                // a wrong suspicion of (q, p) ends
+)
+
+// HandleMsg implements sim.MsgHandler for the mistake timers.
+func (s *Sim) HandleMsg(op uint8, q, p int, _ any) {
+	st := s.pair(q, p)
+	switch op {
+	case opMistake:
 		if s.quiesced {
 			return
 		}
@@ -314,7 +328,18 @@ func (s *Sim) scheduleNextMistake(q, p int) {
 			s.beginMistake(q, p, dur)
 		}
 		s.scheduleNextMistake(q, p)
-	})
+	case opTrust:
+		if !st.crashDetected && !st.severed {
+			s.detectors[q].setSuspect(p, false)
+		}
+	}
+}
+
+// scheduleNextMistake arms the next wrong suspicion of the (q, p) module:
+// mistake starts are spaced Exp(TMR) apart.
+func (s *Sim) scheduleNextMistake(q, p int) {
+	gap := sim.Millis(s.pair(q, p).rng.Exp(float64(s.qos.TMR) / float64(time.Millisecond)))
+	s.eng.AfterMsg(gap, s, opMistake, q, p, nil)
 }
 
 // beginMistake raises the suspicion edge and schedules the trust edge
@@ -322,14 +347,9 @@ func (s *Sim) scheduleNextMistake(q, p int) {
 // mistake merges into the current one (no duplicate edge; the earlier
 // trust edge still applies).
 func (s *Sim) beginMistake(q, p int, duration time.Duration) {
-	st := &s.pairs[q][p]
-	if st.crashDetected || s.detectors[q].suspects[p] {
+	if s.pair(q, p).crashDetected || s.detectors[q].suspects[p] {
 		return
 	}
 	s.detectors[q].setSuspect(p, true)
-	s.eng.After(duration, func() {
-		if !st.crashDetected && !st.severed {
-			s.detectors[q].setSuspect(p, false)
-		}
-	})
+	s.eng.AfterMsg(duration, s, opTrust, q, p, nil)
 }

@@ -35,8 +35,9 @@
 package gm
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/consensus"
@@ -207,6 +208,10 @@ type GM struct {
 	staleTimer  proto.Timer
 	staleViewID uint64
 	maxSeenView uint64
+
+	// Scratch reused by every tryPropose and mergeFlushes call.
+	survivors []proto.PID
+	flushBuf  []UnstableMsg
 }
 
 type futureMsg struct {
@@ -329,8 +334,8 @@ func (g *GM) enterFlush() {
 		return
 	}
 	g.state = stateChanging
-	g.flushes = make(map[proto.PID][]UnstableMsg)
-	g.targets = make(map[proto.PID]bool)
+	clear(g.flushes)
+	clear(g.targets)
 	g.inst = nil
 	g.rt.Multicast(MsgFlush{VC: g.view.ID, Unstable: g.app.Unstable()})
 }
@@ -465,8 +470,8 @@ func (g *GM) selfExclude() {
 	oldView := g.view
 	g.inst = nil
 	g.prevInst = nil
-	g.flushes = make(map[proto.PID][]UnstableMsg)
-	g.targets = make(map[proto.PID]bool)
+	clear(g.flushes)
+	clear(g.targets)
 	g.state = stateExcluded
 	g.app.Excluded(oldView)
 	g.startJoinLoop()
@@ -540,22 +545,9 @@ func (g *GM) tryPropose() {
 	// If honoring the targets would destroy the primary partition (a
 	// pathological detector demanding a majority's eviction), fall back
 	// to suspicion only — progress beats spite.
-	build := func(honorTargets bool) []proto.PID {
-		var out []proto.PID
-		for _, m := range g.view.Members {
-			if m != self && g.rt.Suspects(m) {
-				continue
-			}
-			if honorTargets && g.targets[m] {
-				continue // targets bind even against ourselves
-			}
-			out = append(out, m)
-		}
-		return out
-	}
-	p := build(true)
+	p := g.buildSurvivors(true)
 	if len(p) < majority {
-		p = build(false)
+		p = g.buildSurvivors(false)
 	}
 	if len(p) < majority {
 		return // primary-partition requirement: wait for trust edges
@@ -570,49 +562,84 @@ func (g *GM) tryPropose() {
 			return // still missing a flush we need
 		}
 	}
+	inst := g.instance()
+	if inst.HasEstimate() {
+		// Start keeps the first value it is given: re-running it needs no
+		// fresh snapshot of (P, U).
+		inst.Restart()
+		return
+	}
 	// Joiners are appended in PID order after the survivors.
-	joiners := make([]proto.PID, 0, len(g.pendingJoins))
+	members := make([]proto.PID, len(p), len(p)+len(g.pendingJoins))
+	copy(members, p)
 	for j := range g.pendingJoins {
 		if !g.view.Contains(j) {
-			joiners = append(joiners, j)
+			members = append(members, j)
 		}
 	}
-	sort.Slice(joiners, func(i, k int) bool { return joiners[i] < joiners[k] })
-	members := append(append([]proto.PID{}, p...), joiners...)
-	g.instance().Start(proposal{Members: members, Flush: g.mergeFlushes()})
+	slices.Sort(members[len(p):])
+	inst.Start(proposal{Members: members, Flush: g.mergeFlushes()})
+}
+
+// buildSurvivors lists, in view order and into reused scratch, the members
+// neither suspected nor (if honorTargets) targeted for exclusion.
+func (g *GM) buildSurvivors(honorTargets bool) []proto.PID {
+	self := g.rt.ID()
+	out := g.survivors[:0]
+	for _, m := range g.view.Members {
+		if m != self && g.rt.Suspects(m) {
+			continue
+		}
+		if honorTargets && g.targets[m] {
+			continue // targets bind even against ourselves
+		}
+		out = append(out, m)
+	}
+	g.survivors = out
+	return out
 }
 
 // mergeFlushes unions all received flush sets, preferring entries whose
 // sequence number is known, in the canonical delivery order: sequenced
-// messages by sequence number, then unsequenced ones by ID.
+// messages by sequence number, then unsequenced ones by ID. The union is
+// formed in reused scratch; only the returned proposal value is fresh.
 func (g *GM) mergeFlushes() []UnstableMsg {
-	merged := make(map[proto.MsgID]UnstableMsg)
+	all := g.flushBuf[:0]
 	for _, set := range g.flushes {
-		for _, um := range set {
-			prev, ok := merged[um.ID]
-			if !ok || (prev.Seq < 0 && um.Seq >= 0) {
-				merged[um.ID] = um
-			}
+		all = append(all, set...)
+	}
+	// Sorted by ID with a sequenced copy first, the first of each run of
+	// equal IDs is the entry to keep.
+	slices.SortFunc(all, func(a, b UnstableMsg) int {
+		if c := compareIDs(a.ID, b.ID); c != 0 {
+			return c
 		}
-	}
-	out := make([]UnstableMsg, 0, len(merged))
-	for _, um := range merged {
-		out = append(out, um)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
+		return cmp.Compare(b.Seq, a.Seq)
+	})
+	merged := slices.CompactFunc(all, func(a, b UnstableMsg) bool { return a.ID == b.ID })
+	slices.SortFunc(merged, func(a, b UnstableMsg) int {
 		switch {
 		case a.Seq >= 0 && b.Seq >= 0:
-			return a.Seq < b.Seq
+			return cmp.Compare(a.Seq, b.Seq)
 		case a.Seq >= 0:
-			return true
+			return -1
 		case b.Seq >= 0:
-			return false
-		default:
-			return a.ID.Less(b.ID)
+			return 1
 		}
+		return compareIDs(a.ID, b.ID)
 	})
+	out := slices.Clone(merged)
+	clear(all) // drop the bodies
+	g.flushBuf = all[:0]
 	return out
+}
+
+// compareIDs orders message IDs by (origin, seq), as MsgID.Less does.
+func compareIDs(a, b proto.MsgID) int {
+	if c := cmp.Compare(a.Origin, b.Origin); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Seq, b.Seq)
 }
 
 // onDecide applies the decided view change.
@@ -631,7 +658,7 @@ func (g *GM) onDecide(vc uint64, v consensus.Value) {
 	// Retire the instance: keep it one generation for stragglers.
 	g.prevInst = g.inst
 	g.inst = nil
-	g.flushes = make(map[proto.PID][]UnstableMsg)
+	clear(g.flushes)
 
 	if !newView.Contains(self) {
 		// Wrongly excluded (or leaving): miss this and all later views

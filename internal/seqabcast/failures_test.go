@@ -251,7 +251,7 @@ func TestSequencerBatchingUnderBurst(t *testing.T) {
 	seqnums := 0
 	c.sys.Net.SetTrace(func(ev netmodel.TraceEvent) {
 		if ev.Kind == netmodel.TraceSend {
-			if _, ok := ev.Payload.(MsgSeqNum); ok {
+			if _, ok := ev.Payload.(*MsgSeqNum); ok {
 				seqnums++
 			}
 		}

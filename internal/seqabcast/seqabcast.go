@@ -40,36 +40,131 @@ import (
 
 // Message types of the sequencer protocol. Sequence numbers are per-view,
 // starting at 1; cross-view order is given by the view succession.
+//
+// Wire copies travel as pointer boxes drawn from the sending Process's free
+// lists, like rbcast.Msg: each box implements the network layer's
+// pooled-payload protocol (netmodel.Pooled) and returns to its list when
+// the last in-flight copy is delivered or dropped, so the sequencer's
+// traffic costs no per-message heap allocation once the lists are warm.
+// Receivers copy what they need out of a box before returning.
 type (
 	// MsgData carries an A-broadcast message to everyone.
 	MsgData struct {
 		ID   proto.MsgID
 		Body any
+		wireBox
 	}
 	// SeqPair assigns one sequence number.
 	SeqPair struct {
 		Seq uint64
 		ID  proto.MsgID
 	}
-	// MsgSeqNum carries a batch of assignments from the sequencer.
+	// MsgSeqNum carries a batch of assignments from the sequencer. A
+	// recycled box keeps its Pairs array for the next batch.
 	MsgSeqNum struct {
 		View       uint64
 		Pairs      []SeqPair
 		StableUpTo uint64
+		wireBox
 	}
 	// MsgAck tells the sequencer the sender has data and sequence number
 	// for everything up to UpTo (cumulative).
 	MsgAck struct {
 		View uint64
 		UpTo uint64
+		wireBox
 	}
 	// MsgDeliver authorises A-delivery up to UpTo (uniform variant only).
 	MsgDeliver struct {
 		View       uint64
 		UpTo       uint64
 		StableUpTo uint64
+		wireBox
 	}
 )
+
+// wireBox is the pooled-payload bookkeeping every message box embeds: its
+// in-flight copy count and the Process whose free list it returns to (nil
+// for a box built outside one, which is never recycled).
+type wireBox struct {
+	refs int32
+	home *Process
+}
+
+// Retain implements the network's pooled-payload protocol.
+func (b *wireBox) Retain(n int) { b.refs += int32(n) }
+
+// released drops one in-flight copy reference and reports whether the box
+// is now free to return to its home's list.
+func (b *wireBox) released() bool {
+	b.refs--
+	return b.refs == 0 && b.home != nil
+}
+
+func (b *wireBox) own(home *Process) { b.home = home }
+
+// Release implements the network's pooled-payload protocol.
+func (m *MsgData) Release() {
+	if m.released() {
+		m.Body = nil
+		m.home.dataFree = append(m.home.dataFree, m)
+	}
+}
+
+// Release implements the network's pooled-payload protocol.
+func (m *MsgSeqNum) Release() {
+	if m.released() {
+		m.home.seqNumFree = append(m.home.seqNumFree, m)
+	}
+}
+
+// Release implements the network's pooled-payload protocol.
+func (m *MsgAck) Release() {
+	if m.released() {
+		m.home.ackFree = append(m.home.ackFree, m)
+	}
+}
+
+// Release implements the network's pooled-payload protocol.
+func (m *MsgDeliver) Release() {
+	if m.released() {
+		m.home.deliverFree = append(m.home.deliverFree, m)
+	}
+}
+
+// The boxes name themselves in traces exactly as the value payloads they
+// replaced printed (%T), keeping trace output and the digests over it
+// unchanged.
+func (*MsgData) String() string    { return "seqabcast.MsgData" }
+func (*MsgSeqNum) String() string  { return "seqabcast.MsgSeqNum" }
+func (*MsgAck) String() string     { return "seqabcast.MsgAck" }
+func (*MsgDeliver) String() string { return "seqabcast.MsgDeliver" }
+
+// box is the pointer form of a message type, with its box bookkeeping.
+type box[T any] interface {
+	*T
+	own(home *Process)
+}
+
+// take draws a box from a free list of p, allocating only when the list
+// is dry.
+func take[T any, B box[T]](p *Process, free *[]B) B {
+	if n := len(*free); n > 0 {
+		m := (*free)[n-1]
+		*free = (*free)[:n-1]
+		return m
+	}
+	m := B(new(T))
+	m.own(p)
+	return m
+}
+
+// dataBox draws an MsgData box.
+func (p *Process) dataBox(id proto.MsgID, body any) *MsgData {
+	m := take(p, &p.dataFree)
+	m.ID, m.Body = id, body
+	return m
+}
 
 // LogEntry is one A-delivered message, in delivery order; the delivered
 // log is the state-transfer payload for rejoining processes.
@@ -158,6 +253,12 @@ type Process struct {
 	// Exclusion state.
 	queued   []queuedBroadcast
 	buffered []bufferedPayload
+
+	// Free lists of the wire boxes, one per message type.
+	dataFree    []*MsgData
+	seqNumFree  []*MsgSeqNum
+	ackFree     []*MsgAck
+	deliverFree []*MsgDeliver
 }
 
 type queuedBroadcast struct {
@@ -181,12 +282,14 @@ func New(rt proto.Runtime, cfg Config) *Process {
 		panic("seqabcast: nil Deliver")
 	}
 	p := &Process{
-		rt:        rt,
-		cfg:       cfg,
-		bcastSeq:  cfg.SeqBase,
-		received:  make(map[proto.MsgID]any),
-		delivered: proto.NewIDTracker(),
-		ackedUpTo: make([]uint64, rt.N()),
+		rt:          rt,
+		cfg:         cfg,
+		bcastSeq:    cfg.SeqBase,
+		received:    make(map[proto.MsgID]any),
+		delivered:   proto.NewIDTracker(),
+		assignments: make(map[uint64]proto.MsgID),
+		seqOf:       make(map[proto.MsgID]uint64),
+		ackedUpTo:   make([]uint64, rt.N()),
 	}
 	p.resetViewState()
 	p.gm = gm.New(rt)
@@ -236,7 +339,7 @@ func (p *Process) ABroadcast(body any) proto.MsgID {
 		p.queued = append(p.queued, queuedBroadcast{id: id, body: body})
 		return id
 	}
-	p.rt.Multicast(MsgData{ID: id, Body: body})
+	p.rt.Multicast(p.dataBox(id, body))
 	return id
 }
 
@@ -246,13 +349,13 @@ func (p *Process) OnMessage(from proto.PID, payload any) {
 		return
 	}
 	switch m := payload.(type) {
-	case MsgData:
-		p.onData(m)
-	case MsgSeqNum:
+	case *MsgData:
+		p.onData(m.ID, m.Body)
+	case *MsgSeqNum:
 		p.onSeqNum(from, m)
-	case MsgAck:
+	case *MsgAck:
 		p.onAck(from, m)
-	case MsgDeliver:
+	case *MsgDeliver:
 		p.onDeliver(from, m)
 	default:
 		panic(fmt.Sprintf("seqabcast: unknown payload %T", payload))
@@ -269,16 +372,16 @@ func (p *Process) OnTrust(q proto.PID) { p.gm.OnTrust(q) }
 
 // onData stores a message body and, at the sequencer, queues it for the
 // next assignment batch.
-func (p *Process) onData(m MsgData) {
-	if p.delivered.Seen(m.ID) {
+func (p *Process) onData(id proto.MsgID, body any) {
+	if p.delivered.Seen(id) {
 		return
 	}
-	if _, dup := p.received[m.ID]; dup {
+	if _, dup := p.received[id]; dup {
 		return
 	}
-	p.received[m.ID] = m.Body
+	p.received[id] = body
 	if p.IsSequencer() && p.gm.Normal() {
-		p.toSequence = append(p.toSequence, m.ID)
+		p.toSequence = append(p.toSequence, id)
 		p.trySequence()
 	}
 }
@@ -290,7 +393,8 @@ func (p *Process) trySequence() {
 	if p.batchOpen || len(p.toSequence) == 0 || !p.IsSequencer() || !p.gm.Normal() {
 		return
 	}
-	pairs := make([]SeqPair, 0, len(p.toSequence))
+	m := take(p, &p.seqNumFree)
+	m.Pairs = m.Pairs[:0]
 	for _, id := range p.toSequence {
 		if _, dup := p.seqOf[id]; dup {
 			continue
@@ -298,23 +402,25 @@ func (p *Process) trySequence() {
 		if p.delivered.Seen(id) {
 			continue
 		}
-		pairs = append(pairs, SeqPair{Seq: p.nextAssign, ID: id})
+		m.Pairs = append(m.Pairs, SeqPair{Seq: p.nextAssign, ID: id})
 		p.nextAssign++
 	}
 	p.toSequence = p.toSequence[:0]
-	if len(pairs) == 0 {
+	if len(m.Pairs) == 0 {
+		p.seqNumFree = append(p.seqNumFree, m)
 		return
 	}
 	if p.cfg.Uniform {
 		p.batchOpen = true
-		p.batchMax = pairs[len(pairs)-1].Seq
+		p.batchMax = m.Pairs[len(m.Pairs)-1].Seq
 	}
-	p.rt.Multicast(MsgSeqNum{View: p.gm.View().ID, Pairs: pairs, StableUpTo: p.stability()})
+	m.View, m.StableUpTo = p.gm.View().ID, p.stability()
+	p.rt.Multicast(m)
 	// Our own copy arrives through local delivery and advances haveUpTo.
 }
 
 // onSeqNum records assignments and acknowledges the new contiguous prefix.
-func (p *Process) onSeqNum(from proto.PID, m MsgSeqNum) {
+func (p *Process) onSeqNum(from proto.PID, m *MsgSeqNum) {
 	if !p.acceptProtocol(from, m.View, m) {
 		return
 	}
@@ -352,12 +458,14 @@ func (p *Process) advanceHave() {
 	if p.IsSequencer() {
 		p.recomputeDeliverable()
 	} else {
-		p.rt.Send(p.gm.View().Primary(), MsgAck{View: p.gm.View().ID, UpTo: p.haveUpTo})
+		m := take(p, &p.ackFree)
+		m.View, m.UpTo = p.gm.View().ID, p.haveUpTo
+		p.rt.Send(p.gm.View().Primary(), m)
 	}
 }
 
 // onAck updates the sequencer's ack table.
-func (p *Process) onAck(from proto.PID, m MsgAck) {
+func (p *Process) onAck(from proto.PID, m *MsgAck) {
 	if !p.acceptProtocol(from, m.View, m) {
 		return
 	}
@@ -391,7 +499,9 @@ func (p *Process) recomputeDeliverable() {
 	}
 	p.announced = deliverable
 	p.deliverUpTo(deliverable)
-	p.rt.Multicast(MsgDeliver{View: p.gm.View().ID, UpTo: deliverable, StableUpTo: p.stability()})
+	m := take(p, &p.deliverFree)
+	m.View, m.UpTo, m.StableUpTo = p.gm.View().ID, deliverable, p.stability()
+	p.rt.Multicast(m)
 	if p.batchOpen && p.batchMax <= deliverable {
 		p.batchOpen = false
 		p.trySequence()
@@ -433,7 +543,7 @@ func (p *Process) stability() uint64 {
 }
 
 // onDeliver applies a delivery announcement.
-func (p *Process) onDeliver(from proto.PID, m MsgDeliver) {
+func (p *Process) onDeliver(from proto.PID, m *MsgDeliver) {
 	if !p.acceptProtocol(from, m.View, m) {
 		return
 	}
@@ -443,11 +553,11 @@ func (p *Process) onDeliver(from proto.PID, m MsgDeliver) {
 
 // acceptProtocol filters sequencing messages: only the current view in
 // normal state is processed; an excluded process buffers them for replay
-// after its state transfer.
+// after its state transfer. payload is the box OnMessage received.
 func (p *Process) acceptProtocol(from proto.PID, view uint64, payload any) bool {
 	if p.IsExcluded() {
 		if len(p.buffered) < bufferLimit {
-			p.buffered = append(p.buffered, bufferedPayload{from: from, payload: payload})
+			p.buffered = append(p.buffered, bufferedPayload{from: from, payload: detach(payload)})
 		}
 		return false
 	}
@@ -459,6 +569,21 @@ func (p *Process) acceptProtocol(from proto.PID, view uint64, payload any) bool 
 		p.gm.NoteHigherView(view)
 	}
 	return p.gm.Normal() && view == p.gm.View().ID
+}
+
+// detach copies a received box into an unpooled one: the network recycles
+// the original as soon as the handler returns, and a buffered message must
+// outlive that.
+func detach(payload any) any {
+	switch m := payload.(type) {
+	case *MsgSeqNum:
+		return &MsgSeqNum{View: m.View, Pairs: slices.Clone(m.Pairs), StableUpTo: m.StableUpTo}
+	case *MsgAck:
+		return &MsgAck{View: m.View, UpTo: m.UpTo}
+	case *MsgDeliver:
+		return &MsgDeliver{View: m.View, UpTo: m.UpTo, StableUpTo: m.StableUpTo}
+	}
+	panic(fmt.Sprintf("seqabcast: cannot buffer payload %T", payload))
 }
 
 // deliverUpTo A-delivers sequenced messages through seq in order.
@@ -528,14 +653,14 @@ func (p *Process) trimLog() {
 
 // resetViewState clears all per-view ordering state.
 func (p *Process) resetViewState() {
-	p.assignments = make(map[uint64]proto.MsgID)
-	p.seqOf = make(map[proto.MsgID]uint64)
+	clear(p.assignments)
+	clear(p.seqOf)
 	p.nextDeliver = 1
 	p.haveUpTo = 0
 	p.stableUpTo = 0
 	p.prunedUpTo = 0
 	p.nextAssign = 1
-	p.toSequence = nil
+	p.toSequence = p.toSequence[:0]
 	p.batchOpen = false
 	p.batchMax = 0
 	clear(p.ackedUpTo)
@@ -583,12 +708,10 @@ func (p *Process) startNewView(v gm.View) {
 		// Undelivered messages are re-sequenced in the new view, in
 		// canonical ID order (all members compute the same leftovers, but
 		// only the sequencer acts).
-		ids := make([]proto.MsgID, 0, len(p.received))
 		for id := range p.received {
-			ids = append(ids, id)
+			p.toSequence = append(p.toSequence, id)
 		}
-		proto.SortMsgIDs(ids)
-		p.toSequence = ids
+		proto.SortMsgIDs(p.toSequence)
 		p.trySequence()
 	}
 }
@@ -632,15 +755,15 @@ func (p *Process) InstallSync(v gm.View, payload any) {
 	p.buffered = nil
 	for _, bp := range buffered {
 		switch m := bp.payload.(type) {
-		case MsgSeqNum:
+		case *MsgSeqNum:
 			if m.View == v.ID {
 				p.onSeqNum(bp.from, m)
 			}
-		case MsgDeliver:
+		case *MsgDeliver:
 			if m.View == v.ID {
 				p.onDeliver(bp.from, m)
 			}
-		case MsgAck:
+		case *MsgAck:
 			if m.View == v.ID {
 				p.onAck(bp.from, m)
 			}
@@ -649,7 +772,7 @@ func (p *Process) InstallSync(v gm.View, payload any) {
 	queued := p.queued
 	p.queued = nil
 	for _, qb := range queued {
-		p.rt.Multicast(MsgData{ID: qb.id, Body: qb.body})
+		p.rt.Multicast(p.dataBox(qb.id, qb.body))
 	}
 	// Messages this process broadcast in its previous membership that the
 	// group never sequenced — typically lost to the partition that got us
@@ -663,6 +786,6 @@ func (p *Process) InstallSync(v gm.View, payload any) {
 	}
 	proto.SortMsgIDs(ids)
 	for _, id := range ids {
-		p.rt.Multicast(MsgData{ID: id, Body: p.received[id]})
+		p.rt.Multicast(p.dataBox(id, p.received[id]))
 	}
 }

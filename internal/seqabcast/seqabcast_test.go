@@ -335,6 +335,41 @@ func TestExcludedProcessQueuesBroadcasts(t *testing.T) {
 	}
 }
 
+// TestExcludedProcessBuffersCopies checks that sequencing traffic an
+// excluded process buffers survives the recycling of the box it arrived
+// in: the network hands the box back to its sender's free list as soon as
+// the handler returns, and the next message reuses it.
+func TestExcludedProcessBuffersCopies(t *testing.T) {
+	c := newCluster(clusterOpts{n: 3, members: []proto.PID{0, 1}})
+	p := c.procs[2]
+	if !p.IsExcluded() {
+		t.Fatal("p2 is not excluded from the initial view {0 1}")
+	}
+	id := proto.MsgID{Origin: 0, Seq: 1}
+	seqnum := &MsgSeqNum{View: 1, Pairs: []SeqPair{{Seq: 1, ID: id}}, StableUpTo: 0}
+	ack := &MsgAck{View: 1, UpTo: 1}
+	deliver := &MsgDeliver{View: 1, UpTo: 1, StableUpTo: 1}
+	p.OnMessage(0, seqnum)
+	p.OnMessage(1, ack)
+	p.OnMessage(0, deliver)
+	// Reuse every box for a later message.
+	seqnum.View, seqnum.Pairs[0] = 9, SeqPair{Seq: 9, ID: proto.MsgID{Origin: 1, Seq: 9}}
+	ack.UpTo, deliver.UpTo = 9, 9
+
+	if len(p.buffered) != 3 {
+		t.Fatalf("buffered %d payloads, want 3", len(p.buffered))
+	}
+	if m := p.buffered[0].payload.(*MsgSeqNum); m == seqnum || m.View != 1 || m.Pairs[0] != (SeqPair{Seq: 1, ID: id}) {
+		t.Errorf("buffered seqnum: view %d, pairs %v, same box %v; want a copy of view 1 assigning 1 to %v", m.View, m.Pairs, m == seqnum, id)
+	}
+	if m := p.buffered[1].payload.(*MsgAck); m == ack || m.UpTo != 1 {
+		t.Errorf("buffered ack: up to %d, same box %v; want a copy up to 1", m.UpTo, m == ack)
+	}
+	if m := p.buffered[2].payload.(*MsgDeliver); m == deliver || m.UpTo != 1 {
+		t.Errorf("buffered deliver: up to %d, same box %v; want a copy up to 1", m.UpTo, m == deliver)
+	}
+}
+
 func TestSuspicionOfNonSequencerWithTMZero(t *testing.T) {
 	// TM = 0: a wrong suspicion still costs a full reconfiguration — the
 	// suspected process is excluded like a crashed one would be (§4.4)
