@@ -187,7 +187,9 @@ func TestTruncatedLogSnapshotFallback(t *testing.T) {
 	if len(p2) >= len(p0) {
 		t.Fatalf("expected a truncated prefix at p2: p2 delivered %d, p0 %d", len(p2), len(p0))
 	}
-	// Everything p2 did deliver is the exact tail of the total order.
+	// Everything p2 did deliver is the exact tail of the total order, each
+	// message with its own body: the retained suffix travels in the reply.
+	c.checkBodies(t)
 	tail := p0[len(p0)-len(p2):]
 	for i := range p2 {
 		if p2[i] != tail[i] {

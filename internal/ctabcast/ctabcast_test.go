@@ -22,11 +22,13 @@ type cluster struct {
 	// deliveries[p] is the A-delivery sequence observed at process p.
 	deliveries [][]delivery
 	sent       map[proto.MsgID]sim.Time
+	bodies     map[proto.MsgID]any // the body each message was broadcast with
 }
 
 type delivery struct {
-	id proto.MsgID
-	at sim.Time
+	id   proto.MsgID
+	at   sim.Time
+	body any
 }
 
 type clusterOpts struct {
@@ -50,13 +52,14 @@ func newCluster(o clusterOpts) *cluster {
 		procs:      make([]*Process, o.n),
 		deliveries: make([][]delivery, o.n),
 		sent:       make(map[proto.MsgID]sim.Time),
+		bodies:     make(map[proto.MsgID]any),
 	}
 	for i := 0; i < o.n; i++ {
 		i := i
 		c.procs[i] = New(sys.Proc(proto.PID(i)), Config{
 			Renumber: o.renumber,
 			Deliver: func(id proto.MsgID, body any) {
-				c.deliveries[i] = append(c.deliveries[i], delivery{id: id, at: eng.Now()})
+				c.deliveries[i] = append(c.deliveries[i], delivery{id: id, at: eng.Now(), body: body})
 			},
 		})
 		if o.logRetain > 0 {
@@ -74,8 +77,10 @@ func newCluster(o clusterOpts) *cluster {
 // broadcastAt schedules an A-broadcast from p at instant at.
 func (c *cluster) broadcastAt(p proto.PID, at sim.Time) {
 	c.eng.Schedule(at, func() {
-		id := c.procs[p].ABroadcast(fmt.Sprintf("m-%d-%v", p, at))
+		body := fmt.Sprintf("m-%d-%v", p, at)
+		id := c.procs[p].ABroadcast(body)
 		c.sent[id] = at
+		c.bodies[id] = body
 	})
 }
 
@@ -135,9 +140,11 @@ func (c *cluster) checkTotalOrder(t *testing.T) {
 }
 
 // checkAllDelivered asserts every correct process delivered every sent
-// message (liveness at quiescence, valid when all senders are correct).
+// message (liveness at quiescence, valid when all senders are correct),
+// each with the body it was broadcast with.
 func (c *cluster) checkAllDelivered(t *testing.T) {
 	t.Helper()
+	c.checkBodies(t)
 	for p := range c.procs {
 		if c.sys.Proc(proto.PID(p)).Crashed() {
 			continue
@@ -149,6 +156,20 @@ func (c *cluster) checkAllDelivered(t *testing.T) {
 		for id := range c.sent {
 			if !got[id] {
 				t.Fatalf("p%d never delivered %v (delivered %d/%d)", p, id, len(got), len(c.sent))
+			}
+		}
+	}
+}
+
+// checkBodies asserts that every delivery, at every process, hands up the
+// body its message was broadcast with: a decision log or a catch-up reply
+// that lost or mixed up a body fails here even when every ID arrives.
+func (c *cluster) checkBodies(t *testing.T) {
+	t.Helper()
+	for p := range c.procs {
+		for _, d := range c.deliveries[p] {
+			if want := c.bodies[d.id]; d.body != want {
+				t.Fatalf("p%d delivered %v with body %v, broadcast with %v", p, d.id, d.body, want)
 			}
 		}
 	}

@@ -566,4 +566,27 @@ func TestFullTraceGolden(t *testing.T) {
 			t.Errorf("%v n=7 frequent-suspicion full-trace digest = %#016x, want %#016x (%d lines)", tc.alg, got, tc.want, strings.Count(text, "\n"))
 		}
 	}
+
+	// One of wide-topo's FD points with short windows: 32 processes on a
+	// relaying ring and a perfect detector. Every process grows a table row
+	// per origin it hears from and builds its first few dozen consensus
+	// instances without recycling any, so this stream pins the FD stack's
+	// cold start at width. The digest was recorded from the stack that still
+	// allocated a ring per origin, a closure per instance slot and a body
+	// slice per logged batch.
+	wide := base
+	wide.Algorithm = FD
+	wide.N = 32
+	wide.Throughput = 20
+	wide.QoS = fd.QoS{}
+	wide.Topology = topo.Ring(32)
+	got, text = fullTraceDigest(t, func(tr *Trace) {
+		wide.Observers = []ObserverFactory{tr.Observer}
+		if res := (&Runner{Workers: 1}).Steady(wide); res.Messages == 0 || res.Diverged {
+			t.Fatalf("FD n=32 ring replication measured nothing: %+v", res)
+		}
+	})
+	if want := uint64(0x23aa55ccb02a4aba); got != want {
+		t.Errorf("FD n=32 ring full-trace digest = %#016x, want %#016x (%d lines)", got, want, strings.Count(text, "\n"))
+	}
 }
