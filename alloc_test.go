@@ -20,11 +20,51 @@ import (
 // cmd/bench times as stack.fd.ns_per_abcast / stack.fd.allocs_per_abcast:
 // one atomic broadcast ordered and delivered on a 3-process FD cluster.
 // The pooling pass took it from 42 to 13 allocs/op, the dense tables
-// under rbcast and ctabcast (proto.IDTable, proto.Window) to a measured
-// 7; the budget leaves slack for toolchain noise while staying below
-// what the hash maps cost.
+// under rbcast and ctabcast (proto.IDTable, proto.Window) to 7, and a
+// decision log that keeps its bodies in one buffer to a measured 4: the
+// proposal snapshot (its ID slice and the box holding it) and the boxed
+// proposal and decision messages.
 func TestClusterBroadcastAllocBudget(t *testing.T) {
-	clusterBroadcastAllocBudget(t, FD, 3, 9)
+	clusterBroadcastAllocBudget(t, FD, 3, 5)
+}
+
+// TestClusterBroadcastAllocBudgetFD7 is the same at n=7. It measured 11
+// allocs/op while the log allocated a body slice per batch at every
+// process, 4 since.
+func TestClusterBroadcastAllocBudgetFD7(t *testing.T) {
+	clusterBroadcastAllocBudget(t, FD, 7, 5)
+}
+
+// TestFDColdStartAllocBudget bounds what a fresh FD cluster pays before
+// it is warm, the cost wide-topo's n=32 replications never amortise: the
+// first 32 broadcasts on a new 32-process cluster, per broadcast, the
+// cluster's construction subtracted. With a ring per origin in two tables
+// at every process, an instance, a slot and a decide closure per
+// consensus instance and a body slice per logged batch it measured 190
+// allocations per broadcast; with the rings carved from one slab per
+// table, one allocation per slot and the log's one body buffer, 60.
+func TestFDColdStartAllocBudget(t *testing.T) {
+	const n, broadcasts, budget = 32, 32, 70
+	delivered := 0
+	build := func() *Cluster {
+		delivered = 0
+		return NewCluster(ClusterConfig{Algorithm: FD, N: n, OnDeliver: func(Delivery) { delivered++ }})
+	}
+	run := func() {
+		c := build()
+		for i := 0; i < broadcasts; i++ {
+			c.Broadcast(i%n, i)
+			c.Run(20 * time.Millisecond)
+		}
+		c.RunUntilIdle()
+	}
+	perOp := (testing.AllocsPerRun(4, run) - testing.AllocsPerRun(4, func() { build() })) / broadcasts
+	if run(); delivered != n*broadcasts {
+		t.Fatalf("%d deliveries, want %d", delivered, n*broadcasts)
+	}
+	if perOp > budget {
+		t.Fatalf("FD n=%d cold start: %.1f allocs per broadcast, budget %d", n, perOp, budget)
+	}
 }
 
 // TestClusterBroadcastAllocBudgetGM is the GM twin, stack.gm.* in

@@ -139,6 +139,14 @@ type Transport interface {
 	Multicast(m Msg)
 }
 
+// Decider is an optional interface of a Transport. An instance configured
+// without a Decide callback hands its decision to the transport's Decide
+// instead: an embedding protocol that pools its instances already holds a
+// transport per instance, so the upcall costs no closure of its own.
+type Decider interface {
+	Decide(v Value, proposer proto.PID)
+}
+
 // Config parameterises one consensus instance.
 type Config struct {
 	// Self is the local process.
@@ -153,7 +161,8 @@ type Config struct {
 	FirstCoord proto.PID
 	// Suspects reports the local failure detector's current output.
 	Suspects func(p proto.PID) bool
-	// Decide is the decision upcall; it fires exactly once.
+	// Decide is the decision upcall; it fires exactly once. It may be nil
+	// when the transport implements Decider.
 	Decide func(v Value, proposer proto.PID)
 	// RefreshEstimate, if non-nil, supplies the freshest initial value
 	// when a timestamp-zero estimate is sent (rounds ≥ 2). The FD atomic
@@ -161,7 +170,7 @@ type Config struct {
 	RefreshEstimate func() Value
 }
 
-type phase int
+type phase uint8
 
 const (
 	phaseWaitPropose phase = iota + 1 // waiting for the coordinator's proposal
@@ -181,6 +190,7 @@ type roundState struct {
 	proposed bool
 	proposal Value
 	aborted  bool
+	next     *roundState // free-list link
 }
 
 // partRound is one participant's contribution to a coordinated round.
@@ -199,37 +209,43 @@ type estCand struct {
 // Instance is one consensus execution at one process. It is purely
 // event-driven: feed it messages with OnMessage and failure-detector
 // edges with OnSuspect.
+//
+// An embedding protocol may hold one instance per batch, so the struct is
+// kept small: the flags share one word at the end, and the quorum size is
+// computed rather than stored.
 type Instance struct {
 	cfg       Config
 	tr        Transport
 	coordBase int // index of FirstCoord within Participants
-	majority  int
 
-	// Participant state. lazy marks an instance started without a
-	// snapshotted initial value (StartLazy): it behaves exactly like a
-	// started instance whose round-1 value was never needed, and the
-	// value is materialised through RefreshEstimate if a round ≥ 2
-	// estimate ever has to be sent.
-	started  bool
-	lazy     bool
+	// Participant state; started, lazy and phase are among the flags.
+	// lazy marks an instance started without a snapshotted initial value
+	// (StartLazy): it behaves exactly like a started instance whose
+	// round-1 value was never needed, and the value is materialised
+	// through RefreshEstimate if a round ≥ 2 estimate ever has to be sent.
 	estimate Value
 	ts       int
 	round    int
-	phase    phase
 
-	// Coordinator state, keyed by round. rsFree recycles roundStates
-	// across rounds and — via Reset — across instance reuses.
-	rounds map[int]*roundState
-	rsFree []*roundState
+	// Coordinator state of the rounds this process coordinates, keyed by
+	// turn: a process coordinates every n-th round, so round r is its turn
+	// (r-1)/n and the keys stay dense. rsFree lists recycled roundStates,
+	// reused across rounds and — via Reset — across instance reuses.
+	rounds proto.Window[*roundState]
+	rsFree *roundState
 
-	// Decision state.
-	decided   bool
+	// Decision state; decided and relayed are among the flags.
 	decision  Value
 	proposer  proto.PID
-	decideBox Msg // the boxed decision message, built once, reused by relays and forwards
-	forwarded map[proto.PID]bool
-	relayed   bool
-	closed    bool
+	decideBox Msg    // the boxed decision message, built once, reused by relays and forwards
+	forwarded []bool // by PID: the peers the decision was forwarded to
+
+	started bool
+	lazy    bool
+	phase   phase
+	decided bool
+	relayed bool
+	closed  bool
 }
 
 // New creates an instance. It panics on malformed configuration: instances
@@ -250,7 +266,7 @@ func (in *Instance) Reset(cfg Config, tr Transport) {
 	if len(cfg.Participants) == 0 {
 		panic("consensus: no participants")
 	}
-	if cfg.Decide == nil {
+	if _, ok := tr.(Decider); cfg.Decide == nil && !ok {
 		panic("consensus: nil Decide callback")
 	}
 	if cfg.Suspects == nil {
@@ -272,20 +288,21 @@ func (in *Instance) Reset(cfg Config, tr Transport) {
 	if base < 0 {
 		base = 0
 	}
-	// rounds and forwarded are created lazily: rounds only materialises at
-	// processes that actually coordinate a round, forwarded only on the
-	// post-decision catch-up path. In the failure-free fast path two of
-	// three processes never touch either. On reuse the maps are kept but
-	// emptied, their roundStates returned to the free list.
-	for r, rs := range in.rounds {
-		in.rsFree = append(in.rsFree, rs)
-		delete(in.rounds, r)
+	// rounds and forwarded grow lazily: rounds only at processes that
+	// actually coordinate a round, forwarded only on the post-decision
+	// catch-up path. In the failure-free fast path two of three processes
+	// never touch either. On reuse both keep their memory and are emptied,
+	// the roundStates returned to the free list in turn order.
+	for k, hi := in.rounds.Lo(), in.rounds.Hi(); k < hi; k++ {
+		if rs := *in.rounds.Get(k); rs != nil {
+			rs.next, in.rsFree = in.rsFree, rs
+		}
 	}
+	in.rounds.Advance(in.rounds.Hi())
 	clear(in.forwarded)
 	in.cfg = cfg
 	in.tr = tr
 	in.coordBase = base
-	in.majority = len(cfg.Participants)/2 + 1
 	in.started = false
 	in.lazy = false
 	in.estimate = nil
@@ -299,6 +316,9 @@ func (in *Instance) Reset(cfg Config, tr Transport) {
 	in.relayed = false
 	in.closed = false
 }
+
+// majority is the quorum size: more than half the participants.
+func (in *Instance) majority() int { return len(in.cfg.Participants)/2 + 1 }
 
 // Coordinator returns the coordinator of round r (1-based).
 func (in *Instance) Coordinator(r int) proto.PID {
@@ -442,23 +462,20 @@ func (in *Instance) OnSuspect(p proto.PID) {
 }
 
 // roundState returns (creating if needed) the coordinator bookkeeping for
-// round r, drawing recycled states from the free list first.
+// round r, drawing recycled states from the free list first. r must be a
+// round this process coordinates: the turn is the key.
 func (in *Instance) roundState(r int) *roundState {
-	rs, ok := in.rounds[r]
-	if !ok {
-		if n := len(in.rsFree); n > 0 {
-			rs = in.rsFree[n-1]
-			in.rsFree = in.rsFree[:n-1]
+	slot := in.rounds.At(uint64((r - 1) / len(in.cfg.Participants)))
+	if *slot == nil {
+		if rs := in.rsFree; rs != nil {
+			in.rsFree = rs.next
 			rs.reset(len(in.cfg.Participants))
+			*slot = rs
 		} else {
-			rs = &roundState{parts: make([]partRound, len(in.cfg.Participants))}
+			*slot = &roundState{parts: make([]partRound, len(in.cfg.Participants))}
 		}
-		if in.rounds == nil {
-			in.rounds = make(map[int]*roundState, 1)
-		}
-		in.rounds[r] = rs
 	}
-	return rs
+	return *slot
 }
 
 // reset clears a recycled roundState for n participants, reusing its
@@ -477,6 +494,7 @@ func (rs *roundState) reset(n int) {
 	rs.proposed = false
 	rs.proposal = nil
 	rs.aborted = false
+	rs.next = nil
 }
 
 // enterRound moves the participant to round r and sends its estimate to
@@ -562,7 +580,7 @@ func (in *Instance) tryPropose(r int) {
 		in.tr.Multicast(MsgPropose{Round: 1, Est: self.est})
 		return
 	}
-	if rs.estCount < in.majority {
+	if rs.estCount < in.majority() {
 		return
 	}
 	best := estCand{}
@@ -632,7 +650,7 @@ func (in *Instance) onAck(from proto.PID, msg MsgAck) {
 		rs.parts[i].acked = true
 		rs.ackCount++
 	}
-	if rs.proposed && rs.ackCount >= in.majority {
+	if rs.proposed && rs.ackCount >= in.majority() {
 		v := rs.proposal
 		in.decideBox = MsgDecide{Val: v, Proposer: in.cfg.Self}
 		in.tr.Multicast(in.decideBox)
@@ -680,7 +698,11 @@ func (in *Instance) decideNow(v Value, proposer proto.PID) {
 	in.decision = v
 	in.proposer = proposer
 	in.phase = phaseDone
-	in.cfg.Decide(v, proposer)
+	if in.cfg.Decide != nil {
+		in.cfg.Decide(v, proposer)
+	} else {
+		in.tr.(Decider).Decide(v, proposer)
+	}
 	if proposer != in.cfg.Self && in.cfg.Suspects(proposer) {
 		in.relayDecision()
 	}
@@ -716,11 +738,11 @@ func (in *Instance) Close() { in.closed = true }
 // forwardDecision unicasts the decision to a process that demonstrably has
 // not decided yet (it sent an estimate or nack). At most one copy per peer.
 func (in *Instance) forwardDecision(to proto.PID) {
-	if to == in.cfg.Self || in.forwarded[to] {
+	if to == in.cfg.Self || (int(to) < len(in.forwarded) && in.forwarded[to]) {
 		return
 	}
-	if in.forwarded == nil {
-		in.forwarded = make(map[proto.PID]bool, 1)
+	for int(to) >= len(in.forwarded) {
+		in.forwarded = append(in.forwarded, false)
 	}
 	in.forwarded[to] = true
 	in.tr.Send(to, in.decidedMsg())

@@ -756,3 +756,68 @@ func TestClosedInstanceDoesNotRelay(t *testing.T) {
 		t.Fatal("closed instance stopped forwarding decisions")
 	}
 }
+
+// decidingTransport is a transport that also takes the decision upcall
+// (Decider), for instances configured without a Decide callback.
+type decidingTransport struct{ transport }
+
+func (tr decidingTransport) Decide(v Value, proposer proto.PID) {
+	tr.net.decisions[tr.self] = v
+	tr.net.proposers[tr.self] = proposer
+}
+
+// TestResetReusesDecidedInstance runs the straggler scenario twice on the
+// same three instances, Reset in between with another first coordinator,
+// the decisions reaching the transports (no Decide callback). The first
+// run leaves round bookkeeping and forwarded-to flags behind at the
+// decided processes; a reset instance must forward to the same straggler
+// again, or the straggler waits forever for estimates nobody sends.
+func TestResetReusesDecidedInstance(t *testing.T) {
+	n := newTestNet(pids(3)...)
+	config := func(p, first proto.PID) Config {
+		return Config{
+			Self:         p,
+			Participants: n.participants,
+			FirstCoord:   first,
+			Suspects:     func(q proto.PID) bool { return n.suspects[p][q] },
+		}
+	}
+	for _, p := range n.participants {
+		n.suspects[p] = make(map[proto.PID]bool)
+		n.insts[p] = New(config(p, 0), decidingTransport{transport{net: n, self: p}})
+	}
+	straggle := func(run int, coord proto.PID) {
+		t.Helper()
+		clear(n.decisions)
+		for _, p := range n.participants {
+			n.insts[p].Start(fmt.Sprintf("v%d-%d", p, run))
+		}
+		var withheld int
+		for len(n.queue) > 0 {
+			q := n.queue[0]
+			n.queue = n.queue[1:]
+			if q.to == 2 {
+				withheld++
+				continue
+			}
+			n.insts[q.to].OnMessage(q.from, q.m)
+		}
+		if withheld == 0 || n.decisions[2] != nil {
+			t.Fatalf("run %d: p2 was not isolated", run)
+		}
+		n.suspect(2, coord)
+		n.runFIFO()
+		want := fmt.Sprintf("v%d-%d", coord, run)
+		for _, p := range n.participants {
+			if n.decisions[p] != want || n.proposers[p] != coord {
+				t.Fatalf("run %d: p%d decided %v from p%d, want %v from p%d", run, p, n.decisions[p], n.proposers[p], want, coord)
+			}
+		}
+	}
+	straggle(1, 0)
+	for _, p := range n.participants {
+		n.insts[p].Reset(config(p, 1), decidingTransport{transport{net: n, self: p}})
+	}
+	n.trust(2, 0)
+	straggle(2, 1)
+}

@@ -1,6 +1,7 @@
 package ctabcast
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -258,6 +259,65 @@ func TestCatchUpRacesNewDecisions(t *testing.T) {
 		c.broadcastAt(proto.PID(i%2), recoverAt.Add(time.Duration(5+5*i)*time.Millisecond))
 	}
 	c.run(20 * time.Second)
+	c.checkTotalOrder(t)
+	c.checkAllDelivered(t)
+}
+
+// TestDecisionLogCompactsInPlace drives a log with a tiny retention
+// through many trims, with batches that carry bodies, batches that carry
+// none (nil bodies take no slots) and batches of several messages, then
+// serves a straggler from it. After every trim the retained entries must
+// still find their own bodies, the trims must reuse the log's arrays, and
+// the straggler must deliver every body it missed.
+func TestDecisionLogCompactsInPlace(t *testing.T) {
+	c := newCluster(clusterOpts{n: 3, qos: fd.QoS{TD: 10 * time.Millisecond}, logRetain: 8})
+	for i := 0; i < 60; i++ {
+		var body any
+		if i%3 != 0 {
+			body = fmt.Sprintf("b%d", i)
+		}
+		c.broadcastBodyAt(proto.PID(i%3), at(float64(10+15*i)), body)
+		if i%5 == 0 { // a second message in the same instant: a batch of two
+			c.broadcastBodyAt(proto.PID((i+1)%3), at(float64(10+15*i)), fmt.Sprintf("c%d", i))
+		}
+	}
+	p0 := c.procs[0]
+	checkLog := func(when string) {
+		if got := p0.logStart + uint64(len(p0.log)); got != p0.NextInstance() {
+			t.Fatalf("%s: log covers up to %d, frontier %d", when, got, p0.NextInstance())
+		}
+		for _, e := range p0.log {
+			for j, id := range e.ids {
+				if got, want := e.body(p0.logBodies, j), c.bodies[id]; got != want {
+					t.Fatalf("%s: log entry for %v holds body %v, broadcast with %v", when, id, got, want)
+				}
+			}
+		}
+	}
+	var logArray *logEntry
+	c.eng.Schedule(at(400), func() { checkLog("after the first trims"); logArray = &p0.log[:1][0] })
+	c.eng.Schedule(at(950), func() {
+		checkLog("after more trims")
+		if &p0.log[:1][0] != logArray {
+			t.Error("a trim moved the log to a new array")
+		}
+	})
+	// p2 misses a few decisions, fewer than the retention: a suffix reply
+	// out of the compacted log must carry their bodies.
+	c.sys.CrashAt(2, at(1000))
+	for i := 0; i < 5; i++ {
+		c.broadcastAt(proto.PID(i%2), at(float64(1010+15*i)))
+	}
+	recoverAt := at(1200)
+	c.eng.Schedule(recoverAt, func() {
+		c.sys.Recover(2, nil)
+		c.procs[2].Resume()
+	})
+	c.run(20 * time.Second)
+	if p0.logStart == 1 {
+		t.Fatal("scenario broken: the log never trimmed")
+	}
+	checkLog("at the end")
 	c.checkTotalOrder(t)
 	c.checkAllDelivered(t)
 }

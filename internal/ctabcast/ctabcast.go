@@ -97,7 +97,7 @@ type Process struct {
 	// an order (msgEntry.pending).
 	msgs       proto.IDTable[msgEntry]
 	npending   int
-	adelivered *proto.IDTracker
+	adelivered proto.IDTracker
 
 	// insts is the state of the retained consensus instances by instance
 	// number; its Lo is the oldest retained instance, and messages for
@@ -113,8 +113,10 @@ type Process struct {
 
 	// Decision log and catch-up state (see catchup.go). The log covers
 	// instances [logStart, logStart+len(log)), and logStart+len(log) ==
-	// nextDeliver always holds.
+	// nextDeliver always holds. logBodies holds the entries' bodies back to
+	// back, in log order.
 	log         []logEntry
+	logBodies   []any
 	logStart    uint64
 	logRetain   int           // the logRetain constant; only the snapshot-handoff test shrinks it
 	maxSeen     uint64        // highest instance seen in peer consensus traffic
@@ -138,17 +140,15 @@ type Process struct {
 	refreshFn   func() consensus.Value
 }
 
-// instSlot bundles one consensus instance with its per-instance
-// callbacks, so a garbage-collected instance can be reset and reused —
-// transport, decide closure and all — instead of reallocated. The
-// transport is addressed as &slot.tr (a pointer into the slot), which
-// boxes into the Transport interface without allocating, and the decide
-// closure reads slot.tr.k at call time, so retargeting the slot to a new
-// instance number is one field write.
+// instSlot bundles one consensus instance with its transport in a single
+// allocation, so a garbage-collected instance can be reset and reused
+// instead of reallocated. The transport is addressed as &slot.tr (a
+// pointer into the slot), which boxes into the Transport interface without
+// allocating; it also takes the decision upcall (consensus.Decider), so
+// retargeting the slot to a new instance number is one field write.
 type instSlot struct {
-	inst   *consensus.Instance
-	tr     consTransport
-	decide func(v consensus.Value, proposer proto.PID)
+	inst consensus.Instance
+	tr   consTransport
 }
 
 // msgEntry is one message of the msgs table. A message received by
@@ -185,13 +185,14 @@ func New(rt proto.Runtime, cfg Config) *Process {
 	p := &Process{
 		rt:          rt,
 		cfg:         cfg,
-		adelivered:  proto.NewIDTracker(),
 		buffered:    make(map[uint64][]bufferedMsg),
 		nextDeliver: 1,
 		logStart:    1,
 		logRetain:   logRetain,
 	}
 	p.insts.Advance(1) // instances are numbered from 1
+	p.msgs.Reserve(rt.N())
+	p.adelivered.Reserve(rt.N())
 	p.all = make([]proto.PID, rt.N())
 	for i := range p.all {
 		p.all[i] = proto.PID(i)
@@ -210,6 +211,7 @@ func New(rt proto.Runtime, cfg Config) *Process {
 		Multicast: func(m *rbcast.Msg) { rt.Multicast(m) },
 		Deliver:   p.onRBDeliver,
 	})
+	p.rb.Reserve(rt.N())
 	return p
 }
 
@@ -233,8 +235,9 @@ func (p *Process) OnMessage(from proto.PID, payload any) {
 	case catchUpReq:
 		p.onCatchUpReq(from, m.From)
 	case catchUpReply:
-		// Entry slices are immutable shares of the responder's log, the
-		// established cross-process idiom for decided values.
+		// The reply owns its entries and bodies; the ID slices in them are
+		// immutable shares of decided values, the established
+		// cross-process idiom.
 		p.onCatchUpReply(m)
 	default:
 		panic(fmt.Sprintf("ctabcast: unknown payload %T", payload))
@@ -342,11 +345,11 @@ func (p *Process) take(id proto.MsgID) any {
 //
 // Instances are pooled: a slot recycled by collectGarbage is retargeted
 // to k and its consensus.Instance reset in place, so steady-state
-// operation reuses the same handful of slots instead of allocating an
-// instance, transport box, and callback closures per batch.
+// operation reuses the same handful of slots instead of allocating one
+// per batch.
 func (p *Process) instance(k uint64) *consensus.Instance {
 	if e := p.insts.Get(k); e != nil && e.slot != nil {
-		return e.slot.inst
+		return &e.slot.inst
 	}
 	first := proto.PID(0)
 	if p.cfg.Renumber {
@@ -357,28 +360,18 @@ func (p *Process) instance(k uint64) *consensus.Instance {
 		s = p.slotFree[n-1]
 		p.slotFree = p.slotFree[:n-1]
 	} else {
-		s = &instSlot{}
-		s.tr.p = p
-		s.decide = func(v consensus.Value, proposer proto.PID) {
-			p.onDecide(s.tr.k, v, proposer)
-		}
+		s = &instSlot{tr: consTransport{p: p}}
 	}
 	s.tr.k = k
-	cfg := consensus.Config{
+	s.inst.Reset(consensus.Config{
 		Self:            p.rt.ID(),
 		Participants:    p.all,
 		FirstCoord:      first,
 		Suspects:        p.suspectsFn,
-		Decide:          s.decide,
 		RefreshEstimate: p.refreshFn,
-	}
-	if s.inst == nil {
-		s.inst = consensus.New(cfg, &s.tr)
-	} else {
-		s.inst.Reset(cfg, &s.tr)
-	}
+	}, &s.tr)
 	p.insts.At(k).slot = s
-	return s.inst
+	return &s.inst
 }
 
 // firstCoordFor returns the round-1 coordinator of instance k under the
@@ -526,9 +519,9 @@ func (p *Process) retire(floor uint64) {
 }
 
 // consTransport adapts the process runtime to one instance's transport,
-// adding the instance tag. It is embedded in an instSlot and addressed
-// by pointer, so handing it to consensus as a Transport does not
-// allocate.
+// adding the instance tag, and routes the instance's decision back to the
+// process. It is embedded in an instSlot and addressed by pointer, so
+// handing it to consensus as a Transport does not allocate.
 type consTransport struct {
 	p *Process
 	k uint64
@@ -551,4 +544,9 @@ func (t *consTransport) Send(to proto.PID, m consensus.Msg) {
 
 func (t *consTransport) Multicast(m consensus.Msg) {
 	t.p.rt.Multicast(t.p.box(t.k, m))
+}
+
+// Decide implements consensus.Decider.
+func (t *consTransport) Decide(v consensus.Value, proposer proto.PID) {
+	t.p.onDecide(t.k, v, proposer)
 }

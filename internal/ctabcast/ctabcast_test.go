@@ -74,10 +74,15 @@ func newCluster(o clusterOpts) *cluster {
 	return c
 }
 
-// broadcastAt schedules an A-broadcast from p at instant at.
+// broadcastAt schedules an A-broadcast from p at instant at, with a body
+// naming both.
 func (c *cluster) broadcastAt(p proto.PID, at sim.Time) {
+	c.broadcastBodyAt(p, at, fmt.Sprintf("m-%d-%v", p, at))
+}
+
+// broadcastBodyAt schedules an A-broadcast of body from p at instant at.
+func (c *cluster) broadcastBodyAt(p proto.PID, at sim.Time, body any) {
 	c.eng.Schedule(at, func() {
-		body := fmt.Sprintf("m-%d-%v", p, at)
 		id := c.procs[p].ABroadcast(body)
 		c.sent[id] = at
 		c.bodies[id] = body

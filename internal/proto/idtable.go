@@ -1,5 +1,7 @@
 package proto
 
+import "slices"
+
 // IDTable is a table keyed by MsgID: one Window of sequence numbers per
 // origin, each slot carrying a presence bit. It stands where a hash map
 // keyed by MsgID would — origins are 0..n-1 and an origin's sequence
@@ -14,9 +16,17 @@ package proto
 // table whose entries come and go roughly in order stays a few slots per
 // origin however far the sequence numbers have run. The zero IDTable is
 // empty and ready for use.
+//
+// A row gets its first ring when its origin's first entry arrives, carved
+// from a slab the table shares between its rows: each new slab holds as
+// many rings as the table has carved so far, so k origins cost about
+// log2(k) allocations instead of k, and origins never heard from cost
+// nothing. A ring that outgrows its carving moves to a ring of its own.
 type IDTable[T any] struct {
-	rows []Window[idSlot[T]] // by origin
-	n    int
+	rows   []Window[idSlot[T]] // by origin
+	slab   []idSlot[T]         // uncarved rest of the current slab
+	carved int                 // rings carved so far
+	n      int
 }
 
 type idSlot[T any] struct {
@@ -26,6 +36,12 @@ type idSlot[T any] struct {
 
 // Len returns the number of entries.
 func (t *IDTable[T]) Len() int { return t.n }
+
+// Reserve makes room in the row index for origins 0..n-1, so the first
+// entry of each origin does not regrow it. Rings are not reserved.
+func (t *IDTable[T]) Reserve(n int) {
+	t.rows = slices.Grow(t.rows, max(0, n-len(t.rows)))
+}
 
 // slot returns id's slot, in use or not; nil when its row does not reach
 // that far.
@@ -50,6 +66,9 @@ func (t *IDTable[T]) Put(id MsgID, v T) {
 		t.rows = append(t.rows, Window[idSlot[T]]{})
 	}
 	row := &t.rows[id.Origin]
+	if row.ring == nil {
+		row.ring = t.carve()
+	}
 	if row.Lo() == row.Hi() {
 		row.Advance(id.Seq) // an empty row restarts at id, whatever it held before
 	}
@@ -59,6 +78,18 @@ func (t *IDTable[T]) Put(id MsgID, v T) {
 		t.n++
 	}
 	s.v = v
+}
+
+// carve cuts a first ring for a new row off the slab. When the slab runs
+// out, the next one holds as many rings as have been carved so far.
+func (t *IDTable[T]) carve() []idSlot[T] {
+	if len(t.slab) < minRing {
+		t.slab = make([]idSlot[T], minRing*max(1, t.carved))
+	}
+	t.carved++
+	ring := t.slab[:minRing:minRing]
+	t.slab = t.slab[minRing:]
+	return ring
 }
 
 // Delete removes id's entry, if any, zeroing its slot, and moves the row's

@@ -1,5 +1,7 @@
 package proto
 
+import "slices"
+
 // IDTracker is a duplicate-suppression set for MsgIDs with O(1) steady-state
 // memory: per-origin sequence numbers are absorbed into a contiguous
 // watermark as they complete, and only out-of-order IDs occupy the sparse
@@ -13,6 +15,13 @@ type IDTracker struct {
 
 // NewIDTracker returns an empty tracker.
 func NewIDTracker() *IDTracker { return &IDTracker{} }
+
+// Reserve makes room for the watermarks of origins 0..n-1, so the first ID
+// of each origin does not regrow them. The out-of-order table, which most
+// origins never use, still grows on demand.
+func (t *IDTracker) Reserve(n int) {
+	t.water = slices.Grow(t.water, max(0, n-len(t.water)))
+}
 
 // watermark returns the sequence number of origin p up to which every ID
 // has been added.

@@ -300,3 +300,27 @@ func FuzzIDTable(f *testing.F) {
 		runIDTableOps(t, ops)
 	})
 }
+
+// TestIDTableCarvesFirstRings: a row that outgrows the first ring it was
+// carved from a shared slab zeroes it, pinning nothing in the slab its
+// neighbours keep alive, and leaves the neighbours' entries alone.
+func TestIDTableCarvesFirstRings(t *testing.T) {
+	var tab IDTable[any]
+	for o := 0; o < 4; o++ {
+		tab.Put(MsgID{Origin: PID(o), Seq: 1}, o)
+	}
+	carved := tab.rows[2].ring
+	for seq := uint64(2); seq <= 2*minRing; seq++ {
+		tab.Put(MsgID{Origin: 2, Seq: seq}, seq)
+	}
+	for i, s := range carved {
+		if s != (idSlot[any]{}) {
+			t.Fatalf("outgrown carving keeps %v at slot %d", s, i)
+		}
+	}
+	for o := 0; o < 4; o++ {
+		if v := tab.Get(MsgID{Origin: PID(o), Seq: 1}); v == nil || *v != o {
+			t.Fatalf("origin %d's first entry = %v after a neighbour grew", o, v)
+		}
+	}
+}

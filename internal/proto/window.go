@@ -64,7 +64,8 @@ func (w *Window[T]) At(k uint64) *T {
 }
 
 // grow moves the live slots to a ring of at least need slots, at least
-// doubling it.
+// doubling it. The old ring is zeroed: it may be a carving of a slab that
+// other rings keep alive (IDTable), where it must not pin what it held.
 func (w *Window[T]) grow(need uint64) {
 	size := max(2*uint64(len(w.ring)), minRing)
 	for size < need {
@@ -74,6 +75,7 @@ func (w *Window[T]) grow(need uint64) {
 	for k := w.lo; k < w.hi; k++ {
 		ring[k&(size-1)] = w.ring[k&uint64(len(w.ring)-1)]
 	}
+	clear(w.ring)
 	w.ring = ring
 }
 

@@ -67,7 +67,7 @@ type Config struct {
 type Broadcaster struct {
 	cfg       Config
 	seq       uint64
-	delivered *proto.IDTracker
+	delivered proto.IDTracker
 	// unstable holds the bodies of delivered-but-not-stable messages:
 	// the relay set. MarkStable prunes it, bounding relay traffic and
 	// memory.
@@ -76,7 +76,7 @@ type Broadcaster struct {
 	// per message suffices for agreement, and without the cap a low-TMR
 	// suspicion storm would re-relay the same pending messages every few
 	// milliseconds.
-	relayed *proto.IDTracker
+	relayed proto.IDTracker
 	// free is the Msg box free list; boxes return to it when their last
 	// in-flight copy reaches a terminal point in the network.
 	free []*Msg
@@ -90,11 +90,15 @@ func New(cfg Config) *Broadcaster {
 	if cfg.Deliver == nil {
 		panic("rbcast: nil Deliver")
 	}
-	return &Broadcaster{
-		cfg:       cfg,
-		delivered: proto.NewIDTracker(),
-		relayed:   proto.NewIDTracker(),
-	}
+	return &Broadcaster{cfg: cfg}
+}
+
+// Reserve sizes the per-origin tables for origins 0..n-1 up front, so the
+// first message of each origin does not regrow them. The relay tracker is
+// left to grow: it is only written under suspicions.
+func (b *Broadcaster) Reserve(n int) {
+	b.delivered.Reserve(n)
+	b.unstable.Reserve(n)
 }
 
 // box draws a Msg box from the free list, allocating only when the list
