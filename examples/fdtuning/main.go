@@ -84,7 +84,7 @@ func measure(timeout time.Duration) (steadyMs, recoveryMs float64) {
 func main() {
 	fmt.Println("heartbeat failure detector tuning (FD algorithm, n=3, heartbeats every 5ms)")
 	fmt.Println()
-	fmt.Printf("%-10s  %-22s  %-24s\n", "timeout", "steady latency (mean)", "crash recovery (probe)")
+	fmt.Printf("%-10s  %-22s  %s\n", "timeout", "steady latency (mean)", "crash recovery (probe)")
 	for _, timeout := range []time.Duration{
 		8 * time.Millisecond,
 		15 * time.Millisecond,
