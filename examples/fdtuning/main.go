@@ -23,10 +23,10 @@ import (
 // (pre-crash messages) and the probe's crash-recovery latency.
 func measure(timeout time.Duration) (steadyMs, recoveryMs float64) {
 	crashAt := 700 * time.Millisecond
-	probeID := repro.MessageID{Origin: 1, Seq: 9999}
 
-	sent := make(map[repro.MessageID]time.Duration)
-	first := make(map[repro.MessageID]bool)
+	// Send times by body (the load's ints and "probe"), dropped at the
+	// first delivery.
+	sent := make(map[any]time.Duration)
 	var steady []time.Duration
 	var probe time.Duration
 
@@ -38,15 +38,12 @@ func measure(timeout time.Duration) (steadyMs, recoveryMs float64) {
 			Timeout:  timeout,
 		},
 		OnDeliver: func(d repro.Delivery) {
-			if first[d.ID] {
+			t0, first := sent[d.Body]
+			if !first {
 				return
 			}
-			first[d.ID] = true
-			t0, tracked := sent[d.ID]
-			if !tracked {
-				return
-			}
-			if d.ID == probeID {
+			delete(sent, d.Body)
+			if d.Body == "probe" {
 				probe = d.At - t0
 			} else if t0 < crashAt-50*time.Millisecond {
 				steady = append(steady, d.At-t0)
@@ -57,18 +54,13 @@ func measure(timeout time.Duration) (steadyMs, recoveryMs float64) {
 	// Steady load: 150 messages from p1 and p2.
 	for i := 0; i < 150; i++ {
 		at := time.Duration(i) * 4 * time.Millisecond
-		sender := 1 + i%2
-		sent[repro.MessageID{Origin: repro.ProcessID(sender), Seq: uint64(i/2 + 1)}] = at
-		cluster.BroadcastAt(sender, at, i)
+		sent[i] = at
+		cluster.BroadcastAt(1+i%2, at, i)
 	}
-	// Crash the coordinator and probe at the same instant. The probe is
-	// p1's 76th broadcast (75 load messages above), but we pre-register
-	// it under a sentinel and fix the mapping below.
+	// Crash the coordinator and probe at the same instant.
 	cluster.CrashAt(0, crashAt)
-	realProbeID := repro.MessageID{Origin: 1, Seq: 76}
-	sent[realProbeID] = crashAt
+	sent["probe"] = crashAt
 	cluster.BroadcastAt(1, crashAt, "probe")
-	probeID = realProbeID
 
 	cluster.Run(5 * time.Second)
 

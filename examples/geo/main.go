@@ -42,22 +42,20 @@ func main() {
 		}
 		var sum time.Duration
 		var count int
-		sent := make(map[repro.MessageID]time.Duration)
+		sent := make(map[int]time.Duration) // by body
 		cluster := repro.NewCluster(repro.ClusterConfig{
 			Algorithm: repro.FD,
 			N:         n,
 			Topology:  tp,
 			OnDeliver: func(d repro.Delivery) {
-				if t0, ok := sent[d.ID]; ok {
-					sum += d.At - t0
-					count++
-				}
+				sum += d.At - sent[d.Body.(int)]
+				count++
 			},
 		})
 		const msgs = 30
 		for i := 0; i < msgs; i++ {
 			at := time.Duration(i) * 20 * time.Millisecond
-			sent[repro.MessageID{Origin: repro.ProcessID(i % n), Seq: uint64(i/n + 1)}] = at
+			sent[i] = at
 			cluster.BroadcastAt(i%n, at, i)
 		}
 		cluster.Run(3 * time.Second)

@@ -16,17 +16,19 @@ func main() {
 	// Collect the delivery sequence of every process.
 	sequences := make([][]repro.MessageID, 3)
 	var latencies []time.Duration
-	sent := make(map[repro.MessageID]time.Duration)
-	firstDelivery := make(map[repro.MessageID]time.Duration)
+	// Send times by body (every body is unique), dropped at the first
+	// delivery.
+	sent := make(map[string]time.Duration)
 
 	cluster := repro.NewCluster(repro.ClusterConfig{
 		Algorithm: repro.FD, // try repro.GM for the sequencer algorithm
 		N:         3,
 		OnDeliver: func(d repro.Delivery) {
 			sequences[d.Process] = append(sequences[d.Process], d.ID)
-			if _, seen := firstDelivery[d.ID]; !seen {
-				firstDelivery[d.ID] = d.At
-				latencies = append(latencies, d.At-sent[d.ID])
+			body := d.Body.(string)
+			if t0, first := sent[body]; first {
+				delete(sent, body)
+				latencies = append(latencies, d.At-t0)
 			}
 		},
 	})
@@ -34,15 +36,10 @@ func main() {
 	// 100 broadcasts from rotating senders, one every 5 ms of virtual
 	// time. Virtual time only advances inside Run.
 	for i := 0; i < 100; i++ {
-		sender := i % 3
 		at := time.Duration(i) * 5 * time.Millisecond
-		cluster.BroadcastAt(sender, at, fmt.Sprintf("update-%03d", i))
-	}
-	// Record send times as they happen by re-deriving them: IDs are
-	// (origin, per-origin sequence), assigned in order.
-	for i := 0; i < 100; i++ {
-		id := repro.MessageID{Origin: repro.ProcessID(i % 3), Seq: uint64(i/3 + 1)}
-		sent[id] = time.Duration(i) * 5 * time.Millisecond
+		body := fmt.Sprintf("update-%03d", i)
+		sent[body] = at
+		cluster.BroadcastAt(i%3, at, body)
 	}
 	cluster.RunUntilIdle()
 

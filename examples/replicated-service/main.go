@@ -64,8 +64,9 @@ func main() {
 	}
 
 	var responseTimes []time.Duration
-	sentAt := make(map[repro.MessageID]time.Duration)
-	responded := make(map[repro.MessageID]bool)
+	// Send times by command (every command is unique), dropped at the
+	// first reply.
+	sentAt := make(map[command]time.Duration)
 
 	cluster := repro.NewCluster(repro.ClusterConfig{
 		Algorithm: repro.GM, // uniform sequencer over group membership
@@ -76,11 +77,9 @@ func main() {
 			replicas[d.Process].apply(cmd)
 			// The client's response time is the first replica's reply
 			// (all replies are identical; the client keeps the first).
-			if !responded[d.ID] {
-				responded[d.ID] = true
-				if t0, ok := sentAt[d.ID]; ok {
-					responseTimes = append(responseTimes, d.At-t0)
-				}
+			if t0, first := sentAt[cmd]; first {
+				delete(sentAt, cmd)
+				responseTimes = append(responseTimes, d.At-t0)
 			}
 		},
 	})
@@ -89,18 +88,9 @@ func main() {
 	keys := []string{"alpha", "beta", "gamma", "delta"}
 	for i := 0; i < 200; i++ {
 		at := time.Duration(i) * 3 * time.Millisecond
-		entry := i
-		replica := i % n
-		cluster.BroadcastAt(replica, at, command{
-			Op:    "put",
-			Key:   keys[entry%len(keys)],
-			Value: fmt.Sprintf("v%d", entry),
-		})
-	}
-	// Track send times (IDs are per-origin sequences, issued in order).
-	for i := 0; i < 200; i++ {
-		sentAt[repro.MessageID{Origin: repro.ProcessID(i % n), Seq: uint64(i/n + 1)}] =
-			time.Duration(i) * 3 * time.Millisecond
+		cmd := command{Op: "put", Key: keys[i%len(keys)], Value: fmt.Sprintf("v%d", i)}
+		sentAt[cmd] = at
+		cluster.BroadcastAt(i%n, at, cmd)
 	}
 
 	// Mid-run faults: replica 4 crashes for real; replica 2 is wrongly
