@@ -12,10 +12,13 @@
 //
 // Act 2 cuts one group off the WAN mid-run. With a single system-wide
 // group that partition would stall the minority entirely; with sharded
-// ordering every group — the cut one included — keeps delivering its
-// own shard-local traffic, because each shard's protocol stack runs on
-// its own members. Only the cross-shard message sent into the cut is
-// stuck: it delivers right after the heal, still in one total order.
+// ordering the cut group keeps delivering its own shard-local traffic,
+// because each shard's protocol stack runs on its own members, and so
+// do the two groups that never talk to it. Group 0 stalls all the same:
+// it multicasts one message into the cut group, whose timestamp proposal
+// cannot cross the cut, and every later group-0 message waits behind
+// that message's final timestamp until the heal — the convoy effect of
+// genuine multicast. Untouched by the cut means sending nothing into it.
 //
 //	go run ./examples/multigroup
 package main
@@ -94,9 +97,11 @@ func main() {
 	fmt.Printf("  cross-shard  mean latency %5.2fms over %d messages (WAN + timestamp merge)\n",
 		ms(crossSum, crossN), crossN)
 
-	// Act 2: cut group 1 off the WAN from 300ms to 800ms. Every group
-	// keeps ordering its own shard-local traffic through the cut; the
-	// cross-shard message sent into the cut waits for the heal.
+	// Act 2: cut group 1 off the WAN from 300ms to 800ms. Groups 1, 2
+	// and 3 keep ordering their shard-local traffic through the cut.
+	// Group 0 stalls at 400ms: the cross-shard message it sends into the
+	// cut waits for group 1's timestamp proposal, and group 0's later
+	// shard-local messages wait behind it until the heal.
 	fmt.Println("\nact 2: group 1 (processes 3 4 5) cut off the WAN from 300ms to 800ms")
 	plan := repro.NewFaultPlan().
 		PartitionGroups(300*time.Millisecond, groups, 1).
@@ -139,7 +144,10 @@ func main() {
 	cluster2.Run(3 * time.Second)
 	for g, w := range perGroup {
 		note := ""
-		if g == 1 {
+		switch g {
+		case 0:
+			note = "  <- multicast into the cut at 400ms, stalled behind it"
+		case 1:
 			note = "  <- cut off the WAN, still ordering its shard"
 		}
 		fmt.Printf("  group %d: %3d deliveries during the cut, %3d after%s\n",

@@ -10,7 +10,7 @@ func Example() {
 	//   cross-shard  mean latency 28.55ms over 20 messages (WAN + timestamp merge)
 	//
 	// act 2: group 1 (processes 3 4 5) cut off the WAN from 300ms to 800ms
-	//   group 0:  28 deliveries during the cut, 144 after
+	//   group 0:  28 deliveries during the cut, 144 after  <- multicast into the cut at 400ms, stalled behind it
 	//   group 1: 124 deliveries during the cut,  48 after  <- cut off the WAN, still ordering its shard
 	//   group 2: 126 deliveries during the cut,  47 after
 	//   group 3: 126 deliveries during the cut,  47 after

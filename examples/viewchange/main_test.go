@@ -20,4 +20,5 @@ func Example() {
 	//
 	// note: the crashed p3 never returns; the wrongly excluded p2 rejoined
 	// through a join view change plus state transfer, as in the paper's §4.3.
+	// views 4-6 change nothing: p1 retries p2's join while p0 still suspects p2.
 }
