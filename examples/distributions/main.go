@@ -1,9 +1,10 @@
-// Distributions: the composable observer/collector API on one sweep
-// point. A suspicion-steady run splits into two latency populations —
-// most messages deliver at failure-free latency, the rest pay for a
-// wrong suspicion — and the mean with a 95% CI cannot show that. This
-// example runs one point, prints the quantiles, the early/late split
-// and a histogram, exports a replayable trace, and replays it.
+// Distributions: one sweep point's latency distribution (Result.Dist)
+// and a trace observer. A suspicion-steady run splits into two latency
+// populations — most messages deliver at failure-free latency, the rest
+// pay for a wrong suspicion — and the mean with a 95% CI cannot show
+// that. This example runs one point, prints the quantiles, the
+// early/late split and a histogram of its measured window, exports a
+// replayable trace, and replays it.
 //
 //	go run ./examples/distributions
 package main
@@ -31,12 +32,10 @@ func main() {
 		Replications: 3,
 	}
 
-	// Attach two cross-cutting observers: a latency distribution over
-	// every broadcast (warmup and drain included) and a replayable trace.
-	ld := repro.NewLatencyDist()
+	// Attach a cross-cutting observer: a replayable trace.
 	var traceBuf bytes.Buffer
 	tr := repro.NewTrace(&traceBuf)
-	cfg.Observers = []repro.ObserverFactory{ld.Observer, tr.Observer}
+	cfg.Observers = []repro.ObserverFactory{tr.Observer}
 
 	res := repro.RunSteady(cfg)
 
@@ -59,11 +58,6 @@ func main() {
 	for i, count := range h.Counts {
 		fmt.Printf("    %6.1f ms %s %d\n", h.BinCenter(i), strings.Repeat("#", scale(count, h.Total())), count)
 	}
-
-	// The cross-cutting observer saw every broadcast, not just the
-	// measured window.
-	fmt.Printf("  observer saw %d broadcasts in total (window measured %d)\n",
-		ld.Dist(0).N(), res.Messages)
 
 	// Export and replay: the trace embeds each replication's config and
 	// delivery digest, and the simulation is deterministic, so the trace

@@ -22,6 +22,5 @@ func Example() {
 	//       92.9 ms  0
 	//      102.7 ms  0
 	//      112.5 ms  0
-	//   observer saw 1394 broadcasts in total (window measured 1232)
 	//   trace: 1545296 bytes, 3 replications, 3 replay digests match
 }

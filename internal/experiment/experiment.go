@@ -165,18 +165,8 @@ type Config struct {
 	Replications int
 	// Observers lists cross-cutting observer factories; the replication
 	// pipeline builds one observer per replication from each and feeds it
-	// the replication's events. See Observer, LatencyDist and Trace.
+	// the replication's events. See Observer and Trace.
 	Observers []ObserverFactory
-	// DistSketch switches the per-point latency distributions
-	// (Result.Dist, RepStats.Latencies, LatencyDist) from exact raw-value
-	// retention to a mergeable streaming quantile sketch with relative
-	// error at most DistSketch (see stats.Sketch): a huge point then
-	// costs O(sketch) memory instead of O(messages). Mean, CI95 and the
-	// extrema stay exact; quantiles carry the bound; Dist.Values becomes
-	// nil. Zero (the default) keeps exact mode; values must lie in
-	// [0, 1). Sketch-mode results remain bit-identical at any worker
-	// count — bucket-count merges commute.
-	DistSketch float64
 	// transient, when set, makes the point a crash-transient one: the
 	// kind travels as data to the replication pipeline, to validate and to
 	// trace headers. Set from a TransientConfig (point) or a trace header.
@@ -262,8 +252,6 @@ func (c Config) core(seed uint64) CoreConfig {
 // differ and are alive at the start — are the Runner's own.
 func (c Config) validate() error {
 	switch {
-	case c.DistSketch < 0 || c.DistSketch >= 1:
-		return fmt.Errorf("experiment: DistSketch = %v, want 0 (exact) or a relative error in (0, 1)", c.DistSketch)
 	case c.Replications < 0:
 		return fmt.Errorf("experiment: Replications = %d", c.Replications)
 	case c.Warmup < 0 || c.Measure < 0 || c.Drain < 0:
@@ -285,16 +273,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("experiment: crash-transient sender must differ from the crashed process (both %d)", crash)
 	}
 	return nil
-}
-
-// newDistCollector returns an empty latency collector in the mode
-// DistSketch selects: exact by default, sketch-backed when a relative
-// error bound is configured.
-func (c Config) newDistCollector() stats.Collector {
-	if c.DistSketch > 0 {
-		return stats.NewSketchCollector(c.DistSketch)
-	}
-	return stats.Collector{}
 }
 
 // Result aggregates an experiment's replications.

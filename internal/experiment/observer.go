@@ -7,7 +7,6 @@ import (
 	"repro/internal/netmodel"
 	"repro/internal/proto"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // Broadcast records one A-broadcast issued during a replication: the
@@ -21,8 +20,8 @@ type Broadcast struct {
 // Observer receives a replication's observable events. The replication
 // pipeline (runReplication) runs the workload and the faults and measures
 // the awaited messages' latency; observers attach everything else —
-// latency distributions, trace export, anything event-driven — to any
-// point of either kind without touching it. Config.Observers lists the
+// trace export, anything event-driven — to any point of either kind
+// without touching it. Config.Observers lists the
 // factories; the pipeline builds one instance per replication from each
 // and calls them in that order, for every A-delivery and for whichever of
 // BroadcastObserver, NetObserver, PlanObserver and LoadObserver the
@@ -32,7 +31,7 @@ type Broadcast struct {
 // anything shared across replications must synchronise, and anything
 // aggregated across replications must merge in canonical (point,
 // replication) order to keep results bit-identical at any worker count —
-// repRegistry is that half, shared by LatencyDist and Trace.
+// repRegistry is that half (Trace uses it).
 type Observer interface {
 	// ObserveDelivery is invoked for every A-delivery at every process.
 	ObserveDelivery(d Delivery)
@@ -132,84 +131,4 @@ func (g *repRegistry[T]) drop() {
 	g.mu.Lock()
 	g.reps = nil
 	g.mu.Unlock()
-}
-
-// LatencyDist is a cross-cutting observer measuring the latency from
-// every A-broadcast to its earliest A-delivery on any process, pooled
-// per point into mergeable collectors. Unlike Result.Dist — which holds
-// only the messages of the measurement window — LatencyDist sees every
-// broadcast of the replication, warmup and drain included, and it
-// composes with any scenario (the crash-transient scenario measures a
-// single probe; attach a LatencyDist to see the background traffic's
-// distribution around the crash).
-//
-// Attach it by appending its Observer method to Config.Observers: each
-// replication gets a private instance, and per-replication collectors
-// merge in canonical (point, replication) order on every read, so the
-// reported distributions are bit-identical at any Runner.Workers count.
-//
-// One LatencyDist accumulates one run: point indices restart at 0 for
-// every Runner call, so reusing the observer across runs would overwrite
-// colliding (point, replication) slots. Use a fresh LatencyDist per run.
-type LatencyDist struct {
-	reps repRegistry[*latencyDistRep]
-}
-
-// NewLatencyDist creates an empty distribution observer.
-func NewLatencyDist() *LatencyDist { return &LatencyDist{} }
-
-// Observer is the ObserverFactory of the distribution: pass it in
-// Config.Observers.
-func (l *LatencyDist) Observer(point, rep int, cfg Config) Observer {
-	// The collector inherits the config's DistSketch mode, so sketch-mode
-	// sweeps keep their per-point observers O(sketch) too.
-	r := &latencyDistRep{sent: make(map[proto.MsgID]sim.Time), lat: cfg.newDistCollector()}
-	l.reps.register(point, rep, r)
-	return r
-}
-
-// Dist returns the point's pooled latency distribution (milliseconds),
-// merged in replication order. Call it after the run; a point that was
-// never observed returns an empty collector.
-func (l *LatencyDist) Dist(point int) stats.Collector {
-	var out stats.Collector
-	for _, r := range l.reps.sorted() {
-		if r.point == point {
-			out.Merge(&r.v.lat)
-		}
-	}
-	return out
-}
-
-// Quantiles snapshots the point's order statistics (P50/P90/P99).
-func (l *LatencyDist) Quantiles(point int) stats.Quantiles {
-	d := l.Dist(point)
-	return d.Quantiles()
-}
-
-// Points lists the point indices observed so far, ascending.
-func (l *LatencyDist) Points() []int {
-	out := []int{}
-	for _, r := range l.reps.sorted() {
-		if len(out) == 0 || out[len(out)-1] != r.point {
-			out = append(out, r.point)
-		}
-	}
-	return out
-}
-
-// latencyDistRep is the per-replication instance: single-goroutine, no
-// locking on the event path.
-type latencyDistRep struct {
-	sent map[proto.MsgID]sim.Time
-	lat  stats.Collector
-}
-
-func (r *latencyDistRep) ObserveBroadcast(b Broadcast) { r.sent[b.ID] = b.At }
-
-func (r *latencyDistRep) ObserveDelivery(d Delivery) {
-	if t0, ok := r.sent[d.ID]; ok {
-		r.lat.Add(d.At.Sub(t0).Seconds() * 1000) // milliseconds, like RepStats
-		delete(r.sent, d.ID)                     // only the earliest delivery counts
-	}
 }

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"math"
 	"testing"
 	"time"
 
@@ -126,120 +125,6 @@ func TestNilObserverFactorySkipped(t *testing.T) {
 	}
 	if res := RunSteady(cfg); !res.Stable {
 		t.Fatalf("unstable run with nil observer: %+v", res)
-	}
-}
-
-// TestLatencyDistComposesWithSteady checks the cross-cutting latency
-// observer against the scenario's own measurement: the observer sees at
-// least the measured messages (it also sees warmup and drain traffic)
-// and its quantiles respect the physical floor.
-func TestLatencyDistComposesWithSteady(t *testing.T) {
-	ld := NewLatencyDist()
-	cfg := Config{
-		Algorithm:    FD,
-		N:            3,
-		Throughput:   50,
-		Warmup:       200 * time.Millisecond,
-		Measure:      time.Second,
-		Drain:        5 * time.Second,
-		Replications: 2,
-		Observers:    []ObserverFactory{ld.Observer},
-	}
-	res := RunSteady(cfg)
-	if !res.Stable {
-		t.Fatalf("unstable run: %+v", res)
-	}
-	d := ld.Dist(0)
-	if d.N() < res.Messages {
-		t.Fatalf("observer saw %d latencies, scenario measured %d", d.N(), res.Messages)
-	}
-	q := ld.Quantiles(0)
-	if q.Min < 7 {
-		t.Fatalf("observer min latency %v below the 7 ms physical floor", q.Min)
-	}
-	if q.P50 > q.P90 || q.P90 > q.P99 {
-		t.Fatalf("quantiles out of order: %+v", q)
-	}
-	if pts := ld.Points(); len(pts) != 1 || pts[0] != 0 {
-		t.Fatalf("Points = %v, want [0]", pts)
-	}
-	if unseen := ld.Dist(42); unseen.N() != 0 {
-		t.Fatalf("unobserved point has %d latencies", unseen.N())
-	}
-}
-
-// TestLatencyDistComposesWithTransient attaches the observer to a
-// crash-transient point, which itself measures only the probe, and checks
-// it captures the background traffic's distribution around the crash.
-func TestLatencyDistComposesWithTransient(t *testing.T) {
-	ld := NewLatencyDist()
-	cfg := TransientConfig{
-		Config: Config{
-			Algorithm:    FD,
-			N:            3,
-			Throughput:   50,
-			QoS:          fd.QoS{TD: 5 * time.Millisecond},
-			Warmup:       300 * time.Millisecond,
-			Drain:        5 * time.Second,
-			Replications: 2,
-			Observers:    []ObserverFactory{ld.Observer},
-		},
-		Crash:  0,
-		Sender: 1,
-	}
-	res := RunTransient(cfg)
-	if res.Lost > 0 {
-		t.Fatalf("lost probes: %+v", res)
-	}
-	d := ld.Dist(0)
-	// The scenario measures 1 probe per replication; the observer sees
-	// the whole background workload too.
-	if d.N() <= 2 {
-		t.Fatalf("observer saw only %d latencies, expected background traffic", d.N())
-	}
-	// The probe's latency (crash recovery) must be inside the observed
-	// distribution's range.
-	if res.Latency.Mean < d.Quantile(0) || res.Latency.Mean > d.Quantile(1) {
-		t.Fatalf("probe latency %v outside observed range [%v, %v]",
-			res.Latency.Mean, d.Quantile(0), d.Quantile(1))
-	}
-}
-
-// TestLatencyDistDeterministicAcrossWorkers pins the observer's merged
-// distributions to the same bits at any worker count.
-func TestLatencyDistDeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int) []float64 {
-		ld := NewLatencyDist()
-		sweep := Sweep{
-			Base: Config{
-				Algorithm:    FD,
-				N:            3,
-				Seed:         17,
-				Warmup:       200 * time.Millisecond,
-				Measure:      time.Second,
-				Drain:        5 * time.Second,
-				Replications: 3,
-				Observers:    []ObserverFactory{ld.Observer},
-			},
-			Algorithms:  []Algorithm{FD, GM},
-			Throughputs: []float64{30, 150},
-		}
-		(&Runner{Workers: workers}).Sweep(sweep)
-		var all []float64
-		for _, p := range ld.Points() {
-			d := ld.Dist(p)
-			all = append(all, d.Values()...)
-		}
-		return all
-	}
-	serial, parallel := run(1), run(6)
-	if len(serial) == 0 || len(serial) != len(parallel) {
-		t.Fatalf("latency streams differ in size: %d vs %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		if math.Float64bits(serial[i]) != math.Float64bits(parallel[i]) {
-			t.Fatalf("latency %d differs: %v vs %v", i, serial[i], parallel[i])
-		}
 	}
 }
 

@@ -178,7 +178,7 @@ func runReplication(cfg Config, point, rep int) RepStats {
 		ids = append(ids, id)
 	}
 	proto.SortMsgIDs(ids)
-	rs := RepStats{Latencies: cfg.newDistCollector(), Diverged: diverged()}
+	rs := RepStats{Diverged: diverged()}
 	for _, id := range ids {
 		t1, ok := r.first[id]
 		if !ok {

@@ -151,7 +151,6 @@ type traceHeader struct {
 	TM              time.Duration `json:"tm,omitempty"`
 	Crashed         []proto.PID   `json:"crashed,omitempty"`
 	DisableRenumber bool          `json:"disableRenumber,omitempty"`
-	DistSketch      float64       `json:"distSketch,omitempty"`
 	Seed            uint64        `json:"seed"`
 	Warmup          time.Duration `json:"warmup"`
 	Measure         time.Duration `json:"measure"`
@@ -270,7 +269,6 @@ func headerFromConfig(cfg Config, point, rep int) traceHeader {
 		TM:              cfg.QoS.TM,
 		Crashed:         cfg.Crashed,
 		DisableRenumber: cfg.DisableRenumber,
-		DistSketch:      cfg.DistSketch,
 		Seed:            cfg.Seed,
 		Warmup:          cfg.Warmup,
 		Measure:         cfg.Measure,
@@ -308,7 +306,6 @@ func configFromHeader(h traceHeader) (Config, error) {
 		QoS:             fd.QoS{TD: h.TD, TMR: h.TMR, TM: h.TM},
 		Crashed:         h.Crashed,
 		DisableRenumber: h.DisableRenumber,
-		DistSketch:      h.DistSketch,
 		Seed:            h.Seed,
 		Warmup:          h.Warmup,
 		Measure:         h.Measure,

@@ -119,23 +119,7 @@ func RunSweep(s Sweep) []Result {
 // every raw observation, supporting exact quantiles, histograms and the
 // early/late population split of the paper's crash and suspicion
 // figures. Result.Dist and TransientResult.Dist carry one per point.
-//
-// Setting Config.DistSketch switches the per-point collectors to a
-// bounded-memory streaming quantile sketch (see Sketch): means and
-// confidence intervals stay exact, quantiles carry the configured
-// relative-error bound, and a multi-million-message point costs
-// O(sketch) memory instead of retaining every latency.
 type Collector = stats.Collector
-
-// Sketch is the mergeable streaming quantile sketch behind sketch-mode
-// collectors: DDSketch-style logarithmic buckets with a configurable
-// relative-error bound and an order-insensitive, bit-exact merge.
-type Sketch = stats.Sketch
-
-// NewSketchCollector creates an empty Collector in sketch mode with the
-// given relative-error bound (0 < alpha < 1), for code that aggregates
-// distributions outside the experiment harness.
-func NewSketchCollector(alpha float64) Collector { return stats.NewSketchCollector(alpha) }
 
 // Quantiles snapshots a distribution's order statistics (min, P50, P90,
 // P99, max); every Result carries one for its point.
@@ -172,15 +156,6 @@ type ObservedDelivery = experiment.Delivery
 
 // ObservedBroadcast is the A-broadcast event BroadcastObservers receive.
 type ObservedBroadcast = experiment.Broadcast
-
-// LatencyDist is a cross-cutting observer pooling broadcast-to-first-
-// delivery latencies per sweep point into mergeable collectors; its
-// distributions are bit-identical at any Runner.Workers count.
-type LatencyDist = experiment.LatencyDist
-
-// NewLatencyDist creates a latency-distribution observer; attach it by
-// appending its Observer method to Config.Observers.
-func NewLatencyDist() *LatencyDist { return experiment.NewLatencyDist() }
 
 // Trace is a cross-cutting observer streaming every replication —
 // configuration, broadcasts, network lifecycle events and deliveries —

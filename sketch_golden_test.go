@@ -5,10 +5,12 @@ import (
 	"sort"
 	"testing"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // goldenSketchAlpha is the relative-error bound the golden-config sketch
-// tests run at.
+// test folds each measured distribution at.
 const goldenSketchAlpha = 0.02
 
 // goldenSteadyConfigs derives one steady-state experiment Config from
@@ -52,77 +54,57 @@ func orderStat(sorted []float64, q float64) float64 {
 	return sorted[rank-1]
 }
 
-// TestSketchModeGoldenConfigs runs every golden scenario config in exact
-// mode, in sketch mode serially, and in sketch mode on 8 workers, then
-// checks the two promises Config.DistSketch makes: sketch-mode results
-// are bit-identical at any worker count, and every reported quantile is
-// within the configured relative error of the exact distribution — with
-// the simulation itself (message counts, Welford moments, extrema)
-// untouched by the collection mode.
+// TestSketchModeGoldenConfigs runs every golden scenario config on 1 and
+// on 8 workers and checks the measured distribution, Result.Dist, twice:
+// it is bit-identical at either worker count, and the sketch-mode
+// collector of internal/stats, fed the same observations, keeps count,
+// mean and extrema exact and every quantile within its relative error of
+// the exact order statistic.
 func TestSketchModeGoldenConfigs(t *testing.T) {
-	names, exactCfgs := goldenSteadyConfigs()
-	sketchCfgs := make([]Config, len(exactCfgs))
-	for i, cfg := range exactCfgs {
-		cfg.DistSketch = goldenSketchAlpha
-		sketchCfgs[i] = cfg
-	}
-
-	exact := (&Runner{Workers: 1}).SteadyAll(exactCfgs)
-	sk1 := (&Runner{Workers: 1}).SteadyAll(sketchCfgs)
-	sk8 := (&Runner{Workers: 8}).SteadyAll(sketchCfgs)
+	names, cfgs := goldenSteadyConfigs()
+	serial := (&Runner{Workers: 1}).SteadyAll(cfgs)
+	parallel := (&Runner{Workers: 8}).SteadyAll(cfgs)
 
 	for i, name := range names {
-		i := i
 		t.Run(name, func(t *testing.T) {
-			e, s1, s8 := exact[i], sk1[i], sk8[i]
-			if !s1.Dist.Sketched() {
-				t.Fatal("DistSketch config did not produce a sketch-mode Dist")
+			e, p := serial[i], parallel[i]
+			if e.Dist.N() == 0 || e.Dist.N() != e.Messages {
+				t.Fatalf("Dist.N = %d for %d measured messages (want equal and > 0)", e.Dist.N(), e.Messages)
 			}
 
-			// The collection mode must not perturb the simulation.
-			if s1.Messages != e.Messages || s1.Undelivered != e.Undelivered {
-				t.Fatalf("sketch mode changed the run: %d msgs/%d undelivered, exact %d/%d",
-					s1.Messages, s1.Undelivered, e.Messages, e.Undelivered)
+			// Worker independence: 1 and 8 workers must agree bit for bit.
+			if p.Messages != e.Messages || p.Undelivered != e.Undelivered {
+				t.Fatalf("8-worker run differs: %d msgs/%d undelivered, serial %d/%d",
+					p.Messages, p.Undelivered, e.Messages, e.Undelivered)
 			}
-			if s1.Dist.N() != e.Dist.N() || e.Dist.N() == 0 {
-				t.Fatalf("Dist.N: sketch %d, exact %d (want equal and > 0)", s1.Dist.N(), e.Dist.N())
+			ev, pv := e.Dist.Values(), p.Dist.Values()
+			for k := range ev {
+				if math.Float64bits(ev[k]) != math.Float64bits(pv[k]) {
+					t.Fatalf("latency %d: 8 workers %v, 1 worker %v — not bit-identical", k, pv[k], ev[k])
+				}
 			}
-			if math.Float64bits(s1.Latency.Mean) != math.Float64bits(e.Latency.Mean) {
-				t.Errorf("sketch-mode Latency.Mean %v differs from exact %v", s1.Latency.Mean, e.Latency.Mean)
+			if math.Float64bits(p.Latency.Mean) != math.Float64bits(e.Latency.Mean) {
+				t.Errorf("Latency.Mean: 8 workers %v, 1 worker %v — not bit-identical", p.Latency.Mean, e.Latency.Mean)
 			}
 
-			// Quantile promise: Min/Max exact, P50/P90/P99 within alpha of
-			// the exact order statistics.
-			values := e.Dist.Values()
-			sort.Float64s(values)
-			eq, sq := e.Quantiles, s1.Quantiles
+			// Sketch promise: count, mean and extrema exact, P50/P90/P99
+			// within alpha of the exact order statistics.
+			sk := stats.NewSketchCollector(goldenSketchAlpha)
+			sk.Merge(&e.Dist)
+			if sk.N() != e.Dist.N() || math.Float64bits(sk.Mean()) != math.Float64bits(e.Dist.Mean()) {
+				t.Fatalf("sketch n=%d mean=%v, exact n=%d mean=%v", sk.N(), sk.Mean(), e.Dist.N(), e.Dist.Mean())
+			}
+			sort.Float64s(ev)
+			eq, sq := e.Quantiles, sk.Quantiles()
 			if math.Float64bits(sq.Min) != math.Float64bits(eq.Min) ||
 				math.Float64bits(sq.Max) != math.Float64bits(eq.Max) {
 				t.Errorf("sketch extrema [%v, %v] differ from exact [%v, %v]", sq.Min, sq.Max, eq.Min, eq.Max)
 			}
 			for q, got := range map[float64]float64{0.50: sq.P50, 0.90: sq.P90, 0.99: sq.P99} {
-				want := orderStat(values, q)
+				want := orderStat(ev, q)
 				if math.Abs(got-want) > goldenSketchAlpha*want+1e-12 {
 					t.Errorf("P%v: sketch %v vs exact %v beyond relative error %v",
 						q*100, got, want, goldenSketchAlpha)
-				}
-			}
-
-			// Worker independence: 1 and 8 workers must agree bit for bit.
-			if s8.Messages != s1.Messages || s8.Undelivered != s1.Undelivered || s8.Dist.N() != s1.Dist.N() {
-				t.Fatalf("8-worker run differs: %d msgs/%d undelivered/n=%d, serial %d/%d/n=%d",
-					s8.Messages, s8.Undelivered, s8.Dist.N(), s1.Messages, s1.Undelivered, s1.Dist.N())
-			}
-			for stat, pair := range map[string][2]float64{
-				"Latency.Mean": {s8.Latency.Mean, s1.Latency.Mean},
-				"Min":          {s8.Quantiles.Min, s1.Quantiles.Min},
-				"P50":          {s8.Quantiles.P50, s1.Quantiles.P50},
-				"P90":          {s8.Quantiles.P90, s1.Quantiles.P90},
-				"P99":          {s8.Quantiles.P99, s1.Quantiles.P99},
-				"Max":          {s8.Quantiles.Max, s1.Quantiles.Max},
-			} {
-				if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
-					t.Errorf("%s: 8 workers %v, 1 worker %v — not bit-identical", stat, pair[0], pair[1])
 				}
 			}
 		})
