@@ -1,7 +1,7 @@
 package repro
 
 import (
-	"sort"
+	"fmt"
 	"time"
 
 	"repro/internal/experiment"
@@ -224,12 +224,14 @@ func (c *Cluster) Now() time.Duration { return c.core.Eng.Now().Duration() }
 // fires, so in groups mode the message goes to p's home group plus, with
 // probability CrossShard, one other group.
 func (c *Cluster) Broadcast(p int, body any) MessageID {
+	c.checkProcess(p)
 	id, _ := c.core.Broadcast(p, body)
 	return id
 }
 
 // BroadcastAt schedules an A-broadcast from process p at virtual time at.
 func (c *Cluster) BroadcastAt(p int, at time.Duration, body any) {
+	c.checkProcess(p)
 	c.core.Eng.Schedule(sim.Time(at), func() { c.core.Broadcast(p, body) })
 }
 
@@ -239,11 +241,7 @@ func (c *Cluster) BroadcastAt(p int, at time.Duration, body any) {
 // member of the destination groups in one total order. Groups mode only
 // (ClusterConfig.Groups non-nil); destinations may come in any order.
 func (c *Cluster) Multicast(p int, dests []int, body any) MessageID {
-	if c.core.Mcast == nil {
-		panic("repro: Multicast needs a multi-group ClusterConfig.Groups")
-	}
-	ds := append([]int(nil), dests...)
-	sort.Ints(ds)
+	ds := c.checkMulticast(p, dests)
 	c.core.SentBy[p]++
 	return c.core.Mcast(proto.PID(p), ds, body)
 }
@@ -251,8 +249,25 @@ func (c *Cluster) Multicast(p int, dests []int, body any) MessageID {
 // MulticastAt schedules an A-multicast from process p to the given
 // destination groups at virtual time at.
 func (c *Cluster) MulticastAt(p int, at time.Duration, dests []int, body any) {
-	ds := append([]int(nil), dests...)
+	ds := c.checkMulticast(p, dests)
 	c.core.Eng.Schedule(sim.Time(at), func() { c.Multicast(p, ds, body) })
+}
+
+// checkProcess panics at the call on a process the cluster does not have.
+func (c *Cluster) checkProcess(p int) {
+	if n := c.core.Sys.N(); p < 0 || p >= n {
+		panic(fmt.Sprintf("repro: process %d, want 0..%d", p, n-1))
+	}
+}
+
+// checkMulticast panics at the call on a multicast the cluster cannot
+// send, and returns its destinations sorted, in a fresh slice.
+func (c *Cluster) checkMulticast(p int, dests []int) []int {
+	if c.core.Coord == nil {
+		panic("repro: Multicast needs a multi-group ClusterConfig.Groups")
+	}
+	c.checkProcess(p)
+	return c.core.Coord.Map().Dests(dests)
 }
 
 // Apply schedules one fault-plan event at its instant: the interactive

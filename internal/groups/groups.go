@@ -118,6 +118,22 @@ func (m *GroupMap) LocalIndex(g int, p proto.PID) proto.PID {
 	return proto.PID(m.local[g][p])
 }
 
+// Dests returns a multicast's destination groups sorted, in a fresh
+// slice. It panics unless they are one or more distinct group ids of this
+// map — destinations are code, not input.
+func (m *GroupMap) Dests(dests []int) []int {
+	ds := append([]int(nil), dests...)
+	sort.Ints(ds)
+	ok := len(ds) > 0 && ds[0] >= 0 && ds[len(ds)-1] < len(m.groups)
+	for i := 1; ok && i < len(ds); i++ {
+		ok = ds[i-1] < ds[i]
+	}
+	if !ok {
+		panic(fmt.Sprintf("groups: bad destination list %v (want one or more distinct group ids < %d)", dests, len(m.groups)))
+	}
+	return ds
+}
+
 // Trivial reports whether the map is a single group covering every
 // process — the plain atomic broadcast case. The experiment builder
 // normalizes a trivial map to the ungrouped path, which keeps it

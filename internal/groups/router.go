@@ -363,28 +363,18 @@ func (r *Router) instFor(gid int) *instance {
 	return nil
 }
 
-// Multicast initiates a message to the given destination groups (sorted,
-// unique) and returns its global id. Groups containing this process get
-// the message a-broadcast directly into their instance; the others
-// receive a dissemination gram over their group set, whose lowest member
-// initiates (with staggered fallbacks covering its crash). It panics on
-// an invalid destination list — destinations are code, not input.
+// Multicast initiates a message to the given destination groups and
+// returns its global id. Groups containing this process get the message
+// a-broadcast directly into their instance; the others receive a
+// dissemination gram over their group set, whose lowest member initiates
+// (with staggered fallbacks covering its crash). It panics on an invalid
+// destination list (GroupMap.Dests).
 func (r *Router) Multicast(dests []int, body any) proto.MsgID {
-	if len(dests) == 0 {
-		panic("groups: multicast with no destination groups")
-	}
-	last := -1
-	for _, gid := range dests {
-		if gid <= last || gid >= r.coord.m.NumGroups() {
-			panic(fmt.Sprintf("groups: bad destination list %v (want sorted unique group ids < %d)", dests, r.coord.m.NumGroups()))
-		}
-		last = gid
-	}
 	r.seq++
 	g := &gmsg{
 		id:    proto.MsgID{Origin: r.self, Seq: r.seq},
 		from:  r.self,
-		dests: append([]int(nil), dests...),
+		dests: r.coord.m.Dests(dests),
 		body:  body,
 	}
 	for _, gid := range g.dests {

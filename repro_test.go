@@ -469,4 +469,32 @@ func TestClusterRejectsInteractiveEventsAtTheCall(t *testing.T) {
 	if msg := rejection(func() { plain.Apply(SuspicionBurst{P: 1, By: []ProcessID{}}) }); !strings.Contains(msg, "empty monitor list") {
 		t.Errorf("Apply of a suspicion by no monitor: %q, want the empty-monitor-list rejection", msg)
 	}
+
+	// Broadcasts and multicasts name their sender and destinations at the
+	// call too, so a bad one fails there and the cluster runs on.
+	shards := sharded(FD)
+	for _, tc := range []struct {
+		name string
+		c    *Cluster
+		call func(c *Cluster)
+		want string
+	}{
+		{"Broadcast from p7 of 3", plain, func(c *Cluster) { c.Broadcast(7, "x") }, "repro: process 7, want 0..2"},
+		{"BroadcastAt from p7 of 3", plain, func(c *Cluster) { c.BroadcastAt(7, time.Millisecond, "x") }, "repro: process 7, want 0..2"},
+		{"Multicast from p-1 of 4", shards, func(c *Cluster) { c.Multicast(-1, []int{0}, "x") }, "repro: process -1, want 0..3"},
+		{"MulticastAt from p4 of 4", shards, func(c *Cluster) { c.MulticastAt(4, time.Millisecond, []int{0}, "x") }, "repro: process 4, want 0..3"},
+		{"MulticastAt without groups", plain, func(c *Cluster) { c.MulticastAt(0, time.Millisecond, []int{0}, "x") }, "needs a multi-group"},
+		{"MulticastAt to group 5 of 2", shards, func(c *Cluster) { c.MulticastAt(0, time.Millisecond, []int{5}, "x") }, "bad destination list [5]"},
+		{"MulticastAt to group 1 twice", shards, func(c *Cluster) { c.MulticastAt(0, time.Millisecond, []int{1, 1}, "x") }, "bad destination list [1 1]"},
+		{"MulticastAt to no group", shards, func(c *Cluster) { c.MulticastAt(0, time.Millisecond, nil, "x") }, "bad destination list []"},
+	} {
+		if msg := rejection(func() { tc.call(tc.c) }); !strings.Contains(msg, tc.want) {
+			t.Errorf("%s: %q, want a rejection at the call mentioning %q", tc.name, msg, tc.want)
+		}
+	}
+	for name, c := range map[string]*Cluster{"plain": plain, "sharded": shards} {
+		if msg := rejection(func() { c.Run(time.Second) }); msg != "" {
+			t.Errorf("%s cluster: Run after the rejected calls panicked: %s", name, msg)
+		}
+	}
 }
