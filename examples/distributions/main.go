@@ -1,10 +1,9 @@
-// Distributions: one sweep point's latency distribution (Result.Dist)
-// and a trace observer. A suspicion-steady run splits into two latency
-// populations — most messages deliver at failure-free latency, the rest
-// pay for a wrong suspicion — and the mean with a 95% CI cannot show
-// that. This example runs one point, prints the quantiles, the
-// early/late split and a histogram of its measured window, exports a
-// replayable trace, and replays it.
+// Distributions: one sweep point's measured latency distribution
+// (Result.Dist) and a replayable trace. A suspicion-steady run splits
+// into two latency populations — most messages deliver at failure-free
+// latency, the rest pay for a wrong suspicion — and the mean with a 95%
+// CI cannot show that. This example prints the quantiles, the early/late
+// split and a histogram, exports the trace, and replays it.
 //
 //	go run ./examples/distributions
 package main
