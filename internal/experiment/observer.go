@@ -21,11 +21,11 @@ type Broadcast struct {
 // pipeline (runReplication) runs the workload and the faults and measures
 // the awaited messages' latency; observers attach everything else —
 // trace export, anything event-driven — to any point of either kind
-// without touching it. Config.Observers lists the
-// factories; the pipeline builds one instance per replication from each
-// and calls them in that order, for every A-delivery and for whichever of
-// BroadcastObserver, NetObserver, PlanObserver and LoadObserver the
-// instance also implements.
+// without touching it. Config.Observers lists the factories; the pipeline
+// builds one instance per replication from each and calls them in that
+// order, for every A-delivery and for whichever of BroadcastObserver,
+// NetObserver, PlanObserver and LoadObserver the instance also
+// implements.
 //
 // Observer instances are confined to their replication (one goroutine);
 // anything shared across replications must synchronise, and anything

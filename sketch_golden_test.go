@@ -66,6 +66,7 @@ func TestSketchModeGoldenConfigs(t *testing.T) {
 	parallel := (&Runner{Workers: 8}).SteadyAll(cfgs)
 
 	for i, name := range names {
+		i := i
 		t.Run(name, func(t *testing.T) {
 			e, p := serial[i], parallel[i]
 			if e.Dist.N() == 0 || e.Dist.N() != e.Messages {
