@@ -615,4 +615,40 @@ func TestFullTraceGolden(t *testing.T) {
 	if want := uint64(0x23aa55ccb02a4aba); got != want {
 		t.Errorf("FD n=32 ring full-trace digest = %#016x, want %#016x (%d lines)", got, want, strings.Count(text, "\n"))
 	}
+
+	// Both stacks as two disjoint shards of three with 30 % cross-shard
+	// traffic: every protocol message travels in a group envelope, and the
+	// router's own grams and timestamp proposals share the wires. These
+	// streams pin the payload names the envelopes render — the group, then
+	// the inner message — beside the timing. The digests were recorded from
+	// the stack whose wire boxes each kept their own free list and count.
+	for _, tc := range []struct {
+		alg   Algorithm
+		inner string
+		want  uint64
+	}{
+		{FD, " g0{MsgAck[k=", 0xf07f55a4ed594376},
+		{GM, " g1{seqabcast.MsgAck}", 0xa05267ddf7754f22},
+	} {
+		sharded := base
+		sharded.Algorithm = tc.alg
+		sharded.N = 6
+		sharded.QoS = fd.QoS{}
+		sharded.Groups = groups.Disjoint(6, 2)
+		sharded.CrossShard = 0.3
+		got, text = fullTraceDigest(t, func(tr *Trace) {
+			sharded.Observers = []ObserverFactory{tr.Observer}
+			if res := (&Runner{Workers: 1}).Steady(sharded); res.Messages == 0 || res.Diverged {
+				t.Fatalf("%v sharded replication measured nothing: %+v", tc.alg, res)
+			}
+		})
+		for _, marker := range []string{tc.inner, " mgram ", " tsprop "} {
+			if !strings.Contains(text, marker) {
+				t.Errorf("%v sharded trace has no %q payload", tc.alg, marker)
+			}
+		}
+		if got != tc.want {
+			t.Errorf("%v sharded full-trace digest = %#016x, want %#016x (%d lines)", tc.alg, got, tc.want, strings.Count(text, "\n"))
+		}
+	}
 }
