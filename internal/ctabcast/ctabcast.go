@@ -26,38 +26,21 @@ import (
 	"time"
 
 	"repro/internal/consensus"
+	"repro/internal/netmodel"
 	"repro/internal/proto"
 	"repro/internal/rbcast"
 )
 
 // consMsg tags a consensus message with its instance number. Wire copies
-// travel as *consMsg boxes drawn from the sending Process's free list
-// (the netmodel pooled-payload protocol): receivers copy K and M out
-// before returning, and the box is recycled when its last in-flight copy
-// is delivered or dropped.
+// travel as *consMsg boxes drawn from the sending Process's pool
+// (netmodel.Box): receivers copy K and M out before returning.
 type consMsg struct {
 	K uint64
 	M consensus.Msg
-
-	refs int32
-	home *Process
+	netmodel.Box[consMsg]
 }
 
-// Retain implements the network's pooled-payload protocol.
-func (m *consMsg) Retain(n int) { m.refs += int32(n) }
-
-// Release drops one in-flight copy reference, returning the box to its
-// Process's free list when none remain.
-func (m *consMsg) Release() {
-	if m.refs--; m.refs == 0 && m.home != nil {
-		m.M = nil
-		m.home.msgFree = append(m.home.msgFree, m)
-	}
-}
-
-// String names the wrapped message for traces: "MsgPropose[k=3]". The
-// value receiver keeps the pooled pointer box rendering exactly like the
-// value payload it replaced.
+// String names the wrapped message for traces: "MsgPropose[k=3]".
 func (m consMsg) String() string {
 	name := fmt.Sprintf("%T", m.M)
 	if i := strings.LastIndex(name, "."); i >= 0 {
@@ -133,8 +116,8 @@ type Process struct {
 
 	// Free lists and cached callbacks: the high-rate allocation sites of
 	// the hot path, each reused across instances and messages.
-	msgFree     []*consMsg  // recycled consMsg wire boxes
-	slotFree    []*instSlot // recycled instance slots (GC'd instances)
+	boxes       netmodel.Pool[consMsg] // consMsg wire boxes
+	slotFree    []*instSlot            // recycled instance slots (GC'd instances)
 	sortScratch []proto.MsgID
 	suspectsFn  func(proto.PID) bool
 	refreshFn   func() consensus.Value
@@ -189,6 +172,7 @@ func New(rt proto.Runtime, cfg Config) *Process {
 		nextDeliver: 1,
 		logStart:    1,
 		logRetain:   logRetain,
+		boxes:       netmodel.NewPool(func(m *consMsg) { m.M = nil }),
 	}
 	p.insts.Advance(1) // instances are numbered from 1
 	p.msgs.Reserve(rt.N())
@@ -527,15 +511,11 @@ type consTransport struct {
 	k uint64
 }
 
-// box draws a consMsg wire box from the process free list.
+// box draws a consMsg wire box from the process pool.
 func (p *Process) box(k uint64, m consensus.Msg) *consMsg {
-	if n := len(p.msgFree); n > 0 {
-		b := p.msgFree[n-1]
-		p.msgFree = p.msgFree[:n-1]
-		b.K, b.M = k, m
-		return b
-	}
-	return &consMsg{K: k, M: m, home: p}
+	b := p.boxes.Get()
+	b.K, b.M = k, m
+	return b
 }
 
 func (t *consTransport) Send(to proto.PID, m consensus.Msg) {

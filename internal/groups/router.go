@@ -112,26 +112,20 @@ func (c *Coordinator) Router(p proto.PID) *Router { return c.routers[p] }
 // payload, so the protocols' pooled messages keep their recycling
 // discipline.
 type envelope struct {
-	home  *Router
 	gid   int32
-	refs  int32
 	inner any
+	netmodel.Box[envelope]
 }
 
 func (r *Router) wrap(gid int, inner any) *envelope {
-	var e *envelope
-	if n := len(r.envFree); n > 0 {
-		e, r.envFree = r.envFree[n-1], r.envFree[:n-1]
-	} else {
-		e = &envelope{home: r}
-	}
-	e.gid, e.inner, e.refs = int32(gid), inner, 0
+	e := r.envs.Get()
+	e.gid, e.inner = int32(gid), inner
 	return e
 }
 
 // Retain implements netmodel.Pooled, delegating to the inner payload.
 func (e *envelope) Retain(n int) {
-	e.refs += int32(n)
+	e.Box.Retain(n)
 	if p, ok := e.inner.(netmodel.Pooled); ok {
 		p.Retain(n)
 	}
@@ -143,10 +137,7 @@ func (e *envelope) Release() {
 	if p, ok := e.inner.(netmodel.Pooled); ok {
 		p.Release()
 	}
-	if e.refs--; e.refs == 0 {
-		e.inner = nil
-		e.home.envFree = append(e.home.envFree, e)
-	}
+	e.Box.Release()
 }
 
 // String names the envelope for traces: the group and the inner payload.
@@ -298,7 +289,7 @@ type Router struct {
 	// a maximum of proposals, so at least 1.
 	done []proto.Window[uint64]
 
-	envFree []*envelope // this router's envelope pool (see wrap)
+	envs netmodel.Pool[envelope] // this router's envelope pool (see wrap)
 
 	stallArmed bool
 	stallFn    func() // the stall probe's callback, bound once
@@ -314,6 +305,7 @@ func (c *Coordinator) NewRouter(proc *proto.Proc) *Router {
 		proc:  proc,
 		self:  p,
 		done:  make([]proto.Window[uint64], c.m.N()),
+		envs:  netmodel.NewPool(func(e *envelope) { e.inner = nil }),
 	}
 	r.stallFn = func() {
 		r.stallArmed = false

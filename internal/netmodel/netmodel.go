@@ -149,7 +149,8 @@ type TraceEvent struct {
 // copy's reference at that point, after the delivery handler and any
 // trace observer have returned. A payload whose count reaches zero may
 // be reused by its owner, so handlers and observers must not retain it
-// past their return. Non-pooled payloads are unaffected.
+// past their return. Non-pooled payloads are unaffected. A wire message
+// type implements it by embedding Box (pool.go).
 type Pooled interface {
 	// Retain adds n references.
 	Retain(n int)

@@ -14,6 +14,7 @@
 package rbcast
 
 import (
+	"repro/internal/netmodel"
 	"repro/internal/proto"
 )
 
@@ -21,36 +22,14 @@ import (
 // original ID and origin, so duplicates collapse at the receiver.
 //
 // Wire copies travel as *Msg boxes drawn from the sending Broadcaster's
-// free list: the box implements the network layer's pooled-payload
-// protocol (netmodel.Pooled) and returns to the list when the last
-// in-flight copy is delivered or dropped, so a broadcast costs no
-// per-message heap allocation once the list is warm. Receivers must
-// copy what they need out of the box before returning.
+// pool (netmodel.Box), so a broadcast costs no per-message heap
+// allocation once the pool is warm. Receivers must copy what they need
+// out of the box before returning.
 type Msg struct {
 	ID   proto.MsgID
 	Body any
-
-	refs int32
-	home *Broadcaster
+	netmodel.Box[Msg]
 }
-
-// Retain implements the network's pooled-payload protocol: it adds n
-// in-flight copy references.
-func (m *Msg) Retain(n int) { m.refs += int32(n) }
-
-// Release drops one in-flight copy reference and returns the box to its
-// Broadcaster's free list when none remain.
-func (m *Msg) Release() {
-	if m.refs--; m.refs == 0 && m.home != nil {
-		m.Body = nil
-		m.home.free = append(m.home.free, m)
-	}
-}
-
-// String names the payload in traces. The pooled pointer box renders
-// exactly like the value payload it replaced, keeping trace output (and
-// the golden digests over it) unchanged.
-func (m *Msg) String() string { return "rbcast.Msg" }
 
 // Config wires a Broadcaster to its process.
 type Config struct {
@@ -77,9 +56,9 @@ type Broadcaster struct {
 	// suspicion storm would re-relay the same pending messages every few
 	// milliseconds.
 	relayed proto.IDTracker
-	// free is the Msg box free list; boxes return to it when their last
+	// msgs is the Msg box pool; boxes return to it when their last
 	// in-flight copy reaches a terminal point in the network.
-	free []*Msg
+	msgs netmodel.Pool[Msg]
 }
 
 // New creates a Broadcaster. Both callbacks are required.
@@ -90,7 +69,7 @@ func New(cfg Config) *Broadcaster {
 	if cfg.Deliver == nil {
 		panic("rbcast: nil Deliver")
 	}
-	return &Broadcaster{cfg: cfg}
+	return &Broadcaster{cfg: cfg, msgs: netmodel.NewPool(func(m *Msg) { m.Body = nil })}
 }
 
 // Reserve sizes the per-origin tables for origins 0..n-1 up front, so the
@@ -101,16 +80,11 @@ func (b *Broadcaster) Reserve(n int) {
 	b.unstable.Reserve(n)
 }
 
-// box draws a Msg box from the free list, allocating only when the list
-// is dry.
+// box draws a Msg box from the pool.
 func (b *Broadcaster) box(id proto.MsgID, body any) *Msg {
-	if n := len(b.free); n > 0 {
-		m := b.free[n-1]
-		b.free = b.free[:n-1]
-		m.ID, m.Body = id, body
-		return m
-	}
-	return &Msg{ID: id, Body: body, home: b}
+	m := b.msgs.Get()
+	m.ID, m.Body = id, body
+	return m
 }
 
 // Broadcast reliably broadcasts body and returns the assigned message ID.

@@ -35,24 +35,23 @@ import (
 	"slices"
 
 	"repro/internal/gm"
+	"repro/internal/netmodel"
 	"repro/internal/proto"
 )
 
 // Message types of the sequencer protocol. Sequence numbers are per-view,
 // starting at 1; cross-view order is given by the view succession.
 //
-// Wire copies travel as pointer boxes drawn from the sending Process's free
-// lists, like rbcast.Msg: each box implements the network layer's
-// pooled-payload protocol (netmodel.Pooled) and returns to its list when
-// the last in-flight copy is delivered or dropped, so the sequencer's
-// traffic costs no per-message heap allocation once the lists are warm.
-// Receivers copy what they need out of a box before returning.
+// Wire copies travel as pointer boxes drawn from the sending Process's
+// pools, like rbcast.Msg (netmodel.Box), so the sequencer's traffic costs
+// no per-message heap allocation once the pools are warm. Receivers copy
+// what they need out of a box before returning.
 type (
 	// MsgData carries an A-broadcast message to everyone.
 	MsgData struct {
 		ID   proto.MsgID
 		Body any
-		wireBox
+		netmodel.Box[MsgData]
 	}
 	// SeqPair assigns one sequence number.
 	SeqPair struct {
@@ -65,103 +64,27 @@ type (
 		View       uint64
 		Pairs      []SeqPair
 		StableUpTo uint64
-		wireBox
+		netmodel.Box[MsgSeqNum]
 	}
 	// MsgAck tells the sequencer the sender has data and sequence number
 	// for everything up to UpTo (cumulative).
 	MsgAck struct {
 		View uint64
 		UpTo uint64
-		wireBox
+		netmodel.Box[MsgAck]
 	}
 	// MsgDeliver authorises A-delivery up to UpTo (uniform variant only).
 	MsgDeliver struct {
 		View       uint64
 		UpTo       uint64
 		StableUpTo uint64
-		wireBox
+		netmodel.Box[MsgDeliver]
 	}
 )
 
-// wireBox is the pooled-payload bookkeeping every message box embeds: its
-// in-flight copy count and the Process whose free list it returns to (nil
-// for a box built outside one, which is never recycled).
-type wireBox struct {
-	refs int32
-	home *Process
-}
-
-// Retain implements the network's pooled-payload protocol.
-func (b *wireBox) Retain(n int) { b.refs += int32(n) }
-
-// released drops one in-flight copy reference and reports whether the box
-// is now free to return to its home's list.
-func (b *wireBox) released() bool {
-	b.refs--
-	return b.refs == 0 && b.home != nil
-}
-
-func (b *wireBox) own(home *Process) { b.home = home }
-
-// Release implements the network's pooled-payload protocol.
-func (m *MsgData) Release() {
-	if m.released() {
-		m.Body = nil
-		m.home.dataFree = append(m.home.dataFree, m)
-	}
-}
-
-// Release implements the network's pooled-payload protocol.
-func (m *MsgSeqNum) Release() {
-	if m.released() {
-		m.home.seqNumFree = append(m.home.seqNumFree, m)
-	}
-}
-
-// Release implements the network's pooled-payload protocol.
-func (m *MsgAck) Release() {
-	if m.released() {
-		m.home.ackFree = append(m.home.ackFree, m)
-	}
-}
-
-// Release implements the network's pooled-payload protocol.
-func (m *MsgDeliver) Release() {
-	if m.released() {
-		m.home.deliverFree = append(m.home.deliverFree, m)
-	}
-}
-
-// The boxes name themselves in traces exactly as the value payloads they
-// replaced printed (%T), keeping trace output and the digests over it
-// unchanged.
-func (*MsgData) String() string    { return "seqabcast.MsgData" }
-func (*MsgSeqNum) String() string  { return "seqabcast.MsgSeqNum" }
-func (*MsgAck) String() string     { return "seqabcast.MsgAck" }
-func (*MsgDeliver) String() string { return "seqabcast.MsgDeliver" }
-
-// box is the pointer form of a message type, with its box bookkeeping.
-type box[T any] interface {
-	*T
-	own(home *Process)
-}
-
-// take draws a box from a free list of p, allocating only when the list
-// is dry.
-func take[T any, B box[T]](p *Process, free *[]B) B {
-	if n := len(*free); n > 0 {
-		m := (*free)[n-1]
-		*free = (*free)[:n-1]
-		return m
-	}
-	m := B(new(T))
-	m.own(p)
-	return m
-}
-
 // dataBox draws an MsgData box.
 func (p *Process) dataBox(id proto.MsgID, body any) *MsgData {
-	m := take(p, &p.dataFree)
+	m := p.dataPool.Get()
 	m.ID, m.Body = id, body
 	return m
 }
@@ -254,11 +177,11 @@ type Process struct {
 	queued   []queuedBroadcast
 	buffered []bufferedPayload
 
-	// Free lists of the wire boxes, one per message type.
-	dataFree    []*MsgData
-	seqNumFree  []*MsgSeqNum
-	ackFree     []*MsgAck
-	deliverFree []*MsgDeliver
+	// Pools of the wire boxes, one per message type.
+	dataPool    netmodel.Pool[MsgData]
+	seqNumPool  netmodel.Pool[MsgSeqNum]
+	ackPool     netmodel.Pool[MsgAck]
+	deliverPool netmodel.Pool[MsgDeliver]
 }
 
 type queuedBroadcast struct {
@@ -290,6 +213,7 @@ func New(rt proto.Runtime, cfg Config) *Process {
 		assignments: make(map[uint64]proto.MsgID),
 		seqOf:       make(map[proto.MsgID]uint64),
 		ackedUpTo:   make([]uint64, rt.N()),
+		dataPool:    netmodel.NewPool(func(m *MsgData) { m.Body = nil }),
 	}
 	p.resetViewState()
 	p.gm = gm.New(rt)
@@ -393,7 +317,7 @@ func (p *Process) trySequence() {
 	if p.batchOpen || len(p.toSequence) == 0 || !p.IsSequencer() || !p.gm.Normal() {
 		return
 	}
-	m := take(p, &p.seqNumFree)
+	m := p.seqNumPool.Get()
 	m.Pairs = m.Pairs[:0]
 	for _, id := range p.toSequence {
 		if _, dup := p.seqOf[id]; dup {
@@ -407,7 +331,7 @@ func (p *Process) trySequence() {
 	}
 	p.toSequence = p.toSequence[:0]
 	if len(m.Pairs) == 0 {
-		p.seqNumFree = append(p.seqNumFree, m)
+		p.seqNumPool.Put(m)
 		return
 	}
 	if p.cfg.Uniform {
@@ -458,7 +382,7 @@ func (p *Process) advanceHave() {
 	if p.IsSequencer() {
 		p.recomputeDeliverable()
 	} else {
-		m := take(p, &p.ackFree)
+		m := p.ackPool.Get()
 		m.View, m.UpTo = p.gm.View().ID, p.haveUpTo
 		p.rt.Send(p.gm.View().Primary(), m)
 	}
@@ -499,7 +423,7 @@ func (p *Process) recomputeDeliverable() {
 	}
 	p.announced = deliverable
 	p.deliverUpTo(deliverable)
-	m := take(p, &p.deliverFree)
+	m := p.deliverPool.Get()
 	m.View, m.UpTo, m.StableUpTo = p.gm.View().ID, deliverable, p.stability()
 	p.rt.Multicast(m)
 	if p.batchOpen && p.batchMax <= deliverable {
