@@ -318,7 +318,10 @@ func (c *Cluster) Run(d time.Duration) {
 func (c *Cluster) RunUntilIdle() { c.core.Eng.Run() }
 
 // Crashed reports whether process p has crashed.
-func (c *Cluster) Crashed(p int) bool { return c.core.Sys.Proc(proto.PID(p)).Crashed() }
+func (c *Cluster) Crashed(p int) bool {
+	c.checkProcess(p)
+	return c.core.Sys.Proc(proto.PID(p)).Crashed()
+}
 
 // Stats snapshots network activity so far.
 func (c *Cluster) Stats() NetStats {

@@ -471,7 +471,8 @@ func TestClusterRejectsInteractiveEventsAtTheCall(t *testing.T) {
 	}
 
 	// Broadcasts and multicasts name their sender and destinations at the
-	// call too, so a bad one fails there and the cluster runs on.
+	// call too, and Crashed its process, so a bad one fails there and the
+	// cluster runs on.
 	shards := sharded(FD)
 	for _, tc := range []struct {
 		name string
@@ -487,6 +488,7 @@ func TestClusterRejectsInteractiveEventsAtTheCall(t *testing.T) {
 		{"MulticastAt to group 5 of 2", shards, func(c *Cluster) { c.MulticastAt(0, time.Millisecond, []int{5}, "x") }, "bad destination list [5]"},
 		{"MulticastAt to group 1 twice", shards, func(c *Cluster) { c.MulticastAt(0, time.Millisecond, []int{1, 1}, "x") }, "bad destination list [1 1]"},
 		{"MulticastAt to no group", shards, func(c *Cluster) { c.MulticastAt(0, time.Millisecond, nil, "x") }, "bad destination list []"},
+		{"Crashed of p7 of 3", plain, func(c *Cluster) { c.Crashed(7) }, "repro: process 7, want 0..2"},
 	} {
 		if msg := rejection(func() { tc.call(tc.c) }); !strings.Contains(msg, tc.want) {
 			t.Errorf("%s: %q, want a rejection at the call mentioning %q", tc.name, msg, tc.want)
