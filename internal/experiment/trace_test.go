@@ -651,4 +651,50 @@ func TestFullTraceGolden(t *testing.T) {
 			t.Errorf("%v sharded full-trace digest = %#016x, want %#016x (%d lines)", tc.alg, got, tc.want, strings.Count(text, "\n"))
 		}
 	}
+
+	// The FD stack behind the heartbeat detector through a crash, a recovery
+	// and a partition heal, ungrouped and as two disjoint shards: recovery
+	// restarts the detector and arms the catch-up probe of every endpoint
+	// the process runs, a heal arms the probe of every live one. Both runs
+	// lose messages to the FD wedge after a heal, so only the bytes are
+	// checked. The digests were recorded from the code in which the groups
+	// router still walked its own instances on a recovery or heal.
+	for _, tc := range []struct {
+		name   string
+		groups *groups.GroupMap
+		crash  proto.PID
+		cut    [][]proto.PID
+		want   uint64
+	}{
+		{"ungrouped", nil, 2, [][]proto.PID{{0, 1}, {2}}, 0xb19cb9ea50feb3f4},
+		{"sharded", groups.Disjoint(6, 2), 4, [][]proto.PID{{0, 1, 2, 3}, {4, 5}}, 0x09d7aa3e5b823a52},
+	} {
+		healed := base
+		healed.Algorithm = FD
+		healed.Detector = &Heartbeat{Interval: 10 * ms, Timeout: 30 * ms}
+		healed.Measure = 900 * ms
+		healed.QoS = fd.QoS{}
+		if tc.groups != nil {
+			healed.N = tc.groups.N()
+			healed.Groups = tc.groups
+			healed.CrossShard = 0.3
+		}
+		healed.Plan = NewFaultPlan().
+			Crash(450*ms, tc.crash).
+			Recover(700*ms, tc.crash).
+			Partition(800*ms, tc.cut...).
+			Heal(950 * ms)
+		got, text = fullTraceDigest(t, func(tr *Trace) {
+			healed.Observers = []ObserverFactory{tr.Observer}
+			(&Runner{Workers: 1}).Steady(healed)
+		})
+		for _, marker := range []string{"\nF 700000000 recover p", "\nF 950000000 heal\n"} {
+			if !strings.Contains(text, marker) {
+				t.Errorf("%s heartbeat recovery trace has no %q line", tc.name, marker)
+			}
+		}
+		if got != tc.want {
+			t.Errorf("%s heartbeat recovery full-trace digest = %#016x, want %#016x (%d lines)", tc.name, got, tc.want, strings.Count(text, "\n"))
+		}
+	}
 }
