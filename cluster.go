@@ -94,7 +94,8 @@ type ClusterConfig struct {
 	OnLoad func(at time.Duration, ev LoadEvent)
 	// Heartbeat, if non-nil, replaces the abstract QoS failure-detector
 	// model with a concrete heartbeat detector whose messages share the
-	// contended network (see internal/hbfd). QoS should then be zero.
+	// contended network (see internal/hbfd). QoS is then ignored: the
+	// modelled detectors run silent.
 	Heartbeat *HeartbeatConfig
 	// Topology is the connectivity graph the network routes over: nil is
 	// FullMesh(N), the paper's shared Ethernet. The topology's N must

@@ -344,6 +344,33 @@ func TestGoldenTraceDigests(t *testing.T) {
 	}
 }
 
+// TestHeartbeatSilencesQoS pins the detector rule from the facade side:
+// behind the heartbeat detector the modelled detectors run silent, so a
+// Cluster's QoS — stochastic mistakes included — changes no delivery, view
+// or network event. FD and GM, ungrouped and sharded, through a crash.
+func TestHeartbeatSilencesQoS(t *testing.T) {
+	hb := &HeartbeatConfig{Interval: 10 * time.Millisecond, Timeout: 30 * time.Millisecond}
+	for _, alg := range []Algorithm{FD, GM} {
+		for _, m := range []*GroupMap{nil, Disjoint(4, 2)} {
+			sc := goldenScenario{
+				cfg: ClusterConfig{Algorithm: alg, N: 4, Seed: 19, Heartbeat: hb, Groups: m},
+				drive: func(c *Cluster) {
+					for i := 0; i < 40; i++ {
+						c.BroadcastAt(i%4, time.Duration(i)*7*time.Millisecond, i)
+					}
+					c.CrashAt(3, 120*time.Millisecond)
+				},
+				run: 2 * time.Second,
+			}
+			silent := digestScenario(sc)
+			sc.cfg.QoS = Detectors(10, 50, 5)
+			if got := digestScenario(sc); got != silent {
+				t.Errorf("%v groups=%v: digest %#016x with QoS, %#016x without", alg, m, got, silent)
+			}
+		}
+	}
+}
+
 // TestFDLongOutageClusterUnwedges is the facade-level acceptance check
 // for decision-log catch-up: after an outage spanning far more than the
 // consensus instance window, the recovered process delivers the entire

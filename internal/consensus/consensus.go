@@ -340,10 +340,6 @@ func (in *Instance) index(p proto.PID) int {
 // Decided reports whether the instance has decided locally.
 func (in *Instance) Decided() bool { return in.decided }
 
-// Decision returns the decided value and its proposer; it is only
-// meaningful once Decided reports true.
-func (in *Instance) Decision() (Value, proto.PID) { return in.decision, in.proposer }
-
 // Start supplies the local initial value (proposal). A nil value is
 // ignored. Starting twice keeps the first value. If this process
 // coordinates round 1, it proposes immediately — the round-1 fast path.

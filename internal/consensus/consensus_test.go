@@ -502,9 +502,8 @@ func TestDecidedAccessors(t *testing.T) {
 	if !n.insts[1].Decided() {
 		t.Fatal("Decided() = false after decision")
 	}
-	v, proposer := n.insts[1].Decision()
-	if v != "v0" || proposer != 0 {
-		t.Fatalf("Decision() = %v/%d, want v0/0", v, proposer)
+	if in := n.insts[1]; in.decision != "v0" || in.proposer != 0 {
+		t.Fatalf("decision = %v/%d, want v0/0", in.decision, in.proposer)
 	}
 }
 

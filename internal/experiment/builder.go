@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/ctabcast"
@@ -46,13 +47,11 @@ type CoreConfig struct {
 	// group besides the sender's home group (groups mode only), in
 	// [0, 1]. A ShardMix load event changes it mid-run.
 	CrossShard float64
-	// QoS parameterises the modelled failure detectors. The experiment
-	// harness silences it when a concrete Detector is configured; the
-	// interactive facade passes it through as given. NewCore applies
-	// whatever it receives.
+	// QoS parameterises the modelled failure detectors.
 	QoS fd.QoS
 	// Detector, if non-nil, wraps every endpoint in the concrete
-	// heartbeat failure detector of internal/hbfd.
+	// heartbeat failure detector of internal/hbfd, which replaces the
+	// modelled detectors: NewCore runs them silent, whatever QoS says.
 	Detector *Heartbeat
 	// Renumber enables the FD algorithm's coordinator renumbering.
 	Renumber bool
@@ -148,20 +147,6 @@ func (cfg *CoreConfig) grouped() bool {
 	return cfg.Groups != nil && !cfg.Groups.Trivial()
 }
 
-// preCrashOrder returns PreCrashed in declaration order with duplicates
-// dropped.
-func (cfg *CoreConfig) preCrashOrder() []proto.PID {
-	out := make([]proto.PID, 0, len(cfg.PreCrashed))
-	seen := make(map[proto.PID]bool, len(cfg.PreCrashed))
-	for _, p := range cfg.PreCrashed {
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // Validate is the one statement of what a valid system is. Both shells
 // call it once per description — the Runner per experiment point, the
 // facade per cluster — and reject with its error; NewCore itself only
@@ -205,12 +190,15 @@ func (cfg CoreConfig) Validate() error {
 	if cfg.CrossShard != 0 && !cfg.grouped() {
 		return fmt.Errorf("experiment: CrossShard without a (non-trivial) Groups map")
 	}
-	for _, p := range cfg.PreCrashed {
+	for i, p := range cfg.PreCrashed {
 		if p < 0 || int(p) >= cfg.N {
 			return fmt.Errorf("experiment: pre-crashed process %d, want 0..%d", p, cfg.N-1)
 		}
+		if slices.Contains(cfg.PreCrashed[:i], p) {
+			return fmt.Errorf("experiment: pre-crashed process %d listed twice", p)
+		}
 	}
-	if pre := len(cfg.preCrashOrder()); pre >= (cfg.N+1)/2 {
+	if pre := len(cfg.PreCrashed); pre >= (cfg.N+1)/2 {
 		return fmt.Errorf("experiment: %d pre-crashes exceed the f < n/2 bound for n = %d", pre, cfg.N)
 	}
 	return nil
@@ -272,15 +260,16 @@ type Core struct {
 	// StartLoad.
 	Loads *Loads
 
-	// cfg is the description, with Groups normalized and PreCrashed
-	// deduplicated.
+	// cfg is the description, with Groups normalized.
 	cfg   CoreConfig
 	stack *stack
-	// specs[p] and ends[p] are process p's endpoint recipe and current
-	// incarnation on the ungrouped path (in groups mode the routers own
-	// the per-group endpoints).
-	specs []endpointSpec
+	// ends lists every endpoint the system runs, process-major: on the
+	// ungrouped path ends[p] is process p's current incarnation, built from
+	// the recipe specs[p]; in groups mode ends[first[p]:first[p+1]] are
+	// process p's per-group instances, in ascending group order.
 	ends  []groups.Endpoint
+	first []int
+	specs []endpointSpec
 	// crossFrac and mixRng drive the groups-mode destination choice of
 	// Broadcast. The dedicated "mix" stream is drawn only when crossFrac
 	// is positive, so a zero fraction consumes no randomness. mixDests is
@@ -311,7 +300,9 @@ func NewCore(cfg CoreConfig) *Core {
 		// ungrouped path so the run is bit-identical to a nil map.
 		cfg.Groups = nil
 	}
-	cfg.PreCrashed = cfg.preCrashOrder()
+	if cfg.Detector != nil {
+		cfg.QoS = fd.QoS{}
+	}
 	eng := sim.New()
 	netCfg := netmodel.Config{
 		N:        cfg.N,
@@ -429,8 +420,17 @@ func (c *Core) buildGroups(pre []bool) {
 				cfg.OnView(global, mapped, c.Eng.Now())
 			}
 		}
-		return c.newEndpoint(ic.Runtime, spec)
+		ep := c.newEndpoint(ic.Runtime, spec)
+		c.ends = append(c.ends, ep)
+		return ep
 	}
+	// The routers are built in process order and each builds its instances
+	// in group order, so the factory appends ends process-major.
+	c.first = make([]int, cfg.N+1)
+	for p := 0; p < cfg.N; p++ {
+		c.first[p+1] = c.first[p] + len(cfg.Groups.GroupsOf(proto.PID(p)))
+	}
+	c.ends = make([]groups.Endpoint, 0, c.first[cfg.N])
 	coord := groups.NewCoordinator(sys, cfg.Groups, pre, factory, cfg.Deliver)
 	c.Coord = coord
 	for p := 0; p < cfg.N; p++ {
@@ -524,9 +524,9 @@ func (c *Core) ApplyLoad(ev LoadEvent) error {
 
 // Recover revives a crashed process by its stack's recovery policy (see
 // stack.rejoins): a rejoining stack gets a fresh incarnation, the others
-// resume in place — the heartbeat detector, when configured, starts
-// beating again and Resume arms the catch-up probe. Recovering a live
-// process is a no-op.
+// resume in place — on each of the process's endpoints in group order,
+// the heartbeat detector, when configured, starts beating again and
+// Resume arms the catch-up probe. Recovering a live process is a no-op.
 func (c *Core) Recover(p proto.PID) {
 	if !c.Sys.Proc(p).Crashed() {
 		return
@@ -544,16 +544,13 @@ func (c *Core) Recover(p proto.PID) {
 		return
 	}
 	c.Sys.Recover(p, nil)
-	if c.Coord != nil {
-		c.Coord.Router(p).Recovered()
-		return
-	}
-	ep := c.ends[p]
-	if ep.Restart != nil {
-		ep.Restart()
-	}
-	if ep.Resume != nil {
-		ep.Resume()
+	for _, ep := range c.endpoints(p) {
+		if ep.Restart != nil {
+			ep.Restart()
+		}
+		if ep.Resume != nil {
+			ep.Resume()
+		}
 	}
 }
 
@@ -564,16 +561,25 @@ func (c *Core) Recover(p proto.PID) {
 // run their own staleness probe off the heal's trust edges) are left
 // alone. Probes on processes that were not behind disarm silently.
 func (c *Core) Healed() {
-	for p := 0; p < c.cfg.N; p++ {
-		if c.Sys.Proc(proto.PID(p)).Crashed() {
+	for p := proto.PID(0); int(p) < c.cfg.N; p++ {
+		if c.Sys.Proc(p).Crashed() {
 			continue
 		}
-		if c.Coord != nil {
-			c.Coord.Router(proto.PID(p)).Resumed()
-		} else if resume := c.ends[p].Resume; resume != nil {
-			resume()
+		for _, ep := range c.endpoints(p) {
+			if ep.Resume != nil {
+				ep.Resume()
+			}
 		}
 	}
+}
+
+// endpoints returns process p's endpoints: its one incarnation on the
+// ungrouped path, its group instances in group order in groups mode.
+func (c *Core) endpoints(p proto.PID) []groups.Endpoint {
+	if c.first == nil {
+		return c.ends[p : p+1]
+	}
+	return c.ends[c.first[p]:c.first[p+1]]
 }
 
 // withoutPID returns members minus p, freshly allocated.

@@ -221,13 +221,6 @@ func (c Config) withDefaults() Config {
 // core translates the experiment point into the description of one of
 // its replications' systems; seed is the replication's seed.
 func (c Config) core(seed uint64) CoreConfig {
-	qos := c.QoS
-	if c.Detector != nil {
-		// The concrete heartbeat detector replaces the abstract model:
-		// silence the modelled detectors so QoS is genuinely ignored and a
-		// Detector point is bit-identical whatever QoS it inherited.
-		qos = fd.QoS{}
-	}
 	return CoreConfig{
 		Algorithm:  c.Algorithm,
 		N:          c.N,
@@ -235,7 +228,7 @@ func (c Config) core(seed uint64) CoreConfig {
 		Topology:   c.Topology,
 		Groups:     c.Groups,
 		CrossShard: c.CrossShard,
-		QoS:        qos,
+		QoS:        c.QoS,
 		Detector:   c.Detector,
 		Renumber:   !c.DisableRenumber,
 		Seed:       seed,

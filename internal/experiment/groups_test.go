@@ -230,8 +230,7 @@ func TestGroupsCrossShardSurvivesPartitionedGram(t *testing.T) {
 	})
 	// Without the retransmit the stall probe re-arms forever; bound the
 	// run instead of relying on event exhaustion.
-	h.at(5000, func() { h.core.Eng.Stop() })
-	h.core.Eng.Run()
+	h.core.Eng.RunUntil(sim.Time(0).Add(5 * time.Second))
 	h.checkAgreement(t, dests, nil)
 }
 

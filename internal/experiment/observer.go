@@ -1,7 +1,8 @@
 package experiment
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"repro/internal/netmodel"
@@ -117,11 +118,11 @@ func (g *repRegistry[T]) sorted() []repInstance[T] {
 		out = append(out, repInstance[T]{k, v})
 	}
 	g.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].point != out[j].point {
-			return out[i].point < out[j].point
+	slices.SortFunc(out, func(a, b repInstance[T]) int {
+		if c := cmp.Compare(a.point, b.point); c != 0 {
+			return c
 		}
-		return out[i].rep < out[j].rep
+		return cmp.Compare(a.rep, b.rep)
 	})
 	return out
 }

@@ -1,8 +1,9 @@
 package experiment
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/sim"
@@ -37,7 +38,7 @@ func orEmpty[P any](p *P) (plan P) {
 // apply in slice order.
 func timed[E event](events []E) []E {
 	out := append([]E(nil), events...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].When() < out[j].When() })
+	slices.SortStableFunc(out, func(a, b E) int { return cmp.Compare(a.When(), b.When()) })
 	return out
 }
 

@@ -63,29 +63,13 @@ type Listener interface {
 // Detector is the collection of failure-detector modules at one process:
 // it monitors every other process. Obtain detectors from a Sim.
 type Detector struct {
-	owner    int
 	suspects []bool
 	listener Listener
 }
 
-// Owner returns the monitoring process this detector belongs to.
-func (d *Detector) Owner() int { return d.owner }
-
 // Suspects reports whether the detector currently suspects p. A process
 // never suspects itself.
 func (d *Detector) Suspects(p int) bool { return d.suspects[p] }
-
-// SuspectedSet returns the processes currently suspected, in ascending
-// order. The slice is freshly allocated.
-func (d *Detector) SuspectedSet() []int {
-	var out []int
-	for p, s := range d.suspects {
-		if s {
-			out = append(out, p)
-		}
-	}
-	return out
-}
 
 // SetListener installs the consumer of suspicion edges. Passing nil
 // removes it. Only one listener is supported; the protocol runtime fans
@@ -168,7 +152,7 @@ func NewSim(eng *sim.Engine, n int, qos QoS, rng *sim.Rand) *Sim {
 	suspects := make([]bool, n*n)
 	for q := 0; q < n; q++ {
 		row := suspects[q*n : (q+1)*n : (q+1)*n]
-		s.detectors[q] = Detector{owner: q, suspects: row}
+		s.detectors[q] = Detector{suspects: row}
 		for p := 0; p < n; p++ {
 			if p != q {
 				s.pair(q, p).rng = *rng.ForkN(q*n + p)

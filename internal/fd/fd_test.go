@@ -295,17 +295,6 @@ type listenerFuncs struct {
 func (l listenerFuncs) OnSuspect(p int) { l.suspect(p) }
 func (l listenerFuncs) OnTrust(p int)   { l.trust(p) }
 
-func TestSuspectedSet(t *testing.T) {
-	eng := sim.New()
-	s := NewSim(eng, 4, QoS{}, sim.NewRand(1))
-	s.PreSuspect(1)
-	s.PreSuspect(3)
-	got := s.Detector(0).SuspectedSet()
-	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("SuspectedSet = %v, want [1 3]", got)
-	}
-}
-
 func TestDeterministicAcrossRuns(t *testing.T) {
 	run := func() []edge {
 		eng := sim.New()
@@ -342,13 +331,4 @@ func TestInvalidNPanics(t *testing.T) {
 		}
 	}()
 	NewSim(sim.New(), 0, QoS{}, sim.NewRand(1))
-}
-
-func TestOwner(t *testing.T) {
-	s := NewSim(sim.New(), 3, QoS{}, sim.NewRand(1))
-	for q := 0; q < 3; q++ {
-		if s.Detector(q).Owner() != q {
-			t.Fatalf("Detector(%d).Owner() = %d", q, s.Detector(q).Owner())
-		}
-	}
 }

@@ -611,7 +611,7 @@ func (g *GM) mergeFlushes() []UnstableMsg {
 	// Sorted by ID with a sequenced copy first, the first of each run of
 	// equal IDs is the entry to keep.
 	slices.SortFunc(all, func(a, b UnstableMsg) int {
-		if c := compareIDs(a.ID, b.ID); c != 0 {
+		if c := a.ID.Compare(b.ID); c != 0 {
 			return c
 		}
 		return cmp.Compare(b.Seq, a.Seq)
@@ -626,20 +626,12 @@ func (g *GM) mergeFlushes() []UnstableMsg {
 		case b.Seq >= 0:
 			return 1
 		}
-		return compareIDs(a.ID, b.ID)
+		return a.ID.Compare(b.ID)
 	})
 	out := slices.Clone(merged)
 	clear(all) // drop the bodies
 	g.flushBuf = all[:0]
 	return out
-}
-
-// compareIDs orders message IDs by (origin, seq), as MsgID.Less does.
-func compareIDs(a, b proto.MsgID) int {
-	if c := cmp.Compare(a.Origin, b.Origin); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.Seq, b.Seq)
 }
 
 // onDecide applies the decided view change.

@@ -25,7 +25,7 @@ package groups
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/proto"
 	"repro/internal/topo"
@@ -66,7 +66,7 @@ func New(n int, members [][]proto.PID) *GroupMap {
 			panic(fmt.Sprintf("groups: group %d is empty", g))
 		}
 		own := append([]proto.PID(nil), ms...)
-		sort.Slice(own, func(i, j int) bool { return own[i] < own[j] })
+		slices.Sort(own)
 		m.local[g] = make([]int32, n)
 		for i := range m.local[g] {
 			m.local[g][i] = -1
@@ -123,7 +123,7 @@ func (m *GroupMap) LocalIndex(g int, p proto.PID) proto.PID {
 // map — destinations are code, not input.
 func (m *GroupMap) Dests(dests []int) []int {
 	ds := append([]int(nil), dests...)
-	sort.Ints(ds)
+	slices.Sort(ds)
 	ok := len(ds) > 0 && ds[0] >= 0 && ds[len(ds)-1] < len(m.groups)
 	for i := 1; ok && i < len(ds); i++ {
 		ok = ds[i-1] < ds[i]

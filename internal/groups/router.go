@@ -26,9 +26,10 @@ const (
 	stallRetry = 250 * time.Millisecond
 )
 
-// Endpoint is one group's protocol instance as the Router drives it: the
-// outermost handler (e.g. a heartbeat-detector wrapper), the a-broadcast
-// entry point, and optional recovery hooks.
+// Endpoint is one group's protocol instance: the outermost handler (e.g.
+// a heartbeat-detector wrapper), the a-broadcast entry point, and optional
+// recovery hooks, which the party recovering the process calls (the
+// Router never does).
 type Endpoint struct {
 	Handler proto.Handler
 	// ABroadcast submits a body to the group's atomic broadcast.
@@ -383,29 +384,6 @@ func (r *Router) initiate(inst *instance, g *gmsg) {
 	inst.initiated.Put(g.id, struct{}{})
 	inst.sent++
 	inst.ep.ABroadcast(g)
-}
-
-// Recovered re-arms every instance after this process recovers from a
-// crash: heartbeat detectors restart, catch-up probes arm.
-func (r *Router) Recovered() {
-	for _, inst := range r.insts {
-		if inst.ep.Restart != nil {
-			inst.ep.Restart()
-		}
-		if inst.ep.Resume != nil {
-			inst.ep.Resume()
-		}
-	}
-}
-
-// Resumed arms every instance's catch-up probe (after a partition
-// heals).
-func (r *Router) Resumed() {
-	for _, inst := range r.insts {
-		if inst.ep.Resume != nil {
-			inst.ep.Resume()
-		}
-	}
 }
 
 // Init implements proto.Handler.

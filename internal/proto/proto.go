@@ -54,6 +54,15 @@ func (a MsgID) Less(b MsgID) bool {
 	return a.Seq < b.Seq
 }
 
+// Compare is Less as a three-way comparison: -1, 0 or +1 as a sorts
+// before, equal to or after b.
+func (a MsgID) Compare(b MsgID) int {
+	if c := cmp.Compare(a.Origin, b.Origin); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Seq, b.Seq)
+}
+
 // String formats the ID as "origin:seq".
 func (a MsgID) String() string { return fmt.Sprintf("%d:%d", a.Origin, a.Seq) }
 
@@ -398,11 +407,4 @@ func (l fdListener) OnTrust(q int) {
 
 // SortMsgIDs sorts ids in place in the canonical (origin, seq) order used
 // for deterministic intra-batch delivery.
-func SortMsgIDs(ids []MsgID) {
-	slices.SortFunc(ids, func(a, b MsgID) int {
-		if c := cmp.Compare(a.Origin, b.Origin); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Seq, b.Seq)
-	})
-}
+func SortMsgIDs(ids []MsgID) { slices.SortFunc(ids, MsgID.Compare) }

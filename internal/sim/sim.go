@@ -44,10 +44,6 @@ func (t Time) Sub(u Time) time.Duration { return time.Duration(t - u) }
 // simulation start.
 func (t Time) Duration() time.Duration { return time.Duration(t) }
 
-// Seconds returns the instant as a floating-point number of seconds since
-// the simulation start.
-func (t Time) Seconds() float64 { return float64(t) / float64(time.Second) }
-
 // Milliseconds returns the instant as a floating-point number of
 // milliseconds since the simulation start.
 func (t Time) Milliseconds() float64 { return float64(t) / float64(time.Millisecond) }
@@ -125,11 +121,10 @@ func (ev *Event) Cancelled() bool { return ev.cancelled }
 // Engine is a discrete-event simulation executor. The zero value is not
 // usable; create engines with New.
 type Engine struct {
-	now     Time
-	heap    []*Event // binary heap ordered by (when, seq)
-	free    *Event   // free list of recycled typed-event records
-	seq     uint64
-	stopped bool
+	now  Time
+	heap []*Event // binary heap ordered by (when, seq)
+	free *Event   // free list of recycled typed-event records
+	seq  uint64
 
 	// Executed counts events that have fired, for diagnostics and for
 	// runaway-simulation guards in tests.
@@ -207,12 +202,8 @@ func (e *Engine) AfterMsg(d time.Duration, h MsgHandler, op uint8, a, b int, pay
 	e.ScheduleMsg(e.now.Add(d), h, op, a, b, payload)
 }
 
-// Stop makes the current Run or RunUntil call return after the in-progress
-// callback finishes. Pending events remain queued.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Run executes events in timestamp order until the queue drains or Stop is
-// called. It returns the number of events executed by this call.
+// Run executes events in timestamp order until the queue drains. It
+// returns the number of events executed by this call.
 func (e *Engine) Run() uint64 {
 	return e.run(Time(math.MaxInt64))
 }
@@ -222,16 +213,15 @@ func (e *Engine) Run() uint64 {
 // by this call.
 func (e *Engine) RunUntil(deadline Time) uint64 {
 	n := e.run(deadline)
-	if !e.stopped && e.now < deadline {
+	if e.now < deadline {
 		e.now = deadline
 	}
 	return n
 }
 
 func (e *Engine) run(deadline Time) uint64 {
-	e.stopped = false
 	var n uint64
-	for len(e.heap) > 0 && !e.stopped {
+	for len(e.heap) > 0 {
 		ev := e.heap[0]
 		if ev.when > deadline {
 			break

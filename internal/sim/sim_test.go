@@ -222,28 +222,6 @@ func TestRunUntilInclusiveOfDeadline(t *testing.T) {
 	}
 }
 
-func TestStopHaltsRun(t *testing.T) {
-	e := New()
-	count := 0
-	for i := 1; i <= 5; i++ {
-		e.Schedule(Time(i*10), func() {
-			count++
-			if count == 2 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if count != 2 {
-		t.Fatalf("executed %d events before stop, want 2", count)
-	}
-	// Remaining events still pending and runnable.
-	e.Run()
-	if count != 5 {
-		t.Fatalf("executed %d events total, want 5", count)
-	}
-}
-
 func TestSchedulingInPastPanics(t *testing.T) {
 	e := New()
 	e.Schedule(Time(100), func() {})
@@ -311,9 +289,6 @@ func TestTimeConversions(t *testing.T) {
 	tm := Time(0).Add(1500 * time.Microsecond)
 	if got := tm.Milliseconds(); got != 1.5 {
 		t.Fatalf("Milliseconds() = %v, want 1.5", got)
-	}
-	if got := tm.Seconds(); got != 0.0015 {
-		t.Fatalf("Seconds() = %v, want 0.0015", got)
 	}
 	if got := tm.Sub(Time(0).Add(time.Millisecond)); got != 500*time.Microsecond {
 		t.Fatalf("Sub = %v, want 500us", got)

@@ -233,18 +233,6 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	return sorted[i]*(1-frac) + sorted[i+1]*frac
 }
 
-// Mean returns the arithmetic mean of data, or NaN for an empty slice.
-func Mean(data []float64) float64 {
-	if len(data) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for _, x := range data {
-		sum += x
-	}
-	return sum / float64(len(data))
-}
-
 // Histogram counts observations into equal-width bins over [lo, hi).
 // Observations outside the range land in the first or last bin. It is used
 // by the latency-distribution diagnostics of the experiment harness.

@@ -234,15 +234,6 @@ func TestQuantileEdgeCases(t *testing.T) {
 	}
 }
 
-func TestMeanHelper(t *testing.T) {
-	if got := Mean([]float64{1, 2, 3, 4}); got != 2.5 {
-		t.Fatalf("Mean = %v, want 2.5", got)
-	}
-	if !math.IsNaN(Mean(nil)) {
-		t.Fatal("Mean(nil) should be NaN")
-	}
-}
-
 func TestSummaryString(t *testing.T) {
 	var s Sample
 	s.Add(1)

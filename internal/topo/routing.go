@@ -1,8 +1,9 @@
 package topo
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // TxGroup is one transmission a node performs when forwarding a
@@ -71,11 +72,11 @@ func compile(t *Topology) *Routing {
 	complete := true
 	for u := 0; u < n; u++ {
 		a := adjs[u]
-		sort.Slice(a, func(i, j int) bool {
-			if a[i].wire != a[j].wire {
-				return a[i].wire < a[j].wire
+		slices.SortFunc(a, func(x, y adjEdge) int {
+			if c := cmp.Compare(x.wire, y.wire); c != 0 {
+				return c
 			}
-			return a[i].dst < a[j].dst
+			return cmp.Compare(x.dst, y.dst)
 		})
 		if len(a) != n-1 {
 			complete = false

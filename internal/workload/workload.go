@@ -40,7 +40,6 @@ type Poisson struct {
 	// is needed. Negative means no gap has been drawn yet.
 	unitsLeft float64
 	armedAt   sim.Time
-	stopped   bool
 }
 
 // NewPoisson creates a source firing at the given rate (events per second
@@ -78,23 +77,17 @@ func (p *Poisson) arm() {
 }
 
 func (p *Poisson) fired() {
-	if p.stopped {
-		return
-	}
 	p.next = nil
 	p.unitsLeft = -1 // gap fully consumed
 	p.fire()
-	// fire may have stopped the source, silenced it, or — via SetRate —
-	// already armed the next gap.
-	if p.stopped || p.rate <= 0 || p.next != nil {
+	// fire may have silenced the source or — via SetRate — already armed
+	// the next gap.
+	if p.rate <= 0 || p.next != nil {
 		return
 	}
 	p.draw()
 	p.arm()
 }
-
-// Rate returns the current rate (events per second); 0 when silent.
-func (p *Poisson) Rate() float64 { return p.rate }
 
 // SetRate changes the source's rate at the current instant. The gap in
 // flight is deterministically rescaled: its remainder — again Exp(1) in
@@ -102,11 +95,8 @@ func (p *Poisson) Rate() float64 { return p.rate }
 // randomness is consumed and the stream of future draws is unchanged.
 // A non-positive rate silences the source, keeping the remainder frozen;
 // a later SetRate back to a positive rate resumes it. Setting the current
-// rate is a no-op, bit for bit. SetRate on a stopped source is a no-op.
+// rate is a no-op, bit for bit.
 func (p *Poisson) SetRate(rate float64) {
-	if p.stopped {
-		return
-	}
 	if rate < 0 {
 		rate = 0
 	}
@@ -133,15 +123,6 @@ func (p *Poisson) SetRate(rate float64) {
 		p.draw()
 	}
 	p.arm()
-}
-
-// Stop halts the source permanently, releasing its pending event record.
-func (p *Poisson) Stop() {
-	p.stopped = true
-	if p.next != nil {
-		p.next.Cancel()
-		p.next = nil
-	}
 }
 
 // Spread starts one Poisson source per sender, each at rate

@@ -396,12 +396,14 @@ func TestShellsRejectAlike(t *testing.T) {
 	}{
 		{"pre-crash out of range", Config{Algorithm: FD, N: 3, Crashed: []ProcessID{9}}, "process 9"},
 		{"majority pre-crashed", Config{Algorithm: FD, N: 3, Crashed: []ProcessID{1, 2}}, "f < n/2"},
+		{"pre-crash listed twice", Config{Algorithm: FD, N: 5, Crashed: []ProcessID{4, 4}}, "pre-crashed process 4 listed twice"},
 		{"unknown algorithm", Config{Algorithm: 7, N: 3}, "unknown algorithm 7"},
 		{"no processes", Config{Algorithm: FD}, "N = 0"},
 		{"negative throughput", Config{Algorithm: FD, N: 3, Throughput: -1}, "throughput -1"},
 		{"NaN throughput", Config{Algorithm: FD, N: 3, Throughput: math.NaN()}, "throughput NaN"},
 		{"infinite throughput", Config{Algorithm: FD, N: 3, Throughput: math.Inf(1)}, "throughput +Inf"},
 		{"negative detection time", Config{Algorithm: FD, N: 3, QoS: Detectors(-5, 0, 0)}, "negative QoS"},
+		{"negative detection time beside heartbeats", Config{Algorithm: FD, N: 3, QoS: Detectors(-5, 0, 0), Detector: &HeartbeatConfig{}}, "negative QoS"},
 		{"negative lambda", Config{Algorithm: FD, N: 3, Lambda: -1}, "Lambda = -1"},
 		{"NaN lambda", Config{Algorithm: FD, N: 3, Lambda: math.NaN()}, "Lambda = NaN"},
 		{"topology of another size", Config{Algorithm: FD, N: 3, Topology: Ring(4)}, "4 processes"},
@@ -427,8 +429,8 @@ func TestShellsRejectAlike(t *testing.T) {
 		}
 		fromCluster := rejection(func() {
 			NewCluster(ClusterConfig{
-				Algorithm: cfg.Algorithm, N: cfg.N, Lambda: cfg.Lambda, QoS: cfg.QoS, Throughput: cfg.Throughput, Topology: cfg.Topology,
-				Groups: cfg.Groups, CrossShard: cfg.CrossShard, PreCrashed: pre, Plan: cfg.Plan, Load: cfg.Load,
+				Algorithm: cfg.Algorithm, N: cfg.N, Lambda: cfg.Lambda, QoS: cfg.QoS, Heartbeat: cfg.Detector, Throughput: cfg.Throughput,
+				Topology: cfg.Topology, Groups: cfg.Groups, CrossShard: cfg.CrossShard, PreCrashed: pre, Plan: cfg.Plan, Load: cfg.Load,
 			})
 		})
 		if fromRunner == "" || fromRunner != fromCluster || !strings.Contains(fromRunner, tc.want) {
