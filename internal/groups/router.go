@@ -28,8 +28,8 @@ const (
 
 // Endpoint is one group's protocol instance: the outermost handler (e.g.
 // a heartbeat-detector wrapper), the a-broadcast entry point, and optional
-// recovery hooks, which the party recovering the process calls (the
-// Router never does).
+// recovery hooks. The Router never calls the hooks; whoever recovers the
+// process does.
 type Endpoint struct {
 	Handler proto.Handler
 	// ABroadcast submits a body to the group's atomic broadcast.
