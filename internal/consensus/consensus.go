@@ -300,21 +300,16 @@ func (in *Instance) Reset(cfg Config, tr Transport) {
 	}
 	in.rounds.Advance(in.rounds.Hi())
 	clear(in.forwarded)
-	in.cfg = cfg
-	in.tr = tr
-	in.coordBase = base
-	in.started = false
-	in.lazy = false
-	in.estimate = nil
-	in.ts = 0
-	in.round = 1
-	in.phase = phaseWaitPropose
-	in.decided = false
-	in.decision = nil
-	in.proposer = 0
-	in.decideBox = nil
-	in.relayed = false
-	in.closed = false
+	*in = Instance{
+		cfg:       cfg,
+		tr:        tr,
+		coordBase: base,
+		round:     1,
+		rounds:    in.rounds,
+		rsFree:    in.rsFree,
+		forwarded: in.forwarded,
+		phase:     phaseWaitPropose,
+	}
 }
 
 // majority is the quorum size: more than half the participants.

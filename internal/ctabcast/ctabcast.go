@@ -162,19 +162,11 @@ var _ proto.Handler = (*Process)(nil)
 
 // New creates the FD algorithm endpoint for the process behind rt.
 func New(rt proto.Runtime, cfg Config) *Process {
-	if cfg.Deliver == nil {
-		panic("ctabcast: nil Deliver")
-	}
 	p := &Process{
-		rt:          rt,
-		cfg:         cfg,
-		buffered:    make(map[uint64][]bufferedMsg),
-		nextDeliver: 1,
-		logStart:    1,
-		logRetain:   logRetain,
-		boxes:       netmodel.NewPool(func(m *consMsg) { m.M = nil }),
+		rt:       rt,
+		buffered: make(map[uint64][]bufferedMsg),
+		boxes:    netmodel.NewPool(func(m *consMsg) { m.M = nil }),
 	}
-	p.insts.Advance(1) // instances are numbered from 1
 	p.msgs.Reserve(rt.N())
 	p.adelivered.Reserve(rt.N())
 	p.all = make([]proto.PID, rt.N())
@@ -196,7 +188,53 @@ func New(rt proto.Runtime, cfg Config) *Process {
 		Deliver:   p.onRBDeliver,
 	})
 	p.rb.Reserve(rt.N())
+	p.Reset(cfg)
 	return p
+}
+
+// Reset returns the endpoint to the state New(rt, cfg) leaves it in, on
+// its own runtime: nothing broadcast, received, decided or logged, no
+// catch-up in progress. Its tables, decision log, box pool and instance
+// slots are kept for reuse — every built instance's slot goes back to the
+// free list. The runtime's timers of the previous run must not fire
+// afterwards (the engine is reset alongside).
+func (p *Process) Reset(cfg Config) {
+	if cfg.Deliver == nil {
+		panic("ctabcast: nil Deliver")
+	}
+	for k, hi := p.insts.Lo(), p.insts.Hi(); k < hi; k++ {
+		if s := p.insts.Get(k).slot; s != nil {
+			p.slotFree = append(p.slotFree, s)
+		}
+	}
+	p.insts.Reset()
+	p.msgs.Reset()
+	p.adelivered.Reset()
+	clear(p.buffered)
+	clear(p.log)
+	clear(p.logBodies)
+	p.rb.Reset()
+	*p = Process{
+		rt:          p.rt,
+		cfg:         cfg,
+		rb:          p.rb,
+		all:         p.all,
+		msgs:        p.msgs,
+		adelivered:  p.adelivered,
+		insts:       p.insts,
+		buffered:    p.buffered,
+		nextDeliver: 1,
+		log:         p.log[:0],
+		logBodies:   p.logBodies[:0],
+		logStart:    1,
+		logRetain:   logRetain,
+		boxes:       p.boxes,
+		slotFree:    p.slotFree,
+		sortScratch: p.sortScratch[:0],
+		suspectsFn:  p.suspectsFn,
+		refreshFn:   p.refreshFn,
+	}
+	p.insts.Advance(1) // instances are numbered from 1
 }
 
 // Init implements proto.Handler.

@@ -102,6 +102,9 @@ type stack struct {
 	// entry point and, for stacks that catch up in place, the Resume hook
 	// arming the catch-up probe.
 	build func(rt proto.Runtime, s endpointSpec) groups.Endpoint
+	// reset returns a handler build made to the state build(rt, s) would
+	// leave a new one in, on the handler's own runtime (Core.Reset).
+	reset func(h proto.Handler, s endpointSpec)
 	// rejoins selects the recovery policy. A rejoining stack models a true
 	// crash-recovery: a fresh incarnation starts excluded, rejoins through
 	// its membership service and catches up via state transfer. The others
@@ -111,26 +114,41 @@ type stack struct {
 }
 
 var stacks = [...]stack{
-	FD: {build: func(rt proto.Runtime, s endpointSpec) groups.Endpoint {
-		proc := ctabcast.New(rt, ctabcast.Config{Deliver: s.deliver, Renumber: s.renumber})
-		return groups.Endpoint{Handler: proc, ABroadcast: proc.ABroadcast, Resume: proc.Resume}
-	}},
-	GM:           {build: sequencer(true), rejoins: true},
-	GMNonUniform: {build: sequencer(false), rejoins: true},
+	FD: {
+		build: func(rt proto.Runtime, s endpointSpec) groups.Endpoint {
+			proc := ctabcast.New(rt, chandraToueg(s))
+			return groups.Endpoint{Handler: proc, ABroadcast: proc.ABroadcast, Resume: proc.Resume}
+		},
+		reset: func(h proto.Handler, s endpointSpec) { h.(*ctabcast.Process).Reset(chandraToueg(s)) },
+	},
+	GM:           sequencer(true),
+	GMNonUniform: sequencer(false),
 }
 
-// sequencer builds the fixed-sequencer stack in its uniform or
+// chandraToueg configures the FD stack's endpoint.
+func chandraToueg(s endpointSpec) ctabcast.Config {
+	return ctabcast.Config{Deliver: s.deliver, Renumber: s.renumber}
+}
+
+// sequencer is the fixed-sequencer stack's row in its uniform or
 // non-uniform variant.
-func sequencer(uniform bool) func(proto.Runtime, endpointSpec) groups.Endpoint {
-	return func(rt proto.Runtime, s endpointSpec) groups.Endpoint {
-		proc := seqabcast.New(rt, seqabcast.Config{
+func sequencer(uniform bool) stack {
+	config := func(s endpointSpec) seqabcast.Config {
+		return seqabcast.Config{
 			Deliver:        s.deliver,
 			Uniform:        uniform,
 			InitialMembers: s.members,
 			SeqBase:        s.seqBase,
 			OnView:         s.onView,
-		})
-		return groups.Endpoint{Handler: proc, ABroadcast: proc.ABroadcast}
+		}
+	}
+	return stack{
+		build: func(rt proto.Runtime, s endpointSpec) groups.Endpoint {
+			proc := seqabcast.New(rt, config(s))
+			return groups.Endpoint{Handler: proc, ABroadcast: proc.ABroadcast}
+		},
+		reset:   func(h proto.Handler, s endpointSpec) { h.(*seqabcast.Process).Reset(config(s)) },
+		rejoins: true,
 	}
 }
 
@@ -277,6 +295,15 @@ type Core struct {
 	crossFrac float64
 	mixRng    *sim.Rand
 	mixDests  [2]int
+	// The workload StartLoad starts, kept for the next one: sources[p] is
+	// p's Poisson source once p has been a sender, live[p] the same for
+	// this run's senders only (what Loads acts on), senders this run's
+	// sender list, loads the installer behind Loads. fire is this run's
+	// arrival callback.
+	sources, live []*workload.Poisson
+	senders       []int
+	loads         *Loads
+	fire          func(sender int)
 }
 
 // NewCore builds engine + network + detectors + algorithm stacks, starts
@@ -288,11 +315,102 @@ type Core struct {
 // expects a description that passed Validate and panics on a malformed
 // one only as a backstop.
 func NewCore(cfg CoreConfig) *Core {
+	cfg = cfg.normalized()
+	eng := sim.New()
+	sys := proto.NewSystem(eng, cfg.network(), cfg.QoS, sim.NewRand(cfg.Seed))
+	c := &Core{
+		Eng:    eng,
+		Sys:    sys,
+		Bcast:  make([]func(any) proto.MsgID, cfg.N),
+		SentBy: make([]uint64, cfg.N),
+		cfg:    cfg,
+		stack:  stackOf(cfg.Algorithm),
+	}
+	c.Faults = Faults{eng: eng, apply: func(ev PlanEvent) { ev.apply(c) }}
+	c.members()
+	if cfg.Groups != nil {
+		c.crossFrac = cfg.CrossShard
+		c.mixRng = sim.NewRand(cfg.Seed).Fork("mix")
+		c.buildGroups()
+	} else {
+		c.specs = make([]endpointSpec, cfg.N)
+		c.ends = make([]groups.Endpoint, cfg.N)
+		for p := 0; p < cfg.N; p++ {
+			c.specs[p] = c.spec(p)
+			sys.SetHandler(proto.PID(p), c.incarnate(p, sys.Proc(proto.PID(p)), false))
+		}
+	}
+	c.start()
+	return c
+}
+
+// reusable reports whether c can be Reset to next instead of a NewCore
+// being built for it. The shape key is (Algorithm, N, Topology pointer):
+// everything else — seed, λ, QoS, pre-crashes, plan, throughput, load,
+// renumbering and the callbacks — is a Reset argument. Cores in groups
+// mode or behind a heartbeat Detector are always built fresh: their
+// routers and detector wrappers have no Reset, and no workload of the
+// benchmark repeats those shapes within one Runner call.
+func (c *Core) reusable(next CoreConfig) bool {
+	return c.Coord == nil && c.cfg.Detector == nil && !next.grouped() && next.Detector == nil &&
+		next.Algorithm == c.cfg.Algorithm && next.N == c.cfg.N && next.Topology == c.cfg.Topology
+}
+
+// Reset turns c into the system NewCore(cfg) would build, in place: the
+// engine, network, detectors and every endpoint are reset instead of
+// rebuilt, so their free lists, pools, tables and logs stay warm, and the
+// run that follows is bit for bit the run on a new Core. Everything the
+// previous run left behind goes — queued events, crashes and pre-crashes,
+// partitions and link faults, a rejoined incarnation's identity (the
+// process's endpoint takes its original spec again), SentBy and Members,
+// and the hooks the previous run installed (Net.SetTrace, Faults.OnEvent,
+// Loads, Deliver). cfg must pass Validate and have c's shape (see reusable).
+func (c *Core) Reset(cfg CoreConfig) {
+	if !c.reusable(cfg) {
+		panic(fmt.Sprintf("experiment: Reset of a %v n=%d core to a %v n=%d description of another shape", c.cfg.Algorithm, c.cfg.N, cfg.Algorithm, cfg.N))
+	}
+	cfg = cfg.normalized()
+	c.Eng.Reset()
+	c.Sys.Reset(cfg.network(), cfg.QoS, sim.NewRand(cfg.Seed))
+	clear(c.SentBy)
+	*c = Core{
+		Eng:     c.Eng,
+		Sys:     c.Sys,
+		Bcast:   c.Bcast,
+		SentBy:  c.SentBy,
+		Members: c.Members[:0],
+		Faults:  Faults{eng: c.Eng, apply: c.Faults.apply},
+		cfg:     cfg,
+		stack:   c.stack,
+		ends:    c.ends,
+		specs:   c.specs,
+		sources: c.sources,
+		live:    c.live,
+		senders: c.senders,
+		loads:   c.loads,
+	}
+	c.members()
+	for p, ep := range c.ends {
+		spec := &c.specs[p]
+		if (spec.onView != nil) != (cfg.OnView != nil) {
+			*spec = c.spec(p)
+		}
+		spec.members, spec.renumber = c.Members, cfg.Renumber
+		c.stack.reset(ep.Handler, *spec)
+		c.Sys.SetHandler(proto.PID(p), ep.Handler)
+		c.Bcast[p] = ep.ABroadcast
+	}
+	c.start()
+}
+
+// normalized is the description a Core runs: backstop checks passed, a
+// trivial group map dropped and the modelled detectors silenced under a
+// heartbeat detector.
+func (cfg CoreConfig) normalized() CoreConfig {
 	if cfg.Deliver == nil {
 		panic("experiment: NewCore requires a Deliver callback")
 	}
-	st := stackOf(cfg.Algorithm)
-	if st == nil {
+	if stackOf(cfg.Algorithm) == nil {
 		panic(fmt.Sprintf("experiment: unknown algorithm %v", cfg.Algorithm))
 	}
 	if !cfg.grouped() {
@@ -303,60 +421,48 @@ func NewCore(cfg CoreConfig) *Core {
 	if cfg.Detector != nil {
 		cfg.QoS = fd.QoS{}
 	}
-	eng := sim.New()
-	netCfg := netmodel.Config{
+	return cfg
+}
+
+// network is the description's network model configuration.
+func (cfg *CoreConfig) network() netmodel.Config {
+	return netmodel.Config{
 		N:        cfg.N,
 		Lambda:   sim.Millis(cfg.Lambda),
 		Slot:     time.Millisecond,
 		Topology: cfg.Topology,
 	}
-	sys := proto.NewSystem(eng, netCfg, cfg.QoS, sim.NewRand(cfg.Seed))
-	c := &Core{
-		Eng:    eng,
-		Sys:    sys,
-		Bcast:  make([]func(any) proto.MsgID, cfg.N),
-		SentBy: make([]uint64, cfg.N),
-		cfg:    cfg,
-		stack:  st,
-	}
-	c.Faults = Faults{eng: eng, apply: func(ev PlanEvent) { ev.apply(c) }}
+}
 
-	pre := make([]bool, cfg.N)
-	for _, p := range cfg.PreCrashed {
-		pre[p] = true
-	}
-	for p := 0; p < cfg.N; p++ {
-		if !pre[p] {
-			c.Members = append(c.Members, proto.PID(p))
+// members fills Members: everyone not pre-crashed, ascending.
+func (c *Core) members() {
+	for p := proto.PID(0); int(p) < c.cfg.N; p++ {
+		if !slices.Contains(c.cfg.PreCrashed, p) {
+			c.Members = append(c.Members, p)
 		}
 	}
+}
 
-	if cfg.Groups != nil {
-		c.crossFrac = cfg.CrossShard
-		c.mixRng = sim.NewRand(cfg.Seed).Fork("mix")
-		c.buildGroups(pre)
-	} else {
-		c.specs = make([]endpointSpec, cfg.N)
-		c.ends = make([]groups.Endpoint, cfg.N)
-		for p := 0; p < cfg.N; p++ {
-			pid := proto.PID(p)
-			spec := endpointSpec{members: c.Members, renumber: cfg.Renumber}
-			spec.deliver = func(id proto.MsgID, body any) {
-				c.cfg.Deliver(pid, id, body, eng.Now())
-			}
-			if cfg.OnView != nil {
-				spec.onView = func(v gm.View) { c.cfg.OnView(pid, v, eng.Now()) }
-			}
-			c.specs[p] = spec
-			sys.SetHandler(pid, c.incarnate(p, sys.Proc(pid), false))
-		}
+// spec is process p's endpoint recipe on the ungrouped path.
+func (c *Core) spec(p int) endpointSpec {
+	pid := proto.PID(p)
+	spec := endpointSpec{members: c.Members, renumber: c.cfg.Renumber}
+	spec.deliver = func(id proto.MsgID, body any) {
+		c.cfg.Deliver(pid, id, body, c.Eng.Now())
 	}
-	for _, p := range cfg.PreCrashed {
-		sys.PreCrash(p)
+	if c.cfg.OnView != nil {
+		spec.onView = func(v gm.View) { c.cfg.OnView(pid, v, c.Eng.Now()) }
 	}
-	sys.Start()
-	c.Faults.Install(orEmpty(cfg.Plan).Events)
-	return c
+	return spec
+}
+
+// start is the tail NewCore and Reset share: pre-crashes, start, plan.
+func (c *Core) start() {
+	for _, p := range c.cfg.PreCrashed {
+		c.Sys.PreCrash(p)
+	}
+	c.Sys.Start()
+	c.Faults.Install(orEmpty(c.cfg.Plan).Events)
 }
 
 // newEndpoint builds one endpoint of the configured stack on rt — behind
@@ -400,8 +506,12 @@ func (c *Core) incarnate(p int, rt proto.Runtime, rejoin bool) proto.Handler {
 // the process belongs to. Each instance is the same stack the ungrouped
 // path builds, run in the group's local id space, and the router's
 // timestamp merge provides the cross-group total order.
-func (c *Core) buildGroups(pre []bool) {
+func (c *Core) buildGroups() {
 	cfg, sys := &c.cfg, c.Sys
+	pre := make([]bool, cfg.N)
+	for _, p := range cfg.PreCrashed {
+		pre[p] = true
+	}
 	factory := func(ic groups.InstanceConfig) groups.Endpoint {
 		spec := endpointSpec{
 			deliver:  func(_ proto.MsgID, body any) { ic.Deliver(body) },
@@ -479,27 +589,44 @@ func (c *Core) Broadcast(sender int, body any) (proto.MsgID, []int) {
 // raises it), on the dedicated "load" stream — and builds the Loads
 // installer with CoreConfig.Load installed. fire receives each arrival's
 // sender and is expected to Broadcast; a sender crashed mid-run keeps its
-// source but generates no load, so its arrivals never reach fire.
+// source but generates no load, so its arrivals never reach fire. After a
+// Reset the sources and the installer of the previous run start again in
+// place.
 func (c *Core) StartLoad(fire func(sender int)) {
-	senders := make([]int, len(c.Members))
-	for i, p := range c.Members {
-		senders[i] = int(p)
+	n := c.cfg.N
+	if c.sources == nil {
+		c.sources = make([]*workload.Poisson, n)
+		c.live = make([]*workload.Poisson, n)
+	}
+	c.fire = fire
+	c.senders = c.senders[:0]
+	for _, p := range c.Members {
+		c.senders = append(c.senders, int(p))
 	}
 	rng := sim.NewRand(c.cfg.Seed).Fork("load")
-	sources := workload.Spread(c.Eng, rng, c.cfg.Throughput, c.cfg.N, senders, func(sender int) {
-		if !c.Sys.Proc(proto.PID(sender)).Crashed() {
-			fire(sender)
-		}
-	})
-	byPID := make([]*workload.Poisson, c.cfg.N)
-	for i, s := range senders {
-		byPID[s] = sources[i]
+	workload.SpreadInto(c.sources, c.Eng, rng, c.cfg.Throughput, n, c.senders, c.arrive)
+	clear(c.live)
+	for _, s := range c.senders {
+		c.live[s] = c.sources[s]
 	}
-	c.Loads = NewLoads(c.Eng, c.cfg.Throughput, c.cfg.N, byPID)
+	if c.loads == nil {
+		c.loads = NewLoads(c.Eng, c.cfg.Throughput, n, c.live)
+	} else {
+		c.loads.reset(c.cfg.Throughput, n, c.live)
+	}
+	c.Loads = c.loads
 	if c.Coord != nil {
 		c.Loads.OnShardMix = func(fraction float64) { c.crossFrac = fraction }
 	}
 	c.Loads.Install(orEmpty(c.cfg.Load).Events)
+}
+
+// arrive is every workload source's callback: an arrival at a crashed
+// sender generates no load.
+func (c *Core) arrive(sender int) {
+	if !c.Sys.Proc(proto.PID(sender)).Crashed() {
+		c.fire(sender)
+	}
 }
 
 // Apply checks one fault event against the running system and schedules

@@ -345,21 +345,34 @@ type Loads struct {
 // sender→source mapping that load events act on.
 func NewLoads(eng *sim.Engine, total float64, nominal int, sources []*workload.Poisson) *Loads {
 	l := &Loads{
-		nominal: nominal,
-		sources: sources,
-		base:    make([]float64, len(sources)),
-		factor:  make([]float64, len(sources)),
-		muted:   make([]bool, len(sources)),
+		base:   make([]float64, len(sources)),
+		factor: make([]float64, len(sources)),
+		muted:  make([]bool, len(sources)),
 	}
 	l.installer = installer[LoadEvent]{eng: eng, apply: func(ev LoadEvent) { ev.apply(l) }}
+	l.reset(total, nominal, sources)
+	return l
+}
+
+// reset returns the installer to the state NewLoads leaves it in, on its
+// own engine, for sources of the same length: no event applied or
+// observed, no shard-mix hook.
+func (l *Loads) reset(total float64, nominal int, sources []*workload.Poisson) {
+	*l = Loads{
+		installer: installer[LoadEvent]{eng: l.eng, apply: l.apply},
+		nominal:   nominal,
+		sources:   sources,
+		base:      l.base,
+		factor:    l.factor,
+		muted:     l.muted,
+	}
 	per := total / float64(nominal)
 	for i := range sources {
-		l.factor[i] = 1
+		l.base[i], l.factor[i], l.muted[i] = 0, 1, false
 		if sources[i] != nil {
 			l.base[i] = per
 		}
 	}
-	return l
 }
 
 // scale multiplies (or, on undo, divides) the burst factor of the

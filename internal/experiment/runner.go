@@ -42,14 +42,20 @@ func (r *Runner) workers(n int) int {
 	return w
 }
 
-// runJobs executes n independent jobs, indices 0..n-1, on the pool.
-func (r *Runner) runJobs(n int, job func(i int)) {
+// runJobs executes n independent jobs, indices 0..n-1, on the pool. Each
+// worker holds one replication value for the whole call and hands it to
+// every job it runs, so that consecutive replications of one shape reuse
+// one warm Core (replication.run). The value dies with the call: nothing
+// warm outlives it, and no job's result depends on which worker ran it or
+// what that worker ran before.
+func (r *Runner) runJobs(n int, job func(i int, w *replication)) {
 	if n == 0 {
 		return
 	}
 	if r.workers(n) == 1 {
+		w := new(replication)
 		for i := 0; i < n; i++ {
-			job(i)
+			job(i, w)
 			if r.Progress != nil {
 				r.Progress(i+1, n)
 			}
@@ -58,16 +64,17 @@ func (r *Runner) runJobs(n int, job func(i int)) {
 	}
 	var next, done atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < r.workers(n); w++ {
+	for k := 0; k < r.workers(n); k++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			w := new(replication)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				job(i)
+				job(i, w)
 				if r.Progress != nil {
 					r.Progress(int(done.Add(1)), n)
 				}
@@ -96,9 +103,9 @@ func (r *Runner) runGrid(pts []Config) [][]RepStats {
 			jobs = append(jobs, job{i, rep})
 		}
 	}
-	r.runJobs(len(jobs), func(k int) {
+	r.runJobs(len(jobs), func(k int, w *replication) {
 		j := jobs[k]
-		reps[j.point][j.rep] = runReplication(pts[j.point], j.point, j.rep)
+		reps[j.point][j.rep] = w.run(pts[j.point], j.point, j.rep)
 	})
 	return reps
 }

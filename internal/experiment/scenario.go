@@ -68,6 +68,10 @@ type replication struct {
 	// sent maps each awaited id to its A-broadcast instant, first to its
 	// earliest A-delivery on any process (§5.1).
 	sent, first map[proto.MsgID]sim.Time
+	// start and end bound the measure window; ids is the sorted awaited
+	// set's scratch.
+	start, end sim.Time
+	ids        []proto.MsgID
 }
 
 // pick returns the observers that also implement T, in order.
@@ -94,19 +98,36 @@ func pick[T any](observers []Observer) []T {
 // replications can run on any goroutine in any order; point and rep only
 // name the replication to its observers.
 func runReplication(cfg Config, point, rep int) RepStats {
-	r := &replication{
-		sent:  make(map[proto.MsgID]sim.Time),
-		first: make(map[proto.MsgID]sim.Time),
+	return new(replication).run(cfg, point, rep)
+}
+
+// run is runReplication on a replication value a Runner worker keeps
+// between the replications it runs. Its Core is Reset instead of built
+// again when the next replication has the same shape (Core.reusable), and
+// its maps are emptied instead of made again; the result is bit for bit
+// the result on fresh ones.
+func (r *replication) run(cfg Config, point, rep int) RepStats {
+	if r.sent == nil {
+		r.sent = make(map[proto.MsgID]sim.Time)
+		r.first = make(map[proto.MsgID]sim.Time)
 	}
+	clear(r.sent)
+	clear(r.first)
+	*r = replication{core: r.core, sent: r.sent, first: r.first, ids: r.ids[:0]}
 	start := sim.Time(0).Add(cfg.Warmup)
 	end, drainSlice := start.Add(cfg.Measure), steadyDrainSlice
 	if cfg.transient != nil {
 		end, drainSlice = start, transientDrainSlice
 	}
+	r.start, r.end = start, end
 
 	cc := cfg.core(repSeed(cfg.Seed, rep))
 	cc.Deliver = r.deliver
-	r.core = NewCore(cc)
+	if r.core != nil && r.core.reusable(cc) {
+		r.core.Reset(cc)
+	} else {
+		r.core = NewCore(cc)
+	}
 	eng := r.core.Eng
 
 	for _, factory := range cfg.Observers {
@@ -129,12 +150,7 @@ func runReplication(cfg Config, point, rep int) RepStats {
 			}
 		}
 	}
-	r.core.StartLoad(func(sender int) {
-		id := r.broadcast(sender, nil)
-		if now := eng.Now(); now >= start && now < end {
-			r.sent[id] = now
-		}
-	})
+	r.core.StartLoad(r.arrival)
 	// StartLoad built the Loads installer; nothing fires before the first
 	// RunUntil below.
 	if obs := pick[LoadObserver](r.observers); len(obs) > 0 {
@@ -173,13 +189,12 @@ func runReplication(cfg Config, point, rep int) RepStats {
 	// Accumulate in canonical ID order: floating-point summation is
 	// order-sensitive, and map iteration would make results differ across
 	// runs (and between the two algorithms) in the last bits.
-	ids := make([]proto.MsgID, 0, len(r.sent))
 	for id := range r.sent {
-		ids = append(ids, id)
+		r.ids = append(r.ids, id)
 	}
-	proto.SortMsgIDs(ids)
+	proto.SortMsgIDs(r.ids)
 	rs := RepStats{Diverged: diverged()}
-	for _, id := range ids {
+	for _, id := range r.ids {
 		t1, ok := r.first[id]
 		if !ok {
 			rs.Undelivered++
@@ -188,6 +203,15 @@ func runReplication(cfg Config, point, rep int) RepStats {
 		rs.Latencies.Add(t1.Sub(r.sent[id]).Seconds() * 1000) // milliseconds
 	}
 	return rs
+}
+
+// arrival is the workload's callback: one A-broadcast from sender,
+// awaited if it falls in the measure window.
+func (r *replication) arrival(sender int) {
+	id := r.broadcast(sender, nil)
+	if now := r.core.Eng.Now(); now >= r.start && now < r.end {
+		r.sent[id] = now
+	}
 }
 
 // broadcast A-broadcasts body from sender through the Core, maintains the

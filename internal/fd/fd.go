@@ -134,29 +134,49 @@ func (s *Sim) StopMistakes() { s.quiesced = true }
 // independent stream per ordered process pair. The mistake processes (if
 // TMR > 0) start immediately.
 func NewSim(eng *sim.Engine, n int, qos QoS, rng *sim.Rand) *Sim {
-	if err := qos.Validate(); err != nil {
-		panic(err)
-	}
 	if n < 1 {
 		panic(fmt.Sprintf("fd: n = %d, need at least 1", n))
 	}
 	s := &Sim{
 		eng:        eng,
 		n:          n,
-		qos:        qos,
 		detectors:  make([]Detector, n),
 		pairs:      make([]pairState, n*n),
 		crashed:    make([]bool, n),
 		crashEpoch: make([]uint64, n),
 	}
 	suspects := make([]bool, n*n)
+	for q := range s.detectors {
+		s.detectors[q].suspects = suspects[q*n : (q+1)*n : (q+1)*n]
+	}
+	s.Reset(qos, rng)
+	return s
+}
+
+// Reset returns the detectors to the state NewSim(eng, n, qos, rng)
+// leaves them in, on the Sim's own engine and n, keeping its tables and
+// each detector's listener: nothing crashed, severed or suspected, every
+// pair's stream re-seeded from rng and, if TMR > 0, every mistake process
+// started anew. The engine must have been reset first: timers of the
+// previous run must not fire into this one.
+func (s *Sim) Reset(qos QoS, rng *sim.Rand) {
+	if err := qos.Validate(); err != nil {
+		panic(err)
+	}
+	n := s.n
+	for q := range s.detectors {
+		clear(s.detectors[q].suspects)
+	}
+	clear(s.crashed)
+	clear(s.crashEpoch)
+	*s = Sim{eng: s.eng, n: n, qos: qos, detectors: s.detectors, pairs: s.pairs, crashed: s.crashed, crashEpoch: s.crashEpoch}
 	for q := 0; q < n; q++ {
-		row := suspects[q*n : (q+1)*n : (q+1)*n]
-		s.detectors[q] = Detector{suspects: row}
 		for p := 0; p < n; p++ {
+			st := pairState{}
 			if p != q {
-				s.pair(q, p).rng = *rng.ForkN(q*n + p)
+				st.rng = *rng.ForkN(q*n + p)
 			}
+			*s.pair(q, p) = st
 		}
 	}
 	if qos.TMR > 0 {
@@ -168,7 +188,6 @@ func NewSim(eng *sim.Engine, n int, qos QoS, rng *sim.Rand) *Sim {
 			}
 		}
 	}
-	return s
 }
 
 // N returns the number of processes.

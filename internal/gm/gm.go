@@ -230,6 +230,28 @@ func New(rt proto.Runtime) *GM {
 	}
 }
 
+// Reset returns the service to the state New leaves it in, on its own
+// runtime and with its application: not started, no view, no change, join
+// or probe in progress. Its maps and scratch keep their storage. The
+// runtime's timers of the previous run must not fire afterwards (the
+// engine is reset alongside).
+func (g *GM) Reset() {
+	clear(g.flushes)
+	clear(g.targets)
+	clear(g.pendingJoins)
+	clear(g.future)
+	*g = GM{
+		rt:           g.rt,
+		app:          g.app,
+		flushes:      g.flushes,
+		targets:      g.targets,
+		pendingJoins: g.pendingJoins,
+		future:       g.future,
+		survivors:    g.survivors[:0],
+		flushBuf:     g.flushBuf[:0],
+	}
+}
+
 // SetApp installs the view-synchronous application.
 func (g *GM) SetApp(app App) { g.app = app }
 

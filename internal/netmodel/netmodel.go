@@ -249,7 +249,8 @@ type Network struct {
 	linkLoss    [][]float64       // per directed link loss probability
 	linkDelay   [][]time.Duration // per directed link extra delay
 	activeLinks int               // number of links with a non-zero fault
-	faultRand   *sim.Rand         // loss stream; lazily defaulted
+	faultRand   sim.Rand          // loss stream, once faultSeeded; lazily defaulted
+	faultSeeded bool
 
 	ctrs Counters
 }
@@ -267,36 +268,80 @@ func New(eng *sim.Engine, cfg Config, deliver DeliverFunc) *Network {
 	t := cfg.Topology
 	if t == nil {
 		t = topo.SharedFullMesh(cfg.N)
-		cfg.Topology = t
 	}
-	rt := t.Routing()
 	nw := &Network{
 		eng:       eng,
-		cfg:       cfg,
+		cfg:       Config{N: cfg.N, Topology: t},
 		deliver:   deliver,
 		cpuBusy:   make([]sim.Time, cfg.N),
 		wireBusy:  make([]sim.Time, len(t.Wires)),
 		crashed:   make([]bool, cfg.N),
-		rt:        rt,
+		rt:        t.Routing(),
 		wireSlot:  make([]time.Duration, len(t.Wires)),
 		wireDelay: make([]time.Duration, len(t.Wires)),
 		wireLoss:  make([]float64, len(t.Wires)),
 	}
 	for i, w := range t.Wires {
-		nw.wireSlot[i] = w.Slot
-		if w.Slot == 0 {
-			nw.wireSlot[i] = cfg.Slot
-		}
 		nw.wireDelay[i] = w.Delay
 		nw.wireLoss[i] = w.Loss
 		if w.Loss > 0 {
 			nw.lossy = true
 		}
 	}
-	if nw.lossy {
-		nw.faultRand = sim.NewRand(1)
-	}
+	nw.Reset(cfg)
 	return nw
+}
+
+// Reset returns the network to the state New(eng, cfg, deliver) leaves it
+// in, on the network's own engine and deliver callback, keeping the
+// routing tables and per-wire arrays compiled from the topology. cfg must
+// name the network's N and topology (nil for the full mesh it was built
+// on); Lambda and Slot may differ. Everything a run changes is undone:
+// busy horizons, crashes, the partition, link faults, registered
+// destination sets, the trace hook, the counters and the loss stream.
+func (nw *Network) Reset(cfg Config) {
+	if err := cfg.validate(); err != nil {
+		panic(err)
+	}
+	if cfg.Topology == nil {
+		cfg.Topology = topo.SharedFullMesh(cfg.N)
+	}
+	if cfg.N != nw.cfg.N || cfg.Topology != nw.cfg.Topology {
+		panic(fmt.Sprintf("netmodel: Reset to %d processes on %q, network has %d on %q", cfg.N, cfg.Topology.Name, nw.cfg.N, nw.cfg.Topology.Name))
+	}
+	for i, w := range cfg.Topology.Wires {
+		nw.wireSlot[i] = w.Slot
+		if w.Slot == 0 {
+			nw.wireSlot[i] = cfg.Slot
+		}
+	}
+	clear(nw.cpuBusy)
+	clear(nw.wireBusy)
+	clear(nw.crashed)
+	clear(nw.sets)
+	for p := range nw.linkLoss {
+		clear(nw.linkLoss[p])
+		clear(nw.linkDelay[p])
+	}
+	*nw = Network{
+		eng:       nw.eng,
+		cfg:       cfg,
+		deliver:   nw.deliver,
+		cpuBusy:   nw.cpuBusy,
+		wireBusy:  nw.wireBusy,
+		crashed:   nw.crashed,
+		rt:        nw.rt,
+		sets:      nw.sets[:0],
+		wireSlot:  nw.wireSlot,
+		wireDelay: nw.wireDelay,
+		wireLoss:  nw.wireLoss,
+		lossy:     nw.lossy,
+		linkLoss:  nw.linkLoss,
+		linkDelay: nw.linkDelay,
+	}
+	if nw.lossy {
+		nw.SetFaultRand(sim.NewRand(1))
+	}
 }
 
 // SetTrace installs an observer invoked at each message lifecycle point.
@@ -316,13 +361,13 @@ func (nw *Network) Crash(p int) { nw.crashed[p] = true }
 // current instant. Recovering a live process is a no-op.
 func (nw *Network) Recover(p int) { nw.crashed[p] = false }
 
-// SetFaultRand installs the random stream that decides lossy-link and
-// lossy-wire drops. Installing it up front keeps loss decisions on an
-// independent stream, so a fault-free simulation is bit-identical whether
-// or not the stream was installed. If a lossy link is configured without
-// one, a fixed-seed default is used (a topology with lossy wires installs
-// that default at construction).
-func (nw *Network) SetFaultRand(r *sim.Rand) { nw.faultRand = r }
+// SetFaultRand installs a copy of r as the random stream that decides
+// lossy-link and lossy-wire drops. Installing it up front keeps loss
+// decisions on an independent stream, so a fault-free simulation is
+// bit-identical whether or not the stream was installed. If a lossy link
+// is configured without one, a fixed-seed default is used (a topology
+// with lossy wires installs that default at construction).
+func (nw *Network) SetFaultRand(r *sim.Rand) { nw.faultRand, nw.faultSeeded = *r, true }
 
 // SetPartition splits the processes into isolated groups as of the current
 // instant: a message copy whose current hop crosses two groups is
@@ -396,8 +441,8 @@ func (nw *Network) SetLink(from, to int, loss float64, extraDelay time.Duration)
 	case was && !now:
 		nw.activeLinks--
 	}
-	if loss > 0 && nw.faultRand == nil {
-		nw.faultRand = sim.NewRand(1)
+	if loss > 0 && !nw.faultSeeded {
+		nw.SetFaultRand(sim.NewRand(1))
 	}
 	nw.faults = nw.group != nil || nw.activeLinks > 0
 }

@@ -43,6 +43,16 @@ func (t *IDTable[T]) Reserve(n int) {
 	t.rows = slices.Grow(t.rows, max(0, n-len(t.rows)))
 }
 
+// Reset empties the table, keeping every row's ring and the slab for
+// reuse: a table emptied this way takes its next entries without
+// allocating what it already grew once.
+func (t *IDTable[T]) Reset() {
+	for i := range t.rows {
+		t.rows[i].Reset()
+	}
+	t.n = 0
+}
+
 // slot returns id's slot, in use or not; nil when its row does not reach
 // that far.
 func (t *IDTable[T]) slot(id MsgID) *idSlot[T] {

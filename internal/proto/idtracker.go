@@ -23,6 +23,12 @@ func (t *IDTracker) Reserve(n int) {
 	t.water = slices.Grow(t.water, max(0, n-len(t.water)))
 }
 
+// Reset empties the tracker, keeping its storage for reuse.
+func (t *IDTracker) Reset() {
+	clear(t.water)
+	t.sparse.Reset()
+}
+
 // watermark returns the sequence number of origin p up to which every ID
 // has been added.
 func (t *IDTracker) watermark(p PID) uint64 {

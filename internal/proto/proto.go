@@ -136,18 +136,40 @@ func NewSystem(eng *sim.Engine, netCfg netmodel.Config, qos fd.QoS, rng *sim.Ran
 	s.Net = netmodel.New(eng, netCfg, s.dispatch)
 	s.FDs = fd.NewSim(eng, n, qos, rng.Fork("fd"))
 	s.procs = make([]*Proc, n)
-	for p := 0; p < n; p++ {
-		proc := &Proc{
-			sys: s,
-			id:  PID(p),
-			rng: rng.ForkN(p),
-		}
-		s.procs[p] = proc
-		s.FDs.Detector(p).SetListener(fdListener{proc})
+	rngs := make([]sim.Rand, n)
+	for p := range s.procs {
+		s.procs[p] = &Proc{sys: s, id: PID(p), rng: &rngs[p]}
+		s.FDs.Detector(p).SetListener(fdListener{s.procs[p]})
+	}
+	s.reset(rng)
+	return s
+}
+
+// Reset returns the system to the state NewSystem(s.Eng, netCfg, qos,
+// rng) leaves it in, keeping its processes, network and detectors —
+// storage, streams and listeners — instead of building them again. The
+// handlers stay installed and SetHandler may replace them before Start
+// runs again. netCfg must name the system's N and topology (Lambda and
+// Slot may differ), and the engine must have been reset first
+// (sim.Engine.Reset): the previous run's timers must not fire into this
+// one.
+func (s *System) Reset(netCfg netmodel.Config, qos fd.QoS, rng *sim.Rand) {
+	s.Net.Reset(netCfg)
+	s.FDs.Reset(qos, rng.Fork("fd"))
+	s.reset(rng)
+}
+
+// reset is what NewSystem and Reset share after the detectors forked their
+// stream: the process streams, in process order, then the network's loss
+// stream.
+func (s *System) reset(rng *sim.Rand) {
+	*s = System{Eng: s.Eng, Net: s.Net, FDs: s.FDs, procs: s.procs}
+	for p, proc := range s.procs {
+		*proc = Proc{sys: s, id: PID(p), rng: proc.rng, handler: proc.handler}
+		*proc.rng = *rng.ForkN(p)
 	}
 	// Forked last so every stream above is unchanged by its existence.
 	s.Net.SetFaultRand(rng.Fork("netfault"))
-	return s
 }
 
 // N returns the number of processes.

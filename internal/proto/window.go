@@ -92,3 +92,10 @@ func (w *Window[T]) Advance(lo uint64) {
 	}
 	w.lo, w.hi = lo, max(lo, w.hi)
 }
+
+// Reset empties the window back to the zero Window's range, keeping its
+// ring for reuse.
+func (w *Window[T]) Reset() {
+	clear(w.ring)
+	w.lo, w.hi = 0, 0
+}

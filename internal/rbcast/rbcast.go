@@ -72,6 +72,16 @@ func New(cfg Config) *Broadcaster {
 	return &Broadcaster{cfg: cfg, msgs: netmodel.NewPool(func(m *Msg) { m.Body = nil })}
 }
 
+// Reset returns the broadcaster to the state New leaves it in, with its
+// configuration: no message sent, delivered or relayed. Its tables keep
+// their storage and its box pool its free list.
+func (b *Broadcaster) Reset() {
+	b.delivered.Reset()
+	b.unstable.Reset()
+	b.relayed.Reset()
+	*b = Broadcaster{cfg: b.cfg, delivered: b.delivered, unstable: b.unstable, relayed: b.relayed, msgs: b.msgs}
+}
+
 // Reserve sizes the per-origin tables for origins 0..n-1 up front, so the
 // first message of each origin does not regrow them. The relay tracker is
 // left to grow: it is only written under suspicions.

@@ -201,24 +201,58 @@ var (
 
 // New creates the GM algorithm endpoint for the process behind rt.
 func New(rt proto.Runtime, cfg Config) *Process {
-	if cfg.Deliver == nil {
-		panic("seqabcast: nil Deliver")
-	}
 	p := &Process{
 		rt:          rt,
-		cfg:         cfg,
-		bcastSeq:    cfg.SeqBase,
 		received:    make(map[proto.MsgID]any),
 		delivered:   proto.NewIDTracker(),
 		assignments: make(map[uint64]proto.MsgID),
 		seqOf:       make(map[proto.MsgID]uint64),
 		ackedUpTo:   make([]uint64, rt.N()),
 		dataPool:    netmodel.NewPool(func(m *MsgData) { m.Body = nil }),
+		gm:          gm.New(rt),
+	}
+	p.gm.SetApp(p)
+	p.Reset(cfg)
+	return p
+}
+
+// Reset returns the endpoint to the state New(rt, cfg) leaves it in, on
+// its own runtime and membership service (reset too): nothing broadcast,
+// received, delivered or queued, not started. Its maps, tables, log and
+// box pools keep their storage. The runtime's timers of the previous run
+// must not fire afterwards (the engine is reset alongside).
+func (p *Process) Reset(cfg Config) {
+	if cfg.Deliver == nil {
+		panic("seqabcast: nil Deliver")
+	}
+	clear(p.received)
+	p.delivered.Reset()
+	clear(p.log)
+	clear(p.toSequence)
+	clear(p.queued)
+	clear(p.buffered)
+	p.gm.Reset()
+	*p = Process{
+		rt:          p.rt,
+		cfg:         cfg,
+		gm:          p.gm,
+		bcastSeq:    cfg.SeqBase,
+		received:    p.received,
+		delivered:   p.delivered,
+		log:         p.log[:0],
+		assignments: p.assignments,
+		seqOf:       p.seqOf,
+		toSequence:  p.toSequence,
+		ackedUpTo:   p.ackedUpTo,
+		ackBuf:      p.ackBuf[:0],
+		queued:      p.queued[:0],
+		buffered:    p.buffered[:0],
+		dataPool:    p.dataPool,
+		seqNumPool:  p.seqNumPool,
+		ackPool:     p.ackPool,
+		deliverPool: p.deliverPool,
 	}
 	p.resetViewState()
-	p.gm = gm.New(rt)
-	p.gm.SetApp(p)
-	return p
 }
 
 // View exposes the current view (diagnostics and tests).

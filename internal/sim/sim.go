@@ -18,7 +18,12 @@
 // dispatched to a MsgHandler; they return no handle, which lets the engine
 // recycle the event record through a free list the moment it fires. The
 // per-message hot path of the network model runs entirely on the second
-// form, so simulating a message allocates nothing in the kernel.
+// form, so simulating a message allocates nothing in the kernel. A timer
+// re-armed over and over (a workload source's next arrival) keeps one
+// closure-form record of its own and re-arms it with Rearm.
+//
+// Reset empties an engine for the next simulation in place, keeping the
+// heap's capacity and the free list warm.
 package sim
 
 import (
@@ -136,6 +141,30 @@ func New() *Engine {
 	return &Engine{}
 }
 
+// Reset returns the engine to the state New leaves it in — clock, sequence
+// and executed count at zero, nothing queued — keeping the heap's capacity
+// and the typed records' free list, so that a simulation rebuilt on it in
+// place runs bit for bit like one on a new engine without re-warming
+// either. Queued typed records go back to the free list. A queued closure
+// event is dropped as a removed one (its closure released, index -1, no
+// engine): a handle to it from before the reset cancels nothing, and a
+// record the caller owns may be re-armed.
+func (e *Engine) Reset() {
+	for i, ev := range e.heap {
+		e.heap[i] = nil
+		ev.index, ev.eng = -1, nil
+		if ev.fn != nil {
+			ev.fn = nil
+			continue
+		}
+		ev.h, ev.payload = nil, nil
+		ev.free = e.free
+		e.free = ev
+	}
+	e.heap = e.heap[:0]
+	e.now, e.seq, e.executed = 0, 0, 0
+}
+
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
@@ -194,6 +223,26 @@ func (e *Engine) ScheduleMsg(at Time, h MsgHandler, op uint8, a, b int, payload 
 	ev.when, ev.seq = at, e.seq
 	e.seq++
 	ev.h, ev.op, ev.a, ev.b, ev.payload = h, op, a, b, payload
+	e.push(ev)
+}
+
+// Rearm schedules fn at instant at on a record the caller owns, with the
+// same sequence draw as Schedule: the caller keeps one record (by value,
+// typically) for a timer it re-arms over and over, and re-arming it
+// allocates nothing. The record must not be queued — a zero Event, or one
+// that fired, was cancelled or was dropped by Reset; re-arming a queued
+// record panics. The record is the timer's handle, as Schedule's return
+// value is.
+func (e *Engine) Rearm(ev *Event, at Time, fn func()) {
+	e.checkAt(at)
+	if fn == nil {
+		panic("sim: Rearm with nil callback")
+	}
+	if ev.eng != nil {
+		panic("sim: Rearm of a queued event")
+	}
+	*ev = Event{eng: e, when: at, seq: e.seq, fn: fn}
+	e.seq++
 	e.push(ev)
 }
 

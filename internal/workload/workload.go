@@ -22,9 +22,12 @@ import (
 // the source stays a Poisson process piecewise, and the change consumes
 // no randomness, so a run in which SetRate is never called (or called
 // with the current rate) is bit-identical to a constant-rate run.
+//
+// The source owns the event record of its next arrival and re-arms it
+// (sim.Engine.Rearm), so an arrival allocates nothing.
 type Poisson struct {
 	eng     *sim.Engine
-	rng     *sim.Rand
+	rng     sim.Rand
 	rate    float64 // events per second of virtual time; <= 0 is silent
 	meanGap float64 // milliseconds between events; 0 when rate <= 0
 	fire    func()
@@ -32,7 +35,9 @@ type Poisson struct {
 	// engine on every arrival, and binding it there would allocate each
 	// time.
 	firedFn func()
-	next    *sim.Event
+	// next is the record of the arrival in flight, queued while armed.
+	next  sim.Event
+	armed bool
 	// unitsLeft is the remainder of the inter-event gap in flight, in
 	// units of the mean gap — an Exp(1) draw counting down as virtual
 	// time passes. The exponential is memoryless, so on a rate change the
@@ -42,20 +47,36 @@ type Poisson struct {
 	armedAt   sim.Time
 }
 
-// NewPoisson creates a source firing at the given rate (events per second
-// of virtual time). A non-positive rate yields a silent source that a
-// later SetRate can start. The source starts immediately; the first event
-// is one exponential gap away, making the process stationary from t=0.
+// NewPoisson creates a source firing fire at the given rate (events per
+// second of virtual time), drawing its gaps from its own copy of rng. A
+// non-positive rate yields a silent source that a later SetRate can
+// start. The source starts immediately; the first event is one
+// exponential gap away, making the process stationary from t=0.
 func NewPoisson(eng *sim.Engine, rng *sim.Rand, rate float64, fire func()) *Poisson {
-	p := &Poisson{eng: eng, rng: rng, fire: fire, unitsLeft: -1}
+	p := newSource(fire)
+	p.Restart(eng, rng, rate)
+	return p
+}
+
+// newSource allocates a source around fire, not started.
+func newSource(fire func()) *Poisson {
+	p := &Poisson{fire: fire}
 	p.firedFn = p.fired
+	return p
+}
+
+// Restart starts the source again as NewPoisson(eng, rng, rate, fire)
+// would with its own callback, keeping its event record: the engine must
+// have been reset since the source last armed (sim.Engine.Reset), or the
+// source must be silent.
+func (p *Poisson) Restart(eng *sim.Engine, rng *sim.Rand, rate float64) {
+	*p = Poisson{eng: eng, rng: *rng, fire: p.fire, firedFn: p.firedFn, unitsLeft: -1}
 	if rate > 0 {
 		p.rate = rate
 		p.meanGap = 1000 / rate
 		p.draw()
 		p.arm()
 	}
-	return p
 }
 
 // draw samples the next inter-event gap, in mean-gap units.
@@ -70,19 +91,20 @@ func (p *Poisson) arm() {
 	p.armedAt = now
 	gap := sim.Millis(p.unitsLeft * p.meanGap)
 	if gap > math.MaxInt64-time.Duration(now) {
-		p.next = nil
+		p.armed = false
 		return
 	}
-	p.next = p.eng.After(gap, p.firedFn)
+	p.eng.Rearm(&p.next, now.Add(gap), p.firedFn)
+	p.armed = true
 }
 
 func (p *Poisson) fired() {
-	p.next = nil
+	p.armed = false
 	p.unitsLeft = -1 // gap fully consumed
 	p.fire()
 	// fire may have silenced the source or — via SetRate — already armed
 	// the next gap.
-	if p.rate <= 0 || p.next != nil {
+	if p.rate <= 0 || p.armed {
 		return
 	}
 	p.draw()
@@ -103,7 +125,7 @@ func (p *Poisson) SetRate(rate float64) {
 	if rate == p.rate {
 		return
 	}
-	if p.next != nil {
+	if p.armed {
 		// Consume the elapsed share of the in-flight gap.
 		elapsedMs := p.eng.Now().Sub(p.armedAt).Seconds() * 1000
 		p.unitsLeft -= elapsedMs / p.meanGap
@@ -111,7 +133,7 @@ func (p *Poisson) SetRate(rate float64) {
 			p.unitsLeft = 0
 		}
 		p.next.Cancel()
-		p.next = nil
+		p.armed = false
 	}
 	p.rate = rate
 	if rate <= 0 {
@@ -131,11 +153,32 @@ func (p *Poisson) SetRate(rate float64) {
 // in the crash-steady scenarios crashed processes simply contribute
 // nothing — the effective load drops, exactly as §7 describes.
 func Spread(eng *sim.Engine, rng *sim.Rand, total float64, nominal int, senders []int, fire func(sender int)) []*Poisson {
-	perProcess := total / float64(nominal)
-	out := make([]*Poisson, 0, len(senders))
+	n := 0
 	for _, s := range senders {
-		s := s
-		out = append(out, NewPoisson(eng, rng.ForkN(s), perProcess, func() { fire(s) }))
+		n = max(n, s+1)
+	}
+	bySender := make([]*Poisson, n)
+	SpreadInto(bySender, eng, rng, total, nominal, senders, fire)
+	out := make([]*Poisson, len(senders))
+	for i, s := range senders {
+		out[i] = bySender[s]
 	}
 	return out
+}
+
+// SpreadInto is Spread over sources the caller keeps, indexed by sender:
+// it starts bySender[s] for every sender s in senders order, restarting a
+// source already there in place (its event record and callback kept; see
+// Restart) and building a missing one around fire(s). A caller that
+// reuses bySender across runs on a reset engine passes the same fire each
+// time and gets, run after run, the sources Spread would build.
+func SpreadInto(bySender []*Poisson, eng *sim.Engine, rng *sim.Rand, total float64, nominal int, senders []int, fire func(sender int)) {
+	perProcess := total / float64(nominal)
+	for _, s := range senders {
+		if bySender[s] == nil {
+			s := s
+			bySender[s] = newSource(func() { fire(s) })
+		}
+		bySender[s].Restart(eng, rng.ForkN(s), perProcess)
+	}
 }
