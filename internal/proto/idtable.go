@@ -50,7 +50,7 @@ func (t *IDTable[T]) Reset() {
 	for i := range t.rows {
 		t.rows[i].Reset()
 	}
-	t.n = 0
+	*t = IDTable[T]{rows: t.rows, slab: t.slab, carved: t.carved}
 }
 
 // slot returns id's slot, in use or not; nil when its row does not reach

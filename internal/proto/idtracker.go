@@ -27,6 +27,7 @@ func (t *IDTracker) Reserve(n int) {
 func (t *IDTracker) Reset() {
 	clear(t.water)
 	t.sparse.Reset()
+	*t = IDTracker{water: t.water, sparse: t.sparse}
 }
 
 // watermark returns the sequence number of origin p up to which every ID

@@ -97,5 +97,5 @@ func (w *Window[T]) Advance(lo uint64) {
 // ring for reuse.
 func (w *Window[T]) Reset() {
 	clear(w.ring)
-	w.lo, w.hi = 0, 0
+	*w = Window[T]{ring: w.ring}
 }

@@ -161,8 +161,7 @@ func (e *Engine) Reset() {
 		ev.free = e.free
 		e.free = ev
 	}
-	e.heap = e.heap[:0]
-	e.now, e.seq, e.executed = 0, 0, 0
+	*e = Engine{heap: e.heap[:0], free: e.free}
 }
 
 // Now returns the current virtual time.

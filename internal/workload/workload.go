@@ -54,7 +54,7 @@ type Poisson struct {
 // exponential gap away, making the process stationary from t=0.
 func NewPoisson(eng *sim.Engine, rng *sim.Rand, rate float64, fire func()) *Poisson {
 	p := newSource(fire)
-	p.Restart(eng, rng, rate)
+	p.restart(eng, rng, rate)
 	return p
 }
 
@@ -65,11 +65,11 @@ func newSource(fire func()) *Poisson {
 	return p
 }
 
-// Restart starts the source again as NewPoisson(eng, rng, rate, fire)
+// restart starts the source again as NewPoisson(eng, rng, rate, fire)
 // would with its own callback, keeping its event record: the engine must
 // have been reset since the source last armed (sim.Engine.Reset), or the
 // source must be silent.
-func (p *Poisson) Restart(eng *sim.Engine, rng *sim.Rand, rate float64) {
+func (p *Poisson) restart(eng *sim.Engine, rng *sim.Rand, rate float64) {
 	*p = Poisson{eng: eng, rng: *rng, fire: p.fire, firedFn: p.firedFn, unitsLeft: -1}
 	if rate > 0 {
 		p.rate = rate
@@ -168,10 +168,10 @@ func Spread(eng *sim.Engine, rng *sim.Rand, total float64, nominal int, senders 
 
 // SpreadInto is Spread over sources the caller keeps, indexed by sender:
 // it starts bySender[s] for every sender s in senders order, restarting a
-// source already there in place (its event record and callback kept; see
-// Restart) and building a missing one around fire(s). A caller that
-// reuses bySender across runs on a reset engine passes the same fire each
-// time and gets, run after run, the sources Spread would build.
+// source already there in place (its event record and callback kept) and
+// building a missing one around fire(s). A caller that reuses bySender
+// across runs on a reset engine passes the same fire each time and gets,
+// run after run, the sources Spread would build.
 func SpreadInto(bySender []*Poisson, eng *sim.Engine, rng *sim.Rand, total float64, nominal int, senders []int, fire func(sender int)) {
 	perProcess := total / float64(nominal)
 	for _, s := range senders {
@@ -179,6 +179,6 @@ func SpreadInto(bySender []*Poisson, eng *sim.Engine, rng *sim.Rand, total float
 			s := s
 			bySender[s] = newSource(func() { fire(s) })
 		}
-		bySender[s].Restart(eng, rng.ForkN(s), perProcess)
+		bySender[s].restart(eng, rng.ForkN(s), perProcess)
 	}
 }
