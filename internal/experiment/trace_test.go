@@ -697,4 +697,36 @@ func TestFullTraceGolden(t *testing.T) {
 			t.Errorf("%s heartbeat recovery full-trace digest = %#016x, want %#016x (%d lines)", tc.name, got, tc.want, strings.Count(text, "\n"))
 		}
 	}
+
+	// The GM stack behind the heartbeat detector at n=3: a partition cuts
+	// p2 off, p0 and p1 exclude it on its silence, and after the heal p2
+	// finds itself behind the group (the staleness probe), excludes itself
+	// and rejoins through the join loop; later a crash and recovery of p1
+	// restart its detector. Every re-armed timer of the detector and the
+	// membership service shapes this stream. The digest was recorded from
+	// the code whose detector, join loop and staleness probe each scheduled
+	// a closure per firing.
+	hbGM := base
+	hbGM.Algorithm = GM
+	hbGM.Detector = &Heartbeat{Interval: 10 * ms, Timeout: 30 * ms}
+	hbGM.QoS = fd.QoS{}
+	hbGM.Plan = NewFaultPlan().
+		Partition(400*ms, []proto.PID{0, 1}, []proto.PID{2}).
+		Heal(550*ms).
+		Crash(800*ms, 1).
+		Recover(860*ms, 1)
+	got, text = fullTraceDigest(t, func(tr *Trace) {
+		hbGM.Observers = []ObserverFactory{tr.Observer}
+		if res := (&Runner{Workers: 1}).Steady(hbGM); res.Messages == 0 || res.Diverged {
+			t.Fatalf("GM heartbeat replication measured nothing: %+v", res)
+		}
+	})
+	for _, marker := range []string{" gm.MsgJoinReq", " gm.MsgWelcome", "\nF 550000000 heal\n", "\nF 860000000 recover p1\n"} {
+		if !strings.Contains(text, marker) {
+			t.Errorf("GM heartbeat trace has no %q", marker)
+		}
+	}
+	if want := uint64(0x27549205b810b9f2); got != want {
+		t.Errorf("GM heartbeat full-trace digest = %#016x, want %#016x (%d lines)", got, want, strings.Count(text, "\n"))
+	}
 }
