@@ -330,6 +330,27 @@ func TestPoissonArrivalAllocBudget(t *testing.T) {
 	}
 }
 
+// TestHeartbeatAllocBudget bounds the heartbeat detector's own traffic on
+// a warm, otherwise idle 3-process cluster of either stack: every process
+// beats and scans for silence once per interval, re-arming the two timer
+// records it keeps (proto.Alarm), so an interval allocates nothing. With a
+// closure and an engine event per timer firing it cost 18 allocations per
+// interval — 3 per firing.
+func TestHeartbeatAllocBudget(t *testing.T) {
+	const interval = 10 * time.Millisecond
+	for _, alg := range []Algorithm{FD, GM} {
+		c := NewCluster(ClusterConfig{
+			Algorithm: alg, N: 3, Seed: 1,
+			Heartbeat: &HeartbeatConfig{Interval: interval, Timeout: 3 * interval},
+		})
+		c.Run(100 * interval) // the event heap and the wire pools reach their working size
+		allocs := testing.AllocsPerRun(8, func() { c.Run(10 * interval) }) / 10
+		if allocs > 0 {
+			t.Fatalf("%v heartbeats: %.1f allocs per interval, budget 0", alg, allocs)
+		}
+	}
+}
+
 // TestReusedReplicationAllocBudget bounds what one more replication of a
 // sweep-short point costs a one-worker Runner: the Runner resets the
 // worker's warm system for it instead of building and warming a new one.

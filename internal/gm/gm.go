@@ -200,12 +200,17 @@ type GM struct {
 	// the views that define their participant sets yet).
 	future map[uint64][]futureMsg
 
-	joinTimer proto.Timer
+	// The join loop's timer: pending while excluded, until welcomed back.
+	// It and the staleness probe's are made on first use: a member that
+	// never leaves its view, as in every steady run, needs neither.
+	joinTimer *proto.Alarm
 	// Staleness probe: armed while evidence of views beyond ours exists
 	// (buffered future membership traffic, or higher-view protocol
 	// messages reported through NoteHigherView), it self-excludes a
-	// member the group reconfigured around (partition).
-	staleTimer  proto.Timer
+	// member the group reconfigured around (partition). staleArmed stays
+	// set if the process crashes while the probe is pending.
+	staleTimer  *proto.Alarm
+	staleArmed  bool
 	staleViewID uint64
 	maxSeenView uint64
 
@@ -232,9 +237,9 @@ func New(rt proto.Runtime) *GM {
 
 // Reset returns the service to the state New leaves it in, on its own
 // runtime and with its application: not started, no view, no change, join
-// or probe in progress. Its maps and scratch keep their storage. The
-// runtime's timers of the previous run must not fire afterwards (the
-// engine is reset alongside).
+// or probe in progress. Its maps, scratch and timer records keep their
+// storage. The runtime's timers of the previous run must not fire
+// afterwards (the engine is reset alongside).
 func (g *GM) Reset() {
 	clear(g.flushes)
 	clear(g.targets)
@@ -247,6 +252,8 @@ func (g *GM) Reset() {
 		targets:      g.targets,
 		pendingJoins: g.pendingJoins,
 		future:       g.future,
+		joinTimer:    g.joinTimer,
+		staleTimer:   g.staleTimer,
 		survivors:    g.survivors[:0],
 		flushBuf:     g.flushBuf[:0],
 	}
@@ -450,11 +457,15 @@ func (g *GM) NoteHigherView(vc uint64) {
 // armStaleProbe watches a member that is buffering traffic of views it
 // has not installed. One probe is armed at a time.
 func (g *GM) armStaleProbe() {
-	if g.staleTimer != nil {
+	if g.staleArmed {
 		return
 	}
+	if g.staleTimer == nil {
+		g.staleTimer = g.rt.NewAlarm(g.staleCheck)
+	}
 	g.staleViewID = g.view.ID
-	g.staleTimer = g.rt.After(staleTimeout, g.staleCheck)
+	g.staleArmed = true
+	g.staleTimer.Arm(staleTimeout)
 }
 
 // staleCheck fires one staleTimeout after future-view traffic appeared.
@@ -463,7 +474,7 @@ func (g *GM) armStaleProbe() {
 // install — the group demonstrably reconfigured without us while we could
 // not communicate, so conclude exclusion and rejoin.
 func (g *GM) staleCheck() {
-	g.staleTimer = nil
+	g.staleArmed = false
 	if g.state == stateExcluded {
 		return
 	}
@@ -755,10 +766,7 @@ func (g *GM) onWelcome(m MsgWelcome) {
 	if g.state != stateExcluded || m.View.ID <= g.view.ID || !m.View.Contains(g.rt.ID()) {
 		return
 	}
-	if g.joinTimer != nil {
-		g.joinTimer.Cancel()
-		g.joinTimer = nil
-	}
+	g.joinTimer.Cancel() // an excluded process has started its join loop
 	g.view = m.View.clone()
 	g.state = stateNormal
 	for vc := range g.future {
@@ -773,15 +781,19 @@ func (g *GM) onWelcome(m MsgWelcome) {
 // startJoinLoop multicasts join requests until welcomed back.
 func (g *GM) startJoinLoop() {
 	g.sendJoin()
-	var tick func()
-	tick = func() {
-		if g.state != stateExcluded {
-			return
-		}
-		g.sendJoin()
-		g.joinTimer = g.rt.After(joinRetry, tick)
+	if g.joinTimer == nil {
+		g.joinTimer = g.rt.NewAlarm(g.joinTick)
 	}
-	g.joinTimer = g.rt.After(joinRetry, tick)
+	g.joinTimer.Arm(joinRetry)
+}
+
+// joinTick is the join loop's timer: retry, and re-arm.
+func (g *GM) joinTick() {
+	if g.state != stateExcluded {
+		return
+	}
+	g.sendJoin()
+	g.joinTimer.Arm(joinRetry)
 }
 
 func (g *GM) sendJoin() {

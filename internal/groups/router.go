@@ -226,6 +226,7 @@ func (g *groupRuntime) Multicast(payload any) {
 	g.r.proc.MulticastSet(g.inst.set, g.r.wrap(g.inst.gid, payload))
 }
 func (g *groupRuntime) After(d time.Duration, fn func()) proto.Timer { return g.r.proc.After(d, fn) }
+func (g *groupRuntime) NewAlarm(fn func()) *proto.Alarm              { return g.r.proc.NewAlarm(fn) }
 func (g *groupRuntime) Suspects(q proto.PID) bool {
 	return g.r.proc.Suspects(g.inst.members[q])
 }
@@ -293,7 +294,7 @@ type Router struct {
 	envs netmodel.Pool[envelope] // this router's envelope pool (see wrap)
 
 	stallArmed bool
-	stallFn    func() // the stall probe's callback, bound once
+	stall      *proto.Alarm // the stall probe
 }
 
 // NewRouter builds process p's router and its per-group instances, in
@@ -308,10 +309,10 @@ func (c *Coordinator) NewRouter(proc *proto.Proc) *Router {
 		done:  make([]proto.Window[uint64], c.m.N()),
 		envs:  netmodel.NewPool(func(e *envelope) { e.inner = nil }),
 	}
-	r.stallFn = func() {
+	r.stall = proc.NewAlarm(func() {
 		r.stallArmed = false
 		r.retryStalled()
-	}
+	})
 	for _, gid := range c.m.GroupsOf(p) {
 		inst := &instance{
 			gid:     gid,
@@ -727,7 +728,7 @@ func (r *Router) armStall() {
 		return
 	}
 	r.stallArmed = true
-	r.proc.After(stallRetry, r.stallFn)
+	r.stall.Arm(stallRetry)
 }
 
 func (r *Router) retryStalled() {

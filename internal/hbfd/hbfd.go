@@ -63,9 +63,10 @@ type Wrapper struct {
 	lastBeat  []sim.Time
 	suspected []bool
 
-	// epoch guards the beat and check loops: Restart bumps it so a loop
-	// that survived a short crash window cannot double-arm.
-	epoch uint64
+	// The beat and check loops, each one timer record re-armed as it
+	// fires. They stay two timers: a merged tick would change the order
+	// of a check against a heartbeat received in the same instant.
+	beatTimer, checkTimer *proto.Alarm
 
 	// Counters for analysis.
 	wrongSuspicions int
@@ -91,6 +92,8 @@ func Wrap(rt proto.Runtime, cfg Config, makeInner func(proto.Runtime) proto.Hand
 		lastBeat:  make([]sim.Time, rt.N()),
 		suspected: make([]bool, rt.N()),
 	}
+	w.beatTimer = rt.NewAlarm(w.beat)
+	w.checkTimer = rt.NewAlarm(w.check)
 	w.inner = makeInner(&runtime{Runtime: rt, w: w})
 	if w.inner == nil {
 		panic("hbfd: makeInner returned nil")
@@ -123,11 +126,13 @@ func (w *Wrapper) Init() {
 // Restart re-arms the beat and check loops after the wrapped process
 // recovers from a crash: the runtime's crash guard kills the loops the
 // first time a tick fires while crashed, so a resumed process would
-// otherwise stay silent and be suspected forever. Every peer gets a fresh
-// grace period; standing suspicions are kept and withdrawn by the next
-// heartbeat of each live peer.
+// otherwise stay silent and be suspected forever. A loop that survived a
+// short crash window is cancelled first, so neither loop runs twice. Every
+// peer gets a fresh grace period; standing suspicions are kept and
+// withdrawn by the next heartbeat of each live peer.
 func (w *Wrapper) Restart() {
-	w.epoch++ // strand any loop that survived a short crash window
+	w.beatTimer.Cancel()
+	w.checkTimer.Cancel()
 	now := w.rt.Now()
 	for p := range w.lastBeat {
 		w.lastBeat[p] = now
@@ -139,23 +144,11 @@ func (w *Wrapper) Restart() {
 // beat multicasts one heartbeat and re-arms.
 func (w *Wrapper) beat() {
 	w.rt.Multicast(Msg{})
-	e := w.epoch
-	w.rt.After(w.cfg.Interval, func() {
-		if e == w.epoch {
-			w.beat()
-		}
-	})
+	w.beatTimer.Arm(w.cfg.Interval)
 }
 
 // armCheck schedules the next silence scan.
-func (w *Wrapper) armCheck() {
-	e := w.epoch
-	w.rt.After(w.cfg.Interval, func() {
-		if e == w.epoch {
-			w.check()
-		}
-	})
-}
+func (w *Wrapper) armCheck() { w.checkTimer.Arm(w.cfg.Interval) }
 
 // check scans for silent peers and re-arms. Trust edges fire from
 // heartbeat receipt, not from here.

@@ -44,7 +44,8 @@ func TestRestartResumesHeartbeats(t *testing.T) {
 
 // TestRestartDoesNotDoubleArm recovers within the crash window in which
 // the old beat loop is still pending, restarts, and checks the heartbeat
-// rate stays one per interval (the epoch guard strands the old loop).
+// rate stays one per interval (Restart cancels the pending timers before
+// arming them again).
 func TestRestartDoesNotDoubleArm(t *testing.T) {
 	eng, sys, wrappers, _ := rig(2, Config{Interval: 10 * time.Millisecond, Timeout: 30 * time.Millisecond})
 	// Crash between two beats and recover before the next tick fires: the

@@ -86,12 +86,16 @@ type Runtime interface {
 	// After schedules a callback, cancellable through the returned
 	// timer. Callbacks do not run after the process crashes.
 	After(d time.Duration, fn func()) Timer
+	// NewAlarm returns a timer record bound to fn, for a timer its owner
+	// re-arms again and again: arming it allocates nothing. Its callback
+	// is dropped like After's.
+	NewAlarm(fn func()) *Alarm
 	// Suspects reports whether the local failure detector currently
 	// suspects p.
 	Suspects(p PID) bool
 }
 
-// Timer is a cancellable pending callback. *sim.Event implements it in
+// Timer is a cancellable pending callback. *Alarm implements it in
 // simulations; a real-time runtime would wrap *time.Timer.
 type Timer interface {
 	// Cancel prevents the callback from firing; cancelling a fired or
@@ -394,16 +398,54 @@ func (p *Proc) MulticastSet(set netmodel.SetID, payload any) {
 	p.sys.Net.MulticastSet(int(p.id), set, payload)
 }
 
-// After implements Runtime. The callback is dropped if the process has
-// crashed, or its handler incarnation has been replaced by a recovery, by
-// the time it fires.
+// After implements Runtime: a one-shot alarm. The callback is dropped if
+// the process has crashed, or its handler incarnation has been replaced by
+// a recovery, by the time it fires.
 func (p *Proc) After(d time.Duration, fn func()) Timer {
-	gen := p.gen
-	return p.sys.Eng.After(d, func() {
-		if !p.crashed && p.gen == gen {
-			fn()
-		}
-	})
+	a := p.NewAlarm(fn)
+	a.Arm(d)
+	return a
+}
+
+// NewAlarm implements Runtime.
+func (p *Proc) NewAlarm(fn func()) *Alarm {
+	a := &Alarm{proc: p, fn: fn}
+	a.fire = a.fired
+	return a
+}
+
+// Alarm is a process's timer record. An owner that re-arms a timer again
+// and again — a heartbeat, a retry loop, a probe — keeps one for its
+// lifetime: the engine event is held by value (sim.Engine.Rearm) and the
+// callback bound once, so arming it allocates nothing, where each After
+// allocates a record of its own and the caller a closure. The callback is
+// dropped if the process has crashed, or its handler incarnation has been
+// replaced by a recovery, by the time it fires.
+type Alarm struct {
+	proc *Proc
+	fn   func()
+	fire func() // the method value a.fired, bound once
+	ev   sim.Event
+	gen  uint64 // the incarnation the alarm was last armed in
+}
+
+// Arm schedules the callback d after the current instant. The alarm must
+// not be pending: it is new, fired, or cancelled. Arming a pending alarm
+// panics.
+func (a *Alarm) Arm(d time.Duration) {
+	a.gen = a.proc.gen
+	eng := a.proc.sys.Eng
+	eng.Rearm(&a.ev, eng.Now().Add(d), a.fire)
+}
+
+// Cancel implements Timer. Cancelling an alarm that is not pending is a
+// no-op.
+func (a *Alarm) Cancel() { a.ev.Cancel() }
+
+func (a *Alarm) fired() {
+	if !a.proc.crashed && a.proc.gen == a.gen {
+		a.fn()
+	}
 }
 
 // Suspects implements Runtime.

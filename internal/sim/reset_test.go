@@ -101,3 +101,54 @@ func TestRearmKeepsScheduleOrder(t *testing.T) {
 		t.Fatalf("after cancel and re-arm fired %v, want 25 only", got[6:])
 	}
 }
+
+// TestCancelOwnedRecord covers Cancel on an owned record in each state it
+// can be in while not queued — never armed, fired, dropped by a reset —
+// and after a cancel: each is a no-op that leaves the heap alone, and the
+// record re-arms afterwards.
+func TestCancelOwnedRecord(t *testing.T) {
+	e := New()
+	var got []int
+	other := func() { got = append(got, 0) }
+	var own Event
+
+	// Never armed: a zero record is not queued, whatever its heap index.
+	e.Schedule(Time(10), other)
+	own.Cancel()
+	if e.Pending() != 1 {
+		t.Fatalf("Cancel of a zero record changed the heap: %d pending, want 1", e.Pending())
+	}
+
+	// Cancelled, then re-armed: it fires once.
+	e.Rearm(&own, Time(5), func() { got = append(got, 5) })
+	own.Cancel()
+	own.Cancel()
+	e.Rearm(&own, Time(7), func() { got = append(got, 7) })
+	e.Run()
+	if want := []int{7, 0}; !slices.Equal(got, want) {
+		t.Fatalf("cancel then re-arm fired %v, want %v", got, want)
+	}
+
+	// Fired: cancelling it touches nothing queued since.
+	e.Schedule(Time(20), other)
+	own.Cancel()
+	if e.Pending() != 1 {
+		t.Fatalf("Cancel of a fired record changed the heap: %d pending, want 1", e.Pending())
+	}
+
+	// Dropped by a reset while queued: cancelling it touches nothing
+	// queued on the reset engine, and it re-arms there.
+	e.Rearm(&own, Time(30), func() { got = append(got, 30) })
+	e.Reset()
+	e.Schedule(Time(1), other)
+	own.Cancel()
+	if e.Pending() != 1 {
+		t.Fatalf("Cancel of a record dropped by Reset changed the heap: %d pending, want 1", e.Pending())
+	}
+	got = got[:0]
+	e.Rearm(&own, Time(2), func() { got = append(got, 2) })
+	e.Run()
+	if want := []int{0, 2}; !slices.Equal(got, want) {
+		t.Fatalf("after Reset fired %v, want %v", got, want)
+	}
+}

@@ -13,14 +13,16 @@
 // docs/ARCHITECTURE.md records why there is none inside one.
 //
 // Two scheduling forms exist. Schedule and After take a closure and return
-// a cancellable *Event handle — the form protocol timers use. ScheduleMsg
+// a cancellable *Event handle — the form one-shot timers use. ScheduleMsg
 // and AfterMsg take a typed record (an opcode, two integers and a payload)
 // dispatched to a MsgHandler; they return no handle, which lets the engine
 // recycle the event record through a free list the moment it fires. The
 // per-message hot path of the network model runs entirely on the second
 // form, so simulating a message allocates nothing in the kernel. A timer
-// re-armed over and over (a workload source's next arrival) keeps one
-// closure-form record of its own and re-arms it with Rearm.
+// re-armed over and over keeps one closure-form record of its own and
+// re-arms it with Rearm: a workload source's next arrival does
+// (workload.Poisson), and so does every protocol timer, through
+// proto.Alarm, which adds the process's crash and incarnation guard.
 //
 // Reset empties an engine for the next simulation in place, keeping the
 // heap's capacity and the free list warm.
@@ -108,14 +110,17 @@ func (ev *Event) When() Time { return ev.when }
 // queue immediately and its callback reference is dropped, so whatever
 // the closure captured becomes collectable now rather than when the
 // timestamp would have been reached. Cancelling an event that already
-// fired or was already cancelled is a no-op.
+// fired or was already cancelled is a no-op, and so is cancelling an owned
+// record that was never armed (a zero Event; see Rearm).
 func (ev *Event) Cancel() {
 	if ev.cancelled {
 		return
 	}
 	ev.cancelled = true
 	ev.fn = nil
-	if ev.index >= 0 {
+	// Only a queued event holds its engine (pop, removeAt and Reset drop
+	// it), and a zero record's index is a valid heap slot, not "removed".
+	if ev.eng != nil {
 		ev.eng.removeAt(ev.index)
 	}
 }
