@@ -60,75 +60,29 @@ func TestRecoverRemakeReplacesHandlerAndInits(t *testing.T) {
 }
 
 func TestRecoverRemakeStrandsOldTimers(t *testing.T) {
-	sys, _ := build(1, fd.QoS{})
-	sys.Start()
-	eng := sys.Eng
-	oldFired, newFired := 0, 0
-	proc := sys.Proc(0)
-	// A timer of the first incarnation, due after the recovery.
-	proc.After(50*time.Millisecond, func() { oldFired++ })
-	eng.Schedule(sim.Time(0).Add(10*time.Millisecond), func() { sys.Crash(0) })
-	eng.Schedule(sim.Time(0).Add(20*time.Millisecond), func() {
-		sys.Recover(0, func(rt Runtime) Handler {
-			rt.After(50*time.Millisecond, func() { newFired++ })
-			return &testHandler{rt: rt}
+	for _, kind := range timerKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			sys, _ := build(1, fd.QoS{})
+			sys.Start()
+			eng := sys.Eng
+			oldFired, newFired := 0, 0
+			// A timer of the first incarnation, due after the recovery.
+			kind.arm(sys.Proc(0), 50*time.Millisecond, func() { oldFired++ })
+			eng.Schedule(sim.Time(0).Add(10*time.Millisecond), func() { sys.Crash(0) })
+			eng.Schedule(sim.Time(0).Add(20*time.Millisecond), func() {
+				sys.Recover(0, func(rt Runtime) Handler {
+					kind.arm(rt, 50*time.Millisecond, func() { newFired++ })
+					return &testHandler{rt: rt}
+				})
+			})
+			eng.Run()
+			if oldFired != 0 {
+				t.Fatal("a previous incarnation's timer fired after the handler was replaced")
+			}
+			if newFired != 1 {
+				t.Fatalf("new incarnation's timer fired %d times, want 1", newFired)
+			}
 		})
-	})
-	eng.Run()
-	if oldFired != 0 {
-		t.Fatal("a previous incarnation's timer fired after the handler was replaced")
-	}
-	if newFired != 1 {
-		t.Fatalf("new incarnation's timer fired %d times, want 1", newFired)
-	}
-}
-
-// TestAlarmCrashGuard: an alarm armed before a crash never runs its
-// callback while the process is down, and one due after an in-place
-// recovery runs, as After's timers do.
-func TestAlarmCrashGuard(t *testing.T) {
-	sys, _ := build(1, fd.QoS{})
-	sys.Start()
-	eng := sys.Eng
-	proc := sys.Proc(0)
-	during, after := 0, 0
-	duringAlarm := proc.NewAlarm(func() { during++ })
-	afterAlarm := proc.NewAlarm(func() { after++ })
-	duringAlarm.Arm(20 * time.Millisecond)
-	afterAlarm.Arm(50 * time.Millisecond)
-	eng.Schedule(sim.Time(0).Add(10*time.Millisecond), func() { sys.Crash(0) })
-	eng.Schedule(sim.Time(0).Add(30*time.Millisecond), func() { sys.Recover(0, nil) })
-	eng.Run()
-	if during != 0 {
-		t.Fatal("an alarm ran its callback while the process was crashed")
-	}
-	if after != 1 {
-		t.Fatalf("alarm due after the recovery fired %d times, want 1", after)
-	}
-}
-
-// TestAlarmStrandedByRemake: an alarm of the first incarnation, due after
-// a recovery that remade the handler, never fires into the new one, while
-// the new incarnation's own alarm does.
-func TestAlarmStrandedByRemake(t *testing.T) {
-	sys, _ := build(1, fd.QoS{})
-	sys.Start()
-	eng := sys.Eng
-	oldFired, newFired := 0, 0
-	sys.Proc(0).NewAlarm(func() { oldFired++ }).Arm(50 * time.Millisecond)
-	eng.Schedule(sim.Time(0).Add(10*time.Millisecond), func() { sys.Crash(0) })
-	eng.Schedule(sim.Time(0).Add(20*time.Millisecond), func() {
-		sys.Recover(0, func(rt Runtime) Handler {
-			rt.NewAlarm(func() { newFired++ }).Arm(50 * time.Millisecond)
-			return &testHandler{rt: rt}
-		})
-	})
-	eng.Run()
-	if oldFired != 0 {
-		t.Fatal("a previous incarnation's alarm fired after the handler was replaced")
-	}
-	if newFired != 1 {
-		t.Fatalf("new incarnation's alarm fired %d times, want 1", newFired)
 	}
 }
 

@@ -140,17 +140,31 @@ func TestCrashedHandlerNeverRuns(t *testing.T) {
 	}
 }
 
+// timerKinds are the two ways a handler schedules a guarded callback: a
+// one-shot After, and an alarm it keeps and re-arms.
+var timerKinds = []struct {
+	name string
+	arm  func(rt Runtime, d time.Duration, fn func())
+}{
+	{"After", func(rt Runtime, d time.Duration, fn func()) { rt.After(d, fn) }},
+	{"Alarm", func(rt Runtime, d time.Duration, fn func()) { rt.NewAlarm(fn).Arm(d) }},
+}
+
 func TestCrashedProcessTimersDropped(t *testing.T) {
-	sys, _ := build(1, fd.QoS{})
-	sys.Start()
-	fired := false
-	sys.Eng.Schedule(0, func() {
-		sys.Proc(0).After(5*time.Millisecond, func() { fired = true })
-	})
-	sys.CrashAt(0, sim.Time(0).Add(time.Millisecond))
-	sys.Eng.Run()
-	if fired {
-		t.Fatal("timer fired after crash")
+	for _, kind := range timerKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			sys, _ := build(1, fd.QoS{})
+			sys.Start()
+			fired := false
+			sys.Eng.Schedule(0, func() {
+				kind.arm(sys.Proc(0), 5*time.Millisecond, func() { fired = true })
+			})
+			sys.CrashAt(0, sim.Time(0).Add(time.Millisecond))
+			sys.Eng.Run()
+			if fired {
+				t.Fatal("timer fired after crash")
+			}
+		})
 	}
 }
 
