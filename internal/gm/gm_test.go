@@ -1,10 +1,12 @@
 package gm
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/consensus"
 	"repro/internal/fd"
 	"repro/internal/netmodel"
 	"repro/internal/proto"
@@ -404,5 +406,71 @@ func TestFutureChangeMessagesBufferedAndReplayed(t *testing.T) {
 		if !reflect.DeepEqual(r.gms[i].View(), final) {
 			t.Fatalf("p%d view %v != %v", i, r.gms[i].View(), final)
 		}
+	}
+}
+
+// wireRuntime runs a GM on a real process (its alarms need one) but keeps
+// what it sends instead of putting it on the network, and answers Suspects
+// from a script.
+type wireRuntime struct {
+	proto.Runtime
+	suspected map[proto.PID]bool
+	sent      []any
+}
+
+func (w *wireRuntime) Send(_ proto.PID, payload any) { w.sent = append(w.sent, payload) }
+func (w *wireRuntime) Multicast(payload any)         { w.sent = append(w.sent, payload) }
+func (w *wireRuntime) Suspects(p proto.PID) bool     { return w.suspected[p] }
+
+func TestNestedDecisionRelaysEachChange(t *testing.T) {
+	// A member holds decisions of the next changes in its future buffer
+	// when it decides change 1 by the proposer's decide message, with the
+	// proposer suspected. Installing view 2 replays the buffered decision
+	// of change 2 from inside change 1's Decide upcall, and so on down.
+	// After each upcall returns, the instance relays its own decision (its
+	// proposer is suspected): every relay must still carry its own change
+	// number and value, innermost first.
+	for _, nested := range []int{1, 2} {
+		t.Run(fmt.Sprintf("nested=%d", nested), func(t *testing.T) {
+			members := []proto.PID{0, 1, 2}
+			decide := func(vc uint64) MsgConsensus {
+				return MsgConsensus{VC: vc, M: consensus.MsgDecide{
+					Val:      proposal{Members: members},
+					Proposer: 0,
+				}}
+			}
+			sys := proto.NewSystem(sim.New(), netmodel.DefaultConfig(3), fd.QoS{}, sim.NewRand(1))
+			rt := &wireRuntime{Runtime: sys.Proc(1), suspected: map[proto.PID]bool{0: true}}
+			app := &fakeApp{id: 1}
+			g := New(rt)
+			g.SetApp(app)
+			g.Start(View{ID: 1, Members: members})
+			for vc := uint64(2); vc <= uint64(1+nested); vc++ {
+				g.OnMessage(0, decide(vc))
+			}
+			if len(rt.sent) != 0 {
+				t.Fatalf("buffering future decisions sent %v", rt.sent)
+			}
+			g.OnMessage(0, decide(1))
+
+			if got, want := g.View().ID, uint64(2+nested); got != want {
+				t.Fatalf("view %v after the nested decisions, want ID %d", g.View(), want)
+			}
+			if len(app.views) != 1+nested {
+				t.Fatalf("installed %v, want %d views", app.views, 1+nested)
+			}
+			var relays, want []MsgConsensus
+			for _, m := range rt.sent {
+				if m, ok := m.(MsgConsensus); ok {
+					relays = append(relays, m)
+				}
+			}
+			for vc := uint64(1 + nested); vc >= 1; vc-- {
+				want = append(want, decide(vc))
+			}
+			if !reflect.DeepEqual(relays, want) {
+				t.Fatalf("relayed %v, want %v", relays, want)
+			}
+		})
 	}
 }
