@@ -47,6 +47,11 @@ import (
 // View is one membership epoch. Members are ordered: survivors keep their
 // relative order across changes and joiners are appended, so Members[0] —
 // the paper's sequencer — only changes when it is excluded.
+//
+// A view is an immutable value: the service installs the decided Members
+// slice as it is, shares it with the application, the consensus instance
+// of the next change and every joiner's Welcome, and nobody writes it
+// afterwards. A caller that wants to change a view's members copies them.
 type View struct {
 	ID      uint64
 	Members []proto.PID
@@ -69,7 +74,7 @@ func (v View) Primary() proto.PID { return v.Members[0] }
 // String formats the view as "v3{0 2 4}".
 func (v View) String() string { return fmt.Sprintf("v%d%v", v.ID, v.Members) }
 
-// clone returns a deep copy; views are shared with the application.
+// clone returns a deep copy, for a view whose members the caller owns.
 func (v View) clone() View {
 	out := View{ID: v.ID, Members: make([]proto.PID, len(v.Members))}
 	copy(out.Members, v.Members)
@@ -196,6 +201,11 @@ type GM struct {
 	prevInst     *consensus.Instance // kept one change for stragglers
 	pendingJoins map[proto.PID]uint64
 
+	// The records the instances of view changes run in, recycled (see
+	// instance), and the detector's Suspects bound once, on first use.
+	changes  []*change
+	suspects func(proto.PID) bool
+
 	// Buffered messages for future view changes (we have not installed
 	// the views that define their participant sets yet).
 	future map[uint64][]futureMsg
@@ -237,8 +247,8 @@ func New(rt proto.Runtime) *GM {
 
 // Reset returns the service to the state New leaves it in, on its own
 // runtime and with its application: not started, no view, no change, join
-// or probe in progress. Its maps, scratch and timer records keep their
-// storage. The runtime's timers of the previous run must not fire
+// or probe in progress. Its maps, scratch, change and timer records keep
+// their storage. The runtime's timers of the previous run must not fire
 // afterwards (the engine is reset alongside).
 func (g *GM) Reset() {
 	clear(g.flushes)
@@ -252,6 +262,8 @@ func (g *GM) Reset() {
 		targets:      g.targets,
 		pendingJoins: g.pendingJoins,
 		future:       g.future,
+		changes:      g.changes,
+		suspects:     g.suspects,
 		joinTimer:    g.joinTimer,
 		staleTimer:   g.staleTimer,
 		survivors:    g.survivors[:0],
@@ -297,11 +309,11 @@ func (g *GM) IsMember() bool { return g.state != stateExcluded }
 func (g *GM) OnMessage(from proto.PID, payload any) bool {
 	switch m := payload.(type) {
 	case MsgViewChange:
-		g.onViewChange(from, m)
+		g.onViewChange(from, m, payload)
 	case MsgFlush:
-		g.onFlush(from, m)
+		g.onFlush(from, m, payload)
 	case MsgConsensus:
-		g.onConsensus(from, m)
+		g.onConsensus(from, m, payload)
 	case MsgJoinReq:
 		g.onJoinReq(m)
 	case MsgWelcome:
@@ -369,15 +381,17 @@ func (g *GM) enterFlush() {
 	g.rt.Multicast(MsgFlush{VC: g.view.ID, Unstable: g.app.Unstable()})
 }
 
-func (g *GM) onViewChange(from proto.PID, m MsgViewChange) {
+// onViewChange, onFlush and onConsensus take the payload m arrived in
+// beside m itself, so a message they buffer is kept in its own box.
+func (g *GM) onViewChange(from proto.PID, m MsgViewChange, payload any) {
 	switch {
 	case g.state == stateExcluded:
-		g.bufferWhileExcluded(m.VC, from, m)
+		g.bufferWhileExcluded(m.VC, from, payload)
 		return
 	case m.VC < g.view.ID:
 		return // stale
 	case m.VC > g.view.ID:
-		g.bufferFuture(m.VC, from, m)
+		g.bufferFuture(m.VC, from, payload)
 	default:
 		g.enterFlush()
 		for _, p := range m.Targets {
@@ -395,15 +409,15 @@ func (g *GM) onViewChange(from proto.PID, m MsgViewChange) {
 	}
 }
 
-func (g *GM) onFlush(from proto.PID, m MsgFlush) {
+func (g *GM) onFlush(from proto.PID, m MsgFlush, payload any) {
 	switch {
 	case g.state == stateExcluded:
-		g.bufferWhileExcluded(m.VC, from, m)
+		g.bufferWhileExcluded(m.VC, from, payload)
 		return
 	case m.VC < g.view.ID:
 		return
 	case m.VC > g.view.ID:
-		g.bufferFuture(m.VC, from, m)
+		g.bufferFuture(m.VC, from, payload)
 		return
 	}
 	g.enterFlush() // no-op if already changing
@@ -413,20 +427,21 @@ func (g *GM) onFlush(from proto.PID, m MsgFlush) {
 	g.tryPropose()
 }
 
-func (g *GM) onConsensus(from proto.PID, m MsgConsensus) {
+func (g *GM) onConsensus(from proto.PID, m MsgConsensus, payload any) {
 	switch {
 	case g.state == stateExcluded:
-		g.bufferWhileExcluded(m.VC, from, m)
+		g.bufferWhileExcluded(m.VC, from, payload)
 		return
 	case m.VC < g.view.ID:
 		// A straggler's message for an old change: the retained previous
 		// instance answers with its decision.
+		// After a rejoin prevInst is the change two views back (ROADMAP 3f).
 		if g.prevInst != nil && m.VC == g.view.ID-1 {
 			g.prevInst.OnMessage(from, m.M)
 		}
 		return
 	case m.VC > g.view.ID:
-		g.bufferFuture(m.VC, from, m)
+		g.bufferFuture(m.VC, from, payload)
 		return
 	}
 	g.enterFlush()
@@ -539,31 +554,53 @@ func (g *GM) replayFuture() {
 	for _, fm := range msgs {
 		switch m := fm.payload.(type) {
 		case MsgViewChange:
-			g.onViewChange(fm.from, m)
+			g.onViewChange(fm.from, m, fm.payload)
 		case MsgFlush:
-			g.onFlush(fm.from, m)
+			g.onFlush(fm.from, m, fm.payload)
 		case MsgConsensus:
-			g.onConsensus(fm.from, m)
+			g.onConsensus(fm.from, m, fm.payload)
 		}
 	}
 }
 
-// instance lazily creates the consensus instance of the current change.
-// Participants are the old view's members in view order, so the round-1
-// coordinator is the sequencer.
+// instance lazily starts the consensus instance of the current change in
+// a free change record, resetting the instance the record held: its round
+// states and window keep their storage. Participants are the old view's
+// members in view order, so the round-1 coordinator is the sequencer.
 func (g *GM) instance() *consensus.Instance {
 	if g.inst != nil {
 		return g.inst
 	}
-	vc := g.view.ID
-	g.inst = consensus.New(consensus.Config{
+	if g.suspects == nil {
+		g.suspects = g.rt.Suspects
+	}
+	c := g.freeChange()
+	c.vc = g.view.ID
+	c.inst.Reset(consensus.Config{
 		Self:         g.rt.ID(),
 		Participants: g.view.Members,
 		FirstCoord:   g.view.Members[0],
-		Suspects:     g.rt.Suspects,
-		Decide:       func(v consensus.Value, _ proto.PID) { g.onDecide(vc, v) },
-	}, gmTransport{g: g, vc: vc})
+		Suspects:     g.suspects,
+	}, c)
+	g.inst = &c.inst
 	return g.inst
+}
+
+// freeChange returns a change record no instance still needs, adding one
+// if there is none. A record is busy while inst or prevInst points into
+// it, and while it is inside its own Decide upcall: replayFuture can
+// decide the next change from there, and once the upcall returns the
+// instance reads itself again to relay its decision. Two records suffice
+// unless decisions nest.
+func (g *GM) freeChange() *change {
+	for _, c := range g.changes {
+		if &c.inst != g.inst && &c.inst != g.prevInst && !c.deciding {
+			return c
+		}
+	}
+	c := &change{g: g}
+	g.changes = append(g.changes, c)
+	return c
 }
 
 // tryPropose proposes (P, U) once the flush of every non-suspected member
@@ -688,16 +725,16 @@ func (g *GM) onDecide(vc uint64, v consensus.Value) {
 	if !newView.Contains(self) {
 		// Wrongly excluded (or leaving): miss this and all later views
 		// until rejoin. The local delivered state freezes here.
-		g.view = newView.clone() // remember the ID for join addressing
+		g.view = newView // remember the ID for join addressing
 		g.state = stateExcluded
 		g.app.Excluded(oldView)
 		g.startJoinLoop()
 		return
 	}
 
-	g.view = newView.clone()
+	g.view = newView
 	g.state = stateNormal
-	g.app.InstallView(newView.clone(), dec.Flush)
+	g.app.InstallView(newView, dec.Flush)
 
 	// Welcome new members: the first surviving old member sends each
 	// joiner the view and its state snapshot.
@@ -714,7 +751,7 @@ func (g *GM) onDecide(vc uint64, v consensus.Value) {
 				continue
 			}
 			after := g.pendingJoins[m]
-			g.rt.Send(m, MsgWelcome{View: newView.clone(), Payload: g.app.SyncPayload(after)})
+			g.rt.Send(m, MsgWelcome{View: newView, Payload: g.app.SyncPayload(after)})
 		}
 	}
 	for _, m := range newView.Members {
@@ -748,7 +785,7 @@ func (g *GM) onJoinReq(m MsgJoinReq) {
 		// Welcome was lost with a crashed welcomer. Any member can repair
 		// that by re-welcoming. Duplicates collapse at the joiner.
 		if m.P != g.rt.ID() {
-			g.rt.Send(m.P, MsgWelcome{View: g.view.clone(), Payload: g.app.SyncPayload(m.After)})
+			g.rt.Send(m.P, MsgWelcome{View: g.view, Payload: g.app.SyncPayload(m.After)})
 		}
 		return
 	}
@@ -767,14 +804,14 @@ func (g *GM) onWelcome(m MsgWelcome) {
 		return
 	}
 	g.joinTimer.Cancel() // an excluded process has started its join loop
-	g.view = m.View.clone()
+	g.view = m.View
 	g.state = stateNormal
 	for vc := range g.future {
 		if vc < g.view.ID {
 			delete(g.future, vc)
 		}
 	}
-	g.app.InstallSync(m.View.clone(), m.Payload)
+	g.app.InstallSync(m.View, m.Payload)
 	g.replayFuture()
 }
 
@@ -800,16 +837,28 @@ func (g *GM) sendJoin() {
 	g.rt.Multicast(MsgJoinReq{P: g.rt.ID(), After: g.app.SyncRequest()})
 }
 
-// gmTransport adapts the runtime to the view change's consensus instance.
-type gmTransport struct {
-	g  *GM
-	vc uint64
+// change is the record a view change's consensus instance runs in, held
+// by value beside the change number. The record is the instance's
+// transport, addressed by pointer so handing it over does not allocate,
+// and takes its decision (consensus.Decider).
+type change struct {
+	inst     consensus.Instance
+	g        *GM
+	vc       uint64
+	deciding bool // inside the instance's Decide upcall
 }
 
-func (t gmTransport) Send(to proto.PID, m consensus.Msg) {
-	t.g.rt.Send(to, MsgConsensus{VC: t.vc, M: m})
+func (c *change) Send(to proto.PID, m consensus.Msg) {
+	c.g.rt.Send(to, MsgConsensus{VC: c.vc, M: m})
 }
 
-func (t gmTransport) Multicast(m consensus.Msg) {
-	t.g.rt.Multicast(MsgConsensus{VC: t.vc, M: m})
+func (c *change) Multicast(m consensus.Msg) {
+	c.g.rt.Multicast(MsgConsensus{VC: c.vc, M: m})
+}
+
+// Decide implements consensus.Decider.
+func (c *change) Decide(v consensus.Value, _ proto.PID) {
+	c.deciding = true
+	c.g.onDecide(c.vc, v)
+	c.deciding = false
 }
