@@ -51,7 +51,8 @@ import (
 // A view is an immutable value: the service installs the decided Members
 // slice as it is, shares it with the application, the consensus instance
 // of the next change and every joiner's Welcome, and nobody writes it
-// afterwards. A caller that wants to change a view's members copies them.
+// afterwards. A caller that wants to change a view's members copies them;
+// Start copies the initial view's.
 type View struct {
 	ID      uint64
 	Members []proto.PID
@@ -73,13 +74,6 @@ func (v View) Primary() proto.PID { return v.Members[0] }
 
 // String formats the view as "v3{0 2 4}".
 func (v View) String() string { return fmt.Sprintf("v%d%v", v.ID, v.Members) }
-
-// clone returns a deep copy, for a view whose members the caller owns.
-func (v View) clone() View {
-	out := View{ID: v.ID, Members: make([]proto.PID, len(v.Members))}
-	copy(out.Members, v.Members)
-	return out
-}
 
 // UnstableMsg is one element of a flush: a received message that is not
 // known to be stable, with its sequence number if one is known (Seq < 0
@@ -285,7 +279,8 @@ func (g *GM) Start(initial View) {
 		panic("gm: started twice")
 	}
 	g.started = true
-	g.view = initial.clone()
+	// The caller owns initial's members; every later view is the service's.
+	g.view = View{ID: initial.ID, Members: slices.Clone(initial.Members)}
 	if g.view.Contains(g.rt.ID()) {
 		g.state = stateNormal
 	} else {
