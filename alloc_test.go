@@ -137,7 +137,6 @@ func gmViewChangeAllocBudget(t *testing.T, n int, budget float64) {
 		step(c)
 	}
 	allocs := testing.AllocsPerRun(64, func() { step(c) })
-	t.Logf("GM n=%d view-change cycle: %.1f allocs/op", n, allocs)
 	if allocs > budget {
 		t.Fatalf("GM n=%d view-change cycle: %.1f allocs/op, budget %.0f", n, allocs, budget)
 	}
