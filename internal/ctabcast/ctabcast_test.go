@@ -2,6 +2,8 @@ package ctabcast
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -590,5 +592,150 @@ func TestVeryLateStragglerMessagesIgnored(t *testing.T) {
 	// Nothing to assert beyond "no panic and no instance created".
 	if p.insts.Get(5) != nil {
 		t.Fatal("GC'd instance resurrected")
+	}
+}
+
+// watched forwards a process's events and reports each one afterwards,
+// so a test can look at the process between events.
+type watched struct {
+	*Process
+	after func()
+}
+
+func (w watched) OnMessage(from proto.PID, payload any) {
+	w.Process.OnMessage(from, payload)
+	w.after()
+}
+
+func (w watched) OnSuspect(q proto.PID) {
+	w.Process.OnSuspect(q)
+	w.after()
+}
+
+// decidedBatch is one decision as a process holds it, beside a copy taken
+// when the decision was first seen.
+type decidedBatch struct {
+	held, copy []proto.MsgID
+}
+
+func TestDecidedBatchesNeverChange(t *testing.T) {
+	// A decided batch is shared by every process that decides it, by the
+	// decision log and by the messages that forward it. Whatever storage a
+	// proposal is built in must therefore never change once decided: not
+	// while the run goes on, and not after a Reset starts the next run on
+	// the same processes. One FD n=3 run at a rate that batches, with wrong
+	// suspicions that send round-2 estimates (RefreshEstimate snapshots)
+	// and aborts, then a reset and a second run. Every decision is copied
+	// as soon as it is seen; at the end every held batch, every retained
+	// log entry and every delivered order must still equal the copies.
+	const n, runs, msgs = 3, 2, 600
+	qos := fd.QoS{TMR: 30 * time.Millisecond, TM: 3 * time.Millisecond}
+	c := newCluster(clusterOpts{n: n, qos: qos})
+	batches := make([][]map[uint64]*decidedBatch, runs)
+	delivered := make([][][]proto.MsgID, runs)
+	run := 0
+	scan := func(p int) {
+		pr := c.procs[p]
+		for k, hi := pr.insts.Lo(), pr.insts.Hi(); k < hi; k++ {
+			e := pr.insts.Get(k)
+			if e == nil || !e.decided || batches[run][p][k] != nil {
+				continue
+			}
+			batches[run][p][k] = &decidedBatch{held: e.ids, copy: append([]proto.MsgID(nil), e.ids...)}
+		}
+	}
+	estimates := 0
+	countEstimates := func(ev netmodel.TraceEvent) {
+		if cm, ok := ev.Payload.(*consMsg); ok && ev.Kind == netmodel.TraceSend && strings.HasPrefix(cm.String(), "MsgEstimate") {
+			estimates++
+		}
+	}
+	for p := 0; p < n; p++ {
+		p := p
+		deliver := c.procs[p].cfg.Deliver
+		c.procs[p].cfg.Deliver = func(id proto.MsgID, body any) {
+			scan(p) // before anything later in this event builds a proposal
+			delivered[run][p] = append(delivered[run][p], id)
+			deliver(id, body)
+		}
+	}
+	for r := 0; r < runs; r++ {
+		run = r
+		batches[r] = make([]map[uint64]*decidedBatch, n)
+		delivered[r] = make([][]proto.MsgID, n)
+		// Every run starts on reset processes; the first reset finds them
+		// as New left them, apart from the watched handlers.
+		c.eng.Reset()
+		c.sys.Reset(netmodel.DefaultConfig(n), qos, sim.NewRand(uint64(5+r)))
+		for p := 0; p < n; p++ {
+			batches[r][p] = make(map[uint64]*decidedBatch)
+			c.deliveries[p] = c.deliveries[p][:0]
+			c.procs[p].Reset(c.procs[p].cfg)
+			if r == 0 {
+				p := p
+				c.sys.SetHandler(proto.PID(p), watched{c.procs[p], func() { scan(p) }})
+			}
+		}
+		clear(c.sent)
+		clear(c.bodies)
+		c.sys.Start()
+		c.sys.Net.SetTrace(countEstimates)
+		estimates = 0
+		for i := 0; i < msgs; i++ {
+			c.broadcastAt(proto.PID(i%n), at(float64(i)/2))
+		}
+		c.run(10 * time.Second)
+		c.checkTotalOrder(t)
+		c.checkAllDelivered(t)
+		if estimates == 0 {
+			t.Fatalf("run %d: no round-2 estimate was sent", r)
+		}
+		for p := 0; p < n; p++ {
+			scan(p)
+		}
+	}
+
+	batched := false
+	for r := 0; r < runs; r++ {
+		for p := 0; p < n; p++ {
+			for k, b := range batches[r][p] {
+				if !slices.Equal(b.held, b.copy) {
+					t.Fatalf("run %d p%d: batch %d changed after its decision: %v, decided %v", r, p, k, b.held, b.copy)
+				}
+				batched = batched || len(b.copy) > 1
+			}
+			// The delivered order is each batch in ID order, an ID decided
+			// twice delivered once, batch after batch.
+			var want []proto.MsgID
+			seen := make(map[proto.MsgID]bool)
+			for k := uint64(1); batches[r][p][k] != nil; k++ {
+				sorted := slices.Clone(batches[r][p][k].copy)
+				proto.SortMsgIDs(sorted)
+				for _, id := range sorted {
+					if !seen[id] {
+						seen[id] = true
+						want = append(want, id)
+					}
+				}
+			}
+			if got := delivered[r][p]; len(got) != msgs || !slices.Equal(got, want[:len(got)]) {
+				t.Fatalf("run %d p%d: delivered %d messages, not the decided batches' order", r, p, len(got))
+			}
+		}
+	}
+	if !batched {
+		t.Fatal("no batch ordered more than one message")
+	}
+	for p, pr := range c.procs {
+		if len(pr.log) == 0 {
+			t.Fatalf("p%d retained no log entry", p)
+		}
+		for i, e := range pr.log {
+			k := pr.logStart + uint64(i)
+			b := batches[runs-1][p][k]
+			if b == nil || !slices.Equal(e.ids, b.copy) {
+				t.Fatalf("p%d: log entry %d is %v, decided %v", p, k, e.ids, b)
+			}
+		}
 	}
 }
