@@ -22,18 +22,20 @@ import (
 // one atomic broadcast ordered and delivered on a 3-process FD cluster.
 // The pooling pass took it from 42 to 13 allocs/op, the dense tables
 // under rbcast and ctabcast (proto.IDTable, proto.Window) to 7, and a
-// decision log that keeps its bodies in one buffer to a measured 4: the
-// proposal snapshot (its ID slice and the box holding it) and the boxed
-// proposal and decision messages.
+// decision log that keeps its bodies in one buffer to 4: the proposal
+// snapshot (its ID slice and the box holding it) and the boxed proposal
+// and decision messages. With consensus messages carried by value and
+// proposals carved from slabs it allocates nothing.
 func TestClusterBroadcastAllocBudget(t *testing.T) {
-	clusterBroadcastAllocBudget(t, FD, 3, 5)
+	clusterBroadcastAllocBudget(t, FD, 3, 0)
 }
 
 // TestClusterBroadcastAllocBudgetFD7 is the same at n=7. It measured 11
 // allocs/op while the log allocated a body slice per batch at every
-// process, 4 since.
+// process, then 4 until proposals were carved and messages sent by value,
+// 0 since.
 func TestClusterBroadcastAllocBudgetFD7(t *testing.T) {
-	clusterBroadcastAllocBudget(t, FD, 7, 5)
+	clusterBroadcastAllocBudget(t, FD, 7, 0)
 }
 
 // TestFDColdStartAllocBudget bounds what a fresh FD cluster pays before
@@ -43,7 +45,8 @@ func TestClusterBroadcastAllocBudgetFD7(t *testing.T) {
 // at every process, an instance, a slot and a decide closure per
 // consensus instance and a body slice per logged batch it measured 190
 // allocations per broadcast; with the rings carved from one slab per
-// table, one allocation per slot and the log's one body buffer, 60.
+// table, one allocation per slot and the log's one body buffer, 60; with
+// proposals carved from slabs that start small, 57.5.
 func TestFDColdStartAllocBudget(t *testing.T) {
 	const n, broadcasts, budget = 32, 32, 70
 	delivered := 0
@@ -96,20 +99,23 @@ func TestClusterBroadcastAllocBudgetGM7(t *testing.T) {
 // sort per proposal attempt, fresh per-change maps and re-boxed sequencer
 // messages it measured 403 allocs/op; with a consensus instance made per
 // change, views copied at every install and buffered membership messages
-// boxed twice, 114. It measures 69, about 30 of them the workload's
-// own arrivals. The rest is per view change, not per message: the values
-// every member receives (the proposal and its merged flush, the flush
-// snapshot, their boxes and the MsgConsensus boxing).
+// boxed twice, 114; then 69, and 65 with consensus messages sent by
+// value (each change's proposal and decision no longer boxed inside their
+// MsgConsensus), about
+// 30 of them the workload's own arrivals. The rest is per view change, not
+// per message: the values every member receives (the proposal and its
+// merged flush, the flush snapshot, their boxes and the MsgConsensus
+// boxing).
 func TestGMViewChangeAllocBudget(t *testing.T) {
-	gmViewChangeAllocBudget(t, 3, 80)
+	gmViewChangeAllocBudget(t, 3, 70)
 }
 
 // TestGMViewChangeAllocBudget7 is the same cycle at n=7, where every
 // change has seven flushes to merge and seven members to receive its
 // values. It measured 236 allocs/op with a consensus instance per change,
-// 133 since.
+// then 133, and 129 with consensus messages sent by value.
 func TestGMViewChangeAllocBudget7(t *testing.T) {
-	gmViewChangeAllocBudget(t, 7, 153)
+	gmViewChangeAllocBudget(t, 7, 135)
 }
 
 func gmViewChangeAllocBudget(t *testing.T, n int, budget float64) {
@@ -371,9 +377,10 @@ func TestHeartbeatAllocBudget(t *testing.T) {
 // replication afresh it cost 738 allocations; with the system reset in
 // place, 193, nearly all of them the messages' own: the proposal
 // snapshot and the boxed proposal and decision of each consensus
-// instance, and the replication's latency collector.
+// instance, and the replication's latency collector. With proposals
+// carved from slabs and consensus messages sent by value, 25.
 func TestReusedReplicationAllocBudget(t *testing.T) {
-	const budget = 240
+	const budget = 35
 	point := Config{
 		Algorithm:  FD,
 		N:          3,

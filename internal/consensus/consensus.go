@@ -24,6 +24,12 @@
 //   - Decision forwarding: a decided process answers late estimates and
 //     nacks with the decision, guaranteeing termination for stragglers.
 //
+// Messages are values of one tagged struct, Msg, rather than six types
+// boxed into an interface: an instance sends without allocating, and a
+// transport that carries messages inside pooled wire boxes (the FD
+// algorithm's) or copies them into its own message (the membership
+// service's) is the only owner of their storage.
+//
 // The instance takes a participant list, so the group-membership service
 // can run consensus among the members of the current view only; the
 // rotating-coordinator order starts at an arbitrary participant, which is
@@ -47,87 +53,63 @@ import (
 // proposed or decided.
 type Value any
 
-// Msg is implemented by all consensus message types. The embedding
-// protocol wraps Msg values with an instance tag before handing them to
-// the transport.
-type Msg interface{ isConsensusMsg() }
-
-// MsgEstimate is the phase-1 message of rounds r ≥ 2: a participant sends
-// its current estimate and timestamp to the round's coordinator.
-type MsgEstimate struct {
-	Round int
-	Est   Value
-	Ts    int
-}
-
-// MsgPropose is the coordinator's phase-2 proposal for a round.
-type MsgPropose struct {
-	Round int
-	Est   Value
-}
-
-// MsgAck is a positive phase-3 reply to a proposal.
-type MsgAck struct{ Round int }
-
-// MsgNack is a negative phase-3 reply: the sender suspects the round's
-// coordinator and has moved on.
-type MsgNack struct{ Round int }
-
-// MsgAbort is multicast by a round's coordinator after receiving a nack:
-// everyone still in the round moves to the next one.
-type MsgAbort struct{ Round int }
-
-// MsgDecide carries the decision. Proposer is the coordinator whose
-// proposal was decided; the crash-steady renumbering optimisation makes it
-// the first coordinator of the next instance.
-type MsgDecide struct {
-	Val      Value
+// Msg is one consensus message, a tagged value: Kind says which of the
+// algorithm's six messages it is and which fields it uses. Messages travel
+// by value, so sending one allocates nothing of its own; the embedding
+// protocol wraps it with an instance tag before handing it to the
+// transport.
+type Msg struct {
+	// Val is the estimate of an estimate or a proposal and the decision
+	// of a decide message.
+	Val Value
+	// Proposer is, in a decide message, the coordinator whose proposal was
+	// decided; the crash-steady renumbering optimisation makes it the
+	// first coordinator of the next instance.
 	Proposer proto.PID
+	// Round is the round of every kind but a decide message.
+	Round int32
+	// Ts is an estimate's timestamp: the round it was last adopted in.
+	Ts   int32
+	Kind Kind
 }
 
-func (MsgEstimate) isConsensusMsg() {}
-func (MsgPropose) isConsensusMsg()  {}
-func (MsgAck) isConsensusMsg()      {}
-func (MsgNack) isConsensusMsg()     {}
-func (MsgAbort) isConsensusMsg()    {}
-func (MsgDecide) isConsensusMsg()   {}
+// Kind names the type of a consensus message.
+type Kind uint8
 
-// Boxing a control message into the Msg interface allocates. Rounds are
-// small (round 1 in every failure-free instance), so the boxed forms of
-// the round-only control messages are interned for low round numbers:
-// one allocation per protocol message (the embedding protocol's instance
-// tag) instead of two on the ack/nack/abort paths.
-const internedRounds = 8
+const (
+	// MsgEstimate is the phase-1 message of rounds r ≥ 2: a participant
+	// sends its current estimate and timestamp to the round's coordinator.
+	MsgEstimate Kind = iota + 1
+	// MsgPropose is the coordinator's phase-2 proposal for a round.
+	MsgPropose
+	// MsgAck is a positive phase-3 reply to a proposal.
+	MsgAck
+	// MsgNack is a negative phase-3 reply: the sender suspects the round's
+	// coordinator and has moved on.
+	MsgNack
+	// MsgAbort is multicast by a round's coordinator after receiving a
+	// nack: everyone still in the round moves to the next one.
+	MsgAbort
+	// MsgDecide carries the decision and its proposer.
+	MsgDecide
+)
 
-var ackBox, nackBox, abortBox [internedRounds + 1]Msg
-
-func init() {
-	for r := 1; r <= internedRounds; r++ {
-		ackBox[r] = MsgAck{Round: r}
-		nackBox[r] = MsgNack{Round: r}
-		abortBox[r] = MsgAbort{Round: r}
-	}
+var kindNames = [...]string{
+	MsgEstimate: "MsgEstimate",
+	MsgPropose:  "MsgPropose",
+	MsgAck:      "MsgAck",
+	MsgNack:     "MsgNack",
+	MsgAbort:    "MsgAbort",
+	MsgDecide:   "MsgDecide",
 }
 
-func ackMsg(r int) Msg {
-	if r >= 1 && r <= internedRounds {
-		return ackBox[r]
+// String returns the kind's name, "MsgPropose" say: traces and the
+// per-kind send counts name consensus messages by it.
+func (k Kind) String() string {
+	if int(k) < len(kindNames) && kindNames[k] != "" {
+		return kindNames[k]
 	}
-	return MsgAck{Round: r}
-}
-
-func nackMsg(r int) Msg {
-	if r >= 1 && r <= internedRounds {
-		return nackBox[r]
-	}
-	return MsgNack{Round: r}
-}
-
-func abortMsg(r int) Msg {
-	if r >= 1 && r <= internedRounds {
-		return abortBox[r]
-	}
-	return MsgAbort{Round: r}
+	return fmt.Sprintf("Kind(%d)", k)
 }
 
 // Transport sends instance messages on behalf of the instance. The
@@ -237,7 +219,6 @@ type Instance struct {
 	// Decision state; decided and relayed are among the flags.
 	decision  Value
 	proposer  proto.PID
-	decideBox Msg    // the boxed decision message, built once, reused by relays and forwards
 	forwarded []bool // by PID: the peers the decision was forwarded to
 
 	started bool
@@ -405,21 +386,21 @@ func (in *Instance) Restart() {
 // OnMessage feeds one consensus message from a peer (or from the process
 // itself, via local delivery) into the state machine.
 func (in *Instance) OnMessage(from proto.PID, m Msg) {
-	switch msg := m.(type) {
+	switch m.Kind {
 	case MsgEstimate:
-		in.onEstimate(from, msg)
+		in.onEstimate(from, m)
 	case MsgPropose:
-		in.onPropose(from, msg)
+		in.onPropose(m)
 	case MsgAck:
-		in.onAck(from, msg)
+		in.onAck(from, m)
 	case MsgNack:
-		in.onNack(from, msg)
+		in.onNack(from, m)
 	case MsgAbort:
-		in.onAbort(msg)
+		in.onAbort(m)
 	case MsgDecide:
-		in.decideNow(msg.Val, msg.Proposer)
+		in.decideNow(m.Val, m.Proposer)
 	default:
-		panic(fmt.Sprintf("consensus: unknown message %T", m))
+		panic(fmt.Sprintf("consensus: unknown message %v", m.Kind))
 	}
 }
 
@@ -443,7 +424,7 @@ func (in *Instance) OnSuspect(p proto.PID) {
 	switch in.phase {
 	case phaseWaitPropose:
 		// Classic phase 3: nack tells a live coordinator to abort.
-		in.tr.Send(in.Coordinator(in.round), nackMsg(in.round))
+		in.tr.Send(in.Coordinator(in.round), roundMsg(MsgNack, in.round))
 		in.enterRound(in.round + 1)
 	case phaseWaitDecide:
 		// Already acked; the decision may never come if the coordinator
@@ -507,7 +488,7 @@ func (in *Instance) enterRound(r int) {
 				in.estimate = fresh
 			}
 		}
-		in.tr.Send(in.Coordinator(r), MsgEstimate{Round: r, Est: est, Ts: in.ts})
+		in.tr.Send(in.Coordinator(r), Msg{Kind: MsgEstimate, Round: int32(r), Val: est, Ts: int32(in.ts)})
 	}
 	in.checkSuspicion()
 }
@@ -521,32 +502,36 @@ func (in *Instance) checkSuspicion() {
 	}
 	c := in.Coordinator(in.round)
 	if c != in.cfg.Self && in.cfg.Suspects(c) {
-		in.tr.Send(c, nackMsg(in.round))
+		in.tr.Send(c, roundMsg(MsgNack, in.round))
 		in.enterRound(in.round + 1)
 	}
 }
 
+// roundMsg is the control message of the given kind for round r.
+func roundMsg(k Kind, r int) Msg { return Msg{Kind: k, Round: int32(r)} }
+
 // onEstimate handles coordinator duty for round msg.Round, independent of
 // the local participant round: estimates are buffered until a majority
 // (with at least one usable value) is available.
-func (in *Instance) onEstimate(from proto.PID, msg MsgEstimate) {
+func (in *Instance) onEstimate(from proto.PID, msg Msg) {
 	if in.decided {
 		in.forwardDecision(from)
 		return
 	}
-	if in.Coordinator(msg.Round) != in.cfg.Self {
+	r := int(msg.Round)
+	if in.Coordinator(r) != in.cfg.Self {
 		return // misrouted; cannot happen with a correct transport
 	}
 	i := in.index(from)
 	if i < 0 {
 		return // not a participant of this instance
 	}
-	rs := in.roundState(msg.Round)
+	rs := in.roundState(r)
 	if p := &rs.parts[i]; !p.hasEst {
-		p.est, p.ts, p.hasEst = msg.Est, msg.Ts, true
+		p.est, p.ts, p.hasEst = msg.Val, int(msg.Ts), true
 		rs.estCount++
 	}
-	in.tryPropose(msg.Round)
+	in.tryPropose(r)
 }
 
 // tryPropose proposes for round r once a majority of estimates (including
@@ -568,7 +553,7 @@ func (in *Instance) tryPropose(r int) {
 		}
 		rs.proposed = true
 		rs.proposal = self.est
-		in.tr.Multicast(MsgPropose{Round: 1, Est: self.est})
+		in.tr.Multicast(Msg{Kind: MsgPropose, Round: 1, Val: self.est})
 		return
 	}
 	if rs.estCount < in.majority() {
@@ -591,15 +576,15 @@ func (in *Instance) tryPropose(r int) {
 	}
 	rs.proposed = true
 	rs.proposal = best.est
-	in.tr.Multicast(MsgPropose{Round: r, Est: best.est})
+	in.tr.Multicast(Msg{Kind: MsgPropose, Round: int32(r), Val: best.est})
 }
 
 // onPropose handles the participant side of a proposal.
-func (in *Instance) onPropose(from proto.PID, msg MsgPropose) {
+func (in *Instance) onPropose(msg Msg) {
 	if in.decided {
 		return
 	}
-	r := msg.Round
+	r := int(msg.Round)
 	switch {
 	case r < in.round:
 		return // stale round
@@ -613,68 +598,69 @@ func (in *Instance) onPropose(from proto.PID, msg MsgPropose) {
 	if c != in.cfg.Self && in.cfg.Suspects(c) {
 		// The ♦S phase-3 disjunction resolved to "suspect" before the
 		// proposal was processed.
-		in.tr.Send(c, nackMsg(r))
+		in.tr.Send(c, roundMsg(MsgNack, r))
 		in.enterRound(r + 1)
 		return
 	}
-	in.estimate = msg.Est
+	in.estimate = msg.Val
 	in.ts = r
 	in.started = true
 	in.phase = phaseWaitDecide
-	in.tr.Send(c, ackMsg(r))
+	in.tr.Send(c, roundMsg(MsgAck, r))
 }
 
 // onAck handles coordinator duty: count acks, decide on a majority.
-func (in *Instance) onAck(from proto.PID, msg MsgAck) {
+func (in *Instance) onAck(from proto.PID, msg Msg) {
 	if in.decided {
 		return
 	}
-	if in.Coordinator(msg.Round) != in.cfg.Self {
+	r := int(msg.Round)
+	if in.Coordinator(r) != in.cfg.Self {
 		return
 	}
 	i := in.index(from)
 	if i < 0 {
 		return // not a participant of this instance
 	}
-	rs := in.roundState(msg.Round)
+	rs := in.roundState(r)
 	if !rs.parts[i].acked {
 		rs.parts[i].acked = true
 		rs.ackCount++
 	}
 	if rs.proposed && rs.ackCount >= in.majority() {
 		v := rs.proposal
-		in.decideBox = MsgDecide{Val: v, Proposer: in.cfg.Self}
-		in.tr.Multicast(in.decideBox)
+		in.tr.Multicast(Msg{Kind: MsgDecide, Val: v, Proposer: in.cfg.Self})
 		in.decideNow(v, in.cfg.Self)
 	}
 }
 
 // onNack handles coordinator duty: the round is burned, tell everyone.
-func (in *Instance) onNack(from proto.PID, msg MsgNack) {
+func (in *Instance) onNack(from proto.PID, msg Msg) {
 	if in.decided {
 		in.forwardDecision(from)
 		return
 	}
-	if in.Coordinator(msg.Round) != in.cfg.Self {
+	r := int(msg.Round)
+	if in.Coordinator(r) != in.cfg.Self {
 		return
 	}
-	rs := in.roundState(msg.Round)
+	rs := in.roundState(r)
 	if rs.aborted {
 		return
 	}
 	rs.aborted = true
-	in.tr.Multicast(abortMsg(msg.Round))
+	in.tr.Multicast(roundMsg(MsgAbort, r))
 	// The abort reaches us through local delivery and advances our own
 	// participant state in onAbort.
 }
 
 // onAbort moves the participant past an aborted round.
-func (in *Instance) onAbort(msg MsgAbort) {
+func (in *Instance) onAbort(msg Msg) {
 	if in.decided {
 		return
 	}
-	if in.round <= msg.Round {
-		in.enterRound(msg.Round + 1)
+	if r := int(msg.Round); in.round <= r {
+		in.enterRound(r + 1)
 	}
 }
 
@@ -711,13 +697,9 @@ func (in *Instance) relayDecision() {
 	in.tr.Multicast(in.decidedMsg())
 }
 
-// decidedMsg returns the boxed decision message, building it at most
-// once per instance.
+// decidedMsg returns the decision message.
 func (in *Instance) decidedMsg() Msg {
-	if in.decideBox == nil {
-		in.decideBox = MsgDecide{Val: in.decision, Proposer: in.proposer}
-	}
-	return in.decideBox
+	return Msg{Kind: MsgDecide, Val: in.decision, Proposer: in.proposer}
 }
 
 // Close marks the instance as old: the embedding protocol has moved on and

@@ -3,7 +3,9 @@ package consensus
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/proto"
 	"repro/internal/sim"
@@ -21,7 +23,7 @@ type testNet struct {
 	suspects     map[proto.PID]map[proto.PID]bool
 	decisions    map[proto.PID]Value
 	proposers    map[proto.PID]proto.PID
-	sent         map[string]int // message type name -> count (non-local only)
+	sent         map[string]int // "consensus."+kind name -> count (non-local only)
 }
 
 type queued struct {
@@ -52,7 +54,7 @@ func (tr transport) Send(to proto.PID, m Msg) {
 		return
 	}
 	if to != tr.self {
-		tr.net.sent[fmt.Sprintf("%T", m)]++
+		tr.net.sent["consensus."+m.Kind.String()]++
 	}
 	tr.net.queue = append(tr.net.queue, queued{from: tr.self, to: to, m: m})
 }
@@ -61,7 +63,7 @@ func (tr transport) Multicast(m Msg) {
 	if tr.net.crashed[tr.self] {
 		return
 	}
-	tr.net.sent[fmt.Sprintf("%T", m)]++
+	tr.net.sent["consensus."+m.Kind.String()]++
 	for _, p := range tr.net.participants {
 		tr.net.queue = append(tr.net.queue, queued{from: tr.self, to: p, m: m})
 	}
@@ -296,7 +298,7 @@ func TestCoordinatorCrashAfterProposeBeforeDecide(t *testing.T) {
 			continue
 		}
 		n.insts[q.to].OnMessage(q.from, q.m)
-		if _, isAck := q.m.(MsgAck); isAck && q.to == 0 {
+		if q.m.Kind == MsgAck && q.to == 0 {
 			break // first remote ack about to be processed; crash now
 		}
 	}
@@ -434,7 +436,7 @@ func TestDuplicateDecideUpcallImpossible(t *testing.T) {
 	}
 	n.runFIFO()
 	// Feed a duplicate decide.
-	p0.OnMessage(1, MsgDecide{Val: "v0", Proposer: 0})
+	p0.OnMessage(1, Msg{Kind: MsgDecide, Val: "v0", Proposer: 0})
 	if count != 1 {
 		t.Fatalf("decide upcall fired %d times, want 1", count)
 	}
@@ -744,10 +746,10 @@ func TestClosedInstanceDoesNotRelay(t *testing.T) {
 		t.Fatal("closed instance relayed its decision")
 	}
 	// Forwarding still answers explicitly late peers.
-	n.insts[1].OnMessage(2, MsgEstimate{Round: 5, Est: "v2", Ts: 0})
+	n.insts[1].OnMessage(2, Msg{Kind: MsgEstimate, Round: 5, Val: "v2", Ts: 0})
 	found := false
 	for _, q := range n.queue {
-		if _, ok := q.m.(MsgDecide); ok && q.to == 2 {
+		if q.m.Kind == MsgDecide && q.to == 2 {
 			found = true
 		}
 	}
@@ -819,4 +821,43 @@ func TestResetReusesDecidedInstance(t *testing.T) {
 	}
 	n.trust(2, 0)
 	straggle(2, 1)
+}
+
+func TestMsgLayout(t *testing.T) {
+	// A message is carried by value inside its transport's message: 40
+	// bytes keeps gm.MsgConsensus, the message and a change number, in the
+	// 48-byte size class.
+	if got := unsafe.Sizeof(Msg{}); got != 40 {
+		t.Fatalf("Msg is %d bytes, want 40", got)
+	}
+}
+
+func TestKindNames(t *testing.T) {
+	// Trace lines, the full-trace goldens and the benchmark's per-kind
+	// send counts name consensus messages by these strings, the type names
+	// the messages had when each kind was a type of its own.
+	want := map[Kind]string{
+		MsgEstimate:   "MsgEstimate",
+		MsgPropose:    "MsgPropose",
+		MsgAck:        "MsgAck",
+		MsgNack:       "MsgNack",
+		MsgAbort:      "MsgAbort",
+		MsgDecide:     "MsgDecide",
+		0:             "Kind(0)",
+		MsgDecide + 1: "Kind(7)",
+	}
+	for k, name := range want {
+		if got := k.String(); got != name {
+			t.Errorf("Kind %d is %q, want %q", k, got, name)
+		}
+	}
+	// A message without a kind is a protocol bug, named in the panic.
+	n := newTestNet(pids(1)...)
+	n.build(0)
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "Kind(0)") {
+			t.Fatalf("a message of kind 0 panicked with %v", r)
+		}
+	}()
+	n.insts[0].OnMessage(0, Msg{})
 }

@@ -22,7 +22,6 @@ package ctabcast
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/consensus"
@@ -33,7 +32,8 @@ import (
 
 // consMsg tags a consensus message with its instance number. Wire copies
 // travel as *consMsg boxes drawn from the sending Process's pool
-// (netmodel.Box): receivers copy K and M out before returning.
+// (netmodel.Box), the message held by value: receivers copy K and M out
+// before returning.
 type consMsg struct {
 	K uint64
 	M consensus.Msg
@@ -42,11 +42,42 @@ type consMsg struct {
 
 // String names the wrapped message for traces: "MsgPropose[k=3]".
 func (m consMsg) String() string {
-	name := fmt.Sprintf("%T", m.M)
-	if i := strings.LastIndex(name, "."); i >= 0 {
-		name = name[i+1:]
+	return fmt.Sprintf("%v[k=%d]", m.M.Kind, m.K)
+}
+
+// batch is the FD algorithm's consensus value: a proposed set of message
+// IDs in canonical order. Proposals are handed to consensus as *batch, a
+// pointer, which a consensus.Value holds without allocating.
+type batch struct{ ids []proto.MsgID }
+
+// Chunk sizes of the proposal slabs: small first, so a cold process that
+// proposes little pays little, doubling up to the largest.
+const (
+	idChunkMin, idChunkMax       = 16, 4096
+	batchChunkMin, batchChunkMax = 4, 256
+)
+
+// slab hands out storage that is never handed out twice. Each carve is a
+// capped slice of the current chunk, so appending to it cannot reach a
+// neighbour; a chunk too short for a carve is left to the carves already
+// cut from it and replaced by one twice as long, between lo and hi. A
+// proposal carved here may be decided, logged, forwarded and buffered by
+// every process at once, and still needs no reference count: nothing ever
+// writes its storage again, across Reset too.
+type slab[T any] struct {
+	free []T // uncarved rest of the current chunk
+	size int // length of the current chunk
+}
+
+// carve returns n fresh elements.
+func (s *slab[T]) carve(n, lo, hi int) []T {
+	if len(s.free) < n {
+		s.size = min(max(2*s.size, lo), hi)
+		s.free = make([]T, max(n, s.size))
 	}
-	return fmt.Sprintf("%s[k=%d]", name, m.K)
+	c := s.free[:n:n]
+	s.free = s.free[n:]
+	return c
 }
 
 // Config parameterises the FD algorithm at one process.
@@ -114,9 +145,11 @@ type Process struct {
 	probeRx     uint64        // rxCount when the live probe chain was (re)armed
 	probeIdle   int           // consecutive probes that saw zero traffic
 
-	// Free lists and cached callbacks: the high-rate allocation sites of
-	// the hot path, each reused across instances and messages.
+	// Free lists, slabs and cached callbacks: the high-rate allocation
+	// sites of the hot path, each reused across instances and messages.
 	boxes       netmodel.Pool[consMsg] // consMsg wire boxes
+	idSlab      slab[proto.MsgID]      // proposals' ID slices
+	batchSlab   slab[batch]            // proposals
 	slotFree    []*instSlot            // recycled instance slots (GC'd instances)
 	sortScratch []proto.MsgID
 	suspectsFn  func(proto.PID) bool
@@ -165,7 +198,7 @@ func New(rt proto.Runtime, cfg Config) *Process {
 	p := &Process{
 		rt:       rt,
 		buffered: make(map[uint64][]bufferedMsg),
-		boxes:    netmodel.NewPool(func(m *consMsg) { m.M = nil }),
+		boxes:    netmodel.NewPool(func(m *consMsg) { m.M = consensus.Msg{} }),
 	}
 	p.msgs.Reserve(rt.N())
 	p.adelivered.Reserve(rt.N())
@@ -196,8 +229,9 @@ func New(rt proto.Runtime, cfg Config) *Process {
 // its own runtime: nothing broadcast, received, decided or logged, no
 // catch-up in progress. Its tables, decision log, box pool and instance
 // slots are kept for reuse — every built instance's slot goes back to the
-// free list. The runtime's timers of the previous run must not fire
-// afterwards (the engine is reset alongside).
+// free list, and the proposal slabs carve on where they stopped, so no
+// batch of the previous run is overwritten. The runtime's timers of the
+// previous run must not fire afterwards (the engine is reset alongside).
 func (p *Process) Reset(cfg Config) {
 	if cfg.Deliver == nil {
 		panic("ctabcast: nil Deliver")
@@ -229,6 +263,8 @@ func (p *Process) Reset(cfg Config) {
 		logStart:    1,
 		logRetain:   logRetain,
 		boxes:       p.boxes,
+		idSlab:      p.idSlab,
+		batchSlab:   p.batchSlab,
 		slotFree:    p.slotFree,
 		sortScratch: p.sortScratch[:0],
 		suspectsFn:  p.suspectsFn,
@@ -335,15 +371,17 @@ func (p *Process) maybePropose() {
 }
 
 // proposal snapshots the pending set in canonical order, the order the
-// table iterates in.
-func (p *Process) proposal() consensus.Value {
-	ids := make([]proto.MsgID, 0, p.npending)
+// table iterates in, into storage carved from the process's slabs.
+func (p *Process) proposal() *batch {
+	ids := p.idSlab.carve(p.npending, idChunkMin, idChunkMax)[:0]
 	p.msgs.Each(func(id proto.MsgID, m *msgEntry) {
 		if m.pending {
 			ids = append(ids, id)
 		}
 	})
-	return ids
+	b := &p.batchSlab.carve(1, batchChunkMin, batchChunkMax)[0]
+	b.ids = ids
+	return b
 }
 
 // take removes id from the message table and returns its body, nil when
@@ -429,12 +467,12 @@ func (p *Process) onConsensusMsg(from proto.PID, k uint64, m consensus.Msg) {
 
 // onDecide records the decision of instance k and delivers in order.
 func (p *Process) onDecide(k uint64, v consensus.Value, proposer proto.PID) {
-	ids, ok := v.([]proto.MsgID)
+	b, ok := v.(*batch)
 	if !ok {
 		panic(fmt.Sprintf("ctabcast: decision of unexpected type %T", v))
 	}
 	e := p.insts.Get(k) // in the table: its instance is the caller
-	e.ids, e.decided, e.proposer = ids, true, proposer
+	e.ids, e.decided, e.proposer = b.ids, true, proposer
 	p.drainDecisions()
 }
 

@@ -339,7 +339,7 @@ func TestCrashSteadyCoordinatorWithRenumbering(t *testing.T) {
 			return
 		}
 		if cm, ok := ev.Payload.(*consMsg); ok {
-			if fmt.Sprintf("%T", cm.M) == "consensus.MsgNack" && ev.At > cutoff {
+			if cm.M.Kind == consensus.MsgNack && ev.At > cutoff {
 				nacksLate++
 			}
 		}
@@ -363,7 +363,7 @@ func TestCrashSteadyCoordinatorWithoutRenumbering(t *testing.T) {
 	cutoff := at(200)
 	c.sys.Net.SetTrace(func(ev netmodel.TraceEvent) {
 		if ev.Kind == netmodel.TraceSend {
-			if cm, ok := ev.Payload.(*consMsg); ok && fmt.Sprintf("%T", cm.M) == "consensus.MsgNack" && ev.At > cutoff {
+			if cm, ok := ev.Payload.(*consMsg); ok && cm.M.Kind == consensus.MsgNack && ev.At > cutoff {
 				nacksLate++
 			}
 		}
@@ -567,7 +567,7 @@ func TestHandlerSurface(t *testing.T) {
 		t.Fatalf("Pending = %d after delivery", p.Pending())
 	}
 	// consMsg names its inner message for traces.
-	s := consMsg{K: 3, M: consensus.MsgAck{Round: 1}}.String()
+	s := consMsg{K: 3, M: consensus.Msg{Kind: consensus.MsgAck, Round: 1}}.String()
 	if s != "MsgAck[k=3]" {
 		t.Fatalf("consMsg.String() = %q", s)
 	}
@@ -588,7 +588,7 @@ func TestVeryLateStragglerMessagesIgnored(t *testing.T) {
 	c := newCluster(clusterOpts{n: 3})
 	p := c.procs[0]
 	p.insts.Advance(100)
-	p.OnMessage(1, &consMsg{K: 5, M: consensus.MsgAck{Round: 1}})
+	p.OnMessage(1, &consMsg{K: 5, M: consensus.Msg{Kind: consensus.MsgAck, Round: 1}})
 	// Nothing to assert beyond "no panic and no instance created".
 	if p.insts.Get(5) != nil {
 		t.Fatal("GC'd instance resurrected")

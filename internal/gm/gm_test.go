@@ -434,7 +434,8 @@ func TestNestedDecisionRelaysEachChange(t *testing.T) {
 		t.Run(fmt.Sprintf("nested=%d", nested), func(t *testing.T) {
 			members := []proto.PID{0, 1, 2}
 			decide := func(vc uint64) MsgConsensus {
-				return MsgConsensus{VC: vc, M: consensus.MsgDecide{
+				return MsgConsensus{VC: vc, M: consensus.Msg{
+					Kind:     consensus.MsgDecide,
 					Val:      proposal{Members: members},
 					Proposer: 0,
 				}}
