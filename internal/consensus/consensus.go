@@ -24,11 +24,10 @@
 //   - Decision forwarding: a decided process answers late estimates and
 //     nacks with the decision, guaranteeing termination for stragglers.
 //
-// Messages are values of one tagged struct, Msg, rather than six types
-// boxed into an interface: an instance sends without allocating, and a
-// transport that carries messages inside pooled wire boxes (the FD
-// algorithm's) or copies them into its own message (the membership
-// service's) is the only owner of their storage.
+// Messages are values of one tagged struct, Msg, not six types boxed into
+// an interface, so an instance sends without allocating: the transport
+// carries the message by value inside its own wire message (the FD
+// algorithm's pooled box, the membership service's MsgConsensus).
 //
 // The instance takes a participant list, so the group-membership service
 // can run consensus among the members of the current view only; the
