@@ -624,8 +624,8 @@ func TestDecidedBatchesNeverChange(t *testing.T) {
 	// proposal is built in must therefore never change once decided: not
 	// while the run goes on, and not after a Reset starts the next run on
 	// the same processes. One FD n=3 run at a rate that batches, with wrong
-	// suspicions that send round-2 estimates (RefreshEstimate snapshots)
-	// and aborts, then a reset and a second run. Every decision is copied
+	// suspicions that send round-2 estimates (RefreshEstimate snapshots),
+	// then a reset and a second run. Every decision is copied
 	// as soon as it is seen; at the end every held batch, every retained
 	// log entry and every delivered order must still equal the copies.
 	const n, runs, msgs = 3, 2, 600
@@ -718,7 +718,7 @@ func TestDecidedBatchesNeverChange(t *testing.T) {
 					}
 				}
 			}
-			if got := delivered[r][p]; len(got) != msgs || !slices.Equal(got, want[:len(got)]) {
+			if got := delivered[r][p]; len(got) != msgs || !slices.Equal(got, want) {
 				t.Fatalf("run %d p%d: delivered %d messages, not the decided batches' order", r, p, len(got))
 			}
 		}
