@@ -2,6 +2,7 @@ package seqabcast
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -676,3 +677,119 @@ func TestTrimLogKeepsSuffixInPlace(t *testing.T) {
 		}
 	}
 }
+
+// watchedApp stands between a process and its membership service and
+// shows a test every flush snapshot the process hands out, every decided
+// flush it installs and every state transfer it rejoins by.
+type watchedApp struct {
+	*Process
+	unstable func([]gm.UnstableMsg)
+	install  func([]gm.UnstableMsg)
+	rejoin   func()
+}
+
+func (a watchedApp) Unstable() []gm.UnstableMsg {
+	u := a.Process.Unstable()
+	a.unstable(u)
+	return u
+}
+
+func (a watchedApp) InstallView(v gm.View, flush []gm.UnstableMsg) {
+	a.install(flush)
+	a.Process.InstallView(v, flush)
+}
+
+func (a watchedApp) InstallSync(v gm.View, payload any) {
+	a.rejoin()
+	a.Process.InstallSync(v, payload)
+}
+
+// keptFlush is a flush set as a process held it, and the copy made when
+// it was first seen.
+type keptFlush struct{ held, copy []gm.UnstableMsg }
+
+func TestDecidedViewChangesNeverChange(t *testing.T) {
+	// The values of a view change are shared once decided: its members
+	// become the view every member and every joiner installs, and its
+	// merged flush, like every flush set a member multicast, is held by
+	// all who received it. Whatever storage they are built in must never
+	// change afterwards: not while the run goes on, and not after a Reset
+	// starts the next run on the same processes. One GM n=5 run with
+	// repeated short wrong suspicions, each excluding a member that then
+	// rejoins by state transfer, then a reset and a second run. Every value
+	// is copied when it is first seen; at the end every original must still
+	// equal its copy.
+	const n, runs, msgs, mistakes = 5, 2, 300, 14
+	c := newCluster(clusterOpts{n: n})
+	var views []keptMembers
+	var flushes []keptFlush
+	installs, rejoins, nonEmpty := 0, 0, 0
+	keep := func(u []gm.UnstableMsg) {
+		flushes = append(flushes, keptFlush{held: u, copy: slices.Clone(u)})
+		if len(u) > 0 {
+			nonEmpty++
+		}
+	}
+	for _, pr := range c.procs {
+		pr.gm.SetApp(watchedApp{
+			Process:  pr,
+			unstable: keep,
+			install:  func(u []gm.UnstableMsg) { installs++; keep(u) },
+			rejoin:   func() { rejoins++ },
+		})
+		pr.cfg.OnView = func(v gm.View) {
+			views = append(views, keptMembers{held: v.Members, copy: slices.Clone(v.Members)})
+		}
+	}
+	for r := 0; r < runs; r++ {
+		// Every run starts on reset processes; the first reset finds them
+		// as New left them, apart from the watched application.
+		c.eng.Reset()
+		c.sys.Reset(netmodel.DefaultConfig(n), fd.QoS{}, sim.NewRand(uint64(11+r)))
+		for p, pr := range c.procs {
+			c.deliveries[p] = c.deliveries[p][:0]
+			pr.Reset(pr.cfg)
+		}
+		clear(c.sent)
+		c.sys.Start()
+		for i := 0; i < msgs; i++ {
+			c.broadcastAt(proto.PID(i%n), at(float64(5*i)))
+		}
+		// A 1 ms wrong suspicion every 100 ms, each time of another
+		// process by another.
+		for k := 0; k < mistakes; k++ {
+			q, p := k%n, (k+1+k/n)%n
+			if p == q {
+				p = (p + 1) % n
+			}
+			c.eng.Schedule(at(float64(50+100*k)), func() {
+				c.sys.FDs.InjectMistake(q, p, time.Millisecond)
+			})
+		}
+		installs, rejoins = 0, 0
+		c.run(5 * time.Second)
+		c.checkTotalOrder(t)
+		c.checkAllDelivered(t)
+		if installs < mistakes || rejoins < mistakes/2 {
+			t.Fatalf("run %d: %d installs and %d rejoins for %d wrong suspicions", r, installs, rejoins, mistakes)
+		}
+	}
+	if nonEmpty == 0 {
+		t.Fatal("every flush set was empty")
+	}
+	for i, v := range views {
+		if !slices.Equal(v.held, v.copy) {
+			t.Fatalf("view %d: members %v, decided %v", i, v.held, v.copy)
+		}
+	}
+	for i, f := range flushes {
+		same := slices.EqualFunc(f.held, f.copy, func(a, b gm.UnstableMsg) bool { return a.ID == b.ID && a.Seq == b.Seq })
+		if !same {
+			t.Fatalf("flush %d changed after it was handed out: %v, was %v", i, f.held, f.copy)
+		}
+	}
+}
+
+// keptMembers is a view's members as a process held them, and the copy
+// made when the view was entered.
+type keptMembers struct{ held, copy []proto.PID }
