@@ -100,22 +100,23 @@ func TestClusterBroadcastAllocBudgetGM7(t *testing.T) {
 // messages it measured 403 allocs/op; with a consensus instance made per
 // change, views copied at every install and buffered membership messages
 // boxed twice, 114; then 69, and 65 with consensus messages sent by
-// value (each change's proposal and decision no longer boxed inside their
-// MsgConsensus), about
-// 30 of them the workload's own arrivals. The rest is per view change, not
-// per message: the values every member receives (the proposal and its
-// merged flush, the flush snapshot, their boxes and the MsgConsensus
-// boxing).
+// value. With membership messages in pooled boxes, buffered by retaining
+// the box, and the values every member keeps (decided members, proposal,
+// merged flush, flush snapshot) carved from slabs, it reads 6 to 7. About
+// 5.5 of those are the test's own: the suspicion SuspectAt schedules and
+// the step's arrivals. The rest is amortised growth: slab chunks and the
+// sequencer's tables.
 func TestGMViewChangeAllocBudget(t *testing.T) {
-	gmViewChangeAllocBudget(t, 3, 70)
+	gmViewChangeAllocBudget(t, 3, 8)
 }
 
 // TestGMViewChangeAllocBudget7 is the same cycle at n=7, where every
 // change has seven flushes to merge and seven members to receive its
 // values. It measured 236 allocs/op with a consensus instance per change,
-// then 133, and 129 with consensus messages sent by value.
+// then 133, 129 with consensus messages sent by value, and 7 with pooled
+// membership boxes and carved view-change values.
 func TestGMViewChangeAllocBudget7(t *testing.T) {
-	gmViewChangeAllocBudget(t, 7, 135)
+	gmViewChangeAllocBudget(t, 7, 9)
 }
 
 func gmViewChangeAllocBudget(t *testing.T, n int, budget float64) {

@@ -27,7 +27,7 @@
 // Messages are values of one tagged struct, Msg, not six types boxed into
 // an interface, so an instance sends without allocating: the transport
 // carries the message by value inside its own wire message (the FD
-// algorithm's pooled box, the membership service's MsgConsensus).
+// algorithm's consMsg, the membership service's MsgConsensus, both pooled boxes).
 //
 // The instance takes a participant list, so the group-membership service
 // can run consensus among the members of the current view only; the

@@ -824,9 +824,11 @@ func TestResetReusesDecidedInstance(t *testing.T) {
 }
 
 func TestMsgLayout(t *testing.T) {
-	// A message is carried by value inside its transport's message: 40
-	// bytes keeps gm.MsgConsensus, the message and a change number, in the
-	// 48-byte size class.
+	// A message is carried by value inside its transport's pooled wire
+	// box, ctabcast's consMsg or gm.MsgConsensus: at 40 bytes, each box —
+	// an 8-byte tag, the message and 24 bytes of netmodel.Box — is 72
+	// bytes, in the 80-byte size class, and a copy out of the box is five
+	// words.
 	if got := unsafe.Sizeof(Msg{}); got != 40 {
 		t.Fatalf("Msg is %d bytes, want 40", got)
 	}

@@ -57,29 +57,6 @@ const (
 	batchChunkMin, batchChunkMax = 4, 256
 )
 
-// slab hands out storage that is never handed out twice. Each carve is a
-// capped slice of the current chunk, so appending to it cannot reach a
-// neighbour; a chunk too short for a carve is left to the carves already
-// cut from it and replaced by one twice as long, between lo and hi. A
-// proposal carved here may be decided, logged, forwarded and buffered by
-// every process at once, and still needs no reference count: nothing ever
-// writes its storage again, across Reset too.
-type slab[T any] struct {
-	free []T // uncarved rest of the current chunk
-	size int // length of the current chunk
-}
-
-// carve returns n fresh elements.
-func (s *slab[T]) carve(n, lo, hi int) []T {
-	if len(s.free) < n {
-		s.size = min(max(2*s.size, lo), hi)
-		s.free = make([]T, max(n, s.size))
-	}
-	c := s.free[:n:n]
-	s.free = s.free[n:]
-	return c
-}
-
 // Config parameterises the FD algorithm at one process.
 type Config struct {
 	// Deliver is the A-deliver upcall, invoked in total order.
@@ -147,10 +124,10 @@ type Process struct {
 
 	// Free lists, slabs and cached callbacks: the high-rate allocation
 	// sites of the hot path, each reused across instances and messages.
-	boxes       netmodel.Pool[consMsg] // consMsg wire boxes
-	idSlab      slab[proto.MsgID]      // proposals' ID slices
-	batchSlab   slab[batch]            // proposals
-	slotFree    []*instSlot            // recycled instance slots (GC'd instances)
+	boxes       netmodel.Pool[consMsg]  // consMsg wire boxes
+	idSlab      proto.Slab[proto.MsgID] // proposals' ID slices
+	batchSlab   proto.Slab[batch]       // proposals
+	slotFree    []*instSlot             // recycled instance slots (GC'd instances)
 	sortScratch []proto.MsgID
 	suspectsFn  func(proto.PID) bool
 	refreshFn   func() consensus.Value
@@ -373,13 +350,13 @@ func (p *Process) maybePropose() {
 // proposal snapshots the pending set in canonical order, the order the
 // table iterates in, into storage carved from the process's slabs.
 func (p *Process) proposal() *batch {
-	ids := p.idSlab.carve(p.npending, idChunkMin, idChunkMax)[:0]
+	ids := p.idSlab.Carve(p.npending, idChunkMin, idChunkMax)[:0]
 	p.msgs.Each(func(id proto.MsgID, m *msgEntry) {
 		if m.pending {
 			ids = append(ids, id)
 		}
 	})
-	b := &p.batchSlab.carve(1, batchChunkMin, batchChunkMax)[0]
+	b := &p.batchSlab.Carve(1, batchChunkMin, batchChunkMax)[0]
 	b.ids = ids
 	return b
 }

@@ -41,6 +41,7 @@ import (
 	"time"
 
 	"repro/internal/consensus"
+	"repro/internal/netmodel"
 	"repro/internal/proto"
 )
 
@@ -87,7 +88,8 @@ type UnstableMsg struct {
 // App is the view-synchronous application sitting on top of the service —
 // the fixed-sequencer atomic broadcast in this repository.
 type App interface {
-	// Unstable snapshots the local flush set.
+	// Unstable snapshots the local flush set. Every member that receives
+	// the snapshot keeps it, so its storage must never be written again.
 	Unstable() []UnstableMsg
 	// InstallView applies a decided view change at a surviving member:
 	// deliver every message of flush not yet delivered, in the given
@@ -101,10 +103,13 @@ type App interface {
 	// with join requests so a member can compute the missing suffix.
 	SyncRequest() uint64
 	// SyncPayload builds the state-transfer snapshot for a joiner that
-	// has delivered afterCount messages.
-	SyncPayload(afterCount uint64) any
+	// has delivered afterCount messages. reuse is the snapshot of a
+	// recycled Welcome, nil for a fresh one: its storage is free to build
+	// the new snapshot in.
+	SyncPayload(afterCount uint64, reuse any) any
 	// InstallSync applies a state snapshot and enters view v — the
-	// joiner-side counterpart of InstallView.
+	// joiner-side counterpart of InstallView. The snapshot is only valid
+	// until it returns.
 	InstallSync(v View, payload any)
 }
 
@@ -131,6 +136,12 @@ const (
 
 // Message types. They are routed to GM.OnMessage by the embedding
 // protocol.
+//
+// Wire copies travel as pointer boxes drawn from the sending GM's pools
+// (netmodel.Box). A receiver copies out what it uses inside its handler,
+// or retains the box to buffer it; what it keeps after the handler
+// returns — a flush set, a view's members, a decided proposal — is carved
+// from a slab (proto.Slab) and never written again.
 type (
 	// MsgViewChange announces that a view change for the view with the
 	// given ID has started. Targets lists the suspected processes whose
@@ -139,37 +150,57 @@ type (
 	// suspected process just like a real crash would (§4.4: "the
 	// algorithms react to a wrong suspicion the same way as they react
 	// to a real crash").
+	//
+	// A recycled box keeps its Targets array for the next announcement.
 	MsgViewChange struct {
 		VC      uint64
 		Targets []proto.PID
+		netmodel.Box[MsgViewChange]
 	}
 	// MsgFlush carries a member's unstable messages for a view change.
 	MsgFlush struct {
 		VC       uint64
 		Unstable []UnstableMsg
+		netmodel.Box[MsgFlush]
 	}
 	// MsgConsensus wraps a consensus message of view change VC.
 	MsgConsensus struct {
 		VC uint64
 		M  consensus.Msg
+		netmodel.Box[MsgConsensus]
 	}
 	// MsgJoinReq is multicast by an excluded process asking back in.
 	MsgJoinReq struct {
 		P     proto.PID
 		After uint64 // messages already delivered (state-transfer base)
+		netmodel.Box[MsgJoinReq]
 	}
-	// MsgWelcome hands a joiner its new view plus the state snapshot.
+	// MsgWelcome hands a joiner its new view plus the state snapshot. A
+	// recycled box keeps its Payload for the application to build the
+	// next snapshot in (App.SyncPayload).
 	MsgWelcome struct {
 		View    View
 		Payload any
+		netmodel.Box[MsgWelcome]
 	}
 )
 
-// proposal is the consensus value of a view change.
+// proposal is the consensus value of a view change, handed to consensus
+// as a *proposal carved from the proposer's slab, with its members and
+// merged flush carved beside it.
 type proposal struct {
 	Members []proto.PID
 	Flush   []UnstableMsg
 }
+
+// Chunk sizes of the slabs the values of a view change are carved from:
+// small first, so a process that changes views rarely pays little,
+// doubling up to the largest.
+const (
+	memberChunkMin, memberChunkMax     = 16, 1024
+	proposalChunkMin, proposalChunkMax = 4, 256
+	flushChunkMin, flushChunkMax       = 16, 1024
+)
 
 type state int
 
@@ -201,8 +232,12 @@ type GM struct {
 	suspects func(proto.PID) bool
 
 	// Buffered messages for future view changes (we have not installed
-	// the views that define their participant sets yet).
-	future map[uint64][]futureMsg
+	// the views that define their participant sets yet), each box retained
+	// until it is replayed or dropped; futureLen counts them all, and
+	// emptied slices wait in futureFree for the next view's.
+	future     map[uint64][]futureMsg
+	futureLen  int
+	futureFree [][]futureMsg
 
 	// The join loop's timer: pending while excluded, until welcomed back.
 	// It and the staleness probe's are made on first use: a member that
@@ -221,34 +256,58 @@ type GM struct {
 	// Scratch reused by every tryPropose and mergeFlushes call.
 	survivors []proto.PID
 	flushBuf  []UnstableMsg
+
+	// Wire box pools, one per message type, and the slabs of the values
+	// every member of a view change keeps: decided members, proposals,
+	// merged flushes.
+	vcPool      netmodel.Pool[MsgViewChange]
+	flushPool   netmodel.Pool[MsgFlush]
+	consPool    netmodel.Pool[MsgConsensus]
+	joinPool    netmodel.Pool[MsgJoinReq]
+	welcomePool netmodel.Pool[MsgWelcome]
+	memberSlab  proto.Slab[proto.PID]
+	propSlab    proto.Slab[proposal]
+	flushSlab   proto.Slab[UnstableMsg]
 }
 
 type futureMsg struct {
-	from    proto.PID
-	payload any
+	from proto.PID
+	msg  netmodel.Pooled // *MsgViewChange, *MsgFlush or *MsgConsensus, retained
 }
 
 // New creates the membership service. SetApp must be called before Start.
 func New(rt proto.Runtime) *GM {
+	// The clear hooks zero what a box carries, so a box recycled while
+	// still in use shows as a stale message; only the buffers a box owns
+	// survive, for its next use.
 	return &GM{
 		rt:           rt,
 		flushes:      make(map[proto.PID][]UnstableMsg),
 		targets:      make(map[proto.PID]bool),
 		pendingJoins: make(map[proto.PID]uint64),
 		future:       make(map[uint64][]futureMsg),
+		vcPool:       netmodel.NewPool(func(m *MsgViewChange) { m.VC, m.Targets = 0, m.Targets[:0] }),
+		flushPool:    netmodel.NewPool(func(m *MsgFlush) { m.VC, m.Unstable = 0, nil }),
+		consPool:     netmodel.NewPool(func(m *MsgConsensus) { m.VC, m.M = 0, consensus.Msg{} }),
+		joinPool:     netmodel.NewPool(func(m *MsgJoinReq) { m.P, m.After = 0, 0 }),
+		welcomePool:  netmodel.NewPool(func(m *MsgWelcome) { m.View = View{} }),
 	}
 }
 
 // Reset returns the service to the state New leaves it in, on its own
 // runtime and with its application: not started, no view, no change, join
-// or probe in progress. Its maps, scratch, change and timer records keep
-// their storage. The runtime's timers of the previous run must not fire
-// afterwards (the engine is reset alongside).
+// or probe in progress. Its maps, scratch, change and timer records, box
+// pools and slabs keep their storage — the slabs carve on where they
+// stopped, so no value of the previous run is overwritten — and every
+// buffered box is released. The runtime's timers of the previous run must
+// not fire afterwards (the engine is reset alongside).
 func (g *GM) Reset() {
+	for vc := range g.future {
+		g.dropFuture(vc)
+	}
 	clear(g.flushes)
 	clear(g.targets)
 	clear(g.pendingJoins)
-	clear(g.future)
 	*g = GM{
 		rt:           g.rt,
 		app:          g.app,
@@ -256,12 +315,21 @@ func (g *GM) Reset() {
 		targets:      g.targets,
 		pendingJoins: g.pendingJoins,
 		future:       g.future,
+		futureFree:   g.futureFree,
 		changes:      g.changes,
 		suspects:     g.suspects,
 		joinTimer:    g.joinTimer,
 		staleTimer:   g.staleTimer,
 		survivors:    g.survivors[:0],
 		flushBuf:     g.flushBuf[:0],
+		vcPool:       g.vcPool,
+		flushPool:    g.flushPool,
+		consPool:     g.consPool,
+		joinPool:     g.joinPool,
+		welcomePool:  g.welcomePool,
+		memberSlab:   g.memberSlab,
+		propSlab:     g.propSlab,
+		flushSlab:    g.flushSlab,
 	}
 }
 
@@ -303,15 +371,15 @@ func (g *GM) IsMember() bool { return g.state != stateExcluded }
 // payloads that belong to other layers.
 func (g *GM) OnMessage(from proto.PID, payload any) bool {
 	switch m := payload.(type) {
-	case MsgViewChange:
-		g.onViewChange(from, m, payload)
-	case MsgFlush:
-		g.onFlush(from, m, payload)
-	case MsgConsensus:
-		g.onConsensus(from, m, payload)
-	case MsgJoinReq:
+	case *MsgViewChange:
+		g.onViewChange(from, m)
+	case *MsgFlush:
+		g.onFlush(from, m)
+	case *MsgConsensus:
+		g.onConsensus(from, m)
+	case *MsgJoinReq:
 		g.onJoinReq(m)
-	case MsgWelcome:
+	case *MsgWelcome:
 		g.onWelcome(m)
 	default:
 		return false
@@ -354,7 +422,9 @@ func (g *GM) OnTrust(proto.PID) {
 // startChange moves from Normal to Changing: announce (with exclusion
 // targets) and flush.
 func (g *GM) startChange(targets ...proto.PID) {
-	g.rt.Multicast(MsgViewChange{VC: g.view.ID, Targets: targets})
+	m := g.vcPool.Get()
+	m.VC, m.Targets = g.view.ID, append(m.Targets, targets...)
+	g.rt.Multicast(m)
 	g.enterFlush()
 	for _, p := range targets {
 		if g.view.Contains(p) {
@@ -373,20 +443,22 @@ func (g *GM) enterFlush() {
 	clear(g.flushes)
 	clear(g.targets)
 	g.inst = nil
-	g.rt.Multicast(MsgFlush{VC: g.view.ID, Unstable: g.app.Unstable()})
+	m := g.flushPool.Get()
+	m.VC, m.Unstable = g.view.ID, g.app.Unstable()
+	g.rt.Multicast(m)
 }
 
-// onViewChange, onFlush and onConsensus take the payload m arrived in
-// beside m itself, so a message they buffer is kept in its own box.
-func (g *GM) onViewChange(from proto.PID, m MsgViewChange, payload any) {
+// onViewChange, onFlush and onConsensus buffer a message of a view not
+// yet installed by retaining its box.
+func (g *GM) onViewChange(from proto.PID, m *MsgViewChange) {
 	switch {
 	case g.state == stateExcluded:
-		g.bufferWhileExcluded(m.VC, from, payload)
+		g.bufferWhileExcluded(m.VC, from, m)
 		return
 	case m.VC < g.view.ID:
 		return // stale
 	case m.VC > g.view.ID:
-		g.bufferFuture(m.VC, from, payload)
+		g.bufferFuture(m.VC, from, m)
 	default:
 		g.enterFlush()
 		for _, p := range m.Targets {
@@ -404,15 +476,15 @@ func (g *GM) onViewChange(from proto.PID, m MsgViewChange, payload any) {
 	}
 }
 
-func (g *GM) onFlush(from proto.PID, m MsgFlush, payload any) {
+func (g *GM) onFlush(from proto.PID, m *MsgFlush) {
 	switch {
 	case g.state == stateExcluded:
-		g.bufferWhileExcluded(m.VC, from, payload)
+		g.bufferWhileExcluded(m.VC, from, m)
 		return
 	case m.VC < g.view.ID:
 		return
 	case m.VC > g.view.ID:
-		g.bufferFuture(m.VC, from, payload)
+		g.bufferFuture(m.VC, from, m)
 		return
 	}
 	g.enterFlush() // no-op if already changing
@@ -422,10 +494,10 @@ func (g *GM) onFlush(from proto.PID, m MsgFlush, payload any) {
 	g.tryPropose()
 }
 
-func (g *GM) onConsensus(from proto.PID, m MsgConsensus, payload any) {
+func (g *GM) onConsensus(from proto.PID, m *MsgConsensus) {
 	switch {
 	case g.state == stateExcluded:
-		g.bufferWhileExcluded(m.VC, from, payload)
+		g.bufferWhileExcluded(m.VC, from, m)
 		return
 	case m.VC < g.view.ID:
 		// A straggler's message for an old change: the retained previous
@@ -436,18 +508,50 @@ func (g *GM) onConsensus(from proto.PID, m MsgConsensus, payload any) {
 		}
 		return
 	case m.VC > g.view.ID:
-		g.bufferFuture(m.VC, from, payload)
+		g.bufferFuture(m.VC, from, m)
 		return
 	}
 	g.enterFlush()
 	g.instance().OnMessage(from, m.M)
 }
 
-func (g *GM) bufferFuture(vc uint64, from proto.PID, payload any) {
-	g.future[vc] = append(g.future[vc], futureMsg{from: from, payload: payload})
+// bufferFuture keeps m, retained, for the change vc.
+func (g *GM) bufferFuture(vc uint64, from proto.PID, m netmodel.Pooled) {
+	m.Retain(1)
+	msgs, ok := g.future[vc]
+	if n := len(g.futureFree); !ok && n > 0 {
+		msgs, g.futureFree = g.futureFree[n-1], g.futureFree[:n-1]
+	}
+	g.future[vc] = append(msgs, futureMsg{from: from, msg: m})
+	g.futureLen++
 	if g.state != stateExcluded {
 		g.armStaleProbe()
 	}
+}
+
+// takeFuture removes the messages buffered for change vc and returns them;
+// the caller releases each and hands the slice back with freeFuture.
+func (g *GM) takeFuture(vc uint64) ([]futureMsg, bool) {
+	msgs, ok := g.future[vc]
+	if ok {
+		delete(g.future, vc)
+		g.futureLen -= len(msgs)
+	}
+	return msgs, ok
+}
+
+func (g *GM) freeFuture(msgs []futureMsg) {
+	clear(msgs)
+	g.futureFree = append(g.futureFree, msgs[:0])
+}
+
+// dropFuture releases, unreplayed, the messages buffered for change vc.
+func (g *GM) dropFuture(vc uint64) {
+	msgs, _ := g.takeFuture(vc)
+	for _, fm := range msgs {
+		fm.msg.Release()
+	}
+	g.freeFuture(msgs)
 }
 
 // NoteHigherView records evidence that views beyond ours exist: the
@@ -525,37 +629,32 @@ func (g *GM) selfExclude() {
 // belongs to, the replay lets it take part in an already-running change —
 // without this, the group could wait forever for the rejoined member's
 // flush. The buffer is bounded; join retries recover from overflow.
-func (g *GM) bufferWhileExcluded(vc uint64, from proto.PID, payload any) {
-	if vc < g.view.ID {
+func (g *GM) bufferWhileExcluded(vc uint64, from proto.PID, m netmodel.Pooled) {
+	if vc < g.view.ID || g.futureLen >= maxExcludedBuffer {
 		return
 	}
-	total := 0
-	for _, msgs := range g.future {
-		total += len(msgs)
-	}
-	if total >= maxExcludedBuffer {
-		return
-	}
-	g.bufferFuture(vc, from, payload)
+	g.bufferFuture(vc, from, m)
 }
 
-// replayFuture feeds back messages buffered for the now-current change.
+// replayFuture feeds back messages buffered for the now-current change,
+// releasing each once its handler returns.
 func (g *GM) replayFuture() {
-	msgs, ok := g.future[g.view.ID]
+	msgs, ok := g.takeFuture(g.view.ID)
 	if !ok {
 		return
 	}
-	delete(g.future, g.view.ID)
 	for _, fm := range msgs {
-		switch m := fm.payload.(type) {
-		case MsgViewChange:
-			g.onViewChange(fm.from, m, fm.payload)
-		case MsgFlush:
-			g.onFlush(fm.from, m, fm.payload)
-		case MsgConsensus:
-			g.onConsensus(fm.from, m, fm.payload)
+		switch m := fm.msg.(type) {
+		case *MsgViewChange:
+			g.onViewChange(fm.from, m)
+		case *MsgFlush:
+			g.onFlush(fm.from, m)
+		case *MsgConsensus:
+			g.onConsensus(fm.from, m)
 		}
+		fm.msg.Release()
 	}
+	g.freeFuture(msgs)
 }
 
 // instance lazily starts the consensus instance of the current change in
@@ -635,7 +734,7 @@ func (g *GM) tryPropose() {
 		return
 	}
 	// Joiners are appended in PID order after the survivors.
-	members := make([]proto.PID, len(p), len(p)+len(g.pendingJoins))
+	members := g.memberSlab.Carve(len(p)+len(g.pendingJoins), memberChunkMin, memberChunkMax)[:len(p)]
 	copy(members, p)
 	for j := range g.pendingJoins {
 		if !g.view.Contains(j) {
@@ -643,7 +742,9 @@ func (g *GM) tryPropose() {
 		}
 	}
 	slices.Sort(members[len(p):])
-	inst.Start(proposal{Members: members, Flush: g.mergeFlushes()})
+	prop := &g.propSlab.Carve(1, proposalChunkMin, proposalChunkMax)[0]
+	prop.Members, prop.Flush = members, g.mergeFlushes()
+	inst.Start(prop)
 }
 
 // buildSurvivors lists, in view order and into reused scratch, the members
@@ -667,7 +768,7 @@ func (g *GM) buildSurvivors(honorTargets bool) []proto.PID {
 // mergeFlushes unions all received flush sets, preferring entries whose
 // sequence number is known, in the canonical delivery order: sequenced
 // messages by sequence number, then unsequenced ones by ID. The union is
-// formed in reused scratch; only the returned proposal value is fresh.
+// formed in reused scratch and the result carved from the flush slab.
 func (g *GM) mergeFlushes() []UnstableMsg {
 	all := g.flushBuf[:0]
 	for _, set := range g.flushes {
@@ -693,7 +794,8 @@ func (g *GM) mergeFlushes() []UnstableMsg {
 		}
 		return a.ID.Compare(b.ID)
 	})
-	out := slices.Clone(merged)
+	out := g.flushSlab.Carve(len(merged), flushChunkMin, flushChunkMax)
+	copy(out, merged)
 	clear(all) // drop the bodies
 	g.flushBuf = all[:0]
 	return out
@@ -704,7 +806,7 @@ func (g *GM) onDecide(vc uint64, v consensus.Value) {
 	if vc != g.view.ID || g.state != stateChanging {
 		return // decision of a change we already applied
 	}
-	dec, ok := v.(proposal)
+	dec, ok := v.(*proposal)
 	if !ok {
 		panic(fmt.Sprintf("gm: decision of unexpected type %T", v))
 	}
@@ -745,8 +847,7 @@ func (g *GM) onDecide(vc uint64, v consensus.Value) {
 			if oldView.Contains(m) {
 				continue
 			}
-			after := g.pendingJoins[m]
-			g.rt.Send(m, MsgWelcome{View: newView, Payload: g.app.SyncPayload(after)})
+			g.welcome(m, newView, g.pendingJoins[m])
 		}
 	}
 	for _, m := range newView.Members {
@@ -769,9 +870,17 @@ func (g *GM) onDecide(vc uint64, v consensus.Value) {
 	}
 }
 
+// welcome sends joiner the view v and the application's state snapshot
+// for a process that has delivered after messages.
+func (g *GM) welcome(joiner proto.PID, v View, after uint64) {
+	m := g.welcomePool.Get()
+	m.View, m.Payload = v, g.app.SyncPayload(after, m.Payload)
+	g.rt.Send(joiner, m)
+}
+
 // onJoinReq records a join request and starts a view change for it. While
 // a change is in progress the request is recorded and handled at install.
-func (g *GM) onJoinReq(m MsgJoinReq) {
+func (g *GM) onJoinReq(m *MsgJoinReq) {
 	if g.state == stateExcluded {
 		return
 	}
@@ -780,7 +889,7 @@ func (g *GM) onJoinReq(m MsgJoinReq) {
 		// Welcome was lost with a crashed welcomer. Any member can repair
 		// that by re-welcoming. Duplicates collapse at the joiner.
 		if m.P != g.rt.ID() {
-			g.rt.Send(m.P, MsgWelcome{View: g.view, Payload: g.app.SyncPayload(m.After)})
+			g.welcome(m.P, g.view, m.After)
 		}
 		return
 	}
@@ -794,7 +903,7 @@ func (g *GM) onJoinReq(m MsgJoinReq) {
 }
 
 // onWelcome completes a rejoin at the excluded process.
-func (g *GM) onWelcome(m MsgWelcome) {
+func (g *GM) onWelcome(m *MsgWelcome) {
 	if g.state != stateExcluded || m.View.ID <= g.view.ID || !m.View.Contains(g.rt.ID()) {
 		return
 	}
@@ -803,7 +912,7 @@ func (g *GM) onWelcome(m MsgWelcome) {
 	g.state = stateNormal
 	for vc := range g.future {
 		if vc < g.view.ID {
-			delete(g.future, vc)
+			g.dropFuture(vc)
 		}
 	}
 	g.app.InstallSync(m.View, m.Payload)
@@ -829,7 +938,9 @@ func (g *GM) joinTick() {
 }
 
 func (g *GM) sendJoin() {
-	g.rt.Multicast(MsgJoinReq{P: g.rt.ID(), After: g.app.SyncRequest()})
+	m := g.joinPool.Get()
+	m.P, m.After = g.rt.ID(), g.app.SyncRequest()
+	g.rt.Multicast(m)
 }
 
 // change is the record a view change's consensus instance runs in, held
@@ -844,11 +955,18 @@ type change struct {
 }
 
 func (c *change) Send(to proto.PID, m consensus.Msg) {
-	c.g.rt.Send(to, MsgConsensus{VC: c.vc, M: m})
+	c.g.rt.Send(to, c.box(m))
 }
 
 func (c *change) Multicast(m consensus.Msg) {
-	c.g.rt.Multicast(MsgConsensus{VC: c.vc, M: m})
+	c.g.rt.Multicast(c.box(m))
+}
+
+// box draws a MsgConsensus wire box from the GM's pool.
+func (c *change) box(m consensus.Msg) *MsgConsensus {
+	b := c.g.consPool.Get()
+	b.VC, b.M = c.vc, m
+	return b
 }
 
 // Decide implements consensus.Decider.

@@ -37,7 +37,7 @@ func (a *fakeApp) Excluded(View) { a.excluded++ }
 
 func (a *fakeApp) SyncRequest() uint64 { return a.delivered }
 
-func (a *fakeApp) SyncPayload(after uint64) any { return a.delivered - after }
+func (a *fakeApp) SyncPayload(after uint64, _ any) any { return a.delivered - after }
 
 func (a *fakeApp) InstallSync(v View, payload any) {
 	a.synced = append(a.synced, v)
@@ -46,10 +46,12 @@ func (a *fakeApp) InstallSync(v View, payload any) {
 	}
 }
 
-// gmHandler adapts a GM to proto.Handler for standalone testing.
+// gmHandler adapts a GM to proto.Handler for standalone testing. check,
+// if set, runs after every message.
 type gmHandler struct {
 	g       *GM
 	initial View
+	check   func(*GM)
 }
 
 func (h *gmHandler) Init() { h.g.Start(h.initial) }
@@ -58,22 +60,26 @@ func (h *gmHandler) OnMessage(from proto.PID, payload any) {
 	if !h.g.OnMessage(from, payload) {
 		panic("gmHandler: unexpected payload")
 	}
+	if h.check != nil {
+		h.check(h.g)
+	}
 }
 
 func (h *gmHandler) OnSuspect(p proto.PID) { h.g.OnSuspect(p) }
 func (h *gmHandler) OnTrust(p proto.PID)   { h.g.OnTrust(p) }
 
 type rig struct {
-	eng  *sim.Engine
-	sys  *proto.System
-	gms  []*GM
-	apps []*fakeApp
+	eng      *sim.Engine
+	sys      *proto.System
+	gms      []*GM
+	apps     []*fakeApp
+	handlers []*gmHandler
 }
 
 func newRig(n int, qos fd.QoS, initial []proto.PID) *rig {
 	eng := sim.New()
 	sys := proto.NewSystem(eng, netmodel.DefaultConfig(n), qos, sim.NewRand(1))
-	r := &rig{eng: eng, sys: sys, gms: make([]*GM, n), apps: make([]*fakeApp, n)}
+	r := &rig{eng: eng, sys: sys, gms: make([]*GM, n), apps: make([]*fakeApp, n), handlers: make([]*gmHandler, n)}
 	if initial == nil {
 		initial = make([]proto.PID, n)
 		for i := range initial {
@@ -86,7 +92,8 @@ func newRig(n int, qos fd.QoS, initial []proto.PID) *rig {
 		g.SetApp(app)
 		r.gms[i] = g
 		r.apps[i] = app
-		sys.SetHandler(proto.PID(i), &gmHandler{g: g, initial: View{ID: 1, Members: initial}})
+		r.handlers[i] = &gmHandler{g: g, initial: View{ID: 1, Members: initial}}
+		sys.SetHandler(proto.PID(i), r.handlers[i])
 	}
 	sys.Start()
 	return r
@@ -225,6 +232,43 @@ func TestLongMistakeExcludesAndRejoins(t *testing.T) {
 	}
 	if final.Members[len(final.Members)-1] != 2 {
 		t.Fatalf("members = %v, want p2 appended last", final.Members)
+	}
+}
+
+func TestFutureCountMatchesBuffer(t *testing.T) {
+	// The cap on what an excluded process buffers reads a running count
+	// of the buffered messages, kept on buffering, replay, the drop of
+	// older views at a Welcome, and Reset. After every message of a run
+	// with exclusions and rejoins it must equal what is buffered.
+	r := newRig(5, fd.QoS{}, nil)
+	heldExcluded := 0
+	for _, h := range r.handlers {
+		h.check = func(g *GM) {
+			total := 0
+			for _, msgs := range g.future {
+				total += len(msgs)
+			}
+			if g.futureLen != total {
+				t.Fatalf("p%d: futureLen %d, %d messages buffered", g.rt.ID(), g.futureLen, total)
+			}
+			if g.state == stateExcluded && total > 0 {
+				heldExcluded++
+			}
+		}
+	}
+	for k := 0; k < 6; k++ {
+		q, p := proto.PID(k%5), proto.PID((k+2)%5)
+		r.eng.Schedule(ms(float64(10+60*k)), func() { r.sys.FDs.InjectMistake(int(q), int(p), 20*time.Millisecond) })
+	}
+	r.run(2 * time.Second)
+	if heldExcluded == 0 {
+		t.Fatal("no excluded process ever buffered a message")
+	}
+	for _, g := range r.gms {
+		g.Reset()
+		if g.futureLen != 0 || len(g.future) != 0 {
+			t.Fatalf("p%d after Reset: futureLen %d, %d views buffered", g.rt.ID(), g.futureLen, len(g.future))
+		}
 	}
 }
 
@@ -383,7 +427,7 @@ func TestStaleFlushIgnored(t *testing.T) {
 	r.run(time.Second)
 	g := r.gms[0]
 	before := g.View()
-	g.OnMessage(1, MsgFlush{VC: 0, Unstable: nil}) // ancient change
+	g.OnMessage(1, &MsgFlush{VC: 0, Unstable: nil}) // ancient change
 	if got := g.View(); !reflect.DeepEqual(got, before) {
 		t.Fatalf("stale flush changed the view: %v -> %v", before, got)
 	}
@@ -433,10 +477,10 @@ func TestNestedDecisionRelaysEachChange(t *testing.T) {
 	for _, nested := range []int{1, 2} {
 		t.Run(fmt.Sprintf("nested=%d", nested), func(t *testing.T) {
 			members := []proto.PID{0, 1, 2}
-			decide := func(vc uint64) MsgConsensus {
-				return MsgConsensus{VC: vc, M: consensus.Msg{
+			decide := func(vc uint64) *MsgConsensus {
+				return &MsgConsensus{VC: vc, M: consensus.Msg{
 					Kind:     consensus.MsgDecide,
-					Val:      proposal{Members: members},
+					Val:      &proposal{Members: members},
 					Proposer: 0,
 				}}
 			}
@@ -462,12 +506,12 @@ func TestNestedDecisionRelaysEachChange(t *testing.T) {
 			}
 			var relays, want []MsgConsensus
 			for _, m := range rt.sent {
-				if m, ok := m.(MsgConsensus); ok {
-					relays = append(relays, m)
+				if m, ok := m.(*MsgConsensus); ok {
+					relays = append(relays, MsgConsensus{VC: m.VC, M: m.M})
 				}
 			}
 			for vc := uint64(1 + nested); vc >= 1; vc-- {
-				want = append(want, decide(vc))
+				want = append(want, *decide(vc))
 			}
 			if !reflect.DeepEqual(relays, want) {
 				t.Fatalf("relayed %v, want %v", relays, want)

@@ -96,7 +96,9 @@ type LogEntry struct {
 	Body any
 }
 
-// syncState is the Welcome payload built by SyncPayload.
+// syncState is the Welcome payload built by SyncPayload. It travels as a
+// *syncState and belongs to the Welcome box, which hands it back to
+// SyncPayload for the next snapshot once the joiner is done with it.
 type syncState struct {
 	Entries []LogEntry
 }
@@ -173,9 +175,15 @@ type Process struct {
 	ackBuf     []uint64 // recomputeDeliverable's reused sort buffer
 	announced  uint64   // last MsgDeliver UpTo sent
 
-	// Exclusion state.
+	// Exclusion state. Buffered boxes are retained until replayed or
+	// dropped.
 	queued   []queuedBroadcast
 	buffered []bufferedPayload
+	joinIDs  []proto.MsgID // InstallSync's reused scratch
+
+	// The slab the flush snapshots are carved from: every member that
+	// receives one keeps it.
+	flushSlab proto.Slab[gm.UnstableMsg]
 
 	// Pools of the wire boxes, one per message type.
 	dataPool    netmodel.Pool[MsgData]
@@ -191,8 +199,11 @@ type queuedBroadcast struct {
 
 type bufferedPayload struct {
 	from    proto.PID
-	payload any
+	payload netmodel.Pooled // *MsgSeqNum, *MsgAck or *MsgDeliver, retained
 }
+
+// Chunk sizes of the flush slab: small first, doubling up to the largest.
+const flushChunkMin, flushChunkMax = 16, 1024
 
 var (
 	_ proto.Handler = (*Process)(nil)
@@ -218,8 +229,10 @@ func New(rt proto.Runtime, cfg Config) *Process {
 
 // Reset returns the endpoint to the state New(rt, cfg) leaves it in, on
 // its own runtime and membership service (reset too): nothing broadcast,
-// received, delivered or queued, not started. Its maps, tables, log and
-// box pools keep their storage. The runtime's timers of the previous run
+// received, delivered or queued, not started, every buffered box
+// released. Its maps, tables, log, box pools and flush slab keep their
+// storage; the slab carves on where it stopped, so no flush of the
+// previous run is overwritten. The runtime's timers of the previous run
 // must not fire afterwards (the engine is reset alongside).
 func (p *Process) Reset(cfg Config) {
 	if cfg.Deliver == nil {
@@ -230,6 +243,9 @@ func (p *Process) Reset(cfg Config) {
 	clear(p.log)
 	clear(p.toSequence)
 	clear(p.queued)
+	for _, bp := range p.buffered {
+		bp.payload.Release()
+	}
 	clear(p.buffered)
 	p.gm.Reset()
 	*p = Process{
@@ -247,6 +263,8 @@ func (p *Process) Reset(cfg Config) {
 		ackBuf:      p.ackBuf[:0],
 		queued:      p.queued[:0],
 		buffered:    p.buffered[:0],
+		joinIDs:     p.joinIDs[:0],
+		flushSlab:   p.flushSlab,
 		dataPool:    p.dataPool,
 		seqNumPool:  p.seqNumPool,
 		ackPool:     p.ackPool,
@@ -510,12 +528,13 @@ func (p *Process) onDeliver(from proto.PID, m *MsgDeliver) {
 }
 
 // acceptProtocol filters sequencing messages: only the current view in
-// normal state is processed; an excluded process buffers them for replay
-// after its state transfer. payload is the box OnMessage received.
-func (p *Process) acceptProtocol(from proto.PID, view uint64, payload any) bool {
+// normal state is processed; an excluded process retains the box
+// OnMessage received and buffers it for replay after its state transfer.
+func (p *Process) acceptProtocol(from proto.PID, view uint64, payload netmodel.Pooled) bool {
 	if p.IsExcluded() {
 		if len(p.buffered) < bufferLimit {
-			p.buffered = append(p.buffered, bufferedPayload{from: from, payload: detach(payload)})
+			payload.Retain(1)
+			p.buffered = append(p.buffered, bufferedPayload{from: from, payload: payload})
 		}
 		return false
 	}
@@ -527,21 +546,6 @@ func (p *Process) acceptProtocol(from proto.PID, view uint64, payload any) bool 
 		p.gm.NoteHigherView(view)
 	}
 	return p.gm.Normal() && view == p.gm.View().ID
-}
-
-// detach copies a received box into an unpooled one: the network recycles
-// the original as soon as the handler returns, and a buffered message must
-// outlive that.
-func detach(payload any) any {
-	switch m := payload.(type) {
-	case *MsgSeqNum:
-		return &MsgSeqNum{View: m.View, Pairs: slices.Clone(m.Pairs), StableUpTo: m.StableUpTo}
-	case *MsgAck:
-		return &MsgAck{View: m.View, UpTo: m.UpTo}
-	case *MsgDeliver:
-		return &MsgDeliver{View: m.View, UpTo: m.UpTo, StableUpTo: m.StableUpTo}
-	}
-	panic(fmt.Sprintf("seqabcast: cannot buffer payload %T", payload))
 }
 
 // deliverUpTo A-delivers sequenced messages through seq in order.
@@ -627,9 +631,10 @@ func (p *Process) resetViewState() {
 
 // --- gm.App implementation ---
 
-// Unstable implements gm.App: the flush set is exactly the received map.
+// Unstable implements gm.App: the flush set is exactly the received map,
+// snapshot into storage carved from the flush slab.
 func (p *Process) Unstable() []gm.UnstableMsg {
-	out := make([]gm.UnstableMsg, 0, len(p.received))
+	out := p.flushSlab.Carve(len(p.received), flushChunkMin, flushChunkMax)[:0]
 	for id, body := range p.received {
 		seq := int64(-1)
 		if s, ok := p.seqOf[id]; ok {
@@ -683,22 +688,26 @@ func (p *Process) Excluded(gm.View) {
 // SyncRequest implements gm.App.
 func (p *Process) SyncRequest() uint64 { return p.DeliveredCount() }
 
-// SyncPayload implements gm.App: the missing suffix of the delivered log.
-func (p *Process) SyncPayload(afterCount uint64) any {
+// SyncPayload implements gm.App: the missing suffix of the delivered log,
+// built in reuse's entries when the Welcome box had a payload already.
+func (p *Process) SyncPayload(afterCount uint64, reuse any) any {
 	if afterCount < p.logStart {
 		panic(fmt.Sprintf("seqabcast: state transfer needs deliveries from %d but log starts at %d (the last %d deliveries are kept)",
 			afterCount, p.logStart, logRetain))
 	}
-	start := afterCount - p.logStart
-	entries := make([]LogEntry, len(p.log[start:]))
-	copy(entries, p.log[start:])
-	return syncState{Entries: entries}
+	st, _ := reuse.(*syncState)
+	if st == nil {
+		st = new(syncState)
+	}
+	clear(st.Entries) // drop the last snapshot's bodies
+	st.Entries = append(st.Entries[:0], p.log[afterCount-p.logStart:]...)
+	return st
 }
 
 // InstallSync implements gm.App: apply the state snapshot, rejoin the
 // view, replay buffered traffic and release queued broadcasts.
 func (p *Process) InstallSync(v gm.View, payload any) {
-	st, ok := payload.(syncState)
+	st, ok := payload.(*syncState)
 	if !ok {
 		panic(fmt.Sprintf("seqabcast: sync payload of unexpected type %T", payload))
 	}
@@ -709,9 +718,9 @@ func (p *Process) InstallSync(v gm.View, payload any) {
 	if p.cfg.OnView != nil {
 		p.cfg.OnView(v)
 	}
-	buffered := p.buffered
-	p.buffered = nil
-	for _, bp := range buffered {
+	// A member buffers nothing, so the replay cannot add to the buffer it
+	// walks.
+	for _, bp := range p.buffered {
 		switch m := bp.payload.(type) {
 		case *MsgSeqNum:
 			if m.View == v.ID {
@@ -726,7 +735,10 @@ func (p *Process) InstallSync(v gm.View, payload any) {
 				p.onAck(bp.from, m)
 			}
 		}
+		bp.payload.Release()
 	}
+	clear(p.buffered)
+	p.buffered = p.buffered[:0]
 	queued := p.queued
 	p.queued = nil
 	for _, qb := range queued {
@@ -736,7 +748,7 @@ func (p *Process) InstallSync(v gm.View, payload any) {
 	// group never sequenced — typically lost to the partition that got us
 	// excluded — are re-announced in ID order, so rejoining also recovers
 	// them. Receivers absorb duplicates.
-	ids := make([]proto.MsgID, 0, len(p.received))
+	ids := p.joinIDs[:0]
 	for id := range p.received {
 		if id.Origin == p.rt.ID() && !p.delivered.Seen(id) {
 			ids = append(ids, id)
@@ -746,4 +758,5 @@ func (p *Process) InstallSync(v gm.View, payload any) {
 	for _, id := range ids {
 		p.rt.Multicast(p.dataBox(id, p.received[id]))
 	}
+	p.joinIDs = ids[:0]
 }

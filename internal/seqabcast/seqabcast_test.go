@@ -337,37 +337,52 @@ func TestExcludedProcessQueuesBroadcasts(t *testing.T) {
 }
 
 // TestExcludedProcessBuffersCopies checks that sequencing traffic an
-// excluded process buffers survives the recycling of the box it arrived
-// in: the network hands the box back to its sender's free list as soon as
-// the handler returns, and the next message reuses it.
+// excluded process buffers survives the network's release of the box it
+// arrived in: the buffer retains the box, so its sender cannot draw it for
+// a later message until the buffer lets go of it — at replay, or at Reset.
 func TestExcludedProcessBuffersCopies(t *testing.T) {
 	c := newCluster(clusterOpts{n: 3, members: []proto.PID{0, 1}})
-	p := c.procs[2]
+	p, s0, s1 := c.procs[2], c.procs[0], c.procs[1]
 	if !p.IsExcluded() {
 		t.Fatal("p2 is not excluded from the initial view {0 1}")
 	}
 	id := proto.MsgID{Origin: 0, Seq: 1}
-	seqnum := &MsgSeqNum{View: 1, Pairs: []SeqPair{{Seq: 1, ID: id}}, StableUpTo: 0}
-	ack := &MsgAck{View: 1, UpTo: 1}
-	deliver := &MsgDeliver{View: 1, UpTo: 1, StableUpTo: 1}
-	p.OnMessage(0, seqnum)
-	p.OnMessage(1, ack)
-	p.OnMessage(0, deliver)
-	// Reuse every box for a later message.
-	seqnum.View, seqnum.Pairs[0] = 9, SeqPair{Seq: 9, ID: proto.MsgID{Origin: 1, Seq: 9}}
-	ack.UpTo, deliver.UpTo = 9, 9
+	seqnum := s0.seqNumPool.Get()
+	seqnum.View, seqnum.Pairs = 1, append(seqnum.Pairs, SeqPair{Seq: 1, ID: id})
+	ack := s1.ackPool.Get()
+	ack.View, ack.UpTo = 1, 1
+	deliver := s0.deliverPool.Get()
+	deliver.View, deliver.UpTo, deliver.StableUpTo = 1, 1, 1
+	// Hand each over the way the network does: one reference for the
+	// copy, released once the handler returns.
+	for _, m := range []struct {
+		from proto.PID
+		box  netmodel.Pooled
+	}{{0, seqnum}, {1, ack}, {0, deliver}} {
+		m.box.Retain(1)
+		p.OnMessage(m.from, m.box)
+		m.box.Release()
+	}
 
 	if len(p.buffered) != 3 {
 		t.Fatalf("buffered %d payloads, want 3", len(p.buffered))
 	}
-	if m := p.buffered[0].payload.(*MsgSeqNum); m == seqnum || m.View != 1 || m.Pairs[0] != (SeqPair{Seq: 1, ID: id}) {
-		t.Errorf("buffered seqnum: view %d, pairs %v, same box %v; want a copy of view 1 assigning 1 to %v", m.View, m.Pairs, m == seqnum, id)
+	if s0.seqNumPool.Get() == seqnum || s1.ackPool.Get() == ack || s0.deliverPool.Get() == deliver {
+		t.Fatal("a sender drew a box the excluded process still buffers")
 	}
-	if m := p.buffered[1].payload.(*MsgAck); m == ack || m.UpTo != 1 {
-		t.Errorf("buffered ack: up to %d, same box %v; want a copy up to 1", m.UpTo, m == ack)
+	if m := p.buffered[0].payload.(*MsgSeqNum); m != seqnum || m.View != 1 || m.Pairs[0] != (SeqPair{Seq: 1, ID: id}) {
+		t.Errorf("buffered seqnum: view %d, pairs %v, same box %v; want the box of view 1 assigning 1 to %v", m.View, m.Pairs, m == seqnum, id)
 	}
-	if m := p.buffered[2].payload.(*MsgDeliver); m == deliver || m.UpTo != 1 {
-		t.Errorf("buffered deliver: up to %d, same box %v; want a copy up to 1", m.UpTo, m == deliver)
+	if m := p.buffered[1].payload.(*MsgAck); m != ack || m.UpTo != 1 {
+		t.Errorf("buffered ack: up to %d, same box %v; want the box up to 1", m.UpTo, m == ack)
+	}
+	if m := p.buffered[2].payload.(*MsgDeliver); m != deliver || m.UpTo != 1 {
+		t.Errorf("buffered deliver: up to %d, same box %v; want the box up to 1", m.UpTo, m == deliver)
+	}
+
+	p.Reset(p.cfg)
+	if s0.seqNumPool.Get() != seqnum || s1.ackPool.Get() != ack || s0.deliverPool.Get() != deliver {
+		t.Fatal("Reset did not hand the buffered boxes back to their senders")
 	}
 }
 
@@ -649,6 +664,7 @@ func TestTrimLogKeepsSuffixInPlace(t *testing.T) {
 	id := func(k uint64) proto.MsgID { return proto.MsgID{Origin: 1, Seq: k} }
 	trims := 0
 	var backing *LogEntry
+	var payload any
 	for k := uint64(1); trims < 3; k++ {
 		start := p.logStart
 		p.deliverOne(id(k), k)
@@ -665,7 +681,8 @@ func TestTrimLogKeepsSuffixInPlace(t *testing.T) {
 		}
 		backing = &p.log[0]
 		for _, after := range []uint64{p.logStart, k - 100, k} {
-			got := p.SyncPayload(after).(syncState).Entries
+			payload = p.SyncPayload(after, payload) // the last snapshot's storage, reused
+			got := payload.(*syncState).Entries
 			if uint64(len(got)) != k-after {
 				t.Fatalf("trim %d: SyncPayload(%d) has %d entries, want %d", trims, after, len(got), k-after)
 			}
