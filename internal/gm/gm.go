@@ -529,15 +529,14 @@ func (g *GM) bufferFuture(vc uint64, from proto.PID, m netmodel.Pooled) {
 	}
 }
 
-// takeFuture removes the messages buffered for change vc and returns them;
-// the caller releases each and hands the slice back with freeFuture.
-func (g *GM) takeFuture(vc uint64) ([]futureMsg, bool) {
-	msgs, ok := g.future[vc]
-	if ok {
-		delete(g.future, vc)
-		g.futureLen -= len(msgs)
-	}
-	return msgs, ok
+// takeFuture removes the messages buffered for change vc and returns them,
+// nil if there are none; the caller releases each and hands the slice
+// back with freeFuture.
+func (g *GM) takeFuture(vc uint64) []futureMsg {
+	msgs := g.future[vc]
+	delete(g.future, vc)
+	g.futureLen -= len(msgs)
+	return msgs
 }
 
 func (g *GM) freeFuture(msgs []futureMsg) {
@@ -547,7 +546,7 @@ func (g *GM) freeFuture(msgs []futureMsg) {
 
 // dropFuture releases, unreplayed, the messages buffered for change vc.
 func (g *GM) dropFuture(vc uint64) {
-	msgs, _ := g.takeFuture(vc)
+	msgs := g.takeFuture(vc)
 	for _, fm := range msgs {
 		fm.msg.Release()
 	}
@@ -639,8 +638,8 @@ func (g *GM) bufferWhileExcluded(vc uint64, from proto.PID, m netmodel.Pooled) {
 // replayFuture feeds back messages buffered for the now-current change,
 // releasing each once its handler returns.
 func (g *GM) replayFuture() {
-	msgs, ok := g.takeFuture(g.view.ID)
-	if !ok {
+	msgs := g.takeFuture(g.view.ID)
+	if msgs == nil {
 		return
 	}
 	for _, fm := range msgs {

@@ -718,8 +718,8 @@ func (p *Process) InstallSync(v gm.View, payload any) {
 	if p.cfg.OnView != nil {
 		p.cfg.OnView(v)
 	}
-	// A member buffers nothing, so the replay cannot add to the buffer it
-	// walks.
+	// A member neither buffers nor queues, so neither walk below can add
+	// to the list it walks.
 	for _, bp := range p.buffered {
 		switch m := bp.payload.(type) {
 		case *MsgSeqNum:
@@ -739,11 +739,11 @@ func (p *Process) InstallSync(v gm.View, payload any) {
 	}
 	clear(p.buffered)
 	p.buffered = p.buffered[:0]
-	queued := p.queued
-	p.queued = nil
-	for _, qb := range queued {
+	for _, qb := range p.queued {
 		p.rt.Multicast(p.dataBox(qb.id, qb.body))
 	}
+	clear(p.queued)
+	p.queued = p.queued[:0]
 	// Messages this process broadcast in its previous membership that the
 	// group never sequenced — typically lost to the partition that got us
 	// excluded — are re-announced in ID order, so rejoining also recovers
