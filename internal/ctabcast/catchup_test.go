@@ -80,6 +80,33 @@ func TestIdleSystemRecoveryUnwedges(t *testing.T) {
 	c.checkAllDelivered(t)
 }
 
+// TestCrashDuringCatchUpRecovers: a process that crashes in the middle
+// of a catch-up exchange, with its retry timer armed, loses that timer's
+// firing. When it recovers again, Resume's probe must still be able to
+// open a new exchange: whether an exchange is in progress is read from
+// the retry timer itself, so a dropped firing cannot leave it "in
+// progress" forever.
+func TestCrashDuringCatchUpRecovers(t *testing.T) {
+	c := newCluster(clusterOpts{n: 3, qos: fd.QoS{TD: 10 * time.Millisecond}})
+	c.sys.CrashAt(2, at(100))
+	for i := 0; i < 150; i++ {
+		c.broadcastAt(proto.PID(i%2), at(float64(150+15*i)))
+	}
+	resume := func() {
+		c.sys.Recover(2, nil)
+		c.procs[2].Resume()
+	}
+	// The system is idle at 4 s, so the probe asks a peer after two
+	// silent checks (4.3 s); the crash lands while that request's retry
+	// is armed and before its reply arrives.
+	c.eng.Schedule(at(4000), resume)
+	c.eng.Schedule(at(4301), func() { c.sys.Crash(2) })
+	c.eng.Schedule(at(5000), resume)
+	c.run(30 * time.Second)
+	c.checkAllDelivered(t)
+	c.checkTotalOrder(t)
+}
+
 // TestIdleProbeOnCurrentProcessIsBounded: a process that is fully
 // current when Resume fires in a quiet system still ends up asking a
 // peer (it cannot know it is current), but the exchange must terminate
