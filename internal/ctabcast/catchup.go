@@ -233,22 +233,21 @@ func (p *Process) noteInstance(from proto.PID, k uint64) {
 // it sends one direct CatchUpReq anyway. The exchange self-terminates on
 // the first reply (a current process sees the responder's matching
 // frontier and stops), so probing a genuinely idle, current system costs
-// one round trip. A newer Resume supersedes any probe chain in flight.
+// one round trip. A newer Resume cancels any probe in flight and starts
+// over.
 func (p *Process) Resume() {
-	p.probeSeq++
 	p.probeRx = p.rxCount
 	p.probeIdle = 0
-	p.armProbe(p.probeSeq)
-}
-
-// armProbe schedules the next probe check of chain seq.
-func (p *Process) armProbe(seq uint64) {
-	p.rt.After(catchUpDelay, func() { p.probeCatchUp(seq) })
+	if p.probe == nil {
+		p.probe = p.rt.NewAlarm(p.probeCatchUp)
+	}
+	p.probe.Cancel()
+	p.probe.Arm(catchUpDelay)
 }
 
 // probeCatchUp is the Resume probe body.
-func (p *Process) probeCatchUp(seq uint64) {
-	if p.cuActive || seq != p.probeSeq {
+func (p *Process) probeCatchUp() {
+	if p.catchingUp() {
 		return
 	}
 	if p.maxSeen > p.nextDeliver || len(p.buffered) > 0 {
@@ -275,16 +274,22 @@ func (p *Process) probeCatchUp(seq uint64) {
 		return
 	}
 	p.probeRx = p.rxCount
-	p.armProbe(seq)
+	p.probe.Arm(catchUpDelay)
 }
 
+// catchingUp reports whether a catch-up exchange is in progress: exactly
+// while its retry timer is pending.
+func (p *Process) catchingUp() bool { return p.cuRetry != nil && p.cuRetry.Pending() }
+
 // startCatchUp opens the catch-up exchange against the most advanced
-// peer observed. Idempotent while active.
+// peer observed. Idempotent while one is in progress.
 func (p *Process) startCatchUp() {
-	if p.cuActive {
+	if p.catchingUp() {
 		return
 	}
-	p.cuActive = true
+	if p.cuRetry == nil {
+		p.cuRetry = p.rt.NewAlarm(p.retryCatchUp)
+	}
 	p.cuBackoff = catchUpRetry
 	p.cuBlind = 0
 	p.cuTarget = p.maxSeenFrom
@@ -292,7 +297,7 @@ func (p *Process) startCatchUp() {
 }
 
 // sendCatchUpReq asks the current target for the suffix from our
-// frontier and arms the retry timer: if the target crashed, or the
+// frontier and (re-)arms the retry timer: if the target crashed, or the
 // request or reply was lost to a partition or link fault, the timer
 // rotates to the next peer with doubled (capped) backoff.
 func (p *Process) sendCatchUpReq() {
@@ -300,13 +305,12 @@ func (p *Process) sendCatchUpReq() {
 		p.cuTarget = proto.PID((int(p.cuTarget) + 1) % len(p.all))
 	}
 	p.rt.Send(p.cuTarget, catchUpReq{From: p.nextDeliver})
-	p.cuSeq++
-	seq := p.cuSeq
 	d := p.cuBackoff
 	if p.cuBackoff < catchUpBackoffCap*catchUpRetry {
 		p.cuBackoff *= 2
 	}
-	p.rt.After(d, func() { p.retryCatchUp(seq) })
+	p.cuRetry.Cancel()
+	p.cuRetry.Arm(d)
 }
 
 // retryCatchUp fires when a request went unanswered for a full backoff
@@ -314,25 +318,16 @@ func (p *Process) sendCatchUpReq() {
 // ordinary operation (a late reply, or in-window decision forwarding).
 // A forced (evidence-free) exchange instead spends its bounded cuBlind
 // budget before giving up, so one crashed responder cannot strand it.
-func (p *Process) retryCatchUp(seq uint64) {
-	if !p.cuActive || seq != p.cuSeq {
-		return
-	}
+// Giving up is not re-arming: the exchange ends with its retry timer.
+func (p *Process) retryCatchUp() {
 	if p.maxSeen <= p.nextDeliver && len(p.buffered) == 0 {
 		if p.cuBlind == 0 {
-			p.stopCatchUp()
 			return
 		}
 		p.cuBlind--
 	}
 	p.cuTarget = proto.PID((int(p.cuTarget) + 1) % len(p.all))
 	p.sendCatchUpReq()
-}
-
-// stopCatchUp closes the exchange and strands any pending retry timer.
-func (p *Process) stopCatchUp() {
-	p.cuActive = false
-	p.cuSeq++
 }
 
 // onCatchUpReq answers a straggler with the decision suffix from its
@@ -365,11 +360,11 @@ func (p *Process) onCatchUpReply(r catchUpReply) {
 	} else {
 		p.applySuffix(r)
 	}
-	if !p.cuActive {
+	if !p.catchingUp() {
 		return
 	}
 	if p.maxSeen <= p.nextDeliver && len(p.buffered) == 0 {
-		p.stopCatchUp()
+		p.cuRetry.Cancel() // caught up: the exchange ends
 		return
 	}
 	if p.nextDeliver > before {

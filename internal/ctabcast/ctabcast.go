@@ -112,14 +112,13 @@ type Process struct {
 	logRetain   int           // the logRetain constant; only the snapshot-handoff test shrinks it
 	maxSeen     uint64        // highest instance seen in peer consensus traffic
 	maxSeenFrom proto.PID     // sender of that traffic: the most advanced peer known
-	cuActive    bool          // a catch-up exchange is in progress
+	cuRetry     *proto.Alarm  // the exchange's retry timer, pending exactly while an exchange is in progress
 	cuTarget    proto.PID     // peer currently asked
 	cuBackoff   time.Duration // next retry delay
-	cuSeq       uint64        // strands stale retry timers
 	cuBlind     int           // evidence-free retries left (forced exchanges only)
 	rxCount     uint64        // messages received, ever: the probe's idleness signal
-	probeSeq    uint64        // strands superseded Resume probe chains
-	probeRx     uint64        // rxCount when the live probe chain was (re)armed
+	probe       *proto.Alarm  // Resume's probe
+	probeRx     uint64        // rxCount when the probe was (re)armed
 	probeIdle   int           // consecutive probes that saw zero traffic
 
 	// Free lists, slabs and cached callbacks: the high-rate allocation
@@ -204,11 +203,12 @@ func New(rt proto.Runtime, cfg Config) *Process {
 
 // Reset returns the endpoint to the state New(rt, cfg) leaves it in, on
 // its own runtime: nothing broadcast, received, decided or logged, no
-// catch-up in progress. Its tables, decision log, box pool and instance
-// slots are kept for reuse — every built instance's slot goes back to the
-// free list, and the proposal slabs carve on where they stopped, so no
-// batch of the previous run is overwritten. The runtime's timers of the
-// previous run must not fire afterwards (the engine is reset alongside).
+// catch-up in progress. Its tables, decision log, box pool, instance
+// slots and catch-up timers are kept for reuse — every built instance's
+// slot goes back to the free list, and the proposal slabs carve on where
+// they stopped, so no batch of the previous run is overwritten. The
+// runtime's timers of the previous run must not fire afterwards, and the
+// catch-up timers must not be pending (the engine is reset alongside).
 func (p *Process) Reset(cfg Config) {
 	if cfg.Deliver == nil {
 		panic("ctabcast: nil Deliver")
@@ -239,6 +239,8 @@ func (p *Process) Reset(cfg Config) {
 		logBodies:   p.logBodies[:0],
 		logStart:    1,
 		logRetain:   logRetain,
+		cuRetry:     p.cuRetry,
+		probe:       p.probe,
 		boxes:       p.boxes,
 		idSlab:      p.idSlab,
 		batchSlab:   p.batchSlab,

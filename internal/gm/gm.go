@@ -246,10 +246,8 @@ type GM struct {
 	// Staleness probe: armed while evidence of views beyond ours exists
 	// (buffered future membership traffic, or higher-view protocol
 	// messages reported through NoteHigherView), it self-excludes a
-	// member the group reconfigured around (partition). staleArmed stays
-	// set if the process crashes while the probe is pending.
+	// member the group reconfigured around (partition).
 	staleTimer  *proto.Alarm
-	staleArmed  bool
 	staleViewID uint64
 	maxSeenView uint64
 
@@ -570,14 +568,12 @@ func (g *GM) NoteHigherView(vc uint64) {
 // armStaleProbe watches a member that is buffering traffic of views it
 // has not installed. One probe is armed at a time.
 func (g *GM) armStaleProbe() {
-	if g.staleArmed {
-		return
-	}
 	if g.staleTimer == nil {
 		g.staleTimer = g.rt.NewAlarm(g.staleCheck)
+	} else if g.staleTimer.Pending() {
+		return
 	}
 	g.staleViewID = g.view.ID
-	g.staleArmed = true
 	g.staleTimer.Arm(staleTimeout)
 }
 
@@ -587,7 +583,6 @@ func (g *GM) armStaleProbe() {
 // install — the group demonstrably reconfigured without us while we could
 // not communicate, so conclude exclusion and rejoin.
 func (g *GM) staleCheck() {
-	g.staleArmed = false
 	if g.state == stateExcluded {
 		return
 	}

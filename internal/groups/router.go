@@ -225,8 +225,7 @@ func (g *groupRuntime) Send(to proto.PID, payload any) {
 func (g *groupRuntime) Multicast(payload any) {
 	g.r.proc.MulticastSet(g.inst.set, g.r.wrap(g.inst.gid, payload))
 }
-func (g *groupRuntime) After(d time.Duration, fn func()) proto.Timer { return g.r.proc.After(d, fn) }
-func (g *groupRuntime) NewAlarm(fn func()) *proto.Alarm              { return g.r.proc.NewAlarm(fn) }
+func (g *groupRuntime) NewAlarm(fn func()) *proto.Alarm { return g.r.proc.NewAlarm(fn) }
 func (g *groupRuntime) Suspects(q proto.PID) bool {
 	return g.r.proc.Suspects(g.inst.members[q])
 }
@@ -293,6 +292,11 @@ type Router struct {
 
 	envs netmodel.Pool[envelope] // this router's envelope pool (see wrap)
 
+	// stallArmed shadows stall.Pending() and, unlike it, stays set when
+	// the process crashes with the probe armed, so after an in-place
+	// recovery armStall never arms the probe again (ROADMAP 3g). Reading
+	// stall.Pending() instead moves a full-trace golden: the fix is a
+	// behaviour change of its own.
 	stallArmed bool
 	stall      *proto.Alarm // the stall probe
 }
@@ -456,11 +460,11 @@ func (r *Router) handleGram(g *gmsg) {
 			r.initiate(inst, g)
 			continue
 		}
-		r.proc.After(time.Duration(inst.local)*initFallback, func() {
+		r.proc.NewAlarm(func() {
 			if !inst.pastInitiation(g.id) {
 				r.initiate(inst, g)
 			}
-		})
+		}).Arm(time.Duration(inst.local) * initFallback)
 	}
 }
 

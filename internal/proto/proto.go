@@ -83,24 +83,14 @@ type Runtime interface {
 	// Multicast transmits a payload to all processes including the
 	// sender (whose copy is delivered locally, at no cost).
 	Multicast(payload any)
-	// After schedules a callback, cancellable through the returned
-	// timer. Callbacks do not run after the process crashes.
-	After(d time.Duration, fn func()) Timer
-	// NewAlarm returns a timer record bound to fn, for a timer its owner
-	// re-arms again and again: arming it allocates nothing. Its callback
-	// is dropped like After's.
+	// NewAlarm returns a timer bound to fn: the only timer a protocol
+	// layer has. Its owner keeps it and re-arms it, and arming it
+	// allocates nothing. Its callback does not run after the process
+	// crashes.
 	NewAlarm(fn func()) *Alarm
 	// Suspects reports whether the local failure detector currently
 	// suspects p.
 	Suspects(p PID) bool
-}
-
-// Timer is a cancellable pending callback. *Alarm implements it in
-// simulations; a real-time runtime would wrap *time.Timer.
-type Timer interface {
-	// Cancel prevents the callback from firing; cancelling a fired or
-	// cancelled timer is a no-op.
-	Cancel()
 }
 
 // Handler is the root protocol state machine of one process.
@@ -398,15 +388,6 @@ func (p *Proc) MulticastSet(set netmodel.SetID, payload any) {
 	p.sys.Net.MulticastSet(int(p.id), set, payload)
 }
 
-// After implements Runtime: a one-shot alarm. The callback is dropped if
-// the process has crashed, or its handler incarnation has been replaced by
-// a recovery, by the time it fires.
-func (p *Proc) After(d time.Duration, fn func()) Timer {
-	a := p.NewAlarm(fn)
-	a.Arm(d)
-	return a
-}
-
 // NewAlarm implements Runtime.
 func (p *Proc) NewAlarm(fn func()) *Alarm {
 	a := &Alarm{proc: p, fn: fn}
@@ -417,10 +398,11 @@ func (p *Proc) NewAlarm(fn func()) *Alarm {
 // Alarm is a process's timer record. An owner that re-arms a timer again
 // and again — a heartbeat, a retry loop, a probe — keeps one for its
 // lifetime: the engine event is held by value (sim.Engine.Rearm) and the
-// callback bound once, so arming it allocates nothing, where each After
-// allocates a record of its own and the caller a closure. The callback is
-// dropped if the process has crashed, or its handler incarnation has been
-// replaced by a recovery, by the time it fires.
+// callback bound once, so arming it allocates nothing. Whether the timer
+// is pending is read from the alarm (Pending), never from a flag kept
+// beside it. The callback is dropped if the process has crashed, or its
+// handler incarnation has been replaced by a recovery, by the time it
+// fires.
 type Alarm struct {
 	proc *Proc
 	fn   func()
@@ -438,9 +420,15 @@ func (a *Alarm) Arm(d time.Duration) {
 	eng.Rearm(&a.ev, eng.Now().Add(d), a.fire)
 }
 
-// Cancel implements Timer. Cancelling an alarm that is not pending is a
-// no-op.
+// Cancel stops a pending alarm from firing. Cancelling an alarm that is
+// not pending is a no-op.
 func (a *Alarm) Cancel() { a.ev.Cancel() }
+
+// Pending reports whether the alarm is armed and has not fired, been
+// cancelled or been dropped by an engine reset. A firing dropped because
+// the process was crashed still ends the wait, and inside its own
+// callback an alarm is no longer pending.
+func (a *Alarm) Pending() bool { return a.ev.Queued() }
 
 func (a *Alarm) fired() {
 	if !a.proc.crashed && a.proc.gen == a.gen {

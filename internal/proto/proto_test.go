@@ -140,13 +140,12 @@ func TestCrashedHandlerNeverRuns(t *testing.T) {
 	}
 }
 
-// timerKinds are the two ways a handler schedules a guarded callback: a
-// one-shot After, and an alarm it keeps and re-arms.
+// timerKinds are the ways a handler schedules a guarded callback: an
+// alarm it keeps and re-arms is the only one.
 var timerKinds = []struct {
 	name string
 	arm  func(rt Runtime, d time.Duration, fn func())
 }{
-	{"After", func(rt Runtime, d time.Duration, fn func()) { rt.After(d, fn) }},
 	{"Alarm", func(rt Runtime, d time.Duration, fn func()) { rt.NewAlarm(fn).Arm(d) }},
 }
 
@@ -165,6 +164,62 @@ func TestCrashedProcessTimersDropped(t *testing.T) {
 				t.Fatal("timer fired after crash")
 			}
 		})
+	}
+}
+
+// TestAlarmPending: an alarm is pending from Arm until it fires, is
+// cancelled, has its firing dropped because the process was crashed, or
+// is dropped by an engine reset — the alarm's own state, with no flag
+// beside it to go stale.
+func TestAlarmPending(t *testing.T) {
+	sys, _ := build(1, fd.QoS{})
+	sys.Start()
+	eng := sys.Eng
+	fired := 0
+	alarm := sys.Proc(0).NewAlarm(func() { fired++ })
+	check := func(step string, want bool) {
+		t.Helper()
+		if got := alarm.Pending(); got != want {
+			t.Fatalf("%s: Pending() = %v, want %v", step, got, want)
+		}
+	}
+	check("new", false)
+	alarm.Arm(time.Millisecond)
+	check("armed", true)
+	eng.Run()
+	check("fired", false)
+	if fired != 1 {
+		t.Fatalf("alarm fired %d times, want 1", fired)
+	}
+
+	alarm.Arm(time.Millisecond)
+	alarm.Cancel()
+	check("cancelled", false)
+
+	// A firing dropped while the process is crashed ends the wait too.
+	alarm.Arm(5 * time.Millisecond)
+	sys.Crash(0)
+	check("armed, crashed", true)
+	eng.Run()
+	check("dropped while crashed", false)
+	sys.Recover(0, nil)
+	if fired != 1 {
+		t.Fatalf("alarm fired %d times across the crash, want 1", fired)
+	}
+
+	alarm.Arm(time.Millisecond)
+	eng.Reset()
+	check("engine reset", false)
+
+	// Inside its own callback the alarm is no longer pending, so the
+	// callback may re-arm it.
+	var pendingInside bool
+	var self *Alarm
+	self = sys.Proc(0).NewAlarm(func() { pendingInside = self.Pending() })
+	self.Arm(time.Millisecond)
+	eng.Run()
+	if pendingInside {
+		t.Fatal("an alarm is pending inside its own callback")
 	}
 }
 

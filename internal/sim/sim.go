@@ -128,6 +128,10 @@ func (ev *Event) Cancel() {
 // Cancelled reports whether Cancel was called on the event.
 func (ev *Event) Cancelled() bool { return ev.cancelled }
 
+// Queued reports whether the event is waiting to fire: only a queued
+// event holds its engine.
+func (ev *Event) Queued() bool { return ev.eng != nil }
+
 // Engine is a discrete-event simulation executor. The zero value is not
 // usable; create engines with New.
 type Engine struct {
