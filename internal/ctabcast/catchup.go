@@ -284,11 +284,10 @@ func (p *Process) catchingUp() bool { return p.cuRetry != nil && p.cuRetry.Pendi
 // startCatchUp opens the catch-up exchange against the most advanced
 // peer observed. Idempotent while one is in progress.
 func (p *Process) startCatchUp() {
-	if p.catchingUp() {
-		return
-	}
 	if p.cuRetry == nil {
 		p.cuRetry = p.rt.NewAlarm(p.retryCatchUp)
+	} else if p.cuRetry.Pending() {
+		return
 	}
 	p.cuBackoff = catchUpRetry
 	p.cuBlind = 0

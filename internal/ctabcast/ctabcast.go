@@ -112,7 +112,7 @@ type Process struct {
 	logRetain   int           // the logRetain constant; only the snapshot-handoff test shrinks it
 	maxSeen     uint64        // highest instance seen in peer consensus traffic
 	maxSeenFrom proto.PID     // sender of that traffic: the most advanced peer known
-	cuRetry     *proto.Alarm  // the exchange's retry timer, pending exactly while an exchange is in progress
+	cuRetry     *proto.Alarm  // retry timer: an exchange is in progress exactly while it is pending
 	cuTarget    proto.PID     // peer currently asked
 	cuBackoff   time.Duration // next retry delay
 	cuBlind     int           // evidence-free retries left (forced exchanges only)

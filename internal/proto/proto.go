@@ -425,9 +425,9 @@ func (a *Alarm) Arm(d time.Duration) {
 func (a *Alarm) Cancel() { a.ev.Cancel() }
 
 // Pending reports whether the alarm is armed and has not fired, been
-// cancelled or been dropped by an engine reset. A firing dropped because
-// the process was crashed still ends the wait, and inside its own
-// callback an alarm is no longer pending.
+// cancelled or been dropped by an engine reset. An alarm whose firing was
+// dropped because the process was crashed is not pending either, nor is
+// an alarm inside its own callback.
 func (a *Alarm) Pending() bool { return a.ev.Queued() }
 
 func (a *Alarm) fired() {

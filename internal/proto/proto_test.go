@@ -213,13 +213,13 @@ func TestAlarmPending(t *testing.T) {
 
 	// Inside its own callback the alarm is no longer pending, so the
 	// callback may re-arm it.
-	var pendingInside bool
+	var ran, pendingInside bool
 	var self *Alarm
-	self = sys.Proc(0).NewAlarm(func() { pendingInside = self.Pending() })
+	self = sys.Proc(0).NewAlarm(func() { ran, pendingInside = true, self.Pending() })
 	self.Arm(time.Millisecond)
 	eng.Run()
-	if pendingInside {
-		t.Fatal("an alarm is pending inside its own callback")
+	if !ran || pendingInside {
+		t.Fatalf("callback ran %v, pending inside it %v; want true, false", ran, pendingInside)
 	}
 }
 
