@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -31,10 +32,15 @@ type reuseCase struct {
 	cfg       Config
 	transient *TransientConfig
 	want      uint64
+	// dirty turns the case's configuration into the replication that runs
+	// before it; nil means dirtied.
+	dirty func(Config) Config
 }
 
 // reuseCases are the TestFullTraceGolden cases that are neither grouped
 // nor driven by a heartbeat detector, with the digests recorded there.
+// Each also runs after a dirtied replication on other topologies of its
+// N: wires growing and shrinking, and from lossy wires to lossless ones.
 func reuseCases() []reuseCase {
 	const ms = time.Millisecond
 	base := Config{
@@ -69,7 +75,7 @@ func reuseCases() []reuseCase {
 	wide.Algorithm, wide.N, wide.Throughput, wide.QoS = FD, 32, 20, fd.QoS{}
 	wide.Topology = topo.Ring(32)
 
-	return []reuseCase{
+	cases := []reuseCase{
 		{name: "FD n=3 steady", cfg: steady, want: 0x40a5978ffb621203},
 		{name: "GM n=3 transient", transient: &transient, want: 0x5f4e7be3033ba6ba},
 		{name: "GM n=5 rejoins", cfg: gmRun, want: 0xc0e57802bbb9359b},
@@ -77,6 +83,33 @@ func reuseCases() []reuseCase {
 		{name: "GM n=7 suspicions", cfg: frequent(GM), want: 0x2e0d511d8197e2b1},
 		{name: "FD n=32 ring", cfg: wide, want: 0x23aa55ccb02a4aba},
 	}
+	// after is tc run after a dirtied replication on t (nil: the full mesh).
+	after := func(tc reuseCase, label string, t *topo.Topology) reuseCase {
+		tc.name += " after " + label
+		tc.dirty = func(a Config) Config {
+			b := dirtied(a)
+			b.Topology = t
+			return b
+		}
+		return tc
+	}
+	lossyGeo := topo.Geo(topo.GeoConfig{Sites: 8, PerSite: 4, WAN: topo.Wire{Delay: 5 * ms, Loss: 0.01}})
+	out := slices.Clone(cases)
+	for _, tc := range cases[:5] {
+		n := tc.cfg.N
+		if tc.transient != nil {
+			n = tc.transient.N
+		}
+		other, label := topo.Clique(n), "clique"
+		if n == 5 {
+			other, label = topo.Star(n), "star"
+		}
+		out = append(out, after(tc, "ring", topo.Ring(n)), after(tc, label, other))
+	}
+	return append(out,
+		after(cases[5], "full mesh", nil),
+		after(cases[5], "lossy geo", lossyGeo),
+		after(cases[5], "clique", topo.Clique(32)))
 }
 
 // dirtied returns a replication of a's shape — algorithm, N and topology
@@ -104,7 +137,8 @@ func dirtied(a Config) Config {
 }
 
 // TestReusedReplicationMatchesGolden runs each reuse case A right after a
-// dirtied replication B of the same shape on a one-worker Runner, so a
+// dirtied replication B of the same algorithm and N, on A's topology or
+// on another, on a one-worker Runner, so a
 // Runner that reuses B's system for A must leave nothing of B behind: A's
 // full trace must hash to the digest TestFullTraceGolden recorded for a
 // fresh system. A runs twice after B: first with no observer at all, so
@@ -125,8 +159,12 @@ func TestReusedReplicationMatchesGolden(t *testing.T) {
 				// the header of the recorded single-point run.
 				traced := func(_, rep int, cfg Config) Observer { return tr.Observer(0, rep, cfg) }
 				r := &Runner{Workers: 1}
+				dirty := tc.dirty
+				if dirty == nil {
+					dirty = dirtied
+				}
 				if tc.transient == nil {
-					b, bare, a := dirtied(tc.cfg), tc.cfg, tc.cfg
+					b, bare, a := dirty(tc.cfg), tc.cfg, tc.cfg
 					b.Observers = []ObserverFactory{counter}
 					bare.Observers = []ObserverFactory{freeze}
 					a.Observers = []ObserverFactory{traced}
@@ -134,7 +172,7 @@ func TestReusedReplicationMatchesGolden(t *testing.T) {
 					return
 				}
 				bare, a := *tc.transient, *tc.transient
-				b := TransientConfig{Config: dirtied(a.Config), Crash: 1, Sender: 0}
+				b := TransientConfig{Config: dirty(a.Config), Crash: 1, Sender: 0}
 				b.Observers = []ObserverFactory{counter}
 				bare.Observers = []ObserverFactory{freeze}
 				a.Observers = []ObserverFactory{traced}
