@@ -371,37 +371,74 @@ func TestHeartbeatAllocBudget(t *testing.T) {
 	}
 }
 
-// TestReusedReplicationAllocBudget bounds what one more replication of a
-// sweep-short point costs a one-worker Runner: the Runner resets the
-// worker's warm system for it instead of building and warming a new one.
-// Measured as (9 replications − 1 replication) / 8. Building every
+// TestReusedReplicationAllocBudget bounds what one more replication
+// costs a one-worker Runner: the Runner resets the worker's warm system
+// for it instead of building and warming a new one. Measured as
+// (9 replications − 1 replication) / 8.
+//
+// The sweep-short point repeats one configuration. Building every
 // replication afresh it cost 738 allocations; with the system reset in
 // place, 193, nearly all of them the messages' own: the proposal
 // snapshot and the boxed proposal and decision of each consensus
 // instance, and the replication's latency collector. With proposals
 // carved from slabs and consensus messages sent by value, 25.
+//
+// The n=7 points alternate a ring and a clique, as wide-topo's points
+// change topology at one size: the reset system rebinds the network to
+// the next topology. Built afresh for every topology they cost 599 (FD)
+// and 373 (GM) allocations; rebound in place, 35 and 42.
 func TestReusedReplicationAllocBudget(t *testing.T) {
-	const budget = 35
-	point := Config{
-		Algorithm:  FD,
-		N:          3,
-		Throughput: 200,
-		Seed:       1,
-		Warmup:     100 * time.Millisecond,
-		Measure:    200 * time.Millisecond,
-		Drain:      5 * time.Second,
+	const ms = time.Millisecond
+	point := func(alg Algorithm, n int, throughput float64, top *Topology) Config {
+		return Config{
+			Algorithm: alg, N: n, Throughput: throughput, Topology: top, Seed: 1,
+			Warmup: 100 * ms, Measure: 200 * ms, Drain: 5 * time.Second,
+		}
 	}
-	r := Runner{Workers: 1}
-	reps := func(n int) float64 {
-		point.Replications = n
-		return testing.AllocsPerRun(4, func() {
-			if res := r.Steady(point); res.Messages == 0 {
-				t.Fatal("no messages measured")
+	// alternating is k replications of alg at n=7, on a ring and a clique
+	// in turn.
+	alternating := func(alg Algorithm) func(k int) []Config {
+		ring, clique := point(alg, 7, 100, Ring(7)), point(alg, 7, 100, Clique(7))
+		ring.Replications, clique.Replications = 1, 1
+		return func(k int) []Config {
+			points := make([]Config, k)
+			for i := range points {
+				points[i] = ring
+				if i%2 == 1 {
+					points[i] = clique
+				}
+			}
+			return points
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		points func(k int) []Config // k replications
+		budget float64
+	}{
+		{"sweep-short point", func(k int) []Config {
+			p := point(FD, 3, 200, nil)
+			p.Replications = k
+			return []Config{p}
+		}, 35},
+		{"FD n=7 ring and clique", alternating(FD), 60},
+		{"GM n=7 ring and clique", alternating(GM), 60},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := Runner{Workers: 1}
+			reps := func(k int) float64 {
+				points := tc.points(k)
+				return testing.AllocsPerRun(4, func() {
+					for _, res := range r.SteadyAll(points) {
+						if res.Messages == 0 {
+							t.Fatal("no messages measured")
+						}
+					}
+				})
+			}
+			if perRep := (reps(9) - reps(1)) / 8; perRep > tc.budget {
+				t.Fatalf("%.0f allocs per extra replication, budget %.0f", perRep, tc.budget)
 			}
 		})
-	}
-	perRep := (reps(9) - reps(1)) / 8
-	if perRep > budget {
-		t.Fatalf("%.0f allocs per extra replication, budget %d", perRep, budget)
 	}
 }

@@ -345,21 +345,21 @@ func NewCore(cfg CoreConfig) *Core {
 }
 
 // reusable reports whether c can be Reset to next instead of a NewCore
-// being built for it. The shape key is (Algorithm, N, Topology pointer):
-// everything else — seed, λ, QoS, pre-crashes, plan, throughput, load,
+// being built for it. The shape key is (Algorithm, N): everything else —
+// topology, seed, λ, QoS, pre-crashes, plan, throughput, load,
 // renumbering and the callbacks — is a Reset argument. Cores in groups
 // mode or behind a heartbeat Detector are always built fresh: their
-// routers and detector wrappers have no Reset, and no workload of the
-// benchmark repeats those shapes within one Runner call.
+// routers and detector wrappers have no Reset.
 func (c *Core) reusable(next CoreConfig) bool {
 	return c.Coord == nil && c.cfg.Detector == nil && !next.grouped() && next.Detector == nil &&
-		next.Algorithm == c.cfg.Algorithm && next.N == c.cfg.N && next.Topology == c.cfg.Topology
+		next.Algorithm == c.cfg.Algorithm && next.N == c.cfg.N
 }
 
 // Reset turns c into the system NewCore(cfg) would build, in place: the
 // engine, network, detectors and every endpoint are reset instead of
-// rebuilt, so their free lists, pools, tables and logs stay warm, and the
-// run that follows is bit for bit the run on a new Core. Everything the
+// rebuilt, so their free lists, pools, tables and logs stay warm, the
+// network rebinds cfg's topology, and the run that follows is bit for bit
+// the run on a new Core. Everything the
 // previous run left behind goes — queued events, crashes and pre-crashes,
 // partitions and link faults, a rejoined incarnation's identity (the
 // process's endpoint takes its original spec again), SentBy and Members,
@@ -367,7 +367,7 @@ func (c *Core) reusable(next CoreConfig) bool {
 // Loads, Deliver). cfg must pass Validate and have c's shape (see reusable).
 func (c *Core) Reset(cfg CoreConfig) {
 	if !c.reusable(cfg) {
-		panic(fmt.Sprintf("experiment: Reset of a %v n=%d core to a %v n=%d description of another shape", c.cfg.Algorithm, c.cfg.N, cfg.Algorithm, cfg.N))
+		panic(fmt.Sprintf("experiment: Reset of a %v n=%d core to a %v n=%d description: Reset needs the same (Algorithm, N), ungrouped and without a heartbeat detector", c.cfg.Algorithm, c.cfg.N, cfg.Algorithm, cfg.N))
 	}
 	cfg = cfg.normalized()
 	c.Eng.Reset()

@@ -57,6 +57,7 @@ package netmodel
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/sim"
@@ -233,8 +234,8 @@ type Network struct {
 	wireBusy []sim.Time // per-wire busy-until
 	crashed  []bool
 
-	// Routing tables and resolved per-wire parameters, compiled once
-	// from the topology.
+	// Routing tables and resolved per-wire parameters of the topology the
+	// network was last built or reset on.
 	rt        *topo.Routing
 	sets      []*topo.SetRouting // pruned tables per registered destination set
 	wireSlot  []time.Duration
@@ -265,58 +266,37 @@ func New(eng *sim.Engine, cfg Config, deliver DeliverFunc) *Network {
 	if deliver == nil {
 		panic("netmodel: nil deliver callback")
 	}
-	t := cfg.Topology
-	if t == nil {
-		t = topo.SharedFullMesh(cfg.N)
-	}
 	nw := &Network{
-		eng:       eng,
-		cfg:       Config{N: cfg.N, Topology: t},
-		deliver:   deliver,
-		cpuBusy:   make([]sim.Time, cfg.N),
-		wireBusy:  make([]sim.Time, len(t.Wires)),
-		crashed:   make([]bool, cfg.N),
-		rt:        t.Routing(),
-		wireSlot:  make([]time.Duration, len(t.Wires)),
-		wireDelay: make([]time.Duration, len(t.Wires)),
-		wireLoss:  make([]float64, len(t.Wires)),
-	}
-	for i, w := range t.Wires {
-		nw.wireDelay[i] = w.Delay
-		nw.wireLoss[i] = w.Loss
-		if w.Loss > 0 {
-			nw.lossy = true
-		}
+		eng:     eng,
+		cfg:     Config{N: cfg.N},
+		deliver: deliver,
+		cpuBusy: make([]sim.Time, cfg.N),
+		crashed: make([]bool, cfg.N),
 	}
 	nw.Reset(cfg)
 	return nw
 }
 
 // Reset returns the network to the state New(eng, cfg, deliver) leaves it
-// in, on the network's own engine and deliver callback, keeping the
-// routing tables and per-wire arrays compiled from the topology. cfg must
-// name the network's N and topology (nil for the full mesh it was built
-// on); Lambda and Slot may differ. Everything a run changes is undone:
-// busy horizons, crashes, the partition, link faults, registered
-// destination sets, the trace hook, the counters and the loss stream.
+// in, on the network's own engine and deliver callback, keeping its
+// storage. cfg must name the network's N; the topology (nil for the full
+// mesh), Lambda and Slot may differ. The routing tables are the
+// topology's own, compiled once per Topology, and the per-wire arrays are
+// resized in place. Everything a run changes is undone: busy horizons,
+// crashes, the partition, link faults, registered destination sets, the
+// trace hook, the counters and the loss stream.
 func (nw *Network) Reset(cfg Config) {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
+	if cfg.N != nw.cfg.N {
+		panic(fmt.Sprintf("netmodel: Reset to %d processes, network has %d", cfg.N, nw.cfg.N))
+	}
 	if cfg.Topology == nil {
 		cfg.Topology = topo.SharedFullMesh(cfg.N)
 	}
-	if cfg.N != nw.cfg.N || cfg.Topology != nw.cfg.Topology {
-		panic(fmt.Sprintf("netmodel: Reset to %d processes on %q, network has %d on %q", cfg.N, cfg.Topology.Name, nw.cfg.N, nw.cfg.Topology.Name))
-	}
-	for i, w := range cfg.Topology.Wires {
-		nw.wireSlot[i] = w.Slot
-		if w.Slot == 0 {
-			nw.wireSlot[i] = cfg.Slot
-		}
-	}
+	wires := cfg.Topology.Wires
 	clear(nw.cpuBusy)
-	clear(nw.wireBusy)
 	clear(nw.crashed)
 	clear(nw.sets)
 	for p := range nw.linkLoss {
@@ -328,21 +308,34 @@ func (nw *Network) Reset(cfg Config) {
 		cfg:       cfg,
 		deliver:   nw.deliver,
 		cpuBusy:   nw.cpuBusy,
-		wireBusy:  nw.wireBusy,
+		wireBusy:  resize(nw.wireBusy, len(wires)),
 		crashed:   nw.crashed,
-		rt:        nw.rt,
+		rt:        cfg.Topology.Routing(),
 		sets:      nw.sets[:0],
-		wireSlot:  nw.wireSlot,
-		wireDelay: nw.wireDelay,
-		wireLoss:  nw.wireLoss,
-		lossy:     nw.lossy,
+		wireSlot:  resize(nw.wireSlot, len(wires)),
+		wireDelay: resize(nw.wireDelay, len(wires)),
+		wireLoss:  resize(nw.wireLoss, len(wires)),
 		linkLoss:  nw.linkLoss,
 		linkDelay: nw.linkDelay,
+	}
+	clear(nw.wireBusy)
+	for i, w := range wires {
+		nw.wireSlot[i] = w.Slot
+		if w.Slot == 0 {
+			nw.wireSlot[i] = cfg.Slot
+		}
+		nw.wireDelay[i] = w.Delay
+		nw.wireLoss[i] = w.Loss
+		nw.lossy = nw.lossy || w.Loss > 0
 	}
 	if nw.lossy {
 		nw.SetFaultRand(sim.NewRand(1))
 	}
 }
+
+// resize returns s with length n, reusing its array when it has the
+// capacity.
+func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
 // SetTrace installs an observer invoked at each message lifecycle point.
 // Pass nil to remove it. Tracing is meant for tests, examples and the

@@ -1,6 +1,7 @@
 package netmodel
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -365,5 +366,101 @@ func TestLargeNGeoMulticastReachesAll(t *testing.T) {
 	// the origin site. Far fewer than 255 point-to-point slots.
 	if c.WireSlots >= 255 {
 		t.Fatalf("WireSlots = %d, want tree fan-out, not per-destination slots", c.WireSlots)
+	}
+}
+
+// TestResetMatchesNew: a network built on one topology, dirtied, and
+// Reset onto another topology of the same N runs a scripted mix of
+// unicasts, multicasts and set multicasts exactly as a network New builds
+// on the second one: the same deliveries at the same instants in the same
+// order, and the same counters. The pairs grow and shrink the wire arrays
+// and go from lossless wires to lossy ones and back. A Reset to another N
+// panics.
+func TestResetMatchesNew(t *testing.T) {
+	const n = 8
+	lossyGeo := topo.Geo(topo.GeoConfig{Sites: 4, PerSite: 2, WAN: topo.Wire{Delay: 3 * time.Millisecond, Loss: 0.2}})
+	ring, clique := topo.Ring(n), topo.Clique(n)
+	config := func(t *topo.Topology) Config {
+		cfg := DefaultConfig(n)
+		if t != nil {
+			cfg = topoConfig(t)
+		}
+		return cfg
+	}
+	script := func(h *harness) (deliveries []delivery, ctrs Counters) {
+		set := h.nw.RegisterSet([]int{1, 2, 5, 6})
+		for i := 0; i < 48; i++ {
+			i, p := i, i%n
+			h.eng.Schedule(ms(float64(i)/3), func() {
+				switch i % 4 {
+				case 0:
+					h.nw.Multicast(p, i)
+				case 1:
+					h.nw.MulticastSet(p, set, i)
+				default:
+					h.nw.Send(p, (p+3*i+1)%n, i)
+				}
+			})
+		}
+		h.eng.Run()
+		return h.got, h.nw.Counters()
+	}
+	for _, tc := range []struct {
+		name     string
+		from, to *topo.Topology
+		panics   bool
+	}{
+		{name: "full mesh to ring", from: nil, to: ring},
+		{name: "ring to lossy geo", from: ring, to: lossyGeo},
+		{name: "lossy geo to clique", from: lossyGeo, to: clique},
+		{name: "clique to full mesh", from: clique, to: nil},
+		{name: "full mesh to another N", from: nil, to: topo.Ring(n - 1), panics: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dirty := config(tc.from)
+			dirty.Lambda, dirty.Slot = 2*time.Millisecond, 3*time.Millisecond
+			h := newHarness(t, dirty)
+			traced := 0
+			h.nw.SetTrace(func(TraceEvent) { traced++ })
+			h.nw.RegisterSet([]int{0, 7})
+			h.nw.SetLink(1, 2, 0.5, 4*time.Millisecond)
+			h.nw.SetPartition([][]int{{0, 1, 2, 3}, {4, 5, 6, 7}})
+			h.nw.Crash(3)
+			h.eng.Schedule(0, func() {
+				for p := 0; p < n; p++ {
+					h.nw.Multicast(p, "dirty")
+					h.nw.Send(p, (p+5)%n, "dirty")
+				}
+			})
+			h.eng.RunUntil(ms(4))
+			if h.nw.Counters().Deliveries == 0 || h.eng.Pending() == 0 {
+				t.Fatalf("dirtied network delivered %d copies with %d events pending; want both non-zero", h.nw.Counters().Deliveries, h.eng.Pending())
+			}
+			h.eng.Reset()
+			dirtyTraced := traced
+			if tc.panics {
+				defer func() {
+					if recover() == nil {
+						t.Error("Reset to another N did not panic")
+					}
+				}()
+			}
+			h.nw.Reset(config(tc.to))
+			h.got = nil
+			got, gotCtrs := script(h)
+			want, wantCtrs := script(newHarness(t, config(tc.to)))
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("deliveries after Reset differ from New's:\nreset: %v\nnew:   %v", got, want)
+			}
+			if traced != dirtyTraced {
+				t.Errorf("the dirtied network's trace hook ran %d times after Reset", traced-dirtyTraced)
+			}
+			if gotCtrs != wantCtrs {
+				t.Errorf("counters after Reset = %+v, New gives %+v", gotCtrs, wantCtrs)
+			}
+			if wantCtrs.Deliveries == 0 {
+				t.Error("the script delivered nothing")
+			}
+		})
 	}
 }

@@ -143,7 +143,7 @@ func NewSystem(eng *sim.Engine, netCfg netmodel.Config, qos fd.QoS, rng *sim.Ran
 // rng) leaves it in, keeping its processes, network and detectors —
 // storage, streams and listeners — instead of building them again. The
 // handlers stay installed and SetHandler may replace them before Start
-// runs again. netCfg must name the system's N and topology (Lambda and
+// runs again. netCfg must name the system's N (the topology, Lambda and
 // Slot may differ), and the engine must have been reset first
 // (sim.Engine.Reset): the previous run's timers must not fire into this
 // one.
