@@ -359,12 +359,12 @@ func (c *Core) reusable(next CoreConfig) bool {
 // engine, network, detectors and every endpoint are reset instead of
 // rebuilt, so their free lists, pools, tables and logs stay warm, the
 // network rebinds cfg's topology, and the run that follows is bit for bit
-// the run on a new Core. Everything the
-// previous run left behind goes — queued events, crashes and pre-crashes,
-// partitions and link faults, a rejoined incarnation's identity (the
-// process's endpoint takes its original spec again), SentBy and Members,
-// and the hooks the previous run installed (Net.SetTrace, Faults.OnEvent,
-// Loads, Deliver). cfg must pass Validate and have c's shape (see reusable).
+// the run on a new Core. Everything the previous run left behind goes —
+// queued events, crashes and pre-crashes, partitions and link faults, a
+// rejoined incarnation's identity (the process's endpoint takes its
+// original spec again), SentBy and Members, and the hooks the previous
+// run installed (Net.SetTrace, Faults.OnEvent, Loads, Deliver). cfg must
+// pass Validate and have c's shape (see reusable).
 func (c *Core) Reset(cfg CoreConfig) {
 	if !c.reusable(cfg) {
 		panic(fmt.Sprintf("experiment: Reset of a %v n=%d core to a %v n=%d description: Reset needs the same (Algorithm, N), ungrouped and without a heartbeat detector", c.cfg.Algorithm, c.cfg.N, cfg.Algorithm, cfg.N))

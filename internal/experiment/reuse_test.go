@@ -112,8 +112,8 @@ func reuseCases() []reuseCase {
 		after(cases[5], "clique", topo.Clique(32)))
 }
 
-// dirtied returns a replication of a's shape — algorithm, N and topology
-// — that differs in everything else a replication can set and leaves
+// dirtied returns a replication of a's algorithm, N and topology that
+// differs in everything else a replication can set and leaves
 // everything behind: another seed, throughput and detector QoS, a
 // pre-crashed process, a crash and a recovery, a wrong suspicion (a GM
 // exclusion where the view can lose a member), a burst, and a drain so
