@@ -3,6 +3,7 @@ package groups
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -29,11 +30,26 @@ type rig struct {
 	wire      []wireMsg
 	envelopes int
 	delivered map[proto.PID][]proto.MsgID
+	// inits logs every gram a process a-broadcast into one of its group
+	// instances; groupDelivered, when set, sees every body an instance
+	// delivers, before the Router does; resume holds each process's
+	// instances' catch-up hooks, for recoveries.
+	inits          []initiation
+	groupDelivered func(body any)
+	resume         [][]func()
 }
 
 type wireMsg struct {
 	from, to proto.PID
 	msg      string // the payload's String()
+	at       sim.Time
+}
+
+type initiation struct {
+	by  proto.PID
+	gid int
+	id  proto.MsgID
+	at  sim.Time
 }
 
 type tap struct {
@@ -46,21 +62,34 @@ func (tp *tap) OnMessage(from proto.PID, payload any) {
 	if _, ok := payload.(*envelope); ok {
 		tp.rig.envelopes++
 	} else {
-		tp.rig.wire = append(tp.rig.wire, wireMsg{from, tp.self, netmodel.PayloadName(payload)})
+		tp.rig.wire = append(tp.rig.wire, wireMsg{from, tp.self, netmodel.PayloadName(payload), tp.rig.sys.Eng.Now()})
 	}
 	tp.Handler.OnMessage(from, payload)
 }
 
 func newRig(t *testing.T, m *GroupMap) *rig {
 	t.Helper()
-	g := &rig{t: t, m: m, delivered: make(map[proto.PID][]proto.MsgID)}
+	g := &rig{t: t, m: m, delivered: make(map[proto.PID][]proto.MsgID), resume: make([][]func(), m.N())}
 	g.sys = proto.NewSystem(sim.New(), netmodel.DefaultConfig(m.N()), fd.QoS{}, sim.NewRand(7))
 	factory := func(ic InstanceConfig) Endpoint {
+		self := ic.Members[ic.Local]
 		proc := ctabcast.New(ic.Runtime, ctabcast.Config{
-			Deliver:  func(_ proto.MsgID, body any) { ic.Deliver(body) },
+			Deliver: func(_ proto.MsgID, body any) {
+				if g.groupDelivered != nil {
+					g.groupDelivered(body)
+				}
+				ic.Deliver(body)
+			},
 			Renumber: true,
 		})
-		return Endpoint{Handler: proc, ABroadcast: proc.ABroadcast, Resume: proc.Resume}
+		g.resume[self] = append(g.resume[self], proc.Resume)
+		abcast := func(body any) proto.MsgID {
+			if gm, ok := body.(*gmsg); ok {
+				g.inits = append(g.inits, initiation{self, ic.Group, gm.id, g.sys.Eng.Now()})
+			}
+			return proc.ABroadcast(body)
+		}
+		return Endpoint{Handler: proc, ABroadcast: abcast, Resume: proc.Resume}
 	}
 	g.coord = NewCoordinator(g.sys, m, nil, factory, func(p proto.PID, id proto.MsgID, _ any, _ sim.Time) {
 		g.delivered[p] = append(g.delivered[p], id)
@@ -79,6 +108,15 @@ func (g *rig) run(d time.Duration) { g.sys.Eng.RunUntil(g.sys.Eng.Now().Add(d)) 
 
 func (g *rig) multicast(p proto.PID, dests ...int) proto.MsgID {
 	return g.coord.Router(p).Multicast(dests, fmt.Sprintf("body of %d", p))
+}
+
+// recover revives crashed process p in place and arms its instances'
+// catch-up probes, the way the experiment layer recovers an FD process.
+func (g *rig) recover(p proto.PID) {
+	g.sys.Recover(p, nil)
+	for _, resume := range g.resume[p] {
+		resume()
+	}
 }
 
 // replies has process from ask process to about id and returns what came
@@ -254,4 +292,172 @@ func TestRecycledRecordStartsEmpty(t *testing.T) {
 	g.wantReplies(0, 1, id, "tsprop 5:70 g0@5")
 	g.wantReplies(0, 4, id, "tsprop 5:70 g0@5")
 	g.wantDelivered(id)
+}
+
+// gramCopy is a group-delivered gram as it read when an instance first
+// delivered it.
+type gramCopy struct {
+	id    proto.MsgID
+	from  proto.PID
+	dests []int
+	body  any
+}
+
+func copyGram(m *gmsg) gramCopy { return gramCopy{m.id, m.from, slices.Clone(m.dests), m.body} }
+
+func (c gramCopy) matches(m *gmsg) bool {
+	return c.id == m.id && c.from == m.from && slices.Equal(c.dests, m.dests) && c.body == m.body
+}
+
+func TestRetainedGramsNeverChange(t *testing.T) {
+	// A gram and its destination list outlive the handler that received
+	// them: every destination instance's decision log keeps the gram, the
+	// pending record keeps its destinations and body until delivery, and a
+	// fallback timer keeps the gram until it fires. An advance stays in the
+	// decision log too. Whatever storage they are built in must therefore
+	// never change once sent. Local, two-group and three-group traffic on
+	// Disjoint(9, 3), with group 1's lowest member crashed for a second (so
+	// the other members' fallbacks initiate) and then recovered in place.
+	// Every gram and advance is copied the first time an instance delivers
+	// it, compared at every later delivery, and compared again at the end.
+	g := newRig(t, Disjoint(9, 3))
+	grams := make(map[*gmsg]gramCopy)
+	advances := make(map[*advance]uint64)
+	g.groupDelivered = func(body any) {
+		switch b := body.(type) {
+		case *gmsg:
+			if c, ok := grams[b]; !ok {
+				grams[b] = copyGram(b)
+			} else if !c.matches(b) {
+				t.Errorf("gram %s changed between deliveries: %+v, first delivered as %+v", c.id, *b, c)
+			}
+		case *advance:
+			if ts, ok := advances[b]; !ok {
+				advances[b] = b.ts
+			} else if ts != b.ts {
+				t.Errorf("advance changed between deliveries: @%d, first delivered @%d", b.ts, ts)
+			}
+		}
+	}
+
+	const msgs, crashed = 900, proto.PID(3)
+	start := g.sys.Eng.Now()
+	sent := make(map[proto.MsgID][]int)
+	for i := 0; i < msgs; i++ {
+		p := proto.PID(i % 9)
+		home := int(p) / 3
+		dests := []int{home}
+		switch i % 3 {
+		case 1:
+			dests = append(dests, (home+1+i/9%2)%3)
+		case 2:
+			dests = []int{0, 1, 2}
+		}
+		g.sys.Eng.Schedule(start.Add(time.Duration(i)*10*time.Millisecond), func() {
+			if !g.sys.Proc(p).Crashed() {
+				sent[g.multicast(p, dests...)] = dests
+			}
+		})
+	}
+	g.sys.Eng.Schedule(start.Add(700*time.Millisecond), func() { g.sys.Crash(crashed) })
+	g.sys.Eng.Schedule(start.Add(1700*time.Millisecond), func() { g.recover(crashed) })
+	g.run(14 * time.Second)
+
+	for m, c := range grams {
+		if !c.matches(m) {
+			t.Errorf("gram %s changed after its delivery: %+v, delivered as %+v", c.id, *m, c)
+		}
+	}
+	for a, ts := range advances {
+		if a.ts != ts {
+			t.Errorf("advance changed after its delivery: @%d, delivered @%d", a.ts, ts)
+		}
+	}
+	fallbacks := 0
+	for _, in := range g.inits {
+		if in.gid == 1 && in.by != crashed && !g.m.Contains(1, in.id.Origin) {
+			fallbacks++
+		}
+	}
+	if fallbacks == 0 || len(advances) == 0 || len(sent) < msgs-msgs/9 {
+		t.Fatalf("the run did not exercise the fence: %d fallback initiations, %d advances, %d of %d multicasts sent",
+			fallbacks, len(advances), len(sent), msgs)
+	}
+
+	// Every destination member other than the recovered one delivered
+	// every message once; the recovered one delivered none twice (it may
+	// stay stalled: ROADMAP 3g). Any two processes delivered the messages
+	// they share in one order.
+	count := make([]map[proto.MsgID]int, g.m.N())
+	for p := range count {
+		count[p] = make(map[proto.MsgID]int)
+		for _, id := range g.delivered[proto.PID(p)] {
+			count[p][id]++
+		}
+	}
+	for id, dests := range sent {
+		for p := range count {
+			in := slices.ContainsFunc(dests, func(gid int) bool { return g.m.Contains(gid, proto.PID(p)) })
+			if n := count[p][id]; !in && n != 0 || in && (n > 1 || n == 0 && p != int(crashed)) {
+				t.Errorf("process %d delivered %s %d times, want %d", p, id, n, map[bool]int{true: 1}[in])
+			}
+		}
+	}
+	for p := 0; p < g.m.N(); p++ {
+		for q := p + 1; q < g.m.N(); q++ {
+			pos := make(map[proto.MsgID]int)
+			for i, id := range g.delivered[proto.PID(q)] {
+				pos[id] = i
+			}
+			last := -1
+			for _, id := range g.delivered[proto.PID(p)] {
+				if i, ok := pos[id]; ok {
+					if i < last {
+						t.Fatalf("processes %d and %d delivered %s in different orders", p, q, id)
+					}
+					last = i
+				}
+			}
+		}
+	}
+}
+
+func TestFallbackInitiatesAfterLowestCrash(t *testing.T) {
+	// Group 1's lowest member is crashed, so no member initiates process
+	// 0's grams into group 1 on arrival. With many grams in flight at once
+	// (many fallbacks pending together), member 1 initiates each exactly
+	// initFallback after the gram reached it, and member 2, whose fallback
+	// fires initFallback later, finds every gram past initiation.
+	g := newRig(t, Disjoint(6, 2))
+	g.sys.Crash(3)
+	g.wire = g.wire[:0]
+	const grams = 40
+	var ids []proto.MsgID
+	for i := 0; i < grams; i++ {
+		ids = append(ids, g.multicast(0, 0, 1))
+	}
+	g.run(time.Second)
+
+	for _, id := range ids {
+		g.wantDelivered(id, 0, 1, 2, 4, 5)
+		name := fmt.Sprintf("mgram %s d[0 1]", id)
+		var arrived []sim.Time
+		for _, w := range g.wire {
+			if w.to == 4 && w.msg == name {
+				arrived = append(arrived, w.at)
+			}
+		}
+		var inits []initiation
+		for _, in := range g.inits {
+			if in.id == id && in.gid == 1 {
+				inits = append(inits, in)
+			}
+		}
+		if len(arrived) != 1 {
+			t.Fatalf("%s reached process 4 %d times, want once", id, len(arrived))
+		}
+		if want := (initiation{4, 1, id, arrived[0].Add(initFallback)}); len(inits) != 1 || inits[0] != want {
+			t.Errorf("%s initiated into group 1 as %+v, want only %+v", id, inits, want)
+		}
+	}
 }
