@@ -122,7 +122,12 @@ func (m *GroupMap) LocalIndex(g int, p proto.PID) proto.PID {
 // slice. It panics unless they are one or more distinct group ids of this
 // map — destinations are code, not input.
 func (m *GroupMap) Dests(dests []int) []int {
-	ds := append([]int(nil), dests...)
+	return m.sortDests(append([]int(nil), dests...), dests)
+}
+
+// sortDests sorts ds, a copy of dests, in place and returns it, with
+// Dests's panic on a bad list. The router copies into a carve of its own.
+func (m *GroupMap) sortDests(ds, dests []int) []int {
 	slices.Sort(ds)
 	ok := len(ds) > 0 && ds[0] >= 0 && ds[len(ds)-1] < len(m.groups)
 	for i := 1; ok && i < len(ds); i++ {

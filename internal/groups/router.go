@@ -65,8 +65,8 @@ type InstanceConfig struct {
 type InstanceFactory func(ic InstanceConfig) Endpoint
 
 // Coordinator is the per-simulation shared state of the group layer:
-// the map, the per-group netmodel destination sets, the envelope pool
-// and the per-process routers.
+// the map, the per-group netmodel destination sets and the per-process
+// routers, each of which owns its slabs and message pools.
 type Coordinator struct {
 	sys     *proto.System
 	m       *GroupMap
@@ -148,7 +148,9 @@ func (e *envelope) String() string {
 
 // gmsg is a destination-group-addressed message: the dissemination gram
 // sent to destination groups the sender is not in, and the body
-// a-broadcast inside each destination group.
+// a-broadcast inside each destination group. Decision logs, pending
+// records and fallbacks keep it, so it and its dests are carved from the
+// sending router's slabs (gram) and never written again.
 type gmsg struct {
 	id    proto.MsgID
 	from  proto.PID
@@ -159,18 +161,24 @@ type gmsg struct {
 func (g *gmsg) String() string { return fmt.Sprintf("mgram %s d%v", g.id, g.dests) }
 
 // tsProp carries one destination group's timestamp proposal for a
-// message to the members of the other destination groups.
+// message to the members of the other destination groups. It, tsReq and
+// tsFinal are used up inside their handlers and travel in the sending
+// router's pooled boxes.
 type tsProp struct {
 	id  proto.MsgID
 	gid int
 	ts  uint64
+	netmodel.Box[tsProp]
 }
 
 func (t *tsProp) String() string { return fmt.Sprintf("tsprop %s g%d@%d", t.id, t.gid, t.ts) }
 
 // tsReq asks a destination member to resend what it knows about a
 // message's timestamps (stall recovery).
-type tsReq struct{ id proto.MsgID }
+type tsReq struct {
+	id proto.MsgID
+	netmodel.Box[tsReq]
+}
 
 func (t *tsReq) String() string { return fmt.Sprintf("tsreq %s", t.id) }
 
@@ -179,13 +187,15 @@ func (t *tsReq) String() string { return fmt.Sprintf("tsreq %s", t.id) }
 type tsFinal struct {
 	id proto.MsgID
 	ts uint64
+	netmodel.Box[tsFinal]
 }
 
 func (t *tsFinal) String() string { return fmt.Sprintf("tsfinal %s@%d", t.id, t.ts) }
 
 // advance is a-broadcast into a lagging group to pull its logical clock
 // up to a multi-group message's final timestamp; it occupies a slot in
-// the group's agreed stream without counting as a message.
+// the group's agreed stream without counting as a message. Decision logs
+// keep it, so it is carved from the requesting router's slab.
 type advance struct{ ts uint64 }
 
 func (a *advance) String() string { return fmt.Sprintf("advance@%d", a.ts) }
@@ -292,6 +302,16 @@ type Router struct {
 
 	envs netmodel.Pool[envelope] // this router's envelope pool (see wrap)
 
+	// What receivers keep is carved (gram, Multicast, requestAdvance);
+	// what their handlers use up is boxed (prop, tsReq, tsFinal).
+	gramSlab  proto.Slab[gmsg]
+	destSlab  proto.Slab[int]
+	advSlab   proto.Slab[advance]
+	props     netmodel.Pool[tsProp]
+	reqs      netmodel.Pool[tsReq]
+	finals    netmodel.Pool[tsFinal]
+	fallbacks []*fallback // fired fallback records, reused by handleGram
+
 	// stallArmed shadows stall.Pending() and, unlike it, stays set when
 	// the process crashes with the probe armed, so after an in-place
 	// recovery armStall never arms the probe again (ROADMAP 3g). Reading
@@ -313,10 +333,7 @@ func (c *Coordinator) NewRouter(proc *proto.Proc) *Router {
 		done:  make([]proto.Window[uint64], c.m.N()),
 		envs:  netmodel.NewPool(func(e *envelope) { e.inner = nil }),
 	}
-	r.stall = proc.NewAlarm(func() {
-		r.stallArmed = false
-		r.retryStalled()
-	})
+	r.stall = proc.NewAlarm(r.retryStalled)
 	for _, gid := range c.m.GroupsOf(p) {
 		inst := &instance{
 			gid:     gid,
@@ -369,12 +386,9 @@ func (r *Router) instFor(gid int) *instance {
 // destination list (GroupMap.Dests).
 func (r *Router) Multicast(dests []int, body any) proto.MsgID {
 	r.seq++
-	g := &gmsg{
-		id:    proto.MsgID{Origin: r.self, Seq: r.seq},
-		from:  r.self,
-		dests: r.coord.m.Dests(dests),
-		body:  body,
-	}
+	ds := r.destSlab.Carve(len(dests), 16, 1024)
+	copy(ds, dests)
+	g := r.gram(proto.MsgID{Origin: r.self, Seq: r.seq}, r.self, r.coord.m.sortDests(ds, dests), body)
 	for _, gid := range g.dests {
 		if inst := r.instFor(gid); inst != nil {
 			r.initiate(inst, g)
@@ -383,6 +397,13 @@ func (r *Router) Multicast(dests []int, body any) proto.MsgID {
 		}
 	}
 	return g.id
+}
+
+// gram carves a gram from the router's slab.
+func (r *Router) gram(id proto.MsgID, from proto.PID, dests []int, body any) *gmsg {
+	g := &r.gramSlab.Carve(1, 8, 256)[0]
+	g.id, g.from, g.dests, g.body = id, from, dests, body
+	return g
 }
 
 func (r *Router) initiate(inst *instance, g *gmsg) {
@@ -460,12 +481,35 @@ func (r *Router) handleGram(g *gmsg) {
 			r.initiate(inst, g)
 			continue
 		}
-		r.proc.NewAlarm(func() {
-			if !inst.pastInitiation(g.id) {
-				r.initiate(inst, g)
-			}
-		}).Arm(time.Duration(inst.local) * initFallback)
+		var f *fallback
+		if n := len(r.fallbacks); n > 0 {
+			f, r.fallbacks = r.fallbacks[n-1], r.fallbacks[:n-1]
+		} else {
+			f = &fallback{r: r}
+			f.alarm = r.proc.NewAlarm(f.fire)
+		}
+		f.inst, f.g = inst, g
+		f.alarm.Arm(time.Duration(inst.local) * initFallback)
 	}
+}
+
+// fallback is a higher member's deferred initiation of a gram into one of
+// its groups. A record returns to the router's free list only inside its
+// own firing, so a pending record is never reused; a firing dropped
+// because the process crashed leaves the record to the garbage collector.
+type fallback struct {
+	r     *Router
+	inst  *instance
+	g     *gmsg
+	alarm *proto.Alarm // bound once to fire
+}
+
+func (f *fallback) fire() {
+	if !f.inst.pastInitiation(f.g.id) {
+		f.r.initiate(f.inst, f.g)
+	}
+	f.inst, f.g = nil, nil
+	f.r.fallbacks = append(f.r.fallbacks, f)
 }
 
 // pastInitiation reports whether id needs no (further) initiation into
@@ -589,8 +633,15 @@ func (r *Router) sendProps(inst *instance, b *gmsg, prop uint64) {
 		if gid == inst.gid {
 			continue
 		}
-		r.proc.MulticastSet(r.coord.sets[gid], &tsProp{id: b.id, gid: inst.gid, ts: prop})
+		r.proc.MulticastSet(r.coord.sets[gid], r.prop(b.id, inst.gid, prop))
 	}
+}
+
+// prop draws a proposal from the router's pool.
+func (r *Router) prop(id proto.MsgID, gid int, ts uint64) *tsProp {
+	t := r.props.Get()
+	t.id, t.gid, t.ts = id, gid, ts
+	return t
 }
 
 func (r *Router) onTSProp(t *tsProp) {
@@ -615,7 +666,9 @@ func (r *Router) onTSProp(t *tsProp) {
 
 func (r *Router) onTSReq(from proto.PID, t *tsReq) {
 	if ts := r.doneTS(t.id); ts != 0 {
-		r.proc.Send(from, &tsFinal{id: t.id, ts: ts})
+		f := r.finals.Get()
+		f.id, f.ts = t.id, ts
+		r.proc.Send(from, f)
 		return
 	}
 	p := r.pend.Get(t.id)
@@ -626,14 +679,14 @@ func (r *Router) onTSReq(from proto.PID, t *tsReq) {
 	if ent.hasBody {
 		for _, gid := range ent.dests {
 			if ts := ent.props[gid]; ts != 0 {
-				r.proc.Send(from, &tsProp{id: t.id, gid: gid, ts: ts})
+				r.proc.Send(from, r.prop(t.id, gid, ts))
 			}
 		}
 		return
 	}
 	for gid, ts := range ent.props {
 		if ts != 0 {
-			r.proc.Send(from, &tsProp{id: t.id, gid: gid, ts: ts})
+			r.proc.Send(from, r.prop(t.id, gid, ts))
 		}
 	}
 }
@@ -720,13 +773,16 @@ func (r *Router) requestAdvance(inst *instance, pos int, ts uint64) {
 	}
 	r.reqAdv[pos] = ts
 	inst.sent++
-	inst.ep.ABroadcast(&advance{ts: ts})
+	a := &r.advSlab.Carve(1, 8, 512)[0]
+	a.ts = ts
+	inst.ep.ABroadcast(a)
 }
 
 // armStall arms the stall probe: if the minimum entry still lacks its
 // final timestamp after stallRetry (normal proposals travel with the
 // protocol traffic; only crashes and recoveries leave gaps), ask the
-// destination groups' members to resend what they know.
+// destination groups' members to resend what they know (retryStalled,
+// the probe's callback).
 func (r *Router) armStall() {
 	if r.stallArmed {
 		return
@@ -736,6 +792,7 @@ func (r *Router) armStall() {
 }
 
 func (r *Router) retryStalled() {
+	r.stallArmed = false
 	var head *pending
 	for _, ent := range r.order {
 		if head == nil || entLess(ent, head) {
@@ -759,12 +816,13 @@ func (r *Router) retryStalled() {
 				// the dissemination gram at all (lost to a partition, with
 				// the sender unable to notice): resend it from the body we
 				// hold. handleGram dedups, so a redundant copy is harmless.
-				r.proc.MulticastSet(r.coord.sets[gid],
-					&gmsg{id: head.id, from: head.from, dests: head.dests, body: head.body})
+				r.proc.MulticastSet(r.coord.sets[gid], r.gram(head.id, head.from, head.dests, head.body))
 			}
 			for _, q := range r.coord.m.Members(gid) {
 				if q != r.self {
-					r.proc.Send(q, &tsReq{id: head.id})
+					req := r.reqs.Get()
+					req.id = head.id
+					r.proc.Send(q, req)
 				}
 			}
 		}

@@ -235,7 +235,7 @@ func TestTSReqPendingWithBodyThenRecovery(t *testing.T) {
 func TestTSReqProposalsBeforeBody(t *testing.T) {
 	g := newRig(t, Disjoint(9, 3))
 	id := proto.MsgID{Origin: 8, Seq: 40}
-	for _, p := range []*tsProp{{id, 2, 7}, {id, 0, 5}, {id, 2, 9}} {
+	for _, p := range []*tsProp{{id: id, gid: 2, ts: 7}, {id: id, gid: 0, ts: 5}, {id: id, gid: 2, ts: 9}} {
 		g.sys.Proc(0).Send(4, p)
 	}
 	g.run(20 * time.Millisecond)
