@@ -4,15 +4,19 @@ import (
 	"bytes"
 	"flag"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro"
+	"repro/internal/experiment"
 )
 
 // TestQuickFiguresMatchGolden pins every figure's -quick -seed 1 output:
 // golden/figures_quick.tsv is "-fig all", then the by-name figures nscale
-// and groups; smoke has its own golden, which CI also replays.
+// and groups; smoke has its own golden, which CI also replays. Every
+// replication runs under the specification checker, and any finding
+// fails the test.
 func TestQuickFiguresMatchGolden(t *testing.T) {
 	*quickFlag, *seedFlag, *repsFlag = true, 1, 0
 	var quick, smoke bytes.Buffer
@@ -23,8 +27,21 @@ func TestQuickFiguresMatchGolden(t *testing.T) {
 				w = &smoke
 			}
 			if f.inAll == inAll {
-				for _, p := range f.panels() {
+				for i, p := range f.panels() {
+					// A checker per point: a worst-case point is a batch of its own.
+					invs := make([]experiment.Invariants, len(p.steady)+len(p.transient))
+					for k := range p.steady {
+						p.steady[k].Observers = append(slices.Clip(p.steady[k].Observers), invs[k].Observer)
+					}
+					for k := range p.transient {
+						p.transient[k].Observers = append(slices.Clip(p.transient[k].Observers), invs[k].Observer)
+					}
 					p.render(w, &repro.Runner{})
+					for k := range invs {
+						if err := invs[k].Err(); err != nil {
+							t.Errorf("fig %s panel %d point %d: %v", f.name, i, k, err)
+						}
+					}
 				}
 			}
 		}

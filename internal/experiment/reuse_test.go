@@ -154,7 +154,7 @@ func TestReusedReplicationMatchesGolden(t *testing.T) {
 				frozen = counts
 				return nil
 			}
-			got, text := fullTraceDigest(t, func(tr *Trace) {
+			got, text := fullTraceDigest(t, func(tr *Trace, inv *Invariants) {
 				// The traced run is the batch's third point; its trace keeps
 				// the header of the recorded single-point run.
 				traced := func(_, rep int, cfg Config) Observer { return tr.Observer(0, rep, cfg) }
@@ -165,17 +165,17 @@ func TestReusedReplicationMatchesGolden(t *testing.T) {
 				}
 				if tc.transient == nil {
 					b, bare, a := dirty(tc.cfg), tc.cfg, tc.cfg
-					b.Observers = []ObserverFactory{counter}
+					b.Observers = []ObserverFactory{counter, inv.Observer}
 					bare.Observers = []ObserverFactory{freeze}
-					a.Observers = []ObserverFactory{traced}
+					a.Observers = []ObserverFactory{traced, inv.Observer}
 					r.SteadyAll([]Config{b, bare, a})
 					return
 				}
 				bare, a := *tc.transient, *tc.transient
 				b := TransientConfig{Config: dirty(a.Config), Crash: 1, Sender: 0}
-				b.Observers = []ObserverFactory{counter}
+				b.Observers = []ObserverFactory{counter, inv.Observer}
 				bare.Observers = []ObserverFactory{freeze}
-				a.Observers = []ObserverFactory{traced}
+				a.Observers = []ObserverFactory{traced, inv.Observer}
 				r.TransientAll([]TransientConfig{b, bare, a})
 			})
 			if counts.broadcasts == 0 || counts.net == 0 || counts.plan < 3 || counts.load == 0 {
@@ -212,10 +212,10 @@ func TestRunnerReuseAcrossWorkers(t *testing.T) {
 	}
 	run := func(workers int) ([]Result, uint64) {
 		var res []Result
-		digest, _ := fullTraceDigest(t, func(tr *Trace) {
+		digest, _ := fullTraceDigest(t, func(tr *Trace, inv *Invariants) {
 			pts := make([]Config, len(grid))
 			for i, c := range grid {
-				c.Observers = []ObserverFactory{tr.Observer}
+				c.Observers = []ObserverFactory{tr.Observer, inv.Observer}
 				pts[i] = c
 			}
 			res = (&Runner{Workers: workers}).SteadyAll(pts)

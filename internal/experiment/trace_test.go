@@ -447,12 +447,17 @@ func TestTraceHeaderGolden(t *testing.T) {
 }
 
 // fullTraceDigest is FNV-1a over every byte a Trace flushed — all of the
-// C/B/N/F/L/D/E lines, where the E record digests only the D lines.
-func fullTraceDigest(t *testing.T, run func(tr *Trace)) (uint64, string) {
+// C/B/N/F/L/D/E lines, where the E record digests only the D lines. run
+// lists the trace and a specification checker, whose findings fail t.
+func fullTraceDigest(t *testing.T, run func(tr *Trace, inv *Invariants)) (uint64, string) {
 	t.Helper()
 	var buf bytes.Buffer
 	tr := NewTrace(&buf)
-	run(tr)
+	var inv Invariants
+	run(tr, &inv)
+	if err := inv.Err(); err != nil {
+		t.Error(err)
+	}
 	if err := tr.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
@@ -494,8 +499,8 @@ func TestFullTraceGolden(t *testing.T) {
 		Burst(400*ms, 100*ms, AllSenders, 3).
 		Mute(600*ms, 1).
 		Unmute(900*ms, 1)
-	got, text := fullTraceDigest(t, func(tr *Trace) {
-		steady.Observers = []ObserverFactory{tr.Observer}
+	got, text := fullTraceDigest(t, func(tr *Trace, inv *Invariants) {
+		steady.Observers = []ObserverFactory{tr.Observer, inv.Observer}
 		if res := (&Runner{Workers: 1}).Steady(steady); res.Messages == 0 || res.Diverged {
 			t.Fatalf("steady replication measured nothing: %+v", res)
 		}
@@ -513,8 +518,8 @@ func TestFullTraceGolden(t *testing.T) {
 
 	transient := TransientConfig{Config: base, Crash: 0, Sender: 1}
 	transient.Algorithm = GM
-	got, text = fullTraceDigest(t, func(tr *Trace) {
-		transient.Observers = []ObserverFactory{tr.Observer}
+	got, text = fullTraceDigest(t, func(tr *Trace, inv *Invariants) {
+		transient.Observers = []ObserverFactory{tr.Observer, inv.Observer}
 		if res := (&Runner{Workers: 1}).Transient(transient); res.Lost != 0 {
 			t.Fatalf("crash-transient replication lost its probe: %+v", res)
 		}
@@ -545,8 +550,8 @@ func TestFullTraceGolden(t *testing.T) {
 		Suspect(400*ms, 3, 60*ms).
 		Crash(600*ms, 4).
 		Recover(750*ms, 4)
-	got, text = fullTraceDigest(t, func(tr *Trace) {
-		gmRun.Observers = []ObserverFactory{tr.Observer}
+	got, text = fullTraceDigest(t, func(tr *Trace, inv *Invariants) {
+		gmRun.Observers = []ObserverFactory{tr.Observer, inv.Observer}
 		if res := (&Runner{Workers: 1}).Steady(gmRun); res.Messages == 0 || res.Diverged {
 			t.Fatalf("GM replication measured nothing: %+v", res)
 		}
@@ -582,8 +587,8 @@ func TestFullTraceGolden(t *testing.T) {
 		frequent.N = 7
 		frequent.Throughput = 100
 		frequent.QoS = fd.QoS{TMR: 100 * ms}
-		got, text = fullTraceDigest(t, func(tr *Trace) {
-			frequent.Observers = []ObserverFactory{tr.Observer}
+		got, text = fullTraceDigest(t, func(tr *Trace, inv *Invariants) {
+			frequent.Observers = []ObserverFactory{tr.Observer, inv.Observer}
 			if res := (&Runner{Workers: 1}).Steady(frequent); res.Messages == 0 || res.Diverged {
 				t.Fatalf("%v frequent-suspicion replication measured nothing: %+v", tc.alg, res)
 			}
@@ -606,8 +611,8 @@ func TestFullTraceGolden(t *testing.T) {
 	wide.Throughput = 20
 	wide.QoS = fd.QoS{}
 	wide.Topology = topo.Ring(32)
-	got, text = fullTraceDigest(t, func(tr *Trace) {
-		wide.Observers = []ObserverFactory{tr.Observer}
+	got, text = fullTraceDigest(t, func(tr *Trace, inv *Invariants) {
+		wide.Observers = []ObserverFactory{tr.Observer, inv.Observer}
 		if res := (&Runner{Workers: 1}).Steady(wide); res.Messages == 0 || res.Diverged {
 			t.Fatalf("FD n=32 ring replication measured nothing: %+v", res)
 		}
@@ -636,8 +641,8 @@ func TestFullTraceGolden(t *testing.T) {
 		sharded.QoS = fd.QoS{}
 		sharded.Groups = groups.Disjoint(6, 2)
 		sharded.CrossShard = 0.3
-		got, text = fullTraceDigest(t, func(tr *Trace) {
-			sharded.Observers = []ObserverFactory{tr.Observer}
+		got, text = fullTraceDigest(t, func(tr *Trace, inv *Invariants) {
+			sharded.Observers = []ObserverFactory{tr.Observer, inv.Observer}
 			if res := (&Runner{Workers: 1}).Steady(sharded); res.Messages == 0 || res.Diverged {
 				t.Fatalf("%v sharded replication measured nothing: %+v", tc.alg, res)
 			}
@@ -684,8 +689,8 @@ func TestFullTraceGolden(t *testing.T) {
 			Recover(700*ms, tc.crash).
 			Partition(800*ms, tc.cut...).
 			Heal(950 * ms)
-		got, text = fullTraceDigest(t, func(tr *Trace) {
-			healed.Observers = []ObserverFactory{tr.Observer}
+		got, text = fullTraceDigest(t, func(tr *Trace, inv *Invariants) {
+			healed.Observers = []ObserverFactory{tr.Observer, inv.Observer}
 			(&Runner{Workers: 1}).Steady(healed)
 		})
 		for _, marker := range []string{"\nF 700000000 recover p", "\nF 950000000 heal\n"} {
@@ -715,8 +720,8 @@ func TestFullTraceGolden(t *testing.T) {
 		Heal(550*ms).
 		Crash(800*ms, 1).
 		Recover(860*ms, 1)
-	got, text = fullTraceDigest(t, func(tr *Trace) {
-		hbGM.Observers = []ObserverFactory{tr.Observer}
+	got, text = fullTraceDigest(t, func(tr *Trace, inv *Invariants) {
+		hbGM.Observers = []ObserverFactory{tr.Observer, inv.Observer}
 		if res := (&Runner{Workers: 1}).Steady(hbGM); res.Messages == 0 || res.Diverged {
 			t.Fatalf("GM heartbeat replication measured nothing: %+v", res)
 		}
