@@ -10,6 +10,19 @@ import (
 	"repro/internal/proto"
 )
 
+// outage returns a three-process cluster whose p2 crashes at 100 ms and
+// then misses 150 spaced broadcasts from p0 and p1, each far enough apart
+// to decide its own consensus instance: the outage spans well over
+// instanceWindow (64) decisions. logRetain is as in clusterOpts.
+func outage(logRetain int) *cluster {
+	c := newCluster(clusterOpts{n: 3, qos: fd.QoS{TD: 10 * time.Millisecond}, logRetain: logRetain})
+	c.sys.CrashAt(2, at(100))
+	for i := 0; i < 150; i++ {
+		c.broadcastAt(proto.PID(i%2), at(float64(150+15*i)))
+	}
+	return c
+}
+
 // TestLongOutageRecoveryDeliversSuffix is the silent-wedge regression
 // guard: a process that recovers after missing more than instanceWindow
 // decisions must still deliver the full suffix it missed. Peers have
@@ -17,14 +30,7 @@ import (
 // decision forwarding cannot help — only the decision-log catch-up
 // protocol can close the gap.
 func TestLongOutageRecoveryDeliversSuffix(t *testing.T) {
-	c := newCluster(clusterOpts{n: 3, qos: fd.QoS{TD: 10 * time.Millisecond}})
-	c.sys.CrashAt(2, at(100))
-	// 150 spaced broadcasts while p2 is down — each far enough apart to
-	// decide its own consensus instance, so the outage spans well over
-	// instanceWindow (64) decisions.
-	for i := 0; i < 150; i++ {
-		c.broadcastAt(proto.PID(i%2), at(float64(150+15*i)))
-	}
+	c := outage(0)
 	recoverAt := at(2600)
 	c.eng.Schedule(recoverAt, func() { c.sys.Recover(2, nil) })
 	// The scenario is only meaningful if the gap really exceeds the
@@ -43,10 +49,9 @@ func TestLongOutageRecoveryDeliversSuffix(t *testing.T) {
 		c.broadcastAt(proto.PID(i%3), recoverAt.Add(time.Duration(30*(i+1))*time.Millisecond))
 	}
 	c.run(20 * time.Second)
-	c.checkTotalOrder(t)
 	// The recovered process must hold the complete sequence: everything
 	// decided during the outage plus everything after recovery.
-	c.checkAllDelivered(t)
+	c.holds(t, proto.Prefix|proto.Destinations)
 }
 
 // TestIdleSystemRecoveryUnwedges is the idle-wedge regression guard: a
@@ -58,14 +63,9 @@ func TestLongOutageRecoveryDeliversSuffix(t *testing.T) {
 // straggler's seat "nothing to catch up on" and "everyone else is quiet"
 // are indistinguishable.
 func TestIdleSystemRecoveryUnwedges(t *testing.T) {
-	c := newCluster(clusterOpts{n: 3, qos: fd.QoS{TD: 10 * time.Millisecond}})
-	c.sys.CrashAt(2, at(100))
-	// An outage spanning far more than instanceWindow decisions, exactly
-	// like the long-outage scenario — but every broadcast has long
-	// drained before the recovery instant, and nothing follows it.
-	for i := 0; i < 150; i++ {
-		c.broadcastAt(proto.PID(i%2), at(float64(150+15*i)))
-	}
+	// The long-outage scenario, but every broadcast has long drained
+	// before the recovery instant, and nothing follows it.
+	c := outage(0)
 	recoverAt := at(4000)
 	c.eng.Schedule(recoverAt, func() {
 		c.sys.Recover(2, nil)
@@ -74,10 +74,9 @@ func TestIdleSystemRecoveryUnwedges(t *testing.T) {
 		c.procs[2].Resume()
 	})
 	c.run(20 * time.Second)
-	c.checkTotalOrder(t)
 	// The recovered process must deliver the entire missed suffix even
 	// though no post-recovery traffic ever supplied lag evidence.
-	c.checkAllDelivered(t)
+	c.holds(t, proto.Prefix|proto.Destinations)
 }
 
 // TestCrashDuringCatchUpRecovers: a process that crashes in the middle
@@ -87,11 +86,7 @@ func TestIdleSystemRecoveryUnwedges(t *testing.T) {
 // the retry timer itself, so a dropped firing cannot leave it "in
 // progress" forever.
 func TestCrashDuringCatchUpRecovers(t *testing.T) {
-	c := newCluster(clusterOpts{n: 3, qos: fd.QoS{TD: 10 * time.Millisecond}})
-	c.sys.CrashAt(2, at(100))
-	for i := 0; i < 150; i++ {
-		c.broadcastAt(proto.PID(i%2), at(float64(150+15*i)))
-	}
+	c := outage(0)
 	resume := func() {
 		c.sys.Recover(2, nil)
 		c.procs[2].Resume()
@@ -103,8 +98,7 @@ func TestCrashDuringCatchUpRecovers(t *testing.T) {
 	c.eng.Schedule(at(4301), func() { c.sys.Crash(2) })
 	c.eng.Schedule(at(5000), resume)
 	c.run(30 * time.Second)
-	c.checkAllDelivered(t)
-	c.checkTotalOrder(t)
+	c.holds(t, proto.Prefix|proto.Destinations)
 }
 
 // TestIdleProbeOnCurrentProcessIsBounded: a process that is fully
@@ -134,8 +128,7 @@ func TestIdleProbeOnCurrentProcessIsBounded(t *testing.T) {
 	if reqs > 3 {
 		t.Fatalf("current process sent %d catch-up requests, want a bounded handful", reqs)
 	}
-	c.checkTotalOrder(t)
-	c.checkAllDelivered(t)
+	c.holds(t, proto.Prefix|proto.Destinations)
 }
 
 // TestCatchUpRetriesAfterResponderCrash exercises the retry path: the
@@ -143,7 +136,7 @@ func TestIdleProbeOnCurrentProcessIsBounded(t *testing.T) {
 // exchange only completes because the retry timer rotates to a live
 // responder.
 func TestCatchUpRetriesAfterResponderCrash(t *testing.T) {
-	c := newCluster(clusterOpts{n: 3, qos: fd.QoS{TD: 10 * time.Millisecond}})
+	c := outage(0)
 	reqTo := make([]int, 3)
 	c.sys.Net.SetTrace(func(ev netmodel.TraceEvent) {
 		if ev.Kind == netmodel.TraceSend && ev.To >= 0 {
@@ -152,10 +145,6 @@ func TestCatchUpRetriesAfterResponderCrash(t *testing.T) {
 			}
 		}
 	})
-	c.sys.CrashAt(2, at(100))
-	for i := 0; i < 150; i++ {
-		c.broadcastAt(proto.PID(i%2), at(float64(150+15*i)))
-	}
 	c.sys.CrashAt(1, at(2500))
 	recoverAt := at(2600)
 	c.eng.Schedule(recoverAt, func() { c.sys.Recover(2, nil) })
@@ -175,8 +164,7 @@ func TestCatchUpRetriesAfterResponderCrash(t *testing.T) {
 	if reqTo[0] == 0 {
 		t.Fatal("retry never rotated to a live responder")
 	}
-	c.checkTotalOrder(t)
-	c.checkAllDelivered(t)
+	c.holds(t, proto.Prefix|proto.Destinations)
 }
 
 // TestTruncatedLogSnapshotFallback forces the full-snapshot handoff: with
@@ -185,7 +173,7 @@ func TestCatchUpRetriesAfterResponderCrash(t *testing.T) {
 // unwedges — it delivers the retained tail and everything after recovery
 // — at the documented price of a delivery gap over the truncated prefix.
 func TestTruncatedLogSnapshotFallback(t *testing.T) {
-	c := newCluster(clusterOpts{n: 3, qos: fd.QoS{TD: 10 * time.Millisecond}, logRetain: 16})
+	c := outage(16)
 	snapReplies := 0
 	c.sys.Net.SetTrace(func(ev netmodel.TraceEvent) {
 		if ev.Kind != netmodel.TraceSend {
@@ -195,10 +183,6 @@ func TestTruncatedLogSnapshotFallback(t *testing.T) {
 			snapReplies++
 		}
 	})
-	c.sys.CrashAt(2, at(100))
-	for i := 0; i < 150; i++ {
-		c.broadcastAt(proto.PID(i%2), at(float64(150+15*i)))
-	}
 	recoverAt := at(2600)
 	c.eng.Schedule(recoverAt, func() { c.sys.Recover(2, nil) })
 	for i := 0; i < 6; i++ {
@@ -241,11 +225,7 @@ func TestTruncatedLogSnapshotFallback(t *testing.T) {
 // catches p2 up; the second must be a no-op — replies are idempotent, so
 // nothing is delivered twice and the frontier never rewinds.
 func TestDuplicateCatchUpRepliesHarmless(t *testing.T) {
-	c := newCluster(clusterOpts{n: 3, qos: fd.QoS{TD: 10 * time.Millisecond}})
-	c.sys.CrashAt(2, at(100))
-	for i := 0; i < 150; i++ {
-		c.broadcastAt(proto.PID(i%2), at(float64(150+15*i)))
-	}
+	c := outage(0)
 	recoverAt := at(2600)
 	c.eng.Schedule(recoverAt, func() { c.sys.Recover(2, nil) })
 	c.eng.Schedule(recoverAt.Add(5*time.Millisecond), func() {
@@ -256,15 +236,7 @@ func TestDuplicateCatchUpRepliesHarmless(t *testing.T) {
 		c.broadcastAt(proto.PID(i%3), recoverAt.Add(time.Duration(30*(i+1))*time.Millisecond))
 	}
 	c.run(20 * time.Second)
-	seen := make(map[proto.MsgID]bool)
-	for _, d := range c.deliveries[2] {
-		if seen[d.id] {
-			t.Fatalf("duplicate delivery of %v at recovered process", d.id)
-		}
-		seen[d.id] = true
-	}
-	c.checkTotalOrder(t)
-	c.checkAllDelivered(t)
+	c.holds(t, proto.Prefix|proto.Destinations)
 }
 
 // TestCatchUpRacesNewDecisions keeps new broadcasts landing throughout
@@ -273,11 +245,7 @@ func TestDuplicateCatchUpRepliesHarmless(t *testing.T) {
 // must keep going from its new frontier until it converges with the
 // moving tip.
 func TestCatchUpRacesNewDecisions(t *testing.T) {
-	c := newCluster(clusterOpts{n: 3, qos: fd.QoS{TD: 10 * time.Millisecond}})
-	c.sys.CrashAt(2, at(100))
-	for i := 0; i < 150; i++ {
-		c.broadcastAt(proto.PID(i%2), at(float64(150+15*i)))
-	}
+	c := outage(0)
 	recoverAt := at(2600)
 	c.eng.Schedule(recoverAt, func() { c.sys.Recover(2, nil) })
 	// Dense traffic from the moment of recovery: the exchange races a
@@ -286,8 +254,7 @@ func TestCatchUpRacesNewDecisions(t *testing.T) {
 		c.broadcastAt(proto.PID(i%2), recoverAt.Add(time.Duration(5+5*i)*time.Millisecond))
 	}
 	c.run(20 * time.Second)
-	c.checkTotalOrder(t)
-	c.checkAllDelivered(t)
+	c.holds(t, proto.Prefix|proto.Destinations)
 }
 
 // TestDecisionLogCompactsInPlace drives a log with a tiny retention
@@ -345,6 +312,5 @@ func TestDecisionLogCompactsInPlace(t *testing.T) {
 		t.Fatal("scenario broken: the log never trimmed")
 	}
 	checkLog("at the end")
-	c.checkTotalOrder(t)
-	c.checkAllDelivered(t)
+	c.holds(t, proto.Prefix|proto.Destinations)
 }

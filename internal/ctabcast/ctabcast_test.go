@@ -23,6 +23,7 @@ type cluster struct {
 	procs []*Process
 	// deliveries[p] is the A-delivery sequence observed at process p.
 	deliveries [][]delivery
+	hist       *proto.History
 	sent       map[proto.MsgID]sim.Time
 	bodies     map[proto.MsgID]any // the body each message was broadcast with
 }
@@ -53,6 +54,7 @@ func newCluster(o clusterOpts) *cluster {
 		sys:        sys,
 		procs:      make([]*Process, o.n),
 		deliveries: make([][]delivery, o.n),
+		hist:       proto.NewHistory(o.n),
 		sent:       make(map[proto.MsgID]sim.Time),
 		bodies:     make(map[proto.MsgID]any),
 	}
@@ -62,6 +64,7 @@ func newCluster(o clusterOpts) *cluster {
 			Renumber: o.renumber,
 			Deliver: func(id proto.MsgID, body any) {
 				c.deliveries[i] = append(c.deliveries[i], delivery{id: id, at: eng.Now(), body: body})
+				c.hist.Deliver(proto.PID(i), id)
 			},
 		})
 		if o.logRetain > 0 {
@@ -86,6 +89,7 @@ func (c *cluster) broadcastAt(p proto.PID, at sim.Time) {
 func (c *cluster) broadcastBodyAt(p proto.PID, at sim.Time, body any) {
 	c.eng.Schedule(at, func() {
 		id := c.procs[p].ABroadcast(body)
+		c.hist.Broadcast(id)
 		c.sent[id] = at
 		c.bodies[id] = body
 	})
@@ -105,66 +109,13 @@ func (c *cluster) ids(p int) []proto.MsgID {
 	return out
 }
 
-// checkTotalOrder asserts the prefix-consistency of delivery sequences
-// across all correct processes plus no-duplication.
-func (c *cluster) checkTotalOrder(t *testing.T) {
-	t.Helper()
-	// Find the longest sequence among correct processes as reference.
-	ref := -1
-	for p := range c.procs {
-		if c.sys.Proc(proto.PID(p)).Crashed() {
-			continue
-		}
-		if ref < 0 || len(c.deliveries[p]) > len(c.deliveries[ref]) {
-			ref = p
-		}
-	}
-	if ref < 0 {
-		t.Fatal("no correct process")
-	}
-	refIDs := c.ids(ref)
-	seen := make(map[proto.MsgID]bool, len(refIDs))
-	for _, id := range refIDs {
-		if seen[id] {
-			t.Fatalf("duplicate delivery of %v at p%d", id, ref)
-		}
-		seen[id] = true
-	}
-	for p := range c.procs {
-		if p == ref || c.sys.Proc(proto.PID(p)).Crashed() {
-			continue
-		}
-		ids := c.ids(p)
-		if len(ids) > len(refIDs) {
-			t.Fatalf("p%d delivered more than reference", p)
-		}
-		for i := range ids {
-			if ids[i] != refIDs[i] {
-				t.Fatalf("order mismatch at %d: p%d has %v, p%d has %v", i, p, ids[i], ref, refIDs[i])
-			}
-		}
-	}
-}
-
-// checkAllDelivered asserts every correct process delivered every sent
-// message (liveness at quiescence, valid when all senders are correct),
-// each with the body it was broadcast with.
-func (c *cluster) checkAllDelivered(t *testing.T) {
+// holds fails t unless the run meets the clauses of the specification over
+// the processes that are up now, and every delivery carries its body.
+func (c *cluster) holds(t *testing.T, clauses proto.Clause) {
 	t.Helper()
 	c.checkBodies(t)
-	for p := range c.procs {
-		if c.sys.Proc(proto.PID(p)).Crashed() {
-			continue
-		}
-		got := make(map[proto.MsgID]bool)
-		for _, d := range c.deliveries[p] {
-			got[d.id] = true
-		}
-		for id := range c.sent {
-			if !got[id] {
-				t.Fatalf("p%d never delivered %v (delivered %d/%d)", p, id, len(got), len(c.sent))
-			}
-		}
+	if err := c.hist.Check(clauses, func(p proto.PID) bool { return !c.sys.Proc(p).Crashed() }); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -182,33 +133,6 @@ func (c *cluster) checkBodies(t *testing.T) {
 	}
 }
 
-// checkUniformAgreement asserts that any message delivered anywhere
-// (including at crashed processes before their crash) is delivered at all
-// correct processes.
-func (c *cluster) checkUniformAgreement(t *testing.T) {
-	t.Helper()
-	everywhere := make(map[proto.MsgID]bool)
-	for p := range c.procs {
-		for _, d := range c.deliveries[p] {
-			everywhere[d.id] = true
-		}
-	}
-	for p := range c.procs {
-		if c.sys.Proc(proto.PID(p)).Crashed() {
-			continue
-		}
-		got := make(map[proto.MsgID]bool)
-		for _, d := range c.deliveries[p] {
-			got[d.id] = true
-		}
-		for id := range everywhere {
-			if !got[id] {
-				t.Fatalf("uniform agreement violated: %v delivered somewhere but not at correct p%d", id, p)
-			}
-		}
-	}
-}
-
 func at(msf float64) sim.Time { return sim.Time(0).Add(sim.Millis(msf)) }
 
 func TestSingleBroadcastLatency(t *testing.T) {
@@ -221,11 +145,7 @@ func TestSingleBroadcastLatency(t *testing.T) {
 	c := newCluster(clusterOpts{n: 3})
 	c.broadcastAt(0, 0)
 	c.run(time.Second)
-	for p := 0; p < 3; p++ {
-		if len(c.deliveries[p]) != 1 {
-			t.Fatalf("p%d delivered %d messages, want 1", p, len(c.deliveries[p]))
-		}
-	}
+	c.holds(t, proto.Destinations)
 	if got := c.deliveries[0][0].at; got != at(7) {
 		t.Fatalf("coordinator A-delivered at %v, want 7ms", got)
 	}
@@ -248,7 +168,7 @@ func TestNonCoordinatorBroadcastLatency(t *testing.T) {
 	if first != at(9) {
 		t.Fatalf("coordinator delivered at %v, want 9ms", first)
 	}
-	c.checkTotalOrder(t)
+	c.holds(t, proto.Prefix)
 }
 
 func TestTotalOrderUnderConcurrentLoad(t *testing.T) {
@@ -260,8 +180,7 @@ func TestTotalOrderUnderConcurrentLoad(t *testing.T) {
 		}
 	}
 	c.run(5 * time.Second)
-	c.checkTotalOrder(t)
-	c.checkAllDelivered(t)
+	c.holds(t, proto.Prefix|proto.Destinations)
 }
 
 func TestAggregationBatchesUnderLoad(t *testing.T) {
@@ -272,7 +191,7 @@ func TestAggregationBatchesUnderLoad(t *testing.T) {
 		c.broadcastAt(proto.PID(i%3), at(float64(i)/4)) // 4 msgs/ms burst
 	}
 	c.run(time.Second)
-	c.checkAllDelivered(t)
+	c.holds(t, proto.Destinations)
 	instances := c.procs[0].NextInstance() - 1
 	if instances == 0 || instances >= 15 {
 		t.Fatalf("30 messages used %d instances; aggregation broken", instances)
@@ -285,8 +204,7 @@ func TestSevenProcesses(t *testing.T) {
 		c.broadcastAt(proto.PID(i%7), at(float64(5*i)))
 	}
 	c.run(time.Second)
-	c.checkTotalOrder(t)
-	c.checkAllDelivered(t)
+	c.holds(t, proto.Prefix|proto.Destinations)
 }
 
 func TestCoordinatorCrashTransient(t *testing.T) {
@@ -298,15 +216,12 @@ func TestCoordinatorCrashTransient(t *testing.T) {
 	c.sys.CrashAt(0, crash)
 	c.broadcastAt(1, crash)
 	c.run(2 * time.Second)
+	c.holds(t, proto.Prefix|proto.Destinations)
 	for p := 1; p < 3; p++ {
-		if len(c.deliveries[p]) != 1 {
-			t.Fatalf("survivor p%d delivered %d, want 1", p, len(c.deliveries[p]))
-		}
 		if got := c.deliveries[p][0].at; got.Sub(crash) <= td {
 			t.Fatalf("delivered at %v, impossibly before detection at %v", got, crash.Add(td))
 		}
 	}
-	c.checkTotalOrder(t)
 }
 
 func TestCrashSteadyNonCoordinator(t *testing.T) {
@@ -316,65 +231,45 @@ func TestCrashSteadyNonCoordinator(t *testing.T) {
 	c.broadcastAt(0, 0)
 	c.broadcastAt(1, at(5))
 	c.run(time.Second)
-	for p := 0; p < 2; p++ {
-		if len(c.deliveries[p]) != 2 {
-			t.Fatalf("p%d delivered %d, want 2", p, len(c.deliveries[p]))
-		}
-	}
 	if len(c.deliveries[2]) != 0 {
 		t.Fatal("pre-crashed process delivered messages")
 	}
-	c.checkTotalOrder(t)
+	c.holds(t, proto.Prefix|proto.Destinations)
 }
 
-func TestCrashSteadyCoordinatorWithRenumbering(t *testing.T) {
-	// The round-1 coordinator is long dead. With renumbering, after the
-	// first decision the proposer (a live process) coordinates round 1 of
-	// later instances: no nacks appear in the steady state.
-	c := newCluster(clusterOpts{n: 3, preCrash: []proto.PID{0}, renumber: true})
-	var nacksLate int
-	cutoff := at(200)
+// lateNacks runs 40 broadcasts from p1 and p2 with the round-1 coordinator
+// p0 long dead, asserts the specification, and counts the nacks sent after
+// the first 200 ms.
+func lateNacks(t *testing.T, renumber bool) int {
+	t.Helper()
+	c := newCluster(clusterOpts{n: 3, preCrash: []proto.PID{0}, renumber: renumber})
+	nacks := 0
 	c.sys.Net.SetTrace(func(ev netmodel.TraceEvent) {
-		if ev.Kind != netmodel.TraceSend {
-			return
-		}
-		if cm, ok := ev.Payload.(*consMsg); ok {
-			if cm.M.Kind == consensus.MsgNack && ev.At > cutoff {
-				nacksLate++
-			}
+		if cm, ok := ev.Payload.(*consMsg); ok && ev.Kind == netmodel.TraceSend && cm.M.Kind == consensus.MsgNack && ev.At > at(200) {
+			nacks++
 		}
 	})
 	for i := 0; i < 40; i++ {
 		c.broadcastAt(proto.PID(1+i%2), at(float64(10*i)))
 	}
 	c.run(2 * time.Second)
-	c.checkTotalOrder(t)
-	c.checkAllDelivered(t)
-	if nacksLate != 0 {
-		t.Fatalf("renumbering left %d steady-state nacks", nacksLate)
+	c.holds(t, proto.Prefix|proto.Destinations)
+	return nacks
+}
+
+func TestCrashSteadyCoordinatorWithRenumbering(t *testing.T) {
+	// With renumbering, after the first decision the proposer (a live
+	// process) coordinates round 1 of later instances: no nacks appear in
+	// the steady state.
+	if n := lateNacks(t, true); n != 0 {
+		t.Fatalf("renumbering left %d steady-state nacks", n)
 	}
 }
 
 func TestCrashSteadyCoordinatorWithoutRenumbering(t *testing.T) {
 	// Control for the renumbering ablation: without it, every instance
 	// pays nacks against the dead round-1 coordinator, forever.
-	c := newCluster(clusterOpts{n: 3, preCrash: []proto.PID{0}, renumber: false})
-	var nacksLate int
-	cutoff := at(200)
-	c.sys.Net.SetTrace(func(ev netmodel.TraceEvent) {
-		if ev.Kind == netmodel.TraceSend {
-			if cm, ok := ev.Payload.(*consMsg); ok && cm.M.Kind == consensus.MsgNack && ev.At > cutoff {
-				nacksLate++
-			}
-		}
-	})
-	for i := 0; i < 40; i++ {
-		c.broadcastAt(proto.PID(1+i%2), at(float64(10*i)))
-	}
-	c.run(2 * time.Second)
-	c.checkTotalOrder(t)
-	c.checkAllDelivered(t)
-	if nacksLate == 0 {
+	if lateNacks(t, false) == 0 {
 		t.Fatal("expected steady-state nacks without renumbering")
 	}
 }
@@ -389,8 +284,7 @@ func TestWrongSuspicionStillDelivers(t *testing.T) {
 		c.sys.FDs.InjectMistake(2, 0, 5*time.Millisecond)
 	})
 	c.run(time.Second)
-	c.checkTotalOrder(t)
-	c.checkAllDelivered(t)
+	c.holds(t, proto.Prefix|proto.Destinations)
 }
 
 func TestSuspicionStormSafety(t *testing.T) {
@@ -405,8 +299,7 @@ func TestSuspicionStormSafety(t *testing.T) {
 		c.broadcastAt(proto.PID(i%3), at(float64(20*i)))
 	}
 	c.run(20 * time.Second)
-	c.checkTotalOrder(t)
-	c.checkAllDelivered(t)
+	c.holds(t, proto.Prefix|proto.Destinations)
 }
 
 func TestUniformAgreementAcrossCrash(t *testing.T) {
@@ -420,8 +313,7 @@ func TestUniformAgreementAcrossCrash(t *testing.T) {
 		victim := proto.PID(seed % 3)
 		c.sys.CrashAt(victim, at(float64(20+seed*2)))
 		c.run(5 * time.Second)
-		c.checkTotalOrder(t)
-		c.checkUniformAgreement(t)
+		c.holds(t, proto.Prefix|proto.Agreement)
 	}
 }
 
@@ -450,31 +342,9 @@ func TestRandomisedFaultSchedules(t *testing.T) {
 			}
 		}
 		c.run(30 * time.Second)
-		c.checkTotalOrder(t)
-		c.checkUniformAgreement(t)
-		// Messages from correct senders must be everywhere; messages from
-		// crashed senders may or may not have made it (validity only
-		// covers correct senders).
-		for id, when := range c.sent {
-			if crashedSet[id.Origin] {
-				continue
-			}
-			for p := 0; p < n; p++ {
-				if c.sys.Proc(proto.PID(p)).Crashed() {
-					continue
-				}
-				found := false
-				for _, d := range c.deliveries[p] {
-					if d.id == id {
-						found = true
-						break
-					}
-				}
-				if !found {
-					t.Fatalf("seed %d: message %v (sent %v) missing at p%d", seed, id, when, p)
-				}
-			}
-		}
+		// Validity covers correct senders only: messages from crashed
+		// senders may or may not have made it.
+		c.holds(t, proto.Prefix|proto.Agreement|proto.Validity)
 	}
 }
 
@@ -496,7 +366,7 @@ func TestGarbageCollectionBoundsState(t *testing.T) {
 		c.broadcastAt(proto.PID(i%3), at(float64(15*i)))
 	}
 	c.run(10 * time.Second)
-	c.checkAllDelivered(t)
+	c.holds(t, proto.Destinations)
 	p := c.procs[0]
 	if p.NextInstance() < 100 {
 		t.Fatalf("expected many instances, got %d", p.NextInstance())
@@ -549,8 +419,7 @@ func TestRenumberingUnderSustainedSuspicions(t *testing.T) {
 		c.broadcastAt(proto.PID(i%3), at(float64(3*i)))
 	}
 	c.run(10 * time.Second)
-	c.checkTotalOrder(t)
-	c.checkAllDelivered(t)
+	c.holds(t, proto.Prefix|proto.Destinations)
 }
 
 func TestHandlerSurface(t *testing.T) {
@@ -676,6 +545,7 @@ func TestDecidedBatchesNeverChange(t *testing.T) {
 				c.sys.SetHandler(proto.PID(p), watched{c.procs[p], func() { scan(p) }})
 			}
 		}
+		c.hist = proto.NewHistory(n)
 		clear(c.sent)
 		clear(c.bodies)
 		c.sys.Start()
@@ -685,8 +555,7 @@ func TestDecidedBatchesNeverChange(t *testing.T) {
 			c.broadcastAt(proto.PID(i%n), at(float64(i)/2))
 		}
 		c.run(10 * time.Second)
-		c.checkTotalOrder(t)
-		c.checkAllDelivered(t)
+		c.holds(t, proto.Prefix|proto.Destinations)
 		if estimates == 0 {
 			t.Fatalf("run %d: no round-2 estimate was sent", r)
 		}

@@ -11,22 +11,18 @@ import (
 	"repro/internal/sim"
 )
 
-// groupsHarness runs one groups-mode core and records every delivery in
-// order per process.
+// groupsHarness runs one groups-mode core and records every multicast
+// and delivery in a specification history.
 type groupsHarness struct {
-	core  *Core
-	m     *groups.GroupMap
-	seq   map[proto.PID][]proto.MsgID // delivery order per process
-	count map[proto.MsgID]map[proto.PID]int
+	core *Core
+	m    *groups.GroupMap
+	hist *proto.History
+	sent int
 }
 
 func newGroupsHarness(t *testing.T, alg Algorithm, m *groups.GroupMap, qos fd.QoS, pre []proto.PID) *groupsHarness {
 	t.Helper()
-	h := &groupsHarness{
-		m:     m,
-		seq:   make(map[proto.PID][]proto.MsgID),
-		count: make(map[proto.MsgID]map[proto.PID]int),
-	}
+	h := &groupsHarness{m: m, hist: proto.NewHistory(m.N())}
 	h.core = NewCore(CoreConfig{
 		Algorithm:  alg,
 		N:          m.N(),
@@ -36,13 +32,7 @@ func newGroupsHarness(t *testing.T, alg Algorithm, m *groups.GroupMap, qos fd.Qo
 		Renumber:   alg == FD,
 		Seed:       42,
 		PreCrashed: pre,
-		Deliver: func(p proto.PID, id proto.MsgID, body any, at sim.Time) {
-			h.seq[p] = append(h.seq[p], id)
-			if h.count[id] == nil {
-				h.count[id] = make(map[proto.PID]int)
-			}
-			h.count[id][p]++
-		},
+		Deliver:    func(p proto.PID, id proto.MsgID, _ any, _ sim.Time) { h.hist.Deliver(p, id) },
 	})
 	return h
 }
@@ -52,62 +42,24 @@ func (h *groupsHarness) at(msec float64, fn func()) {
 	h.core.Eng.Schedule(sim.Time(0).Add(sim.Millis(msec)), fn)
 }
 
-// checkAgreement asserts the defining properties of genuine atomic
-// multicast over the recorded run: (1) a message reaches every live
-// member of its destination groups exactly once and nobody else;
-// (2) any two processes deliver their common messages in the same
-// relative order.
-func (h *groupsHarness) checkAgreement(t *testing.T, dests map[proto.MsgID][]int, crashed map[proto.PID]bool) {
+// record notes the multicast of id to the groups gs.
+func (h *groupsHarness) record(id proto.MsgID, gs ...int) {
+	var to []proto.PID
+	for _, g := range gs {
+		to = append(to, h.m.Members(g)...)
+	}
+	h.hist.Multicast(id, to)
+	h.sent++
+}
+
+// holds fails t unless the run meets genuine atomic multicast's
+// specification: every message reaches each live member of its
+// destination groups exactly once and nobody else, and any two processes
+// deliver their common messages in the same relative order.
+func (h *groupsHarness) holds(t *testing.T) {
 	t.Helper()
-	for id, gs := range dests {
-		for _, g := range gs {
-			for _, p := range h.m.Members(g) {
-				if crashed[p] {
-					continue
-				}
-				if got := h.count[id][p]; got != 1 {
-					t.Errorf("message %s to groups %v: member %d delivered %d times, want 1", id, gs, p, got)
-				}
-			}
-		}
-		for p, n := range h.count[id] {
-			member := false
-			for _, g := range gs {
-				if h.m.Contains(g, p) {
-					member = true
-				}
-			}
-			if !member && n > 0 {
-				t.Errorf("message %s to groups %v delivered at non-member %d", id, gs, p)
-			}
-		}
-	}
-	pids := make([]proto.PID, 0, h.m.N())
-	for p := 0; p < h.m.N(); p++ {
-		pids = append(pids, proto.PID(p))
-	}
-	for i, p := range pids {
-		for _, q := range pids[i+1:] {
-			common := func(a, b proto.PID) []proto.MsgID {
-				var out []proto.MsgID
-				for _, id := range h.seq[a] {
-					if h.count[id][b] > 0 {
-						out = append(out, id)
-					}
-				}
-				return out
-			}
-			cp, cq := common(p, q), common(q, p)
-			if len(cp) != len(cq) {
-				t.Fatalf("processes %d/%d deliver different common sets: %d vs %d", p, q, len(cp), len(cq))
-			}
-			for k := range cp {
-				if cp[k] != cq[k] {
-					t.Fatalf("processes %d and %d disagree on order: position %d is %s vs %s\n p%d: %v\n p%d: %v",
-						p, q, k, cp[k], cq[k], p, cp, q, cq)
-				}
-			}
-		}
+	if err := h.hist.Check(proto.Order|proto.Destinations, func(p proto.PID) bool { return !h.core.Sys.Proc(p).Crashed() }); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -116,20 +68,16 @@ func (h *groupsHarness) checkAgreement(t *testing.T, dests map[proto.MsgID][]int
 func TestGroupsDisjointShardLocalOrder(t *testing.T) {
 	m := groups.Disjoint(6, 2)
 	h := newGroupsHarness(t, FD, m, fd.QoS{}, nil)
-	dests := make(map[proto.MsgID][]int)
 	for i := 0; i < 12; i++ {
 		p := proto.PID(i % 6)
 		home := m.Home(p)
 		i := i
-		h.at(float64(i*7), func() {
-			id := h.core.Bcast[p](i)
-			dests[id] = []int{home}
-		})
+		h.at(float64(i*7), func() { h.record(h.core.Bcast[p](i), home) })
 	}
 	h.core.Eng.Run()
-	h.checkAgreement(t, dests, nil)
-	if len(dests) != 12 {
-		t.Fatalf("issued %d messages, want 12", len(dests))
+	h.holds(t)
+	if h.sent != 12 {
+		t.Fatalf("issued %d messages, want 12", h.sent)
 	}
 }
 
@@ -140,24 +88,22 @@ func TestGroupsChainedCrossGroupOrder(t *testing.T) {
 	m := groups.Chained(7, 3)
 	for _, alg := range []Algorithm{FD, GM} {
 		h := newGroupsHarness(t, alg, m, fd.QoS{}, nil)
-		dests := make(map[proto.MsgID][]int)
-		record := func(id proto.MsgID, gs ...int) { dests[id] = gs }
 		// Interleave shard-local sends from every process with
 		// multi-group sends spanning adjacent and distant groups.
 		for i := 0; i < 9; i++ {
 			p := proto.PID(i % 7)
 			home := m.Home(p)
 			i := i
-			h.at(float64(i*11), func() { record(h.core.Bcast[p](i), home) })
+			h.at(float64(i*11), func() { h.record(h.core.Bcast[p](i), home) })
 		}
-		h.at(5, func() { record(h.core.Mcast(0, []int{0, 1}, "a"), 0, 1) })
-		h.at(17, func() { record(h.core.Mcast(6, []int{0, 2}, "b"), 0, 2) })
-		h.at(23, func() { record(h.core.Mcast(3, []int{0, 1, 2}, "c"), 0, 1, 2) })
-		h.at(31, func() { record(h.core.Mcast(5, []int{1, 2}, "d"), 1, 2) })
+		h.at(5, func() { h.record(h.core.Mcast(0, []int{0, 1}, "a"), 0, 1) })
+		h.at(17, func() { h.record(h.core.Mcast(6, []int{0, 2}, "b"), 0, 2) })
+		h.at(23, func() { h.record(h.core.Mcast(3, []int{0, 1, 2}, "c"), 0, 1, 2) })
+		h.at(31, func() { h.record(h.core.Mcast(5, []int{1, 2}, "d"), 1, 2) })
 		h.core.Eng.Run()
-		h.checkAgreement(t, dests, nil)
-		if len(dests) != 13 {
-			t.Fatalf("%v: issued %d messages, want 13", alg, len(dests))
+		h.holds(t)
+		if h.sent != 13 {
+			t.Fatalf("%v: issued %d messages, want 13", alg, h.sent)
 		}
 	}
 }
@@ -167,17 +113,16 @@ func TestGroupsChainedCrossGroupOrder(t *testing.T) {
 func TestGroupsCliqueOverlapOrder(t *testing.T) {
 	m := groups.CliqueOverlap(7, 3)
 	h := newGroupsHarness(t, FD, m, fd.QoS{}, nil)
-	dests := make(map[proto.MsgID][]int)
 	for i := 0; i < 6; i++ {
 		p := proto.PID((i % 6) + 1)
 		home := m.Home(p)
 		i := i
-		h.at(float64(i*13), func() { dests[h.core.Bcast[p](i)] = []int{home} })
+		h.at(float64(i*13), func() { h.record(h.core.Bcast[p](i), home) })
 	}
-	h.at(9, func() { dests[h.core.Mcast(0, []int{0, 1, 2}, "x")] = []int{0, 1, 2} })
-	h.at(29, func() { dests[h.core.Mcast(2, []int{0, 2}, "y")] = []int{0, 2} })
+	h.at(9, func() { h.record(h.core.Mcast(0, []int{0, 1, 2}, "x"), 0, 1, 2) })
+	h.at(29, func() { h.record(h.core.Mcast(2, []int{0, 2}, "y"), 0, 2) })
 	h.core.Eng.Run()
-	h.checkAgreement(t, dests, nil)
+	h.holds(t)
 }
 
 // A crash in one shard leaves the other shard's members agreeing and
@@ -187,17 +132,15 @@ func TestGroupsCrashInOneShard(t *testing.T) {
 	m := groups.Disjoint(6, 2)
 	qos := fd.QoS{TD: 30 * time.Millisecond}
 	h := newGroupsHarness(t, FD, m, qos, nil)
-	dests := make(map[proto.MsgID][]int)
-	crashed := map[proto.PID]bool{5: true}
 	h.at(40, func() { h.core.Sys.Crash(5) })
 	for i := 0; i < 12; i++ {
 		p := proto.PID(i % 5) // senders stay alive
 		home := m.Home(p)
 		i := i
-		h.at(float64(i*15), func() { dests[h.core.Bcast[p](i)] = []int{home} })
+		h.at(float64(i*15), func() { h.record(h.core.Bcast[p](i), home) })
 	}
 	h.core.Eng.Run()
-	h.checkAgreement(t, dests, crashed)
+	h.holds(t)
 }
 
 // Regression: a cross-shard message whose dissemination gram is lost to
@@ -210,19 +153,18 @@ func TestGroupsCrashInOneShard(t *testing.T) {
 func TestGroupsCrossShardSurvivesPartitionedGram(t *testing.T) {
 	m := groups.Disjoint(6, 2)
 	h := newGroupsHarness(t, FD, m, fd.QoS{TD: 10 * time.Millisecond}, nil)
-	dests := make(map[proto.MsgID][]int)
 	// Cut shard 1 off before the cross-shard message is sent.
 	h.at(20, func() {
 		h.core.Sys.Partition([][]proto.PID{{0, 1, 2}, {3, 4, 5}})
 	})
-	h.at(50, func() { dests[h.core.Mcast(0, []int{0, 1}, "x")] = []int{0, 1} })
+	h.at(50, func() { h.record(h.core.Mcast(0, []int{0, 1}, "x"), 0, 1) })
 	// Shard-local traffic keeps both shards' agreed streams moving
 	// through the cut — the wedge is purely in the cross-shard merge.
 	for i := 0; i < 8; i++ {
 		p := proto.PID(i % 6)
 		home := m.Home(p)
 		i := i
-		h.at(float64(30+i*17), func() { dests[h.core.Bcast[p](i)] = []int{home} })
+		h.at(float64(30+i*17), func() { h.record(h.core.Bcast[p](i), home) })
 	}
 	h.at(600, func() {
 		h.core.Sys.Heal()
@@ -231,7 +173,7 @@ func TestGroupsCrossShardSurvivesPartitionedGram(t *testing.T) {
 	// Without the retransmit the stall probe re-arms forever; bound the
 	// run instead of relying on event exhaustion.
 	h.core.Eng.RunUntil(sim.Time(0).Add(5 * time.Second))
-	h.checkAgreement(t, dests, nil)
+	h.holds(t)
 }
 
 // A pre-crashed member never participates: GM instances start with the
@@ -239,15 +181,14 @@ func TestGroupsCrossShardSurvivesPartitionedGram(t *testing.T) {
 func TestGroupsPreCrashedMember(t *testing.T) {
 	m := groups.Disjoint(6, 2)
 	h := newGroupsHarness(t, GM, m, fd.QoS{}, []proto.PID{4})
-	dests := make(map[proto.MsgID][]int)
 	for i := 0; i < 8; i++ {
 		p := proto.PID(i % 4) // skip group 1's crashed member and 5
 		home := m.Home(p)
 		i := i
-		h.at(float64(i*9), func() { dests[h.core.Bcast[p](i)] = []int{home} })
+		h.at(float64(i*9), func() { h.record(h.core.Bcast[p](i), home) })
 	}
 	h.core.Eng.Run()
-	h.checkAgreement(t, dests, map[proto.PID]bool{4: true})
+	h.holds(t)
 }
 
 // A GroupMaps sweep is bit-identical at any worker count, trace digests

@@ -30,6 +30,8 @@ type rig struct {
 	wire      []wireMsg
 	envelopes int
 	delivered map[proto.PID][]proto.MsgID
+	// hist is the specification history of every multicast and delivery.
+	hist *proto.History
 	// inits logs every gram a process a-broadcast into one of its group
 	// instances; groupDelivered, when set, sees every body an instance
 	// delivers, before the Router does; resume holds each process's
@@ -69,7 +71,7 @@ func (tp *tap) OnMessage(from proto.PID, payload any) {
 
 func newRig(t *testing.T, m *GroupMap) *rig {
 	t.Helper()
-	g := &rig{t: t, m: m, delivered: make(map[proto.PID][]proto.MsgID), resume: make([][]func(), m.N())}
+	g := &rig{t: t, m: m, delivered: make(map[proto.PID][]proto.MsgID), hist: proto.NewHistory(m.N()), resume: make([][]func(), m.N())}
 	g.sys = proto.NewSystem(sim.New(), netmodel.DefaultConfig(m.N()), fd.QoS{}, sim.NewRand(7))
 	factory := func(ic InstanceConfig) Endpoint {
 		self := ic.Members[ic.Local]
@@ -93,6 +95,7 @@ func newRig(t *testing.T, m *GroupMap) *rig {
 	}
 	g.coord = NewCoordinator(g.sys, m, nil, factory, func(p proto.PID, id proto.MsgID, _ any, _ sim.Time) {
 		g.delivered[p] = append(g.delivered[p], id)
+		g.hist.Deliver(p, id)
 	})
 	for p := 0; p < m.N(); p++ {
 		pid := proto.PID(p)
@@ -107,7 +110,13 @@ func newRig(t *testing.T, m *GroupMap) *rig {
 func (g *rig) run(d time.Duration) { g.sys.Eng.RunUntil(g.sys.Eng.Now().Add(d)) }
 
 func (g *rig) multicast(p proto.PID, dests ...int) proto.MsgID {
-	return g.coord.Router(p).Multicast(dests, fmt.Sprintf("body of %d", p))
+	id := g.coord.Router(p).Multicast(dests, fmt.Sprintf("body of %d", p))
+	var to []proto.PID
+	for _, gid := range dests {
+		to = append(to, g.m.Members(gid)...)
+	}
+	g.hist.Multicast(id, to)
+	return id
 }
 
 // recover revives crashed process p in place and arms its instances'
@@ -342,7 +351,7 @@ func TestRetainedGramsNeverChange(t *testing.T) {
 
 	const msgs, crashed = 900, proto.PID(3)
 	start := g.sys.Eng.Now()
-	sent := make(map[proto.MsgID][]int)
+	sent := 0
 	for i := 0; i < msgs; i++ {
 		p := proto.PID(i % 9)
 		home := int(p) / 3
@@ -355,7 +364,8 @@ func TestRetainedGramsNeverChange(t *testing.T) {
 		}
 		g.sys.Eng.Schedule(start.Add(time.Duration(i)*10*time.Millisecond), func() {
 			if !g.sys.Proc(p).Crashed() {
-				sent[g.multicast(p, dests...)] = dests
+				g.multicast(p, dests...)
+				sent++
 			}
 		})
 	}
@@ -379,46 +389,17 @@ func TestRetainedGramsNeverChange(t *testing.T) {
 			fallbacks++
 		}
 	}
-	if fallbacks == 0 || len(advances) == 0 || len(sent) < msgs-msgs/9 {
+	if fallbacks == 0 || len(advances) == 0 || sent < msgs-msgs/9 {
 		t.Fatalf("the run did not exercise the fence: %d fallback initiations, %d advances, %d of %d multicasts sent",
-			fallbacks, len(advances), len(sent), msgs)
+			fallbacks, len(advances), sent, msgs)
 	}
 
 	// Every destination member other than the recovered one delivered
 	// every message once; the recovered one delivered none twice (it may
 	// stay stalled: ROADMAP 3g). Any two processes delivered the messages
 	// they share in one order.
-	count := make([]map[proto.MsgID]int, g.m.N())
-	for p := range count {
-		count[p] = make(map[proto.MsgID]int)
-		for _, id := range g.delivered[proto.PID(p)] {
-			count[p][id]++
-		}
-	}
-	for id, dests := range sent {
-		for p := range count {
-			in := slices.ContainsFunc(dests, func(gid int) bool { return g.m.Contains(gid, proto.PID(p)) })
-			if n := count[p][id]; !in && n != 0 || in && (n > 1 || n == 0 && p != int(crashed)) {
-				t.Errorf("process %d delivered %s %d times, want %d", p, id, n, map[bool]int{true: 1}[in])
-			}
-		}
-	}
-	for p := 0; p < g.m.N(); p++ {
-		for q := p + 1; q < g.m.N(); q++ {
-			pos := make(map[proto.MsgID]int)
-			for i, id := range g.delivered[proto.PID(q)] {
-				pos[id] = i
-			}
-			last := -1
-			for _, id := range g.delivered[proto.PID(p)] {
-				if i, ok := pos[id]; ok {
-					if i < last {
-						t.Fatalf("processes %d and %d delivered %s in different orders", p, q, id)
-					}
-					last = i
-				}
-			}
-		}
+	if err := g.hist.Check(proto.Order|proto.Destinations, func(p proto.PID) bool { return p != crashed }); err != nil {
+		t.Fatal(err)
 	}
 }
 

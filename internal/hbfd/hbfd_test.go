@@ -152,7 +152,7 @@ func TestAtomicBroadcastOverHeartbeatDetector(t *testing.T) {
 	const n = 3
 	eng := sim.New()
 	sys := proto.NewSystem(eng, netmodel.DefaultConfig(n), fd.QoS{}, sim.NewRand(1))
-	deliveries := make([][]proto.MsgID, n)
+	hist := proto.NewHistory(n)
 	abcs := make([]*ctabcast.Process, n)
 	for i := 0; i < n; i++ {
 		i := i
@@ -161,9 +161,7 @@ func TestAtomicBroadcastOverHeartbeatDetector(t *testing.T) {
 			func(rt proto.Runtime) proto.Handler {
 				abcs[i] = ctabcast.New(rt, ctabcast.Config{
 					Renumber: true,
-					Deliver: func(id proto.MsgID, body any) {
-						deliveries[i] = append(deliveries[i], id)
-					},
+					Deliver:  func(id proto.MsgID, body any) { hist.Deliver(proto.PID(i), id) },
 				})
 				return abcs[i]
 			})
@@ -175,7 +173,7 @@ func TestAtomicBroadcastOverHeartbeatDetector(t *testing.T) {
 		k := k
 		eng.Schedule(at(float64(10*k)), func() {
 			if !sys.Proc(proto.PID(k % n)).Crashed() {
-				abcs[k%n].ABroadcast(fmt.Sprintf("m%d", k))
+				hist.Broadcast(abcs[k%n].ABroadcast(fmt.Sprintf("m%d", k)))
 			}
 		})
 	}
@@ -183,16 +181,8 @@ func TestAtomicBroadcastOverHeartbeatDetector(t *testing.T) {
 	eng.RunUntil(at(5000))
 
 	// Survivors agree on one order and delivered the survivors' messages.
-	if len(deliveries[1]) == 0 {
-		t.Fatal("no deliveries at p1")
-	}
-	if len(deliveries[1]) != len(deliveries[2]) {
-		t.Fatalf("delivery counts differ: %d vs %d", len(deliveries[1]), len(deliveries[2]))
-	}
-	for i := range deliveries[1] {
-		if deliveries[1][i] != deliveries[2][i] {
-			t.Fatalf("order mismatch at %d", i)
-		}
+	if err := hist.Check(proto.Prefix|proto.Agreement|proto.Validity, func(p proto.PID) bool { return p != 0 }); err != nil {
+		t.Fatal(err)
 	}
 }
 

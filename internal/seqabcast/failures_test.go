@@ -21,12 +21,7 @@ func TestSequencerCrashMidBatch(t *testing.T) {
 	c.broadcastAt(1, at(40))
 	c.sys.CrashAt(0, at(46.5))
 	c.run(2 * time.Second)
-	for p := 1; p < 3; p++ {
-		if len(c.deliveries[p]) != 1 {
-			t.Fatalf("survivor p%d delivered %d, want 1", p, len(c.deliveries[p]))
-		}
-	}
-	c.checkTotalOrder(t)
+	c.holds(t, proto.Prefix|proto.Destinations)
 }
 
 // TestSequencerCrashAfterPartialDeliver crashes the sequencer right after
@@ -39,8 +34,7 @@ func TestSequencerCrashAfterPartialDeliver(t *testing.T) {
 		c.broadcastAt(1, at(40))
 		c.sys.CrashAt(0, at(crashMs))
 		c.run(2 * time.Second)
-		c.checkTotalOrder(t)
-		c.checkUniformAgreement(t)
+		c.holds(t, proto.Prefix|proto.Agreement)
 	}
 }
 
@@ -55,32 +49,14 @@ func TestCascadingCrashes(t *testing.T) {
 	c.sys.CrashAt(0, at(100)) // sequencer
 	c.sys.CrashAt(1, at(200)) // its successor
 	c.run(3 * time.Second)
-	c.checkTotalOrder(t)
-	c.checkUniformAgreement(t)
+	// All messages from correct senders must be everywhere.
+	c.holds(t, proto.Prefix|proto.Agreement|proto.Validity)
 	v := c.procs[2].View()
 	if v.Contains(0) || v.Contains(1) {
 		t.Fatalf("final view %v contains crashed members", v)
 	}
 	if v.Primary() != 2 {
 		t.Fatalf("sequencer = %d, want 2", v.Primary())
-	}
-	// All messages from correct senders must be everywhere.
-	for id := range c.sent {
-		if id.Origin == 0 || id.Origin == 1 {
-			continue
-		}
-		for p := 2; p < 5; p++ {
-			found := false
-			for _, d := range c.deliveries[p] {
-				if d.id == id {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Fatalf("%v missing at p%d", id, p)
-			}
-		}
 	}
 }
 
@@ -96,8 +72,7 @@ func TestCrashDuringViewChange(t *testing.T) {
 	// Detection at 60ms starts the change; crash p1 at 62ms, mid-flush.
 	c.sys.CrashAt(1, at(62))
 	c.run(3 * time.Second)
-	c.checkTotalOrder(t)
-	c.checkUniformAgreement(t)
+	c.holds(t, proto.Prefix|proto.Agreement)
 	v := c.procs[2].View()
 	if v.Contains(0) || v.Contains(1) {
 		t.Fatalf("final view %v contains crashed members", v)
@@ -117,8 +92,7 @@ func TestSimultaneousWrongSuspicions(t *testing.T) {
 		c.broadcastAt(proto.PID(i%5), at(float64(10+4*i)))
 	}
 	c.run(3 * time.Second)
-	c.checkTotalOrder(t)
-	c.checkAllDelivered(t)
+	c.holds(t, proto.Prefix|proto.Destinations)
 	// Everyone back in after the mistakes end.
 	v := c.procs[0].View()
 	if len(v.Members) != 5 {
@@ -138,8 +112,7 @@ func TestSuspicionOfSequencerMovesIt(t *testing.T) {
 		c.broadcastAt(proto.PID(i%3), at(float64(10+8*i)))
 	}
 	c.run(3 * time.Second)
-	c.checkTotalOrder(t)
-	c.checkAllDelivered(t)
+	c.holds(t, proto.Prefix|proto.Destinations)
 	v := c.procs[1].View()
 	if len(v.Members) != 3 {
 		t.Fatalf("final view %v, want 3 members", v)
@@ -163,18 +136,7 @@ func TestBroadcastDuringViewChangeDeliveredOnce(t *testing.T) {
 		c.broadcastAt(proto.PID(int(ms)%2), at(ms))
 	}
 	c.run(2 * time.Second)
-	c.checkTotalOrder(t)
-	c.checkAllDelivered(t)
-	// No duplicates at any survivor.
-	for p := 0; p < 2; p++ {
-		seen := map[proto.MsgID]int{}
-		for _, d := range c.deliveries[p] {
-			seen[d.id]++
-			if seen[d.id] > 1 {
-				t.Fatalf("p%d delivered %v twice", p, d.id)
-			}
-		}
-	}
+	c.holds(t, proto.Prefix|proto.Destinations)
 }
 
 // TestStateTransferCoversLongExclusion: many messages are delivered while
@@ -189,8 +151,7 @@ func TestStateTransferCoversLongExclusion(t *testing.T) {
 		c.broadcastAt(proto.PID(i%2), at(float64(10+4*i))) // senders 0 and 1 only
 	}
 	c.run(3 * time.Second)
-	c.checkTotalOrder(t)
-	c.checkAllDelivered(t)
+	c.holds(t, proto.Prefix|proto.Destinations)
 	if got, want := c.procs[2].DeliveredCount(), c.procs[0].DeliveredCount(); got != want {
 		t.Fatalf("rejoined p2 delivered %d, members delivered %d", got, want)
 	}
@@ -208,22 +169,8 @@ func TestNonUniformSequencerCrash(t *testing.T) {
 	}
 	c.sys.CrashAt(0, at(60))
 	c.run(2 * time.Second)
-	c.checkTotalOrder(t)
 	// All messages from the surviving senders must reach both survivors.
-	for id := range c.sent {
-		for p := 1; p < 3; p++ {
-			found := false
-			for _, d := range c.deliveries[p] {
-				if d.id == id {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Fatalf("%v missing at p%d", id, p)
-			}
-		}
-	}
+	c.holds(t, proto.Prefix|proto.Validity)
 }
 
 func TestNonUniformWrongSuspicionExclusionRejoin(t *testing.T) {
@@ -236,8 +183,7 @@ func TestNonUniformWrongSuspicionExclusionRejoin(t *testing.T) {
 		c.broadcastAt(proto.PID(i%3), at(float64(10+4*i)))
 	}
 	c.run(3 * time.Second)
-	c.checkTotalOrder(t)
-	c.checkAllDelivered(t)
+	c.holds(t, proto.Prefix|proto.Destinations)
 	if c.procs[2].IsExcluded() {
 		t.Fatal("p2 still excluded after mistake ended")
 	}
@@ -260,7 +206,7 @@ func TestSequencerBatchingUnderBurst(t *testing.T) {
 		c.broadcastAt(proto.PID(i%3), at(float64(i)/5)) // 5 msgs per ms
 	}
 	c.run(time.Second)
-	c.checkAllDelivered(t)
+	c.holds(t, proto.Destinations)
 	if seqnums >= 20 {
 		t.Fatalf("40 messages used %d seqnum multicasts; batching broken", seqnums)
 	}

@@ -20,7 +20,7 @@ type cluster struct {
 	sys        *proto.System
 	procs      []*Process
 	deliveries [][]delivery
-	sent       map[proto.MsgID]sim.Time
+	hist       *proto.History
 }
 
 type delivery struct {
@@ -69,7 +69,7 @@ func newCluster(o clusterOpts) *cluster {
 		sys:        sys,
 		procs:      make([]*Process, o.n),
 		deliveries: make([][]delivery, o.n),
-		sent:       make(map[proto.MsgID]sim.Time),
+		hist:       proto.NewHistory(o.n),
 	}
 	for i := 0; i < o.n; i++ {
 		i := i
@@ -78,6 +78,7 @@ func newCluster(o clusterOpts) *cluster {
 			InitialMembers: o.members,
 			Deliver: func(id proto.MsgID, body any) {
 				c.deliveries[i] = append(c.deliveries[i], delivery{id: id, at: eng.Now()})
+				c.hist.Deliver(proto.PID(i), id)
 			},
 		})
 		var h proto.Handler = c.procs[i]
@@ -95,8 +96,7 @@ func newCluster(o clusterOpts) *cluster {
 
 func (c *cluster) broadcastAt(p proto.PID, at sim.Time) {
 	c.eng.Schedule(at, func() {
-		id := c.procs[p].ABroadcast(fmt.Sprintf("m-%d-%v", p, at))
-		c.sent[id] = at
+		c.hist.Broadcast(c.procs[p].ABroadcast(fmt.Sprintf("m-%d-%v", p, at)))
 	})
 }
 
@@ -104,89 +104,12 @@ func (c *cluster) run(horizon time.Duration) {
 	c.eng.RunUntil(sim.Time(0).Add(horizon))
 }
 
-func (c *cluster) ids(p int) []proto.MsgID {
-	out := make([]proto.MsgID, len(c.deliveries[p]))
-	for i, d := range c.deliveries[p] {
-		out[i] = d.id
-	}
-	return out
-}
-
-func (c *cluster) checkTotalOrder(t *testing.T) {
+// holds fails t unless the run meets the clauses of the specification over
+// the processes that are up now.
+func (c *cluster) holds(t *testing.T, clauses proto.Clause) {
 	t.Helper()
-	ref := -1
-	for p := range c.procs {
-		if c.sys.Proc(proto.PID(p)).Crashed() {
-			continue
-		}
-		if ref < 0 || len(c.deliveries[p]) > len(c.deliveries[ref]) {
-			ref = p
-		}
-	}
-	if ref < 0 {
-		t.Fatal("no correct process")
-	}
-	refIDs := c.ids(ref)
-	seen := make(map[proto.MsgID]bool, len(refIDs))
-	for _, id := range refIDs {
-		if seen[id] {
-			t.Fatalf("duplicate delivery of %v at p%d", id, ref)
-		}
-		seen[id] = true
-	}
-	for p := range c.procs {
-		if p == ref || c.sys.Proc(proto.PID(p)).Crashed() {
-			continue
-		}
-		ids := c.ids(p)
-		for i := range ids {
-			if i >= len(refIDs) || ids[i] != refIDs[i] {
-				t.Fatalf("order mismatch at index %d: p%d has %v, p%d has %v",
-					i, p, ids[i], ref, refIDs[i])
-			}
-		}
-	}
-}
-
-func (c *cluster) checkAllDelivered(t *testing.T) {
-	t.Helper()
-	for p := range c.procs {
-		if c.sys.Proc(proto.PID(p)).Crashed() {
-			continue
-		}
-		got := make(map[proto.MsgID]bool)
-		for _, d := range c.deliveries[p] {
-			got[d.id] = true
-		}
-		for id := range c.sent {
-			if !got[id] {
-				t.Fatalf("p%d never delivered %v (%d/%d delivered)", p, id, len(got), len(c.sent))
-			}
-		}
-	}
-}
-
-func (c *cluster) checkUniformAgreement(t *testing.T) {
-	t.Helper()
-	everywhere := make(map[proto.MsgID]bool)
-	for p := range c.procs {
-		for _, d := range c.deliveries[p] {
-			everywhere[d.id] = true
-		}
-	}
-	for p := range c.procs {
-		if c.sys.Proc(proto.PID(p)).Crashed() {
-			continue
-		}
-		got := make(map[proto.MsgID]bool)
-		for _, d := range c.deliveries[p] {
-			got[d.id] = true
-		}
-		for id := range everywhere {
-			if !got[id] {
-				t.Fatalf("uniform agreement violated: %v missing at correct p%d", id, p)
-			}
-		}
+	if err := c.hist.Check(clauses, func(p proto.PID) bool { return !c.sys.Proc(p).Crashed() }); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -201,11 +124,7 @@ func TestSingleBroadcastLatencyMatchesFDAlgorithm(t *testing.T) {
 	c := newCluster(clusterOpts{n: 3})
 	c.broadcastAt(0, 0)
 	c.run(time.Second)
-	for p := 0; p < 3; p++ {
-		if len(c.deliveries[p]) != 1 {
-			t.Fatalf("p%d delivered %d, want 1", p, len(c.deliveries[p]))
-		}
-	}
+	c.holds(t, proto.Destinations)
 	if got := c.deliveries[0][0].at; got != at(7) {
 		t.Fatalf("sequencer delivered at %v, want 7ms", got)
 	}
@@ -224,8 +143,7 @@ func TestTotalOrderUnderConcurrentLoad(t *testing.T) {
 		}
 	}
 	c.run(5 * time.Second)
-	c.checkTotalOrder(t)
-	c.checkAllDelivered(t)
+	c.holds(t, proto.Prefix|proto.Destinations)
 }
 
 func TestSevenProcesses(t *testing.T) {
@@ -234,8 +152,7 @@ func TestSevenProcesses(t *testing.T) {
 		c.broadcastAt(proto.PID(i%7), at(float64(5*i)))
 	}
 	c.run(time.Second)
-	c.checkTotalOrder(t)
-	c.checkAllDelivered(t)
+	c.holds(t, proto.Prefix|proto.Destinations)
 }
 
 func TestSequencerCrashTriggersViewChange(t *testing.T) {
@@ -245,15 +162,12 @@ func TestSequencerCrashTriggersViewChange(t *testing.T) {
 	c.sys.CrashAt(0, crash)
 	c.broadcastAt(1, crash) // broadcast at the crash instant
 	c.run(2 * time.Second)
+	c.holds(t, proto.Prefix|proto.Destinations)
 	for p := 1; p < 3; p++ {
-		if len(c.deliveries[p]) != 1 {
-			t.Fatalf("survivor p%d delivered %d, want 1", p, len(c.deliveries[p]))
-		}
 		if got := c.deliveries[p][0].at; got.Sub(crash) <= td {
 			t.Fatalf("delivery at %v before detection completed", got)
 		}
 	}
-	c.checkTotalOrder(t)
 	// The view excludes the sequencer; p1 takes over.
 	v := c.procs[1].View()
 	if v.Contains(0) || v.Primary() != 1 {
@@ -274,8 +188,7 @@ func TestNonSequencerCrashAlsoCostsAViewChange(t *testing.T) {
 	if v.ID != 2 || v.Contains(2) {
 		t.Fatalf("view = %v, want second view without p2", v)
 	}
-	c.checkTotalOrder(t)
-	c.checkAllDelivered(t)
+	c.holds(t, proto.Prefix|proto.Destinations)
 }
 
 func TestInFlightMessagesSurviveViewChange(t *testing.T) {
@@ -288,9 +201,7 @@ func TestInFlightMessagesSurviveViewChange(t *testing.T) {
 	}
 	c.sys.CrashAt(0, at(50))
 	c.run(2 * time.Second)
-	c.checkTotalOrder(t)
-	c.checkAllDelivered(t)
-	c.checkUniformAgreement(t)
+	c.holds(t, proto.Prefix|proto.Agreement|proto.Destinations)
 }
 
 func TestWrongSuspicionCausesExclusionAndRejoin(t *testing.T) {
@@ -305,8 +216,7 @@ func TestWrongSuspicionCausesExclusionAndRejoin(t *testing.T) {
 		c.broadcastAt(proto.PID(i%3), at(float64(10+5*i)))
 	}
 	c.run(3 * time.Second)
-	c.checkTotalOrder(t)
-	c.checkAllDelivered(t)
+	c.holds(t, proto.Prefix|proto.Destinations)
 	// p0 must have been excluded at some point and be back now.
 	if c.procs[0].IsExcluded() {
 		t.Fatal("p0 still excluded after the mistake ended")
@@ -326,8 +236,7 @@ func TestExcludedProcessQueuesBroadcasts(t *testing.T) {
 	// p2 broadcasts while excluded.
 	c.broadcastAt(2, at(40))
 	c.run(3 * time.Second)
-	c.checkTotalOrder(t)
-	c.checkAllDelivered(t)
+	c.holds(t, proto.Prefix|proto.Destinations)
 	// The message could only be delivered after p2 rejoined, i.e. well
 	// after the mistake ended at ~90ms.
 	first := c.deliveries[0][0].at
@@ -394,8 +303,7 @@ func TestSuspicionOfNonSequencerWithTMZero(t *testing.T) {
 	c.eng.Schedule(at(20), func() { c.sys.FDs.InjectMistake(0, 1, 0) })
 	c.broadcastAt(2, at(21))
 	c.run(time.Second)
-	c.checkTotalOrder(t)
-	c.checkAllDelivered(t)
+	c.holds(t, proto.Prefix|proto.Destinations)
 	v := c.procs[0].View()
 	if len(v.Members) != 3 {
 		t.Fatalf("members = %v, want all 3 back after the rejoin", v.Members)
@@ -420,8 +328,7 @@ func TestCrashSteadyInitialView(t *testing.T) {
 		c.broadcastAt(proto.PID(i%2), at(float64(5*i)))
 	}
 	c.run(time.Second)
-	c.checkTotalOrder(t)
-	c.checkAllDelivered(t)
+	c.holds(t, proto.Prefix|proto.Destinations)
 	if v := c.procs[0].View(); v.ID != 1 {
 		t.Fatalf("view changed in crash-steady scenario: %v", v)
 	}
@@ -433,11 +340,7 @@ func TestNonUniformVariantTwoMulticasts(t *testing.T) {
 	c := newCluster(clusterOpts{n: 3, uniform: boolPtr(false)})
 	c.broadcastAt(0, 0)
 	c.run(time.Second)
-	for p := 0; p < 3; p++ {
-		if len(c.deliveries[p]) != 1 {
-			t.Fatalf("p%d delivered %d, want 1", p, len(c.deliveries[p]))
-		}
-	}
+	c.holds(t, proto.Destinations)
 	counters := c.sys.Net.Counters()
 	if counters.Multicasts != 2 || counters.Unicasts != 0 {
 		t.Fatalf("counters = %+v, want 2 multicasts and 0 unicasts", counters)
@@ -455,8 +358,7 @@ func TestNonUniformTotalOrderUnderLoad(t *testing.T) {
 		c.broadcastAt(proto.PID(i%5), at(float64(2*i)))
 	}
 	c.run(2 * time.Second)
-	c.checkTotalOrder(t)
-	c.checkAllDelivered(t)
+	c.holds(t, proto.Prefix|proto.Destinations)
 }
 
 func TestSequencerAdvantageWithCrashes(t *testing.T) {
@@ -472,8 +374,7 @@ func TestSequencerAdvantageWithCrashes(t *testing.T) {
 		c.broadcastAt(proto.PID(i%4), at(float64(5*i)))
 	}
 	c.run(time.Second)
-	c.checkTotalOrder(t)
-	c.checkAllDelivered(t)
+	c.holds(t, proto.Prefix|proto.Destinations)
 }
 
 // prunedFlushSet checks stability pruning's postcondition: no delivered
@@ -517,37 +418,15 @@ func TestRandomisedFaultSchedules(t *testing.T) {
 		}
 		// At most one crash: combined with wrong suspicions, more would
 		// risk losing the primary partition entirely.
-		var crashed proto.PID = -1
 		if rng.Intn(2) == 0 {
-			crashed = proto.PID(rng.Intn(n))
-			c.sys.CrashAt(crashed, at(float64(200+rng.Intn(200))))
+			c.sys.CrashAt(proto.PID(rng.Intn(n)), at(float64(200+rng.Intn(200))))
 		}
 		// Give the run a quiescent tail so liveness is assertable.
 		c.eng.Schedule(at(30000), func() { c.sys.FDs.StopMistakes() })
 		c.run(60 * time.Second)
-		c.checkTotalOrder(t)
 		// Liveness: messages from correct senders reach all correct
 		// processes once the mistakes die down.
-		for id := range c.sent {
-			if id.Origin == crashed {
-				continue
-			}
-			for p := 0; p < n; p++ {
-				if c.sys.Proc(proto.PID(p)).Crashed() {
-					continue
-				}
-				found := false
-				for _, d := range c.deliveries[p] {
-					if d.id == id {
-						found = true
-						break
-					}
-				}
-				if !found {
-					t.Fatalf("seed %d: %v missing at p%d", seed, id, p)
-				}
-			}
-		}
+		c.holds(t, proto.Prefix|proto.Validity)
 	}
 }
 
@@ -562,8 +441,7 @@ func TestViewSynchronyAcrossExclusion(t *testing.T) {
 		c.broadcastAt(proto.PID(i%3), at(float64(10+4*i)))
 	}
 	c.run(3 * time.Second)
-	c.checkTotalOrder(t)
-	c.checkAllDelivered(t)
+	c.holds(t, proto.Prefix|proto.Destinations)
 }
 
 func TestDeterminismAcrossRuns(t *testing.T) {
@@ -643,8 +521,7 @@ func TestViewStateBoundedByUnstableWindow(t *testing.T) {
 		}
 	}
 	c.run(45 * time.Second)
-	c.checkTotalOrder(t)
-	c.checkAllDelivered(t)
+	c.holds(t, proto.Prefix|proto.Destinations)
 	if v := c.procs[0].View(); v.ID != 1 {
 		t.Fatalf("view changed to %v; the run must stay in one view", v)
 	}
@@ -767,7 +644,7 @@ func TestDecidedViewChangesNeverChange(t *testing.T) {
 			c.deliveries[p] = c.deliveries[p][:0]
 			pr.Reset(pr.cfg)
 		}
-		clear(c.sent)
+		c.hist = proto.NewHistory(n)
 		c.sys.Start()
 		for i := 0; i < msgs; i++ {
 			c.broadcastAt(proto.PID(i%n), at(float64(5*i)))
@@ -785,8 +662,7 @@ func TestDecidedViewChangesNeverChange(t *testing.T) {
 		}
 		installs, rejoins = 0, 0
 		c.run(5 * time.Second)
-		c.checkTotalOrder(t)
-		c.checkAllDelivered(t)
+		c.holds(t, proto.Prefix|proto.Destinations)
 		if installs < mistakes || rejoins < mistakes/2 {
 			t.Fatalf("run %d: %d installs and %d rejoins for %d wrong suspicions", r, installs, rejoins, mistakes)
 		}
