@@ -182,6 +182,8 @@ func (cfg CoreConfig) Validate() error {
 		return fmt.Errorf("experiment: Lambda = %v, want a non-negative CPU/wire cost ratio", cfg.Lambda)
 	case cfg.Topology != nil && cfg.Topology.N != cfg.N:
 		return fmt.Errorf("experiment: topology %q is for %d processes, config has N=%d", cfg.Topology.Name, cfg.Topology.N, cfg.N)
+	case cfg.Detector != nil && (cfg.Detector.Interval < 0 || cfg.Detector.Timeout < 0):
+		return fmt.Errorf("experiment: heartbeat Interval = %v, Timeout = %v, want no negative duration (zero selects the default)", cfg.Detector.Interval, cfg.Detector.Timeout)
 	}
 	if err := cfg.QoS.Validate(); err != nil {
 		return err

@@ -43,7 +43,8 @@ type Config struct {
 const defaultInterval = 10 * time.Millisecond
 
 // WithDefaults returns the tuning the detector actually runs with: zero
-// (or negative) fields replaced by their defaults.
+// fields replaced by their defaults. Only zero selects a default:
+// experiment.CoreConfig.Validate rejects a negative field.
 func (c Config) WithDefaults() Config {
 	if c.Interval <= 0 {
 		c.Interval = defaultInterval

@@ -404,6 +404,8 @@ func TestShellsRejectAlike(t *testing.T) {
 		{"infinite throughput", Config{Algorithm: FD, N: 3, Throughput: math.Inf(1)}, "throughput +Inf"},
 		{"negative detection time", Config{Algorithm: FD, N: 3, QoS: Detectors(-5, 0, 0)}, "negative QoS"},
 		{"negative detection time beside heartbeats", Config{Algorithm: FD, N: 3, QoS: Detectors(-5, 0, 0), Detector: &HeartbeatConfig{}}, "negative QoS"},
+		{"negative heartbeat interval", Config{Algorithm: FD, N: 3, Detector: &HeartbeatConfig{Interval: -5 * time.Millisecond}}, "heartbeat Interval = -5ms"},
+		{"negative heartbeat timeout", Config{Algorithm: FD, N: 3, Detector: &HeartbeatConfig{Timeout: -1}}, "Timeout = -1ns"},
 		{"negative lambda", Config{Algorithm: FD, N: 3, Lambda: -1}, "Lambda = -1"},
 		{"NaN lambda", Config{Algorithm: FD, N: 3, Lambda: math.NaN()}, "Lambda = NaN"},
 		{"topology of another size", Config{Algorithm: FD, N: 3, Topology: Ring(4)}, "4 processes"},
