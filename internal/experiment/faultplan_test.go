@@ -72,12 +72,12 @@ var goldenPlanDigests = map[string][]uint64{
 	"precrash-vs-legacy": {0xeb2f8b6ae97a4a10, 0xa1b4b43c17445f23},
 }
 
-// planDigests runs cfg through a Runner with the given worker count and
+// repDigests runs cfg through a Runner with the given worker count and
 // returns the per-replication delivery digests in canonical order.
-func planDigests(t *testing.T, cfg Config, workers int) []uint64 {
+func repDigests(t *testing.T, cfg Config, workers int) []uint64 {
 	t.Helper()
 	tr := NewTrace(&bytes.Buffer{})
-	cfg.Observers = []ObserverFactory{tr.Observer}
+	cfg.Observers = append(cfg.Observers, tr.Observer)
 	r := Runner{Workers: workers}
 	r.Steady(cfg)
 	ds := tr.Digests()
@@ -86,6 +86,24 @@ func planDigests(t *testing.T, cfg Config, workers int) []uint64 {
 		out[i] = d.Digest
 	}
 	return out
+}
+
+// matchesGolden runs cfg on one and on eight workers and checks both
+// runs' replication digests against want.
+func matchesGolden(t *testing.T, cfg Config, want []uint64) {
+	t.Helper()
+	serial, parallel := repDigests(t, cfg, 1), repDigests(t, cfg, 8)
+	if len(serial) != len(want) {
+		t.Fatalf("got %d replication digests, want %d", len(serial), len(want))
+	}
+	for i := range serial {
+		if serial[i] != parallel[i] {
+			t.Fatalf("rep %d: serial digest %#016x != parallel digest %#016x", i, serial[i], parallel[i])
+		}
+		if serial[i] != want[i] {
+			t.Fatalf("rep %d: digest %#016x, want golden %#016x", i, serial[i], want[i])
+		}
+	}
 }
 
 // TestFaultPlanGoldenDigests locks the partition-heal and crash-recover
@@ -109,20 +127,7 @@ func TestFaultPlanGoldenDigests(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := planBase(tc.alg)
 			cfg.Plan = tc.plan
-			serial := planDigests(t, cfg, 1)
-			parallel := planDigests(t, cfg, 8)
-			want := goldenPlanDigests[tc.name]
-			if len(serial) != len(want) {
-				t.Fatalf("got %d replication digests, want %d", len(serial), len(want))
-			}
-			for i := range serial {
-				if serial[i] != parallel[i] {
-					t.Fatalf("rep %d: serial digest %#016x != parallel digest %#016x", i, serial[i], parallel[i])
-				}
-				if serial[i] != want[i] {
-					t.Fatalf("rep %d: digest %#016x, want golden %#016x", i, serial[i], want[i])
-				}
-			}
+			matchesGolden(t, cfg, goldenPlanDigests[tc.name])
 		})
 	}
 }
@@ -133,17 +138,7 @@ func TestFaultPlanGoldenDigests(t *testing.T) {
 func TestCrashedIsPreCrashConstructor(t *testing.T) {
 	cfg := planBase(GM)
 	cfg.Crashed = []proto.PID{4, 3}
-
-	got := planDigests(t, cfg, 1)
-	want := goldenPlanDigests["precrash-vs-legacy"]
-	if len(got) != len(want) {
-		t.Fatalf("got %d replication digests, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("rep %d: digest %#016x, want golden %#016x", i, got[i], want[i])
-		}
-	}
+	matchesGolden(t, cfg, goldenPlanDigests["precrash-vs-legacy"])
 }
 
 // TestPartitionPlanRecoversThroughGM asserts the behavioural contrast the

@@ -40,22 +40,6 @@ var goldenLoadDigests = map[string][]uint64{
 	"burst+partition/GM": {0x28d8ab6cd1ae0f67, 0xd085c75237e2aa9d},
 }
 
-// loadDigests runs cfg through a Runner with the given worker count and
-// returns the per-replication delivery digests in canonical order.
-func loadDigests(t *testing.T, cfg Config, workers int) []uint64 {
-	t.Helper()
-	tr := NewTrace(&bytes.Buffer{})
-	cfg.Observers = append(cfg.Observers, tr.Observer)
-	r := Runner{Workers: workers}
-	r.Steady(cfg)
-	ds := tr.Digests()
-	out := make([]uint64, len(ds))
-	for i, d := range ds {
-		out[i] = d.Digest
-	}
-	return out
-}
-
 // TestLoadPlanGoldenDigests locks the shaped-workload scenario bit for
 // bit, and asserts the digests are identical at 1 and 8 runner workers —
 // rate changes mid-gap included (the burst start and end, the rate
@@ -67,20 +51,7 @@ func TestLoadPlanGoldenDigests(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cfg := planBase(alg)
 			cfg.Load = overloadPlan()
-			serial := loadDigests(t, cfg, 1)
-			parallel := loadDigests(t, cfg, 8)
-			want := goldenLoadDigests[name]
-			if len(serial) != len(want) {
-				t.Fatalf("got %d replication digests, want %d", len(serial), len(want))
-			}
-			for i := range serial {
-				if serial[i] != parallel[i] {
-					t.Fatalf("rep %d: serial digest %#016x != parallel digest %#016x", i, serial[i], parallel[i])
-				}
-				if serial[i] != want[i] {
-					t.Fatalf("rep %d: digest %#016x, want golden %#016x", i, serial[i], want[i])
-				}
-			}
+			matchesGolden(t, cfg, goldenLoadDigests[name])
 		})
 	}
 }
@@ -94,8 +65,8 @@ func TestNoOpLoadPlanIsBitIdentical(t *testing.T) {
 	plain := planBase(FD)
 	shaped := planBase(FD)
 	shaped.Load = NewLoadPlan().Rate(time.Second, AllSenders, shaped.Throughput)
-	a := loadDigests(t, plain, 1)
-	b := loadDigests(t, shaped, 1)
+	a := repDigests(t, plain, 1)
+	b := repDigests(t, shaped, 1)
 	if len(a) != len(b) {
 		t.Fatalf("digest counts differ: %d vs %d", len(a), len(b))
 	}
@@ -118,9 +89,9 @@ func TestMuteOfCrashedSender(t *testing.T) {
 	muted.Plan = NewFaultPlan().Crash(time.Second, 4)
 	muted.Load = NewLoadPlan().Mute(1200*time.Millisecond, 4).Unmute(1700*time.Millisecond, 4)
 
-	a := loadDigests(t, crashOnly, 1)
-	b := loadDigests(t, muted, 1)
-	c := loadDigests(t, muted, 8)
+	a := repDigests(t, crashOnly, 1)
+	b := repDigests(t, muted, 1)
+	c := repDigests(t, muted, 8)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("rep %d: crash-only digest %#016x != crash+mute digest %#016x", i, a[i], b[i])
@@ -144,17 +115,7 @@ func TestBurstOverlappingPartition(t *testing.T) {
 			cfg := planBase(alg)
 			cfg.Plan = partitionHealPlan()
 			cfg.Load = burst
-			serial := loadDigests(t, cfg, 1)
-			parallel := loadDigests(t, cfg, 8)
-			want := goldenLoadDigests[name]
-			for i := range serial {
-				if serial[i] != parallel[i] {
-					t.Fatalf("rep %d: serial digest %#016x != parallel digest %#016x", i, serial[i], parallel[i])
-				}
-				if serial[i] != want[i] {
-					t.Fatalf("rep %d: digest %#016x, want golden %#016x", i, serial[i], want[i])
-				}
-			}
+			matchesGolden(t, cfg, goldenLoadDigests[name])
 		})
 	}
 }

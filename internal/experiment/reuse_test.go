@@ -1,13 +1,14 @@
 package experiment
 
 import (
+	"fmt"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/fd"
+	"repro/internal/groups"
 	"repro/internal/netmodel"
 	"repro/internal/proto"
 	"repro/internal/sim"
@@ -25,100 +26,77 @@ func (c *eventCounter) ObserveNet(netmodel.TraceEvent)  { c.net++ }
 func (c *eventCounter) ObservePlan(sim.Time, PlanEvent) { c.plan++ }
 func (c *eventCounter) ObserveLoad(sim.Time, LoadEvent) { c.load++ }
 
-// reuseCase is one TestFullTraceGolden replication that a Runner may run
-// on a Core left behind by an earlier replication of the same shape.
-type reuseCase struct {
-	name      string
-	cfg       Config
-	transient *TransientConfig
-	want      uint64
-	// dirty turns the case's configuration into the replication that runs
-	// before it; nil means dirtied.
-	dirty func(Config) Config
+// transition is one kind of replication a reused system may have run
+// just before a full-trace case: change turns a copy of the case's
+// configuration into it, and dirtied then makes it differ in everything
+// else. label is appended to the case's name.
+type transition struct {
+	label  string
+	change func(*Config)
 }
 
-// reuseCases are the TestFullTraceGolden cases that are neither grouped
-// nor driven by a heartbeat detector, with the digests recorded there.
-// Each also runs after a dirtied replication on other topologies of its
-// N: wires growing and shrinking, and from lossy wires to lossless ones.
-func reuseCases() []reuseCase {
+// transitions lists, for a case's configuration a, the replications run
+// before it: one of a's shape on a's topology and on others of its N
+// (wires growing and shrinking, and from lossy wires to lossless ones);
+// one of the other algorithm; the grouped or ungrouped counterpart, and
+// for a grouped case another group map; the other detector; and another
+// N, whose system cannot be kept.
+func transitions(a Config) []transition {
 	const ms = time.Millisecond
-	base := Config{
-		N:            3,
-		Throughput:   60,
-		QoS:          fd.QoS{TD: 10 * ms},
-		Seed:         23,
-		Warmup:       300 * ms,
-		Measure:      700 * ms,
-		Drain:        5 * time.Second,
-		Replications: 1,
+	after := func(label string, change func(*Config)) transition {
+		return transition{" after " + label, change}
 	}
-	steady := base
-	steady.Algorithm = FD
-	steady.Plan = NewFaultPlan().Suspect(350*ms, 0, 30*ms, 1).Crash(500*ms, 2).Recover(800*ms, 2)
-	steady.Load = NewLoadPlan().Burst(400*ms, 100*ms, AllSenders, 3).Mute(600*ms, 1).Unmute(900*ms, 1)
-
-	transient := TransientConfig{Config: base, Crash: 0, Sender: 1}
-	transient.Algorithm = GM
-
-	gmRun := base
-	gmRun.Algorithm, gmRun.N, gmRun.Throughput = GM, 5, 400
-	gmRun.Plan = NewFaultPlan().Suspect(400*ms, 3, 60*ms).Crash(600*ms, 4).Recover(750*ms, 4)
-
-	frequent := func(alg Algorithm) Config {
-		c := base
-		c.Algorithm, c.N, c.Throughput, c.QoS = alg, 7, 100, fd.QoS{TMR: 100 * ms}
-		return c
+	on := func(label string, t *topo.Topology) transition {
+		return after(label, func(b *Config) { b.Topology = t })
 	}
-
-	wide := base
-	wide.Algorithm, wide.N, wide.Throughput, wide.QoS = FD, 32, 20, fd.QoS{}
-	wide.Topology = topo.Ring(32)
-
-	cases := []reuseCase{
-		{name: "FD n=3 steady", cfg: steady, want: 0x40a5978ffb621203},
-		{name: "GM n=3 transient", transient: &transient, want: 0x5f4e7be3033ba6ba},
-		{name: "GM n=5 rejoins", cfg: gmRun, want: 0xc0e57802bbb9359b},
-		{name: "FD n=7 suspicions", cfg: frequent(FD), want: 0x6e95be2fc433ea79},
-		{name: "GM n=7 suspicions", cfg: frequent(GM), want: 0x2e0d511d8197e2b1},
-		{name: "FD n=32 ring", cfg: wide, want: 0x23aa55ccb02a4aba},
+	n := a.N
+	out := []transition{{"", func(*Config) {}}}
+	switch n {
+	case 32:
+		lossyGeo := topo.Geo(topo.GeoConfig{Sites: 8, PerSite: 4, WAN: topo.Wire{Delay: 5 * ms, Loss: 0.01}})
+		out = append(out, on("full mesh", nil), on("lossy geo", lossyGeo), on("clique", topo.Clique(n)))
+	case 5:
+		out = append(out, on("ring", topo.Ring(n)), on("star", topo.Star(n)))
+	default:
+		out = append(out, on("ring", topo.Ring(n)), on("clique", topo.Clique(n)))
 	}
-	// after is tc run after a dirtied replication on t (nil: the full mesh).
-	after := func(tc reuseCase, label string, t *topo.Topology) reuseCase {
-		tc.name += " after " + label
-		tc.dirty = func(a Config) Config {
-			b := dirtied(a)
-			b.Topology = t
-			return b
+	other := GM
+	if a.Algorithm != FD {
+		other = FD
+	}
+	out = append(out, after(other.String(), func(b *Config) { b.Algorithm = other }))
+	if a.Groups == nil {
+		out = append(out, after("sharded", func(b *Config) { b.Groups, b.CrossShard = groups.Disjoint(n, 2), 0.3 }))
+	} else {
+		out = append(out,
+			after("ungrouped", func(b *Config) { b.Groups, b.CrossShard = nil, 0 }),
+			after("chained", func(b *Config) { b.Groups = groups.Chained(n, 2) }))
+	}
+	if a.Detector == nil {
+		out = append(out, after("heartbeat", func(b *Config) { b.Detector = &Heartbeat{Interval: 10 * ms, Timeout: 30 * ms} }))
+	} else {
+		out = append(out, after("modelled detectors", func(b *Config) { b.Detector = nil }))
+	}
+	m := 5
+	if n == 5 {
+		m = 3
+	}
+	return append(out, after(fmt.Sprintf("n=%d", m), func(b *Config) {
+		b.N, b.Topology = m, nil
+		if b.Groups != nil {
+			b.Groups = groups.Disjoint(m, 2)
 		}
-		return tc
-	}
-	lossyGeo := topo.Geo(topo.GeoConfig{Sites: 8, PerSite: 4, WAN: topo.Wire{Delay: 5 * ms, Loss: 0.01}})
-	out := slices.Clone(cases)
-	for _, tc := range cases[:5] {
-		n := tc.cfg.N
-		if tc.transient != nil {
-			n = tc.transient.N
-		}
-		other, label := topo.Clique(n), "clique"
-		if n == 5 {
-			other, label = topo.Star(n), "star"
-		}
-		out = append(out, after(tc, "ring", topo.Ring(n)), after(tc, label, other))
-	}
-	return append(out,
-		after(cases[5], "full mesh", nil),
-		after(cases[5], "lossy geo", lossyGeo),
-		after(cases[5], "clique", topo.Clique(32)))
+	}))
 }
 
-// dirtied returns a replication of a's algorithm, N and topology that
-// differs in everything else a replication can set and leaves
-// everything behind: another seed, throughput and detector QoS, a
-// pre-crashed process, a crash and a recovery, a wrong suspicion (a GM
-// exclusion where the view can lose a member), a burst, and a drain so
-// short that the run ends with events queued and, under FD, the recovered
-// process's catch-up probe armed.
+// dirtied returns a replication that differs from a in everything a
+// replication can set besides its algorithm, N, topology, groups and
+// detector, and leaves everything behind: another seed, throughput and
+// detector QoS, a pre-crashed process, a crash and a recovery (a second
+// suspicion where the plan may not recover: a rejoining stack in groups
+// mode), a wrong suspicion (a GM exclusion where the view can lose a
+// member), a burst, and a drain so short that the run ends with events
+// queued and, under FD, the recovered process's catch-up probe armed.
 func dirtied(a Config) Config {
 	const ms = time.Millisecond
 	b := a
@@ -126,68 +104,59 @@ func dirtied(a Config) Config {
 	b.Throughput = 2*a.Throughput + 30
 	b.QoS = fd.QoS{TD: 5 * ms, TMR: 400 * ms, TM: 15 * ms}
 	b.Crashed = []proto.PID{proto.PID(a.N - 1)}
-	b.Plan = NewFaultPlan().
-		Suspect(30*ms, 1, 80*ms).
-		Crash(60*ms, 0).Recover(90*ms, 0).
-		Crash(250*ms, 0).Recover(380*ms, 0)
+	b.Plan = NewFaultPlan().Suspect(30*ms, 1, 80*ms).Crash(60*ms, 0)
+	if a.Groups != nil && stackOf(a.Algorithm).rejoins {
+		b.Plan.Suspect(250*ms, 1, 50*ms)
+	} else {
+		b.Plan.Recover(90*ms, 0).Crash(250*ms, 0).Recover(380*ms, 0)
+	}
 	b.Load = NewLoadPlan().Burst(40*ms, 30*ms, AllSenders, 2)
 	b.Warmup, b.Measure, b.Drain = 100*ms, 300*ms, 20*ms
 	b.Replications = 1
 	return b
 }
 
-// TestReusedReplicationMatchesGolden runs each reuse case A right after a
-// dirtied replication B of the same algorithm and N, on A's topology or
-// on another, on a one-worker Runner, so a
-// Runner that reuses B's system for A must leave nothing of B behind: A's
-// full trace must hash to the digest TestFullTraceGolden recorded for a
-// fresh system. A runs twice after B: first with no observer at all, so
-// that a hook of B's left installed would feed B's counting observer —
-// whose counts must not move once B is over — and then with the trace
-// that A's digest hashes, which installs every hook itself.
+// TestReusedReplicationMatchesGolden runs each full-trace case A right
+// after a dirtied replication B of each transition, on a one-worker
+// Runner, so a Runner that reuses any part of B's system for A must leave
+// nothing of B behind: A's full trace must hash to the case's digest. A
+// runs twice after B: first with no observer at all (a crash-transient
+// A crashing p1 and probing from p0 that time), so that a hook of
+// B's left installed would feed B's counting observer — whose counts must
+// not move once B is over — and then with the trace that A's digest
+// hashes, which installs every hook itself.
 func TestReusedReplicationMatchesGolden(t *testing.T) {
-	for _, tc := range reuseCases() {
-		t.Run(tc.name, func(t *testing.T) {
-			var counts, frozen eventCounter
-			counter := func(int, int, Config) Observer { return &counts }
-			freeze := func(int, int, Config) Observer {
-				frozen = counts
-				return nil
-			}
-			got, text := fullTraceDigest(t, func(tr *Trace, inv *Invariants) {
-				// The traced run is the batch's third point; its trace keeps
-				// the header of the recorded single-point run.
-				traced := func(_, rep int, cfg Config) Observer { return tr.Observer(0, rep, cfg) }
-				r := &Runner{Workers: 1}
-				dirty := tc.dirty
-				if dirty == nil {
-					dirty = dirtied
+	for _, tc := range fullTraceCases() {
+		for _, tr := range transitions(tc.config()) {
+			t.Run(tc.name+tr.label, func(t *testing.T) {
+				var counts, frozen eventCounter
+				counter := func(int, int, Config) Observer { return &counts }
+				freeze := func(int, int, Config) Observer {
+					frozen = counts
+					return nil
 				}
-				if tc.transient == nil {
-					b, bare, a := dirty(tc.cfg), tc.cfg, tc.cfg
-					b.Observers = []ObserverFactory{counter, inv.Observer}
-					bare.Observers = []ObserverFactory{freeze}
-					a.Observers = []ObserverFactory{traced, inv.Observer}
-					r.SteadyAll([]Config{b, bare, a})
-					return
-				}
-				bare, a := *tc.transient, *tc.transient
-				b := TransientConfig{Config: dirty(a.Config), Crash: 1, Sender: 0}
-				b.Observers = []ObserverFactory{counter, inv.Observer}
+				b, bare := tc.config(), tc.config()
+				tr.change(&b)
+				b = dirtied(b)
 				bare.Observers = []ObserverFactory{freeze}
-				a.Observers = []ObserverFactory{traced, inv.Observer}
-				r.TransientAll([]TransientConfig{b, bare, a})
+				got, text := fullTraceDigest(t, func(trace *Trace, inv *Invariants) {
+					b.Observers = []ObserverFactory{counter, inv.Observer}
+					// The traced run is the batch's third point; its trace
+					// keeps the header of the recorded single-point run.
+					traced := func(_, rep int, cfg Config) Observer { return trace.Observer(0, rep, cfg) }
+					tc.runAfter(t, []Config{b, bare}, traced, inv.Observer)
+				})
+				if counts.broadcasts == 0 || counts.net == 0 || counts.plan < 3 || counts.load == 0 {
+					t.Fatalf("dirtied replication observed too little: %+v", counts)
+				}
+				if counts != frozen {
+					t.Errorf("dirtied replication's observer moved while the reused one ran: %+v, then %+v", frozen, counts)
+				}
+				if got != tc.want {
+					t.Errorf("full-trace digest after a dirtied replication = %#016x, want %#016x (%d lines)", got, tc.want, strings.Count(text, "\n"))
+				}
 			})
-			if counts.broadcasts == 0 || counts.net == 0 || counts.plan < 3 || counts.load == 0 {
-				t.Fatalf("dirtied replication observed too little: %+v", counts)
-			}
-			if counts != frozen {
-				t.Errorf("dirtied replication's observer moved while the reused one ran: %+v, then %+v", frozen, counts)
-			}
-			if got != tc.want {
-				t.Errorf("full-trace digest after a dirtied replication = %#016x, want %#016x (%d lines)", got, tc.want, strings.Count(text, "\n"))
-			}
-		})
+		}
 	}
 }
 

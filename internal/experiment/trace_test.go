@@ -466,17 +466,79 @@ func fullTraceDigest(t *testing.T, run func(tr *Trace, inv *Invariants)) (uint64
 	return h.Sum64(), buf.String()
 }
 
-// TestFullTraceGolden pins one steady and one crash-transient replication
-// line for line. The Trace's per-replication observer implements all five
-// observer interfaces, so the order of its lines is the order in which the
-// replication pipeline calls its observers' hooks: a refactor of that
-// pipeline must reproduce both streams byte for byte. The two digests were
-// recorded from the code that preceded the one-pipeline refactor; never
-// re-record them to make a change pass. A third, GM replication through
-// exclusion, rejoin and crash-recovery pins the sequencer's bookkeeping
-// the same way; its digest was recorded from the sequencer that still
-// rescanned its whole flush set on every stability notice.
-func TestFullTraceGolden(t *testing.T) {
+// traceCase is one replication pinned line for line by the FNV-1a digest
+// of its full trace. TestFullTraceGolden runs each case on a new system
+// and TestReusedReplicationMatchesGolden on systems that other
+// replications left behind; both read the digest from here. The Trace's
+// per-replication observer implements all five observer interfaces, so
+// the order of its lines is the order in which the replication pipeline
+// calls its observers' hooks: a refactor of that pipeline must reproduce
+// every stream byte for byte. Never re-record a digest to make a change
+// pass.
+type traceCase struct {
+	name string
+	// cfg is a steady point; transient, when set, replaces it with a
+	// crash-transient point.
+	cfg       Config
+	transient *TransientConfig
+	want      uint64
+	// wedged marks a steady case that loses messages by design, so only
+	// its bytes are checked.
+	wedged bool
+	// check looks for the lines that show the trace ran what the case
+	// pins; nil checks the digest alone.
+	check func(t *testing.T, text string)
+}
+
+// config is the case's configuration, whichever kind of point it is.
+func (tc *traceCase) config() Config {
+	if tc.transient != nil {
+		return tc.transient.Config
+	}
+	return tc.cfg
+}
+
+// runAfter runs the case on a one-worker Runner as the last point of a
+// batch, after the points in before (of the case's kind; a crash-transient
+// one crashes p1 and probes from p0), with observers on the case's own
+// point. It fails t when the case measured nothing or lost its probe.
+func (tc *traceCase) runAfter(t *testing.T, before []Config, observers ...ObserverFactory) {
+	t.Helper()
+	r := &Runner{Workers: 1}
+	if tc.transient == nil {
+		a := tc.cfg
+		a.Observers = observers
+		res := r.SteadyAll(append(before, a))
+		if last := res[len(before)]; !tc.wedged && (last.Messages == 0 || last.Diverged) {
+			t.Fatalf("replication measured nothing: %+v", last)
+		}
+		return
+	}
+	pts := make([]TransientConfig, 0, len(before)+1)
+	for _, b := range before {
+		pts = append(pts, TransientConfig{Config: b, Crash: 1, Sender: 0})
+	}
+	a := *tc.transient
+	a.Observers = observers
+	if res := r.TransientAll(append(pts, a)); res[len(before)].Lost != 0 {
+		t.Fatalf("crash-transient replication lost its probe: %+v", res[len(before)])
+	}
+}
+
+// traceHas checks that the trace carries every marker.
+func traceHas(markers ...string) func(*testing.T, string) {
+	return func(t *testing.T, text string) {
+		t.Helper()
+		for _, m := range markers {
+			if !strings.Contains(text, m) {
+				t.Errorf("trace has no %q", m)
+			}
+		}
+	}
+}
+
+// fullTraceCases are the pinned replications.
+func fullTraceCases() []traceCase {
 	const ms = time.Millisecond
 	base := Config{
 		N:            3,
@@ -489,6 +551,8 @@ func TestFullTraceGolden(t *testing.T) {
 		Replications: 1,
 	}
 
+	// One steady and one crash-transient replication, recorded from the
+	// code that preceded the one-pipeline refactor.
 	steady := base
 	steady.Algorithm = FD
 	steady.Plan = NewFaultPlan().
@@ -499,49 +563,28 @@ func TestFullTraceGolden(t *testing.T) {
 		Burst(400*ms, 100*ms, AllSenders, 3).
 		Mute(600*ms, 1).
 		Unmute(900*ms, 1)
-	got, text := fullTraceDigest(t, func(tr *Trace, inv *Invariants) {
-		steady.Observers = []ObserverFactory{tr.Observer, inv.Observer}
-		if res := (&Runner{Workers: 1}).Steady(steady); res.Messages == 0 || res.Diverged {
-			t.Fatalf("steady replication measured nothing: %+v", res)
-		}
-	})
-	for _, marker := range []string{"C {", "\nB ", "\nN send ", "\nN wire ", "\nN deliver ", "\nN drop ",
-		"\nF 350000000 ", "\nF 500000000 crash p2\n", "\nF 800000000 recover p2\n",
-		"\nL 400000000 ", "\nL 600000000 ", "\nL 900000000 ", "\nD ", "\nE "} {
-		if !strings.Contains(text, marker) {
-			t.Errorf("steady trace has no %q line", marker)
-		}
-	}
-	if want := uint64(0x40a5978ffb621203); got != want {
-		t.Errorf("steady full-trace digest = %#016x, want %#016x (%d lines)", got, want, strings.Count(text, "\n"))
-	}
 
 	transient := TransientConfig{Config: base, Crash: 0, Sender: 1}
 	transient.Algorithm = GM
-	got, text = fullTraceDigest(t, func(tr *Trace, inv *Invariants) {
-		transient.Observers = []ObserverFactory{tr.Observer, inv.Observer}
-		if res := (&Runner{Workers: 1}).Transient(transient); res.Lost != 0 {
-			t.Fatalf("crash-transient replication lost its probe: %+v", res)
-		}
-	})
 	// At the crash instant the scripted crash applies first, then the
 	// sender A-broadcasts the probe: the first B line after the F line is
 	// the probe's, in the same instant.
-	_, after, crashed := strings.Cut(text, "\nF 300000000 crash p0\n")
-	_, after, _ = strings.Cut("\n"+after, "\nB ")
-	probe, _, _ := strings.Cut(after, "\n")
-	if !crashed || !strings.HasPrefix(probe, "1 1 ") || !strings.HasSuffix(probe, " 300000000") {
-		t.Errorf("crash-transient trace: first broadcast after the crash at 300 ms is %q, want the probe of p1 in that instant", "B "+probe)
-	}
-	if want := uint64(0x5f4e7be3033ba6ba); got != want {
-		t.Errorf("crash-transient full-trace digest = %#016x, want %#016x (%d lines)", got, want, strings.Count(text, "\n"))
+	probeAfterCrash := func(t *testing.T, text string) {
+		_, after, crashed := strings.Cut(text, "\nF 300000000 crash p0\n")
+		_, after, _ = strings.Cut("\n"+after, "\nB ")
+		probe, _, _ := strings.Cut(after, "\n")
+		if !crashed || !strings.HasPrefix(probe, "1 1 ") || !strings.HasSuffix(probe, " 300000000") {
+			t.Errorf("crash-transient trace: first broadcast after the crash at 300 ms is %q, want the probe of p1 in that instant", "B "+probe)
+		}
 	}
 
 	// The GM stack under load through both of its rejoin paths: a wrong
 	// suspicion excludes p3, which rejoins by state transfer once it ends,
 	// and p4 crashes and comes back as a fresh incarnation that rejoins the
 	// same way. The sequencer's flush sets, stability pruning and
-	// re-sequencing after each view change all shape this stream.
+	// re-sequencing after each view change all shape this stream. Its
+	// digest was recorded from the sequencer that still rescanned its
+	// whole flush set on every stability notice.
 	gmRun := base
 	gmRun.Algorithm = GM
 	gmRun.N = 5
@@ -550,23 +593,16 @@ func TestFullTraceGolden(t *testing.T) {
 		Suspect(400*ms, 3, 60*ms).
 		Crash(600*ms, 4).
 		Recover(750*ms, 4)
-	got, text = fullTraceDigest(t, func(tr *Trace, inv *Invariants) {
-		gmRun.Observers = []ObserverFactory{tr.Observer, inv.Observer}
-		if res := (&Runner{Workers: 1}).Steady(gmRun); res.Messages == 0 || res.Diverged {
-			t.Fatalf("GM replication measured nothing: %+v", res)
+	oneWelcomePerRejoin := func(t *testing.T, text string) {
+		welcomes := 0
+		for _, line := range strings.Split(text, "\n") {
+			if strings.HasPrefix(line, "N send ") && strings.HasSuffix(line, " gm.MsgWelcome") {
+				welcomes++
+			}
 		}
-	})
-	welcomes := 0
-	for _, line := range strings.Split(text, "\n") {
-		if strings.HasPrefix(line, "N send ") && strings.HasSuffix(line, " gm.MsgWelcome") {
-			welcomes++
+		if welcomes != 2 {
+			t.Errorf("GM trace sends %d state transfers, want one per rejoin (2)", welcomes)
 		}
-	}
-	if welcomes != 2 {
-		t.Errorf("GM trace sends %d state transfers, want one per rejoin (2)", welcomes)
-	}
-	if want := uint64(0xc0e57802bbb9359b); got != want {
-		t.Errorf("GM full-trace digest = %#016x, want %#016x (%d lines)", got, want, strings.Count(text, "\n"))
 	}
 
 	// Both stacks at n=7 under frequent instantaneous wrong suspicions
@@ -575,27 +611,10 @@ func TestFullTraceGolden(t *testing.T) {
 	// view change that schedules out of order changes these bytes. The
 	// digests were recorded from the detector that still scheduled its
 	// mistakes as closures and the sequencer that sent unpooled messages.
-	for _, tc := range []struct {
-		alg  Algorithm
-		want uint64
-	}{
-		{FD, 0x6e95be2fc433ea79},
-		{GM, 0x2e0d511d8197e2b1},
-	} {
-		frequent := base
-		frequent.Algorithm = tc.alg
-		frequent.N = 7
-		frequent.Throughput = 100
-		frequent.QoS = fd.QoS{TMR: 100 * ms}
-		got, text = fullTraceDigest(t, func(tr *Trace, inv *Invariants) {
-			frequent.Observers = []ObserverFactory{tr.Observer, inv.Observer}
-			if res := (&Runner{Workers: 1}).Steady(frequent); res.Messages == 0 || res.Diverged {
-				t.Fatalf("%v frequent-suspicion replication measured nothing: %+v", tc.alg, res)
-			}
-		})
-		if got != tc.want {
-			t.Errorf("%v n=7 frequent-suspicion full-trace digest = %#016x, want %#016x (%d lines)", tc.alg, got, tc.want, strings.Count(text, "\n"))
-		}
+	frequent := func(alg Algorithm) Config {
+		c := base
+		c.Algorithm, c.N, c.Throughput, c.QoS = alg, 7, 100, fd.QoS{TMR: 100 * ms}
+		return c
 	}
 
 	// One of wide-topo's FD points with short windows: 32 processes on a
@@ -606,20 +625,8 @@ func TestFullTraceGolden(t *testing.T) {
 	// allocated a ring per origin, a closure per instance slot and a body
 	// slice per logged batch.
 	wide := base
-	wide.Algorithm = FD
-	wide.N = 32
-	wide.Throughput = 20
-	wide.QoS = fd.QoS{}
+	wide.Algorithm, wide.N, wide.Throughput, wide.QoS = FD, 32, 20, fd.QoS{}
 	wide.Topology = topo.Ring(32)
-	got, text = fullTraceDigest(t, func(tr *Trace, inv *Invariants) {
-		wide.Observers = []ObserverFactory{tr.Observer, inv.Observer}
-		if res := (&Runner{Workers: 1}).Steady(wide); res.Messages == 0 || res.Diverged {
-			t.Fatalf("FD n=32 ring replication measured nothing: %+v", res)
-		}
-	})
-	if want := uint64(0x23aa55ccb02a4aba); got != want {
-		t.Errorf("FD n=32 ring full-trace digest = %#016x, want %#016x (%d lines)", got, want, strings.Count(text, "\n"))
-	}
 
 	// Both stacks as two disjoint shards of three with 30 % cross-shard
 	// traffic: every protocol message travels in a group envelope, and the
@@ -627,81 +634,37 @@ func TestFullTraceGolden(t *testing.T) {
 	// streams pin the payload names the envelopes render — the group, then
 	// the inner message — beside the timing. The digests were recorded from
 	// the stack whose wire boxes each kept their own free list and count.
-	for _, tc := range []struct {
-		alg   Algorithm
-		inner string
-		want  uint64
-	}{
-		{FD, " g0{MsgAck[k=", 0xf07f55a4ed594376},
-		{GM, " g1{seqabcast.MsgAck}", 0xa05267ddf7754f22},
-	} {
-		sharded := base
-		sharded.Algorithm = tc.alg
-		sharded.N = 6
-		sharded.QoS = fd.QoS{}
-		sharded.Groups = groups.Disjoint(6, 2)
-		sharded.CrossShard = 0.3
-		got, text = fullTraceDigest(t, func(tr *Trace, inv *Invariants) {
-			sharded.Observers = []ObserverFactory{tr.Observer, inv.Observer}
-			if res := (&Runner{Workers: 1}).Steady(sharded); res.Messages == 0 || res.Diverged {
-				t.Fatalf("%v sharded replication measured nothing: %+v", tc.alg, res)
-			}
-		})
-		for _, marker := range []string{tc.inner, " mgram ", " tsprop "} {
-			if !strings.Contains(text, marker) {
-				t.Errorf("%v sharded trace has no %q payload", tc.alg, marker)
-			}
-		}
-		if got != tc.want {
-			t.Errorf("%v sharded full-trace digest = %#016x, want %#016x (%d lines)", tc.alg, got, tc.want, strings.Count(text, "\n"))
-		}
+	sharded := func(alg Algorithm) Config {
+		c := base
+		c.Algorithm, c.N, c.QoS = alg, 6, fd.QoS{}
+		c.Groups, c.CrossShard = groups.Disjoint(6, 2), 0.3
+		return c
 	}
 
 	// The FD stack behind the heartbeat detector through a crash, a recovery
 	// and a partition heal, ungrouped and as two disjoint shards: recovery
 	// restarts the detector and arms the catch-up probe of every endpoint
 	// the process runs, a heal arms the probe of every live one. Both runs
-	// lose messages to the FD wedge after a heal, so only the bytes are
-	// checked. The digests were recorded from the code in which the groups
-	// router still walked its own instances on a recovery or heal.
-	for _, tc := range []struct {
-		name   string
-		groups *groups.GroupMap
-		crash  proto.PID
-		cut    [][]proto.PID
-		want   uint64
-	}{
-		{"ungrouped", nil, 2, [][]proto.PID{{0, 1}, {2}}, 0xb19cb9ea50feb3f4},
-		{"sharded", groups.Disjoint(6, 2), 4, [][]proto.PID{{0, 1, 2, 3}, {4, 5}}, 0x09d7aa3e5b823a52},
-	} {
-		healed := base
-		healed.Algorithm = FD
-		healed.Detector = &Heartbeat{Interval: 10 * ms, Timeout: 30 * ms}
-		healed.Measure = 900 * ms
-		healed.QoS = fd.QoS{}
-		if tc.groups != nil {
-			healed.N = tc.groups.N()
-			healed.Groups = tc.groups
-			healed.CrossShard = 0.3
+	// lose messages to the FD wedge after a heal. The digests were recorded
+	// from the code in which the groups router still walked its own
+	// instances on a recovery or heal.
+	healed := func(m *groups.GroupMap, crash proto.PID, cut ...[]proto.PID) Config {
+		c := base
+		c.Algorithm = FD
+		c.Detector = &Heartbeat{Interval: 10 * ms, Timeout: 30 * ms}
+		c.Measure = 900 * ms
+		c.QoS = fd.QoS{}
+		if m != nil {
+			c.N, c.Groups, c.CrossShard = m.N(), m, 0.3
 		}
-		healed.Plan = NewFaultPlan().
-			Crash(450*ms, tc.crash).
-			Recover(700*ms, tc.crash).
-			Partition(800*ms, tc.cut...).
+		c.Plan = NewFaultPlan().
+			Crash(450*ms, crash).
+			Recover(700*ms, crash).
+			Partition(800*ms, cut...).
 			Heal(950 * ms)
-		got, text = fullTraceDigest(t, func(tr *Trace, inv *Invariants) {
-			healed.Observers = []ObserverFactory{tr.Observer, inv.Observer}
-			(&Runner{Workers: 1}).Steady(healed)
-		})
-		for _, marker := range []string{"\nF 700000000 recover p", "\nF 950000000 heal\n"} {
-			if !strings.Contains(text, marker) {
-				t.Errorf("%s heartbeat recovery trace has no %q line", tc.name, marker)
-			}
-		}
-		if got != tc.want {
-			t.Errorf("%s heartbeat recovery full-trace digest = %#016x, want %#016x (%d lines)", tc.name, got, tc.want, strings.Count(text, "\n"))
-		}
+		return c
 	}
+	healedMarkers := traceHas("\nF 700000000 recover p", "\nF 950000000 heal\n")
 
 	// The GM stack behind the heartbeat detector at n=3: a partition cuts
 	// p2 off, p0 and p1 exclude it on its silence, and after the heal p2
@@ -720,18 +683,40 @@ func TestFullTraceGolden(t *testing.T) {
 		Heal(550*ms).
 		Crash(800*ms, 1).
 		Recover(860*ms, 1)
-	got, text = fullTraceDigest(t, func(tr *Trace, inv *Invariants) {
-		hbGM.Observers = []ObserverFactory{tr.Observer, inv.Observer}
-		if res := (&Runner{Workers: 1}).Steady(hbGM); res.Messages == 0 || res.Diverged {
-			t.Fatalf("GM heartbeat replication measured nothing: %+v", res)
-		}
-	})
-	for _, marker := range []string{" gm.MsgJoinReq", " gm.MsgWelcome", "\nF 550000000 heal\n", "\nF 860000000 recover p1\n"} {
-		if !strings.Contains(text, marker) {
-			t.Errorf("GM heartbeat trace has no %q", marker)
-		}
+
+	return []traceCase{
+		{name: "FD n=3 steady", cfg: steady, want: 0x40a5978ffb621203, check: traceHas("C {", "\nB ", "\nN send ", "\nN wire ",
+			"\nN deliver ", "\nN drop ", "\nF 350000000 ", "\nF 500000000 crash p2\n", "\nF 800000000 recover p2\n",
+			"\nL 400000000 ", "\nL 600000000 ", "\nL 900000000 ", "\nD ", "\nE ")},
+		{name: "GM n=3 transient", transient: &transient, want: 0x5f4e7be3033ba6ba, check: probeAfterCrash},
+		{name: "GM n=5 rejoins", cfg: gmRun, want: 0xc0e57802bbb9359b, check: oneWelcomePerRejoin},
+		{name: "FD n=7 suspicions", cfg: frequent(FD), want: 0x6e95be2fc433ea79},
+		{name: "GM n=7 suspicions", cfg: frequent(GM), want: 0x2e0d511d8197e2b1},
+		{name: "FD n=32 ring", cfg: wide, want: 0x23aa55ccb02a4aba},
+		{name: "FD n=6 sharded", cfg: sharded(FD), want: 0xf07f55a4ed594376, check: traceHas(" g0{MsgAck[k=", " mgram ", " tsprop ")},
+		{name: "GM n=6 sharded", cfg: sharded(GM), want: 0xa05267ddf7754f22, check: traceHas(" g1{seqabcast.MsgAck}", " mgram ", " tsprop ")},
+		{name: "FD n=3 heartbeat heal", cfg: healed(nil, 2, []proto.PID{0, 1}, []proto.PID{2}), want: 0xb19cb9ea50feb3f4,
+			wedged: true, check: healedMarkers},
+		{name: "FD n=6 sharded heartbeat heal", cfg: healed(groups.Disjoint(6, 2), 4, []proto.PID{0, 1, 2, 3}, []proto.PID{4, 5}),
+			want: 0x09d7aa3e5b823a52, wedged: true, check: healedMarkers},
+		{name: "GM n=3 heartbeat", cfg: hbGM, want: 0x27549205b810b9f2,
+			check: traceHas(" gm.MsgJoinReq", " gm.MsgWelcome", "\nF 550000000 heal\n", "\nF 860000000 recover p1\n")},
 	}
-	if want := uint64(0x27549205b810b9f2); got != want {
-		t.Errorf("GM heartbeat full-trace digest = %#016x, want %#016x (%d lines)", got, want, strings.Count(text, "\n"))
+}
+
+// TestFullTraceGolden runs every pinned replication on a new system.
+func TestFullTraceGolden(t *testing.T) {
+	for _, tc := range fullTraceCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			got, text := fullTraceDigest(t, func(tr *Trace, inv *Invariants) {
+				tc.runAfter(t, nil, tr.Observer, inv.Observer)
+			})
+			if tc.check != nil {
+				tc.check(t, text)
+			}
+			if got != tc.want {
+				t.Errorf("full-trace digest = %#016x, want %#016x (%d lines)", got, tc.want, strings.Count(text, "\n"))
+			}
+		})
 	}
 }
