@@ -308,98 +308,94 @@ type Core struct {
 	fire          func(sender int)
 }
 
-// NewCore builds engine + network + detectors + algorithm stacks, starts
-// the system and installs the fault plan. The construction order —
-// engine, network configuration, root random stream, protocol system,
-// per-process endpoints, pre-crashes, start, plan — is observable through
-// the forked random streams and the event sequence and must not be
-// reordered: simulations are bit-for-bit reproductions of it. NewCore
-// expects a description that passed Validate and panics on a malformed
-// one only as a backstop.
+// NewCore builds the system cfg describes, starts it and installs the
+// fault plan: Reset on an empty Core.
 func NewCore(cfg CoreConfig) *Core {
+	c := new(Core)
+	c.Reset(cfg)
+	return c
+}
+
+// Reset turns c into the system cfg describes, starts it and installs the
+// fault plan. The construction order — engine, network configuration,
+// root random stream, protocol system, per-process endpoints, pre-crashes,
+// start, plan — is observable through the forked random streams and the
+// event sequence and must not be reordered: simulations are bit-for-bit
+// reproductions of it, and the run that follows is bit for bit the run on
+// a new Core. Reset expects a description that passed Validate and panics
+// on a malformed one only as a backstop.
+//
+// What the previous run built is reset in place where it can be, so its
+// free lists, pools, tables and logs stay warm: the engine always; the
+// network, rebound to cfg's topology, and the detectors when cfg.N
+// repeats; the endpoints when both runs are ungrouped, run one algorithm
+// and have no heartbeat detector. Group routers and heartbeat wrappers
+// have no Reset, so their endpoints are built again on the reset engine
+// and system. Nothing else of the previous run survives — queued events,
+// crashes and pre-crashes, partitions and link faults, a rejoined
+// incarnation's identity (the process's endpoint takes its original spec
+// again), SentBy and Members, and the hooks it installed (Net.SetTrace,
+// Faults.OnEvent, Loads, Deliver).
+func (c *Core) Reset(cfg CoreConfig) {
 	cfg = cfg.normalized()
-	eng := sim.New()
-	sys := proto.NewSystem(eng, cfg.network(), cfg.QoS, sim.NewRand(cfg.Seed))
-	c := &Core{
-		Eng:    eng,
-		Sys:    sys,
-		Bcast:  make([]func(any) proto.MsgID, cfg.N),
-		SentBy: make([]uint64, cfg.N),
-		cfg:    cfg,
-		stack:  stackOf(cfg.Algorithm),
+	keepSys := c.Sys != nil && c.Sys.N() == cfg.N
+	keepEnds := keepSys && c.cfg.Groups == nil && c.cfg.Detector == nil &&
+		cfg.Groups == nil && cfg.Detector == nil && cfg.Algorithm == c.cfg.Algorithm
+	if c.Eng == nil {
+		c.Eng = sim.New()
+	} else {
+		c.Eng.Reset()
 	}
-	c.Faults = Faults{eng: eng, apply: func(ev PlanEvent) { ev.apply(c) }}
+	if keepSys {
+		c.Sys.Reset(cfg.network(), cfg.QoS, sim.NewRand(cfg.Seed))
+	} else {
+		c.Sys = proto.NewSystem(c.Eng, cfg.network(), cfg.QoS, sim.NewRand(cfg.Seed))
+	}
+	old := *c
+	*c = Core{
+		Eng:     old.Eng,
+		Sys:     old.Sys,
+		Members: old.Members[:0],
+		Faults:  Faults{eng: old.Eng, apply: old.Faults.apply},
+		cfg:     cfg,
+		stack:   stackOf(cfg.Algorithm),
+		senders: old.senders,
+	}
+	if c.Faults.apply == nil {
+		c.Faults.apply = func(ev PlanEvent) { ev.apply(c) }
+	}
+	if keepSys {
+		c.Bcast, c.SentBy, c.sources, c.live, c.loads = old.Bcast, old.SentBy, old.sources, old.live, old.loads
+		clear(c.SentBy)
+	} else {
+		c.Bcast, c.SentBy = make([]func(any) proto.MsgID, cfg.N), make([]uint64, cfg.N)
+	}
 	c.members()
 	if cfg.Groups != nil {
 		c.crossFrac = cfg.CrossShard
 		c.mixRng = sim.NewRand(cfg.Seed).Fork("mix")
 		c.buildGroups()
-	} else {
-		c.specs = make([]endpointSpec, cfg.N)
-		c.ends = make([]groups.Endpoint, cfg.N)
-		for p := 0; p < cfg.N; p++ {
-			c.specs[p] = c.spec(p)
-			sys.SetHandler(proto.PID(p), c.incarnate(p, sys.Proc(proto.PID(p)), false))
-		}
+		c.start()
+		return
 	}
-	c.start()
-	return c
-}
-
-// reusable reports whether c can be Reset to next instead of a NewCore
-// being built for it. The shape key is (Algorithm, N): everything else —
-// topology, seed, λ, QoS, pre-crashes, plan, throughput, load,
-// renumbering and the callbacks — is a Reset argument. Cores in groups
-// mode or behind a heartbeat Detector are always built fresh: their
-// routers and detector wrappers have no Reset.
-func (c *Core) reusable(next CoreConfig) bool {
-	return c.Coord == nil && c.cfg.Detector == nil && !next.grouped() && next.Detector == nil &&
-		next.Algorithm == c.cfg.Algorithm && next.N == c.cfg.N
-}
-
-// Reset turns c into the system NewCore(cfg) would build, in place: the
-// engine, network, detectors and every endpoint are reset instead of
-// rebuilt, so their free lists, pools, tables and logs stay warm, the
-// network rebinds cfg's topology, and the run that follows is bit for bit
-// the run on a new Core. Everything the previous run left behind goes —
-// queued events, crashes and pre-crashes, partitions and link faults, a
-// rejoined incarnation's identity (the process's endpoint takes its
-// original spec again), SentBy and Members, and the hooks the previous
-// run installed (Net.SetTrace, Faults.OnEvent, Loads, Deliver). cfg must
-// pass Validate and have c's shape (see reusable).
-func (c *Core) Reset(cfg CoreConfig) {
-	if !c.reusable(cfg) {
-		panic(fmt.Sprintf("experiment: Reset of a %v n=%d core to a %v n=%d description: Reset needs the same (Algorithm, N), ungrouped and without a heartbeat detector", c.cfg.Algorithm, c.cfg.N, cfg.Algorithm, cfg.N))
+	c.ends, c.specs = old.ends, old.specs
+	if !keepEnds {
+		c.ends, c.specs = make([]groups.Endpoint, cfg.N), make([]endpointSpec, cfg.N)
 	}
-	cfg = cfg.normalized()
-	c.Eng.Reset()
-	c.Sys.Reset(cfg.network(), cfg.QoS, sim.NewRand(cfg.Seed))
-	clear(c.SentBy)
-	*c = Core{
-		Eng:     c.Eng,
-		Sys:     c.Sys,
-		Bcast:   c.Bcast,
-		SentBy:  c.SentBy,
-		Members: c.Members[:0],
-		Faults:  Faults{eng: c.Eng, apply: c.Faults.apply},
-		cfg:     cfg,
-		stack:   c.stack,
-		ends:    c.ends,
-		specs:   c.specs,
-		sources: c.sources,
-		live:    c.live,
-		senders: c.senders,
-		loads:   c.loads,
-	}
-	c.members()
-	for p, ep := range c.ends {
-		spec := &c.specs[p]
-		if (spec.onView != nil) != (cfg.OnView != nil) {
+	for p := range c.specs {
+		pid, spec := proto.PID(p), &c.specs[p]
+		if spec.deliver == nil || (spec.onView != nil) != (cfg.OnView != nil) {
 			*spec = c.spec(p)
 		}
 		spec.members, spec.renumber = c.Members, cfg.Renumber
-		c.stack.reset(ep.Handler, *spec)
-		c.Sys.SetHandler(proto.PID(p), ep.Handler)
+		ep := c.ends[p]
+		if keepEnds {
+			c.stack.reset(ep.Handler, *spec)
+		} else {
+			ep = c.newEndpoint(c.Sys.Proc(pid), *spec)
+			c.ends[p] = ep
+		}
+		c.Sys.SetHandler(pid, ep.Handler)
 		c.Bcast[p] = ep.ABroadcast
 	}
 	c.start()
@@ -458,7 +454,7 @@ func (c *Core) spec(p int) endpointSpec {
 	return spec
 }
 
-// start is the tail NewCore and Reset share: pre-crashes, start, plan.
+// start is the tail of Reset: pre-crashes, start, plan.
 func (c *Core) start() {
 	for _, p := range c.cfg.PreCrashed {
 		c.Sys.PreCrash(p)
@@ -486,17 +482,14 @@ func (c *Core) newEndpoint(rt proto.Runtime, spec endpointSpec) groups.Endpoint 
 	return ep
 }
 
-// incarnate builds one incarnation of process p on the ungrouped path and
-// makes it p's current endpoint. rejoin marks a recovered incarnation of
-// a rejoining stack: its initial view omits itself (so it starts excluded
-// and rejoins through the membership service) and its message IDs
-// continue the previous incarnations' sequence.
-func (c *Core) incarnate(p int, rt proto.Runtime, rejoin bool) proto.Handler {
+// rejoin builds a recovered incarnation of process p of a rejoining stack
+// on rt and makes it p's current endpoint: its initial view omits itself
+// (so it starts excluded and rejoins through the membership service) and
+// its message IDs continue the previous incarnations' sequence.
+func (c *Core) rejoin(p int, rt proto.Runtime) proto.Handler {
 	spec := c.specs[p]
-	if rejoin {
-		spec.members = withoutPID(c.Members, proto.PID(p))
-		spec.seqBase = c.SentBy[p]
-	}
+	spec.members = withoutPID(c.Members, proto.PID(p))
+	spec.seqBase = c.SentBy[p]
 	ep := c.newEndpoint(rt, spec)
 	c.ends[p] = ep
 	c.Bcast[p] = ep.ABroadcast
@@ -668,7 +661,7 @@ func (c *Core) Recover(p proto.PID) {
 			panic("experiment: crash-recovery of a rejoining stack in groups mode")
 		}
 		c.Sys.Recover(p, func(rt proto.Runtime) proto.Handler {
-			return c.incarnate(int(p), rt, true)
+			return c.rejoin(int(p), rt)
 		})
 		return
 	}

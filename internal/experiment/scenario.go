@@ -102,12 +102,12 @@ func runReplication(cfg Config, point, rep int) RepStats {
 }
 
 // run is runReplication on a replication value a Runner worker keeps
-// between the replications it runs. Its Core is Reset instead of built
-// again when the next replication has the same shape (Core.reusable), and
-// its maps are emptied instead of made again; the result is bit for bit
-// the result on fresh ones.
+// between the replications it runs. Its Core is Reset for every
+// replication and its maps are emptied instead of made again; the result
+// is bit for bit the result on fresh ones.
 func (r *replication) run(cfg Config, point, rep int) RepStats {
 	if r.sent == nil {
+		r.core = new(Core)
 		r.sent = make(map[proto.MsgID]sim.Time)
 		r.first = make(map[proto.MsgID]sim.Time)
 	}
@@ -123,11 +123,7 @@ func (r *replication) run(cfg Config, point, rep int) RepStats {
 
 	cc := cfg.core(repSeed(cfg.Seed, rep))
 	cc.Deliver = r.deliver
-	if r.core != nil && r.core.reusable(cc) {
-		r.core.Reset(cc)
-	} else {
-		r.core = NewCore(cc)
-	}
+	r.core.Reset(cc)
 	eng := r.core.Eng
 
 	for _, factory := range cfg.Observers {
