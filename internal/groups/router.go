@@ -288,7 +288,6 @@ type Router struct {
 	clock  []uint64
 	reqAdv []uint64 // highest advance requested per local group
 	pend   proto.IDTable[*pending]
-	order  []*pending // deterministic iteration (insertion order)
 	free   []*pending // released records, reused by ensure
 	// done holds the final timestamp of every a-delivered id, by origin
 	// and sequence number; 0 = not delivered (see doneTS, setDone). It is
@@ -551,7 +550,6 @@ func (r *Router) ensure(id proto.MsgID) *pending {
 	}
 	ent.id, ent.created = id, r.proc.Now()
 	r.pend.Put(id, ent)
-	r.order = append(r.order, ent)
 	return ent
 }
 
@@ -560,12 +558,6 @@ func (r *Router) ensure(id proto.MsgID) *pending {
 // of props.
 func (r *Router) release(ent *pending) {
 	r.pend.Delete(ent.id)
-	for i, e := range r.order {
-		if e == ent {
-			r.order = append(r.order[:i], r.order[i+1:]...)
-			break
-		}
-	}
 	props := ent.props
 	clear(props)
 	*ent = pending{props: props}
@@ -719,6 +711,19 @@ func (r *Router) eagerAdvance(ts uint64) {
 	}
 }
 
+// head returns the (timestamp, id)-minimum pending entry, nil when none
+// is pending. entLess is a strict order, so the scan order of pend does
+// not matter.
+func (r *Router) head() *pending {
+	var head *pending
+	r.pend.Each(func(_ proto.MsgID, ent **pending) {
+		if head == nil || entLess(*ent, head) {
+			head = *ent
+		}
+	})
+	return head
+}
+
 // pump delivers every message whose turn has come: repeatedly take the
 // (timestamp, id)-minimum pending entry; if its timestamp is not final
 // yet nothing can be delivered (a smaller-timestamp entry may still
@@ -727,12 +732,7 @@ func (r *Router) eagerAdvance(ts uint64) {
 // could still propose a smaller timestamp — request an advance and wait.
 func (r *Router) pump() {
 	for {
-		var head *pending
-		for _, ent := range r.order {
-			if head == nil || entLess(ent, head) {
-				head = ent
-			}
-		}
+		head := r.head()
 		if head == nil {
 			return
 		}
@@ -793,12 +793,7 @@ func (r *Router) armStall() {
 
 func (r *Router) retryStalled() {
 	r.stallArmed = false
-	var head *pending
-	for _, ent := range r.order {
-		if head == nil || entLess(ent, head) {
-			head = ent
-		}
-	}
+	head := r.head()
 	if head == nil {
 		return
 	}
