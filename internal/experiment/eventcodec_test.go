@@ -112,6 +112,7 @@ func FuzzEventCodec(f *testing.F) {
 		`[{"kind":"partition","groups":[]}]`,           // empty list reads back nil
 		`[{"kind":"link","to":1,"loss":-0}]`,           // negative zero
 		`[{"KIND":"heal","AT":3,"extra":[1,{"a":2}]}]`, // case-folded and unknown keys
+		`[{"kind":"suspect","p":1,"by":[1]}]`,          // decodes, invalid: a self-suspicion
 	} {
 		f.Add([]byte(malformed))
 	}

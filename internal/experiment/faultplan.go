@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -116,9 +117,10 @@ func (e Recover) apply(c *Core)       { c.Recover(e.P) }
 
 // SuspicionBurst injects a scripted wrong suspicion of P at instant At,
 // lasting For (zero is an instantaneous mistake whose suspect and trust
-// edges still fire). By lists the monitors that make the mistake; nil
-// means every other process — the burst the name promises. Suspicions of
-// an already-detected crashed process merge into the permanent one.
+// edges still fire). By lists the monitors that make the mistake, P not
+// among them; nil means every other process — the burst the name
+// promises. Suspicions of an already-detected crashed process merge into
+// the permanent one.
 type SuspicionBurst struct {
 	At  time.Duration `json:"at,omitempty"`
 	P   proto.PID     `json:"p,omitempty"`
@@ -152,6 +154,11 @@ func (e SuspicionBurst) check(n int) error {
 		// "No monitor" to apply, but a trace header drops the empty list
 		// and reads back nil, "every monitor": the replay would diverge.
 		return fmt.Errorf("experiment: plan suspicion of p%d by an empty monitor list (nil means every monitor)", e.P)
+	}
+	if slices.Contains(e.By, e.P) {
+		// A detector never suspects its own process: the event would be
+		// observed and traced while changing nothing.
+		return fmt.Errorf("experiment: plan suspicion of p%d by itself (nil means every other monitor)", e.P)
 	}
 	return checkPIDs(n, "suspicion monitor", e.By...)
 }

@@ -270,6 +270,7 @@ func TestPlanValidation(t *testing.T) {
 		"negative duration":  NewFaultPlan().Suspect(0, 1, -time.Second),
 		"bad monitor":        NewFaultPlan().Suspect(0, 1, 0, proto.PID(7)),
 		"empty monitor list": NewFaultPlan(SuspicionBurst{P: 1, By: []proto.PID{}}),
+		"self-suspicion":     NewFaultPlan().Suspect(0, 1, time.Second, 1),
 	}
 	for name, plan := range bad {
 		cfg := planBase(FD)

@@ -411,6 +411,7 @@ func TestShellsRejectAlike(t *testing.T) {
 		{"topology of another size", Config{Algorithm: FD, N: 3, Topology: Ring(4)}, "4 processes"},
 		{"plan names a missing process", Config{Algorithm: FD, N: 3, Plan: NewFaultPlan(Crash{P: 5})}, "process 5"},
 		{"suspicion by an empty monitor list", Config{Algorithm: FD, N: 3, Plan: NewFaultPlan(SuspicionBurst{P: 1, By: []ProcessID{}})}, "empty monitor list"},
+		{"suspicion of a process by itself", Config{Algorithm: FD, N: 3, Plan: NewFaultPlan(SuspicionBurst{P: 1, By: []ProcessID{0, 1}})}, "p1 by itself"},
 		{"load names a missing sender", Config{Algorithm: FD, N: 3, Load: NewLoadPlan(Mute{Sender: 4})}, "sender 4"},
 		{"cross-shard without groups", Config{Algorithm: FD, N: 4, CrossShard: 0.5}, "CrossShard"},
 		{"shardmix without groups", Config{Algorithm: FD, N: 4, Load: NewLoadPlan(ShardMix{Fraction: 0.5})}, "shardmix"},
