@@ -482,9 +482,6 @@ type traceCase struct {
 	cfg       Config
 	transient *TransientConfig
 	want      uint64
-	// wedged marks a steady case that loses messages by design, so only
-	// its bytes are checked.
-	wedged bool
 	// check looks for the lines that show the trace ran what the case
 	// pins; nil checks the digest alone.
 	check func(t *testing.T, text string)
@@ -509,7 +506,7 @@ func (tc *traceCase) runAfter(t *testing.T, before []Config, observers ...Observ
 		a := tc.cfg
 		a.Observers = observers
 		res := r.SteadyAll(append(before, a))
-		if last := res[len(before)]; !tc.wedged && (last.Messages == 0 || last.Diverged) {
+		if last := res[len(before)]; last.Messages == 0 || last.Diverged {
 			t.Fatalf("replication measured nothing: %+v", last)
 		}
 		return
@@ -695,10 +692,10 @@ func fullTraceCases() []traceCase {
 		{name: "FD n=32 ring", cfg: wide, want: 0x23aa55ccb02a4aba},
 		{name: "FD n=6 sharded", cfg: sharded(FD), want: 0xf07f55a4ed594376, check: traceHas(" g0{MsgAck[k=", " mgram ", " tsprop ")},
 		{name: "GM n=6 sharded", cfg: sharded(GM), want: 0xa05267ddf7754f22, check: traceHas(" g1{seqabcast.MsgAck}", " mgram ", " tsprop ")},
-		{name: "FD n=3 heartbeat heal", cfg: healed(nil, 2, []proto.PID{0, 1}, []proto.PID{2}), want: 0xb19cb9ea50feb3f4,
-			wedged: true, check: healedMarkers},
+		{name: "FD n=3 heartbeat heal", cfg: healed(nil, 2, []proto.PID{0, 1}, []proto.PID{2}),
+			want: 0xb19cb9ea50feb3f4, check: healedMarkers},
 		{name: "FD n=6 sharded heartbeat heal", cfg: healed(groups.Disjoint(6, 2), 4, []proto.PID{0, 1, 2, 3}, []proto.PID{4, 5}),
-			want: 0x09d7aa3e5b823a52, wedged: true, check: healedMarkers},
+			want: 0x09d7aa3e5b823a52, check: healedMarkers},
 		{name: "GM n=3 heartbeat", cfg: hbGM, want: 0x27549205b810b9f2,
 			check: traceHas(" gm.MsgJoinReq", " gm.MsgWelcome", "\nF 550000000 heal\n", "\nF 860000000 recover p1\n")},
 	}
