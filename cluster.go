@@ -242,9 +242,7 @@ func (c *Cluster) BroadcastAt(p int, at time.Duration, body any) {
 // member of the destination groups in one total order. Groups mode only
 // (ClusterConfig.Groups non-nil); destinations may come in any order.
 func (c *Cluster) Multicast(p int, dests []int, body any) MessageID {
-	ds := c.checkMulticast(p, dests)
-	c.core.SentBy[p]++
-	return c.core.Mcast(proto.PID(p), ds, body)
+	return c.core.Multicast(p, c.checkMulticast(p, dests), body)
 }
 
 // MulticastAt schedules an A-multicast from process p to the given

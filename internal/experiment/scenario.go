@@ -86,7 +86,8 @@ func pick[T any](observers []Observer) []T {
 }
 
 // runReplication is the replication pipeline: it builds the Core, attaches
-// one observer per Config.Observers factory, starts the workload, runs the
+// one observer per Config.Observers factory (an Invariants observer by
+// installing its History as Core.History), starts the workload, runs the
 // measure phase in divergence-checked slices, then drains until every
 // awaited delivery landed or the drain budget runs out. A steady point
 // awaits every id A-broadcast in [Warmup, Warmup+Measure). A
@@ -127,7 +128,14 @@ func (r *replication) run(cfg Config, point, rep int) RepStats {
 	eng := r.core.Eng
 
 	for _, factory := range cfg.Observers {
-		if o := factory(point, rep, cfg); o != nil {
+		switch o := factory(point, rep, cfg).(type) {
+		case nil:
+		case history:
+			if r.core.History != nil {
+				panic("experiment: two Invariants observe one replication")
+			}
+			r.core.History = o.h
+		default:
 			r.observers = append(r.observers, o)
 		}
 	}

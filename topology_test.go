@@ -95,25 +95,3 @@ func TestGeoWANPartitionBurstSweepPoint(t *testing.T) {
 		}
 	}
 }
-
-// TestClusterOnTopology drives the interactive facade on a non-default
-// graph: a ring cluster orders and delivers everywhere, and a geo
-// cluster survives a WAN cut of one site.
-func TestClusterOnTopology(t *testing.T) {
-	delivered := make(map[int]int)
-	c := NewCluster(ClusterConfig{
-		Algorithm: FD,
-		N:         8,
-		Topology:  Ring(8),
-		OnDeliver: func(d Delivery) { delivered[d.Process]++ },
-	})
-	for i := 0; i < 10; i++ {
-		c.BroadcastAt(i%8, time.Duration(i)*11*time.Millisecond, i)
-	}
-	c.Run(5 * time.Second)
-	for p := 0; p < 8; p++ {
-		if delivered[p] != 10 {
-			t.Fatalf("ring process %d delivered %d/10 messages", p, delivered[p])
-		}
-	}
-}
