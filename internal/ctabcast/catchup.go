@@ -1,14 +1,13 @@
 package ctabcast
 
 // Decision-log catch-up: the FD stack's recovery path for gaps that
-// outlive the consensus instance window, mirroring the GM stack's state
-// transfer.
+// outlive the consensus instance window. The GM stack recovers a joiner
+// from the same kind of log (proto.Log) through its state transfer.
 //
-// Every process appends each decided batch — IDs, payload references and
-// the proposer — to a bounded decision log (logRetain entries, trimmed
-// oldest-first and compacted in place). A process that falls behind
-// detects its gap from the instance numbers piggy-backed on ordinary
-// consensus traffic: a message for instance k proves its sender had
+// Every process appends each decided batch — IDs, payloads and the
+// proposer — to a bounded decision log (proto.Log, keeping logRetain
+// entries). A process that falls behind detects its gap from the instance
+// numbers piggy-backed on ordinary consensus traffic: a message for instance k proves its sender had
 // delivered everything below k, so k strictly above our frontier is
 // evidence of lag. Detection is two-fold:
 //
@@ -24,21 +23,20 @@ package ctabcast
 //
 // Catch-up is a request/reply suffix transfer with deterministic
 // timeout/retry over the simulated clock: CatchUpReq(from) goes to the
-// most advanced peer observed; the reply carries the decision suffix
-// [from, next), copied out of the responder's log, which the straggler
-// re-delivers in order through the normal drain path. Retries rotate
-// targets with doubling backoff (base catchUpRetry, capped), so a crashed
-// responder only costs one timeout. If even the responder's log no longer
+// most advanced peer observed; the reply carries the log's suffix
+// [from, next), which the straggler re-delivers in order through the
+// normal drain path. Retries rotate targets with doubling backoff (base
+// catchUpRetry, capped), so a crashed responder only costs one timeout. If even the responder's log no longer
 // reaches back to `from`, the reply degrades to a full-snapshot handoff:
 // the retained suffix plus a copy of the responder's delivery tracker. The
 // straggler delivers what the log still holds, adopts the tracker for the
 // truncated prefix and jumps its frontier — the messages of the truncated
 // prefix are a documented delivery gap at that process, the price of
-// unwedging (GM's state transfer pays the same price by construction: a
-// rejoiner only receives the current service state).
+// unwedging (a GM joiner beyond its welcomer's log pays the same price).
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/proto"
@@ -75,49 +73,26 @@ const (
 
 // logEntry is one decided batch in the decision log. ids is the decision
 // value in proposal order, shared (immutably) with the instance table and
-// any shipped replies. Its bodies are parallel to ids, nil where the batch
-// re-decided an ID an earlier batch already delivered (the earlier entry
-// carries the body). They are the len(ids) slots from off of the body
-// buffer that goes with the entries (Process.logBodies for the log,
-// catchUpReply.Bodies for a reply), in entry order. A batch whose bodies
-// are all nil — every batch of the built-in workload, whose arrivals carry
-// no payload — takes no slots: its off is noBodies.
+// any shipped replies. bodies points at the batch's payloads, parallel to
+// ids and nil where the batch re-decided an ID an earlier batch already
+// delivered (the earlier entry carries the body); a batch whose bodies
+// are all nil — every batch of the built-in workload, whose arrivals
+// carry no payload — has none. The payloads and the header that points at
+// them are carved from the process's slabs, so replies and adopting
+// processes share them. An entry is 40 B: the log keeps over a thousand
+// of them per process, and an inline []any would make it 56 B.
 type logEntry struct {
 	ids      []proto.MsgID
-	off      int
+	bodies   *[]any
 	proposer proto.PID
 }
 
-// noBodies is the offset of an entry whose bodies are all nil.
-const noBodies = -1
-
-// body returns the entry's j-th body out of its body buffer.
-func (e *logEntry) body(buf []any, j int) any {
-	if e.off == noBodies {
+// body returns the entry's j-th body.
+func (e *logEntry) body(j int) any {
+	if e.bodies == nil {
 		return nil
 	}
-	return buf[e.off+j]
-}
-
-// bodiesFrom returns where the bodies of entries[i:] begin in their body
-// buffer buf.
-func bodiesFrom(entries []logEntry, i int, buf []any) int {
-	for ; i < len(entries); i++ {
-		if entries[i].off != noBodies {
-			return entries[i].off
-		}
-	}
-	return len(buf)
-}
-
-// rebase shifts the entries' offsets down by base, the start of the part
-// of their body buffer they keep.
-func rebase(entries []logEntry, base int) {
-	for i := range entries {
-		if entries[i].off != noBodies {
-			entries[i].off -= base
-		}
-	}
+	return (*e.bodies)[j]
 }
 
 // catchUpReq asks a peer for the decision suffix starting at instance
@@ -131,16 +106,14 @@ type catchUpReq struct {
 // String renders the request for traces.
 func (m catchUpReq) String() string { return fmt.Sprintf("CatchUpReq[from=%d]", m.From) }
 
-// catchUpReply carries the decision suffix [Start, Start+len(Entries))
-// with the entries' bodies, plus the responder's frontier Next and its
-// renumbering seed for instance Next. Entries and Bodies are the reply's
-// own copy: the responder's log is compacted in place. Snap is non-nil
-// only on the full-snapshot fallback.
+// catchUpReply carries the decision suffix [Start, Start+len(Entries)),
+// plus the responder's frontier Next and its renumbering seed for
+// instance Next. Entries is the reply's own copy: the responder's log is
+// compacted in place. Snap is non-nil only on the full-snapshot fallback.
 type catchUpReply struct {
 	Start      uint64
 	Next       uint64
 	Entries    []logEntry
-	Bodies     []any
 	Snap       *proto.TrackerSnapshot
 	FirstCoord proto.PID
 }
@@ -155,52 +128,21 @@ func (m catchUpReply) String() string {
 
 // appendLog records the batch the drain is about to deliver (instance
 // nextDeliver) in the decision log, capturing bodies before delivery
-// deletes them. The log is trimmed to logRetain entries with hysteresis,
-// compacting entries and bodies in place, so once both buffers have
-// reached their working size a batch costs no allocation.
+// deletes them.
 func (p *Process) appendLog(ids []proto.MsgID, proposer proto.PID) {
-	e := logEntry{ids: ids, off: noBodies, proposer: proposer}
-	for _, id := range ids {
-		if m := p.msgs.Get(id); m != nil && m.body != nil {
-			e.off = len(p.logBodies)
-			break
+	e := logEntry{ids: ids, proposer: proposer}
+	for j, id := range ids {
+		m := p.msgs.Get(id)
+		if m == nil || m.body == nil {
+			continue
 		}
-	}
-	if e.off != noBodies {
-		for _, id := range ids {
-			var body any
-			if m := p.msgs.Get(id); m != nil {
-				body = m.body
-			}
-			p.logBodies = append(p.logBodies, body)
+		if e.bodies == nil {
+			e.bodies = &p.headSlab.Carve(1, batchChunkMin, batchChunkMax)[0]
+			*e.bodies = p.bodySlab.Carve(len(ids), idChunkMin, idChunkMax)
 		}
+		(*e.bodies)[j] = m.body
 	}
-	p.log = append(p.log, e)
-	if len(p.log) <= p.logRetain+p.logRetain/2 {
-		return
-	}
-	drop := len(p.log) - p.logRetain
-	base := bodiesFrom(p.log, drop, p.logBodies)
-	n := copy(p.log, p.log[drop:])
-	clear(p.log[n:]) // release the dropped decision values
-	p.log = p.log[:n]
-	rebase(p.log, base)
-	n = copy(p.logBodies, p.logBodies[base:])
-	clear(p.logBodies[n:]) // and the dropped bodies
-	p.logBodies = p.logBodies[:n]
-	p.logStart += uint64(drop)
-}
-
-// copyLog copies the log from entry i on, with its bodies, into arrays of
-// its own, the entries' offsets rebased onto the copied bodies.
-func (p *Process) copyLog(i int) ([]logEntry, []any) {
-	if i == len(p.log) {
-		return nil, nil
-	}
-	base := bodiesFrom(p.log, i, p.logBodies)
-	entries := append([]logEntry(nil), p.log[i:]...)
-	rebase(entries, base)
-	return entries, append([]any(nil), p.logBodies[base:]...)
+	p.log.Append(e)
 }
 
 // noteInstance digests the lag evidence carried by every incoming
@@ -336,15 +278,11 @@ func (p *Process) retryCatchUp() {
 // frontier, so even an empty reply tells the requester where the
 // responder stands.
 func (p *Process) onCatchUpReq(from proto.PID, reqFrom uint64) {
-	r := catchUpReply{Next: p.nextDeliver, FirstCoord: p.firstCoord}
-	i := 0
-	if reqFrom >= p.logStart {
-		i = int(min(reqFrom-p.logStart, uint64(len(p.log))))
-	} else {
+	start, entries, gap := p.log.Suffix(reqFrom)
+	r := catchUpReply{Start: start, Next: p.nextDeliver, Entries: slices.Clone(entries), FirstCoord: p.firstCoord}
+	if gap {
 		r.Snap = p.adelivered.Snapshot()
 	}
-	r.Start = p.logStart + uint64(i)
-	r.Entries, r.Bodies = p.copyLog(i)
 	p.rt.Send(from, r)
 }
 
@@ -390,7 +328,7 @@ func (p *Process) applySuffix(r catchUpReply) {
 		if d := p.insts.At(k); !d.decided {
 			d.ids, d.decided, d.proposer = e.ids, true, e.proposer
 		}
-		p.stashBodies(e, r.Bodies)
+		p.stashBodies(e)
 	}
 	p.drainDecisions()
 }
@@ -398,9 +336,9 @@ func (p *Process) applySuffix(r catchUpReply) {
 // stashBodies makes a caught-up entry's payloads available to the drain.
 // Decided IDs must not re-enter the pending set: they are already
 // ordered, so a stashed entry is not pending.
-func (p *Process) stashBodies(e *logEntry, buf []any) {
+func (p *Process) stashBodies(e *logEntry) {
 	for j, id := range e.ids {
-		body := e.body(buf, j)
+		body := e.body(j)
 		if body == nil || p.adelivered.Seen(id) {
 			continue
 		}
@@ -419,18 +357,15 @@ func (p *Process) stashBodies(e *logEntry, buf []any) {
 // delivery gap at this process — the documented price of unwedging.
 func (p *Process) applySnapshot(r catchUpReply) {
 	for i := range r.Entries {
-		p.deliverEntry(&r.Entries[i], r.Bodies)
+		p.deliverEntry(&r.Entries[i])
 	}
 	p.adelivered.Merge(r.Snap)
 	p.nextDeliver = r.Next
 	p.firstCoord = r.FirstCoord
 	// Adopt the responder's retained window as our own log: our previous
-	// entries sit below the new frontier and the invariant
-	// logStart+len(log) == nextDeliver must hold for our own replies. The
-	// reply's offsets index its Bodies, which become the log's.
-	p.log = refill(p.log, r.Entries)
-	p.logBodies = refill(p.logBodies, r.Bodies)
-	p.logStart = r.Start
+	// entries sit below the new frontier and the invariant log.Next() ==
+	// nextDeliver must hold for our own replies.
+	p.log.Adopt(r.Start, r.Entries)
 	// Drop ordering state below the new frontier.
 	p.retire(p.nextDeliver)
 	// Pending messages the snapshot covers were delivered elsewhere:
@@ -448,7 +383,7 @@ func (p *Process) applySnapshot(r catchUpReply) {
 // path cannot go through drainDecisions because the batch numbers lie
 // beyond the contiguous frontier. Same per-batch semantics: sorted ID
 // order, adelivered dedup, bodies preferred from local state.
-func (p *Process) deliverEntry(e *logEntry, buf []any) {
+func (p *Process) deliverEntry(e *logEntry) {
 	p.sortScratch = append(p.sortScratch[:0], e.ids...)
 	proto.SortMsgIDs(p.sortScratch)
 	for _, id := range p.sortScratch {
@@ -459,7 +394,7 @@ func (p *Process) deliverEntry(e *logEntry, buf []any) {
 		if body == nil {
 			for j, eid := range e.ids {
 				if eid == id {
-					body = e.body(buf, j)
+					body = e.body(j)
 					break
 				}
 			}
@@ -467,15 +402,4 @@ func (p *Process) deliverEntry(e *logEntry, buf []any) {
 		p.rb.MarkStable(id)
 		p.cfg.Deliver(id, body)
 	}
-}
-
-// refill replaces dst's contents with a copy of src in dst's own array,
-// zeroing what is left of the old contents so it pins nothing.
-func refill[T any](dst, src []T) []T {
-	old := len(dst)
-	dst = append(dst[:0], src...)
-	if len(dst) < old {
-		clear(dst[len(dst):old])
-	}
-	return dst
 }

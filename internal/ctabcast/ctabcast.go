@@ -50,8 +50,9 @@ func (m consMsg) String() string {
 // pointer, which a consensus.Value holds without allocating.
 type batch struct{ ids []proto.MsgID }
 
-// Chunk sizes of the proposal slabs: small first, so a cold process that
-// proposes little pays little, doubling up to the largest.
+// Chunk sizes of the proposal slabs, and of the logged bodies' slabs
+// beside them: small first, so a cold process that proposes little pays
+// little, doubling up to the largest.
 const (
 	idChunkMin, idChunkMax       = 16, 4096
 	batchChunkMin, batchChunkMax = 4, 256
@@ -102,14 +103,10 @@ type Process struct {
 	nextDeliver uint64    // lowest instance whose decision is still undelivered
 	firstCoord  proto.PID // round-1 coordinator of instance nextDeliver
 
-	// Decision log and catch-up state (see catchup.go). The log covers
-	// instances [logStart, logStart+len(log)), and logStart+len(log) ==
-	// nextDeliver always holds. logBodies holds the entries' bodies back to
-	// back, in log order.
-	log         []logEntry
-	logBodies   []any
-	logStart    uint64
-	logRetain   int           // the logRetain constant; only the snapshot-handoff test shrinks it
+	// Decision log and catch-up state (see catchup.go). The log's
+	// positions are instance numbers, and log.Next() == nextDeliver always
+	// holds. Its Retain is the logRetain constant; only tests shrink it.
+	log         proto.Log[logEntry]
 	maxSeen     uint64        // highest instance seen in peer consensus traffic
 	maxSeenFrom proto.PID     // sender of that traffic: the most advanced peer known
 	cuRetry     *proto.Alarm  // retry timer: an exchange is in progress exactly while it is pending
@@ -126,6 +123,8 @@ type Process struct {
 	boxes       netmodel.Pool[consMsg]  // consMsg wire boxes
 	idSlab      proto.Slab[proto.MsgID] // proposals' ID slices
 	batchSlab   proto.Slab[batch]       // proposals
+	bodySlab    proto.Slab[any]         // logged batches' bodies
+	headSlab    proto.Slab[[]any]       // the headers logEntry.bodies points at
 	slotFree    []*instSlot             // recycled instance slots (GC'd instances)
 	sortScratch []proto.MsgID
 	suspectsFn  func(proto.PID) bool
@@ -205,8 +204,8 @@ func New(rt proto.Runtime, cfg Config) *Process {
 // its own runtime: nothing broadcast, received, decided or logged, no
 // catch-up in progress. Its tables, decision log, box pool, instance
 // slots and catch-up timers are kept for reuse — every built instance's
-// slot goes back to the free list, and the proposal slabs carve on where
-// they stopped, so no batch of the previous run is overwritten. The
+// slot goes back to the free list, and the proposal and body slabs carve
+// on where they stopped, so no batch of the previous run is overwritten. The
 // runtime's timers of the previous run must not fire afterwards, and the
 // catch-up timers must not be pending (the engine is reset alongside).
 func (p *Process) Reset(cfg Config) {
@@ -222,8 +221,8 @@ func (p *Process) Reset(cfg Config) {
 	p.msgs.Reset()
 	p.adelivered.Reset()
 	clear(p.buffered)
-	clear(p.log)
-	clear(p.logBodies)
+	p.log.Reset(1)
+	p.log.Retain = logRetain
 	p.rb.Reset()
 	*p = Process{
 		rt:          p.rt,
@@ -235,15 +234,14 @@ func (p *Process) Reset(cfg Config) {
 		insts:       p.insts,
 		buffered:    p.buffered,
 		nextDeliver: 1,
-		log:         p.log[:0],
-		logBodies:   p.logBodies[:0],
-		logStart:    1,
-		logRetain:   logRetain,
+		log:         p.log,
 		cuRetry:     p.cuRetry,
 		probe:       p.probe,
 		boxes:       p.boxes,
 		idSlab:      p.idSlab,
 		batchSlab:   p.batchSlab,
+		bodySlab:    p.bodySlab,
+		headSlab:    p.headSlab,
 		slotFree:    p.slotFree,
 		sortScratch: p.sortScratch[:0],
 		suspectsFn:  p.suspectsFn,

@@ -68,7 +68,7 @@ func newCluster(o clusterOpts) *cluster {
 			},
 		})
 		if o.logRetain > 0 {
-			c.procs[i].logRetain = o.logRetain
+			c.procs[i].log.Retain = o.logRetain
 		}
 		sys.SetHandler(proto.PID(i), c.procs[i])
 	}
@@ -596,11 +596,12 @@ func TestDecidedBatchesNeverChange(t *testing.T) {
 		t.Fatal("no batch ordered more than one message")
 	}
 	for p, pr := range c.procs {
-		if len(pr.log) == 0 {
+		start, entries, _ := pr.log.Suffix(pr.log.Start())
+		if len(entries) == 0 {
 			t.Fatalf("p%d retained no log entry", p)
 		}
-		for i, e := range pr.log {
-			k := pr.logStart + uint64(i)
+		for i, e := range entries {
+			k := start + uint64(i)
 			b := batches[runs-1][p][k]
 			if b == nil || !slices.Equal(e.ids, b.copy) {
 				t.Fatalf("p%d: log entry %d is %v, decided %v", p, k, e.ids, b)

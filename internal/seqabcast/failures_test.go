@@ -141,19 +141,38 @@ func TestBroadcastDuringViewChangeDeliveredOnce(t *testing.T) {
 
 // TestStateTransferCoversLongExclusion: many messages are delivered while
 // a process is excluded; the rejoin snapshot must replay all of them in
-// order.
+// order. With a log of 8 the welcomer no longer holds them all: the
+// joiner delivers the window, counts what came before it as delivered
+// (a gap at the joiner) and then keeps in step with the group.
 func TestStateTransferCoversLongExclusion(t *testing.T) {
-	c := newCluster(clusterOpts{n: 3})
-	c.eng.Schedule(at(20), func() {
-		c.sys.FDs.InjectMistake(0, 2, 400*time.Millisecond)
-	})
-	for i := 0; i < 100; i++ {
-		c.broadcastAt(proto.PID(i%2), at(float64(10+4*i))) // senders 0 and 1 only
-	}
-	c.run(3 * time.Second)
-	c.holds(t, proto.Prefix|proto.Destinations)
-	if got, want := c.procs[2].DeliveredCount(), c.procs[0].DeliveredCount(); got != want {
-		t.Fatalf("rejoined p2 delivered %d, members delivered %d", got, want)
+	for _, retain := range []int{0, 8} {
+		c := newCluster(clusterOpts{n: 3, logRetain: retain})
+		c.eng.Schedule(at(20), func() {
+			c.sys.FDs.InjectMistake(0, 2, 400*time.Millisecond)
+		})
+		for i := 0; i < 100; i++ {
+			c.broadcastAt(proto.PID(i%2), at(float64(10+4*i))) // senders 0 and 1 only
+		}
+		for i := 0; i < 10; i++ {
+			c.broadcastAt(proto.PID(i%3), at(float64(2000+10*i))) // after the rejoin
+		}
+		c.run(3 * time.Second)
+		if got, want := c.procs[2].DeliveredCount(), c.procs[0].DeliveredCount(); got != want {
+			t.Fatalf("retain %d: rejoined p2 delivered %d, members delivered %d", retain, got, want)
+		}
+		if retain == 0 {
+			c.holds(t, proto.Prefix|proto.Destinations)
+			continue
+		}
+		if got, all := len(c.deliveries[2]), len(c.deliveries[0]); got >= all {
+			t.Fatalf("retain %d: p2 made %d of %d deliveries, want a gap", retain, got, all)
+		}
+		if err := c.hist.Check(proto.Order, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.hist.Check(proto.Prefix|proto.Agreement, func(p proto.PID) bool { return p != 2 }); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -96,11 +96,16 @@ type LogEntry struct {
 	Body any
 }
 
-// syncState is the Welcome payload built by SyncPayload. It travels as a
-// *syncState and belongs to the Welcome box, which hands it back to
-// SyncPayload for the next snapshot once the joiner is done with it.
+// syncState is the Welcome payload built by SyncPayload: the welcomer's
+// deliveries from position Start on and, when its log no longer reaches
+// back to the joiner's count, a snapshot of its delivered set that covers
+// the rest. It travels as a *syncState and belongs to the Welcome box,
+// which hands it back to SyncPayload for the next snapshot once the
+// joiner is done with it.
 type syncState struct {
+	Start   uint64
 	Entries []LogEntry
+	Snap    *proto.TrackerSnapshot
 }
 
 // Config parameterises the GM algorithm at one process.
@@ -126,11 +131,12 @@ type Config struct {
 
 const (
 	// logRetain bounds the delivered log kept for state transfer. A joiner
-	// whose delivery count lies below the retained window cannot be served
-	// and SyncPayload panics; a recovered incarnation rejoins from zero, so
-	// for crash-recovery the bound is on the whole run. 16384 deliveries is
-	// 20 s at 800 msgs/s, beyond any figure's or example's run before a
-	// Recover (one that reached it would panic).
+	// whose delivery count lies below the retained window gets the window
+	// and a snapshot of the welcomer's delivered set, so the deliveries
+	// before the window are a gap at the joiner; a recovered incarnation
+	// rejoins from zero, so for crash-recovery the bound is on the whole
+	// run. 16384 deliveries is 20 s at 800 msgs/s, beyond any figure's or
+	// example's run before a Recover.
 	logRetain = 16384
 	// bufferLimit bounds protocol messages buffered while excluded (what
 	// overflows is dropped): a memory cap, the size of gm's
@@ -152,8 +158,7 @@ type Process struct {
 	// here; delivered ones stay until the sequencer announces stability.
 	received  map[proto.MsgID]any
 	delivered *proto.IDTracker
-	log       []LogEntry
-	logStart  uint64 // delivery count of log[0]
+	log       proto.Log[LogEntry] // positions are delivery counts
 
 	// Per-view ordering state (reset on every install). assignments and
 	// seqOf hold only sequence numbers above prunedUpTo: pruneStable drops
@@ -240,7 +245,8 @@ func (p *Process) Reset(cfg Config) {
 	}
 	clear(p.received)
 	p.delivered.Reset()
-	clear(p.log)
+	p.log.Reset(0)
+	p.log.Retain = logRetain
 	clear(p.toSequence)
 	clear(p.queued)
 	for _, bp := range p.buffered {
@@ -255,7 +261,7 @@ func (p *Process) Reset(cfg Config) {
 		bcastSeq:    cfg.SeqBase,
 		received:    p.received,
 		delivered:   p.delivered,
-		log:         p.log[:0],
+		log:         p.log,
 		assignments: p.assignments,
 		seqOf:       p.seqOf,
 		toSequence:  p.toSequence,
@@ -285,9 +291,7 @@ func (p *Process) IsSequencer() bool {
 func (p *Process) IsExcluded() bool { return !p.gm.IsMember() }
 
 // DeliveredCount returns the number of messages A-delivered locally.
-func (p *Process) DeliveredCount() uint64 {
-	return p.logStart + uint64(len(p.log))
-}
+func (p *Process) DeliveredCount() uint64 { return p.log.Next() }
 
 // Init implements proto.Handler.
 func (p *Process) Init() {
@@ -570,8 +574,7 @@ func (p *Process) deliverOne(id proto.MsgID, body any) {
 	if !p.delivered.Add(id) {
 		return
 	}
-	p.log = append(p.log, LogEntry{ID: id, Body: body})
-	p.trimLog()
+	p.log.Append(LogEntry{ID: id, Body: body})
 	p.cfg.Deliver(id, body)
 }
 
@@ -599,18 +602,6 @@ func (p *Process) pruneStable() {
 		delete(p.seqOf, id)
 		delete(p.assignments, p.prunedUpTo)
 	}
-}
-
-// trimLog bounds the state-transfer log.
-func (p *Process) trimLog() {
-	if len(p.log) <= logRetain+1024 {
-		return
-	}
-	drop := len(p.log) - logRetain
-	n := copy(p.log, p.log[drop:])
-	clear(p.log[n:]) // release the dropped bodies
-	p.log = p.log[:n]
-	p.logStart += uint64(drop)
 }
 
 // resetViewState clears all per-view ordering state.
@@ -690,17 +681,20 @@ func (p *Process) SyncRequest() uint64 { return p.DeliveredCount() }
 
 // SyncPayload implements gm.App: the missing suffix of the delivered log,
 // built in reuse's entries when the Welcome box had a payload already.
+// When the log no longer reaches back to afterCount, the payload carries
+// every delivery the log holds and the snapshot of the delivered set that
+// covers the ones before it.
 func (p *Process) SyncPayload(afterCount uint64, reuse any) any {
-	if afterCount < p.logStart {
-		panic(fmt.Sprintf("seqabcast: state transfer needs deliveries from %d but log starts at %d (the last %d deliveries are kept)",
-			afterCount, p.logStart, logRetain))
-	}
 	st, _ := reuse.(*syncState)
 	if st == nil {
 		st = new(syncState)
 	}
 	clear(st.Entries) // drop the last snapshot's bodies
-	st.Entries = append(st.Entries[:0], p.log[afterCount-p.logStart:]...)
+	start, entries, gap := p.log.Suffix(afterCount)
+	st.Start, st.Entries, st.Snap = start, append(st.Entries[:0], entries...), nil
+	if gap {
+		st.Snap = p.delivered.Snapshot()
+	}
 	return st
 }
 
@@ -713,6 +707,12 @@ func (p *Process) InstallSync(v gm.View, payload any) {
 	}
 	for _, e := range st.Entries {
 		p.deliverOne(e.ID, e.Body)
+	}
+	if st.Snap != nil {
+		// The welcomer's deliveries before its window are a gap here: they
+		// count as delivered, and its window becomes this process's log.
+		p.delivered.Merge(st.Snap)
+		p.log.Adopt(st.Start, st.Entries)
 	}
 	p.startNewView(v)
 	if p.cfg.OnView != nil {
