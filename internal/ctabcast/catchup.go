@@ -7,9 +7,9 @@ package ctabcast
 // Every process appends each decided batch — IDs, payloads and the
 // proposer — to a bounded decision log (proto.Log, keeping logRetain
 // entries). A process that falls behind detects its gap from the instance
-// numbers piggy-backed on ordinary consensus traffic: a message for instance k proves its sender had
-// delivered everything below k, so k strictly above our frontier is
-// evidence of lag. Detection is two-fold:
+// numbers piggy-backed on ordinary consensus traffic: a message for
+// instance k proves its sender had delivered everything below k, so k
+// strictly above our frontier is evidence of lag. Detection is two-fold:
 //
 //   - Passive: a message at least instanceWindow ahead of the frontier
 //     means peers have garbage-collected the instances we need; ordinary
@@ -26,13 +26,14 @@ package ctabcast
 // most advanced peer observed; the reply carries the log's suffix
 // [from, next), which the straggler re-delivers in order through the
 // normal drain path. Retries rotate targets with doubling backoff (base
-// catchUpRetry, capped), so a crashed responder only costs one timeout. If even the responder's log no longer
-// reaches back to `from`, the reply degrades to a full-snapshot handoff:
-// the retained suffix plus a copy of the responder's delivery tracker. The
-// straggler delivers what the log still holds, adopts the tracker for the
-// truncated prefix and jumps its frontier — the messages of the truncated
-// prefix are a documented delivery gap at that process, the price of
-// unwedging (a GM joiner beyond its welcomer's log pays the same price).
+// catchUpRetry, capped), so a crashed responder only costs one timeout.
+// If even the responder's log no longer reaches back to `from`, the reply
+// degrades to a full-snapshot handoff: the retained suffix plus a copy of
+// the responder's delivery tracker. The straggler delivers what the log
+// still holds, adopts the tracker for the truncated prefix and jumps its
+// frontier — the messages of the truncated prefix are a documented
+// delivery gap at that process, the price of unwedging (a GM joiner
+// beyond its welcomer's log pays the same price).
 
 import (
 	"fmt"
@@ -279,7 +280,8 @@ func (p *Process) retryCatchUp() {
 // responder stands.
 func (p *Process) onCatchUpReq(from proto.PID, reqFrom uint64) {
 	start, entries, gap := p.log.Suffix(reqFrom)
-	r := catchUpReply{Start: start, Next: p.nextDeliver, Entries: slices.Clone(entries), FirstCoord: p.firstCoord}
+	r := catchUpReply{Start: start, Next: p.nextDeliver, FirstCoord: p.firstCoord}
+	r.Entries = slices.Clone(entries) // the log is compacted in place
 	if gap {
 		r.Snap = p.adelivered.Snapshot()
 	}
