@@ -39,8 +39,9 @@ type transition struct {
 // before it: one of a's shape on a's topology and on others of its N
 // (wires growing and shrinking, and from lossy wires to lossless ones);
 // one of the other algorithm; the grouped or ungrouped counterpart, and
-// for a grouped case another group map; the other detector; and another
-// N, whose system cannot be kept.
+// for a grouped case one on a freshly built map and topology equal to
+// a's (distinct pointers, the same shape) and one on another group map;
+// the other detector; and another N, whose system cannot be kept.
 func transitions(a Config) []transition {
 	const ms = time.Millisecond
 	after := func(label string, change func(*Config)) transition {
@@ -70,6 +71,7 @@ func transitions(a Config) []transition {
 	} else {
 		out = append(out,
 			after("ungrouped", func(b *Config) { b.Groups, b.CrossShard = nil, 0 }),
+			after("an equal map", func(b *Config) { b.Groups, b.Topology = equalShape(b.Groups, b.Topology) }),
 			after("chained", func(b *Config) { b.Groups = groups.Chained(n, 2) }))
 	}
 	if a.Detector == nil {
@@ -87,6 +89,24 @@ func transitions(a Config) []transition {
 			b.Groups = groups.Disjoint(m, 2)
 		}
 	}))
+}
+
+// equalShape builds a group map and a topology equal to m and t but
+// distinct from them: m rebuilt from its spec, t from its spec or, for
+// the default full mesh (nil), a new FullMesh.
+func equalShape(m *groups.GroupMap, t *topo.Topology) (*groups.GroupMap, *topo.Topology) {
+	fresh, err := groups.FromSpec(m.Spec())
+	if err != nil {
+		panic(err)
+	}
+	if t == nil {
+		return fresh, topo.FullMesh(m.N())
+	}
+	ft, err := topo.FromSpec(t.Spec())
+	if err != nil {
+		panic(err)
+	}
+	return fresh, ft
 }
 
 // dirtied returns a replication that differs from a in everything a

@@ -405,7 +405,7 @@ func TestResetMatchesNew(t *testing.T) {
 		h.eng.Run()
 		return h.got, h.nw.Counters()
 	}
-	for _, tc := range []struct {
+	for i, tc := range []struct {
 		name     string
 		from, to *topo.Topology
 		panics   bool
@@ -416,13 +416,22 @@ func TestResetMatchesNew(t *testing.T) {
 		{name: "clique to full mesh", from: clique, to: nil},
 		{name: "full mesh to another N", from: nil, to: topo.Ring(n - 1), panics: true},
 	} {
+		// The dirtied network registers sets with fewer and with more
+		// members than the script's, in either order, so the script's set
+		// lands on storage another set left behind.
+		others := [][]int{{0, 7}, {0, 1, 3, 4, 6, 7}}
+		if i%2 == 1 {
+			others[0], others[1] = others[1], others[0]
+		}
 		t.Run(tc.name, func(t *testing.T) {
 			dirty := config(tc.from)
 			dirty.Lambda, dirty.Slot = 2*time.Millisecond, 3*time.Millisecond
 			h := newHarness(t, dirty)
 			traced := 0
 			h.nw.SetTrace(func(TraceEvent) { traced++ })
-			h.nw.RegisterSet([]int{0, 7})
+			for _, members := range others {
+				h.nw.RegisterSet(members)
+			}
 			h.nw.SetLink(1, 2, 0.5, 4*time.Millisecond)
 			h.nw.SetPartition([][]int{{0, 1, 2, 3}, {4, 5, 6, 7}})
 			h.nw.Crash(3)
