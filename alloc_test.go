@@ -388,6 +388,12 @@ func TestHeartbeatAllocBudget(t *testing.T) {
 // change topology at one size: the reset system rebinds the network to
 // the next topology. Built afresh for every topology they cost 599 (FD)
 // and 373 (GM) allocations; rebound in place, 35 and 42.
+//
+// The grouped n=6 points alternate cross-shard fractions 0 and 0.2 on two
+// Geo 2×3 topologies with a group per site, as groups-shard's points do:
+// each point has its own topology and map, equal in shape. With routers,
+// group instances and prune sets built afresh for every replication they
+// cost 905 allocations; reset in place, 84.
 func TestReusedReplicationAllocBudget(t *testing.T) {
 	const ms = time.Millisecond
 	point := func(alg Algorithm, n int, throughput float64, top *Topology) Config {
@@ -424,6 +430,15 @@ func TestReusedReplicationAllocBudget(t *testing.T) {
 		}, 35},
 		{"FD n=7 ring and clique", alternating(FD), 60},
 		{"GM n=7 ring and clique", alternating(GM), 60},
+		{"FD n=6 sharded, cross 0 and 0.2", func(k int) []Config {
+			points := make([]Config, k)
+			for i := range points {
+				geo := Geo(GeoConfig{Sites: 2, PerSite: 3, WAN: Wire{Delay: 5 * ms}})
+				points[i] = point(FD, 6, 120, geo)
+				points[i].Groups, points[i].CrossShard, points[i].Replications = GroupsFromSites(geo), 0.2*float64(i%2), 1
+			}
+			return points
+		}, 130},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := Runner{Workers: 1}

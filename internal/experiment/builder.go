@@ -330,10 +330,12 @@ func NewCore(cfg CoreConfig) *Core {
 // What the previous run built is reset in place where it can be, so its
 // free lists, pools, tables and logs stay warm: the engine always; the
 // network, rebound to cfg's topology, and the detectors when cfg.N
-// repeats; the endpoints when both runs are ungrouped, run one algorithm
-// and have no heartbeat detector. Group routers and heartbeat wrappers
-// have no Reset, so their endpoints are built again on the reset engine
-// and system. Nothing else of the previous run survives — queued events,
+// repeats; the endpoints when both runs run one algorithm, have no
+// heartbeat detector and are ungrouped or run group maps of one shape
+// (GroupMap.SameShape) — then the group coordinator, its routers and
+// their instances too. Heartbeat wrappers have no Reset, so their
+// endpoints are built again on the reset engine and system. Nothing else
+// of the previous run survives — queued events,
 // crashes and pre-crashes, partitions and link faults, a rejoined
 // incarnation's identity (the process's endpoint takes its original spec
 // again), SentBy and Members, and the hooks it installed (Net.SetTrace,
@@ -341,8 +343,8 @@ func NewCore(cfg CoreConfig) *Core {
 func (c *Core) Reset(cfg CoreConfig) {
 	cfg = cfg.normalized()
 	keepSys := c.Sys != nil && c.Sys.N() == cfg.N
-	keepEnds := keepSys && c.cfg.Groups == nil && c.cfg.Detector == nil &&
-		cfg.Groups == nil && cfg.Detector == nil && cfg.Algorithm == c.cfg.Algorithm
+	keepEnds := keepSys && c.cfg.Detector == nil && cfg.Detector == nil &&
+		cfg.Algorithm == c.cfg.Algorithm && cfg.Groups.SameShape(c.cfg.Groups)
 	if c.Eng == nil {
 		c.Eng = sim.New()
 	} else {
@@ -376,7 +378,14 @@ func (c *Core) Reset(cfg CoreConfig) {
 	if cfg.Groups != nil {
 		c.crossFrac = cfg.CrossShard
 		c.mixRng = sim.NewRand(cfg.Seed).Fork("mix")
-		c.buildGroups()
+		if keepEnds {
+			// The system's reset kept every router as its process's root
+			// handler, and Bcast's entries multicast through them.
+			c.Coord, c.ends, c.first = old.Coord, old.ends, old.first
+			c.Coord.Reset(cfg.Groups, cfg.PreCrashed, c.resetInstance)
+		} else {
+			c.buildGroups()
+		}
 		c.start()
 		return
 	}
@@ -505,29 +514,8 @@ func (c *Core) rejoin(p int, rt proto.Runtime) proto.Handler {
 // timestamp merge provides the cross-group total order.
 func (c *Core) buildGroups() {
 	cfg, sys := &c.cfg, c.Sys
-	pre := make([]bool, cfg.N)
-	for _, p := range cfg.PreCrashed {
-		pre[p] = true
-	}
 	factory := func(ic groups.InstanceConfig) groups.Endpoint {
-		spec := endpointSpec{
-			deliver:  func(_ proto.MsgID, body any) { ic.Deliver(body) },
-			members:  ic.InitialLocal,
-			renumber: cfg.Renumber,
-		}
-		if cfg.OnView != nil {
-			global := ic.Members[ic.Local]
-			spec.onView = func(v gm.View) {
-				// Report view members in global pids; the view id
-				// sequence is the group's own.
-				mapped := gm.View{ID: v.ID, Members: make([]proto.PID, len(v.Members))}
-				for i, lq := range v.Members {
-					mapped.Members[i] = ic.Members[lq]
-				}
-				cfg.OnView(global, mapped, c.Eng.Now())
-			}
-		}
-		ep := c.newEndpoint(ic.Runtime, spec)
+		ep := c.newEndpoint(ic.Runtime, c.groupSpec(ic))
 		c.ends = append(c.ends, ep)
 		return ep
 	}
@@ -538,7 +526,7 @@ func (c *Core) buildGroups() {
 		c.first[p+1] = c.first[p] + len(cfg.Groups.GroupsOf(proto.PID(p)))
 	}
 	c.ends = make([]groups.Endpoint, 0, c.first[cfg.N])
-	coord := groups.NewCoordinator(sys, cfg.Groups, pre, factory, c.deliver)
+	coord := groups.NewCoordinator(sys, cfg.Groups, cfg.PreCrashed, factory, c.deliver)
 	c.Coord = coord
 	for p := 0; p < cfg.N; p++ {
 		pid := proto.PID(p)
@@ -547,6 +535,36 @@ func (c *Core) buildGroups() {
 		home := []int{cfg.Groups.Home(pid)}
 		c.Bcast[p] = func(body any) proto.MsgID { return r.Multicast(home, body) }
 	}
+}
+
+// resetInstance returns a group instance the last run built to the state
+// buildGroups' factory would build it in (groups.Coordinator.Reset).
+func (c *Core) resetInstance(ic groups.InstanceConfig, ep *groups.Endpoint) {
+	c.stack.reset(ep.Handler, c.groupSpec(ic))
+}
+
+// groupSpec is the endpoint recipe of the group instance ic describes,
+// for building it and for resetting it alike.
+func (c *Core) groupSpec(ic groups.InstanceConfig) endpointSpec {
+	deliver := ic.Deliver
+	spec := endpointSpec{
+		deliver:  func(_ proto.MsgID, body any) { deliver(body) },
+		members:  ic.InitialLocal,
+		renumber: c.cfg.Renumber,
+	}
+	if onView := c.cfg.OnView; onView != nil {
+		members, global := ic.Members, ic.Members[ic.Local]
+		spec.onView = func(v gm.View) {
+			// Report view members in global pids; the view id sequence is
+			// the group's own.
+			mapped := gm.View{ID: v.ID, Members: make([]proto.PID, len(v.Members))}
+			for i, lq := range v.Members {
+				mapped.Members[i] = members[lq]
+			}
+			onView(global, mapped, c.Eng.Now())
+		}
+	}
+	return spec
 }
 
 // deliver is the one A-delivery upcall of every endpoint and of the group

@@ -139,6 +139,17 @@ func (m *GroupMap) sortDests(ds, dests []int) []int {
 	return ds
 }
 
+// SameShape reports whether m and o assign the same processes to the same
+// groups, whatever generator built each: the condition under which a
+// Coordinator built for one may be reset for the other. Two nil maps have
+// the same shape, a nil and a non-nil one do not.
+func (m *GroupMap) SameShape(o *GroupMap) bool {
+	if m == nil || o == nil {
+		return m == o
+	}
+	return m.n == o.n && slices.EqualFunc(m.groups, o.groups, slices.Equal)
+}
+
 // Trivial reports whether the map is a single group covering every
 // process — the plain atomic broadcast case. The experiment builder
 // normalizes a trivial map to the ungrouped path, which keeps it

@@ -2,6 +2,7 @@ package groups
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/netmodel"
@@ -66,39 +67,79 @@ type InstanceFactory func(ic InstanceConfig) Endpoint
 
 // Coordinator is the per-simulation shared state of the group layer:
 // the map, the per-group netmodel destination sets and the per-process
-// routers, each of which owns its slabs and message pools.
+// routers, each of which owns its slabs and message pools. Reset keeps
+// all of it for the next simulation on the same system, when that one
+// runs a map of the same shape.
 type Coordinator struct {
 	sys     *proto.System
 	m       *GroupMap
 	factory InstanceFactory
 	deliver func(p proto.PID, id proto.MsgID, body any, at sim.Time)
 	sets    []netmodel.SetID
-	pre     []bool // pre-crashed processes, for initial memberships
+	pre     []proto.PID // pre-crashed processes, for initial memberships
 	routers []*Router
 }
 
 // NewCoordinator registers one netmodel destination set per group and
 // prepares router construction. preCrashed may be nil.
-func NewCoordinator(sys *proto.System, m *GroupMap, preCrashed []bool, factory InstanceFactory,
+func NewCoordinator(sys *proto.System, m *GroupMap, preCrashed []proto.PID, factory InstanceFactory,
 	deliver func(p proto.PID, id proto.MsgID, body any, at sim.Time)) *Coordinator {
-	c := &Coordinator{
-		sys:     sys,
-		m:       m,
-		factory: factory,
-		deliver: deliver,
-		sets:    make([]netmodel.SetID, m.NumGroups()),
-		pre:     preCrashed,
-		routers: make([]*Router, m.N()),
+	c := &Coordinator{sys: sys, factory: factory, deliver: deliver, routers: make([]*Router, m.N())}
+	c.register(m, preCrashed)
+	return c
+}
+
+// Reset returns c, its routers and their instances to the state
+// NewCoordinator(sys, m, preCrashed, …) and a NewRouter call per process
+// leave them in, on c's own system, which must have been reset since the
+// last run, and with c's factory and deliver callback. m must have the
+// shape of c's map (GroupMap.SameShape). Each router hands its instances,
+// in group order, to reset with the InstanceConfig the factory would
+// receive; reset returns the endpoint to the state the factory would
+// build it in.
+func (c *Coordinator) Reset(m *GroupMap, preCrashed []proto.PID, reset func(InstanceConfig, *Endpoint)) {
+	if !m.SameShape(c.m) {
+		panic(fmt.Sprintf("groups: Reset to %v, coordinator runs %v of another shape", m, c.m))
 	}
+	c.register(m, preCrashed)
+	for _, r := range c.routers {
+		r.reset(reset)
+	}
+}
+
+// register is what NewCoordinator and Reset share: it records the map and
+// the pre-crashed processes and registers one destination set per group
+// on the network.
+func (c *Coordinator) register(m *GroupMap, preCrashed []proto.PID) {
+	c.m, c.pre, c.sets = m, preCrashed, c.sets[:0]
 	scratch := make([]int, 0, m.N())
 	for g := 0; g < m.NumGroups(); g++ {
 		scratch = scratch[:0]
 		for _, p := range m.Members(g) {
 			scratch = append(scratch, int(p))
 		}
-		c.sets[g] = sys.Net.RegisterSet(scratch)
+		c.sets = append(c.sets, c.sys.Net.RegisterSet(scratch))
 	}
-	return c
+}
+
+// build is the instance reset NewRouter uses: an endpoint not built yet
+// is the factory's.
+func (c *Coordinator) build(ic InstanceConfig, ep *Endpoint) { *ep = c.factory(ic) }
+
+// initial lists the initially-live members of group gid in local ids, nil
+// when all of them are.
+func (c *Coordinator) initial(gid int) []proto.PID {
+	members := c.m.Members(gid)
+	var initial []proto.PID
+	for _, q := range members {
+		if !slices.Contains(c.pre, q) {
+			initial = append(initial, c.m.LocalIndex(gid, q))
+		}
+	}
+	if len(initial) == len(members) {
+		return nil
+	}
+	return initial
 }
 
 // Map returns the coordinator's group map.
@@ -208,6 +249,10 @@ type instance struct {
 	local   proto.PID
 	set     netmodel.SetID
 	ep      Endpoint
+	// rt and deliver are the instance's InstanceConfig.Runtime and
+	// Deliver, made once.
+	rt      *groupRuntime
+	deliver func(body any)
 	sent    uint64
 	// seen dedups group-deliveries by global id (redundant initiations
 	// collapse here; a home origin's ids arrive in sequence and collapse
@@ -334,38 +379,49 @@ func (c *Coordinator) NewRouter(proc *proto.Proc) *Router {
 	}
 	r.stall = proc.NewAlarm(r.retryStalled)
 	for _, gid := range c.m.GroupsOf(p) {
-		inst := &instance{
-			gid:     gid,
-			pos:     len(r.insts),
-			members: c.m.Members(gid),
-			local:   c.m.LocalIndex(gid, p),
-			set:     c.sets[gid],
-		}
-		var initial []proto.PID
-		if c.pre != nil {
-			for _, q := range inst.members {
-				if !c.pre[q] {
-					initial = append(initial, c.m.LocalIndex(gid, q))
-				}
-			}
-			if len(initial) == len(inst.members) {
-				initial = nil
-			}
-		}
-		inst.ep = c.factory(InstanceConfig{
-			Group:        gid,
-			Members:      inst.members,
-			Local:        inst.local,
-			Runtime:      &groupRuntime{r: r, inst: inst},
-			Deliver:      func(body any) { r.onGroupDeliver(inst, body) },
-			InitialLocal: initial,
-		})
+		inst := &instance{gid: gid, pos: len(r.insts)}
+		inst.rt = &groupRuntime{r: r, inst: inst}
+		inst.deliver = func(body any) { r.onGroupDeliver(inst, body) }
 		r.insts = append(r.insts, inst)
 	}
 	r.clock = make([]uint64, len(r.insts))
 	r.reqAdv = make([]uint64, len(r.insts))
+	r.reset(c.build)
 	c.routers[p] = r
 	return r
+}
+
+// reset returns r to the state NewRouter leaves it in, handing each
+// instance to reset (Coordinator.Reset). What is reset, not kept: the id
+// sequence, the clocks and advance requests, the pending records (back to
+// the free list), the delivered timestamps and stallArmed, whose probe the
+// engine's reset dropped; each instance's counts and dedup tables. Within
+// a run stallArmed stays as sticky as before (ROADMAP 3g).
+func (r *Router) reset(reset func(InstanceConfig, *Endpoint)) {
+	c := r.coord
+	r.seq = 0
+	clear(r.clock)
+	clear(r.reqAdv)
+	r.pend.Each(func(_ proto.MsgID, ent **pending) { r.release(*ent) })
+	r.pend.Reset()
+	for i := range r.done {
+		r.done[i].Reset()
+	}
+	r.stallArmed = false
+	for _, inst := range r.insts {
+		inst.members, inst.local, inst.set = c.m.Members(inst.gid), c.m.LocalIndex(inst.gid, r.self), c.sets[inst.gid]
+		inst.sent = 0
+		inst.seen.Reset()
+		inst.initiated.Reset()
+		reset(InstanceConfig{
+			Group:        inst.gid,
+			Members:      inst.members,
+			Local:        inst.local,
+			Runtime:      inst.rt,
+			Deliver:      inst.deliver,
+			InitialLocal: c.initial(inst.gid),
+		}, &inst.ep)
+	}
 }
 
 func (r *Router) instFor(gid int) *instance {

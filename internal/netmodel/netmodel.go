@@ -284,7 +284,8 @@ func New(eng *sim.Engine, cfg Config, deliver DeliverFunc) *Network {
 // topology's own, compiled once per Topology, and the per-wire arrays are
 // resized in place. Everything a run changes is undone: busy horizons,
 // crashes, the partition, link faults, registered destination sets, the
-// trace hook, the counters and the loss stream.
+// trace hook, the counters and the loss stream. The sets' tables are kept
+// as storage: the next run's RegisterSet calls rebuild them in place.
 func (nw *Network) Reset(cfg Config) {
 	if err := cfg.validate(); err != nil {
 		panic(err)
@@ -298,7 +299,6 @@ func (nw *Network) Reset(cfg Config) {
 	wires := cfg.Topology.Wires
 	clear(nw.cpuBusy)
 	clear(nw.crashed)
-	clear(nw.sets)
 	for p := range nw.linkLoss {
 		clear(nw.linkLoss[p])
 		clear(nw.linkDelay[p])
@@ -529,10 +529,17 @@ type SetID int32
 
 // RegisterSet precompiles pruned multicast routing for a destination
 // set — the address of MulticastSet. Registration is setup-time work:
-// each set costs O(N²) table space, like the full routing itself.
+// each set costs O(N²) table space, like the full routing itself. After a
+// Reset, the set takes the tables the last run registered under its id,
+// rebuilt in place.
 func (nw *Network) RegisterSet(members []int) SetID {
-	nw.sets = append(nw.sets, nw.rt.PruneSet(members))
-	return SetID(len(nw.sets) - 1)
+	id := len(nw.sets)
+	nw.sets = slices.Grow(nw.sets, 1)[:id+1]
+	if nw.sets[id] == nil {
+		nw.sets[id] = new(topo.SetRouting)
+	}
+	nw.rt.PruneSetInto(nw.sets[id], members)
+	return SetID(id)
 }
 
 // MulticastSet transmits payload from process `from` to every member of

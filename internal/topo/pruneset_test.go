@@ -1,6 +1,9 @@
 package topo
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // On a ring, pruning to members on one side cuts the whole other branch:
 // a set multicast only occupies the wires that lead to members.
@@ -80,4 +83,48 @@ func TestPruneSetPanicsOnBadMembers(t *testing.T) {
 			rt.PruneSet(bad)
 		}()
 	}
+}
+
+// Rebuilding a set's tables into a SetRouting another set left behind,
+// on the same routing or on another topology of its N, gives exactly the
+// tables a fresh PruneSet builds, and allocates nothing once the storage
+// fits. The hand-built topology leaves node 4 unreachable from every
+// other origin, so stale member counts in its column show.
+func TestPruneSetIntoMatchesPruneSet(t *testing.T) {
+	const n = 5
+	island := &Topology{Name: "island", N: n, Wires: []Wire{{}}}
+	for u := 0; u < 4; u++ {
+		for v := 0; v < 4; v++ {
+			if u != v {
+				island.Edges = append(island.Edges, Edge{From: u, To: v})
+			}
+		}
+	}
+	island.Edges = append(island.Edges, Edge{From: 4, To: 0})
+	routings := []*Routing{Ring(n).Routing(), Star(n).Routing(), FullMesh(n).Routing(), island.Routing()}
+	sets := [][]int{{0, 1, 2}, {4}, {0, 1, 2, 3, 4}, {1, 3}}
+	for _, from := range routings {
+		for _, was := range sets {
+			for _, to := range routings {
+				for _, members := range sets {
+					sr := from.PruneSet(was)
+					to.PruneSetInto(sr, members)
+					if got, want := tables(sr), tables(to.PruneSet(members)); !reflect.DeepEqual(got, want) {
+						t.Fatalf("set %v rebuilt over %v: %+v, PruneSet gives %+v", members, was, got, want)
+					}
+				}
+			}
+		}
+	}
+	sr := FullMesh(n).Routing().PruneSet(sets[2])
+	for _, rt := range routings {
+		if allocs := testing.AllocsPerRun(8, func() { rt.PruneSetInto(sr, sets[2]) }); allocs > 0 {
+			t.Errorf("rebuilding into fitting storage: %.0f allocs, want 0", allocs)
+		}
+	}
+}
+
+// tables is sr without the storage it keeps for the next rebuild.
+func tables(sr *SetRouting) SetRouting {
+	return SetRouting{Member: sr.Member, Tree: sr.Tree, Sub: sr.Sub, Reach: sr.Reach}
 }

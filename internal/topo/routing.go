@@ -236,14 +236,42 @@ type SetRouting struct {
 	// Reach[o] counts the members reachable from o, excluding o — the
 	// number of remote copies a set multicast from o creates.
 	Reach []int32
+
+	// The slabs every tree's transmit groups and destinations are cut
+	// from, kept for the next PruneSetInto.
+	txs  []TxGroup
+	dsts []int32
 }
 
 // PruneSet derives the pruned multicast tables for a destination set
 // from the compiled full trees. It panics on out-of-range or duplicated
 // members — the set is code, not input.
 func (r *Routing) PruneSet(members []int) *SetRouting {
+	sr := new(SetRouting)
+	r.PruneSetInto(sr, members)
+	return sr
+}
+
+// PruneSetInto is PruneSet writing into sr, which is empty or holds the
+// tables of any set on any routing of r's N: sr ends up deep-equal to
+// PruneSet(members), and reuses its storage where it fits.
+func (r *Routing) PruneSetInto(sr *SetRouting, members []int) {
 	n := r.N
-	member := make([]bool, n)
+	if len(sr.Member) != n {
+		subSlab, rowSlab := make([]int32, n*n), make([][]TxGroup, n*n)
+		*sr = SetRouting{
+			Member: make([]bool, n),
+			Tree:   make([][][]TxGroup, n),
+			Sub:    make([][]int32, n),
+			Reach:  make([]int32, n),
+		}
+		for o := range sr.Sub {
+			sr.Sub[o] = subSlab[o*n : (o+1)*n]
+			sr.Tree[o] = rowSlab[o*n : (o+1)*n]
+		}
+	}
+	member := sr.Member
+	clear(member)
 	for _, p := range members {
 		if p < 0 || p >= n {
 			panic(fmt.Sprintf("topo: set member %d out of range 0..%d", p, n-1))
@@ -253,67 +281,89 @@ func (r *Routing) PruneSet(members []int) *SetRouting {
 		}
 		member[p] = true
 	}
-	sr := &SetRouting{
-		Member: member,
-		Tree:   make([][][]TxGroup, n),
-		Sub:    make([][]int32, n),
-		Reach:  make([]int32, n),
-	}
-	subSlab := make([]int32, n*n)
-	parent := make([]int32, n)
-	order := make([]int32, 0, n)
+	ntx, ndst := 0, 0
 	for o := 0; o < n; o++ {
-		sub := subSlab[o*n : (o+1)*n]
-		// Recover o's tree structure (parents and a top-down order) by
-		// walking the compiled full tree from o.
-		for i := range parent {
-			parent[i] = -1
-		}
-		parent[o] = int32(o)
-		order = append(order[:0], int32(o))
-		for head := 0; head < len(order); head++ {
-			u := order[head]
-			for _, g := range r.Tree[o][u] {
-				for _, v := range g.Dsts {
-					parent[v] = u
-					order = append(order, v)
-				}
-			}
-		}
-		// Member counts bottom-up over the reverse of the top-down order.
-		for _, v := range order {
-			if member[v] {
-				sub[v] = 1
-			}
-		}
-		for i := len(order) - 1; i > 0; i-- {
-			v := order[i]
-			sub[parent[v]] += sub[v]
-		}
-		sr.Sub[o] = sub
+		sub := sr.Sub[o]
+		clear(sub)
+		countMembers(r.Tree[o], int32(o), member, sub)
 		sr.Reach[o] = sub[o]
 		if member[o] {
 			sr.Reach[o]--
 		}
-		// Pruned transmit groups: keep children whose subtree holds a
-		// member, preserving the full tree's group and destination order.
-		tree := make([][]TxGroup, n)
-		for _, u := range order {
-			for _, g := range r.Tree[o][u] {
-				var kept []int32
+		ntx, ndst = countKept(r.Tree[o], sub, ntx, ndst)
+	}
+	// Pruned transmit groups, cut from two slabs sized by the counts
+	// above: keep children whose subtree holds a member, preserving the
+	// full tree's group and destination order.
+	txs, dsts := grow(sr.txs, ntx), grow(sr.dsts, ndst)
+	for o := 0; o < n; o++ {
+		sub, tree := sr.Sub[o], sr.Tree[o]
+		for u, groups := range r.Tree[o] {
+			start := len(txs)
+			for _, g := range groups {
+				from := len(dsts)
 				for _, v := range g.Dsts {
 					if sub[v] > 0 {
-						kept = append(kept, v)
+						dsts = append(dsts, v)
 					}
 				}
-				if len(kept) > 0 {
-					tree[u] = append(tree[u], TxGroup{Wire: g.Wire, Dsts: kept})
+				if len(dsts) > from {
+					txs = append(txs, TxGroup{Wire: g.Wire, Dsts: dsts[from:len(dsts):len(dsts)]})
 				}
 			}
+			tree[u] = nil
+			if len(txs) > start {
+				tree[u] = txs[start:len(txs):len(txs)]
+			}
 		}
-		sr.Tree[o] = tree
 	}
-	return sr
+	sr.txs, sr.dsts = txs, dsts
+}
+
+// countMembers fills sub[v] for u and every node below it in one origin's
+// full tree: the set members in v's subtree, v included. It returns
+// sub[u].
+func countMembers(tree [][]TxGroup, u int32, member []bool, sub []int32) int32 {
+	var c int32
+	if member[u] {
+		c = 1
+	}
+	for _, g := range tree[u] {
+		for _, v := range g.Dsts {
+			c += countMembers(tree, v, member, sub)
+		}
+	}
+	sub[u] = c
+	return c
+}
+
+// countKept adds to ntx and ndst the transmit groups and destinations
+// that pruning one origin's full tree to sub keeps.
+func countKept(tree [][]TxGroup, sub []int32, ntx, ndst int) (int, int) {
+	for _, groups := range tree {
+		for _, g := range groups {
+			kept := 0
+			for _, v := range g.Dsts {
+				if sub[v] > 0 {
+					kept++
+				}
+			}
+			if kept > 0 {
+				ntx++
+				ndst += kept
+			}
+		}
+	}
+	return ntx, ndst
+}
+
+// grow returns s emptied, with room for n elements: s's own storage when
+// it fits, a new slice of exactly n otherwise.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
 }
 
 // String summarises the topology for headers and diagnostics.
