@@ -396,7 +396,7 @@ func (c *Coordinator) NewRouter(proc *proto.Proc) *Router {
 // sequence, the clocks and advance requests, the pending records (back to
 // the free list), the delivered timestamps and stallArmed, whose probe the
 // engine's reset dropped; each instance's counts and dedup tables. Within
-// a run stallArmed stays as sticky as before (ROADMAP 3g).
+// a run stallArmed keeps its stickiness (ROADMAP 3g).
 func (r *Router) reset(reset func(InstanceConfig, *Endpoint)) {
 	c := r.coord
 	r.seq = 0
