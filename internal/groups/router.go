@@ -253,7 +253,6 @@ type instance struct {
 	// Deliver, made once.
 	rt      *groupRuntime
 	deliver func(body any)
-	sent    uint64
 	// seen dedups group-deliveries by global id (redundant initiations
 	// collapse here; a home origin's ids arrive in sequence and collapse
 	// into its watermark); initiated dedups our own initiations, from
@@ -395,7 +394,7 @@ func (c *Coordinator) NewRouter(proc *proto.Proc) *Router {
 // instance to reset (Coordinator.Reset). What is reset, not kept: the id
 // sequence, the clocks and advance requests, the pending records (back to
 // the free list), the delivered timestamps and stallArmed, whose probe the
-// engine's reset dropped; each instance's counts and dedup tables. Within
+// engine's reset dropped; each instance's dedup tables. Within
 // a run stallArmed keeps its stickiness (ROADMAP 3g).
 func (r *Router) reset(reset func(InstanceConfig, *Endpoint)) {
 	c := r.coord
@@ -410,7 +409,6 @@ func (r *Router) reset(reset func(InstanceConfig, *Endpoint)) {
 	r.stallArmed = false
 	for _, inst := range r.insts {
 		inst.members, inst.local, inst.set = c.m.Members(inst.gid), c.m.LocalIndex(inst.gid, r.self), c.sets[inst.gid]
-		inst.sent = 0
 		inst.seen.Reset()
 		inst.initiated.Reset()
 		reset(InstanceConfig{
@@ -463,7 +461,6 @@ func (r *Router) gram(id proto.MsgID, from proto.PID, dests []int, body any) *gm
 
 func (r *Router) initiate(inst *instance, g *gmsg) {
 	inst.initiated.Put(g.id, struct{}{})
-	inst.sent++
 	inst.ep.ABroadcast(g)
 }
 
@@ -828,7 +825,6 @@ func (r *Router) requestAdvance(inst *instance, pos int, ts uint64) {
 		return
 	}
 	r.reqAdv[pos] = ts
-	inst.sent++
 	a := &r.advSlab.Carve(1, 8, 512)[0]
 	a.ts = ts
 	inst.ep.ABroadcast(a)
