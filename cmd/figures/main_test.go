@@ -10,6 +10,7 @@ import (
 
 	"repro"
 	"repro/internal/experiment"
+	"repro/internal/golden"
 )
 
 // TestQuickFiguresMatchGolden pins every figure's -quick -seed 1 output:
@@ -54,8 +55,8 @@ func TestQuickFiguresMatchGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got.Bytes(), want) {
-			t.Errorf("%s: output differs from the golden (%d bytes, want %d)", path, got.Len(), len(want))
+		if diff := golden.Diff(got.String(), string(want)); diff != "" {
+			t.Errorf("%s: output differs from the golden at %s", path, diff)
 		}
 	}
 }

@@ -1,51 +1,17 @@
 package repro
 
 import (
-	"fmt"
-	"hash/fnv"
 	"testing"
 	"time"
 
+	"repro/internal/golden"
 	"repro/internal/proto"
 )
 
-// The golden digests lock the exact event-by-event behaviour of the
-// simulation kernel: each value is an FNV-1a hash of the full network
-// trace and delivery trace of one fixed-seed scenario. They were recorded
-// before the pooled-event kernel refactor and must never change — any
-// perf work on internal/sim or internal/netmodel has to reproduce the
-// simulations bit for bit. If a digest changes, the kernel reordered,
-// dropped or retimed events; that is a correctness bug, not a baseline to
-// re-record.
-var goldenDigests = map[string]uint64{
-	"FD/n=3/crash+suspicions":    0x4d19b1ab88942220,
-	"GM/n=3/crash+suspicions":    0x70317ee7a75ddcc7,
-	"GM-nu/n=3/normal":           0xa4d74339a5f5a8ae,
-	"FD/n=7/precrash+suspicions": 0x090d2cc8134a61be,
-	"GM/n=7/precrash+suspicions": 0x3d7235f83b1428a1,
-	"FD/n=3/heartbeat-detector":  0x3802cc0e268ea258,
-	"FD/n=3/lambda=2/late-crash": 0x15550c11148ee48d,
-	"FD/n=2/minimal":             0xa530831d7d3fd72b,
-	"GM/n=5/cascade-crashes":     0xa312c893cf725274,
-	"GM/n=5/partition-heal":      0x566979f693c552b8,
-	"FD/n=3/churn-recover":       0x38d9f98d7d141577,
-	"FD/n=3/long-outage":         0x8c5efb84de1e0fd1,
-	// Topology-era scenarios: recorded when internal/topo landed, pinning
-	// graph-routed wire traces (relay hops, per-wire occupancy, WAN cuts).
-	"FD/n=8/ring":                   0x3fac255812e08916,
-	"GM/n=9/geo-wan-partition-heal": 0x17e9eb344144517a,
-	// Groups-era scenarios: recorded when internal/groups landed, pinning
-	// group-addressed dissemination and cross-group timestamp merging.
-	"FD/n=6/groups-disjoint-crash": 0x765b818e418f0638,
-	"GM/n=7/groups-chained-cross":  0x2978f936b1b229c1,
-	// Directed-topology scenario: the one graph whose wires each have a
-	// single transmitter, so relays go hop by hop the one way round.
-	"FD/n=6/one-way-ring-crash": 0x6a65ba96c1dc1e43,
-}
-
-// goldenScenario drives one fully scripted cluster and folds every
+// goldenScenario drives one fully scripted cluster and records every
 // observable event — message lifecycle points, deliveries, view changes
-// and final counters — into a single digest.
+// and final counters — as the records of its golden case, "cluster/" and
+// its name in golden/digests.txt.
 type goldenScenario struct {
 	name string
 	cfg  ClusterConfig
@@ -306,30 +272,29 @@ func goldenScenarios() []goldenScenario {
 }
 
 // digestScenario runs one scenario under a specification history and
-// returns its trace digest and the cluster, ready for holds.
-func digestScenario(sc goldenScenario) (uint64, *Cluster) {
-	h := fnv.New64a()
-	line := func(format string, args ...any) {
-		fmt.Fprintf(h, format, args...)
-		h.Write([]byte{'\n'})
-	}
+// returns its records and the cluster, ready for holds. The records are a
+// copy: holds runs the cluster on, and what that run adds is no part of
+// the case.
+func digestScenario(sc goldenScenario) (*golden.Records, *Cluster) {
+	var r golden.Records
 	cfg := sc.cfg
 	cfg.OnDeliver = func(d Delivery) {
-		line("D %d %d:%d %d", d.Process, d.ID.Origin, d.ID.Seq, d.At)
+		r.Addf("D %d %d:%d %d", d.Process, d.ID.Origin, d.ID.Seq, d.At)
 	}
 	cfg.OnView = func(v ViewInfo) {
-		line("V %d %d %v %d", v.Process, v.ViewID, v.Members, v.At)
+		r.Addf("V %d %d %v %d", v.Process, v.ViewID, v.Members, v.At)
 	}
 	c := NewCluster(cfg)
 	c.core.History = proto.NewHistory(cfg.N)
 	c.SetTrace(func(ev NetEvent) {
-		line("N %s %d %d %s %d", ev.Stage, ev.From, ev.To, ev.Payload, ev.At)
+		r.Addf("N %s %d %d %s %d", ev.Stage, ev.From, ev.To, ev.Payload, ev.At)
 	})
 	sc.drive(c)
 	c.Run(sc.run)
 	st := c.Stats()
-	line("S %d %d %d %d", st.Unicasts, st.Multicasts, st.WireSlots, st.Deliveries)
-	return h.Sum64(), c
+	r.Addf("S %d %d %d %d", st.Unicasts, st.Multicasts, st.WireSlots, st.Deliveries)
+	done := r
+	return &done, c
 }
 
 // holds checks a scripted run against the specification: order, and
@@ -354,24 +319,18 @@ func holds(c *Cluster, quorate bool) error {
 // TestGoldenTraceDigests asserts that fixed-seed simulations — FD and GM,
 // with crashes, pre-crashes and both scripted and stochastic suspicions —
 // meet the specification (or break it for their named wedge) and
-// reproduce their recorded full-trace digest bit for bit, checked second
-// so that a moved digest also names the clause it broke.
+// reproduce their golden case bit for bit, checked second so that a moved
+// digest also names the clause it broke.
 func TestGoldenTraceDigests(t *testing.T) {
 	for _, sc := range goldenScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
-			want, ok := goldenDigests[sc.name]
-			if !ok {
-				t.Fatalf("no golden digest recorded for %q", sc.name)
-			}
 			got, c := digestScenario(sc)
 			if err := holds(c, true); sc.wedge == "" && err != nil {
 				t.Error(err)
 			} else if sc.wedge != "" && err == nil {
 				t.Errorf("the run meets the specification: the fix of %s clears this scenario's wedge field", sc.wedge)
 			}
-			if got != want {
-				t.Fatalf("trace digest = %#016x, want %#016x — the kernel no longer reproduces this simulation bit for bit", got, want)
-			}
+			golden.Check(t, "cluster/"+sc.name, got)
 		})
 	}
 }
@@ -395,13 +354,13 @@ func TestHeartbeatSilencesQoS(t *testing.T) {
 				run: 2 * time.Second,
 			}
 			run := func() uint64 {
-				digest, c := digestScenario(sc)
+				r, c := digestScenario(sc)
 				// The crash leaves group 1 of Disjoint(4, 2) one live
 				// member of two: it can order nothing more.
 				if err := holds(c, m == nil); err != nil {
 					t.Errorf("%v groups=%v QoS=%+v: %v", alg, m, sc.cfg.QoS, err)
 				}
-				return digest
+				return r.Sum()
 			}
 			silent := run()
 			sc.cfg.QoS = Detectors(10, 50, 5)
@@ -418,7 +377,7 @@ func TestHeartbeatSilencesQoS(t *testing.T) {
 func TestGoldenDigestsStableAcrossRuns(t *testing.T) {
 	sc := goldenScenarios()[0]
 	a, _ := digestScenario(sc)
-	if b, _ := digestScenario(sc); a != b {
-		t.Fatalf("same scenario digested %#016x then %#016x in one process", a, b)
+	if b, _ := digestScenario(sc); a.Sum() != b.Sum() {
+		t.Fatalf("same scenario digested %#016x then %#016x in one process", a.Sum(), b.Sum())
 	}
 }

@@ -2,11 +2,13 @@ package experiment
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/fd"
+	"repro/internal/golden"
 	"repro/internal/proto"
 )
 
@@ -50,59 +52,43 @@ func longOutagePlan() *FaultPlan {
 		Recover(2400*time.Millisecond, 4)
 }
 
-// goldenPlanDigests pin the delivery digests of one partition-heal and
-// one crash-recover replication per algorithm. They were recorded when
-// the FaultPlan machinery was introduced; a change means partitions,
-// recoveries or their failure-detector coupling retime or reorder
-// events — a correctness bug, not a baseline to re-record.
-//
-// The FD entries were re-recorded once, when decision-log catch-up
-// landed: a recovered or heal-rejoined FD process now requests and
-// re-delivers the decision suffix it missed instead of staying wedged,
-// which changes (improves) the delivery sequences of both FD scenarios.
-// The GM entries are untouched since their first recording — GM's own
-// rejoin machinery predates catch-up and must not be affected by it.
-var goldenPlanDigests = map[string][]uint64{
-	"partition-heal/FD":  {0x04be297fb3fb5acf, 0xf4447bcf121c3191},
-	"partition-heal/GM":  {0xefb9b221b3333887, 0x106d7618aebb358c},
-	"crash-recover/FD":   {0x62a6a645e2a7b754, 0xc1160e12abb12c3d},
-	"crash-recover/GM":   {0x5a6ab766452dd62d, 0x8d5ab070c873978b},
-	"long-outage/FD":     {0xd84aa5c3358a1d50, 0x9064232003ef3eb5},
-	"long-outage/GM":     {0x98d6538394389e39, 0x6377cca6da1207a7},
-	"precrash-vs-legacy": {0xeb2f8b6ae97a4a10, 0xa1b4b43c17445f23},
+// repRecords runs cfg through a Runner with the given worker count and
+// returns its trace and, in canonical order, each replication's D lines
+// as records, whose digest it checks against the replication's E record.
+func repRecords(t *testing.T, cfg Config, workers int) ([]*golden.Records, string) {
+	t.Helper()
+	text := fullTrace(t, func(tr *Trace, _ *Invariants) {
+		cfg.Observers = append(cfg.Observers, tr.Observer)
+		(&Runner{Workers: workers}).Steady(cfg)
+	})
+	var reps []*golden.Records
+	for _, line := range strings.Split(text, "\n") {
+		switch {
+		case strings.HasPrefix(line, "C "):
+			reps = append(reps, &golden.Records{})
+		case strings.HasPrefix(line, "D "):
+			reps[len(reps)-1].Add(line)
+		case strings.HasPrefix(line, "E "):
+			if want := fmt.Sprintf("E %016x", reps[len(reps)-1].Sum()); line != want {
+				t.Errorf("rep %d: trace closes with %q, its D lines digest to %q", len(reps)-1, line, want)
+			}
+		}
+	}
+	return reps, text
 }
 
-// repDigests runs cfg through a Runner with the given worker count and
-// returns the per-replication delivery digests in canonical order.
-func repDigests(t *testing.T, cfg Config, workers int) []uint64 {
+// matchesGolden runs cfg on one and on eight workers, checks that both
+// write the same trace, and checks each replication's D lines against the
+// golden case name and its replication number ("plan/partition-heal/FD
+// rep 1").
+func matchesGolden(t *testing.T, cfg Config, name string) {
 	t.Helper()
-	tr := NewTrace(&bytes.Buffer{})
-	cfg.Observers = append(cfg.Observers, tr.Observer)
-	r := Runner{Workers: workers}
-	r.Steady(cfg)
-	ds := tr.Digests()
-	out := make([]uint64, len(ds))
-	for i, d := range ds {
-		out[i] = d.Digest
+	serial, text := repRecords(t, cfg, 1)
+	if _, parallel := repRecords(t, cfg, 8); parallel != text {
+		t.Errorf("the trace at 8 workers differs from the serial one: %s", golden.Diff(parallel, text))
 	}
-	return out
-}
-
-// matchesGolden runs cfg on one and on eight workers and checks both
-// runs' replication digests against want.
-func matchesGolden(t *testing.T, cfg Config, want []uint64) {
-	t.Helper()
-	serial, parallel := repDigests(t, cfg, 1), repDigests(t, cfg, 8)
-	if len(serial) != len(want) {
-		t.Fatalf("got %d replication digests, want %d", len(serial), len(want))
-	}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("rep %d: serial digest %#016x != parallel digest %#016x", i, serial[i], parallel[i])
-		}
-		if serial[i] != want[i] {
-			t.Fatalf("rep %d: digest %#016x, want golden %#016x", i, serial[i], want[i])
-		}
+	for i, r := range serial {
+		golden.Check(t, fmt.Sprintf("%s rep %d", name, i), r)
 	}
 }
 
@@ -127,7 +113,7 @@ func TestFaultPlanGoldenDigests(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := planBase(tc.alg)
 			cfg.Plan = tc.plan
-			matchesGolden(t, cfg, goldenPlanDigests[tc.name])
+			matchesGolden(t, cfg, "plan/"+tc.name)
 		})
 	}
 }
@@ -138,7 +124,7 @@ func TestFaultPlanGoldenDigests(t *testing.T) {
 func TestCrashedIsPreCrashConstructor(t *testing.T) {
 	cfg := planBase(GM)
 	cfg.Crashed = []proto.PID{4, 3}
-	matchesGolden(t, cfg, goldenPlanDigests["precrash-vs-legacy"])
+	matchesGolden(t, cfg, "plan/precrash-vs-legacy")
 }
 
 // TestPartitionPlanRecoversThroughGM asserts the behavioural contrast the

@@ -23,23 +23,6 @@ func overloadPlan() *LoadPlan {
 		Resume(2200 * time.Millisecond)
 }
 
-// goldenLoadDigests pin the delivery digests of one shaped replication
-// pair per algorithm. They were recorded when the LoadPlan machinery was
-// introduced; a change means rate rescaling, burst bracketing or mute
-// semantics retime events — a correctness bug, not a baseline to
-// re-record.
-//
-// The burst+partition/FD entry was re-recorded once, when decision-log
-// catch-up landed: the healed minority now requests the decision suffix
-// it missed instead of staying wedged. The pure-load overload entries
-// and every GM entry are untouched since their first recording.
-var goldenLoadDigests = map[string][]uint64{
-	"overload/FD":        {0x1d06062be6de9c5e, 0x0d75bcd71ae4e3fc},
-	"overload/GM":        {0x6f805984c72e6026, 0x88bca1b565bf354e},
-	"burst+partition/FD": {0x4513a5aa696b5a65, 0x2a5eac984a997750},
-	"burst+partition/GM": {0x28d8ab6cd1ae0f67, 0xd085c75237e2aa9d},
-}
-
 // TestLoadPlanGoldenDigests locks the shaped-workload scenario bit for
 // bit, and asserts the digests are identical at 1 and 8 runner workers —
 // rate changes mid-gap included (the burst start and end, the rate
@@ -51,7 +34,7 @@ func TestLoadPlanGoldenDigests(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cfg := planBase(alg)
 			cfg.Load = overloadPlan()
-			matchesGolden(t, cfg, goldenLoadDigests[name])
+			matchesGolden(t, cfg, "load/"+name)
 		})
 	}
 }
@@ -65,14 +48,14 @@ func TestNoOpLoadPlanIsBitIdentical(t *testing.T) {
 	plain := planBase(FD)
 	shaped := planBase(FD)
 	shaped.Load = NewLoadPlan().Rate(time.Second, AllSenders, shaped.Throughput)
-	a := repDigests(t, plain, 1)
-	b := repDigests(t, shaped, 1)
+	a, _ := repRecords(t, plain, 1)
+	b, _ := repRecords(t, shaped, 1)
 	if len(a) != len(b) {
-		t.Fatalf("digest counts differ: %d vs %d", len(a), len(b))
+		t.Fatalf("replication counts differ: %d vs %d", len(a), len(b))
 	}
 	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("rep %d: unshaped digest %#016x != no-op-shaped digest %#016x", i, a[i], b[i])
+		if a[i].Sum() != b[i].Sum() {
+			t.Fatalf("rep %d: unshaped digest %#016x != no-op-shaped digest %#016x", i, a[i].Sum(), b[i].Sum())
 		}
 	}
 }
@@ -89,15 +72,15 @@ func TestMuteOfCrashedSender(t *testing.T) {
 	muted.Plan = NewFaultPlan().Crash(time.Second, 4)
 	muted.Load = NewLoadPlan().Mute(1200*time.Millisecond, 4).Unmute(1700*time.Millisecond, 4)
 
-	a := repDigests(t, crashOnly, 1)
-	b := repDigests(t, muted, 1)
-	c := repDigests(t, muted, 8)
+	a, _ := repRecords(t, crashOnly, 1)
+	b, _ := repRecords(t, muted, 1)
+	c, _ := repRecords(t, muted, 8)
 	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("rep %d: crash-only digest %#016x != crash+mute digest %#016x", i, a[i], b[i])
+		if a[i].Sum() != b[i].Sum() {
+			t.Fatalf("rep %d: crash-only digest %#016x != crash+mute digest %#016x", i, a[i].Sum(), b[i].Sum())
 		}
-		if b[i] != c[i] {
-			t.Fatalf("rep %d: serial digest %#016x != parallel digest %#016x", i, b[i], c[i])
+		if b[i].Sum() != c[i].Sum() {
+			t.Fatalf("rep %d: serial digest %#016x != parallel digest %#016x", i, b[i].Sum(), c[i].Sum())
 		}
 	}
 }
@@ -115,7 +98,7 @@ func TestBurstOverlappingPartition(t *testing.T) {
 			cfg := planBase(alg)
 			cfg.Plan = partitionHealPlan()
 			cfg.Load = burst
-			matchesGolden(t, cfg, goldenLoadDigests[name])
+			matchesGolden(t, cfg, "load/"+name)
 		})
 	}
 }

@@ -3,11 +3,11 @@ package experiment
 import (
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/fd"
+	"repro/internal/golden"
 	"repro/internal/groups"
 	"repro/internal/netmodel"
 	"repro/internal/proto"
@@ -159,7 +159,7 @@ func TestReusedReplicationMatchesGolden(t *testing.T) {
 				tr.change(&b)
 				b = dirtied(b)
 				bare.Observers = []ObserverFactory{freeze}
-				got, text := fullTraceDigest(t, func(trace *Trace, inv *Invariants) {
+				text := fullTrace(t, func(trace *Trace, inv *Invariants) {
 					b.Observers = []ObserverFactory{counter, inv.Observer}
 					// The traced run is the batch's third point; its trace
 					// keeps the header of the recorded single-point run.
@@ -172,9 +172,7 @@ func TestReusedReplicationMatchesGolden(t *testing.T) {
 				if counts != frozen {
 					t.Errorf("dirtied replication's observer moved while the reused one ran: %+v, then %+v", frozen, counts)
 				}
-				if got != tc.want {
-					t.Errorf("full-trace digest after a dirtied replication = %#016x, want %#016x (%d lines)", got, tc.want, strings.Count(text, "\n"))
-				}
+				golden.Check(t, "trace/"+tc.name, golden.Lines(text))
 			})
 		}
 	}
@@ -199,9 +197,9 @@ func TestRunnerReuseAcrossWorkers(t *testing.T) {
 		point(FD, 500, fd.QoS{TMR: 150 * ms}, nil),
 		point(GM, 500, fd.QoS{TMR: 150 * ms}, nil),
 	}
-	run := func(workers int) ([]Result, uint64) {
+	run := func(workers int) ([]Result, string) {
 		var res []Result
-		digest, _ := fullTraceDigest(t, func(tr *Trace, inv *Invariants) {
+		text := fullTrace(t, func(tr *Trace, inv *Invariants) {
 			pts := make([]Config, len(grid))
 			for i, c := range grid {
 				c.Observers = []ObserverFactory{tr.Observer, inv.Observer}
@@ -212,23 +210,23 @@ func TestRunnerReuseAcrossWorkers(t *testing.T) {
 		for i := range res {
 			res[i].Config.Observers = nil
 		}
-		return res, digest
+		return res, text
 	}
-	serial, serialDigest := run(1)
+	serial, serialText := run(1)
 	for i, res := range serial {
 		if res.Messages == 0 {
 			t.Fatalf("point %d measured nothing: %+v", i, res)
 		}
 	}
 	for _, w := range []int{2, 4} {
-		res, digest := run(w)
+		res, text := run(w)
 		for i := range serial {
 			if !reflect.DeepEqual(res[i], serial[i]) {
 				t.Errorf("workers=%d: point %d differs from the serial run:\nserial:   %+v\nparallel: %+v", w, i, serial[i], res[i])
 			}
 		}
-		if digest != serialDigest {
-			t.Errorf("workers=%d: trace digest %#016x, serial %#016x", w, digest, serialDigest)
+		if diff := golden.Diff(text, serialText); diff != "" {
+			t.Errorf("workers=%d: trace differs from the serial run's: %s", w, diff)
 		}
 	}
 }

@@ -3,13 +3,13 @@ package experiment
 import (
 	"bytes"
 	"encoding/json"
-	"hash/fnv"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/fd"
+	"repro/internal/golden"
 	"repro/internal/groups"
 	"repro/internal/proto"
 	"repro/internal/topo"
@@ -446,10 +446,10 @@ func TestTraceHeaderGolden(t *testing.T) {
 	}
 }
 
-// fullTraceDigest is FNV-1a over every byte a Trace flushed — all of the
-// C/B/N/F/L/D/E lines, where the E record digests only the D lines. run
-// lists the trace and a specification checker, whose findings fail t.
-func fullTraceDigest(t *testing.T, run func(tr *Trace, inv *Invariants)) (uint64, string) {
+// fullTrace runs run with a trace and a specification checker, whose
+// findings fail t, and returns the flushed trace: C/B/N/F/L/D/E lines,
+// where the E record digests only the D lines.
+func fullTrace(t *testing.T, run func(tr *Trace, inv *Invariants)) string {
 	t.Helper()
 	var buf bytes.Buffer
 	tr := NewTrace(&buf)
@@ -461,27 +461,23 @@ func fullTraceDigest(t *testing.T, run func(tr *Trace, inv *Invariants)) (uint64
 	if err := tr.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
-	h := fnv.New64a()
-	h.Write(buf.Bytes())
-	return h.Sum64(), buf.String()
+	return buf.String()
 }
 
-// traceCase is one replication pinned line for line by the FNV-1a digest
-// of its full trace. TestFullTraceGolden runs each case on a new system
-// and TestReusedReplicationMatchesGolden on systems that other
-// replications left behind; both read the digest from here. The Trace's
-// per-replication observer implements all five observer interfaces, so
-// the order of its lines is the order in which the replication pipeline
-// calls its observers' hooks: a refactor of that pipeline must reproduce
-// every stream byte for byte. Never re-record a digest to make a change
-// pass.
+// traceCase is one replication pinned line for line by its full trace,
+// whose lines are the records of the golden case "trace/" and its name.
+// TestFullTraceGolden runs each case on a new system and
+// TestReusedReplicationMatchesGolden on systems that other replications
+// left behind. The Trace's per-replication observer
+// implements all five observer interfaces, so the order of its lines is
+// the order in which the replication pipeline calls its observers' hooks:
+// a refactor of that pipeline must reproduce every stream byte for byte.
 type traceCase struct {
 	name string
 	// cfg is a steady point; transient, when set, replaces it with a
 	// crash-transient point.
 	cfg       Config
 	transient *TransientConfig
-	want      uint64
 	// check looks for the lines that show the trace ran what the case
 	// pins; nil checks the digest alone.
 	check func(t *testing.T, text string)
@@ -682,21 +678,21 @@ func fullTraceCases() []traceCase {
 		Recover(860*ms, 1)
 
 	return []traceCase{
-		{name: "FD n=3 steady", cfg: steady, want: 0x40a5978ffb621203, check: traceHas("C {", "\nB ", "\nN send ", "\nN wire ",
+		{name: "FD n=3 steady", cfg: steady, check: traceHas("C {", "\nB ", "\nN send ", "\nN wire ",
 			"\nN deliver ", "\nN drop ", "\nF 350000000 ", "\nF 500000000 crash p2\n", "\nF 800000000 recover p2\n",
 			"\nL 400000000 ", "\nL 600000000 ", "\nL 900000000 ", "\nD ", "\nE ")},
-		{name: "GM n=3 transient", transient: &transient, want: 0x5f4e7be3033ba6ba, check: probeAfterCrash},
-		{name: "GM n=5 rejoins", cfg: gmRun, want: 0xc0e57802bbb9359b, check: oneWelcomePerRejoin},
-		{name: "FD n=7 suspicions", cfg: frequent(FD), want: 0x6e95be2fc433ea79},
-		{name: "GM n=7 suspicions", cfg: frequent(GM), want: 0x2e0d511d8197e2b1},
-		{name: "FD n=32 ring", cfg: wide, want: 0x23aa55ccb02a4aba},
-		{name: "FD n=6 sharded", cfg: sharded(FD), want: 0xf07f55a4ed594376, check: traceHas(" g0{MsgAck[k=", " mgram ", " tsprop ")},
-		{name: "GM n=6 sharded", cfg: sharded(GM), want: 0xa05267ddf7754f22, check: traceHas(" g1{seqabcast.MsgAck}", " mgram ", " tsprop ")},
+		{name: "GM n=3 transient", transient: &transient, check: probeAfterCrash},
+		{name: "GM n=5 rejoins", cfg: gmRun, check: oneWelcomePerRejoin},
+		{name: "FD n=7 suspicions", cfg: frequent(FD)},
+		{name: "GM n=7 suspicions", cfg: frequent(GM)},
+		{name: "FD n=32 ring", cfg: wide},
+		{name: "FD n=6 sharded", cfg: sharded(FD), check: traceHas(" g0{MsgAck[k=", " mgram ", " tsprop ")},
+		{name: "GM n=6 sharded", cfg: sharded(GM), check: traceHas(" g1{seqabcast.MsgAck}", " mgram ", " tsprop ")},
 		{name: "FD n=3 heartbeat heal", cfg: healed(nil, 2, []proto.PID{0, 1}, []proto.PID{2}),
-			want: 0xb19cb9ea50feb3f4, check: healedMarkers},
+			check: healedMarkers},
 		{name: "FD n=6 sharded heartbeat heal", cfg: healed(groups.Disjoint(6, 2), 4, []proto.PID{0, 1, 2, 3}, []proto.PID{4, 5}),
-			want: 0x09d7aa3e5b823a52, check: healedMarkers},
-		{name: "GM n=3 heartbeat", cfg: hbGM, want: 0x27549205b810b9f2,
+			check: healedMarkers},
+		{name: "GM n=3 heartbeat", cfg: hbGM,
 			check: traceHas(" gm.MsgJoinReq", " gm.MsgWelcome", "\nF 550000000 heal\n", "\nF 860000000 recover p1\n")},
 	}
 }
@@ -705,15 +701,13 @@ func fullTraceCases() []traceCase {
 func TestFullTraceGolden(t *testing.T) {
 	for _, tc := range fullTraceCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			got, text := fullTraceDigest(t, func(tr *Trace, inv *Invariants) {
+			text := fullTrace(t, func(tr *Trace, inv *Invariants) {
 				tc.runAfter(t, nil, tr.Observer, inv.Observer)
 			})
 			if tc.check != nil {
 				tc.check(t, text)
 			}
-			if got != tc.want {
-				t.Errorf("full-trace digest = %#016x, want %#016x (%d lines)", got, tc.want, strings.Count(text, "\n"))
-			}
+			golden.Check(t, "trace/"+tc.name, golden.Lines(text))
 		})
 	}
 }
