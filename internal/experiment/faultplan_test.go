@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -55,17 +54,17 @@ func longOutagePlan() *FaultPlan {
 // repRecords runs cfg through a Runner with the given worker count and
 // returns its trace and, in canonical order, each replication's D lines
 // as records, whose digest it checks against the replication's E record.
+// The trace must hold every replication cfg asks for.
 func repRecords(t *testing.T, cfg Config, workers int) ([]*golden.Records, string) {
 	t.Helper()
-	text := fullTrace(t, func(tr *Trace, _ *Invariants) {
-		cfg.Observers = append(cfg.Observers, tr.Observer)
-		(&Runner{Workers: workers}).Steady(cfg)
-	})
+	text := steadyTrace(t, cfg, workers)
 	var reps []*golden.Records
-	for _, line := range strings.Split(text, "\n") {
+	for i, line := range strings.Split(text, "\n") {
 		switch {
 		case strings.HasPrefix(line, "C "):
 			reps = append(reps, &golden.Records{})
+		case len(reps) == 0 && (strings.HasPrefix(line, "D ") || strings.HasPrefix(line, "E ")):
+			t.Fatalf("trace line %d, %q, comes before any replication's C line", i+1, line)
 		case strings.HasPrefix(line, "D "):
 			reps[len(reps)-1].Add(line)
 		case strings.HasPrefix(line, "E "):
@@ -73,6 +72,9 @@ func repRecords(t *testing.T, cfg Config, workers int) ([]*golden.Records, strin
 				t.Errorf("rep %d: trace closes with %q, its D lines digest to %q", len(reps)-1, line, want)
 			}
 		}
+	}
+	if len(reps) != cfg.Replications {
+		t.Fatalf("the trace holds %d replications, want %d", len(reps), cfg.Replications)
 	}
 	return reps, text
 }
@@ -157,70 +159,21 @@ func TestPartitionPlanRecoversThroughGM(t *testing.T) {
 // catch-up is part of the deterministic event stream like everything
 // else.
 func TestLongOutagePlanCatchUpTracedAndReplays(t *testing.T) {
-	var buf bytes.Buffer
-	tr := NewTrace(&buf)
 	cfg := planBase(FD)
 	cfg.Plan = longOutagePlan()
-	cfg.Observers = []ObserverFactory{tr.Observer}
-	var r Runner
-	r.Steady(cfg)
-	if err := tr.Flush(); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
-	text := buf.String()
-	if !strings.Contains(text, "CatchUpReq[") {
-		t.Fatal("trace records no catch-up requests; the recovered process never asked for its suffix")
-	}
-	if !strings.Contains(text, "CatchUpReply[") {
-		t.Fatal("trace records no catch-up replies")
-	}
-	results, err := Replay(strings.NewReader(text))
-	if err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("replayed %d replications, want 2", len(results))
-	}
-	for _, res := range results {
-		if !res.Match {
-			t.Fatalf("replication (point %d, rep %d) diverged: recorded %#016x, replayed %#016x",
-				res.Point, res.Rep, res.Recorded, res.Replayed)
-		}
-	}
+	text := steadyTrace(t, cfg, 0)
+	traceHas("CatchUpReq[", "CatchUpReply[")(t, text)
+	replays(t, text, 2)
 }
 
 // TestPlanTraceReplays records a planned sweep point and replays it from
 // the trace alone: the header must carry the plan.
 func TestPlanTraceReplays(t *testing.T) {
-	var buf bytes.Buffer
-	tr := NewTrace(&buf)
 	cfg := planBase(GM)
 	cfg.Plan = partitionHealPlan()
-	cfg.Observers = []ObserverFactory{tr.Observer}
-	var r Runner
-	r.Steady(cfg)
-	if err := tr.Flush(); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
-	if !strings.Contains(buf.String(), `"plan":[{"kind":"partition"`) {
-		t.Fatal("trace header does not embed the plan")
-	}
-	if !strings.Contains(buf.String(), "\nF ") {
-		t.Fatal("trace body records no F (plan event) lines")
-	}
-	results, err := Replay(&buf)
-	if err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("replayed %d replications, want 2", len(results))
-	}
-	for _, res := range results {
-		if !res.Match {
-			t.Fatalf("replication (point %d, rep %d) diverged: recorded %#016x, replayed %#016x",
-				res.Point, res.Rep, res.Recorded, res.Replayed)
-		}
-	}
+	text := steadyTrace(t, cfg, 0)
+	traceHas(`"plan":[{"kind":"partition"`, "\nF ")(t, text)
+	replays(t, text, 2)
 }
 
 // TestSweepPlansAxis checks the Plans axis expands innermost.
@@ -276,8 +229,6 @@ func TestPlanValidation(t *testing.T) {
 // scenario fires its scripted crash through the shared fault machinery:
 // a trace of a transient replication carries the F record.
 func TestTransientCrashObservedAsPlanEvent(t *testing.T) {
-	var buf bytes.Buffer
-	tr := NewTrace(&buf)
 	cfg := TransientConfig{
 		Config: Config{
 			Algorithm:    FD,
@@ -288,24 +239,14 @@ func TestTransientCrashObservedAsPlanEvent(t *testing.T) {
 			Warmup:       300 * time.Millisecond,
 			Drain:        5 * time.Second,
 			Replications: 1,
-			Observers:    []ObserverFactory{tr.Observer},
 		},
 		Crash:  0,
 		Sender: 1,
 	}
-	var r Runner
-	r.Transient(cfg)
-	if err := tr.Flush(); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
-	if !strings.Contains(buf.String(), "F 300000000 crash p0\n") {
-		t.Fatalf("transient trace records no plan event for the scripted crash:\n%.400s", buf.String())
-	}
-	results, err := Replay(&buf)
-	if err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	if len(results) != 1 || !results[0].Match {
-		t.Fatalf("transient replay = %+v", results)
-	}
+	text := fullTrace(t, func(tr *Trace, _ *Invariants) {
+		cfg.Observers = []ObserverFactory{tr.Observer}
+		(&Runner{}).Transient(cfg)
+	})
+	traceHas("\nF 300000000 crash p0\n")(t, text)
+	replays(t, text, 1)
 }

@@ -238,8 +238,6 @@ func TestGroupsSweepDeterministicAcrossWorkers(t *testing.T) {
 // A grouped run's trace replays from its header alone: the GroupMap and
 // cross-shard fraction round-trip through the embedded spec.
 func TestGroupsTraceReplays(t *testing.T) {
-	var buf bytes.Buffer
-	tr := NewTrace(&buf)
 	cfg := Config{
 		Algorithm:    FD,
 		N:            6,
@@ -252,28 +250,14 @@ func TestGroupsTraceReplays(t *testing.T) {
 		Groups:       groups.Chained(6, 2),
 		CrossShard:   0.3,
 		Load:         NewLoadPlan().Mix(700*time.Millisecond, 0.6),
-		Observers:    []ObserverFactory{tr.Observer},
 	}
-	res := RunSteady(cfg)
-	if res.Messages == 0 {
-		t.Fatal("grouped run measured nothing")
-	}
-	if err := tr.Flush(); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
-	results, err := Replay(&buf)
-	if err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("replayed %d replications, want 2", len(results))
-	}
-	for _, r := range results {
-		if !r.Match {
-			t.Fatalf("replication (point %d, rep %d) does not replay: recorded %016x, replayed %016x",
-				r.Point, r.Rep, r.Recorded, r.Replayed)
+	text := fullTrace(t, func(tr *Trace, _ *Invariants) {
+		cfg.Observers = []ObserverFactory{tr.Observer}
+		if res := RunSteady(cfg); res.Messages == 0 {
+			t.Fatal("grouped run measured nothing")
 		}
-	}
+	})
+	replays(t, text, 2)
 }
 
 // Groups-mode configuration errors are rejected up front.

@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 	"time"
 
@@ -50,9 +48,6 @@ func TestNoOpLoadPlanIsBitIdentical(t *testing.T) {
 	shaped.Load = NewLoadPlan().Rate(time.Second, AllSenders, shaped.Throughput)
 	a, _ := repRecords(t, plain, 1)
 	b, _ := repRecords(t, shaped, 1)
-	if len(a) != len(b) {
-		t.Fatalf("replication counts differ: %d vs %d", len(a), len(b))
-	}
 	for i := range a {
 		if a[i].Sum() != b[i].Sum() {
 			t.Fatalf("rep %d: unshaped digest %#016x != no-op-shaped digest %#016x", i, a[i].Sum(), b[i].Sum())
@@ -107,40 +102,12 @@ func TestBurstOverlappingPartition(t *testing.T) {
 // replays it from the trace alone: the header must carry both plans and
 // the body the L lines.
 func TestLoadTraceReplays(t *testing.T) {
-	var buf bytes.Buffer
-	tr := NewTrace(&buf)
 	cfg := planBase(GM)
 	cfg.Plan = partitionHealPlan()
 	cfg.Load = overloadPlan()
-	cfg.Observers = []ObserverFactory{tr.Observer}
-	var r Runner
-	r.Steady(cfg)
-	if err := tr.Flush(); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
-	s := buf.String()
-	if !strings.Contains(s, `"load":[{"kind":"burst"`) {
-		t.Fatal("trace header does not embed the load plan")
-	}
-	if !strings.Contains(s, "\nL ") {
-		t.Fatal("trace body records no L (load event) lines")
-	}
-	if !strings.Contains(s, "mute p2") || !strings.Contains(s, "pause") {
-		t.Fatal("trace L lines are missing events of the plan")
-	}
-	results, err := Replay(&buf)
-	if err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("replayed %d replications, want 2", len(results))
-	}
-	for _, res := range results {
-		if !res.Match {
-			t.Fatalf("replication (point %d, rep %d) diverged: recorded %#016x, replayed %#016x",
-				res.Point, res.Rep, res.Recorded, res.Replayed)
-		}
-	}
+	text := steadyTrace(t, cfg, 0)
+	traceHas(`"load":[{"kind":"burst"`, "\nL ", "mute p2", "pause")(t, text)
+	replays(t, text, 2)
 }
 
 // broadcastWindowCounter counts A-broadcasts falling inside a window.

@@ -172,7 +172,10 @@ func TestReusedReplicationMatchesGolden(t *testing.T) {
 				if counts != frozen {
 					t.Errorf("dirtied replication's observer moved while the reused one ran: %+v, then %+v", frozen, counts)
 				}
-				golden.Check(t, "trace/"+tc.name, golden.Lines(text))
+				if report := golden.Report("trace/"+tc.name, golden.Lines(text)); report != "" {
+					t.Errorf("reused%s: while TestFullTraceGolden passes, a fresh run matches this case, and this one "+
+						"differs by what Reset left behind; mend Reset, do not re-record\n%s", tr.label, report)
+				}
 			})
 		}
 	}

@@ -95,25 +95,17 @@ func TestTraceReplayRoundTrip(t *testing.T) {
 // TestTraceDeterministicAcrossWorkers pins the flushed trace bytes to
 // the same content at any worker count.
 func TestTraceDeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int) []byte {
-		var buf bytes.Buffer
-		tr := NewTrace(&buf)
-		(&Runner{Workers: workers}).Sweep(traceSweep(tr))
-		if err := tr.Flush(); err != nil {
-			t.Fatalf("Flush: %v", err)
-		}
-		return buf.Bytes()
+	run := func(workers int) string {
+		return fullTrace(t, func(tr *Trace, _ *Invariants) { (&Runner{Workers: workers}).Sweep(traceSweep(tr)) })
 	}
-	if !bytes.Equal(run(1), run(5)) {
-		t.Fatal("trace bytes differ between 1 and 5 workers")
+	if diff := golden.Diff(run(5), run(1)); diff != "" {
+		t.Fatalf("the trace at 5 workers differs from the one at 1: %s", diff)
 	}
 }
 
 // TestTraceReplayTransient records and replays the crash-transient
 // scenario, whose workload and fault schedule differ from steady state.
 func TestTraceReplayTransient(t *testing.T) {
-	var buf bytes.Buffer
-	tr := NewTrace(&buf)
 	cfg := TransientConfig{
 		Config: Config{
 			Algorithm:    GM,
@@ -123,33 +115,18 @@ func TestTraceReplayTransient(t *testing.T) {
 			Warmup:       300 * time.Millisecond,
 			Drain:        8 * time.Second,
 			Replications: 2,
-			Observers:    []ObserverFactory{tr.Observer},
 		},
 		Crash:  0,
 		Sender: 1,
 	}
-	res := RunTransient(cfg)
-	if res.Lost > 0 {
-		t.Fatalf("lost probes: %+v", res)
-	}
-	if err := tr.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	if !strings.Contains(buf.String(), `"kind":"transient"`) {
-		t.Fatalf("transient trace not marked as such:\n%.200s", buf.String())
-	}
-	results, err := Replay(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("Replay: %v", err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("replayed %d replications, want 2", len(results))
-	}
-	for _, rr := range results {
-		if !rr.Match {
-			t.Fatalf("transient replication rep %d does not replay: %+v", rr.Rep, rr)
+	text := fullTrace(t, func(tr *Trace, _ *Invariants) {
+		cfg.Observers = []ObserverFactory{tr.Observer}
+		if res := RunTransient(cfg); res.Lost > 0 {
+			t.Fatalf("lost probes: %+v", res)
 		}
-	}
+	})
+	traceHas(`"kind":"transient"`)(t, text)
+	replays(t, text, 2)
 }
 
 // TestReplayDetectsTampering flips one digest and expects the replay to
@@ -462,6 +439,34 @@ func fullTrace(t *testing.T, run func(tr *Trace, inv *Invariants)) string {
 		t.Fatalf("Flush: %v", err)
 	}
 	return buf.String()
+}
+
+// steadyTrace runs cfg's steady point on a Runner of the given workers
+// (0 for GOMAXPROCS) and returns its flushed trace.
+func steadyTrace(t *testing.T, cfg Config, workers int) string {
+	return fullTrace(t, func(tr *Trace, _ *Invariants) {
+		cfg.Observers = append(cfg.Observers, tr.Observer)
+		(&Runner{Workers: workers}).Steady(cfg)
+	})
+}
+
+// replays checks that text replays from the trace alone: n replications,
+// each to the digest it recorded.
+func replays(t *testing.T, text string, n int) {
+	t.Helper()
+	results, err := Replay(strings.NewReader(text))
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if len(results) != n {
+		t.Fatalf("replayed %d replications, want %d", len(results), n)
+	}
+	for _, res := range results {
+		if !res.Match {
+			t.Errorf("replication (point %d, rep %d) diverged: recorded %016x, replayed %016x",
+				res.Point, res.Rep, res.Recorded, res.Replayed)
+		}
+	}
 }
 
 // traceCase is one replication pinned line for line by its full trace,

@@ -8,6 +8,7 @@ package golden
 
 import (
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,6 +17,19 @@ import (
 
 // blockLen is the number of records one block digest covers.
 const blockLen = 64
+
+// corpus is golden/digests.txt at the module root, found once from the
+// package directory a test runs in.
+var corpus = func() string {
+	dir, _ := os.Getwd()
+	for dir != filepath.Dir(dir) {
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+			break
+		}
+		dir = filepath.Dir(dir)
+	}
+	return filepath.Join(dir, "golden", "digests.txt")
+}()
 
 // Records holds one case's records. The zero value is an empty case.
 type Records struct{ lines []string }
@@ -39,62 +53,51 @@ func (r *Records) Sum() uint64 {
 }
 
 // digests returns the 64-bit digest and each block's digest in hex.
-func (r *Records) digests() (sum uint64, blocks []string) {
-	sum = 14695981039346656037 // FNV-1a's 64-bit offset basis; 2166136261 is the 32-bit one
+func (r *Records) digests() (uint64, []string) {
+	h, blocks, buf := fnv.New64a(), []string{}, []byte{}
 	for first := 0; first < len(r.lines); first += blockLen {
-		b := uint32(2166136261)
-		hash := func(c byte) {
-			sum = (sum ^ uint64(c)) * 1099511628211
-			b = (b ^ uint32(c)) * 16777619
-		}
+		b := fnv.New32a()
 		for _, line := range r.lines[first:min(first+blockLen, len(r.lines))] {
-			for i := 0; i < len(line); i++ {
-				hash(line[i])
-			}
-			hash('\n')
+			buf = append(append(buf[:0], line...), '\n')
+			h.Write(buf)
+			b.Write(buf)
 		}
-		blocks = append(blocks, fmt.Sprintf("%08x", b))
+		blocks = append(blocks, fmt.Sprintf("%08x", b.Sum32()))
 	}
-	return sum, blocks
+	return h.Sum64(), blocks
 }
 
-// Check compares r with the case name in the corpus. A moved case fails t
-// with both counts and digests, the records of the first block whose digest
-// differs and the replacement line; a missing one, with the line to add.
+// Check fails t with Report's text unless r matches the case name; it
+// uses t.Error, so one run reports every moved case.
 func Check(t testing.TB, name string, r *Records) {
 	t.Helper()
-	dir, _ := os.Getwd()
-	for dir != filepath.Dir(dir) {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			break
-		}
-		dir = filepath.Dir(dir)
-	}
-	if report := check(filepath.Join(dir, "golden", "digests.txt"), name, r); report != "" {
+	if report := Report(name, r); report != "" {
 		t.Error(report)
 	}
 }
 
-// check returns what Check reports, "" when r matches the case in the
-// corpus at path.
-func check(path, name string, r *Records) string {
-	data, err := os.ReadFile(path)
-	corpus := map[string]string{}
+// Report compares r with the case name in the corpus, "" on a match. A
+// moved case reads both counts and digests, the records of the first block
+// whose digest differs and the replacement line; a missing one, the line
+// to add; a name recorded twice in the corpus is refused.
+func Report(name string, r *Records) string {
+	data, err := os.ReadFile(corpus)
+	cases := map[string]string{}
 	for i, line := range strings.Split(string(data), "\n") {
 		key, _, _ := strings.Cut(line, "\t")
-		if _, dup := corpus[key]; dup && err == nil && key != "" && key[0] != '#' {
-			err = fmt.Errorf("%s:%d: case %q is recorded twice", path, i+1, key)
+		if _, dup := cases[key]; dup && err == nil && key != "" && key[0] != '#' {
+			err = fmt.Errorf("%s:%d: case %q is recorded twice", corpus, i+1, key)
 		}
-		corpus[key] = line
+		cases[key] = line
 	}
 	sum, blocks := r.digests()
 	got := fmt.Sprintf("%s\t%d\t%016x\t%s", name, len(r.lines), sum, strings.Join(blocks, " "))
-	want, ok := corpus[name]
+	want, ok := cases[name]
 	switch {
 	case err != nil:
 		return fmt.Sprintf("golden: %v", err)
 	case !ok:
-		return fmt.Sprintf("golden: %s has no case %q; add the line\n%s", path, name, got)
+		return fmt.Sprintf("golden: %s has no case %q; add the line\n%s", corpus, name, got)
 	case want == got:
 		return ""
 	}
@@ -108,7 +111,7 @@ func check(path, name string, r *Records) string {
 			report += fmt.Sprintf("\n%7d %s", i, r.lines[i])
 		}
 	}
-	return report + fmt.Sprintf("\nreplace its line in %s with\n%s", path, got)
+	return report + fmt.Sprintf("\nreplace its line in %s with\n%s", corpus, got)
 }
 
 // Diff names the first line, and the first tab-separated field in it, at

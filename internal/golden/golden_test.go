@@ -3,6 +3,7 @@ package golden
 import (
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,7 +16,9 @@ func report(t *testing.T, r *Records, lines ...string) string {
 	if err := os.WriteFile(path, []byte("# header\n"+strings.Join(lines, "\n")), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return check(path, "c", r)
+	defer func(real string) { corpus = real }(corpus)
+	corpus = path
+	return Report("c", r)
 }
 
 // records is a case of n records, "record 0" to "record n-1".
@@ -54,6 +57,26 @@ func TestCheck(t *testing.T) {
 	}
 	if out := report(t, records(200), line, line); !strings.Contains(out, `:3: case "c" is recorded twice`) {
 		t.Errorf("a duplicated case reports %q", out)
+	}
+}
+
+// TestCorpus counts the corpus's cases by their first path element. A
+// renamed case fails Check as missing, and pasting its new line breaks the
+// count until the old line goes. A case dropped outright is not caught: its
+// change removes the line and the count here together.
+func TestCorpus(t *testing.T) {
+	data, err := os.ReadFile(corpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]int{}
+	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		if prefix, _, _ := strings.Cut(line, "/"); !strings.HasPrefix(line, "#") {
+			counts[prefix]++
+		}
+	}
+	if want := map[string]int{"cluster": 17, "trace": 11, "plan": 14, "load": 8}; !maps.Equal(counts, want) {
+		t.Errorf("golden/digests.txt holds %v cases by prefix, want %v", counts, want)
 	}
 }
 
