@@ -394,6 +394,11 @@ func TestHeartbeatAllocBudget(t *testing.T) {
 // each point has its own topology and map, equal in shape. With routers,
 // group instances and prune sets built afresh for every replication they
 // cost 905 allocations; reset in place, 84.
+//
+// The heartbeat points repeat one configuration behind the heartbeat
+// detector, ungrouped and as two disjoint shards. With their endpoints
+// built afresh for every replication, wrappers included, they cost 395
+// and 812 allocations; with the wrappers reset in place too, 26 and 80.
 func TestReusedReplicationAllocBudget(t *testing.T) {
 	const ms = time.Millisecond
 	point := func(alg Algorithm, n int, throughput float64, top *Topology) Config {
@@ -438,6 +443,16 @@ func TestReusedReplicationAllocBudget(t *testing.T) {
 				points[i].Groups, points[i].CrossShard, points[i].Replications = GroupsFromSites(geo), 0.2*float64(i%2), 1
 			}
 			return points
+		}, 130},
+		{"FD n=3 heartbeat, 200/s", func(k int) []Config {
+			p := point(FD, 3, 200, nil)
+			p.Detector, p.Replications = HeartbeatDetector(10, 30), k
+			return []Config{p}
+		}, 35},
+		{"FD n=6 sharded heartbeat", func(k int) []Config {
+			p := point(FD, 6, 120, nil)
+			p.Groups, p.Detector, p.Replications = Disjoint(6, 2), HeartbeatDetector(10, 30), k
+			return []Config{p}
 		}, 130},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

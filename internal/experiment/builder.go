@@ -103,7 +103,7 @@ type stack struct {
 	// arming the catch-up probe.
 	build func(rt proto.Runtime, s endpointSpec) groups.Endpoint
 	// reset returns a handler build made to the state build(rt, s) would
-	// leave a new one in, on the handler's own runtime (Core.Reset).
+	// leave a new one in, on the handler's own runtime (Core.endpoint).
 	reset func(h proto.Handler, s endpointSpec)
 	// rejoins selects the recovery policy. A rejoining stack models a true
 	// crash-recovery: a fresh incarnation starts excluded, rejoins through
@@ -330,21 +330,20 @@ func NewCore(cfg CoreConfig) *Core {
 // What the previous run built is reset in place where it can be, so its
 // free lists, pools, tables and logs stay warm: the engine always; the
 // network, rebound to cfg's topology, and the detectors when cfg.N
-// repeats; the endpoints when both runs run one algorithm, have no
-// heartbeat detector and are ungrouped or run group maps of one shape
-// (GroupMap.SameShape) — then the group coordinator, its routers and
-// their instances too. Heartbeat wrappers have no Reset, so their
-// endpoints are built again on the reset engine and system. Nothing else
-// of the previous run survives — queued events,
-// crashes and pre-crashes, partitions and link faults, a rejoined
-// incarnation's identity (the process's endpoint takes its original spec
-// again), SentBy and Members, and the hooks it installed (Net.SetTrace,
-// Faults.OnEvent, Loads, Deliver, History).
+// repeats; the endpoints when both runs run one algorithm, both or
+// neither behind a heartbeat detector (of whatever tuning), and are
+// ungrouped or run group maps of one shape (GroupMap.SameShape) — then
+// the group coordinator, its routers and their instances too. Nothing
+// else of the previous run survives — queued events, crashes and
+// pre-crashes, partitions and link faults, a rejoined incarnation's
+// identity (the process's endpoint takes its original spec again),
+// suspicions, SentBy and Members, and the hooks it installed
+// (Net.SetTrace, Faults.OnEvent, Loads, Deliver, History).
 func (c *Core) Reset(cfg CoreConfig) {
 	cfg = cfg.normalized()
 	keepSys := c.Sys != nil && c.Sys.N() == cfg.N
-	keepEnds := keepSys && c.cfg.Detector == nil && cfg.Detector == nil &&
-		cfg.Algorithm == c.cfg.Algorithm && cfg.Groups.SameShape(c.cfg.Groups)
+	keepEnds := keepSys && cfg.Algorithm == c.cfg.Algorithm &&
+		(c.cfg.Detector == nil) == (cfg.Detector == nil) && cfg.Groups.SameShape(c.cfg.Groups)
 	if c.Eng == nil {
 		c.Eng = sim.New()
 	} else {
@@ -382,7 +381,7 @@ func (c *Core) Reset(cfg CoreConfig) {
 			// The system's reset kept every router as its process's root
 			// handler, and Bcast's entries multicast through them.
 			c.Coord, c.ends, c.first = old.Coord, old.ends, old.first
-			c.Coord.Reset(cfg.Groups, cfg.PreCrashed, c.resetInstance)
+			c.Coord.Reset(cfg.Groups, cfg.PreCrashed)
 		} else {
 			c.buildGroups()
 		}
@@ -399,13 +398,8 @@ func (c *Core) Reset(cfg CoreConfig) {
 			*spec = c.spec(p)
 		}
 		spec.members, spec.renumber = c.Members, cfg.Renumber
-		ep := c.ends[p]
-		if keepEnds {
-			c.stack.reset(ep.Handler, *spec)
-		} else {
-			ep = c.newEndpoint(c.Sys.Proc(pid), *spec)
-			c.ends[p] = ep
-		}
+		ep := &c.ends[p]
+		c.endpoint(c.Sys.Proc(pid), *spec, ep)
 		c.Sys.SetHandler(pid, ep.Handler)
 		c.Bcast[p] = ep.ABroadcast
 	}
@@ -474,23 +468,30 @@ func (c *Core) start() {
 	c.Faults.Install(orEmpty(c.cfg.Plan).Events)
 }
 
-// newEndpoint builds one endpoint of the configured stack on rt — behind
-// the concrete heartbeat detector when one is configured: the wrapper's
-// runtime answers Suspects from heartbeats, the wrapper becomes the
-// outermost handler and contributes the Restart hook.
-func (c *Core) newEndpoint(rt proto.Runtime, spec endpointSpec) groups.Endpoint {
+// endpoint makes *ep the endpoint of the configured stack spec describes:
+// it builds one on rt into an empty ep and resets a built one in place, on
+// its own runtime. With the concrete heartbeat detector configured the
+// endpoint runs behind it: the wrapper's runtime answers Suspects from
+// heartbeats, the wrapper is the outermost handler and contributes the
+// Restart hook, and a reset resets the wrapper, then the inner handler.
+func (c *Core) endpoint(rt proto.Runtime, spec endpointSpec, ep *groups.Endpoint) {
 	hb := c.cfg.Detector
-	if hb == nil {
-		return c.stack.build(rt, spec)
-	}
-	var ep groups.Endpoint
-	w := hbfd.Wrap(rt, hbfd.Config{Interval: hb.Interval, Timeout: hb.Timeout},
-		func(inner proto.Runtime) proto.Handler {
-			ep = c.stack.build(inner, spec)
+	switch {
+	case ep.Handler == nil && hb == nil:
+		*ep = c.stack.build(rt, spec)
+	case ep.Handler == nil:
+		w := hbfd.Wrap(rt, *hb, func(inner proto.Runtime) proto.Handler {
+			*ep = c.stack.build(inner, spec)
 			return ep.Handler
 		})
-	ep.Handler, ep.Restart = w, w.Restart
-	return ep
+		ep.Handler, ep.Restart = w, w.Restart
+	case hb == nil:
+		c.stack.reset(ep.Handler, spec)
+	default:
+		w := ep.Handler.(*hbfd.Wrapper)
+		w.Reset(*hb)
+		c.stack.reset(w.Inner(), spec)
+	}
 }
 
 // rejoin builds a recovered incarnation of process p of a rejoining stack
@@ -501,8 +502,9 @@ func (c *Core) rejoin(p int, rt proto.Runtime) proto.Handler {
 	spec := c.specs[p]
 	spec.members = withoutPID(c.Members, proto.PID(p))
 	spec.seqBase = c.SentBy[p]
-	ep := c.newEndpoint(rt, spec)
-	c.ends[p] = ep
+	ep := &c.ends[p]
+	*ep = groups.Endpoint{}
+	c.endpoint(rt, spec, ep)
 	c.Bcast[p] = ep.ABroadcast
 	return ep.Handler
 }
@@ -514,19 +516,21 @@ func (c *Core) rejoin(p int, rt proto.Runtime) proto.Handler {
 // timestamp merge provides the cross-group total order.
 func (c *Core) buildGroups() {
 	cfg, sys := &c.cfg, c.Sys
-	factory := func(ic groups.InstanceConfig) groups.Endpoint {
-		ep := c.newEndpoint(ic.Runtime, c.groupSpec(ic))
-		c.ends = append(c.ends, ep)
-		return ep
+	instance := func(ic groups.InstanceConfig, ep *groups.Endpoint) {
+		built := ep.Handler != nil
+		c.endpoint(ic.Runtime, c.groupSpec(ic), ep)
+		if !built {
+			c.ends = append(c.ends, *ep)
+		}
 	}
 	// The routers are built in process order and each builds its instances
-	// in group order, so the factory appends ends process-major.
+	// in group order, so the hook appends ends process-major.
 	c.first = make([]int, cfg.N+1)
 	for p := 0; p < cfg.N; p++ {
 		c.first[p+1] = c.first[p] + len(cfg.Groups.GroupsOf(proto.PID(p)))
 	}
 	c.ends = make([]groups.Endpoint, 0, c.first[cfg.N])
-	coord := groups.NewCoordinator(sys, cfg.Groups, cfg.PreCrashed, factory, c.deliver)
+	coord := groups.NewCoordinator(sys, cfg.Groups, cfg.PreCrashed, instance, c.deliver)
 	c.Coord = coord
 	for p := 0; p < cfg.N; p++ {
 		pid := proto.PID(p)
@@ -535,12 +539,6 @@ func (c *Core) buildGroups() {
 		home := []int{cfg.Groups.Home(pid)}
 		c.Bcast[p] = func(body any) proto.MsgID { return r.Multicast(home, body) }
 	}
-}
-
-// resetInstance returns a group instance the last run built to the state
-// buildGroups' factory would build it in (groups.Coordinator.Reset).
-func (c *Core) resetInstance(ic groups.InstanceConfig, ep *groups.Endpoint) {
-	c.stack.reset(ep.Handler, c.groupSpec(ic))
 }
 
 // groupSpec is the endpoint recipe of the group instance ic describes,

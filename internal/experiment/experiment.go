@@ -34,6 +34,7 @@ import (
 
 	"repro/internal/fd"
 	"repro/internal/groups"
+	"repro/internal/hbfd"
 	"repro/internal/proto"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -180,13 +181,9 @@ type transientInfo struct {
 }
 
 // Heartbeat tunes the concrete heartbeat failure detector selected by
-// Config.Detector (see internal/hbfd).
-type Heartbeat struct {
-	// Interval between heartbeats. Zero selects 10 ms.
-	Interval time.Duration
-	// Timeout of silence before suspicion. Zero selects 3x Interval.
-	Timeout time.Duration
-}
+// Config.Detector: internal/hbfd's own tuning, zero fields selecting its
+// defaults.
+type Heartbeat = hbfd.Config
 
 // Defaults used when Config fields are zero.
 const (

@@ -41,7 +41,8 @@ type transition struct {
 // one of the other algorithm; the grouped or ungrouped counterpart, and
 // for a grouped case one on a freshly built map and topology equal to
 // a's (distinct pointers, the same shape) and one on another group map;
-// the other detector; and another N, whose system cannot be kept.
+// the other detector, and for a heartbeat case one of another tuning; and
+// another N, whose system cannot be kept.
 func transitions(a Config) []transition {
 	const ms = time.Millisecond
 	after := func(label string, change func(*Config)) transition {
@@ -77,7 +78,9 @@ func transitions(a Config) []transition {
 	if a.Detector == nil {
 		out = append(out, after("heartbeat", func(b *Config) { b.Detector = &Heartbeat{Interval: 10 * ms, Timeout: 30 * ms} }))
 	} else {
-		out = append(out, after("modelled detectors", func(b *Config) { b.Detector = nil }))
+		out = append(out,
+			after("modelled detectors", func(b *Config) { b.Detector = nil }),
+			after("another heartbeat tuning", func(b *Config) { b.Detector = &Heartbeat{Interval: 5 * ms, Timeout: 25 * ms} }))
 	}
 	m := 5
 	if n == 5 {
@@ -144,7 +147,9 @@ func dirtied(a Config) Config {
 // A crashing p1 and probing from p0 that time), so that a hook of
 // B's left installed would feed B's counting observer — whose counts must
 // not move once B is over — and then with the trace that A's digest
-// hashes, which installs every hook itself.
+// hashes, which installs every hook itself. A Core reset from B to A, and
+// to A again, must hold one endpoint per process, or per group membership
+// in groups mode, each time.
 func TestReusedReplicationMatchesGolden(t *testing.T) {
 	for _, tc := range fullTraceCases() {
 		for _, tr := range transitions(tc.config()) {
@@ -176,9 +181,31 @@ func TestReusedReplicationMatchesGolden(t *testing.T) {
 					t.Errorf("reused%s: while TestFullTraceGolden passes, a fresh run matches this case, and this one "+
 						"differs by what Reset left behind; mend Reset, do not re-record\n%s", tr.label, report)
 				}
+				c := new(Core)
+				for i, cfg := range []Config{b, bare, bare} {
+					cc := cfg.withDefaults().core(cfg.Seed)
+					cc.Deliver = func(proto.PID, proto.MsgID, any, sim.Time) {}
+					c.Reset(cc)
+					if want := endpointCount(cc); len(c.ends) != want {
+						t.Errorf("reset %d of the Core: %d endpoints, want %d", i, len(c.ends), want)
+					}
+				}
 			})
 		}
 	}
+}
+
+// endpointCount is the number of endpoints the system cfg describes runs:
+// one per process, or one per group membership in groups mode.
+func endpointCount(cfg CoreConfig) int {
+	if !cfg.grouped() {
+		return cfg.N
+	}
+	count := 0
+	for p := 0; p < cfg.N; p++ {
+		count += len(cfg.Groups.GroupsOf(proto.PID(p)))
+	}
+	return count
 }
 
 // TestRunnerReuseAcrossWorkers: a grid that interleaves two shapes hands

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/fd"
 	"repro/internal/groups"
-	"repro/internal/hbfd"
 	"repro/internal/netmodel"
 	"repro/internal/proto"
 	"repro/internal/sim"
@@ -279,7 +278,7 @@ func headerFromConfig(cfg Config, point, rep int) traceHeader {
 	}
 	if cfg.Detector != nil {
 		// Make the defaults explicit so the header is self-contained.
-		hb := hbfd.Config(*cfg.Detector).WithDefaults()
+		hb := cfg.Detector.WithDefaults()
 		h.HbInterval, h.HbTimeout = hb.Interval, hb.Timeout
 	}
 	if cfg.Topology != nil {

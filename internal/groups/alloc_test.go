@@ -37,15 +37,15 @@ func TestRouterMulticastAllocBudget(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := sim.New()
 			sys := proto.NewSystem(eng, netmodel.DefaultConfig(tc.m.N()), fd.QoS{}, sim.NewRand(7))
-			factory := func(ic InstanceConfig) Endpoint {
+			instance := func(ic InstanceConfig, ep *Endpoint) {
 				proc := ctabcast.New(ic.Runtime, ctabcast.Config{
 					Deliver:  func(_ proto.MsgID, body any) { ic.Deliver(body) },
 					Renumber: true,
 				})
-				return Endpoint{Handler: proc, ABroadcast: proc.ABroadcast}
+				*ep = Endpoint{Handler: proc, ABroadcast: proc.ABroadcast}
 			}
 			delivered := 0
-			coord := NewCoordinator(sys, tc.m, nil, factory, func(proto.PID, proto.MsgID, any, sim.Time) { delivered++ })
+			coord := NewCoordinator(sys, tc.m, nil, instance, func(proto.PID, proto.MsgID, any, sim.Time) { delivered++ })
 			for p := 0; p < tc.m.N(); p++ {
 				sys.SetHandler(proto.PID(p), coord.NewRouter(sys.Proc(proto.PID(p))))
 			}

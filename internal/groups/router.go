@@ -30,7 +30,9 @@ const (
 // Endpoint is one group's protocol instance: the outermost handler (e.g.
 // a heartbeat-detector wrapper), the a-broadcast entry point, and optional
 // recovery hooks. The Router never calls the hooks; whoever recovers the
-// process does.
+// process does. The coordinator's one instance hook (NewCoordinator)
+// builds an instance into the zero Endpoint and resets a built one in
+// place.
 type Endpoint struct {
 	Handler proto.Handler
 	// ABroadcast submits a body to the group's atomic broadcast.
@@ -43,10 +45,10 @@ type Endpoint struct {
 	Restart func()
 }
 
-// InstanceConfig is what an InstanceFactory receives to build one
-// process's protocol instance for one group. The instance runs in the
-// group's local id space: Runtime presents local pids 0..len(Members)-1
-// and multicasts reach the group only.
+// InstanceConfig is what the coordinator's instance hook receives to
+// build, or reset, one process's protocol instance for one group. The
+// instance runs in the group's local id space: Runtime presents local pids
+// 0..len(Members)-1 and multicasts reach the group only.
 type InstanceConfig struct {
 	Group   int
 	Members []proto.PID // global pids, ascending
@@ -61,30 +63,29 @@ type InstanceConfig struct {
 	InitialLocal []proto.PID
 }
 
-// InstanceFactory builds one per-group protocol instance; the experiment
-// builder supplies one closing over the algorithm configuration.
-type InstanceFactory func(ic InstanceConfig) Endpoint
-
 // Coordinator is the per-simulation shared state of the group layer:
 // the map, the per-group netmodel destination sets and the per-process
 // routers, each of which owns its slabs and message pools. Reset keeps
 // all of it for the next simulation on the same system, when that one
 // runs a map of the same shape.
 type Coordinator struct {
-	sys     *proto.System
-	m       *GroupMap
-	factory InstanceFactory
-	deliver func(p proto.PID, id proto.MsgID, body any, at sim.Time)
-	sets    []netmodel.SetID
-	pre     []proto.PID // pre-crashed processes, for initial memberships
-	routers []*Router
+	sys      *proto.System
+	m        *GroupMap
+	instance func(InstanceConfig, *Endpoint)
+	deliver  func(p proto.PID, id proto.MsgID, body any, at sim.Time)
+	sets     []netmodel.SetID
+	pre      []proto.PID // pre-crashed processes, for initial memberships
+	routers  []*Router
 }
 
 // NewCoordinator registers one netmodel destination set per group and
-// prepares router construction. preCrashed may be nil.
-func NewCoordinator(sys *proto.System, m *GroupMap, preCrashed []proto.PID, factory InstanceFactory,
+// prepares router construction. preCrashed may be nil. instance is the one
+// hook that makes a per-group protocol instance: given an empty endpoint
+// it builds one into it, given one it built it resets it in place, in
+// both cases to what the InstanceConfig describes.
+func NewCoordinator(sys *proto.System, m *GroupMap, preCrashed []proto.PID, instance func(InstanceConfig, *Endpoint),
 	deliver func(p proto.PID, id proto.MsgID, body any, at sim.Time)) *Coordinator {
-	c := &Coordinator{sys: sys, factory: factory, deliver: deliver, routers: make([]*Router, m.N())}
+	c := &Coordinator{sys: sys, instance: instance, deliver: deliver, routers: make([]*Router, m.N())}
 	c.register(m, preCrashed)
 	return c
 }
@@ -92,18 +93,16 @@ func NewCoordinator(sys *proto.System, m *GroupMap, preCrashed []proto.PID, fact
 // Reset returns c, its routers and their instances to the state
 // NewCoordinator(sys, m, preCrashed, …) and a NewRouter call per process
 // leave them in, on c's own system, which must have been reset since the
-// last run, and with c's factory and deliver callback. m must have the
-// shape of c's map (GroupMap.SameShape). Each router hands its instances,
-// in group order, to reset with the InstanceConfig the factory would
-// receive; reset returns the endpoint to the state the factory would
-// build it in.
-func (c *Coordinator) Reset(m *GroupMap, preCrashed []proto.PID, reset func(InstanceConfig, *Endpoint)) {
+// last run, and with c's instance hook and deliver callback. m must have
+// the shape of c's map (GroupMap.SameShape). Each router hands its built
+// instances, in group order, to the hook again.
+func (c *Coordinator) Reset(m *GroupMap, preCrashed []proto.PID) {
 	if !m.SameShape(c.m) {
 		panic(fmt.Sprintf("groups: Reset to %v, coordinator runs %v of another shape", m, c.m))
 	}
 	c.register(m, preCrashed)
 	for _, r := range c.routers {
-		r.reset(reset)
+		r.reset()
 	}
 }
 
@@ -121,10 +120,6 @@ func (c *Coordinator) register(m *GroupMap, preCrashed []proto.PID) {
 		c.sets = append(c.sets, c.sys.Net.RegisterSet(scratch))
 	}
 }
-
-// build is the instance reset NewRouter uses: an endpoint not built yet
-// is the factory's.
-func (c *Coordinator) build(ic InstanceConfig, ep *Endpoint) { *ep = c.factory(ic) }
 
 // initial lists the initially-live members of group gid in local ids, nil
 // when all of them are.
@@ -385,18 +380,19 @@ func (c *Coordinator) NewRouter(proc *proto.Proc) *Router {
 	}
 	r.clock = make([]uint64, len(r.insts))
 	r.reqAdv = make([]uint64, len(r.insts))
-	r.reset(c.build)
+	r.reset()
 	c.routers[p] = r
 	return r
 }
 
 // reset returns r to the state NewRouter leaves it in, handing each
-// instance to reset (Coordinator.Reset). What is reset, not kept: the id
+// instance to the coordinator's instance hook, which builds an empty one
+// and resets a built one. What is reset, not kept: the id
 // sequence, the clocks and advance requests, the pending records (back to
 // the free list), the delivered timestamps and stallArmed, whose probe the
 // engine's reset dropped; each instance's dedup tables. Within
 // a run stallArmed keeps its stickiness (ROADMAP 3g).
-func (r *Router) reset(reset func(InstanceConfig, *Endpoint)) {
+func (r *Router) reset() {
 	c := r.coord
 	r.seq = 0
 	clear(r.clock)
@@ -411,7 +407,7 @@ func (r *Router) reset(reset func(InstanceConfig, *Endpoint)) {
 		inst.members, inst.local, inst.set = c.m.Members(inst.gid), c.m.LocalIndex(inst.gid, r.self), c.sets[inst.gid]
 		inst.seen.Reset()
 		inst.initiated.Reset()
-		reset(InstanceConfig{
+		c.instance(InstanceConfig{
 			Group:        inst.gid,
 			Members:      inst.members,
 			Local:        inst.local,

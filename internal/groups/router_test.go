@@ -73,7 +73,7 @@ func newRig(t *testing.T, m *GroupMap) *rig {
 	t.Helper()
 	g := &rig{t: t, m: m, delivered: make(map[proto.PID][]proto.MsgID), hist: proto.NewHistory(m.N()), resume: make([][]func(), m.N())}
 	g.sys = proto.NewSystem(sim.New(), netmodel.DefaultConfig(m.N()), fd.QoS{}, sim.NewRand(7))
-	factory := func(ic InstanceConfig) Endpoint {
+	instance := func(ic InstanceConfig, ep *Endpoint) {
 		self := ic.Members[ic.Local]
 		proc := ctabcast.New(ic.Runtime, ctabcast.Config{
 			Deliver: func(_ proto.MsgID, body any) {
@@ -91,9 +91,9 @@ func newRig(t *testing.T, m *GroupMap) *rig {
 			}
 			return proc.ABroadcast(body)
 		}
-		return Endpoint{Handler: proc, ABroadcast: abcast, Resume: proc.Resume}
+		*ep = Endpoint{Handler: proc, ABroadcast: abcast, Resume: proc.Resume}
 	}
-	g.coord = NewCoordinator(g.sys, m, nil, factory, func(p proto.PID, id proto.MsgID, _ any, _ sim.Time) {
+	g.coord = NewCoordinator(g.sys, m, nil, instance, func(p proto.PID, id proto.MsgID, _ any, _ sim.Time) {
 		g.delivered[p] = append(g.delivered[p], id)
 		g.hist.Deliver(p, id)
 	})

@@ -84,12 +84,12 @@ type runtime struct {
 
 func (r *runtime) Suspects(p proto.PID) bool { return r.w.suspected[p] }
 
-// Wrap builds the wrapper. makeInner constructs the inner protocol
-// against the wrapped runtime (whose Suspects consults heartbeats).
+// Wrap builds the wrapper: it allocates, builds the inner protocol with
+// makeInner against the wrapped runtime (whose Suspects consults
+// heartbeats), then calls Reset.
 func Wrap(rt proto.Runtime, cfg Config, makeInner func(proto.Runtime) proto.Handler) *Wrapper {
 	w := &Wrapper{
 		rt:        rt,
-		cfg:       cfg.WithDefaults(),
 		lastBeat:  make([]sim.Time, rt.N()),
 		suspected: make([]bool, rt.N()),
 	}
@@ -99,11 +99,30 @@ func Wrap(rt proto.Runtime, cfg Config, makeInner func(proto.Runtime) proto.Hand
 	if w.inner == nil {
 		panic("hbfd: makeInner returned nil")
 	}
+	w.Reset(cfg)
 	return w
 }
 
-// Suspects reports the current heartbeat-derived suspicion of p.
-func (w *Wrapper) Suspects(p proto.PID) bool { return w.suspected[int(p)] }
+// Reset returns w to the state Wrap(rt, cfg, …) leaves a new wrapper in,
+// on w's own runtime, around w's own inner handler (which the caller
+// resets itself) and with the alarms it keeps; the engine's reset dropped
+// whatever they had pending. Suspicions and counters start at zero.
+func (w *Wrapper) Reset(cfg Config) {
+	clear(w.lastBeat)
+	clear(w.suspected)
+	*w = Wrapper{
+		rt:         w.rt,
+		cfg:        cfg.WithDefaults(),
+		inner:      w.inner,
+		lastBeat:   w.lastBeat,
+		suspected:  w.suspected,
+		beatTimer:  w.beatTimer,
+		checkTimer: w.checkTimer,
+	}
+}
+
+// Inner returns the wrapped protocol handler.
+func (w *Wrapper) Inner() proto.Handler { return w.inner }
 
 // Suspicions returns the total number of suspicion edges raised; wrong
 // suspicions (the target had not crashed... indistinguishable locally) are
@@ -113,14 +132,10 @@ func (w *Wrapper) Suspicions() (total, withdrawn int) {
 }
 
 // Init implements proto.Handler: start the beat and check loops, then the
-// inner protocol.
+// inner protocol. Restart starts them: a new or reset wrapper has no
+// pending alarm for it to cancel.
 func (w *Wrapper) Init() {
-	now := w.rt.Now()
-	for p := range w.lastBeat {
-		w.lastBeat[p] = now // grace period: everyone starts trusted
-	}
-	w.beat()
-	w.armCheck()
+	w.Restart()
 	w.inner.Init()
 }
 

@@ -37,7 +37,7 @@ func TestRestartResumesHeartbeats(t *testing.T) {
 	if !sawTrust {
 		t.Fatal("p0 never trusted the restarted p1 again")
 	}
-	if wrappers[0].Suspects(1) {
+	if probes[0].rt.Suspects(1) {
 		t.Fatal("p1 still suspected after Restart")
 	}
 }
