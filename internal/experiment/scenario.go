@@ -65,13 +65,21 @@ type replication struct {
 	// only multicasts whose destination groups contain p0 count — p0
 	// never delivers the rest.
 	broadcasts, deliveredAt0 int
-	// sent maps each awaited id to its A-broadcast instant, first to its
-	// earliest A-delivery on any process (§5.1).
-	sent, first map[proto.MsgID]sim.Time
-	// start and end bound the measure window; ids is the sorted awaited
-	// set's scratch.
+	// awaited holds each awaited id's A-broadcast instant and its earliest
+	// A-delivery on any process (§5.1); open counts the awaited ids not
+	// delivered yet. Ids are dense per origin — every sender numbers its
+	// broadcasts 1, 2, … — so the table is a few rings, and walking it
+	// visits the ids in canonical order.
+	awaited proto.IDTable[awaitedMsg]
+	open    int
+	// start and end bound the measure window.
 	start, end sim.Time
-	ids        []proto.MsgID
+}
+
+// awaitedMsg is one entry of the awaited set.
+type awaitedMsg struct {
+	sent, first sim.Time
+	delivered   bool
 }
 
 // pick returns the observers that also implement T, in order.
@@ -104,17 +112,14 @@ func runReplication(cfg Config, point, rep int) RepStats {
 
 // run is runReplication on a replication value a Runner worker keeps
 // between the replications it runs. Its Core is Reset for every
-// replication and its maps are emptied instead of made again; the result
-// is bit for bit the result on fresh ones.
+// replication and its awaited set is emptied instead of made again; the
+// result is bit for bit the result on fresh ones.
 func (r *replication) run(cfg Config, point, rep int) RepStats {
-	if r.sent == nil {
+	if r.core == nil {
 		r.core = new(Core)
-		r.sent = make(map[proto.MsgID]sim.Time)
-		r.first = make(map[proto.MsgID]sim.Time)
 	}
-	clear(r.sent)
-	clear(r.first)
-	*r = replication{core: r.core, sent: r.sent, first: r.first, ids: r.ids[:0]}
+	r.awaited.Reset()
+	*r = replication{core: r.core, awaited: r.awaited}
 	start := sim.Time(0).Add(cfg.Warmup)
 	end, drainSlice := start.Add(cfg.Measure), steadyDrainSlice
 	if cfg.transient != nil {
@@ -169,7 +174,7 @@ func (r *replication) run(cfg Config, point, rep int) RepStats {
 		// machinery, in the same instant and before the probe broadcast.
 		eng.Schedule(start, func() {
 			r.core.Faults.Fire(Crash{At: cfg.Warmup, P: ti.crash})
-			r.sent[r.broadcast(int(ti.sender), "probe")] = eng.Now()
+			r.await(r.broadcast(int(ti.sender), "probe"), eng.Now())
 		})
 	}
 
@@ -186,27 +191,27 @@ func (r *replication) run(cfg Config, point, rep int) RepStats {
 	// Drain phase, in slices so the run can stop early once every awaited
 	// delivery landed.
 	deadline := end.Add(cfg.Drain)
-	for eng.Now() < deadline && len(r.first) < len(r.sent) && !diverged() {
+	for eng.Now() < deadline && r.open > 0 && !diverged() {
 		eng.RunUntil(min(eng.Now().Add(drainSlice), deadline))
 	}
 
-	// Accumulate in canonical ID order: floating-point summation is
-	// order-sensitive, and map iteration would make results differ across
-	// runs (and between the two algorithms) in the last bits.
-	for id := range r.sent {
-		r.ids = append(r.ids, id)
-	}
-	proto.SortMsgIDs(r.ids)
-	rs := RepStats{Diverged: diverged()}
-	for _, id := range r.ids {
-		t1, ok := r.first[id]
-		if !ok {
-			rs.Undelivered++
-			continue
+	// Accumulate in canonical ID order, the order Each visits: floating-
+	// point summation is order-sensitive, and any other order would make
+	// results differ across runs (and between the two algorithms) in the
+	// last bits.
+	rs := RepStats{Diverged: diverged(), Undelivered: r.open}
+	r.awaited.Each(func(_ proto.MsgID, a *awaitedMsg) {
+		if a.delivered {
+			rs.Latencies.Add(a.first.Sub(a.sent).Seconds() * 1000) // milliseconds
 		}
-		rs.Latencies.Add(t1.Sub(r.sent[id]).Seconds() * 1000) // milliseconds
-	}
+	})
 	return rs
+}
+
+// await adds id, A-broadcast at sent, to the awaited set.
+func (r *replication) await(id proto.MsgID, sent sim.Time) {
+	r.awaited.Put(id, awaitedMsg{sent: sent})
+	r.open++
 }
 
 // arrival is the workload's callback: one A-broadcast from sender,
@@ -214,7 +219,7 @@ func (r *replication) run(cfg Config, point, rep int) RepStats {
 func (r *replication) arrival(sender int) {
 	id := r.broadcast(sender, nil)
 	if now := r.core.Eng.Now(); now >= r.start && now < r.end {
-		r.sent[id] = now
+		r.await(id, now)
 	}
 }
 
@@ -247,10 +252,9 @@ func (r *replication) deliver(p proto.PID, id proto.MsgID, _ any, at sim.Time) {
 	if p == 0 {
 		r.deliveredAt0++
 	}
-	if _, awaited := r.sent[id]; awaited {
-		if _, seen := r.first[id]; !seen {
-			r.first[id] = at
-		}
+	if a := r.awaited.Get(id); a != nil && !a.delivered {
+		a.first, a.delivered = at, true
+		r.open--
 	}
 	d := Delivery{Process: p, ID: id, At: at}
 	for _, o := range r.observers {

@@ -156,6 +156,10 @@ type Process struct {
 	// received holds the body of every message that is not yet known
 	// stable: exactly the flush set. Undelivered messages are always
 	// here; delivered ones stay until the sequencer announces stability.
+	// It stays a map (docs/ARCHITECTURE.md, "Dense tables"): at large n
+	// the set is sparse across origins, and as a proto.IDTable every
+	// process carved a ring per origin it heard from, which raised
+	// wide-topo's bytes per message by 15.6 %.
 	received  map[proto.MsgID]any
 	delivered *proto.IDTracker
 	log       proto.Log[LogEntry] // positions are delivery counts
@@ -163,8 +167,10 @@ type Process struct {
 	// Per-view ordering state (reset on every install). assignments and
 	// seqOf hold only sequence numbers above prunedUpTo: pruneStable drops
 	// each stable delivered one, so they stay as small as the unstable
-	// window however long the view runs.
-	assignments map[uint64]proto.MsgID
+	// window however long the view runs. assignments is keyed by sequence
+	// number, dense from prunedUpTo+1 on; seqOf stays a map for the
+	// reason received does.
+	assignments proto.Window[assignment]
 	seqOf       map[proto.MsgID]uint64
 	nextDeliver uint64 // next sequence number to A-deliver
 	haveUpTo    uint64 // contiguous data+seqnum prefix present locally
@@ -197,6 +203,13 @@ type Process struct {
 	deliverPool netmodel.Pool[MsgDeliver]
 }
 
+// assignment is one slot of the assignments window: the id sequenced at
+// the slot's number, if ok.
+type assignment struct {
+	id proto.MsgID
+	ok bool
+}
+
 type queuedBroadcast struct {
 	id   proto.MsgID
 	body any
@@ -218,14 +231,13 @@ var (
 // New creates the GM algorithm endpoint for the process behind rt.
 func New(rt proto.Runtime, cfg Config) *Process {
 	p := &Process{
-		rt:          rt,
-		received:    make(map[proto.MsgID]any),
-		delivered:   proto.NewIDTracker(),
-		assignments: make(map[uint64]proto.MsgID),
-		seqOf:       make(map[proto.MsgID]uint64),
-		ackedUpTo:   make([]uint64, rt.N()),
-		dataPool:    netmodel.NewPool(func(m *MsgData) { m.Body = nil }),
-		gm:          gm.New(rt),
+		rt:        rt,
+		received:  make(map[proto.MsgID]any),
+		delivered: proto.NewIDTracker(),
+		seqOf:     make(map[proto.MsgID]uint64),
+		ackedUpTo: make([]uint64, rt.N()),
+		dataPool:  netmodel.NewPool(func(m *MsgData) { m.Body = nil }),
+		gm:        gm.New(rt),
 	}
 	p.gm.SetApp(p)
 	p.Reset(cfg)
@@ -405,7 +417,7 @@ func (p *Process) onSeqNum(from proto.PID, m *MsgSeqNum) {
 		return
 	}
 	for _, pair := range m.Pairs {
-		p.assignments[pair.Seq] = pair.ID
+		*p.assignments.At(pair.Seq) = assignment{id: pair.ID, ok: true}
 		p.seqOf[pair.ID] = pair.Seq
 	}
 	p.noteStable(m.StableUpTo)
@@ -417,11 +429,11 @@ func (p *Process) onSeqNum(from proto.PID, m *MsgSeqNum) {
 func (p *Process) advanceHave() {
 	advanced := false
 	for {
-		id, ok := p.assignments[p.haveUpTo+1]
-		if !ok {
+		a := p.assignments.Get(p.haveUpTo + 1)
+		if a == nil || !a.ok {
 			break
 		}
-		if _, have := p.received[id]; !have && !p.delivered.Seen(id) {
+		if _, have := p.received[a.id]; !have && !p.delivered.Seen(a.id) {
 			break
 		}
 		p.haveUpTo++
@@ -555,10 +567,11 @@ func (p *Process) acceptProtocol(from proto.PID, view uint64, payload netmodel.P
 // deliverUpTo A-delivers sequenced messages through seq in order.
 func (p *Process) deliverUpTo(seq uint64) {
 	for p.nextDeliver <= seq {
-		id, ok := p.assignments[p.nextDeliver]
-		if !ok {
+		a := p.assignments.Get(p.nextDeliver)
+		if a == nil || !a.ok {
 			return // gap: wait for the assignment (cannot happen in FIFO order)
 		}
+		id := a.id
 		body, have := p.received[id]
 		if !have && !p.delivered.Seen(id) {
 			return // data still missing; resume when it arrives
@@ -595,18 +608,22 @@ func (p *Process) noteStable(s uint64) {
 // below the stable prefix again, and re-sequencing skips delivered IDs.
 func (p *Process) pruneStable() {
 	upTo := min(p.stableUpTo, p.nextDeliver-1)
-	for p.prunedUpTo < upTo {
-		p.prunedUpTo++
-		id := p.assignments[p.prunedUpTo]
-		delete(p.received, id)
-		delete(p.seqOf, id)
-		delete(p.assignments, p.prunedUpTo)
+	if upTo <= p.prunedUpTo {
+		return
 	}
+	for seq := p.prunedUpTo + 1; seq <= upTo; seq++ {
+		if a := p.assignments.Get(seq); a != nil && a.ok {
+			delete(p.received, a.id)
+			delete(p.seqOf, a.id)
+		}
+	}
+	p.assignments.Advance(upTo + 1)
+	p.prunedUpTo = upTo
 }
 
 // resetViewState clears all per-view ordering state.
 func (p *Process) resetViewState() {
-	clear(p.assignments)
+	p.assignments.Reset()
 	clear(p.seqOf)
 	p.nextDeliver = 1
 	p.haveUpTo = 0

@@ -505,8 +505,9 @@ func TestViewAccessors(t *testing.T) {
 
 // TestViewStateBoundedByUnstableWindow runs one long view at 500 msgs/s,
 // well inside the n=3 capacity: the flush set and the per-view ordering
-// maps must stay as small as the unstable window (a few dozen entries
-// here) instead of growing with every message the view orders.
+// tables (the assignments window by the span of its range) must stay as
+// small as the unstable window (a few dozen entries here) instead of
+// growing with every message the view orders.
 func TestViewStateBoundedByUnstableWindow(t *testing.T) {
 	const (
 		broadcasts = 20000
@@ -516,7 +517,7 @@ func TestViewStateBoundedByUnstableWindow(t *testing.T) {
 	peak := 0
 	sample := func() {
 		for _, p := range c.procs {
-			peak = max(peak, len(p.received)+len(p.seqOf)+len(p.assignments))
+			peak = max(peak, len(p.received)+len(p.seqOf)+int(p.assignments.Hi()-p.assignments.Lo()))
 		}
 	}
 	for i := 0; i < broadcasts; i++ {

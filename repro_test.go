@@ -18,28 +18,13 @@ import (
 // TestFacadeAPI pins the facade's surface: golden/api.txt holds one sorted
 // line per exported identifier this package declares — constants,
 // functions, types, their methods and struct fields — so what a PR adds to
-// or removes from `go doc repro` is the diff of a tracked file.
+// or removes from `go doc repro` is the diff of a tracked file. A type
+// that aliases one of the module's own types is followed down its alias
+// chain, and the methods and fields of the type it ends at are listed
+// under the facade's name: they are the facade's surface too.
 func TestFacadeAPI(t *testing.T) {
-	names, err := filepath.Glob("*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range names {
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files = append(files, f)
-	}
-	pkg, err := doc.NewFromFiles(fset, files, "repro")
-	if err != nil {
-		t.Fatal(err)
-	}
+	api := apiSource{}
+	pkg := api.load(t, ".")
 	var lines []string
 	values := func(kind string, vs []*doc.Value) {
 		for _, v := range vs {
@@ -53,23 +38,30 @@ func TestFacadeAPI(t *testing.T) {
 			lines = append(lines, "func "+f.Name)
 		}
 	}
-	values("const", pkg.Consts)
-	values("var", pkg.Vars)
-	funcs(pkg.Funcs)
-	for _, typ := range pkg.Types {
+	// members lists typ's methods and struct fields under name.
+	members := func(name string, typ *doc.Type) {
+		for _, m := range typ.Methods {
+			lines = append(lines, "method "+name+"."+m.Name)
+		}
+		if st, ok := typ.Decl.Specs[0].(*ast.TypeSpec).Type.(*ast.StructType); ok {
+			for _, field := range st.Fields.List {
+				for _, fname := range field.Names {
+					lines = append(lines, "field "+name+"."+fname.Name)
+				}
+			}
+		}
+	}
+	values("const", pkg.doc.Consts)
+	values("var", pkg.doc.Vars)
+	funcs(pkg.doc.Funcs)
+	for _, typ := range pkg.doc.Types {
 		lines = append(lines, "type "+typ.Name)
 		values("const", typ.Consts)
 		values("var", typ.Vars)
 		funcs(typ.Funcs)
-		for _, m := range typ.Methods {
-			lines = append(lines, "method "+typ.Name+"."+m.Name)
-		}
-		if st, ok := typ.Decl.Specs[0].(*ast.TypeSpec).Type.(*ast.StructType); ok {
-			for _, field := range st.Fields.List {
-				for _, name := range field.Names {
-					lines = append(lines, "field "+typ.Name+"."+name.Name)
-				}
-			}
+		members(typ.Name, typ)
+		if target := api.target(t, ".", typ.Name); target != nil {
+			members(typ.Name, target)
 		}
 	}
 	sort.Strings(lines)
@@ -96,6 +88,119 @@ func TestFacadeAPI(t *testing.T) {
 	if !t.Failed() {
 		t.Error("golden/api.txt holds the right lines in the wrong order or form (sorted, one per line, trailing newline)")
 	}
+}
+
+// apiSource parses the module's packages for TestFacadeAPI, each once.
+type apiSource map[string]*apiPackage // by directory
+
+// apiPackage is one package's non-test files: its type declarations, each
+// with the file that declares it, and its documentation.
+type apiPackage struct {
+	types map[string]apiTypeSpec
+	doc   *doc.Package
+}
+
+type apiTypeSpec struct {
+	spec *ast.TypeSpec
+	file *ast.File
+}
+
+// load parses the package in dir, relative to the module root.
+func (a apiSource) load(t *testing.T, dir string) *apiPackage {
+	t.Helper()
+	if pkg := a[dir]; pkg != nil {
+		return pkg
+	}
+	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	pkg := &apiPackage{types: make(map[string]apiTypeSpec)}
+	var files []*ast.File
+	for _, name := range names {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+		for _, decl := range f.Decls {
+			if gen, ok := decl.(*ast.GenDecl); ok && gen.Tok == token.TYPE {
+				for _, spec := range gen.Specs {
+					ts := spec.(*ast.TypeSpec)
+					pkg.types[ts.Name.Name] = apiTypeSpec{ts, f}
+				}
+			}
+		}
+	}
+	// doc.NewFromFiles trims the unexported parts of the files, so the
+	// declarations are collected first.
+	if pkg.doc, err = doc.NewFromFiles(fset, files, filepath.ToSlash(filepath.Join("repro", dir))); err != nil {
+		t.Fatal(err)
+	}
+	a[dir] = pkg
+	return pkg
+}
+
+// target follows type name of the package in dir down its alias chain,
+// through the module's own packages, and returns the documentation of the
+// type it ends at; nil when name is no alias or the chain leaves the
+// module.
+func (a apiSource) target(t *testing.T, dir, name string) *doc.Type {
+	t.Helper()
+	for hops := 0; ; hops++ {
+		ts, ok := a.load(t, dir).types[name]
+		if !ok {
+			return nil
+		}
+		if !ts.spec.Assign.IsValid() {
+			if hops == 0 {
+				return nil
+			}
+			for _, typ := range a.load(t, dir).doc.Types {
+				if typ.Name == name {
+					return typ
+				}
+			}
+			return nil
+		}
+		switch x := ts.spec.Type.(type) {
+		case *ast.Ident:
+			name = x.Name
+		case *ast.SelectorExpr:
+			qual, ok := x.X.(*ast.Ident)
+			if !ok {
+				return nil
+			}
+			path := importPath(ts.file, qual.Name)
+			if !strings.HasPrefix(path, "repro/") {
+				return nil
+			}
+			dir, name = strings.TrimPrefix(path, "repro/"), x.Sel.Name
+		default:
+			return nil
+		}
+	}
+}
+
+// importPath returns the path f imports under the package name qual, ""
+// when there is none. A package's name is the last element of its path
+// throughout the module.
+func importPath(f *ast.File, qual string) string {
+	for _, imp := range f.Imports {
+		path := strings.Trim(imp.Path.Value, `"`)
+		name := path[strings.LastIndex(path, "/")+1:]
+		if imp.Name != nil {
+			name = imp.Name.Name
+		}
+		if name == qual {
+			return path
+		}
+	}
+	return ""
 }
 
 func TestQuickSteadyRun(t *testing.T) {
