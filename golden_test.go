@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"os"
 	"testing"
 	"time"
 
@@ -315,6 +316,10 @@ func holds(c *Cluster, quorate bool) error {
 	c.Run(time.Minute)
 	return c.core.History.Check(clauses|proto.Agreement|proto.Validity, live)
 }
+
+// TestMain fails an unfiltered run that leaves a "cluster/" case of the
+// golden corpus uncompared.
+func TestMain(m *testing.M) { os.Exit(golden.Main(m, "cluster/")) }
 
 // TestGoldenTraceDigests asserts that fixed-seed simulations — FD and GM,
 // with crashes, pre-crashes and both scripted and stochastic suspicions —

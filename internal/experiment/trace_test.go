@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -701,6 +702,10 @@ func fullTraceCases() []traceCase {
 			check: traceHas(" gm.MsgJoinReq", " gm.MsgWelcome", "\nF 550000000 heal\n", "\nF 860000000 recover p1\n")},
 	}
 }
+
+// TestMain fails an unfiltered run that leaves a "trace/", "plan/" or
+// "load/" case of the golden corpus uncompared.
+func TestMain(m *testing.M) { os.Exit(golden.Main(m, "trace/", "plan/", "load/")) }
 
 // TestFullTraceGolden runs every pinned replication on a new system.
 func TestFullTraceGolden(t *testing.T) {

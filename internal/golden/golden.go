@@ -7,11 +7,14 @@
 package golden
 
 import (
+	"flag"
 	"fmt"
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -81,6 +84,7 @@ func Check(t testing.TB, name string, r *Records) {
 // whose digest differs and the replacement line; a missing one, the line
 // to add; a name recorded twice in the corpus is refused.
 func Report(name string, r *Records) string {
+	compared.Store(name, true)
 	data, err := os.ReadFile(corpus)
 	cases := map[string]string{}
 	for i, line := range strings.Split(string(data), "\n") {
@@ -133,4 +137,45 @@ func firstDiff(a, b []string) int {
 		i++
 	}
 	return i
+}
+
+// compared holds every case name Report compared in this test binary.
+var compared sync.Map
+
+// Main runs m's tests and returns the code for os.Exit: a package's
+// TestMain is os.Exit(golden.Main(m, its case prefixes...)). A run that
+// passed and selected every test (no -run, -skip or -list) still fails if
+// a corpus case under one of prefixes was never compared, naming its line:
+// a dropped scenario would otherwise leave its line in the file unseen.
+func Main(m *testing.M, prefixes ...string) int {
+	code := m.Run()
+	if code != 0 || flag.Lookup("test.run").Value.String()+flag.Lookup("test.skip").Value.String()+flag.Lookup("test.list").Value.String() != "" {
+		return code
+	}
+	stale := uncompared(prefixes)
+	for _, line := range stale {
+		fmt.Fprintf(os.Stderr, "golden: %s: no test compared it; a dropped test takes its line along\n", line)
+	}
+	if len(stale) > 0 {
+		return 1
+	}
+	return 0
+}
+
+// uncompared lists, as `file:line: case "name"`, the corpus cases under
+// prefixes that Report never compared.
+func uncompared(prefixes []string) []string {
+	data, err := os.ReadFile(corpus)
+	if err != nil {
+		return []string{err.Error()}
+	}
+	var stale []string
+	for i, line := range strings.Split(string(data), "\n") {
+		name, _, _ := strings.Cut(line, "\t")
+		under := slices.ContainsFunc(prefixes, func(p string) bool { return strings.HasPrefix(name, p) })
+		if _, ok := compared.Load(name); under && !ok {
+			stale = append(stale, fmt.Sprintf("%s:%d: case %q", corpus, i+1, name))
+		}
+	}
+	return stale
 }

@@ -6,6 +6,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -62,8 +63,8 @@ func TestCheck(t *testing.T) {
 
 // TestCorpus counts the corpus's cases by their first path element. A
 // renamed case fails Check as missing, and pasting its new line breaks the
-// count until the old line goes. A case dropped outright is not caught: its
-// change removes the line and the count here together.
+// count until the old line goes. A case dropped outright leaves its line
+// uncompared, which Main reports.
 func TestCorpus(t *testing.T) {
 	data, err := os.ReadFile(corpus)
 	if err != nil {
@@ -77,6 +78,22 @@ func TestCorpus(t *testing.T) {
 	}
 	if want := map[string]int{"cluster": 17, "trace": 11, "plan": 14, "load": 8}; !maps.Equal(counts, want) {
 		t.Errorf("golden/digests.txt holds %v cases by prefix, want %v", counts, want)
+	}
+}
+
+// TestUncompared: a corpus case under a listed prefix that Report never
+// compared is named with its line; a compared case and a case under
+// another prefix are not.
+func TestUncompared(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "digests.txt")
+	if err := os.WriteFile(path, []byte("# header\nkept/a\t1\nkept/b\t1\nother/c\t1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	defer func(real string) { corpus = real }(corpus)
+	corpus = path
+	Report("kept/a", records(1))
+	if got, want := uncompared([]string{"kept/"}), []string{path + `:3: case "kept/b"`}; !slices.Equal(got, want) {
+		t.Errorf("uncompared = %q, want %q", got, want)
 	}
 }
 

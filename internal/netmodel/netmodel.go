@@ -31,6 +31,11 @@
 // arrives after the slot while the wire is already free) and per-copy
 // loss; a lost relay copy loses the whole subtree behind it.
 //
+// Every multicast addresses a destination set and rides that set's
+// spanning trees, pruned to the branches that reach a member (RegisterSet,
+// MulticastSet). Multicast is the multicast to Everyone, the set of every
+// process, whose tables are the topology's own full trees.
+//
 // Crashes follow the paper's software-crash semantics: when pᵢ crashes at
 // time t, no message passes between pᵢ and CPUᵢ after t — the process
 // neither sends nor receives, and on a multi-hop topology it stops
@@ -46,7 +51,7 @@
 //
 // The pipeline stages run on the engine's closure-free scheduling form
 // (sim.ScheduleMsg): each in-flight hop is a pooled event record carrying
-// (stage, origin·node, route, payload) and dispatching back into
+// (stage, set·origin·node, route, payload) and dispatching back into
 // HandleMsg, so simulating a message allocates nothing — no closures, no
 // per-multicast destination slice (fan-out reads the topology's compiled
 // tables), no per-hop event allocation once the engine's free list is
@@ -210,11 +215,12 @@ type Counters struct {
 }
 
 // Pipeline stage opcodes for the closure-free scheduler. The a record
-// field packs origin·N+node — the multicast origin (or unicast sender)
-// and the hop currently holding the copy. The b field is the route: the
-// final destination for unicasts, or -(group+1) naming a transmit group
-// of the origin's tree at the holding node; opRecvCPUDone and
-// opFaultArrive use b = -1 for multicast receive legs.
+// field packs (set·N+origin)·N+node — the destination set (Everyone for
+// unicasts), the multicast origin (or unicast sender) and the hop
+// currently holding the copy. The b field is the route: the final
+// destination for unicasts, or -(group+1) naming a transmit group of the
+// origin's tree at the holding node; opRecvCPUDone and opFaultArrive use
+// b = -1 for multicast receive legs.
 const (
 	opSenderCPUDone = iota // sender CPU released the hop: reserve its wire
 	opWireDone             // wire slot (plus propagation) over: arrive at the far end(s)
@@ -237,7 +243,8 @@ type Network struct {
 	// Routing tables and resolved per-wire parameters of the topology the
 	// network was last built or reset on.
 	rt        *topo.Routing
-	sets      []*topo.SetRouting // pruned tables per registered destination set
+	sets      []*topo.SetRouting  // multicast tables by SetID; Everyone's are rt's own
+	slot0     [1]*topo.SetRouting // sets' array until a set is registered
 	wireSlot  []time.Duration
 	wireDelay []time.Duration
 	wireLoss  []float64
@@ -273,6 +280,7 @@ func New(eng *sim.Engine, cfg Config, deliver DeliverFunc) *Network {
 		cpuBusy: make([]sim.Time, cfg.N),
 		crashed: make([]bool, cfg.N),
 	}
+	nw.sets = nw.slot0[:0]
 	nw.Reset(cfg)
 	return nw
 }
@@ -281,11 +289,12 @@ func New(eng *sim.Engine, cfg Config, deliver DeliverFunc) *Network {
 // in, on the network's own engine and deliver callback, keeping its
 // storage. cfg must name the network's N; the topology (nil for the full
 // mesh), Lambda and Slot may differ. The routing tables are the
-// topology's own, compiled once per Topology, and the per-wire arrays are
-// resized in place. Everything a run changes is undone: busy horizons,
-// crashes, the partition, link faults, registered destination sets, the
-// trace hook, the counters and the loss stream. The sets' tables are kept
-// as storage: the next run's RegisterSet calls rebuild them in place.
+// topology's own, compiled once per Topology, and Everyone's are its full
+// trees; the per-wire arrays are resized in place. Everything a run
+// changes is undone: busy horizons, crashes, the partition, link faults,
+// registered destination sets, the trace hook, the counters and the loss
+// stream. The registered sets' tables are kept as storage: the next run's
+// RegisterSet calls rebuild them in place.
 func (nw *Network) Reset(cfg Config) {
 	if err := cfg.validate(); err != nil {
 		panic(err)
@@ -318,6 +327,9 @@ func (nw *Network) Reset(cfg Config) {
 		linkLoss:  nw.linkLoss,
 		linkDelay: nw.linkDelay,
 	}
+	// Slot 0 is written after the assignment, which clears slot0: sets
+	// lives there until a set is registered.
+	nw.sets = append(nw.sets, &nw.rt.SetRouting)
 	clear(nw.wireBusy)
 	for i, w := range wires {
 		nw.wireSlot[i] = w.Slot
@@ -453,29 +465,21 @@ func (nw *Network) emit(kind TraceKind, at sim.Time, from, to int, payload any) 
 	}
 }
 
-// pack folds (set, origin, node) into one event record field; set -1 is
-// the full-topology multicast (and every unicast), whose packed value is
-// origin·N+node exactly as before destination sets existed.
-func (nw *Network) pack(set, origin, node int) int {
-	return ((set+1)*nw.cfg.N+origin)*nw.cfg.N + node
+// pack folds (set, origin, node) into one event record field.
+func (nw *Network) pack(set SetID, origin, node int) int {
+	return (int(set)*nw.cfg.N+origin)*nw.cfg.N + node
 }
 
 // treeRow returns the transmit groups node performs for origin's
-// multicast: the full spanning tree, or the set's pruned one.
-func (nw *Network) treeRow(set, origin, node int) []topo.TxGroup {
-	if set >= 0 {
-		return nw.sets[set].Tree[origin][node]
-	}
-	return nw.rt.Tree[origin][node]
+// multicast to set.
+func (nw *Network) treeRow(set SetID, origin, node int) []topo.TxGroup {
+	return nw.sets[set].Tree[origin][node]
 }
 
 // subCopies counts the in-flight references behind dst in origin's tree:
-// all nodes for a full multicast, set members only for a set multicast.
-func (nw *Network) subCopies(set, origin, dst int) int {
-	if set >= 0 {
-		return int(nw.sets[set].Sub[origin][dst])
-	}
-	return int(nw.rt.Sub[origin][dst])
+// the set members in dst's subtree.
+func (nw *Network) subCopies(set SetID, origin, dst int) int {
+	return int(nw.sets[set].Sub[origin][dst])
 }
 
 // Send transmits payload from process `from` to process `to` through the
@@ -496,42 +500,30 @@ func (nw *Network) Send(from, to int, payload any) {
 	nw.ctrs.Unicasts++
 	nw.emit(TraceSend, nw.eng.Now(), from, to, payload)
 	if nw.rt.Next[from][to] < 0 {
-		nw.lose(-1, from, from, to, to, payload)
+		nw.lose(Everyone, from, from, to, to, payload)
 		return
 	}
-	nw.throughCPU(-1, from, from, to, payload)
+	nw.throughCPU(Everyone, from, from, to, payload)
 }
 
 // Multicast transmits payload from process `from` to every process
-// reachable from it, including `from` itself. The copy fans out along
-// `from`'s spanning tree: each tree segment is one wire occupancy
-// reaching all destinations discovered over it, and every destination CPU
-// on a segment is occupied in parallel (on the default full mesh: sender
-// CPU and the single wire once, then all remote CPUs — the paper's
-// model). The local copy is delivered immediately at no cost. Multicasts
-// from a crashed process are ignored.
-func (nw *Network) Multicast(from int, payload any) {
-	if nw.crashed[from] {
-		Discard(payload)
-		return
-	}
-	// One reference for the local copy plus one per reachable remote
-	// destination: each copy reaches exactly one terminal point.
-	retain(payload, 1+int(nw.rt.Reach[from]))
-	nw.ctrs.Multicasts++
-	nw.emit(TraceSend, nw.eng.Now(), from, -1, payload)
-	nw.localDeliver(from, payload)
-	nw.forward(-1, from, from, payload)
-}
+// reachable from it, including `from` itself: MulticastSet to Everyone.
+func (nw *Network) Multicast(from int, payload any) { nw.MulticastSet(from, Everyone, payload) }
 
-// SetID names a destination set registered with RegisterSet.
+// SetID names a destination set: Everyone, or one registered with
+// RegisterSet.
 type SetID int32
+
+// Everyone is the set of every process, at the same id on every network.
+// Its tables are the topology's own full trees, shared by every network on
+// that topology and never rebuilt.
+const Everyone SetID = 0
 
 // RegisterSet precompiles pruned multicast routing for a destination
 // set — the address of MulticastSet. Registration is setup-time work:
-// each set costs O(N²) table space, like the full routing itself. After a
-// Reset, the set takes the tables the last run registered under its id,
-// rebuilt in place.
+// each set costs O(N²) table space, like the full routing itself. Ids
+// start after Everyone. After a Reset, the set takes the tables the last
+// run registered under its id, rebuilt in place.
 func (nw *Network) RegisterSet(members []int) SetID {
 	id := len(nw.sets)
 	nw.sets = slices.Grow(nw.sets, 1)[:id+1]
@@ -543,12 +535,15 @@ func (nw *Network) RegisterSet(members []int) SetID {
 }
 
 // MulticastSet transmits payload from process `from` to every member of
-// a registered destination set, along the pruned spanning tree of the
-// origin: non-member relays forward copies without receiving them as
-// destinations, and only members deliver. The sender delivers locally
-// (free) only if it is itself a member. Resource usage per hop is the
-// same as Multicast's; only the fan-out is narrower. Sends from a
-// crashed process are ignored.
+// a destination set, along the origin's spanning tree pruned to the set:
+// each tree segment is one wire occupancy reaching all destinations
+// discovered over it, and every destination CPU on a segment is occupied
+// in parallel (on the default full mesh: sender CPU and the single wire
+// once, then all remote CPUs — the paper's model). Non-member relays
+// forward copies without receiving them as destinations, and only members
+// deliver. The sender delivers locally, immediately and at no cost, only
+// if it is itself a member; to Everyone it always is, and Multicast is
+// this call with set Everyone. Sends from a crashed process are ignored.
 func (nw *Network) MulticastSet(from int, set SetID, payload any) {
 	if nw.crashed[from] {
 		Discard(payload)
@@ -563,30 +558,32 @@ func (nw *Network) MulticastSet(from int, set SetID, payload any) {
 		Discard(payload)
 		return
 	}
+	// One reference per copy, local and remote: each copy reaches exactly
+	// one terminal point.
 	retain(payload, local+int(sr.Reach[from]))
 	nw.ctrs.Multicasts++
 	nw.emit(TraceSend, nw.eng.Now(), from, -1, payload)
 	if local == 1 {
 		nw.localDeliver(from, payload)
 	}
-	nw.forward(int(set), from, from, payload)
+	nw.forward(set, from, from, payload)
 }
 
 // forward starts the transmit stage for every tree segment of origin's
 // multicast at the holding node — one send-CPU occupancy per segment.
-func (nw *Network) forward(set, origin, node int, payload any) {
+func (nw *Network) forward(set SetID, origin, node int, payload any) {
 	for gi := range nw.treeRow(set, origin, node) {
 		nw.throughCPU(set, origin, node, -(gi + 1), payload)
 	}
 }
 
 // HandleMsg advances one in-flight hop to its next pipeline stage. It
-// implements sim.MsgHandler; a packs (set+1)·N²+origin·N+node, b is the
+// implements sim.MsgHandler; a is pack's (set, origin, node), b is the
 // route code.
 func (nw *Network) HandleMsg(op uint8, a, b int, payload any) {
 	node := a % nw.cfg.N
 	rest := a / nw.cfg.N
-	origin, set := rest%nw.cfg.N, rest/nw.cfg.N-1
+	origin, set := rest%nw.cfg.N, SetID(rest/nw.cfg.N)
 	switch op {
 	case opSenderCPUDone:
 		nw.throughWire(set, origin, node, b, payload)
@@ -616,7 +613,7 @@ func (nw *Network) HandleMsg(op uint8, a, b int, payload any) {
 // reenters the caller.
 func (nw *Network) localDeliver(p int, payload any) {
 	nw.ctrs.LocalSends++
-	nw.eng.AfterMsg(0, nw, opLocalDeliver, nw.pack(-1, p, p), p, payload)
+	nw.eng.AfterMsg(0, nw, opLocalDeliver, nw.pack(Everyone, p, p), p, payload)
 }
 
 // deliverLocal completes a self-delivery, honouring a crash that happened
@@ -636,7 +633,7 @@ func (nw *Network) deliverLocal(p int, payload any) {
 
 // throughCPU occupies node's CPU for λ and then hands the hop to the wire
 // stage. The CPU is FIFO: occupancy accumulates on a busy-until horizon.
-func (nw *Network) throughCPU(set, origin, node, b int, payload any) {
+func (nw *Network) throughCPU(set SetID, origin, node, b int, payload any) {
 	start := nw.eng.Now()
 	if nw.cpuBusy[node] > start {
 		start = nw.cpuBusy[node]
@@ -651,7 +648,7 @@ func (nw *Network) throughCPU(set, origin, node, b int, payload any) {
 // the sending CPU, which preserves the FIFO arrival order at the medium;
 // the wire's propagation delay postpones arrival without extending the
 // occupancy.
-func (nw *Network) throughWire(set, origin, node, b int, payload any) {
+func (nw *Network) throughWire(set SetID, origin, node, b int, payload any) {
 	var wire int32
 	traceTo := b
 	if b >= 0 {
@@ -685,7 +682,7 @@ func (nw *Network) throughWire(set, origin, node, b int, payload any) {
 // Fault-free perfect-wire networks skip straight to intoCPU. Destinations
 // of a segment are visited in fixed ascending order, so the loss stream's
 // draws are deterministic.
-func (nw *Network) arrive(set, origin, node, dst, wire, b int, payload any) {
+func (nw *Network) arrive(set SetID, origin, node, dst, wire, b int, payload any) {
 	if nw.faults {
 		if !nw.reachable(node, dst) {
 			nw.lose(set, origin, node, dst, b, payload)
@@ -715,7 +712,7 @@ func (nw *Network) arrive(set, origin, node, dst, wire, b int, payload any) {
 // route that does not exist). For a multicast hop (b < 0) the whole
 // subtree behind dst dies with it: every copy it would have fanned into
 // is released and counted lost, under one drop trace.
-func (nw *Network) lose(set, origin, node, dst, b int, payload any) {
+func (nw *Network) lose(set SetID, origin, node, dst, b int, payload any) {
 	copies := 1
 	if b < 0 {
 		copies = nw.subCopies(set, origin, dst)
@@ -727,7 +724,7 @@ func (nw *Network) lose(set, origin, node, dst, b int, payload any) {
 
 // intoCPU occupies the destination CPU for λ and hands the hop to the
 // receive stage.
-func (nw *Network) intoCPU(set, origin, dst, b int, payload any) {
+func (nw *Network) intoCPU(set SetID, origin, dst, b int, payload any) {
 	start := nw.eng.Now()
 	if nw.cpuBusy[dst] > start {
 		start = nw.cpuBusy[dst]
@@ -740,7 +737,7 @@ func (nw *Network) intoCPU(set, origin, dst, b int, payload any) {
 // received completes a hop's receive stage at node: final deliveries go
 // up to the process, relay hops forward — unless the node crashed while
 // the hop was in flight, which on a multicast kills the whole subtree.
-func (nw *Network) received(set, origin, node, b int, payload any) {
+func (nw *Network) received(set SetID, origin, node, b int, payload any) {
 	if b >= 0 && node != b {
 		// Unicast relay: forward toward b, unless this relay is dead.
 		if nw.crashed[node] {
@@ -752,7 +749,7 @@ func (nw *Network) received(set, origin, node, b int, payload any) {
 		nw.throughCPU(set, origin, node, b, payload)
 		return
 	}
-	if b < 0 && set >= 0 && !nw.sets[set].Member[node] {
+	if b < 0 && !nw.sets[set].Member[node] {
 		// Non-member relay of a set multicast: the copy passes through
 		// without being a destination, so it holds no reference. A dead
 		// relay still kills every member behind it.

@@ -150,3 +150,107 @@ func TestSetMulticastDegenerateCases(t *testing.T) {
 		t.Fatalf("crashed sender leaked payload refs: %d", p.refs)
 	}
 }
+
+// islandTopology is a 4-clique on one wire plus p4, which only sends to
+// p0: p4 is unreachable from every other origin.
+func islandTopology() *topo.Topology {
+	t := &topo.Topology{Name: "island", N: 5, Wires: []topo.Wire{{}}}
+	for u := 0; u < 4; u++ {
+		for v := 0; v < 4; v++ {
+			if u != v {
+				t.Edges = append(t.Edges, topo.Edge{From: u, To: v})
+			}
+		}
+	}
+	t.Edges = append(t.Edges, topo.Edge{From: 4, To: 0})
+	return t
+}
+
+// Multicast is the multicast to Everyone: from every origin, it gives the
+// same deliveries at the same instants, the same counters and the same
+// payload balance as a multicast to a registered set of every process, on
+// relaying and direct topologies, fault-free, through a crashed relay and
+// across a partition.
+func TestMulticastIsTheSetOfEveryone(t *testing.T) {
+	faults := []struct {
+		name  string
+		apply func(*Network)
+	}{
+		{"no fault", func(*Network) {}},
+		{"dead relay p1", func(nw *Network) { nw.Crash(1) }},
+		{"{0 1}|rest", func(nw *Network) {
+			rest := []int{}
+			for p := 2; p < nw.cfg.N; p++ {
+				rest = append(rest, p)
+			}
+			nw.SetPartition([][]int{{0, 1}, rest})
+		}},
+	}
+	run := func(tp *topo.Topology, fault func(*Network), everyone bool) ([]delivery, Counters) {
+		h := newHarness(t, topoConfig(tp))
+		fault(h.nw)
+		all := make([]int, tp.N)
+		for p := range all {
+			all[p] = p
+		}
+		set := h.nw.RegisterSet(all)
+		payloads := make([]*countedPayload, tp.N)
+		for p := range payloads {
+			p, payload := p, &countedPayload{}
+			payloads[p] = payload
+			h.eng.Schedule(ms(float64(p)), func() {
+				if everyone {
+					h.nw.Multicast(p, payload)
+				} else {
+					h.nw.MulticastSet(p, set, payload)
+				}
+			})
+		}
+		h.eng.Run()
+		for p, payload := range payloads {
+			if payload.refs != 0 {
+				t.Errorf("%s: the multicast from p%d holds %d payload refs after the run", tp.Name, p, payload.refs)
+			}
+		}
+		return h.got, h.nw.Counters()
+	}
+	for _, tp := range []*topo.Topology{topo.Ring(5), topo.Star(5), topo.Geo(topo.GeoConfig{Sites: 2, PerSite: 3}), islandTopology(), topo.FullMesh(5)} {
+		for _, fault := range faults {
+			name := fault.name
+			got, gotCtrs := run(tp, fault.apply, true)
+			want, wantCtrs := run(tp, fault.apply, false)
+			if len(got) != len(want) || gotCtrs != wantCtrs {
+				t.Fatalf("%s, %s: Multicast gives %d deliveries and %+v, the registered set %d and %+v", tp.Name, name, len(got), gotCtrs, len(want), wantCtrs)
+			}
+			for i := range got {
+				if g, w := got[i], want[i]; g.to != w.to || g.from != w.from || g.at != w.at {
+					t.Fatalf("%s, %s: delivery %d is %+v, the registered set's %+v", tp.Name, name, i, g, w)
+				}
+			}
+		}
+	}
+}
+
+// Everyone is slot 0 of every network, holding the topology's own tables
+// after New and after a Reset onto another topology; registered sets never
+// take its id, before or after the Reset.
+func TestEveryoneIsTheTopologysOwnTables(t *testing.T) {
+	ring, star := topo.Ring(5), topo.Star(5)
+	h := newHarness(t, topoConfig(ring))
+	for _, tp := range []*topo.Topology{ring, star, nil} {
+		if tp != nil {
+			h.nw.Reset(topoConfig(tp))
+		} else {
+			h.nw.Reset(DefaultConfig(5))
+			tp = topo.SharedFullMesh(5)
+		}
+		if h.nw.sets[Everyone] != &tp.Routing().SetRouting {
+			t.Fatalf("%s: slot %d is not the topology's own tables", tp.Name, Everyone)
+		}
+		for _, members := range [][]int{{0, 1}, {0, 1, 2, 3, 4}, {3}} {
+			if id := h.nw.RegisterSet(members); id == Everyone {
+				t.Fatalf("%s: RegisterSet(%v) returned Everyone", tp.Name, members)
+			}
+		}
+	}
+}

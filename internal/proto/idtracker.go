@@ -77,26 +77,19 @@ func (t *IDTracker) SparseLen() int { return t.sparse.Len() }
 
 // TrackerSnapshot is a copied, point-in-time view of an IDTracker,
 // shippable to another process: the full-snapshot fallback of the FD
-// catch-up protocol hands one over when the decision log no longer
-// covers a straggler's gap. Sparse is in canonical MsgID order so the
-// snapshot itself is deterministic.
+// catch-up protocol and GM's state transfer beyond the log hand one over
+// when the log no longer covers a straggler's gap. Water is indexed by
+// origin and Sparse is in canonical MsgID order, so the snapshot and its
+// merge are deterministic.
 type TrackerSnapshot struct {
-	Water  map[PID]uint64
+	Water  []uint64
 	Sparse []MsgID
 }
 
 // Snapshot copies the tracker's current state. The copy shares nothing
 // with the tracker and never changes afterwards.
 func (t *IDTracker) Snapshot() *TrackerSnapshot {
-	s := &TrackerSnapshot{
-		Water:  make(map[PID]uint64, len(t.water)),
-		Sparse: make([]MsgID, 0, t.sparse.Len()),
-	}
-	for p, w := range t.water {
-		if w > 0 {
-			s.Water[PID(p)] = w
-		}
-	}
+	s := &TrackerSnapshot{Water: slices.Clone(t.water), Sparse: make([]MsgID, 0, t.sparse.Len())}
 	t.sparse.Each(func(id MsgID, _ *struct{}) { s.Sparse = append(s.Sparse, id) })
 	return s
 }
@@ -106,7 +99,8 @@ func (t *IDTracker) Snapshot() *TrackerSnapshot {
 // merge never forgets local state) and sparse entries the new watermarks
 // cover are dropped.
 func (t *IDTracker) Merge(s *TrackerSnapshot) {
-	for p, w := range s.Water {
+	for i, w := range s.Water {
+		p := PID(i)
 		if w <= t.watermark(p) {
 			continue
 		}

@@ -367,19 +367,13 @@ func (p *Proc) Send(to PID, payload any) {
 	p.sys.Net.Send(int(p.id), int(to), payload)
 }
 
-// Multicast implements Runtime.
-func (p *Proc) Multicast(payload any) {
-	if p.crashed {
-		netmodel.Discard(payload)
-		return
-	}
-	p.sys.Net.Multicast(int(p.id), payload)
-}
+// Multicast implements Runtime: MulticastSet to netmodel.Everyone.
+func (p *Proc) Multicast(payload any) { p.MulticastSet(netmodel.Everyone, payload) }
 
 // MulticastSet transmits payload to the members of a destination set
-// registered with the network (netmodel.Network.RegisterSet), honouring
-// crash semantics like Multicast. Group runtimes use it to disseminate
-// within one group only.
+// (netmodel.Everyone, or one registered with netmodel.Network.RegisterSet),
+// honouring crash semantics like Send. Group runtimes use it to
+// disseminate within one group only.
 func (p *Proc) MulticastSet(set netmodel.SetID, payload any) {
 	if p.crashed {
 		netmodel.Discard(payload)

@@ -85,23 +85,29 @@ func TestPruneSetPanicsOnBadMembers(t *testing.T) {
 	}
 }
 
-// Rebuilding a set's tables into a SetRouting another set left behind,
-// on the same routing or on another topology of its N, gives exactly the
-// tables a fresh PruneSet builds, and allocates nothing once the storage
-// fits. The hand-built topology leaves node 4 unreachable from every
-// other origin, so stale member counts in its column show.
-func TestPruneSetIntoMatchesPruneSet(t *testing.T) {
-	const n = 5
-	island := &Topology{Name: "island", N: n, Wires: []Wire{{}}}
+// island is a 4-clique on one wire plus node 4, which only sends to 0:
+// node 4 is unreachable from every other origin.
+func island() *Topology {
+	t := &Topology{Name: "island", N: 5, Wires: []Wire{{}}}
 	for u := 0; u < 4; u++ {
 		for v := 0; v < 4; v++ {
 			if u != v {
-				island.Edges = append(island.Edges, Edge{From: u, To: v})
+				t.Edges = append(t.Edges, Edge{From: u, To: v})
 			}
 		}
 	}
-	island.Edges = append(island.Edges, Edge{From: 4, To: 0})
-	routings := []*Routing{Ring(n).Routing(), Star(n).Routing(), FullMesh(n).Routing(), island.Routing()}
+	t.Edges = append(t.Edges, Edge{From: 4, To: 0})
+	return t
+}
+
+// Rebuilding a set's tables into a SetRouting another set left behind,
+// on the same routing or on another topology of its N, gives exactly the
+// tables a fresh PruneSet builds, and allocates nothing once the storage
+// fits. The island leaves node 4 unreachable from every other origin, so
+// stale member counts in its column show.
+func TestPruneSetIntoMatchesPruneSet(t *testing.T) {
+	const n = 5
+	routings := []*Routing{Ring(n).Routing(), Star(n).Routing(), FullMesh(n).Routing(), island().Routing()}
 	sets := [][]int{{0, 1, 2}, {4}, {0, 1, 2, 3, 4}, {1, 3}}
 	for _, from := range routings {
 		for _, was := range sets {
@@ -127,4 +133,20 @@ func TestPruneSetIntoMatchesPruneSet(t *testing.T) {
 // tables is sr without the storage it keeps for the next rebuild.
 func tables(sr *SetRouting) SetRouting {
 	return SetRouting{Member: sr.Member, Tree: sr.Tree, Sub: sr.Sub, Reach: sr.Reach}
+}
+
+// The set of everyone prunes nothing: PruneSet of every process gives
+// exactly a routing's own full tables, every Member true, which the
+// network multicasts to as its Everyone set.
+func TestEveryoneIsThePrunedFullSet(t *testing.T) {
+	for _, tp := range []*Topology{FullMesh(5), Clique(5), Ring(5), OneWayRing(5), Star(5), Geo(GeoConfig{Sites: 2, PerSite: 4}), island()} {
+		rt := tp.Routing()
+		all := make([]int, tp.N)
+		for p := range all {
+			all[p] = p
+		}
+		if got, want := tables(rt.PruneSet(all)), tables(&rt.SetRouting); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: PruneSet(everyone) = %+v, want the full tables %+v", tp.Name, got, want)
+		}
+	}
 }

@@ -34,17 +34,10 @@ type Routing struct {
 	// HopWire[u][v] is the wire of the hop u -> Next[u][v]; -1 when
 	// unreachable or u == v.
 	HopWire [][]int32
-	// Tree[o][u] lists the transmissions node u performs when a
-	// multicast originated by o passes through it: the children of u in
-	// o's shortest-path tree, grouped by discovering wire. Nil for
-	// leaves.
-	Tree [][][]TxGroup
-	// Sub[o][v] is the size of v's subtree in o's tree including v
-	// itself: the number of copies that die if v's copy is lost.
-	Sub [][]int32
-	// Reach[o] counts the nodes reachable from o, excluding o — the
-	// number of remote copies a multicast from o creates.
-	Reach []int32
+	// SetRouting is the set of everyone, every Member true: Tree[o][u]
+	// lists u's children in o's shortest-path tree, grouped by
+	// discovering wire, and Sub and Reach count every node.
+	SetRouting
 }
 
 // Routing compiles (once) and returns the topology's routing tables,
@@ -83,13 +76,14 @@ func compile(t *Topology) *Routing {
 		}
 	}
 
-	rt := &Routing{
-		N:       n,
-		Next:    newMatrix(n),
-		HopWire: newMatrix(n),
-		Tree:    make([][][]TxGroup, n),
-		Sub:     make([][]int32, n),
-		Reach:   make([]int32, n),
+	rt := &Routing{N: n, Next: newMatrix(n), HopWire: newMatrix(n), SetRouting: SetRouting{
+		Member: make([]bool, n),
+		Tree:   make([][][]TxGroup, n),
+		Sub:    make([][]int32, n),
+		Reach:  make([]int32, n),
+	}}
+	for v := range rt.Member {
+		rt.Member[v] = true
 	}
 	if complete {
 		compileComplete(rt, adjs)
@@ -221,7 +215,8 @@ func compileOrigin(rt *Routing, adjs [][]adjEdge, o int32, parent, parentWire []
 // the full topology's per-origin spanning trees with every branch that
 // reaches no set member cut off. A multicast addressed to the set rides
 // these tables — non-member relays still forward (the physical network
-// carries the copy) but only members count as destinations.
+// carries the copy) but only members count as destinations. The set of
+// everyone prunes nothing: its tables are the Routing's own full trees.
 type SetRouting struct {
 	// Member[v] reports set membership.
 	Member []bool
