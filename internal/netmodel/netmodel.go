@@ -211,7 +211,7 @@ type Counters struct {
 	Deliveries uint64 // completed deliveries (per destination)
 	Drops      uint64 // deliveries discarded because the target crashed
 	LocalSends uint64 // self-deliveries (no resource usage)
-	Lost       uint64 // copies discarded by a partition, a lossy link or wire, or a dead relay's subtree
+	Lost       uint64 // copies discarded by a partition, a lossy link or wire, or a dead relay (with the subtree behind it)
 }
 
 // Pipeline stage opcodes for the closure-free scheduler. The a record
@@ -739,9 +739,11 @@ func (nw *Network) intoCPU(set SetID, origin, dst, b int, payload any) {
 // the hop was in flight, which on a multicast kills the whole subtree.
 func (nw *Network) received(set SetID, origin, node, b int, payload any) {
 	if b >= 0 && node != b {
-		// Unicast relay: forward toward b, unless this relay is dead.
+		// Unicast relay: forward toward b, unless this relay is dead. The
+		// relay was never the target, so the copy is lost, as a set
+		// multicast's copy at a dead non-member relay is.
 		if nw.crashed[node] {
-			nw.ctrs.Drops++
+			nw.ctrs.Lost++
 			nw.emit(TraceDrop, nw.eng.Now(), origin, node, payload)
 			release(payload, 1)
 			return

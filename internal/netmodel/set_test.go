@@ -85,6 +85,25 @@ func TestSetMulticastCrashedRelayLosesSubtree(t *testing.T) {
 	}
 }
 
+// A dead relay costs a unicast and a set multicast the same copy, in the
+// same counter: the relay was the target of neither, so the copy behind it
+// is Lost, and Drops (a crashed target) stays at zero for both.
+func TestCrashedRelayCountsAlikeForUnicastAndSet(t *testing.T) {
+	counters := func(send func(nw *Network)) Counters {
+		h := newHarness(t, topoConfig(topo.Ring(5)))
+		h.nw.Crash(1)
+		h.eng.Schedule(0, func() { send(h.nw) })
+		h.eng.Run()
+		return h.nw.Counters()
+	}
+	uni := counters(func(nw *Network) { nw.Send(0, 2, "m") })
+	set := counters(func(nw *Network) { nw.MulticastSet(0, nw.RegisterSet([]int{0, 2}), "m") })
+	if uni.Drops != set.Drops || uni.Lost != set.Lost || uni.Lost != 1 || uni.Drops != 0 {
+		t.Fatalf("Send(0, 2) reads %d drops, %d lost; MulticastSet(0, {0 2}) reads %d drops, %d lost; want 0 and 1 for both",
+			uni.Drops, uni.Lost, set.Drops, set.Lost)
+	}
+}
+
 // A crashed member drops its own copy and loses the rest of its subtree.
 func TestSetMulticastCrashedMember(t *testing.T) {
 	h := newHarness(t, topoConfig(topo.Ring(5)))

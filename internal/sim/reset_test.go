@@ -112,7 +112,7 @@ func TestCancelOwnedRecord(t *testing.T) {
 	other := func() { got = append(got, 0) }
 	var own Event
 
-	// Never armed: a zero record is not queued, whatever its heap index.
+	// Never armed: a zero record holds no engine, so it is not queued.
 	e.Schedule(Time(10), other)
 	own.Cancel()
 	if e.Pending() != 1 {

@@ -24,6 +24,14 @@
 // (workload.Poisson), and so does every protocol timer, through
 // proto.Alarm, which adds the process's crash and incarnation guard.
 //
+// The event queue is a binary min-heap of value slots, each carrying its
+// event's key (when, seq) inline beside the record pointer, so ordering
+// never reads an *Event and no Event carries a heap index. A pop walks the
+// hole from the root to a leaf along the smaller child, choosing that
+// child without a branch, and then sifts the displaced last slot up.
+// Cancel finds its slot by a linear scan and removes it at once, so
+// Pending is exact; cancels are rare next to pops.
+//
 // Reset empties an engine for the next simulation in place, keeping the
 // heap's capacity and the free list warm.
 package sim
@@ -31,6 +39,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -89,7 +98,6 @@ type MsgHandler interface {
 type Event struct {
 	eng  *Engine
 	when Time
-	seq  uint64
 
 	// Exactly one of fn (closure form) and h (typed form) is set.
 	fn      func()
@@ -98,7 +106,6 @@ type Event struct {
 	a, b    int
 	op      uint8
 
-	index     int // heap index, -1 once removed
 	cancelled bool
 	free      *Event // free-list link, non-nil only while recycled
 }
@@ -118,10 +125,16 @@ func (ev *Event) Cancel() {
 	}
 	ev.cancelled = true
 	ev.fn = nil
-	// Only a queued event holds its engine (pop, removeAt and Reset drop
-	// it), and a zero record's index is a valid heap slot, not "removed".
-	if ev.eng != nil {
-		ev.eng.removeAt(ev.index)
+	// Only a queued event holds its engine (a pop, a cancel and Reset drop
+	// it), so the scan always finds its slot.
+	if e := ev.eng; e != nil {
+		ev.eng = nil // as at a pop: a removed event must not pin the engine
+		for i := range e.heap {
+			if e.heap[i].ev == ev {
+				e.vacate(i)
+				break
+			}
+		}
 	}
 }
 
@@ -136,8 +149,8 @@ func (ev *Event) Queued() bool { return ev.eng != nil }
 // usable; create engines with New.
 type Engine struct {
 	now  Time
-	heap []*Event // binary heap ordered by (when, seq)
-	free *Event   // free list of recycled typed-event records
+	heap []slot // binary min-heap ordered by (when, seq)
+	free *Event // free list of recycled typed-event records
 	seq  uint64
 
 	// Executed counts events that have fired, for diagnostics and for
@@ -155,13 +168,13 @@ func New() *Engine {
 // and the typed records' free list, so that a simulation rebuilt on it in
 // place runs bit for bit like one on a new engine without re-warming
 // either. Queued typed records go back to the free list. A queued closure
-// event is dropped as a removed one (its closure released, index -1, no
-// engine): a handle to it from before the reset cancels nothing, and a
-// record the caller owns may be re-armed.
+// event is dropped as a removed one (its closure released, no engine): a
+// handle to it from before the reset cancels nothing, and a record the
+// caller owns may be re-armed.
 func (e *Engine) Reset() {
-	for i, ev := range e.heap {
-		e.heap[i] = nil
-		ev.index, ev.eng = -1, nil
+	for _, s := range e.heap {
+		ev := s.ev
+		ev.eng = nil
 		if ev.fn != nil {
 			ev.fn = nil
 			continue
@@ -170,6 +183,7 @@ func (e *Engine) Reset() {
 		ev.free = e.free
 		e.free = ev
 	}
+	clear(e.heap)
 	*e = Engine{heap: e.heap[:0], free: e.free}
 }
 
@@ -184,7 +198,9 @@ func (e *Engine) Executed() uint64 { return e.executed }
 func (e *Engine) Pending() int { return len(e.heap) }
 
 // checkAt guards against scheduling in the past (before Now): it would
-// silently reorder causality, which is always a bug in the caller.
+// silently reorder causality, which is always a bug in the caller. It also
+// keeps every queued instant at or after Now, hence nonnegative, which the
+// heap's unsigned key order relies on (before).
 func (e *Engine) checkAt(at Time) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
@@ -198,9 +214,8 @@ func (e *Engine) Schedule(at Time, fn func()) *Event {
 	if fn == nil {
 		panic("sim: schedule with nil callback")
 	}
-	ev := &Event{eng: e, when: at, seq: e.seq, fn: fn}
-	e.seq++
-	e.push(ev)
+	ev := &Event{eng: e, when: at, fn: fn}
+	e.push(at, ev)
 	return ev
 }
 
@@ -228,10 +243,9 @@ func (e *Engine) ScheduleMsg(at Time, h MsgHandler, op uint8, a, b int, payload 
 	} else {
 		ev = &Event{}
 	}
-	ev.when, ev.seq = at, e.seq
-	e.seq++
+	ev.when = at
 	ev.h, ev.op, ev.a, ev.b, ev.payload = h, op, a, b, payload
-	e.push(ev)
+	e.push(at, ev)
 }
 
 // Rearm schedules fn at instant at on a record the caller owns, with the
@@ -249,9 +263,8 @@ func (e *Engine) Rearm(ev *Event, at Time, fn func()) {
 	if ev.eng != nil {
 		panic("sim: Rearm of a queued event")
 	}
-	*ev = Event{eng: e, when: at, seq: e.seq, fn: fn}
-	e.seq++
-	e.push(ev)
+	*ev = Event{eng: e, when: at, fn: fn}
+	e.push(at, ev)
 }
 
 // AfterMsg schedules a closure-free event d after the current instant.
@@ -279,12 +292,17 @@ func (e *Engine) RunUntil(deadline Time) uint64 {
 func (e *Engine) run(deadline Time) uint64 {
 	var n uint64
 	for len(e.heap) > 0 {
-		ev := e.heap[0]
-		if ev.when > deadline {
+		top := e.heap[0]
+		if top.when > deadline {
 			break
 		}
-		e.pop()
-		e.now = ev.when
+		ev := top.ev
+		e.vacate(0)
+		// Drop the engine back-pointer (only Cancel needs it, only while
+		// queued): a retained handle to a fired event must not pin the
+		// whole engine — heap and free list included.
+		ev.eng = nil
+		e.now = top.when
 		e.executed++
 		n++
 		if ev.fn != nil {
@@ -306,99 +324,83 @@ func (e *Engine) run(deadline Time) uint64 {
 	return n
 }
 
-// The event queue is a hand-inlined binary heap ordered by (when, seq).
-// The seq tie-break makes same-instant events fire in scheduling order,
-// which is what keeps executions deterministic. Compared to
-// container/heap this avoids the interface-method dispatch on every
-// sift step and lets cancellation remove by index without a Fix.
+// The event queue is a hand-inlined binary min-heap of slots ordered by
+// (when, seq). The seq tie-break makes same-instant events fire in
+// scheduling order, which is what keeps executions deterministic; since
+// seq is unique, no two keys are equal and every valid heap pops the same
+// sequence. Each slot carries its key inline, so a sift reads the slot
+// array and never the records it points to, and no record carries a heap
+// index to keep current: Cancel, the one removal besides the pop, scans
+// for its record instead.
 
-// less orders heap slots i and j.
-func (e *Engine) less(i, j int) bool {
-	a, b := e.heap[i], e.heap[j]
-	if a.when != b.when {
-		return a.when < b.when
-	}
-	return a.seq < b.seq
+// slot is one queued event: its key, copied inline, and the record.
+type slot struct {
+	when Time
+	seq  uint64
+	ev   *Event
 }
 
-// push appends ev and restores the heap invariant.
-func (e *Engine) push(ev *Event) {
-	ev.index = len(e.heap)
-	e.heap = append(e.heap, ev)
-	e.siftUp(ev.index)
+// before returns 1 if slot a orders before slot b and 0 otherwise: the
+// borrow out of the 128-bit subtraction (a.when, a.seq) − (b.when, b.seq).
+// Comparing when as unsigned is exact because checkAt keeps every queued
+// instant at or after Now, and Now never drops below zero. The result is
+// an integer, not a bool, so that the pop's child choice adds it to an
+// index instead of branching on a comparison it cannot predict.
+func before(a, b *slot) uint64 {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.when), uint64(b.when), borrow)
+	return borrow
 }
 
-// pop removes the root. The caller already holds e.heap[0].
-func (e *Engine) pop() {
-	last := len(e.heap) - 1
-	root := e.heap[0]
-	if last > 0 {
-		e.heap[0] = e.heap[last]
-		e.heap[0].index = 0
-	}
-	e.heap[last] = nil
-	e.heap = e.heap[:last]
-	if last > 1 {
-		e.siftDown(0)
-	}
-	root.index = -1
-	// Drop the engine back-pointer (only Cancel needs it, only while
-	// queued): a retained handle to a fired event must not pin the whole
-	// engine — heap and free list included.
-	root.eng = nil
+// push queues ev at instant at with the next sequence number: the new slot
+// sifts up from the bottom, parents moving down into its hole.
+func (e *Engine) push(at Time, ev *Event) {
+	s := slot{when: at, seq: e.seq, ev: ev}
+	e.seq++
+	e.heap = append(e.heap, s)
+	e.siftUp(len(e.heap)-1, s)
 }
 
-// removeAt deletes the event at heap slot i, restoring the invariant from
-// that slot in both directions.
-func (e *Engine) removeAt(i int) {
-	ev := e.heap[i]
-	last := len(e.heap) - 1
-	if i != last {
-		e.heap[i] = e.heap[last]
-		e.heap[i].index = i
-	}
-	e.heap[last] = nil
-	e.heap = e.heap[:last]
-	if i < last {
-		e.siftDown(i)
-		e.siftUp(i)
-	}
-	ev.index = -1
-	ev.eng = nil // as in pop: a removed event must not pin the engine
-}
-
-func (e *Engine) siftUp(i int) {
+// siftUp places s at hole i or above it, moving each parent that s orders
+// before one level down.
+func (e *Engine) siftUp(i int, s slot) {
+	h := e.heap
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !e.less(i, parent) {
+		p := (i - 1) / 2
+		if before(&s, &h[p]) == 0 {
 			break
 		}
-		e.swap(i, parent)
-		i = parent
+		h[i] = h[p]
+		i = p
 	}
+	h[i] = s
 }
 
-func (e *Engine) siftDown(i int) {
-	n := len(e.heap)
+// vacate removes the slot at i (the root, for a pop). The last slot leaves
+// the array, the hole walks from i down to a leaf along the smaller child
+// without comparing against it (Floyd's bottom-up deletion: the last slot
+// almost always belongs near the bottom), and then the last slot sifts up
+// from that leaf — past i too, when it orders before i's parent, which a
+// cancel deep in the heap can need.
+func (e *Engine) vacate(i int) {
+	n := len(e.heap) - 1
+	last := e.heap[n]
+	e.heap[n] = slot{}
+	e.heap = e.heap[:n]
+	if i == n {
+		return
+	}
+	h := e.heap
 	for {
-		left := 2*i + 1
-		if left >= n {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		least := left
-		if right := left + 1; right < n && e.less(right, left) {
-			least = right
+		if c+1 < n {
+			c += int(before(&h[c+1], &h[c]))
 		}
-		if !e.less(least, i) {
-			break
-		}
-		e.swap(i, least)
-		i = least
+		h[i] = h[c]
+		i = c
 	}
-}
-
-func (e *Engine) swap(i, j int) {
-	e.heap[i], e.heap[j] = e.heap[j], e.heap[i]
-	e.heap[i].index = i
-	e.heap[j].index = j
+	e.siftUp(i, last)
 }
