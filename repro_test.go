@@ -24,7 +24,7 @@ import (
 // under the facade's name: they are the facade's surface too.
 func TestFacadeAPI(t *testing.T) {
 	api := apiSource{}
-	pkg := api.load(t, ".")
+	pkg := api.doc(t, ".")
 	var lines []string
 	values := func(kind string, vs []*doc.Value) {
 		for _, v := range vs {
@@ -51,10 +51,10 @@ func TestFacadeAPI(t *testing.T) {
 			}
 		}
 	}
-	values("const", pkg.doc.Consts)
-	values("var", pkg.doc.Vars)
-	funcs(pkg.doc.Funcs)
-	for _, typ := range pkg.doc.Types {
+	values("const", pkg.Consts)
+	values("var", pkg.Vars)
+	funcs(pkg.Funcs)
+	for _, typ := range pkg.Types {
 		lines = append(lines, "type "+typ.Name)
 		values("const", typ.Consts)
 		values("var", typ.Vars)
@@ -90,14 +90,17 @@ func TestFacadeAPI(t *testing.T) {
 	}
 }
 
-// apiSource parses the module's packages for TestFacadeAPI, each once.
+// apiSource parses the module's packages, each once: the facade's for
+// TestFacadeAPI, every directory for TestArchitectureRules.
 type apiSource map[string]*apiPackage // by directory
 
-// apiPackage is one package's non-test files: its type declarations, each
-// with the file that declares it, and its documentation.
+// apiPackage is one directory's files, test files included, with the type
+// declarations of its non-test files, each with the file that declares it.
 type apiPackage struct {
+	fset  *token.FileSet
+	files []*ast.File
 	types map[string]apiTypeSpec
-	doc   *doc.Package
+	doc   *doc.Package // built by apiSource.doc
 }
 
 type apiTypeSpec struct {
@@ -115,18 +118,16 @@ func (a apiSource) load(t *testing.T, dir string) *apiPackage {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fset := token.NewFileSet()
-	pkg := &apiPackage{types: make(map[string]apiTypeSpec)}
-	var files []*ast.File
+	pkg := &apiPackage{fset: token.NewFileSet(), types: make(map[string]apiTypeSpec)}
 	for _, name := range names {
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
+		f, err := parser.ParseFile(pkg.fset, name, nil, parser.ParseComments)
 		if err != nil {
 			t.Fatal(err)
 		}
-		files = append(files, f)
+		pkg.files = append(pkg.files, f)
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
 		for _, decl := range f.Decls {
 			if gen, ok := decl.(*ast.GenDecl); ok && gen.Tok == token.TYPE {
 				for _, spec := range gen.Specs {
@@ -136,13 +137,30 @@ func (a apiSource) load(t *testing.T, dir string) *apiPackage {
 			}
 		}
 	}
-	// doc.NewFromFiles trims the unexported parts of the files, so the
-	// declarations are collected first.
-	if pkg.doc, err = doc.NewFromFiles(fset, files, filepath.ToSlash(filepath.Join("repro", dir))); err != nil {
-		t.Fatal(err)
-	}
 	a[dir] = pkg
 	return pkg
+}
+
+// doc returns the documentation of the non-test files of the package in
+// dir. doc.NewFromFiles trims the unexported parts of those files, which is
+// why load collects the declarations first, and why a source whose files
+// TestArchitectureRules walks never builds it.
+func (a apiSource) doc(t *testing.T, dir string) *doc.Package {
+	t.Helper()
+	pkg := a.load(t, dir)
+	if pkg.doc == nil {
+		var files []*ast.File
+		for _, f := range pkg.files {
+			if !strings.HasSuffix(pkg.fset.File(f.Pos()).Name(), "_test.go") {
+				files = append(files, f)
+			}
+		}
+		var err error
+		if pkg.doc, err = doc.NewFromFiles(pkg.fset, files, filepath.ToSlash(filepath.Join("repro", dir))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return pkg.doc
 }
 
 // target follows type name of the package in dir down its alias chain,
@@ -160,7 +178,7 @@ func (a apiSource) target(t *testing.T, dir, name string) *doc.Type {
 			if hops == 0 {
 				return nil
 			}
-			for _, typ := range a.load(t, dir).doc.Types {
+			for _, typ := range a.doc(t, dir).Types {
 				if typ.Name == name {
 					return typ
 				}
