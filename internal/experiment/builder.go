@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"repro/internal/ctabcast"
 	"repro/internal/fd"
@@ -432,7 +431,6 @@ func (cfg *CoreConfig) network() netmodel.Config {
 	return netmodel.Config{
 		N:        cfg.N,
 		Lambda:   sim.Millis(cfg.Lambda),
-		Slot:     time.Millisecond,
 		Topology: cfg.Topology,
 	}
 }

@@ -10,8 +10,7 @@
 //     units when sent and the receiver's CPU for λ time units when received;
 //   - one network resource per topology wire, representing an Ethernet-like
 //     transmission medium; every message hop occupies its wire for one slot
-//     (the wire's own, or the model default — 1 ms in all the paper's
-//     experiments).
+//     (the wire's own, or the paper's time unit, 1 ms).
 //
 // On the default FullMesh topology there is a single wire joining every
 // process pair and the model reduces exactly — bit-identically — to the
@@ -35,6 +34,10 @@
 // spanning trees, pruned to the branches that reach a member (RegisterSet,
 // MulticastSet). Multicast is the multicast to Everyone, the set of every
 // process, whose tables are the topology's own full trees.
+//
+// The network owns the fault state: which processes are crashed (Crash,
+// Recover, Crashed) and which hops a partition cuts (SetPartition,
+// ClearPartition, Reachable). The protocol runtime reads it here.
 //
 // Crashes follow the paper's software-crash semantics: when pᵢ crashes at
 // time t, no message passes between pᵢ and CPUᵢ after t — the process
@@ -77,20 +80,20 @@ type Config struct {
 	// receive (the λ parameter of the paper). λ = 1 ms reproduces every
 	// figure of the DSN paper; other values model other environments.
 	Lambda time.Duration
-	// Slot is the default wire occupancy per message: the paper's time
-	// unit, 1 ms in all experiments. Wires with their own Slot override
-	// it.
-	Slot time.Duration
 	// Topology is the connectivity graph messages route over. Nil means
 	// topo.FullMesh(N) — the paper's single shared Ethernet, on which
 	// the model is bit-identical to its pre-topology form.
 	Topology *topo.Topology
 }
 
+// unit is the paper's time unit, 1 ms: the wire occupancy per message hop
+// of a wire with no Slot of its own.
+const unit = time.Millisecond
+
 // DefaultConfig returns the configuration used throughout the paper's
-// evaluation: λ = 1 time unit, 1 time unit = 1 ms, full mesh on one wire.
+// evaluation: λ = 1 time unit, full mesh on one wire.
 func DefaultConfig(n int) Config {
-	return Config{N: n, Lambda: time.Millisecond, Slot: time.Millisecond}
+	return Config{N: n, Lambda: unit}
 }
 
 func (c Config) validate() error {
@@ -99,8 +102,6 @@ func (c Config) validate() error {
 		return fmt.Errorf("netmodel: N = %d, need at least 1", c.N)
 	case c.Lambda < 0:
 		return fmt.Errorf("netmodel: negative Lambda %v", c.Lambda)
-	case c.Slot < 0:
-		return fmt.Errorf("netmodel: negative Slot %v", c.Slot)
 	case c.Topology != nil && c.Topology.N != c.N:
 		return fmt.Errorf("netmodel: topology %q is for %d processes, config has N=%d", c.Topology.Name, c.Topology.N, c.N)
 	}
@@ -288,7 +289,7 @@ func New(eng *sim.Engine, cfg Config, deliver DeliverFunc) *Network {
 // Reset returns the network to the state New(eng, cfg, deliver) leaves it
 // in, on the network's own engine and deliver callback, keeping its
 // storage. cfg must name the network's N; the topology (nil for the full
-// mesh), Lambda and Slot may differ. The routing tables are the
+// mesh) and Lambda may differ. The routing tables are the
 // topology's own, compiled once per Topology, and Everyone's are its full
 // trees; the per-wire arrays are resized in place. Everything a run
 // changes is undone: busy horizons, crashes, the partition, link faults,
@@ -334,7 +335,7 @@ func (nw *Network) Reset(cfg Config) {
 	for i, w := range wires {
 		nw.wireSlot[i] = w.Slot
 		if w.Slot == 0 {
-			nw.wireSlot[i] = cfg.Slot
+			nw.wireSlot[i] = unit
 		}
 		nw.wireDelay[i] = w.Delay
 		nw.wireLoss[i] = w.Loss
@@ -365,6 +366,9 @@ func (nw *Network) Crash(p int) { nw.crashed[p] = true }
 // Recover reverses Crash: messages flow to and from p again as of the
 // current instant. Recovering a live process is a no-op.
 func (nw *Network) Recover(p int) { nw.crashed[p] = false }
+
+// Crashed reports whether p is crashed.
+func (nw *Network) Crashed(p int) bool { return nw.crashed[p] }
 
 // SetFaultRand installs a copy of r as the random stream that decides
 // lossy-link and lossy-wire drops. Installing it up front keeps loss
@@ -452,9 +456,9 @@ func (nw *Network) SetLink(from, to int, loss float64, extraDelay time.Duration)
 	nw.faults = nw.group != nil || nw.activeLinks > 0
 }
 
-// reachable reports whether a hop from `from` to `to` passes the current
+// Reachable reports whether a hop from `from` to `to` passes the current
 // partition.
-func (nw *Network) reachable(from, to int) bool {
+func (nw *Network) Reachable(from, to int) bool {
 	return nw.group == nil || nw.group[from] == nw.group[to]
 }
 
@@ -684,7 +688,7 @@ func (nw *Network) throughWire(set SetID, origin, node, b int, payload any) {
 // draws are deterministic.
 func (nw *Network) arrive(set SetID, origin, node, dst, wire, b int, payload any) {
 	if nw.faults {
-		if !nw.reachable(node, dst) {
+		if !nw.Reachable(node, dst) {
 			nw.lose(set, origin, node, dst, b, payload)
 			return
 		}

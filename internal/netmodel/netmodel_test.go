@@ -234,7 +234,7 @@ func TestMulticastToCrashedDestination(t *testing.T) {
 
 func TestZeroLambda(t *testing.T) {
 	// λ=0 models infinitely fast hosts: only the wire costs time.
-	h := newHarness(t, Config{N: 2, Lambda: 0, Slot: time.Millisecond})
+	h := newHarness(t, Config{N: 2, Lambda: 0})
 	h.eng.Schedule(0, func() { h.nw.Send(0, 1, "m") })
 	h.eng.Run()
 	if len(h.got) != 1 || h.got[0].at != ms(1) {
@@ -244,7 +244,7 @@ func TestZeroLambda(t *testing.T) {
 
 func TestLambdaTwo(t *testing.T) {
 	// λ=2: CPU₀ 0→2, wire 2→3, CPU₁ 3→5.
-	h := newHarness(t, Config{N: 2, Lambda: 2 * time.Millisecond, Slot: time.Millisecond})
+	h := newHarness(t, Config{N: 2, Lambda: 2 * time.Millisecond})
 	h.eng.Schedule(0, func() { h.nw.Send(0, 1, "m") })
 	h.eng.Run()
 	if len(h.got) != 1 || h.got[0].at != ms(5) {
@@ -326,9 +326,8 @@ func TestCountersAccumulate(t *testing.T) {
 
 func TestInvalidConfigPanics(t *testing.T) {
 	cases := map[string]Config{
-		"zero N":          {N: 0, Lambda: 1, Slot: 1},
-		"negative lambda": {N: 1, Lambda: -1, Slot: 1},
-		"negative slot":   {N: 1, Lambda: 1, Slot: -1},
+		"zero N":          {N: 0, Lambda: 1},
+		"negative lambda": {N: 1, Lambda: -1},
 	}
 	for name, cfg := range cases {
 		func() {

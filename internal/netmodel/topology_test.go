@@ -425,7 +425,7 @@ func TestResetMatchesNew(t *testing.T) {
 		}
 		t.Run(tc.name, func(t *testing.T) {
 			dirty := config(tc.from)
-			dirty.Lambda, dirty.Slot = 2*time.Millisecond, 3*time.Millisecond
+			dirty.Lambda = 2 * time.Millisecond
 			h := newHarness(t, dirty)
 			traced := 0
 			h.nw.SetTrace(func(TraceEvent) { traced++ })

@@ -6,8 +6,10 @@
 // Algorithms are written as event-driven state machines implementing
 // Handler. The runtime guarantees deterministic, serialised delivery of
 // messages, timers and failure-detector edges on the one single-threaded
-// engine, so handler code never observes concurrency, and it enforces
-// crash semantics: once a process crashes, its handler never runs again.
+// engine, so handler code never observes concurrency. The network model
+// owns the fault state — which processes are crashed, which hops a
+// partition cuts — and the runtime reads it there: once a process
+// crashes, its handler never runs again.
 package proto
 
 import (
@@ -115,10 +117,6 @@ type System struct {
 
 	procs   []*Proc
 	started bool
-	// partLabel is the current partition's group label per process, nil
-	// when the network is whole; it tracks which directed failure-detector
-	// links are severed so Partition/Heal keep net and fd views agreeing.
-	partLabel []int
 }
 
 // NewSystem builds a system of n processes. rng is the root randomness;
@@ -143,8 +141,8 @@ func NewSystem(eng *sim.Engine, netCfg netmodel.Config, qos fd.QoS, rng *sim.Ran
 // rng) leaves it in, keeping its processes, network and detectors —
 // storage, streams and listeners — instead of building them again. The
 // handlers stay installed and SetHandler may replace them before Start
-// runs again. netCfg must name the system's N (the topology, Lambda and
-// Slot may differ), and the engine must have been reset first
+// runs again. netCfg must name the system's N (the topology and Lambda
+// may differ), and the engine must have been reset first
 // (sim.Engine.Reset): the previous run's timers must not fire into this
 // one.
 func (s *System) Reset(netCfg netmodel.Config, qos fd.QoS, rng *sim.Rand) {
@@ -192,7 +190,7 @@ func (s *System) Start() {
 		if proc.handler == nil {
 			panic(fmt.Sprintf("proto: process %d has no handler", proc.id))
 		}
-		if !proc.crashed {
+		if !proc.Crashed() {
 			proc.handler.Init()
 		}
 	}
@@ -202,11 +200,9 @@ func (s *System) Start() {
 // carrying messages to/from it (in-flight sends still complete), failure
 // detectors begin detection, and the handler never runs again.
 func (s *System) Crash(p PID) {
-	proc := s.procs[p]
-	if proc.crashed {
+	if s.Net.Crashed(int(p)) {
 		return
 	}
-	proc.crashed = true
 	s.Net.Crash(int(p))
 	s.FDs.Crash(int(p))
 }
@@ -227,14 +223,13 @@ func (s *System) CrashAt(p PID, at sim.Time) {
 // existing handler with its state intact, the long-outage model.
 // Recovering a live process is a no-op.
 func (s *System) Recover(p PID, remake func(Runtime) Handler) {
-	proc := s.procs[p]
-	if !proc.crashed {
+	if !s.Net.Crashed(int(p)) {
 		return
 	}
 	s.Net.Recover(int(p))
 	s.FDs.Recover(int(p))
-	proc.crashed = false
 	if remake != nil {
+		proc := s.procs[p]
 		proc.gen++ // the previous incarnation's timers must never fire
 		h := remake(proc)
 		if h == nil {
@@ -247,84 +242,62 @@ func (s *System) Recover(p PID, remake func(Runtime) Handler) {
 
 // Partition splits the system into isolated groups as of the current
 // instant: the network discards copies crossing groups (see
-// netmodel.SetPartition) and every failure detector treats unreachable
-// processes like crashed ones — suspicion TD after the split, trust on
-// heal. A process listed in no group is isolated on its own. A new
-// partition replaces the previous one, severing and restoring only the
-// directed links whose reachability changed; Heal removes it.
+// netmodel.SetPartition, which panics on a bad group before anything
+// changes) and every failure detector treats unreachable processes like
+// crashed ones — suspicion TD after the split, trust on heal. A process
+// listed in no group is isolated on its own. A new partition replaces the
+// previous one, severing and restoring only the directed links whose
+// reachability changed; Heal removes it.
 func (s *System) Partition(groups [][]PID) {
-	n := len(s.procs)
-	label := make([]int, n)
-	for p := range label {
-		label[p] = -(p + 1)
-	}
 	ints := make([][]int, len(groups))
 	for gi, g := range groups {
 		ints[gi] = make([]int, len(g))
 		for i, p := range g {
-			if int(p) < 0 || int(p) >= n {
-				panic(fmt.Sprintf("proto: partition group contains process %d, want 0..%d", p, n-1))
-			}
-			label[p] = gi
 			ints[gi][i] = int(p)
 		}
 	}
-	old := s.partLabel
-	cross := func(lab []int, q, p int) bool { return lab != nil && lab[q] != lab[p] }
-	for q := 0; q < n; q++ {
-		for p := 0; p < n; p++ {
-			if p == q {
-				continue
-			}
-			was, now := cross(old, q, p), cross(label, q, p)
-			switch {
-			case now && !was:
-				s.FDs.Sever(q, p)
-			case was && !now:
-				s.FDs.Restore(q, p)
-			}
-		}
-	}
-	s.partLabel = label
-	s.Net.SetPartition(ints)
+	s.repartition(func() { s.Net.SetPartition(ints) })
 }
 
 // Heal removes the current partition: reachability is restored and every
 // suspicion the split caused is withdrawn (trust edges in ascending
 // (monitor, target) order). Healing a whole network is a no-op.
-func (s *System) Heal() {
-	if s.partLabel == nil {
-		return
-	}
-	n := len(s.procs)
-	for q := 0; q < n; q++ {
-		for p := 0; p < n; p++ {
-			if p != q && s.partLabel[q] != s.partLabel[p] {
+func (s *System) Heal() { s.repartition(s.Net.ClearPartition) }
+
+// repartition applies change to the network's partition, then sets every
+// directed detector link from the network's reachability, in ascending
+// (monitor, target) order. Sever and Restore are no-ops on a link already
+// in that state, so only the links whose reachability changed move.
+// Changing the network first moves no edge: Sever only schedules, and
+// what a trust edge's handler sends meets the partition at the
+// wire-to-CPU handoff, later in virtual time.
+func (s *System) repartition(change func()) {
+	change()
+	for q := range s.procs {
+		for p := range s.procs {
+			if s.Net.Reachable(q, p) {
 				s.FDs.Restore(q, p)
+			} else {
+				s.FDs.Sever(q, p)
 			}
 		}
 	}
-	s.partLabel = nil
-	s.Net.ClearPartition()
 }
 
 // PreCrash establishes the crash-steady initial condition: p has been
 // crashed for a long time, every failure detector suspects it permanently,
 // and no detection edges fire. Call before Start.
 func (s *System) PreCrash(p PID) {
-	proc := s.procs[p]
-	proc.crashed = true
 	s.Net.Crash(int(p))
 	s.FDs.PreSuspect(int(p))
 }
 
-// dispatch routes a completed network delivery to the destination handler.
+// dispatch routes a completed network delivery to the destination
+// handler. The network delivers nothing to a crashed process.
 func (s *System) dispatch(to, from int, payload any) {
-	proc := s.procs[to]
-	if proc.crashed || proc.handler == nil {
-		return
+	if h := s.procs[to].handler; h != nil {
+		h.OnMessage(PID(from), payload)
 	}
-	proc.handler.OnMessage(PID(from), payload)
 }
 
 // Proc is the per-process runtime. It implements Runtime.
@@ -333,7 +306,6 @@ type Proc struct {
 	id      PID
 	rng     *sim.Rand
 	handler Handler
-	crashed bool
 	// gen is the handler incarnation: timers capture it at creation and
 	// only fire while it is current, so a recovery that rebuilds the
 	// handler (System.Recover with remake) strands the old incarnation's
@@ -356,16 +328,11 @@ func (p *Proc) Now() sim.Time { return p.sys.Eng.Now() }
 func (p *Proc) Rand() *sim.Rand { return p.rng }
 
 // Crashed reports whether the process has crashed.
-func (p *Proc) Crashed() bool { return p.crashed }
+func (p *Proc) Crashed() bool { return p.sys.Net.Crashed(int(p.id)) }
 
-// Send implements Runtime.
-func (p *Proc) Send(to PID, payload any) {
-	if p.crashed {
-		netmodel.Discard(payload)
-		return
-	}
-	p.sys.Net.Send(int(p.id), int(to), payload)
-}
+// Send implements Runtime. The network discards what a crashed process
+// sends.
+func (p *Proc) Send(to PID, payload any) { p.sys.Net.Send(int(p.id), int(to), payload) }
 
 // Multicast implements Runtime: MulticastSet to netmodel.Everyone.
 func (p *Proc) Multicast(payload any) { p.MulticastSet(netmodel.Everyone, payload) }
@@ -375,10 +342,6 @@ func (p *Proc) Multicast(payload any) { p.MulticastSet(netmodel.Everyone, payloa
 // honouring crash semantics like Send. Group runtimes use it to
 // disseminate within one group only.
 func (p *Proc) MulticastSet(set netmodel.SetID, payload any) {
-	if p.crashed {
-		netmodel.Discard(payload)
-		return
-	}
 	p.sys.Net.MulticastSet(int(p.id), set, payload)
 }
 
@@ -425,7 +388,7 @@ func (a *Alarm) Cancel() { a.ev.Cancel() }
 func (a *Alarm) Pending() bool { return a.ev.Queued() }
 
 func (a *Alarm) fired() {
-	if !a.proc.crashed && a.proc.gen == a.gen {
+	if !a.proc.Crashed() && a.proc.gen == a.gen {
 		a.fn()
 	}
 }
@@ -440,13 +403,13 @@ func (p *Proc) Suspects(q PID) bool {
 type fdListener struct{ proc *Proc }
 
 func (l fdListener) OnSuspect(q int) {
-	if !l.proc.crashed && l.proc.handler != nil {
+	if !l.proc.Crashed() && l.proc.handler != nil {
 		l.proc.handler.OnSuspect(PID(q))
 	}
 }
 
 func (l fdListener) OnTrust(q int) {
-	if !l.proc.crashed && l.proc.handler != nil {
+	if !l.proc.Crashed() && l.proc.handler != nil {
 		l.proc.handler.OnTrust(PID(q))
 	}
 }

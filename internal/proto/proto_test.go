@@ -223,17 +223,42 @@ func TestAlarmPending(t *testing.T) {
 	}
 }
 
+// zombieMsg is a pooled wire message for TestCrashedProcessCannotSend.
+type zombieMsg struct{ netmodel.Box[zombieMsg] }
+
 func TestCrashedProcessCannotSend(t *testing.T) {
 	sys, handlers := build(2, fd.QoS{})
 	sys.Start()
+	set := sys.Net.RegisterSet([]int{0, 1})
+	returned := 0
+	pool := netmodel.NewPool(func(*zombieMsg) { returned++ })
+	sends := []struct {
+		name string
+		send func(m *zombieMsg)
+	}{
+		{"Send", func(m *zombieMsg) { sys.Proc(0).Send(1, m) }},
+		{"Multicast", func(m *zombieMsg) { sys.Proc(0).Multicast(m) }},
+		{"MulticastSet", func(m *zombieMsg) { sys.Proc(0).MulticastSet(set, m) }},
+	}
 	sys.Eng.Schedule(0, func() { sys.Crash(0) })
 	sys.Eng.Schedule(sim.Time(0).Add(time.Millisecond), func() {
 		sys.Proc(0).Send(1, "zombie")
 		sys.Proc(0).Multicast("zombie-mc")
+		// A crashed sender's pooled box goes back to its pool exactly
+		// once, at the call.
+		for i, s := range sends {
+			s.send(pool.Get())
+			if returned != i+1 {
+				t.Errorf("crashed %s: box returned %d times in all, want %d", s.name, returned, i+1)
+			}
+		}
 	})
 	sys.Eng.Run()
 	if handlers[1].count("msg") != 0 {
 		t.Fatal("crashed process sent messages")
+	}
+	if returned != len(sends) {
+		t.Fatalf("boxes returned %d times after the run, want %d", returned, len(sends))
 	}
 }
 
