@@ -65,6 +65,7 @@ package netmodel
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -74,7 +75,9 @@ import (
 
 // Config parameterises the transmission model.
 type Config struct {
-	// N is the number of processes. It must be at least 1.
+	// N is the number of processes. It must be at least 1 and at most
+	// 65 536 (256 where int has 32 bits), so that a process id fits a hop
+	// record's field.
 	N int
 	// Lambda is the CPU occupancy per message send and per message
 	// receive (the λ parameter of the paper). λ = 1 ms reproduces every
@@ -100,6 +103,8 @@ func (c Config) validate() error {
 	switch {
 	case c.N < 1:
 		return fmt.Errorf("netmodel: N = %d, need at least 1", c.N)
+	case c.N > maxProcs:
+		return fmt.Errorf("netmodel: N = %d, at most %d process ids fit a hop record", c.N, maxProcs)
 	case c.Lambda < 0:
 		return fmt.Errorf("netmodel: negative Lambda %v", c.Lambda)
 	case c.Topology != nil && c.Topology.N != c.N:
@@ -216,12 +221,12 @@ type Counters struct {
 }
 
 // Pipeline stage opcodes for the closure-free scheduler. The a record
-// field packs (set·N+origin)·N+node — the destination set (Everyone for
-// unicasts), the multicast origin (or unicast sender) and the hop
-// currently holding the copy. The b field is the route: the final
-// destination for unicasts, or -(group+1) naming a transmit group of the
-// origin's tree at the holding node; opRecvCPUDone and opFaultArrive use
-// b = -1 for multicast receive legs.
+// field packs three fixed-width bit fields (pack): the destination set
+// (Everyone for unicasts) above the multicast origin (or unicast sender)
+// above the hop currently holding the copy. The b field is the route:
+// the final destination for unicasts, or -(group+1) naming a transmit
+// group of the origin's tree at the holding node; opRecvCPUDone and
+// opFaultArrive use b = -1 for multicast receive legs.
 const (
 	opSenderCPUDone = iota // sender CPU released the hop: reserve its wire
 	opWireDone             // wire slot (plus propagation) over: arrive at the far end(s)
@@ -469,9 +474,26 @@ func (nw *Network) emit(kind TraceKind, at sim.Time, from, to int, payload any) 
 	}
 }
 
+// A hop record's a field holds three fields of fieldBits bits each: the
+// set id over the origin over the holding node. A quarter of int's width
+// each leaves the sign bit clear on every platform, and shifts and masks
+// take the fields apart. Config.validate keeps process ids inside a field,
+// and RegisterSet set ids.
+const (
+	fieldBits = bits.UintSize / 4 // 16 where int has 64 bits
+	fieldMask = 1<<fieldBits - 1
+	maxProcs  = 1 << fieldBits // the largest N
+	maxSets   = 1 << fieldBits // Everyone and the registered sets
+)
+
 // pack folds (set, origin, node) into one event record field.
-func (nw *Network) pack(set SetID, origin, node int) int {
-	return (int(set)*nw.cfg.N+origin)*nw.cfg.N + node
+func pack(set SetID, origin, node int) int {
+	return int(set)<<(2*fieldBits) | origin<<fieldBits | node
+}
+
+// unpack is pack's inverse.
+func unpack(a int) (set SetID, origin, node int) {
+	return SetID(a >> (2 * fieldBits)), a >> fieldBits & fieldMask, a & fieldMask
 }
 
 // treeRow returns the transmit groups node performs for origin's
@@ -526,10 +548,14 @@ const Everyone SetID = 0
 // RegisterSet precompiles pruned multicast routing for a destination
 // set — the address of MulticastSet. Registration is setup-time work:
 // each set costs O(N²) table space, like the full routing itself. Ids
-// start after Everyone. After a Reset, the set takes the tables the last
-// run registered under its id, rebuilt in place.
+// start after Everyone and end at 65 535 (255 where int has 32 bits);
+// registering past the last id panics. After a Reset, the set takes the
+// tables the last run registered under its id, rebuilt in place.
 func (nw *Network) RegisterSet(members []int) SetID {
 	id := len(nw.sets)
+	if id >= maxSets {
+		panic(fmt.Sprintf("netmodel: RegisterSet past the last set id %d", maxSets-1))
+	}
 	nw.sets = slices.Grow(nw.sets, 1)[:id+1]
 	if nw.sets[id] == nil {
 		nw.sets[id] = new(topo.SetRouting)
@@ -585,9 +611,7 @@ func (nw *Network) forward(set SetID, origin, node int, payload any) {
 // implements sim.MsgHandler; a is pack's (set, origin, node), b is the
 // route code.
 func (nw *Network) HandleMsg(op uint8, a, b int, payload any) {
-	node := a % nw.cfg.N
-	rest := a / nw.cfg.N
-	origin, set := rest%nw.cfg.N, SetID(rest/nw.cfg.N)
+	set, origin, node := unpack(a)
 	switch op {
 	case opSenderCPUDone:
 		nw.throughWire(set, origin, node, b, payload)
@@ -617,7 +641,7 @@ func (nw *Network) HandleMsg(op uint8, a, b int, payload any) {
 // reenters the caller.
 func (nw *Network) localDeliver(p int, payload any) {
 	nw.ctrs.LocalSends++
-	nw.eng.AfterMsg(0, nw, opLocalDeliver, nw.pack(Everyone, p, p), p, payload)
+	nw.eng.AfterMsg(0, nw, opLocalDeliver, pack(Everyone, p, p), p, payload)
 }
 
 // deliverLocal completes a self-delivery, honouring a crash that happened
@@ -644,7 +668,7 @@ func (nw *Network) throughCPU(set SetID, origin, node, b int, payload any) {
 	}
 	done := start.Add(nw.cfg.Lambda)
 	nw.cpuBusy[node] = done
-	nw.eng.ScheduleMsg(done, nw, opSenderCPUDone, nw.pack(set, origin, node), b, payload)
+	nw.eng.ScheduleMsg(done, nw, opSenderCPUDone, pack(set, origin, node), b, payload)
 }
 
 // throughWire occupies the hop's wire for its slot, then fans the hop out
@@ -676,7 +700,7 @@ func (nw *Network) throughWire(set SetID, origin, node, b int, payload any) {
 	nw.wireBusy[wire] = done
 	nw.ctrs.WireSlots++
 	nw.emit(TraceWire, start, node, traceTo, payload)
-	nw.eng.ScheduleMsg(done.Add(nw.wireDelay[wire]), nw, opWireDone, nw.pack(set, origin, node), b, payload)
+	nw.eng.ScheduleMsg(done.Add(nw.wireDelay[wire]), nw, opWireDone, pack(set, origin, node), b, payload)
 }
 
 // arrive is the wire→destination handoff of one hop, where partitions,
@@ -705,7 +729,7 @@ func (nw *Network) arrive(set SetID, origin, node, dst, wire, b int, payload any
 	}
 	if nw.faults && nw.linkDelay != nil {
 		if d := nw.linkDelay[node][dst]; d > 0 {
-			nw.eng.AfterMsg(d, nw, opFaultArrive, nw.pack(set, origin, dst), b, payload)
+			nw.eng.AfterMsg(d, nw, opFaultArrive, pack(set, origin, dst), b, payload)
 			return
 		}
 	}
@@ -735,7 +759,7 @@ func (nw *Network) intoCPU(set SetID, origin, dst, b int, payload any) {
 	}
 	done := start.Add(nw.cfg.Lambda)
 	nw.cpuBusy[dst] = done
-	nw.eng.ScheduleMsg(done, nw, opRecvCPUDone, nw.pack(set, origin, dst), b, payload)
+	nw.eng.ScheduleMsg(done, nw, opRecvCPUDone, pack(set, origin, dst), b, payload)
 }
 
 // received completes a hop's receive stage at node: final deliveries go

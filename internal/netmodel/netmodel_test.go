@@ -347,6 +347,13 @@ func TestInvalidConfigPanics(t *testing.T) {
 		}()
 		New(sim.New(), DefaultConfig(1), nil)
 	}()
+	// Checked without New, which would build N² routing tables.
+	if err := DefaultConfig(maxProcs).validate(); err != nil {
+		t.Errorf("the largest N whose ids fit a field: %v", err)
+	}
+	if DefaultConfig(maxProcs+1).validate() == nil {
+		t.Errorf("N = %d, past a field, validated", maxProcs+1)
+	}
 }
 
 func TestSingleProcessMulticast(t *testing.T) {

@@ -170,6 +170,43 @@ func TestSetMulticastDegenerateCases(t *testing.T) {
 	}
 }
 
+// The last set id a hop record holds routes like any other, and
+// RegisterSet refuses the id after it. The ids below it are taken by nil
+// tables, as registering 65 535 sets would take too long.
+func TestRegisterSetPastLastID(t *testing.T) {
+	h := newHarness(t, DefaultConfig(3))
+	h.nw.sets = append(h.nw.sets, make([]*topo.SetRouting, maxSets-2)...)
+	last := h.nw.RegisterSet([]int{2})
+	if last != maxSets-1 {
+		t.Fatalf("set id %d, want %d", last, maxSets-1)
+	}
+	h.eng.Schedule(0, func() { h.nw.MulticastSet(1, last, "m") })
+	h.eng.Run()
+	if len(h.got) != 1 || h.got[0].to != 2 || h.got[0].from != 1 || h.got[0].at != ms(3) {
+		t.Fatalf("multicast to the last set id: deliveries %+v, want one to p2 from p1 at 3ms", h.got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("RegisterSet past the last set id did not panic")
+		}
+	}()
+	h.nw.RegisterSet([]int{0})
+}
+
+// pack and unpack take apart what they put together at every field's
+// largest value.
+func TestPackRoundTrip(t *testing.T) {
+	for _, c := range []struct {
+		set          SetID
+		origin, node int
+	}{{0, 0, 0}, {maxSets - 1, maxProcs - 1, maxProcs - 1}, {1, maxProcs - 1, 0}, {maxSets - 1, 0, 1}} {
+		a := pack(c.set, c.origin, c.node)
+		if set, origin, node := unpack(a); set != c.set || origin != c.origin || node != c.node || a < 0 {
+			t.Errorf("unpack(pack(%d, %d, %d)) = %d, %d, %d (a = %d)", c.set, c.origin, c.node, set, origin, node, a)
+		}
+	}
+}
+
 // islandTopology is a 4-clique on one wire plus p4, which only sends to
 // p0: p4 is unreachable from every other origin.
 func islandTopology() *topo.Topology {

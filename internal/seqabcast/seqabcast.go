@@ -475,20 +475,26 @@ func (p *Process) onAck(from proto.PID, m *MsgAck) {
 func (p *Process) recomputeDeliverable() {
 	members := p.gm.View().Members
 	acks := p.ackBuf[:0]
+	ahead := 0 // acks beyond what is announced
 	for _, m := range members {
-		if m == p.rt.ID() {
-			acks = append(acks, p.haveUpTo)
-		} else {
-			acks = append(acks, p.ackedUpTo[m])
+		a := p.haveUpTo
+		if m != p.rt.ID() {
+			a = p.ackedUpTo[m]
 		}
+		if a > p.announced {
+			ahead++
+		}
+		acks = append(acks, a)
 	}
 	p.ackBuf = acks
-	slices.Sort(acks)
 	majority := len(members)/2 + 1
-	deliverable := acks[len(acks)-majority] // the majority-th largest
-	if deliverable <= p.announced {
+	// The majority-th largest ack passes announced exactly when a majority
+	// of the acks do: without one, the sort cannot advance delivery.
+	if ahead < majority {
 		return
 	}
+	slices.Sort(acks)
+	deliverable := acks[len(acks)-majority] // the majority-th largest
 	p.announced = deliverable
 	p.deliverUpTo(deliverable)
 	m := p.deliverPool.Get()

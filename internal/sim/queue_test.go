@@ -23,6 +23,10 @@ type queueModel struct {
 	nextID   int
 	fired    []int // every firing, in order, as checked
 	owned    [4]Event
+
+	// Coverage of the run queue's edge cases, summed over a test.
+	shared    int // pushes that opened a second run at a queued instant
+	positions [3]int
 }
 
 type modelEntry struct {
@@ -52,7 +56,9 @@ func (m *queueModel) add(when Time, id int, ev *Event) {
 
 // instant draws a firing instant at or after now from a small range, so
 // that ties dominate, and now and then the last representable instant, the
-// largest key the unsigned order has to rank.
+// largest key the unsigned order has to rank, or the next instant past the
+// range that shares a tail-table entry with an instant in it, so that
+// pushes at the two evict each other's runs from the table.
 func (m *queueModel) instant() Time {
 	if m.rng.Intn(16) == 0 {
 		return Time(math.MaxInt64)
@@ -62,7 +68,16 @@ func (m *queueModel) instant() Time {
 	if now > Time(math.MaxInt64)-d {
 		return Time(math.MaxInt64)
 	}
-	return now + d
+	at := now + d
+	if m.rng.Intn(4) == 0 {
+		for c := at + 1; c > at; c++ {
+			if m.e.tailOf(c) == m.e.tailOf(at) {
+				return c
+			}
+		}
+		return Time(math.MaxInt64)
+	}
+	return at
 }
 
 // fire is every callback's first step: the firing event must be the
@@ -84,9 +99,11 @@ func (m *queueModel) fire(id int) {
 }
 
 // react is what a firing callback does besides checking its turn: nothing
-// mostly, or schedules, re-arms or cancels events of its own.
+// mostly, or schedules, re-arms or cancels events of its own, or schedules
+// one at the current instant, which joins the run being drained when
+// events are left in it.
 func (m *queueModel) react() {
-	switch m.rng.Intn(8) {
+	switch m.rng.Intn(10) {
 	case 0:
 		m.schedule()
 	case 1:
@@ -95,12 +112,29 @@ func (m *queueModel) react() {
 		m.rearm()
 	case 3:
 		m.cancel()
+	case 4:
+		id := m.nextID
+		m.nextID++
+		m.noteShared(m.now)
+		m.e.ScheduleMsg(m.now, m, 0, id, 0, nil)
+		m.add(m.now, id, nil)
+	}
+}
+
+// noteShared counts a push at instant at that will open a second run
+// there: a run at at is queued, but the tail table names another instant.
+func (m *queueModel) noteShared(at Time) {
+	if t := m.e.tailOf(at); t.ev == nil || t.when != at {
+		if slices.ContainsFunc(m.e.heap, func(r run) bool { return r.when == at }) {
+			m.shared++
+		}
 	}
 }
 
 func (m *queueModel) schedule() {
 	at, id := m.instant(), m.nextID
 	m.nextID++
+	m.noteShared(at)
 	ev := m.e.Schedule(at, func() { m.fire(id) })
 	m.add(at, id, ev)
 }
@@ -108,6 +142,7 @@ func (m *queueModel) schedule() {
 func (m *queueModel) scheduleMsg() {
 	at, id := m.instant(), m.nextID
 	m.nextID++
+	m.noteShared(at)
 	m.e.ScheduleMsg(at, m, 0, id, 0, nil)
 	m.add(at, id, nil)
 }
@@ -120,25 +155,59 @@ func (m *queueModel) rearm() {
 	}
 	at, id := m.instant(), m.nextID
 	m.nextID++
+	m.noteShared(at)
 	m.e.Rearm(ev, at, func() { m.fire(id) })
 	m.add(at, id, ev)
 }
 
-// cancel cancels any live handle — closure events and owned records, at
-// any position in the queue — or, when none is live, an owned record that
-// is not queued, which must change nothing.
-func (m *queueModel) cancel() {
-	var live []int
-	for i, en := range m.pending {
-		if en.ev != nil {
-			live = append(live, i)
+// Positions of a queued event in its run.
+const (
+	runHead = iota
+	runMiddle
+	runTail
+)
+
+// position returns where the queued event ev sits in its run.
+func (m *queueModel) position(ev *Event) int {
+	for _, r := range m.e.heap {
+		for x := r.head; x != nil; x = x.next {
+			switch {
+			case x != ev:
+			case x == r.head:
+				return runHead
+			case x.next == nil:
+				return runTail
+			default:
+				return runMiddle
+			}
 		}
 	}
-	if len(live) == 0 {
+	m.t.Fatalf("queued event at %v is in no run", ev.when)
+	return 0
+}
+
+// cancel cancels a live handle — closure events and owned records, at any
+// position in the queue, with a run's head, middle and tail drawn alike
+// where the queue holds them — or, when none is live, an owned record that
+// is not queued, which must change nothing.
+func (m *queueModel) cancel() {
+	var live [3][]int
+	for i, en := range m.pending {
+		if en.ev != nil {
+			p := m.position(en.ev)
+			live[p] = append(live[p], i)
+		}
+	}
+	p := m.rng.Intn(3)
+	for k := 0; k < 3 && len(live[p]) == 0; k++ {
+		p = (p + 1) % 3
+	}
+	if len(live[p]) == 0 {
 		m.owned[m.rng.Intn(len(m.owned))].Cancel()
 		return
 	}
-	i := live[m.rng.Intn(len(live))]
+	m.positions[p]++
+	i := live[p][m.rng.Intn(len(live[p]))]
 	ev := m.pending[i].ev
 	m.pending = slices.Delete(m.pending, i, i+1)
 	ev.Cancel()
@@ -173,8 +242,14 @@ func (m *queueModel) check(step int, what string) {
 // and from inside callbacks), RunUntil at random deadlines and Reset,
 // against a reference slice sorted by (when, seq). Every firing must be
 // the reference's head at its instant, and Pending and Executed must match
-// it after every step.
+// it after every step. The instants collide in the tail table, so that
+// one instant holds several runs; cancels reach a run's head, middle and
+// tail; callbacks push into the run being drained; and after a Reset,
+// which drops runs of several events, the owned records it dropped are
+// re-armed.
 func TestQueueMatchesModel(t *testing.T) {
+	var shared int
+	var positions [3]int
 	for seed := uint64(1); seed <= 40; seed++ {
 		m := &queueModel{t: t, e: New(), rng: NewRand(seed)}
 		for step := 0; step < 1500; step++ {
@@ -205,13 +280,83 @@ func TestQueueMatchesModel(t *testing.T) {
 				m.now = deadline
 			default:
 				what = "Reset"
+				var dropped []*Event
+				for k := range m.owned {
+					if m.owned[k].Queued() {
+						dropped = append(dropped, &m.owned[k])
+					}
+				}
 				m.e.Reset()
 				m.pending, m.seq, m.now, m.executed = m.pending[:0], 0, 0, 0
+				for _, ev := range dropped {
+					at, id := m.instant(), m.nextID
+					m.nextID++
+					m.e.Rearm(ev, at, func() { m.fire(id) })
+					m.add(at, id, ev)
+				}
 			}
 			m.check(step, what)
 		}
 		if len(m.fired) == 0 {
 			t.Fatalf("seed %d fired nothing", seed)
+		}
+		shared += m.shared
+		for p := range positions {
+			positions[p] += m.positions[p]
+		}
+	}
+	// The schedules above must reach the cases they are drawn for.
+	if shared == 0 || slices.Contains(positions[:], 0) {
+		t.Fatalf("second runs at a queued instant: %d; cancels of a head, middle, tail: %v", shared, positions)
+	}
+}
+
+// TestUnqueuedRecordsHoldNoLink checks that a record which fired, was
+// cancelled or was dropped by Reset holds no run link, so that a retained
+// handle pins none of the events queued behind it.
+func TestUnqueuedRecordsHoldNoLink(t *testing.T) {
+	e := New()
+	var evs [6]*Event
+	noLink := func(what string, evs ...*Event) {
+		t.Helper()
+		for i, ev := range evs {
+			if ev.next != nil || ev.Queued() {
+				t.Errorf("%s record %d: queued %v, next %p", what, i, ev.Queued(), ev.next)
+			}
+		}
+	}
+	for i := range evs {
+		evs[i] = e.Schedule(1, func() {
+			if i == 2 {
+				noLink("fired", evs[1], evs[2]) // evs[4] is still queued behind
+			}
+		})
+	}
+	e.Schedule(2, func() {})
+	evs[0].Cancel() // the run's head
+	evs[3].Cancel() // a middle event
+	evs[5].Cancel() // the tail
+	noLink("cancelled", evs[0], evs[3], evs[5])
+	if e.Pending() != 4 {
+		t.Fatalf("Pending %d after three cancels of seven events, want 4", e.Pending())
+	}
+	e.RunUntil(1)
+	noLink("fired", evs[1], evs[2], evs[4])
+	if e.Executed() != 3 || e.Pending() != 1 {
+		t.Fatalf("Executed %d, Pending %d at 1ms, want 3 and 1", e.Executed(), e.Pending())
+	}
+
+	var owned Event
+	for i := range evs {
+		evs[i] = e.Schedule(3, func() {})
+	}
+	e.Rearm(&owned, 3, func() {})
+	e.ScheduleMsg(3, &requeue{}, 0, 0, 0, nil)
+	e.Reset()
+	noLink("dropped", append(evs[:], &owned)...)
+	for ev := e.free; ev != nil; ev = ev.next {
+		if ev.h != nil {
+			t.Fatal("a dropped typed record on the free list holds its handler")
 		}
 	}
 }
@@ -242,7 +387,9 @@ func (r *requeue) delay() time.Duration {
 
 // BenchmarkQueue times one pop and one push at a steady queue depth: 19
 // and 70 are the mean depths of the fd-steady and wide-topo benchmark
-// workloads, 454 is wide-topo's maximum. The push delays follow the shares
+// workloads, 454 is wide-topo's maximum. A push that lands on a queued
+// instant joins its run and a pop that leaves events in its run sifts
+// nothing, so the ties below set how often the heap is touched at all. The push delays follow the shares
 // wide-topo's pushes were measured at: three in four are one CPU cost
 // (λ = 1 ms), the rest spread over wire slots, relay hops and WAN delays,
 // and a few fire at the same instant. They are whole milliseconds, so that

@@ -24,12 +24,14 @@
 // (workload.Poisson), and so does every protocol timer, through
 // proto.Alarm, which adds the process's crash and incarnation guard.
 //
-// The event queue is a binary min-heap of value slots, each carrying its
-// event's key (when, seq) inline beside the record pointer, so ordering
-// never reads an *Event and no Event carries a heap index. A pop walks the
-// hole from the root to a leaf along the smaller child, choosing that
-// child without a branch, and then sifts the displaced last slot up.
-// Cancel finds its slot by a linear scan and removes it at once, so
+// The event queue is a binary min-heap of runs: a run is a FIFO of events
+// that share one instant, linked through the event records, and its heap
+// slot carries the instant and the seq of the run's first event inline, so
+// ordering never reads an *Event. Events at one instant fire in scheduling
+// order, so a run appended in push order is already sorted. A push that
+// joins the latest run at its instant and a pop that leaves events in its
+// run touch no other slot; only opening or closing a run sifts. Cancel
+// scans the slots at its instant and unlinks the record at once, so
 // Pending is exact; cancels are rare next to pops.
 //
 // Reset empties an engine for the next simulation in place, keeping the
@@ -107,7 +109,12 @@ type Event struct {
 	op      uint8
 
 	cancelled bool
-	free      *Event // free-list link, non-nil only while recycled
+
+	// next links the record into one of two lists, never both at once: the
+	// run it is queued in (the later event at the same instant, nil at the
+	// run's tail) or, for a recycled typed record, the engine's free list.
+	// A record that is neither queued nor recycled holds nil.
+	next *Event
 }
 
 // When returns the instant the event is scheduled to fire at.
@@ -126,15 +133,10 @@ func (ev *Event) Cancel() {
 	ev.cancelled = true
 	ev.fn = nil
 	// Only a queued event holds its engine (a pop, a cancel and Reset drop
-	// it), so the scan always finds its slot.
+	// it), so the engine always finds it in a run.
 	if e := ev.eng; e != nil {
 		ev.eng = nil // as at a pop: a removed event must not pin the engine
-		for i := range e.heap {
-			if e.heap[i].ev == ev {
-				e.vacate(i)
-				break
-			}
-		}
+		e.remove(ev)
 	}
 }
 
@@ -148,10 +150,13 @@ func (ev *Event) Queued() bool { return ev.eng != nil }
 // Engine is a discrete-event simulation executor. The zero value is not
 // usable; create engines with New.
 type Engine struct {
-	now  Time
-	heap []slot // binary min-heap ordered by (when, seq)
-	free *Event // free list of recycled typed-event records
-	seq  uint64
+	now   Time
+	heap  []run // binary min-heap of runs ordered by (when, seq)
+	tails [tailSlots]tail
+	free  *Event // free list of recycled typed-event records
+	seq   uint64
+
+	pending int
 
 	// Executed counts events that have fired, for diagnostics and for
 	// runaway-simulation guards in tests.
@@ -172,16 +177,19 @@ func New() *Engine {
 // handle to it from before the reset cancels nothing, and a record the
 // caller owns may be re-armed.
 func (e *Engine) Reset() {
-	for _, s := range e.heap {
-		ev := s.ev
-		ev.eng = nil
-		if ev.fn != nil {
-			ev.fn = nil
-			continue
+	for _, r := range e.heap {
+		for ev := r.head; ev != nil; {
+			next := ev.next
+			ev.eng, ev.next = nil, nil
+			if ev.fn != nil {
+				ev.fn = nil
+			} else {
+				ev.h, ev.payload = nil, nil
+				ev.next = e.free
+				e.free = ev
+			}
+			ev = next
 		}
-		ev.h, ev.payload = nil, nil
-		ev.free = e.free
-		e.free = ev
 	}
 	clear(e.heap)
 	*e = Engine{heap: e.heap[:0], free: e.free}
@@ -195,7 +203,7 @@ func (e *Engine) Executed() uint64 { return e.executed }
 
 // Pending returns the number of events currently scheduled. Cancelled
 // events are removed from the queue eagerly, so they never count.
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int { return e.pending }
 
 // checkAt guards against scheduling in the past (before Now): it would
 // silently reorder causality, which is always a bug in the caller. It also
@@ -238,8 +246,8 @@ func (e *Engine) ScheduleMsg(at Time, h MsgHandler, op uint8, a, b int, payload 
 	// so Cancel can never be called on them.
 	ev := e.free
 	if ev != nil {
-		e.free = ev.free
-		ev.free = nil
+		e.free = ev.next
+		ev.next = nil
 	} else {
 		ev = &Event{}
 	}
@@ -292,17 +300,28 @@ func (e *Engine) RunUntil(deadline Time) uint64 {
 func (e *Engine) run(deadline Time) uint64 {
 	var n uint64
 	for len(e.heap) > 0 {
-		top := e.heap[0]
-		if top.when > deadline {
+		top := &e.heap[0]
+		when := top.when
+		if when > deadline {
 			break
 		}
-		ev := top.ev
-		e.vacate(0)
+		ev := top.head
+		if ev.next != nil {
+			// The run keeps its slot and its seq: the events left in it
+			// still order before every later run at this instant.
+			top.head, ev.next = ev.next, nil
+		} else {
+			if t := e.tailOf(when); t.ev == ev {
+				t.ev = nil
+			}
+			e.vacate(0)
+		}
+		e.pending--
 		// Drop the engine back-pointer (only Cancel needs it, only while
 		// queued): a retained handle to a fired event must not pin the
 		// whole engine — heap and free list included.
 		ev.eng = nil
-		e.now = top.when
+		e.now = when
 		e.executed++
 		n++
 		if ev.fn != nil {
@@ -316,7 +335,7 @@ func (e *Engine) run(deadline Time) uint64 {
 			// Recycle before dispatch so the handler's own ScheduleMsg
 			// calls reuse this record immediately.
 			ev.h, ev.payload = nil, nil
-			ev.free = e.free
+			ev.next = e.free
 			e.free = ev
 			h.HandleMsg(op, a, b, payload)
 		}
@@ -324,56 +343,138 @@ func (e *Engine) run(deadline Time) uint64 {
 	return n
 }
 
-// The event queue is a hand-inlined binary min-heap of slots ordered by
-// (when, seq). The seq tie-break makes same-instant events fire in
-// scheduling order, which is what keeps executions deterministic; since
-// seq is unique, no two keys are equal and every valid heap pops the same
-// sequence. Each slot carries its key inline, so a sift reads the slot
-// array and never the records it points to, and no record carries a heap
-// index to keep current: Cancel, the one removal besides the pop, scans
-// for its record instead.
+// The event queue is a hand-inlined binary min-heap of runs ordered by
+// (when, seq). A run is the FIFO of events that share one instant, linked
+// head to tail through Event.next in push order, and seq is the sequence
+// number of the event that opened it. Events at one instant fire in
+// scheduling order, which is what keeps executions deterministic: every
+// event of a run was scheduled after every event of an earlier run at its
+// instant, so popping runs by (when, seq) and each run from its head fires
+// every event in (when, seq) order. Since seq is unique, no two keys are
+// equal and every valid heap pops the same sequence. Each slot carries its
+// key inline, so a sift reads the slot array and never the records it
+// points to.
+//
+// tails remembers, per instant hashed into a direct-mapped table, the tail
+// of the latest run opened at that instant. A push joins that run only
+// when the entry holds a queued tail at exactly its instant; otherwise it
+// opens a new run and takes the entry over. The invariant that makes this
+// exact: an entry that names an instant always names the tail of the
+// latest run queued at that instant, so the new event, which carries the
+// largest seq yet, belongs at its end. Closing a run clears an entry that
+// names its last event, and Cancel moves an entry that names the removed
+// event back to its predecessor. A collision only costs a run: the next
+// push at the evicted instant opens a later run there, and runs at one
+// instant pop in the order they were opened.
 
-// slot is one queued event: its key, copied inline, and the record.
-type slot struct {
+// tailSlots is the size of the tail table. In wide-topo,
+// where about 58 distinct instants are queued on average, 64 entries let
+// all but a few percent of the pushes that land on a queued instant find
+// its run (docs/ARCHITECTURE.md, "The event queue").
+const (
+	tailBits  = 6
+	tailSlots = 1 << tailBits
+)
+
+// run is one heap slot: the key of the run, copied inline, and its first
+// event.
+type run struct {
 	when Time
 	seq  uint64
+	head *Event
+}
+
+// tail is one entry of the tail table: the last event of the latest run
+// opened at instant when, or nil.
+type tail struct {
+	when Time
 	ev   *Event
 }
 
-// before returns 1 if slot a orders before slot b and 0 otherwise: the
+// tailOf returns the table entry instant at hashes to (multiplicative
+// hashing: the top bits of the product with 2⁶⁴/φ).
+func (e *Engine) tailOf(at Time) *tail {
+	return &e.tails[uint64(at)*0x9E3779B97F4A7C15>>(64-tailBits)]
+}
+
+// before returns 1 if run a orders before run b and 0 otherwise: the
 // borrow out of the 128-bit subtraction (a.when, a.seq) − (b.when, b.seq).
 // Comparing when as unsigned is exact because checkAt keeps every queued
 // instant at or after Now, and Now never drops below zero. The result is
 // an integer, not a bool, so that the pop's child choice adds it to an
 // index instead of branching on a comparison it cannot predict.
-func before(a, b *slot) uint64 {
+func before(a, b *run) uint64 {
 	_, borrow := bits.Sub64(a.seq, b.seq, 0)
 	_, borrow = bits.Sub64(uint64(a.when), uint64(b.when), borrow)
 	return borrow
 }
 
-// push queues ev at instant at with the next sequence number: the new slot
-// sifts up from the bottom, parents moving down into its hole.
+// push queues ev at instant at with the next sequence number: at the end
+// of the latest run at that instant when the tail table knows it, or else
+// as a new run that sifts up from the bottom, parents moving down into its
+// hole.
 func (e *Engine) push(at Time, ev *Event) {
-	s := slot{when: at, seq: e.seq, ev: ev}
+	e.pending++
+	t := e.tailOf(at)
+	if t.ev != nil && t.when == at {
+		t.ev.next = ev
+		t.ev = ev
+		e.seq++
+		return
+	}
+	*t = tail{when: at, ev: ev}
+	r := run{when: at, seq: e.seq, head: ev}
 	e.seq++
-	e.heap = append(e.heap, s)
-	e.siftUp(len(e.heap)-1, s)
+	e.heap = append(e.heap, r)
+	e.siftUp(len(e.heap)-1, r)
 }
 
-// siftUp places s at hole i or above it, moving each parent that s orders
+// remove unlinks the queued record ev from its run: Cancel's removal. It
+// scans the slots for runs at ev's instant and walks each from its head.
+func (e *Engine) remove(ev *Event) {
+	for i := range e.heap {
+		r := &e.heap[i]
+		if r.when != ev.when {
+			continue
+		}
+		var prev *Event
+		for x := r.head; x != nil; prev, x = x, x.next {
+			if x != ev {
+				continue
+			}
+			switch {
+			case prev != nil:
+				prev.next = ev.next
+			case ev.next != nil:
+				r.head = ev.next
+			default:
+				e.vacate(i)
+			}
+			// An entry names only a tail, so one that names ev moves back
+			// to the new tail, or clears with the run.
+			if t := e.tailOf(ev.when); t.ev == ev {
+				t.ev = prev
+			}
+			ev.next = nil
+			e.pending--
+			return
+		}
+	}
+}
+
+// siftUp places r at hole i or above it, moving each parent that r orders
 // before one level down.
-func (e *Engine) siftUp(i int, s slot) {
+func (e *Engine) siftUp(i int, r run) {
 	h := e.heap
 	for i > 0 {
 		p := (i - 1) / 2
-		if before(&s, &h[p]) == 0 {
+		if before(&r, &h[p]) == 0 {
 			break
 		}
 		h[i] = h[p]
 		i = p
 	}
-	h[i] = s
+	h[i] = r
 }
 
 // vacate removes the slot at i (the root, for a pop). The last slot leaves
@@ -385,7 +486,7 @@ func (e *Engine) siftUp(i int, s slot) {
 func (e *Engine) vacate(i int) {
 	n := len(e.heap) - 1
 	last := e.heap[n]
-	e.heap[n] = slot{}
+	e.heap[n] = run{}
 	e.heap = e.heap[:n]
 	if i == n {
 		return
