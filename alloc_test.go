@@ -218,6 +218,50 @@ func TestQoSMistakeAllocBudget(t *testing.T) {
 	}
 }
 
+// TestQoSFaultAllocBudget bounds the QoS failure detector's fault path:
+// once warm, a 7-process fd.Sim with a running mistake process (T_MR
+// 10 ms, T_M 1 ms, T_D 10 ms) goes through a crash, a partition, the
+// recovery and the heal without allocating (258 suspicion edges per
+// cycle). With a closure and an event record per crash monitor and per
+// severed link it allocated 60 times per cycle.
+func TestQoSFaultAllocBudget(t *testing.T) {
+	const td = 10 * time.Millisecond
+	eng := sim.New()
+	s := fd.NewSim(eng, 7, fd.QoS{TD: td, TMR: 10 * time.Millisecond, TM: time.Millisecond}, sim.NewRand(1))
+	edges := &edgeCounter{}
+	for q := 0; q < s.N(); q++ {
+		s.Detector(q).SetListener(edges)
+	}
+	// The partition splits {0, 1, 2} from {3, 4, 5, 6}; p6 crashes.
+	split := func(link func(q, p int)) {
+		for q := 0; q < s.N(); q++ {
+			for p := 0; p < s.N(); p++ {
+				if (q < 3) != (p < 3) {
+					link(q, p)
+				}
+			}
+		}
+	}
+	settle := func() { eng.RunUntil(eng.Now().Add(2 * td)) }
+	cycle := func() {
+		s.Crash(6)
+		split(s.Sever)
+		settle()
+		s.Recover(6)
+		split(s.Restore)
+		settle()
+	}
+	cycle() // the event heap and its free list reach their working size
+	edges.n = 0
+	allocs := testing.AllocsPerRun(4, cycle)
+	if edges.n == 0 {
+		t.Fatal("no suspicion edges")
+	}
+	if allocs > 0 {
+		t.Fatalf("QoS fault cycle: %.0f allocs per cycle, budget 0", allocs)
+	}
+}
+
 type edgeCounter struct{ n int }
 
 func (c *edgeCounter) OnSuspect(int) { c.n++ }
@@ -227,7 +271,7 @@ func (c *edgeCounter) OnTrust(int)   { c.n++ }
 // replication (wide-topo builds eight per pass). One random stream per
 // ordered pair and a detector, suspicion row and pair row per monitor cost
 // 1093 allocations; with the streams held by value and one backing array
-// per table it takes 6.
+// per table it takes 4.
 func TestNewSimAllocBudget(t *testing.T) {
 	const budget = 10
 	eng, rng := sim.New(), sim.NewRand(1)

@@ -1,6 +1,7 @@
 package fd
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -76,6 +77,51 @@ func TestSeveredSuspicionSurvivesMistakeEnd(t *testing.T) {
 	}
 	if !s.Detector(0).Suspects(1) {
 		t.Fatal("suspicion dropped while the link is severed")
+	}
+}
+
+// TestResever checks that a sever's detection belongs to its episode: a
+// link severed, restored and severed again inside TD is detected TD after
+// the last sever, not the first.
+func TestResever(t *testing.T) {
+	eng := sim.New()
+	s := NewSim(eng, 2, QoS{TD: 10 * time.Millisecond}, sim.NewRand(1))
+	var edges []edge
+	record(eng, s, &edges)
+	eng.Schedule(at(0), func() { s.Sever(0, 1) })
+	eng.Schedule(at(3), func() { s.Restore(0, 1) })
+	eng.Schedule(at(5), func() { s.Sever(0, 1) })
+	eng.RunUntil(at(100))
+	want := edge{monitor: 0, target: 1, suspect: true, at: at(15)}
+	if len(edges) != 1 || edges[0] != want {
+		t.Fatalf("edges = %+v, want only %+v", edges, want)
+	}
+}
+
+// TestMistakeInCrashWindow is the crash counterpart of
+// TestSeveredSuspicionSurvivesMistakeEnd: a mistake that ends before the
+// crash is detected ends with its trust edge, and detection suspects
+// again.
+func TestMistakeInCrashWindow(t *testing.T) {
+	eng := sim.New()
+	s := NewSim(eng, 2, QoS{TD: 10 * time.Millisecond}, sim.NewRand(1))
+	var edges []edge
+	record(eng, s, &edges)
+	eng.Schedule(at(0), func() {
+		s.Crash(1)
+		s.InjectMistake(0, 1, 5*time.Millisecond)
+	})
+	eng.RunUntil(at(100))
+	want := []edge{
+		{monitor: 0, target: 1, suspect: true, at: at(0)},
+		{monitor: 0, target: 1, suspect: false, at: at(5)},
+		{monitor: 0, target: 1, suspect: true, at: at(10)},
+	}
+	if !slices.Equal(edges, want) {
+		t.Fatalf("edges = %+v, want %+v", edges, want)
+	}
+	if !s.Detector(0).Suspects(1) {
+		t.Fatal("crash detection did not suspect")
 	}
 }
 

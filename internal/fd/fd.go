@@ -61,15 +61,16 @@ type Listener interface {
 }
 
 // Detector is the collection of failure-detector modules at one process:
-// it monitors every other process. Obtain detectors from a Sim.
+// its monitor's row of the Sim's pair table, one module per monitored
+// process. Obtain detectors from a Sim.
 type Detector struct {
-	suspects []bool
+	row      []pairState // [target]
 	listener Listener
 }
 
 // Suspects reports whether the detector currently suspects p. A process
 // never suspects itself.
-func (d *Detector) Suspects(p int) bool { return d.suspects[p] }
+func (d *Detector) Suspects(p int) bool { return d.row[p].suspected }
 
 // SetListener installs the consumer of suspicion edges. Passing nil
 // removes it. Only one listener is supported; the protocol runtime fans
@@ -77,10 +78,11 @@ func (d *Detector) Suspects(p int) bool { return d.suspects[p] }
 func (d *Detector) SetListener(l Listener) { d.listener = l }
 
 func (d *Detector) setSuspect(p int, suspected bool) {
-	if d.suspects[p] == suspected {
+	st := &d.row[p]
+	if st.suspected == suspected {
 		return
 	}
-	d.suspects[p] = suspected
+	st.suspected = suspected
 	if d.listener == nil {
 		return
 	}
@@ -91,36 +93,40 @@ func (d *Detector) setSuspect(p int, suspected bool) {
 	}
 }
 
-// pairState tracks the mistake process of one (monitor, target) module.
+// pairState is one (monitor, target) module: its mistake stream and
+// whether, and why, the monitor suspects the target.
 type pairState struct {
 	rng           sim.Rand
+	suspected     bool // the monitor suspects the target
 	crashDetected bool // target's crash has been detected: suspicion is permanent
 	// severed marks the directed link broken by a network partition: the
 	// monitor suspects the target like a crash, but reversibly — Restore
 	// (a heal) withdraws the suspicion. severEpoch invalidates detection
-	// callbacks of earlier sever episodes.
+	// records of earlier sever episodes.
 	severed    bool
-	severEpoch uint64
+	severEpoch int
 }
 
 // Sim drives the failure detectors of all n processes according to a
-// common QoS parameterisation.
+// common QoS parameterisation. It holds detector state only: whether a
+// process is crashed or a link partitioned is the caller's to know
+// (proto.System reads it from the network model), and the Sim is told
+// of each change once.
 //
-// Every table has one backing array (pairs and the detectors' suspicion
-// rows are n×n, indexed monitor-major), so building a Sim costs a handful
-// of allocations at any n. The stochastic mistake timers are typed engine
-// records with the Sim as their handler (HandleMsg), so a running mistake
-// process allocates nothing.
+// The modules live in one n×n pair table, indexed monitor-major; a
+// Detector is its monitor's row. Building a Sim therefore costs a handful
+// of allocations at any n. Every timer — mistake start and end, crash and
+// sever detection — is a typed engine record with the Sim as its handler
+// (HandleMsg), so no fault or mistake allocates.
 type Sim struct {
 	eng       *sim.Engine
 	n         int
 	qos       QoS
 	detectors []Detector
 	pairs     []pairState // [monitor*n + target]
-	crashed   []bool
-	// crashEpoch invalidates the pending detection callbacks of a crash
-	// that was reversed by Recover before its TD elapsed.
-	crashEpoch []uint64
+	// crashEpoch invalidates the pending detection record of a crash that
+	// was reversed by Recover before its TD elapsed.
+	crashEpoch []int
 	quiesced   bool
 }
 
@@ -142,12 +148,7 @@ func NewSim(eng *sim.Engine, n int, qos QoS, rng *sim.Rand) *Sim {
 		n:          n,
 		detectors:  make([]Detector, n),
 		pairs:      make([]pairState, n*n),
-		crashed:    make([]bool, n),
-		crashEpoch: make([]uint64, n),
-	}
-	suspects := make([]bool, n*n)
-	for q := range s.detectors {
-		s.detectors[q].suspects = suspects[q*n : (q+1)*n : (q+1)*n]
+		crashEpoch: make([]int, n),
 	}
 	s.Reset(qos, rng)
 	return s
@@ -155,8 +156,8 @@ func NewSim(eng *sim.Engine, n int, qos QoS, rng *sim.Rand) *Sim {
 
 // Reset returns the detectors to the state NewSim(eng, n, qos, rng)
 // leaves them in, on the Sim's own engine and n, keeping its tables and
-// each detector's listener: nothing crashed, severed or suspected, every
-// pair's stream re-seeded from rng and, if TMR > 0, every mistake process
+// each detector's listener: nothing severed or suspected, every pair's
+// stream re-seeded from rng and, if TMR > 0, every mistake process
 // started anew. The engine must have been reset first: timers of the
 // previous run must not fire into this one.
 func (s *Sim) Reset(qos QoS, rng *sim.Rand) {
@@ -164,19 +165,16 @@ func (s *Sim) Reset(qos QoS, rng *sim.Rand) {
 		panic(err)
 	}
 	n := s.n
-	for q := range s.detectors {
-		clear(s.detectors[q].suspects)
-	}
-	clear(s.crashed)
 	clear(s.crashEpoch)
-	*s = Sim{eng: s.eng, n: n, qos: qos, detectors: s.detectors, pairs: s.pairs, crashed: s.crashed, crashEpoch: s.crashEpoch}
-	for q := 0; q < n; q++ {
-		for p := 0; p < n; p++ {
-			st := pairState{}
+	*s = Sim{eng: s.eng, n: n, qos: qos, detectors: s.detectors, pairs: s.pairs, crashEpoch: s.crashEpoch}
+	for q := range s.detectors {
+		row := s.pairs[q*n : (q+1)*n : (q+1)*n]
+		s.detectors[q].row = row
+		for p := range row {
+			row[p] = pairState{}
 			if p != q {
-				st.rng = *rng.ForkN(q*n + p)
+				row[p].rng = *rng.ForkN(q*n + p)
 			}
-			*s.pair(q, p) = st
 		}
 	}
 	if qos.TMR > 0 {
@@ -199,40 +197,21 @@ func (s *Sim) Detector(q int) *Detector { return &s.detectors[q] }
 // pair returns the module in which q monitors p.
 func (s *Sim) pair(q, p int) *pairState { return &s.pairs[q*s.n+p] }
 
-// Crash records that p crashed at the current instant. Every other
-// process starts suspecting p permanently TD later (if it does not
-// already suspect it, the edge fires then). Crashing twice is a no-op.
+// Crash records that live process p crashed at the current instant. Every
+// other process starts suspecting p permanently TD later (if it does not
+// already suspect it, the edge fires then). The caller keeps crash state
+// and calls Crash only on a live p.
 func (s *Sim) Crash(p int) {
-	if s.crashed[p] {
-		return
-	}
-	s.crashed[p] = true
-	epoch := s.crashEpoch[p]
-	for q := 0; q < s.n; q++ {
-		if q == p {
-			continue
-		}
-		q := q
-		s.eng.After(s.qos.TD, func() {
-			if s.crashEpoch[p] != epoch {
-				return // the crash was reversed by Recover before TD elapsed
-			}
-			s.pair(q, p).crashDetected = true
-			s.detectors[q].setSuspect(p, true)
-		})
-	}
+	s.eng.AfterMsg(s.qos.TD, s, opCrash, p, s.crashEpoch[p], nil)
 }
 
-// Recover reverses Crash: p is alive again as of the current instant.
-// Pending detections of the reversed crash are invalidated, the permanent
-// suspicion is withdrawn (trust edges fire in ascending monitor order,
-// except on links currently severed by a partition) and the stochastic
-// mistake processes resume. Recovering a live process is a no-op.
+// Recover reverses Crash of crashed process p: p is alive again as of the
+// current instant. A pending detection of the reversed crash is
+// invalidated, the permanent suspicion is withdrawn (trust edges fire in
+// ascending monitor order, except on links currently severed by a
+// partition) and the stochastic mistake processes resume. The caller keeps
+// crash state and calls Recover only on a crashed p.
 func (s *Sim) Recover(p int) {
-	if !s.crashed[p] {
-		return
-	}
-	s.crashed[p] = false
 	s.crashEpoch[p]++
 	for q := 0; q < s.n; q++ {
 		if q == p {
@@ -259,13 +238,7 @@ func (s *Sim) Sever(q, p int) {
 		return
 	}
 	st.severed = true
-	epoch := st.severEpoch
-	s.eng.After(s.qos.TD, func() {
-		if !st.severed || st.severEpoch != epoch {
-			return // healed before the detection time elapsed
-		}
-		s.detectors[q].setSuspect(p, true)
-	})
+	s.eng.AfterMsg(s.qos.TD, s, opSever, q*s.n+p, st.severEpoch, nil)
 }
 
 // Restore heals a severed link: unless p's crash has been detected, q
@@ -291,13 +264,13 @@ func (s *Sim) Restore(q, p int) {
 // permanently from time zero, without firing any edge. The caller is
 // responsible for also crashing p in the network model.
 func (s *Sim) PreSuspect(p int) {
-	s.crashed[p] = true
 	for q := 0; q < s.n; q++ {
 		if q == p {
 			continue
 		}
-		s.pair(q, p).crashDetected = true
-		s.detectors[q].suspects[p] = true
+		st := s.pair(q, p)
+		st.crashDetected = true
+		st.suspected = true
 	}
 }
 
@@ -311,29 +284,41 @@ func (s *Sim) InjectMistake(q, p int, duration time.Duration) {
 	s.beginMistake(q, p, duration)
 }
 
-// Opcodes of the mistake timers, the Sim's typed engine records: a is the
-// monitor q, b the target p.
+// Opcodes of the Sim's typed engine records.
 const (
-	opMistake uint8 = iota // the next wrong suspicion of (q, p) is due
-	opTrust                // a wrong suspicion of (q, p) ends
+	opMistake uint8 = iota // a = q, b = p: the next wrong suspicion of (q, p) is due
+	opTrust                // a = q, b = p: a wrong suspicion of (q, p) ends
+	opCrash                // a = p, b = its crashEpoch: every monitor detects p's crash
+	opSever                // a = q*n+p, b = its severEpoch: q detects the severed link
 )
 
-// HandleMsg implements sim.MsgHandler for the mistake timers.
-func (s *Sim) HandleMsg(op uint8, q, p int, _ any) {
-	st := s.pair(q, p)
+// HandleMsg implements sim.MsgHandler for the Sim's timers.
+func (s *Sim) HandleMsg(op uint8, a, b int, _ any) {
 	switch op {
 	case opMistake:
 		if s.quiesced {
 			return
 		}
-		if !st.crashDetected {
-			dur := sim.Millis(st.rng.Exp(float64(s.qos.TM) / float64(time.Millisecond)))
-			s.beginMistake(q, p, dur)
+		if st := s.pair(a, b); !st.crashDetected {
+			s.beginMistake(a, b, sim.Millis(st.rng.Exp(float64(s.qos.TM)/float64(time.Millisecond))))
 		}
-		s.scheduleNextMistake(q, p)
+		s.scheduleNextMistake(a, b)
 	case opTrust:
-		if !st.crashDetected && !st.severed {
-			s.detectors[q].setSuspect(p, false)
+		if st := s.pair(a, b); !st.crashDetected && !st.severed {
+			s.detectors[a].setSuspect(b, false)
+		}
+	case opCrash:
+		// The monitors detect in ascending order; a listener may reverse
+		// the crash between two of them.
+		for q := 0; q < s.n && s.crashEpoch[a] == b; q++ {
+			if q != a {
+				s.pair(q, a).crashDetected = true
+				s.detectors[q].setSuspect(a, true)
+			}
+		}
+	case opSever:
+		if s.pairs[a].severEpoch == b { // not healed before TD elapsed
+			s.detectors[a/s.n].setSuspect(a%s.n, true)
 		}
 	}
 }
@@ -350,7 +335,7 @@ func (s *Sim) scheduleNextMistake(q, p int) {
 // mistake merges into the current one (no duplicate edge; the earlier
 // trust edge still applies).
 func (s *Sim) beginMistake(q, p int, duration time.Duration) {
-	if s.pair(q, p).crashDetected || s.detectors[q].suspects[p] {
+	if st := s.pair(q, p); st.crashDetected || st.suspected {
 		return
 	}
 	s.detectors[q].setSuspect(p, true)

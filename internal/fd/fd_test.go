@@ -84,18 +84,6 @@ func TestCrashDetectionAfterTD(t *testing.T) {
 	}
 }
 
-func TestCrashTwiceIsNoop(t *testing.T) {
-	eng := sim.New()
-	s := NewSim(eng, 2, QoS{TD: time.Millisecond}, sim.NewRand(1))
-	var edges []edge
-	record(eng, s, &edges)
-	eng.Schedule(0, func() { s.Crash(1); s.Crash(1) })
-	eng.RunUntil(sim.Time(0).Add(time.Second))
-	if len(edges) != 1 {
-		t.Fatalf("double crash produced %d edges, want 1", len(edges))
-	}
-}
-
 func TestPermanentSuspicionSurvivesMistakeEnd(t *testing.T) {
 	// A mistake is in progress when the crash is detected; the trust edge
 	// that would end the mistake must not fire.

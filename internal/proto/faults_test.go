@@ -162,6 +162,40 @@ func TestRepartitionAdjustsSeveredPairs(t *testing.T) {
 	}
 }
 
+// TestCrashGuards checks System's crash guards, the only ones: fd.Sim's
+// Crash and Recover expect a live and a crashed process. A second Crash
+// schedules no second detection, so every monitor sees one suspect edge;
+// a Recover of a live process leaves an in-progress mistake running.
+func TestCrashGuards(t *testing.T) {
+	sys, handlers := build(3, fd.QoS{TD: 10 * time.Millisecond})
+	sys.Start()
+	eng := sys.Eng
+	eng.Schedule(0, func() {
+		sys.Crash(2)
+		pending := eng.Pending()
+		sys.Crash(2)
+		if eng.Pending() != pending {
+			t.Errorf("a second Crash scheduled %d events", eng.Pending()-pending)
+		}
+		sys.FDs.InjectMistake(0, 1, 20*time.Millisecond)
+	})
+	eng.Schedule(sim.Time(0).Add(5*time.Millisecond), func() { sys.Recover(1, nil) })
+	eng.RunUntil(sim.Time(0).Add(100 * time.Millisecond))
+	for q := 0; q < 2; q++ {
+		if got := handlers[q].count("suspect"); got != 2-q {
+			t.Errorf("p%d saw %d suspect edges, want %d; events %+v", q, got, 2-q, handlers[q].events)
+		}
+	}
+	for _, e := range handlers[0].events {
+		if e.kind == "trust" && (e.from != 1 || e.at != sim.Time(0).Add(20*time.Millisecond)) {
+			t.Errorf("p0 trust edge %+v, want only p1's at the mistake's end (20ms)", e)
+		}
+	}
+	if handlers[0].count("trust") != 1 {
+		t.Errorf("p0 events %+v, want one trust edge", handlers[0].events)
+	}
+}
+
 // fenceEdge is one failure-detector edge a process's handler saw.
 type fenceEdge struct {
 	at              sim.Time

@@ -394,9 +394,9 @@ var architectureRules = []archRule{
 	{
 		name:    "alarm-only protocol timers",
 		section: "Pooling and the payload lifecycle",
-		reason:  "a protocol timer is a proto.Alarm its owner keeps and re-arms, and a workload source re-arms its own event record: an engine handle allocates at every arming",
+		reason:  "a protocol timer is a proto.Alarm its owner keeps and re-arms, a workload source re-arms its own event record, and the QoS detector model's timers are typed engine records: an engine handle allocates at every arming",
 		checks: []archCheck{{dirs: []string{"internal/workload", "internal/hbfd", "internal/gm", "internal/ctabcast", "internal/groups",
-			"internal/seqabcast", "internal/rbcast", "internal/consensus", "internal/proto"}, refuse: func(n ast.Node) string {
+			"internal/seqabcast", "internal/rbcast", "internal/consensus", "internal/proto", "internal/fd"}, refuse: func(n ast.Node) string {
 			if call, ok := n.(*ast.CallExpr); ok && selects(call.Fun, "", "After") {
 				return "an engine handle from .After"
 			}
@@ -406,7 +406,7 @@ var architectureRules = []archRule{
 			{"internal/workload/poisson.go", "func f() { s.eng.After(d, s.arrive) }", true},
 			{"internal/hbfd/hbfd.go", "func f() { w.rt.Engine().After(w.cfg.Interval, func() {}) }", true},
 			{"internal/hbfd/hbfd.go", "func f() { w.beat.Arm(w.cfg.Interval) } // not eng.After(", false},
-			{"internal/fd/fd.go", "func f() { s.eng.After(d, detect) }", false},
+			{"internal/fd/fd.go", "func f() { s.eng.After(d, detect) }", true},
 		},
 	},
 	{
