@@ -87,7 +87,7 @@ func run() {
 		tc := repro.TransientConfig{Config: cfg, Crash: 0, Sender: 1}
 		var res repro.TransientResult
 		if *sweepFlag {
-			res = runner.WorstCaseTransient(tc, false)
+			res = runner.WorstCaseTransient(tc)
 		} else {
 			res = runner.Transient(tc)
 		}

@@ -181,7 +181,7 @@ func (p panel) render(w io.Writer, r *repro.Runner) {
 	case p.worst:
 		tres := make([]repro.TransientResult, len(p.transient))
 		for i, cfg := range p.transient {
-			tres[i] = r.WorstCaseTransient(cfg, false)
+			tres[i] = r.WorstCaseTransient(cfg)
 		}
 		p.write(w, nil, tres)
 	default:

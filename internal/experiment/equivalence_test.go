@@ -100,24 +100,30 @@ func TestMessagePatternEquivalenceProperty(t *testing.T) {
 // simulation and aggregation merges them in canonical (point,
 // replication) order regardless of completion order.
 func TestSweepDeterministicAcrossWorkers(t *testing.T) {
-	sweep := Sweep{
-		Base: Config{
-			Algorithm:    FD,
-			N:            3,
-			Seed:         11,
-			Warmup:       300 * time.Millisecond,
-			Measure:      2 * time.Second,
-			Drain:        8 * time.Second,
-			Replications: 3,
-		},
-		Algorithms:  []Algorithm{FD, GM},
-		Throughputs: []float64{20, 200},
-		QoS:         []fd.QoS{{}, {TMR: 500 * time.Millisecond}},
+	base := Config{
+		Algorithm:    FD,
+		N:            3,
+		Seed:         11,
+		Warmup:       300 * time.Millisecond,
+		Measure:      2 * time.Second,
+		Drain:        8 * time.Second,
+		Replications: 3,
 	}
-	serial := (&Runner{Workers: 1}).Sweep(sweep)
+	// The perfect detectors and wrong suspicions every 500 ms: one Base
+	// each, the detector QoS being no axis.
+	var pts []Config
+	for _, qos := range []fd.QoS{{}, {TMR: 500 * time.Millisecond}} {
+		base.QoS = qos
+		pts = append(pts, Sweep{
+			Base:        base,
+			Algorithms:  []Algorithm{FD, GM},
+			Throughputs: []float64{20, 200},
+		}.Points()...)
+	}
+	serial := (&Runner{Workers: 1}).SteadyAll(pts)
 	workerCounts := []int{runtime.GOMAXPROCS(0), 4, 7}
 	for _, w := range workerCounts {
-		parallel := (&Runner{Workers: w}).Sweep(sweep)
+		parallel := (&Runner{Workers: w}).SteadyAll(pts)
 		if len(parallel) != len(serial) {
 			t.Fatalf("workers=%d: %d results, want %d", w, len(parallel), len(serial))
 		}
@@ -128,13 +134,7 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 			}
 		}
 	}
-	// The grid must have the canonical point order and complete coverage.
-	checkSweepCoverage(t, sweep, serial)
-}
-
-func checkSweepCoverage(t *testing.T, sweep Sweep, serial []Result) {
-	t.Helper()
-	pts := sweep.Points()
+	// The results must keep the points' order and cover every point.
 	if len(pts) != 8 || len(serial) != 8 {
 		t.Fatalf("expected 2x2x2 = 8 points, got %d points and %d results", len(pts), len(serial))
 	}
@@ -142,7 +142,7 @@ func checkSweepCoverage(t *testing.T, sweep Sweep, serial []Result) {
 		if res.Config.Algorithm != pts[i].Algorithm ||
 			res.Config.Throughput != pts[i].Throughput ||
 			res.Config.QoS != pts[i].QoS {
-			t.Fatalf("result %d out of canonical order: got %+v, want axes of %+v", i, res.Config, pts[i])
+			t.Fatalf("result %d out of order: got %+v, want axes of %+v", i, res.Config, pts[i])
 		}
 		if res.Messages == 0 {
 			t.Fatalf("point %d measured nothing: %+v", i, res)

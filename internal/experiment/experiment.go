@@ -115,7 +115,7 @@ type Config struct {
 	// protocol messages, so detection quality degrades with load instead
 	// of following prescribed QoS metrics. The QoS field is then ignored
 	// (the modelled detectors stay silent), which lets a Sweep cross a
-	// QoS axis with a Detectors axis without invalid points.
+	// Base QoS with a Detectors axis without invalid points.
 	Detector *Heartbeat
 	// Crashed lists pre-crashed processes (crash-steady): suspected from
 	// the start, outside the initial GM view, sending nothing. It is the
@@ -360,14 +360,4 @@ type TransientResult struct {
 func RunTransient(cfg TransientConfig) TransientResult {
 	var r Runner
 	return r.Transient(cfg)
-}
-
-// WorstCaseTransient evaluates L(p, q) over every sender q for the given
-// crashed process and returns the maximum mean — the paper's
-// Lcrash = max L(p, q) restricted to the presented worst case p (the
-// coordinator/sequencer). Set sweepCrash to also maximise over p. The
-// whole crash × sender grid runs through a zero-value Runner's pool.
-func WorstCaseTransient(cfg TransientConfig, sweepCrash bool) TransientResult {
-	var r Runner
-	return r.WorstCaseTransient(cfg, sweepCrash)
 }

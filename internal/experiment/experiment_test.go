@@ -228,7 +228,8 @@ func TestWorstCaseTransientPicksMaximum(t *testing.T) {
 		Crash: 0,
 	}
 	cfg.Replications = 2
-	worst := WorstCaseTransient(cfg, false)
+	var r Runner
+	worst := r.WorstCaseTransient(cfg)
 	if worst.Latency.N == 0 {
 		t.Fatal("no worst case found")
 	}
@@ -336,9 +337,18 @@ func TestWorstCaseTransientSweepsCrashes(t *testing.T) {
 			Replications: 1,
 		},
 	}
-	full := WorstCaseTransient(cfg, true) // maximise over p and q
-	if full.Latency.N == 0 {
-		t.Fatal("sweep found nothing")
+	// Maximise over p and q: one worst case per crashed process.
+	var r Runner
+	var full TransientResult
+	for p := proto.PID(0); int(p) < cfg.N; p++ {
+		cfg.Crash = p
+		worst := r.WorstCaseTransient(cfg)
+		if worst.Latency.N == 0 {
+			t.Fatalf("crash=p%d: worst case found nothing", p)
+		}
+		if full.Latency.N == 0 || worst.Latency.Mean > full.Latency.Mean {
+			full = worst
+		}
 	}
 	// The coordinator crash dominates all bystander crashes.
 	if full.Config.Crash != 0 {

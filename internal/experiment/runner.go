@@ -7,11 +7,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/fd"
 	"repro/internal/groups"
 	"repro/internal/proto"
 	"repro/internal/stats"
-	"repro/internal/topo"
 )
 
 // Runner executes experiments, fanning independent replications out over
@@ -152,30 +150,18 @@ func (r *Runner) TransientAll(cfgs []TransientConfig) []TransientResult {
 	return out
 }
 
-// WorstCaseTransient evaluates L(p, q) over every sender q for the given
-// crashed process (and every p too when sweepCrash is set), among the
-// processes alive at the start — those in Crashed can neither crash nor
-// send a probe —, running the whole grid's replications through the pool,
-// and returns the maximum mean — the paper's Lcrash.
-func (r *Runner) WorstCaseTransient(cfg TransientConfig, sweepCrash bool) TransientResult {
-	var live []proto.PID
-	for p := 0; p < cfg.N; p++ {
-		if !slices.Contains(cfg.Crashed, proto.PID(p)) {
-			live = append(live, proto.PID(p))
-		}
-	}
-	crashes := []proto.PID{cfg.Crash}
-	if sweepCrash {
-		crashes = live
-	}
+// WorstCaseTransient evaluates L(p, q) for the given crashed process p
+// over every sender q alive at the start — those in Crashed can neither
+// crash nor send a probe —, running the senders' replications through the
+// pool, and returns the maximum mean: the paper's Lcrash restricted to the
+// presented worst case p (the coordinator/sequencer). Maximising over p
+// too is one call per crashed process. When no sender's probe was
+// delivered, it returns the first sender's point with its Lost count.
+func (r *Runner) WorstCaseTransient(cfg TransientConfig) TransientResult {
 	var points []TransientConfig
-	for _, crash := range crashes {
-		for _, q := range live {
-			if q == crash {
-				continue
-			}
+	for q := proto.PID(0); int(q) < cfg.N; q++ {
+		if q != cfg.Crash && !slices.Contains(cfg.Crashed, q) {
 			point := cfg
-			point.Crash = crash
 			point.Sender = q
 			points = append(points, point)
 		}
@@ -188,40 +174,31 @@ func (r *Runner) WorstCaseTransient(cfg TransientConfig, sweepCrash bool) Transi
 	results := r.TransientAll(points)
 	// Pick the maximum in canonical grid order, so ties resolve the same
 	// way at any worker count.
-	var worst TransientResult
-	have := false
-	for _, res := range results {
-		if res.Latency.N == 0 {
-			continue
-		}
-		if !have || res.Latency.Mean > worst.Latency.Mean {
+	worst := results[0]
+	for _, res := range results[1:] {
+		if res.Latency.N > 0 && (worst.Latency.N == 0 || res.Latency.Mean > worst.Latency.Mean) {
 			worst = res
-			have = true
 		}
 	}
 	return worst
 }
 
 // Sweep describes a grid of steady-state experiment points over
-// Algorithm × N × Throughput × QoS × Lambda × Crashed × Detector × Plan
-// × Load × Topology. Base
-// supplies every other field; a nil axis inherits the Base value, so a
-// Sweep with all axes nil is the single point Base. Observers attached
-// to Base see every point of the grid, keyed by its canonical index.
+// Algorithm × N × Throughput × Lambda × Detector × Plan × Load × GroupMap.
+// Base supplies every other field — the detector QoS, the crashed set and
+// the topology among them; a grid over one of those is one Sweep per
+// value. A nil axis inherits the Base value, so a Sweep with all axes nil
+// is the single point Base. Observers attached to Base see every point of
+// the grid, keyed by its canonical index.
 type Sweep struct {
 	Base        Config
 	Algorithms  []Algorithm
 	Ns          []int
 	Throughputs []float64
-	QoS         []fd.QoS
 	// Lambdas sweeps the network model's λ parameter (the §6.1 CPU/wire
 	// cost ratio; the extended TR's ablation). A zero entry selects λ = 1,
 	// as in Config.
 	Lambdas []float64
-	// CrashSets sweeps the crash-steady initial condition: each entry is
-	// one Config.Crashed list (Fig. 5 varies the number of crashed
-	// processes). A nil entry is the no-crash point.
-	CrashSets [][]proto.PID
 	// Detectors sweeps the failure-detector implementation: each entry is
 	// one Config.Detector — a concrete heartbeat tuning, or nil for the
 	// abstract QoS model. The axis compares the modelled detector with
@@ -241,14 +218,6 @@ type Sweep struct {
 	// expresses "the same burst under the same partition for both
 	// algorithms at every throughput" — scenarios as data.
 	Loads []*LoadPlan
-	// Topologies sweeps the connectivity graph: each entry is one
-	// Config.Topology — a generated or hand-built topo.Topology, or nil
-	// for the paper's full mesh. Crossed with Plans and Loads, "a WAN
-	// partition under an overload burst on a geo topology" is a single
-	// grid point. Entries must match the point's N, so a grid sweeping
-	// both Ns and Topologies should derive one from the other (build the
-	// grid in two Sweeps, or fix N and vary only the graph).
-	Topologies []*topo.Topology
 	// GroupMaps sweeps the group assignment: each entry is one
 	// Config.Groups — a generated or raw groups.GroupMap, or nil for the
 	// ungrouped broadcast point. Crossed with Loads (ShardMix events) and
@@ -258,10 +227,11 @@ type Sweep struct {
 }
 
 // sweepAxes is the grid's axis table, outermost axis first: the canonical
-// point order — Algorithm outermost, then N, Throughput, QoS, Lambda,
-// CrashSet, Detector, Plan, Load, Topology, and GroupMap innermost — is
-// stated here and nowhere else. An axis of length zero is not swept: every
-// point inherits Base's value.
+// point order — Algorithm outermost, then N, Throughput, Lambda, Detector,
+// Plan, Load, and GroupMap innermost — is stated here and nowhere else.
+// An axis of length zero is not swept: every point inherits Base's value.
+// An axis exists only while a command, an example or a benchmark workload
+// sets it (TestKnobsHaveWriters); Base carries the rest.
 var sweepAxes = [...]struct {
 	len   func(s *Sweep) int
 	apply func(s *Sweep, c *Config, i int)
@@ -272,20 +242,14 @@ var sweepAxes = [...]struct {
 		func(s *Sweep, c *Config, i int) { c.N = s.Ns[i] }},
 	{func(s *Sweep) int { return len(s.Throughputs) },
 		func(s *Sweep, c *Config, i int) { c.Throughput = s.Throughputs[i] }},
-	{func(s *Sweep) int { return len(s.QoS) },
-		func(s *Sweep, c *Config, i int) { c.QoS = s.QoS[i] }},
 	{func(s *Sweep) int { return len(s.Lambdas) },
 		func(s *Sweep, c *Config, i int) { c.Lambda = s.Lambdas[i] }},
-	{func(s *Sweep) int { return len(s.CrashSets) },
-		func(s *Sweep, c *Config, i int) { c.Crashed = s.CrashSets[i] }},
 	{func(s *Sweep) int { return len(s.Detectors) },
 		func(s *Sweep, c *Config, i int) { c.Detector = s.Detectors[i] }},
 	{func(s *Sweep) int { return len(s.Plans) },
 		func(s *Sweep, c *Config, i int) { c.Plan = s.Plans[i] }},
 	{func(s *Sweep) int { return len(s.Loads) },
 		func(s *Sweep, c *Config, i int) { c.Load = s.Loads[i] }},
-	{func(s *Sweep) int { return len(s.Topologies) },
-		func(s *Sweep, c *Config, i int) { c.Topology = s.Topologies[i] }},
 	{func(s *Sweep) int { return len(s.GroupMaps) },
 		func(s *Sweep, c *Config, i int) { c.Groups = s.GroupMaps[i] }},
 }

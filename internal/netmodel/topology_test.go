@@ -131,22 +131,6 @@ func TestWireDelayIsPropagationNotOccupancy(t *testing.T) {
 	}
 }
 
-// A wire's Slot overrides the model default: a fat LAN pipe drains
-// back-to-back messages faster than the paper's 1 ms medium.
-func TestWireSlotOverride(t *testing.T) {
-	tp := &topo.Topology{
-		Name: "fat-pair", N: 2,
-		Wires: []topo.Wire{{Slot: 250 * time.Microsecond}},
-		Edges: []topo.Edge{{From: 0, To: 1, Wire: 0}, {From: 1, To: 0, Wire: 0}},
-	}
-	h := newHarness(t, topoConfig(tp))
-	h.eng.Schedule(0, func() { h.nw.Send(0, 1, "a") })
-	h.eng.Run()
-	if h.got[0].at != ms(2.25) {
-		t.Fatalf("delivered at %v, want 2.25ms (λ + 0.25 slot + λ)", h.got[0].at)
-	}
-}
-
 // Wire loss draws per copy on the fault stream; Loss=1 kills every copy
 // crossing the wire and releases the whole subtree behind it.
 func TestWireLossKillsSubtree(t *testing.T) {

@@ -17,7 +17,6 @@ type Spec struct {
 	// Geo parameters, set when Gen is "geo".
 	Sites   int   `json:"sites,omitempty"`
 	PerSite int   `json:"perSite,omitempty"`
-	LAN     *Wire `json:"lan,omitempty"`
 	WAN     *Wire `json:"wan,omitempty"`
 	// Raw graph, set when Gen is empty.
 	Name   string   `json:"name,omitempty"`
@@ -30,7 +29,7 @@ type Spec struct {
 type genInfo struct {
 	kind           string
 	sites, perSite int
-	lan, wan       Wire
+	wan            Wire
 }
 
 // Spec returns the topology's serialisable image.
@@ -39,10 +38,6 @@ func (t *Topology) Spec() Spec {
 		s := Spec{Gen: g.kind, N: t.N}
 		if g.kind == "geo" {
 			s.Sites, s.PerSite = g.sites, g.perSite
-			if g.lan != (Wire{}) {
-				lan := g.lan
-				s.LAN = &lan
-			}
 			if g.wan != (Wire{}) {
 				wan := g.wan
 				s.WAN = &wan
@@ -84,9 +79,6 @@ func FromSpec(s Spec) (t *Topology, err error) {
 		return Clique(s.N), nil
 	case "geo":
 		cfg := GeoConfig{Sites: s.Sites, PerSite: s.PerSite}
-		if s.LAN != nil {
-			cfg.LAN = *s.LAN
-		}
 		if s.WAN != nil {
 			cfg.WAN = *s.WAN
 		}

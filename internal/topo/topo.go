@@ -5,18 +5,18 @@
 // A Topology is a set of wires and a set of directed edges riding them.
 // A wire is one contention domain — the generalisation of the paper's
 // single network resource: every message hop crossing the wire occupies
-// it for one slot, FIFO, exactly like netmodel's original medium. A wire
-// with several edges is a broadcast segment (an Ethernet); a wire with
-// one edge per direction is a point-to-point link. Each wire carries its
-// own slot time (bandwidth), propagation delay and per-copy loss
-// probability, so "LAN segment" and "lossy WAN link" are the same
-// mechanism with different numbers.
+// it for the paper's time unit, FIFO, exactly like netmodel's original
+// medium. A wire with several edges is a broadcast segment (an Ethernet);
+// a wire with one edge per direction is a point-to-point link. Each wire
+// carries its own propagation delay and per-copy loss probability, so
+// "LAN segment" and "lossy WAN link" are the same mechanism with
+// different numbers.
 //
 // Named generators build the standard shapes: FullMesh (the paper's
 // model — every process pair on one shared wire), Star, Ring, Clique
 // (a dedicated wire per pair), and Geo (datacenter cliques joined by
-// WAN links with distinct delay and loss). The zero Wire inherits the
-// transmission model's defaults, which is what makes FullMesh
+// WAN links with distinct delay and loss). The zero Wire is the paper's
+// medium — no delay, no loss —, which is what makes FullMesh
 // byte-identical to the pre-topology netmodel.
 //
 // Routing over the graph is precompiled once per topology (see
@@ -31,15 +31,13 @@ import (
 	"time"
 )
 
-// Wire describes one contention domain of the network.
+// Wire describes one contention domain of the network. Every message hop
+// occupies its wire for the paper's time unit (netmodel's unit, 1 ms).
 type Wire struct {
-	// Slot is the wire occupancy per message hop — the bandwidth knob.
-	// Zero inherits the transmission model's default slot (the paper's
-	// 1 ms time unit).
-	Slot time.Duration `json:"slot,omitempty"`
 	// Delay is the propagation delay of the wire: a hop arrives Delay
-	// after its slot ends, while the wire itself is already free for the
-	// next message. Zero means arrival at slot end, the paper's model.
+	// after its time unit on the wire ends, while the wire itself is
+	// already free for the next message. Zero means arrival when the unit
+	// ends, the paper's model.
 	Delay time.Duration `json:"delay,omitempty"`
 	// Loss is the probability that a copy crossing the wire is lost at
 	// the far end, drawn independently per copy on the network's fault
@@ -90,8 +88,6 @@ func (t *Topology) Validate() error {
 	}
 	for i, w := range t.Wires {
 		switch {
-		case w.Slot < 0:
-			return fmt.Errorf("topo: wire %d has negative slot %v", i, w.Slot)
 		case w.Delay < 0:
 			return fmt.Errorf("topo: wire %d has negative delay %v", i, w.Delay)
 		case w.Loss < 0 || w.Loss > 1:
@@ -226,11 +222,9 @@ func Clique(n int) *Topology {
 type GeoConfig struct {
 	// Sites is the number of datacenters; PerSite the processes in each.
 	Sites, PerSite int
-	// LAN describes each datacenter's shared segment. The zero Wire is
-	// a default-slot, zero-delay, lossless Ethernet.
-	LAN Wire
-	// WAN describes each inter-datacenter link — typically a longer
-	// Delay and a non-zero Loss than the LAN.
+	// WAN describes each inter-datacenter link — a Delay and a Loss
+	// where each datacenter's shared segment, the LAN, is the zero Wire:
+	// a zero-delay, lossless Ethernet.
 	WAN Wire
 }
 
@@ -247,7 +241,7 @@ func Geo(cfg GeoConfig) *Topology {
 	}
 	n := cfg.Sites * cfg.PerSite
 	t := &Topology{Name: fmt.Sprintf("geo-%dx%d", cfg.Sites, cfg.PerSite), N: n,
-		gen: &genInfo{kind: "geo", sites: cfg.Sites, perSite: cfg.PerSite, lan: cfg.LAN, wan: cfg.WAN}}
+		gen: &genInfo{kind: "geo", sites: cfg.Sites, perSite: cfg.PerSite, wan: cfg.WAN}}
 	member := func(site, i int) int { return site*cfg.PerSite + i }
 	for s := 0; s < cfg.Sites; s++ {
 		group := make([]int, cfg.PerSite)
@@ -257,7 +251,7 @@ func Geo(cfg GeoConfig) *Topology {
 		t.Groups = append(t.Groups, group)
 		if cfg.PerSite > 1 {
 			w := len(t.Wires)
-			t.Wires = append(t.Wires, cfg.LAN)
+			t.Wires = append(t.Wires, Wire{})
 			for _, u := range group {
 				for _, v := range group {
 					if u != v {

@@ -167,7 +167,7 @@ func TestValidateRejectsBadGraphs(t *testing.T) {
 		{Name: "wire", N: 2, Wires: []Wire{{}}, Edges: []Edge{{From: 0, To: 1, Wire: 1}}},
 		{Name: "dup", N: 2, Wires: []Wire{{}}, Edges: []Edge{{From: 0, To: 1, Wire: 0}, {From: 0, To: 1, Wire: 0}}},
 		{Name: "loss", N: 2, Wires: []Wire{{Loss: 1.5}}, Edges: []Edge{{From: 0, To: 1, Wire: 0}}},
-		{Name: "slot", N: 2, Wires: []Wire{{Slot: -time.Millisecond}}, Edges: []Edge{{From: 0, To: 1, Wire: 0}}},
+		{Name: "delay", N: 2, Wires: []Wire{{Delay: -time.Millisecond}}, Edges: []Edge{{From: 0, To: 1, Wire: 0}}},
 		{Name: "group", N: 2, Wires: []Wire{{}}, Groups: [][]int{{0, 7}}},
 	}
 	for _, tp := range bad {

@@ -88,12 +88,6 @@ func RunTransient(cfg TransientConfig) TransientResult {
 	return experiment.RunTransient(cfg)
 }
 
-// WorstCaseTransient maximises the transient latency over senders (and
-// optionally over the crashed process): the paper's Lcrash.
-func WorstCaseTransient(cfg TransientConfig, sweepCrash bool) TransientResult {
-	return experiment.WorstCaseTransient(cfg, sweepCrash)
-}
-
 // Runner executes experiments, fanning independent replications out over
 // a bounded worker pool (Workers: 0 selects GOMAXPROCS, 1 is serial).
 // Results are merged in canonical (point, replication) order, so output
@@ -299,29 +293,29 @@ func Milliseconds(ms float64) time.Duration {
 type ProcessID = proto.PID
 
 // Topology is an explicit connectivity graph the network model routes
-// over: wires (contention domains with their own bandwidth, propagation
-// delay and loss) and directed edges riding them. Carry one on
-// Config.Topology, Sweep.Topologies or ClusterConfig.Topology; nil means
+// over: wires (contention domains with their own propagation delay and
+// loss) and directed edges riding them. Carry one on Config.Topology
+// (Sweep.Base.Topology in a grid) or ClusterConfig.Topology; nil means
 // FullMesh(N), the paper's single shared Ethernet, bit-identical to the
 // pre-topology model. Build one with a generator below or from literals;
 // see internal/topo for the full model.
 type Topology = topo.Topology
 
-// Wire describes one contention domain of a Topology: occupancy per
-// message hop (Slot, zero inherits the model default), propagation delay
-// and per-copy loss probability.
+// Wire describes one contention domain of a Topology, which every message
+// hop occupies for the paper's time unit: its propagation delay and
+// per-copy loss probability.
 type Wire = topo.Wire
 
 // Edge is a directed connection between two processes riding a wire.
 type Edge = topo.Edge
 
 // GeoConfig parameterises a Geo topology: Sites datacenters of PerSite
-// processes, each site a clique on a LAN wire, sites joined pairwise by
-// WAN wires between gateways.
+// processes, each site a clique on a LAN wire (the zero Wire), sites
+// joined pairwise by WAN wires between gateways.
 type GeoConfig = topo.GeoConfig
 
 // FullMesh is the paper's network: every process pair joined directly on
-// one shared default-slot wire.
+// one shared zero Wire.
 func FullMesh(n int) *Topology { return topo.FullMesh(n) }
 
 // Star joins every process to hub 0 over dedicated spoke wires; spoke-

@@ -31,21 +31,11 @@ func TestArchitectureRules(t *testing.T) {
 	}
 	src := apiSource{}
 	var files []archFile
-	err = filepath.WalkDir(".", func(name string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if base := d.Name(); name != "." && (base == "testdata" || strings.HasPrefix(base, ".") || strings.HasPrefix(base, "_")) {
-			return filepath.SkipDir
-		}
-		pkg := src.load(t, name)
+	for _, dir := range packageDirs(t, ".") {
+		pkg := src.load(t, dir)
 		for _, f := range pkg.files {
 			files = append(files, archFile{filepath.ToSlash(pkg.fset.File(f.Pos()).Name()), pkg.fset, f})
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	for _, r := range architectureRules {
 		if !strings.Contains(string(doc), "\n## "+r.section+"\n") {
@@ -85,6 +75,84 @@ func TestArchitectureRules(t *testing.T) {
 		if (&archRule{checks: []archCheck{ghost}}).emptyScope(files) == "" {
 			t.Errorf("a check of %v except %v took its scope for one that matches files", ghost.dirs, ghost.exempt)
 		}
+	}
+}
+
+// packageDirs lists root and the directories below it as the go tool walks
+// them: testdata and directories starting with "." or "_" are skipped.
+func packageDirs(t *testing.T, root string) []string {
+	t.Helper()
+	var dirs []string
+	err := filepath.WalkDir(root, func(name string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if base := d.Name(); name != root && (base == "testdata" || strings.HasPrefix(base, ".") || strings.HasPrefix(base, "_")) {
+			return filepath.SkipDir
+		}
+		dirs = append(dirs, name)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dirs
+}
+
+// TestKnobsHaveWriters holds the facade's knob types to the rule of
+// docs/ARCHITECTURE.md, "Options": every field of Sweep, Wire and GeoConfig
+// that golden/api.txt lists is set by name in a composite literal
+// (repro.Sweep{Field: …}) in a non-test file under cmd/ or examples/ — by a
+// command, an example or a benchmark workload. A field no such literal
+// sets is a knob nothing turns: delete it, or write it down here with its
+// reason.
+func TestKnobsHaveWriters(t *testing.T) {
+	exempt := map[string]string{
+		"Wire.Loss": "lossy wires stay for the lossy-network study (ROADMAP 23)",
+	}
+	knobType := regexp.MustCompile(`^field ((Sweep|Wire|GeoConfig)\.\w+)$`)
+	written := make(map[string]bool)
+	src := apiSource{}
+	for _, root := range []string{"cmd", "examples"} {
+		for _, dir := range packageDirs(t, root) {
+			pkg := src.load(t, dir)
+			for _, f := range pkg.files {
+				if strings.HasSuffix(pkg.fset.File(f.Pos()).Name(), "_test.go") {
+					continue
+				}
+				ast.Inspect(f, func(n ast.Node) bool {
+					if lit, ok := n.(*ast.CompositeLit); ok && selects(lit.Type, "repro", "Sweep", "Wire", "GeoConfig") {
+						for _, elt := range lit.Elts {
+							if kv, ok := elt.(*ast.KeyValueExpr); ok {
+								written[nameOf(lit.Type)+"."+nameOf(kv.Key)] = true
+							}
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	golden, err := os.ReadFile("golden/api.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(golden), "\n") {
+		m := knobType.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		field := m[1]
+		switch reason, ok := exempt[field]; {
+		case ok && written[field]:
+			t.Errorf("%s is exempt (%s), but a command now sets it: drop the exemption", field, reason)
+		case !ok && !written[field]:
+			t.Errorf("%s: no command, example or benchmark workload sets it (docs/ARCHITECTURE.md, \"Options\")", field)
+		}
+		delete(exempt, field)
+	}
+	for field := range exempt {
+		t.Errorf("%s is exempt, but golden/api.txt lists no such field", field)
 	}
 }
 

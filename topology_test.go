@@ -6,11 +6,11 @@ import (
 	"time"
 )
 
-// TestGeoWANPartitionBurstSweepPoint pins the tentpole composition: "a
-// WAN partition under an overload burst on a geo topology" as a single
-// Sweep grid entry — Topologies × Plans × Loads crossing — bit-identical
-// at 1 and 8 workers, and replayable from its recorded trace (the header
-// embeds topology, plan and load).
+// TestGeoWANPartitionBurstSweepPoint pins the composition "a WAN
+// partition under an overload burst on a geo topology" as a single Sweep
+// grid entry — Base's topology × Plans × Loads — bit-identical at 1 and 8
+// workers, and replayable from its recorded trace (the header embeds
+// topology, plan and load).
 func TestGeoWANPartitionBurstSweepPoint(t *testing.T) {
 	geo := Geo(GeoConfig{
 		Sites: 3, PerSite: 3,
@@ -25,6 +25,7 @@ func TestGeoWANPartitionBurstSweepPoint(t *testing.T) {
 		Base: Config{
 			Algorithm:    FD,
 			N:            geo.N,
+			Topology:     geo,
 			Throughput:   60,
 			QoS:          Detectors(10, 0, 0),
 			Seed:         1,
@@ -33,9 +34,8 @@ func TestGeoWANPartitionBurstSweepPoint(t *testing.T) {
 			Drain:        10 * time.Second,
 			Replications: 2,
 		},
-		Topologies: []*Topology{geo},
-		Plans:      []*FaultPlan{plan},
-		Loads:      []*LoadPlan{load},
+		Plans: []*FaultPlan{plan},
+		Loads: []*LoadPlan{load},
 	}
 	if pts := sweep.Points(); len(pts) != 1 {
 		t.Fatalf("the scenario expands to %d grid points, want a single entry", len(pts))
