@@ -59,12 +59,14 @@ func TestFDColdStartAllocBudget(t *testing.T) {
 // TestGMColdStartAllocBudget is the GM twin: the first 32 broadcasts on a
 // new 32-process GM cluster, per broadcast, construction subtracted, in
 // allocations and in heap bytes. With the flush set (received) and the
-// sequence numbers by id (seqOf) in hash maps it measures 21.7
-// allocations and 3 800 bytes per broadcast. As proto.IDTables those two
-// carve a ring per origin heard from at every process, n rings per table
-// at each of n processes, and the test read 43.7 allocations and 19 481
-// bytes: the first broadcasts paying for an n-by-n table is what the two
-// bounds refuse (it raised wide-topo's bytes per message by 15.6 %).
+// sequence numbers by id (seqOf) in hash maps it measured 21.7
+// allocations and 3 740 bytes per broadcast; with received the one map
+// and the numbers read from the assignments window, 20.6 and 3 660. As
+// proto.IDTables the two maps carved a ring per origin heard from at
+// every process, n rings per table at each of n processes, and the test
+// read 43.7 allocations and 19 481 bytes: the first broadcasts paying for
+// an n-by-n table is what the two bounds refuse (it raised wide-topo's
+// bytes per message by 15.6 %).
 func TestGMColdStartAllocBudget(t *testing.T) {
 	const budget, bytesBudget = 25, 4400
 	allocs, bytes := coldStart(t, GM)

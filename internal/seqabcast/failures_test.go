@@ -173,6 +173,9 @@ func TestStateTransferCoversLongExclusion(t *testing.T) {
 		if err := c.hist.Check(proto.Prefix|proto.Agreement, func(p proto.PID) bool { return p != 2 }); err != nil {
 			t.Fatal(err)
 		}
+		if c.fence.err != nil {
+			t.Fatal(c.fence.err)
+		}
 	}
 }
 

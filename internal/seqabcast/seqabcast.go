@@ -156,22 +156,22 @@ type Process struct {
 	// received holds the body of every message that is not yet known
 	// stable: exactly the flush set. Undelivered messages are always
 	// here; delivered ones stay until the sequencer announces stability.
-	// It stays a map (docs/ARCHITECTURE.md, "Dense tables"): at large n
-	// the set is sparse across origins, and as a proto.IDTable every
-	// process carved a ring per origin it heard from, which raised
-	// wide-topo's bytes per message by 15.6 %.
+	// It is the package's one map keyed by MsgID (docs/ARCHITECTURE.md,
+	// "Dense tables"): at large n the set is sparse across origins, and
+	// as a proto.IDTable every process carved a ring per origin it heard
+	// from, which raised wide-topo's bytes per message by 15.6 %.
 	received  map[proto.MsgID]any
 	delivered *proto.IDTracker
 	log       proto.Log[LogEntry] // positions are delivery counts
 
-	// Per-view ordering state (reset on every install). assignments and
-	// seqOf hold only sequence numbers above prunedUpTo: pruneStable drops
-	// each stable delivered one, so they stay as small as the unstable
-	// window however long the view runs. assignments is keyed by sequence
-	// number, dense from prunedUpTo+1 on; seqOf stays a map for the
-	// reason received does.
+	// Per-view ordering state (reset on every install). assignments is
+	// keyed by sequence number and holds only the numbers above
+	// prunedUpTo: pruneStable drops each stable delivered one, so it stays
+	// as small as the unstable window however long the view runs. It is
+	// also the only record of which number an id got: Unstable walks it
+	// to fill in the flush set's numbers, so no map from id to number is
+	// kept beside it.
 	assignments proto.Window[assignment]
-	seqOf       map[proto.MsgID]uint64
 	nextDeliver uint64 // next sequence number to A-deliver
 	haveUpTo    uint64 // contiguous data+seqnum prefix present locally
 	stableUpTo  uint64 // sequencer-announced all-ack prefix
@@ -204,10 +204,13 @@ type Process struct {
 }
 
 // assignment is one slot of the assignments window: the id sequenced at
-// the slot's number, if ok.
+// the slot's number, if ok. advanceHave copies the id's body from received
+// into body when the slot joins the haveUpTo prefix, so deliverUpTo reads
+// it there instead of looking the id up again.
 type assignment struct {
-	id proto.MsgID
-	ok bool
+	id   proto.MsgID
+	ok   bool
+	body any
 }
 
 type queuedBroadcast struct {
@@ -234,7 +237,6 @@ func New(rt proto.Runtime, cfg Config) *Process {
 		rt:        rt,
 		received:  make(map[proto.MsgID]any),
 		delivered: proto.NewIDTracker(),
-		seqOf:     make(map[proto.MsgID]uint64),
 		ackedUpTo: make([]uint64, rt.N()),
 		dataPool:  netmodel.NewPool(func(m *MsgData) { m.Body = nil }),
 		gm:        gm.New(rt),
@@ -275,7 +277,6 @@ func (p *Process) Reset(cfg Config) {
 		delivered:   p.delivered,
 		log:         p.log,
 		assignments: p.assignments,
-		seqOf:       p.seqOf,
 		toSequence:  p.toSequence,
 		ackedUpTo:   p.ackedUpTo,
 		ackBuf:      p.ackBuf[:0],
@@ -388,9 +389,6 @@ func (p *Process) trySequence() {
 	m := p.seqNumPool.Get()
 	m.Pairs = m.Pairs[:0]
 	for _, id := range p.toSequence {
-		if _, dup := p.seqOf[id]; dup {
-			continue
-		}
 		if p.delivered.Seen(id) {
 			continue
 		}
@@ -417,15 +415,16 @@ func (p *Process) onSeqNum(from proto.PID, m *MsgSeqNum) {
 		return
 	}
 	for _, pair := range m.Pairs {
-		*p.assignments.At(pair.Seq) = assignment{id: pair.ID, ok: true}
-		p.seqOf[pair.ID] = pair.Seq
+		a := p.assignments.At(pair.Seq) // a body advanceHave kept stays
+		a.id, a.ok = pair.ID, true
 	}
 	p.noteStable(m.StableUpTo)
 	p.advanceHave()
 }
 
-// advanceHave pushes the contiguous data+seqnum prefix forward and drives
-// the variant-specific delivery logic.
+// advanceHave pushes the contiguous data+seqnum prefix forward, keeping
+// each body it finds in its slot, and drives the variant-specific delivery
+// logic.
 func (p *Process) advanceHave() {
 	advanced := false
 	for {
@@ -433,9 +432,11 @@ func (p *Process) advanceHave() {
 		if a == nil || !a.ok {
 			break
 		}
-		if _, have := p.received[a.id]; !have && !p.delivered.Seen(a.id) {
+		body, have := p.received[a.id]
+		if !have && !p.delivered.Seen(a.id) {
 			break
 		}
+		a.body = body
 		p.haveUpTo++
 		advanced = true
 	}
@@ -570,17 +571,21 @@ func (p *Process) acceptProtocol(from proto.PID, view uint64, payload netmodel.P
 	return p.gm.Normal() && view == p.gm.View().ID
 }
 
-// deliverUpTo A-delivers sequenced messages through seq in order.
+// deliverUpTo A-delivers sequenced messages through seq in order. Up to
+// haveUpTo the bodies wait in their slots; beyond it (a uniform delivery
+// announcement can run ahead of this process's data) they are looked up.
 func (p *Process) deliverUpTo(seq uint64) {
 	for p.nextDeliver <= seq {
 		a := p.assignments.Get(p.nextDeliver)
 		if a == nil || !a.ok {
 			return // gap: wait for the assignment (cannot happen in FIFO order)
 		}
-		id := a.id
-		body, have := p.received[id]
-		if !have && !p.delivered.Seen(id) {
-			return // data still missing; resume when it arrives
+		id, body := a.id, a.body
+		if p.nextDeliver > p.haveUpTo {
+			var have bool
+			if body, have = p.received[id]; !have && !p.delivered.Seen(id) {
+				return // data still missing; resume when it arrives
+			}
 		}
 		p.deliverOne(id, body)
 		p.nextDeliver++
@@ -610,8 +615,8 @@ func (p *Process) noteStable(s uint64) {
 // message of the flush set is delivered iff its sequence number is below
 // nextDeliver, so those are the assignments up to min(stableUpTo,
 // nextDeliver-1), and the walk resumes where the last one stopped. Their
-// ordering entries go too: neither advanceHave nor deliverUpTo looks
-// below the stable prefix again, and re-sequencing skips delivered IDs.
+// slots go too: neither advanceHave nor deliverUpTo looks below the
+// stable prefix again, and re-sequencing skips delivered IDs.
 func (p *Process) pruneStable() {
 	upTo := min(p.stableUpTo, p.nextDeliver-1)
 	if upTo <= p.prunedUpTo {
@@ -620,7 +625,6 @@ func (p *Process) pruneStable() {
 	for seq := p.prunedUpTo + 1; seq <= upTo; seq++ {
 		if a := p.assignments.Get(seq); a != nil && a.ok {
 			delete(p.received, a.id)
-			delete(p.seqOf, a.id)
 		}
 	}
 	p.assignments.Advance(upTo + 1)
@@ -630,7 +634,6 @@ func (p *Process) pruneStable() {
 // resetViewState clears all per-view ordering state.
 func (p *Process) resetViewState() {
 	p.assignments.Reset()
-	clear(p.seqOf)
 	p.nextDeliver = 1
 	p.haveUpTo = 0
 	p.stableUpTo = 0
@@ -646,15 +649,25 @@ func (p *Process) resetViewState() {
 // --- gm.App implementation ---
 
 // Unstable implements gm.App: the flush set is exactly the received map,
-// snapshot into storage carved from the flush slab.
+// snapshot into storage carved from the flush slab, in ID order. The
+// sequence numbers come from a walk of the assignments window, which
+// holds every number above the pruned prefix: a flush entry whose id has
+// a slot gets that slot's number, every other one -1. It runs only at a
+// view change; gm sorts the flushes it merges, so the order is free.
 func (p *Process) Unstable() []gm.UnstableMsg {
 	out := p.flushSlab.Carve(len(p.received), flushChunkMin, flushChunkMax)[:0]
 	for id, body := range p.received {
-		seq := int64(-1)
-		if s, ok := p.seqOf[id]; ok {
-			seq = int64(s)
+		out = append(out, gm.UnstableMsg{ID: id, Seq: -1, Body: body})
+	}
+	slices.SortFunc(out, func(a, b gm.UnstableMsg) int { return a.ID.Compare(b.ID) })
+	for seq := p.assignments.Lo(); seq < p.assignments.Hi(); seq++ {
+		a := p.assignments.Get(seq)
+		if !a.ok {
+			continue
 		}
-		out = append(out, gm.UnstableMsg{ID: id, Seq: seq, Body: body})
+		if i, found := slices.BinarySearchFunc(out, a.id, func(m gm.UnstableMsg, id proto.MsgID) int { return m.ID.Compare(id) }); found {
+			out[i].Seq = int64(seq)
+		}
 	}
 	return out
 }

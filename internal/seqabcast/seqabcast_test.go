@@ -11,6 +11,7 @@ import (
 	"repro/internal/netmodel"
 	"repro/internal/proto"
 	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
 // cluster is an end-to-end harness for the GM algorithm over the full
@@ -21,11 +22,50 @@ type cluster struct {
 	procs      []*Process
 	deliveries [][]delivery
 	hist       *proto.History
+	fence      assignmentFence
+	bodies     map[proto.MsgID]any // what each message was broadcast with
+}
+
+// assignmentFence watches every MsgSeqNum a sequencer multicasts and keeps
+// the first assignment that breaks the sequencer's contract: an id numbered
+// twice in one view, or numbered after a process had delivered it. The
+// sequencer keeps no map from id to number to refuse the first itself;
+// the fence shows that nothing it sequences needs one.
+type assignmentFence struct {
+	numbered map[uint64]map[proto.MsgID]uint64 // by view
+	err      error
+}
+
+// observe is the network trace hook of c's fence.
+func (c *cluster) observe(ev netmodel.TraceEvent) {
+	m, ok := ev.Payload.(*MsgSeqNum)
+	if !ok || ev.Kind != netmodel.TraceSend || c.fence.err != nil {
+		return
+	}
+	view := c.fence.numbered[m.View]
+	if view == nil {
+		view = make(map[proto.MsgID]uint64)
+		c.fence.numbered[m.View] = view
+	}
+	for _, pair := range m.Pairs {
+		if seq, dup := view[pair.ID]; dup {
+			c.fence.err = fmt.Errorf("p%d at %v: view %d numbers %v %d, numbered %d already", ev.From, ev.At, m.View, pair.ID, pair.Seq, seq)
+			return
+		}
+		view[pair.ID] = pair.Seq
+		for q, p := range c.procs {
+			if p.delivered.Seen(pair.ID) {
+				c.fence.err = fmt.Errorf("p%d at %v: view %d numbers %v %d, delivered at p%d already", ev.From, ev.At, m.View, pair.ID, pair.Seq, q)
+				return
+			}
+		}
+	}
 }
 
 type delivery struct {
-	id proto.MsgID
-	at sim.Time
+	id   proto.MsgID
+	body any
+	at   sim.Time
 }
 
 type clusterOpts struct {
@@ -34,7 +74,8 @@ type clusterOpts struct {
 	uniform  *bool // nil means uniform (the paper's main variant)
 	seed     uint64
 	preCrash []proto.PID
-	members  []proto.PID // initial view; nil means all
+	members  []proto.PID    // initial view; nil means all
+	topology *topo.Topology // nil means the full mesh
 	// logRetain, if positive, replaces the state-transfer log's retention.
 	logRetain int
 	// afterStep, if non-nil, runs after every handler callback of every
@@ -65,21 +106,28 @@ func newCluster(o clusterOpts) *cluster {
 		uniform = *o.uniform
 	}
 	eng := sim.New()
-	sys := proto.NewSystem(eng, netmodel.DefaultConfig(o.n), o.qos, sim.NewRand(o.seed))
+	netCfg := netmodel.DefaultConfig(o.n)
+	if o.topology != nil {
+		netCfg.Topology = o.topology
+	}
+	sys := proto.NewSystem(eng, netCfg, o.qos, sim.NewRand(o.seed))
 	c := &cluster{
 		eng:        eng,
 		sys:        sys,
 		procs:      make([]*Process, o.n),
 		deliveries: make([][]delivery, o.n),
 		hist:       proto.NewHistory(o.n),
+		fence:      assignmentFence{numbered: make(map[uint64]map[proto.MsgID]uint64)},
+		bodies:     make(map[proto.MsgID]any),
 	}
+	sys.Net.SetTrace(c.observe)
 	for i := 0; i < o.n; i++ {
 		i := i
 		c.procs[i] = New(sys.Proc(proto.PID(i)), Config{
 			Uniform:        uniform,
 			InitialMembers: o.members,
 			Deliver: func(id proto.MsgID, body any) {
-				c.deliveries[i] = append(c.deliveries[i], delivery{id: id, at: eng.Now()})
+				c.deliveries[i] = append(c.deliveries[i], delivery{id: id, body: body, at: eng.Now()})
 				c.hist.Deliver(proto.PID(i), id)
 			},
 		})
@@ -101,7 +149,10 @@ func newCluster(o clusterOpts) *cluster {
 
 func (c *cluster) broadcastAt(p proto.PID, at sim.Time) {
 	c.eng.Schedule(at, func() {
-		c.hist.Broadcast(c.procs[p].ABroadcast(fmt.Sprintf("m-%d-%v", p, at)))
+		body := fmt.Sprintf("m-%d-%v", p, at)
+		id := c.procs[p].ABroadcast(body)
+		c.hist.Broadcast(id)
+		c.bodies[id] = body
 	})
 }
 
@@ -110,11 +161,14 @@ func (c *cluster) run(horizon time.Duration) {
 }
 
 // holds fails t unless the run meets the clauses of the specification over
-// the processes that are up now.
+// the processes that are up now, and the assignment fence saw no breach.
 func (c *cluster) holds(t *testing.T, clauses proto.Clause) {
 	t.Helper()
 	if err := c.hist.Check(clauses, func(p proto.PID) bool { return !c.sys.Proc(p).Crashed() }); err != nil {
 		t.Fatal(err)
+	}
+	if c.fence.err != nil {
+		t.Fatal(c.fence.err)
 	}
 }
 
@@ -382,16 +436,28 @@ func TestSequencerAdvantageWithCrashes(t *testing.T) {
 	c.holds(t, proto.Prefix|proto.Destinations)
 }
 
+// assignedSeq returns the sequence number the assignments window holds
+// for id, if any.
+func assignedSeq(p *Process, id proto.MsgID) (uint64, bool) {
+	for seq := p.assignments.Lo(); seq < p.assignments.Hi(); seq++ {
+		if a := p.assignments.Get(seq); a.ok && a.id == id {
+			return seq, true
+		}
+	}
+	return 0, false
+}
+
 // prunedFlushSet checks stability pruning's postcondition: no delivered
 // message at or below the announced stable prefix is still in the flush
 // set, and every delivered message still there was delivered in this
-// view, below nextDeliver.
+// view, below nextDeliver. The sequence numbers are read from the
+// assignments window.
 func prunedFlushSet(p *Process) error {
 	for id := range p.received {
 		if !p.delivered.Seen(id) {
 			continue
 		}
-		seq, sequenced := p.seqOf[id]
+		seq, sequenced := assignedSeq(p, id)
 		switch {
 		case !sequenced:
 			return fmt.Errorf("delivered %v in the flush set without a sequence number", id)
@@ -517,7 +583,7 @@ func TestViewStateBoundedByUnstableWindow(t *testing.T) {
 	peak := 0
 	sample := func() {
 		for _, p := range c.procs {
-			peak = max(peak, len(p.received)+len(p.seqOf)+int(p.assignments.Hi()-p.assignments.Lo()))
+			peak = max(peak, len(p.received)+int(p.assignments.Hi()-p.assignments.Lo()))
 		}
 	}
 	for i := 0; i < broadcasts; i++ {
@@ -533,6 +599,58 @@ func TestViewStateBoundedByUnstableWindow(t *testing.T) {
 	}
 	if peak > bound {
 		t.Fatalf("per-view state peaked at %d entries over %d broadcasts, want at most %d", peak, broadcasts, bound)
+	}
+}
+
+// TestDeliveredBodiesAreBroadcastBodies checks that every A-delivery hands
+// up the body its message was broadcast with, on both paths deliverUpTo
+// takes: up to haveUpTo the body waits in its assignment slot, beyond it
+// (a delivery announcement ahead of this process's data) it is looked up
+// in the flush set. The workloads broadcast nil bodies, so no golden sees a
+// body lost on either path. On this topology p2 hears p1 30 ms late and
+// everyone else at once, so p1's data reaches p2 after its sequence
+// number, and under the uniform variant after its delivery announcement
+// too; the run must show both. p2 moves on at the next sequencing message
+// after the data, so the run ends with broadcasts by p0 alone.
+func TestDeliveredBodiesAreBroadcastBodies(t *testing.T) {
+	slowLink := &topo.Topology{
+		Name: "slow-link", N: 3,
+		Wires: []topo.Wire{{}, {Delay: 30 * time.Millisecond}},
+		Edges: []topo.Edge{
+			{From: 0, To: 1, Wire: 0}, {From: 1, To: 0, Wire: 0},
+			{From: 0, To: 2, Wire: 0}, {From: 2, To: 0, Wire: 0},
+			{From: 2, To: 1, Wire: 0}, {From: 1, To: 2, Wire: 1},
+		},
+	}
+	for _, uniform := range []bool{true, false} {
+		late, ahead := false, false
+		c := newCluster(clusterOpts{n: 3, uniform: &uniform, topology: slowLink, afterStep: func(p *Process) {
+			for seq := p.haveUpTo + 1; seq < p.assignments.Hi(); seq++ {
+				a := p.assignments.Get(seq)
+				if _, have := p.received[a.id]; a.ok && !have && !p.delivered.Seen(a.id) {
+					late = true
+				}
+			}
+			ahead = ahead || p.nextDeliver > p.haveUpTo+1
+		}})
+		for i := 0; i < 60; i++ {
+			c.broadcastAt(proto.PID(i%3), at(float64(3*i)))
+		}
+		for i := 0; i < 3; i++ {
+			c.broadcastAt(0, at(float64(300+50*i)))
+		}
+		c.run(2 * time.Second)
+		c.holds(t, proto.Prefix|proto.Destinations)
+		for p, ds := range c.deliveries {
+			for _, d := range ds {
+				if d.body != c.bodies[d.id] {
+					t.Fatalf("uniform %v: p%d delivered %v with body %v, broadcast with %v", uniform, p, d.id, d.body, c.bodies[d.id])
+				}
+			}
+		}
+		if !late || uniform && !ahead {
+			t.Fatalf("uniform %v: data after its sequence number %v, delivery beyond haveUpTo %v; the run must show both paths", uniform, late, ahead)
+		}
 	}
 }
 

@@ -27,6 +27,7 @@ package topo
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -94,8 +95,8 @@ func (t *Topology) Validate() error {
 			return fmt.Errorf("topo: wire %d loss %v outside [0,1]", i, w.Loss)
 		}
 	}
-	seen := make(map[[2]int]bool, len(t.Edges))
-	for _, e := range t.Edges {
+	dup := t.hasDuplicateEdge()
+	for i, e := range t.Edges {
 		switch {
 		case e.From < 0 || e.From >= t.N || e.To < 0 || e.To >= t.N:
 			return fmt.Errorf("topo: edge %d->%d out of range for N=%d", e.From, e.To, t.N)
@@ -103,12 +104,9 @@ func (t *Topology) Validate() error {
 			return fmt.Errorf("topo: self edge at process %d", e.From)
 		case e.Wire < 0 || e.Wire >= len(t.Wires):
 			return fmt.Errorf("topo: edge %d->%d rides wire %d, have %d wires", e.From, e.To, e.Wire, len(t.Wires))
-		}
-		k := [2]int{e.From, e.To}
-		if seen[k] {
+		case dup && slices.ContainsFunc(t.Edges[:i], func(f Edge) bool { return f.From == e.From && f.To == e.To }):
 			return fmt.Errorf("topo: duplicate edge %d->%d", e.From, e.To)
 		}
-		seen[k] = true
 	}
 	for gi, g := range t.Groups {
 		for _, p := range g {
@@ -118,6 +116,34 @@ func (t *Topology) Validate() error {
 		}
 	}
 	return nil
+}
+
+// hasDuplicateEdge reports whether two edges join the same ordered pair.
+// It builds no map: Validate runs for every point a Runner call checks.
+// Edges listed in increasing (From, To) order, as FullMesh lists them,
+// have none; any other list is checked on a sorted copy of its pairs,
+// each packed into one key. A yes is only a hint that Validate confirms
+// edge by edge, so keys that collide for out-of-range ends do no harm.
+func (t *Topology) hasDuplicateEdge() bool {
+	key := func(e Edge) uint64 { return uint64(uint32(e.From))<<32 | uint64(uint32(e.To)) }
+	increasing := true
+	for i := 1; i < len(t.Edges) && increasing; i++ {
+		increasing = key(t.Edges[i-1]) < key(t.Edges[i])
+	}
+	if increasing {
+		return false
+	}
+	keys := make([]uint64, len(t.Edges))
+	for i, e := range t.Edges {
+		keys[i] = key(e)
+	}
+	slices.Sort(keys)
+	for i := 1; i < len(keys); i++ {
+		if keys[i] == keys[i-1] {
+			return true
+		}
+	}
+	return false
 }
 
 // FullMesh is the paper's network: every ordered process pair joined

@@ -160,19 +160,32 @@ func TestGeoRoutingAndSiteCut(t *testing.T) {
 }
 
 func TestValidateRejectsBadGraphs(t *testing.T) {
-	bad := []*Topology{
-		{Name: "n0", N: 0},
-		{Name: "range", N: 2, Wires: []Wire{{}}, Edges: []Edge{{From: 0, To: 2, Wire: 0}}},
-		{Name: "self", N: 2, Wires: []Wire{{}}, Edges: []Edge{{From: 1, To: 1, Wire: 0}}},
-		{Name: "wire", N: 2, Wires: []Wire{{}}, Edges: []Edge{{From: 0, To: 1, Wire: 1}}},
-		{Name: "dup", N: 2, Wires: []Wire{{}}, Edges: []Edge{{From: 0, To: 1, Wire: 0}, {From: 0, To: 1, Wire: 0}}},
-		{Name: "loss", N: 2, Wires: []Wire{{Loss: 1.5}}, Edges: []Edge{{From: 0, To: 1, Wire: 0}}},
-		{Name: "delay", N: 2, Wires: []Wire{{Delay: -time.Millisecond}}, Edges: []Edge{{From: 0, To: 1, Wire: 0}}},
-		{Name: "group", N: 2, Wires: []Wire{{}}, Groups: [][]int{{0, 7}}},
+	bad := []struct {
+		tp  *Topology
+		err string
+	}{
+		{&Topology{Name: "n0", N: 0}, "topo: N = 0, need at least 1"},
+		{&Topology{Name: "range", N: 2, Wires: []Wire{{}}, Edges: []Edge{{From: 0, To: 2, Wire: 0}}}, "topo: edge 0->2 out of range for N=2"},
+		{&Topology{Name: "self", N: 2, Wires: []Wire{{}}, Edges: []Edge{{From: 1, To: 1, Wire: 0}}}, "topo: self edge at process 1"},
+		{&Topology{Name: "wire", N: 2, Wires: []Wire{{}}, Edges: []Edge{{From: 0, To: 1, Wire: 1}}}, "topo: edge 0->1 rides wire 1, have 1 wires"},
+		{&Topology{Name: "dup", N: 2, Wires: []Wire{{}}, Edges: []Edge{{From: 0, To: 1, Wire: 0}, {From: 0, To: 1, Wire: 0}}}, "topo: duplicate edge 0->1"},
+		{&Topology{Name: "loss", N: 2, Wires: []Wire{{Loss: 1.5}}, Edges: []Edge{{From: 0, To: 1, Wire: 0}}}, "topo: wire 0 loss 1.5 outside [0,1]"},
+		{&Topology{Name: "delay", N: 2, Wires: []Wire{{Delay: -time.Millisecond}}, Edges: []Edge{{From: 0, To: 1, Wire: 0}}}, "topo: wire 0 has negative delay -1ms"},
+		{&Topology{Name: "group", N: 2, Wires: []Wire{{}}, Groups: [][]int{{0, 7}}}, "topo: group 0 contains process 7, want 0..1"},
+		// Duplicates apart in an unsorted list, riding different wires: the
+		// first edge that repeats an earlier pair is named, and an error of
+		// a later edge does not hide it, nor it one of an earlier edge.
+		{&Topology{Name: "dup-apart", N: 3, Wires: []Wire{{}, {}}, Edges: []Edge{
+			{From: 2, To: 1, Wire: 0}, {From: 1, To: 0, Wire: 0}, {From: 0, To: 2, Wire: 0},
+			{From: 1, To: 0, Wire: 1}, {From: 2, To: 1, Wire: 1}, {From: 0, To: 3, Wire: 0},
+		}}, "topo: duplicate edge 1->0"},
+		{&Topology{Name: "range-first", N: 3, Wires: []Wire{{}}, Edges: []Edge{
+			{From: 1, To: 0, Wire: 0}, {From: 2, To: 2, Wire: 0}, {From: 1, To: 0, Wire: 0},
+		}}, "topo: self edge at process 2"},
 	}
-	for _, tp := range bad {
-		if err := tp.Validate(); err == nil {
-			t.Fatalf("%s: Validate accepted an invalid topology", tp.Name)
+	for _, c := range bad {
+		if err := c.tp.Validate(); err == nil || err.Error() != c.err {
+			t.Errorf("%s: Validate() = %v, want %q", c.tp.Name, err, c.err)
 		}
 	}
 }

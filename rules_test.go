@@ -282,6 +282,65 @@ func mapKeyedBy(key string) func(ast.Node) string {
 	}
 }
 
+// mapKeyedByNamedOtherThan refuses a map type keyed by key that a
+// declaration, a field or parameter, an assignment or a keyed literal
+// element binds to a name other than keep: keep is the one such map of
+// the scope. A function literal's body and a composite literal's
+// elements are left to their own statements and keys.
+func mapKeyedByNamedOtherThan(key, keep string) func(ast.Node) string {
+	isMap := mapKeyedBy(key)
+	return func(n ast.Node) string {
+		var names, exprs []ast.Expr
+		switch n := n.(type) {
+		case *ast.Field:
+			for _, id := range n.Names {
+				names = append(names, id)
+			}
+			exprs = []ast.Expr{n.Type}
+		case *ast.ValueSpec:
+			for _, id := range n.Names {
+				names = append(names, id)
+			}
+			exprs = append([]ast.Expr{n.Type}, n.Values...)
+		case *ast.AssignStmt:
+			names, exprs = n.Lhs, n.Rhs
+		case *ast.KeyValueExpr:
+			names, exprs = []ast.Expr{n.Key}, []ast.Expr{n.Value}
+		default:
+			return ""
+		}
+		what := ""
+		for _, x := range exprs {
+			if x == nil {
+				continue
+			}
+			ast.Inspect(x, func(m ast.Node) bool {
+				switch m.(type) {
+				case *ast.FuncLit, *ast.CompositeLit:
+					return false
+				}
+				if what != "" {
+					return false
+				}
+				what = isMap(m)
+				return what == ""
+			})
+		}
+		if what == "" {
+			return ""
+		}
+		if len(names) == 0 {
+			return "an unnamed " + what
+		}
+		for _, name := range names {
+			if nameOf(name) != keep {
+				return what + " named " + nameOf(name)
+			}
+		}
+		return ""
+	}
+}
+
 // identContaining refuses an identifier whose name contains one of parts.
 func identContaining(parts ...string) func(ast.Node) string {
 	return func(n ast.Node) string {
@@ -313,6 +372,7 @@ var architectureRules = []archRule{
 		checks: []archCheck{
 			{dirs: []string{"internal/proto", "internal/rbcast", "internal/ctabcast", "internal/groups", "internal/experiment"}, refuse: mapKeyedBy("MsgID")},
 			{dirs: []string{"internal/seqabcast"}, refuse: mapKeyedBy("uint64")},
+			{dirs: []string{"internal/seqabcast"}, refuse: mapKeyedByNamedOtherThan("MsgID", "received")},
 			{dirs: []string{"internal/consensus"}, refuse: mapKeyedBy("")},
 		},
 		plants: []archPlant{
@@ -320,7 +380,10 @@ var architectureRules = []archRule{
 			{"internal/groups/router.go", "func f() { _ = make(map[MsgID]bool) }", true},
 			{"internal/seqabcast/seqabcast.go", "var assigned map[uint64]proto.MsgID", true},
 			{"internal/consensus/consensus.go", "var rounds map[int]*round", true},
+			{"internal/seqabcast/seqabcast.go", "var seqOf map[proto.MsgID]uint64", true},
+			{"internal/seqabcast/seqabcast.go", "func f() { seen := make(map[proto.MsgID]bool) }", true},
 			{"internal/seqabcast/seqabcast.go", "var received map[proto.MsgID]bool // sparse across origins", false},
+			{"internal/seqabcast/seqabcast.go", "func f() *Process { return &Process{received: make(map[proto.MsgID]any)} }", false},
 			{"internal/consensus/consensus.go", "// a map[int]*round would iterate in random order", false},
 			{"internal/experiment/scenario_test.go", "var sent map[proto.MsgID]sim.Time", false},
 		},
