@@ -112,8 +112,7 @@ type ClusterConfig struct {
 	// CrossShard is the fraction of broadcasts — the built-in Poisson
 	// workload's arrivals and Broadcast calls alike — sent cross-shard
 	// (home group plus one uniformly random other group); the rest stays
-	// shard-local. Groups mode only; a ShardMix load event changes it
-	// mid-run.
+	// shard-local. Groups mode only, for the whole run.
 	CrossShard float64
 }
 
@@ -355,5 +354,5 @@ func (c *Cluster) SetTrace(fn func(NetEvent)) {
 // Detectors returns a QoS with the given metrics in milliseconds, the
 // unit the paper uses throughout.
 func Detectors(tdMs, tmrMs, tmMs float64) QoS {
-	return fd.QoS{TD: Milliseconds(tdMs), TMR: Milliseconds(tmrMs), TM: Milliseconds(tmMs)}
+	return fd.QoS{TD: milliseconds(tdMs), TMR: milliseconds(tmrMs), TM: milliseconds(tmMs)}
 }

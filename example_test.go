@@ -70,10 +70,12 @@ func ExampleCluster_SuspectAt() {
 	// final view: 3 members (p2 excluded and rejoined)
 }
 
-// ExampleRunTransient measures the crash-transient scenario: the latency
-// of a message broadcast at the very instant the coordinator crashes.
-func ExampleRunTransient() {
-	res := repro.RunTransient(repro.TransientConfig{
+// ExampleRunner_Transient measures the crash-transient scenario: the
+// latency of a message broadcast at the very instant the coordinator
+// crashes.
+func ExampleRunner_Transient() {
+	var r repro.Runner
+	res := r.Transient(repro.TransientConfig{
 		Config: repro.Config{
 			Algorithm:    repro.FD,
 			N:            3,

@@ -88,7 +88,7 @@ func main() {
 
 	// The same scenario as data: one Sweep crossing both plans with both
 	// algorithms is the batch form (see cmd/figures -fig overload).
-	fmt.Println("\nsweep form: repro.RunSweep(repro.Sweep{Plans: {nil, faults}, Loads: {nil, load}, ...})")
+	fmt.Println("\nsweep form: Runner.Sweep(repro.Sweep{Plans: {nil, faults}, Loads: {nil, load}, ...})")
 }
 
 func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }

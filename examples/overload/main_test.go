@@ -32,5 +32,5 @@ func Example() {
 	//   -> GM: the minority rejoined with state transfer and re-announced its
 	//      burst-era backlog - everything lands, the tail just stretches.
 	//
-	// sweep form: repro.RunSweep(repro.Sweep{Plans: {nil, faults}, Loads: {nil, load}, ...})
+	// sweep form: Runner.Sweep(repro.Sweep{Plans: {nil, faults}, Loads: {nil, load}, ...})
 }

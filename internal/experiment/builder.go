@@ -44,7 +44,7 @@ type CoreConfig struct {
 	Groups *groups.GroupMap
 	// CrossShard is the fraction of Broadcast calls addressed to a second
 	// group besides the sender's home group (groups mode only), in
-	// [0, 1]. A ShardMix load event changes it mid-run.
+	// [0, 1], for the whole run.
 	CrossShard float64
 	// QoS parameterises the modelled failure detectors.
 	QoS fd.QoS
@@ -200,7 +200,7 @@ func (cfg CoreConfig) Validate() error {
 	if err := cfg.checkPlan(orEmpty(cfg.Plan).Events); err != nil {
 		return err
 	}
-	if err := cfg.checkLoad(orEmpty(cfg.Load).Events); err != nil {
+	if err := validate("load", orEmpty(cfg.Load).Events, cfg.N); err != nil {
 		return err
 	}
 	if cfg.CrossShard < 0 || cfg.CrossShard > 1 || cfg.CrossShard != cfg.CrossShard {
@@ -231,17 +231,6 @@ func (cfg *CoreConfig) checkPlan(events []PlanEvent) error {
 	}
 	if hasEvent[Recover](events) && cfg.grouped() && stackOf(cfg.Algorithm).rejoins {
 		return fmt.Errorf("experiment: crash-recovery is unsupported for %v in groups mode (it recovers by rejoining, and group instances have no per-group rejoin)", cfg.Algorithm)
-	}
-	return nil
-}
-
-// checkLoad is checkPlan's load-side sibling.
-func (cfg *CoreConfig) checkLoad(events []LoadEvent) error {
-	if err := validate("load", events, cfg.N); err != nil {
-		return err
-	}
-	if hasEvent[ShardMix](events) && !cfg.grouped() {
-		return fmt.Errorf("experiment: shardmix load event without a (non-trivial) Groups map")
 	}
 	return nil
 }
@@ -291,13 +280,12 @@ type Core struct {
 	ends  []groups.Endpoint
 	first []int
 	specs []endpointSpec
-	// crossFrac and mixRng drive the groups-mode destination choice of
-	// Broadcast. The dedicated "mix" stream is drawn only when crossFrac
-	// is positive, so a zero fraction consumes no randomness. mixDests is
-	// Broadcast's scratch for the destination list it returns.
-	crossFrac float64
-	mixRng    *sim.Rand
-	mixDests  [2]int
+	// mixRng drives the groups-mode destination choice of Broadcast with
+	// cfg.CrossShard. The dedicated "mix" stream is drawn only when the
+	// fraction is positive, so a zero fraction consumes no randomness.
+	// mixDests is Broadcast's scratch for the destination list it returns.
+	mixRng   *sim.Rand
+	mixDests [2]int
 	// The workload StartLoad starts, kept for the next one: sources[p] is
 	// p's Poisson source once p has been a sender, live[p] the same for
 	// this run's senders only (what Loads acts on), senders this run's
@@ -374,7 +362,6 @@ func (c *Core) Reset(cfg CoreConfig) {
 	}
 	c.members()
 	if cfg.Groups != nil {
-		c.crossFrac = cfg.CrossShard
 		c.mixRng = sim.NewRand(cfg.Seed).Fork("mix")
 		if keepEnds {
 			// The system's reset kept every router as its process's root
@@ -592,7 +579,7 @@ func (c *Core) Broadcast(sender int, body any) (proto.MsgID, []int) {
 	home := m.Home(proto.PID(sender))
 	dests := c.mixDests[:1]
 	dests[0] = home
-	if c.crossFrac > 0 && m.NumGroups() > 1 && c.mixRng.Float64() < c.crossFrac {
+	if frac := c.cfg.CrossShard; frac > 0 && m.NumGroups() > 1 && c.mixRng.Float64() < frac {
 		other := c.mixRng.Intn(m.NumGroups() - 1)
 		if other >= home {
 			other++
@@ -653,9 +640,6 @@ func (c *Core) StartLoad(fire func(sender int)) {
 		c.loads.reset(c.cfg.Throughput, n, c.live)
 	}
 	c.Loads = c.loads
-	if c.Coord != nil {
-		c.Loads.OnShardMix = func(fraction float64) { c.crossFrac = fraction }
-	}
 	c.Loads.Install(orEmpty(c.cfg.Load).Events)
 }
 
@@ -680,7 +664,7 @@ func (c *Core) Apply(ev PlanEvent) error {
 
 // ApplyLoad is Apply's load-side sibling; StartLoad must have run.
 func (c *Core) ApplyLoad(ev LoadEvent) error {
-	if err := c.cfg.checkLoad([]LoadEvent{ev}); err != nil {
+	if err := validate("load", []LoadEvent{ev}, c.cfg.N); err != nil {
 		return err
 	}
 	c.Loads.Schedule(ev)

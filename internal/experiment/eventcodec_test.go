@@ -23,13 +23,12 @@ var (
 		"link":      LinkFault{At: time.Second, From: 1, To: 2, Loss: 0.25, ExtraDelay: time.Millisecond},
 	}
 	loadSamples = map[string]LoadEvent{
-		"rate":     RateChange{At: time.Second, Sender: AllSenders, Rate: 300},
-		"burst":    Burst{At: time.Second, Sender: 2, Factor: 4, For: time.Millisecond},
-		"mute":     Mute{At: time.Second, Sender: 3},
-		"unmute":   Unmute{At: 2 * time.Second, Sender: 3},
-		"pause":    Pause{At: time.Second},
-		"resume":   Resume{At: 2 * time.Second},
-		"shardmix": ShardMix{At: time.Second, Fraction: 0.5},
+		"rate":   RateChange{At: time.Second, Sender: AllSenders, Rate: 300},
+		"burst":  Burst{At: time.Second, Sender: 2, Factor: 4, For: time.Millisecond},
+		"mute":   Mute{At: time.Second, Sender: 3},
+		"unmute": Unmute{At: 2 * time.Second, Sender: 3},
+		"pause":  Pause{At: time.Second},
+		"resume": Resume{At: 2 * time.Second},
 	}
 )
 

@@ -104,7 +104,7 @@ type Config struct {
 	Groups *groups.GroupMap
 	// CrossShard is the fraction of generated broadcasts addressed to a
 	// second group besides the sender's home group (groups mode only),
-	// in [0, 1]. A ShardMix load event changes it mid-run.
+	// in [0, 1], for the whole run.
 	CrossShard float64
 	// QoS parameterises the failure detectors (§6.2). Ignored when
 	// Detector selects the concrete heartbeat implementation.
@@ -351,13 +351,4 @@ type TransientResult struct {
 	Quantiles stats.Quantiles
 	// Lost counts replications whose probe was never delivered.
 	Lost int
-}
-
-// RunTransient measures L(p, q): the latency of a message A-broadcast by
-// Sender at the exact instant Crash crashes, after the system reached a
-// steady state under background load. It is a thin wrapper over a
-// zero-value Runner.
-func RunTransient(cfg TransientConfig) TransientResult {
-	var r Runner
-	return r.Transient(cfg)
 }

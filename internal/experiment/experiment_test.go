@@ -164,10 +164,10 @@ func TestCrashTransientFDBeatsGM(t *testing.T) {
 	base.Replications = 5
 	fdCfg := base
 	fdCfg.Algorithm = FD
-	fdRes := RunTransient(fdCfg)
+	fdRes := (&Runner{}).Transient(fdCfg)
 	gmCfg := base
 	gmCfg.Algorithm = GM
-	gmRes := RunTransient(gmCfg)
+	gmRes := (&Runner{}).Transient(gmCfg)
 	if fdRes.Lost > 0 || gmRes.Lost > 0 {
 		t.Fatalf("lost probes: FD %d, GM %d", fdRes.Lost, gmRes.Lost)
 	}
@@ -202,8 +202,8 @@ func TestCrashTransientNonCoordinatorCheapForFD(t *testing.T) {
 	coord.Crash, coord.Sender = 0, 1
 	bystander := base
 	bystander.Crash, bystander.Sender = 2, 1
-	coordRes := RunTransient(coord)
-	byRes := RunTransient(bystander)
+	coordRes := (&Runner{}).Transient(coord)
+	byRes := (&Runner{}).Transient(bystander)
 	if byRes.Latency.Mean >= coordRes.Latency.Mean {
 		t.Fatalf("bystander crash (%v ms) not cheaper than coordinator crash (%v ms)",
 			byRes.Latency.Mean, coordRes.Latency.Mean)
@@ -236,7 +236,7 @@ func TestWorstCaseTransientPicksMaximum(t *testing.T) {
 	// The worst case must be at least as bad as any single pair.
 	single := cfg
 	single.Sender = 1
-	res := RunTransient(single)
+	res := (&Runner{}).Transient(single)
 	if worst.Latency.Mean < res.Latency.Mean {
 		t.Fatalf("worst case %v below a sampled pair %v", worst.Latency.Mean, res.Latency.Mean)
 	}
@@ -277,7 +277,7 @@ func TestValidation(t *testing.T) {
 				t.Error("crash == sender did not panic")
 			}
 		}()
-		RunTransient(TransientConfig{
+		(&Runner{}).Transient(TransientConfig{
 			Config: fast(Config{Algorithm: FD, N: 3}),
 			Crash:  1, Sender: 1,
 		})

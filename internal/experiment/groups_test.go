@@ -104,7 +104,7 @@ func TestGroupsChainedCrossGroupOrder(t *testing.T) {
 // The dense end of the overlap spectrum: a hub member in every group
 // orders every cross-group message pair through its own clocks.
 func TestGroupsCliqueOverlapOrder(t *testing.T) {
-	m := groups.CliqueOverlap(7, 3)
+	m := groups.New(7, [][]proto.PID{{0, 1, 2}, {0, 3, 4}, {0, 5, 6}})
 	h := newGroupsHarness(t, FD, m, fd.QoS{}, nil)
 	for i := 0; i < 6; i++ {
 		p := (i % 6) + 1
@@ -194,7 +194,6 @@ func TestGroupsSweepDeterministicAcrossWorkers(t *testing.T) {
 			Replications: 2,
 			Seed:         17,
 			CrossShard:   0.25,
-			Load:         NewLoadPlan().Mix(600*time.Millisecond, 0.5),
 		},
 		GroupMaps: []*groups.GroupMap{
 			groups.Disjoint(8, 2),
@@ -249,7 +248,6 @@ func TestGroupsTraceReplays(t *testing.T) {
 		Seed:         11,
 		Groups:       groups.Chained(6, 2),
 		CrossShard:   0.3,
-		Load:         NewLoadPlan().Mix(700*time.Millisecond, 0.6),
 	}
 	text := fullTrace(t, func(tr *Trace, _ *Invariants) {
 		cfg.Observers = []ObserverFactory{tr.Observer}
@@ -267,7 +265,6 @@ func TestGroupsConfigValidation(t *testing.T) {
 		func(c *Config) { c.Groups = groups.Disjoint(7, 2) },                                        // N mismatch
 		func(c *Config) { c.CrossShard = 1.5 },                                                      // fraction out of range
 		func(c *Config) { c.Groups = nil; c.CrossShard = 0.5 },                                      // cross-shard without groups
-		func(c *Config) { c.Groups = nil; c.Load = NewLoadPlan().Mix(0, 0.5) },                      // shardmix without groups
 		func(c *Config) { c.Plan = NewFaultPlan().Crash(time.Second, 5).Recover(2*time.Second, 5) }, // GM recovery
 	}
 	for i, mod := range cases {

@@ -59,8 +59,8 @@ func (p *LoadPlan) add(ev LoadEvent) *LoadPlan {
 }
 
 // LoadEvent is one typed event on a LoadPlan's timeline. The concrete
-// types are RateChange, Burst, Mute, Unmute, Pause, Resume and ShardMix
-// (loadKinds lists them); the set is closed because every consumer (the
+// types are RateChange, Burst, Mute, Unmute, Pause and Resume (loadKinds
+// lists them); the set is closed because every consumer (the
 // installer, the trace format, validation) must understand every event.
 type LoadEvent interface {
 	event
@@ -227,37 +227,6 @@ func (Resume) String() string        { return "resume" }
 func (Resume) check(int) error       { return nil }
 func (Resume) apply(l *Loads)        { l.setPaused(false) }
 
-// ShardMix sets the workload's cross-shard fraction at instant At
-// (groups mode only, see Config.Groups): from this instant each
-// generated broadcast is addressed to the sender's home group plus one
-// other group with probability Fraction, and stays shard-local
-// otherwise. It is how a sweep point walks the shard-local/cross-shard
-// spectrum mid-run; Config.CrossShard sets the fraction the run starts
-// with.
-type ShardMix struct {
-	At       time.Duration `json:"at,omitempty"`
-	Fraction float64       `json:"fraction,omitempty"`
-}
-
-func (e ShardMix) When() time.Duration { return e.At }
-func (ShardMix) loadEvent() string     { return "shardmix" }
-func (e ShardMix) String() string      { return fmt.Sprintf("shardmix f=%g", e.Fraction) }
-
-func (e ShardMix) check(int) error {
-	if e.Fraction < 0 || e.Fraction > 1 || e.Fraction != e.Fraction {
-		return fmt.Errorf("experiment: load shardmix with invalid fraction %v (want 0..1)", e.Fraction)
-	}
-	return nil
-}
-
-// apply hands the fraction to the groups-mode Core's hook; without one
-// the event is a no-op (validation rejects the combination).
-func (e ShardMix) apply(l *Loads) {
-	if l.OnShardMix != nil {
-		l.OnShardMix(e.Fraction)
-	}
-}
-
 // Rate appends a RateChange event and returns the plan for chaining;
 // sender AllSenders re-spreads rate as a new total throughput.
 func (p *LoadPlan) Rate(at time.Duration, sender proto.PID, rate float64) *LoadPlan {
@@ -288,11 +257,6 @@ func (p *LoadPlan) Pause(at time.Duration) *LoadPlan {
 // Resume appends a Resume event.
 func (p *LoadPlan) Resume(at time.Duration) *LoadPlan {
 	return p.add(Resume{At: at})
-}
-
-// Mix appends a ShardMix event setting the cross-shard fraction.
-func (p *LoadPlan) Mix(at time.Duration, fraction float64) *LoadPlan {
-	return p.add(ShardMix{At: at, Fraction: fraction})
 }
 
 // maxRate bounds any per-sender rate a load plan can produce, and
@@ -329,9 +293,6 @@ type Loads struct {
 	// entries (pre-crashed senders, which generate no load) absorb events
 	// as no-ops.
 	sources []*workload.Poisson
-	// OnShardMix, if non-nil, receives ShardMix events' fractions — a
-	// groups-mode Core hooks it to retarget Broadcast.
-	OnShardMix func(fraction float64)
 
 	base   []float64 // logical per-sender rate, msgs/s
 	factor []float64 // product of the sender's active burst factors
@@ -356,7 +317,7 @@ func NewLoads(eng *sim.Engine, total float64, nominal int, sources []*workload.P
 
 // reset returns the installer to the state NewLoads leaves it in, on its
 // own engine, for sources of the same length: no event applied or
-// observed, no shard-mix hook.
+// observed.
 func (l *Loads) reset(total float64, nominal int, sources []*workload.Poisson) {
 	*l = Loads{
 		installer: installer[LoadEvent]{eng: l.eng, apply: l.apply},

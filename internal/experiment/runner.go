@@ -129,7 +129,10 @@ func (r *Runner) SteadyAll(cfgs []Config) []Result {
 	return out
 }
 
-// Transient runs one crash-transient point, replications in parallel.
+// Transient measures L(p, q) at one crash-transient point: the latency of
+// a message A-broadcast by Sender at the exact instant Crash crashes, after
+// the system reached a steady state under background load. Replications
+// run in parallel.
 func (r *Runner) Transient(cfg TransientConfig) TransientResult {
 	return r.TransientAll([]TransientConfig{cfg})[0]
 }
@@ -220,9 +223,9 @@ type Sweep struct {
 	Loads []*LoadPlan
 	// GroupMaps sweeps the group assignment: each entry is one
 	// Config.Groups — a generated or raw groups.GroupMap, or nil for the
-	// ungrouped broadcast point. Crossed with Loads (ShardMix events) and
-	// Throughputs, one grid walks shard-local scaling against group count
-	// and cross-shard fraction. Entries must cover the point's N.
+	// ungrouped broadcast point. Crossed with Throughputs, one grid walks
+	// shard-local scaling against group count; Base.CrossShard sets the
+	// cross-shard fraction. Entries must cover the point's N.
 	GroupMaps []*groups.GroupMap
 }
 

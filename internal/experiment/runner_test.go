@@ -50,7 +50,7 @@ func TestWorstCaseTransientCoversFullGrid(t *testing.T) {
 			}
 			point := cfg
 			point.Sender = proto.PID(q)
-			res := RunTransient(point)
+			res := (&Runner{}).Transient(point)
 			if res.Latency.N > 0 && res.Latency.Mean > best {
 				best = res.Latency.Mean
 				bestCfg = point

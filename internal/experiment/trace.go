@@ -188,13 +188,12 @@ var (
 		"link":      decodeAs[LinkFault, PlanEvent],
 	}
 	loadKinds = map[string]func([]byte) (LoadEvent, error){
-		"rate":     decodeAs[RateChange, LoadEvent],
-		"burst":    decodeAs[Burst, LoadEvent],
-		"mute":     decodeAs[Mute, LoadEvent],
-		"unmute":   decodeAs[Unmute, LoadEvent],
-		"pause":    decodeAs[Pause, LoadEvent],
-		"resume":   decodeAs[Resume, LoadEvent],
-		"shardmix": decodeAs[ShardMix, LoadEvent],
+		"rate":   decodeAs[RateChange, LoadEvent],
+		"burst":  decodeAs[Burst, LoadEvent],
+		"mute":   decodeAs[Mute, LoadEvent],
+		"unmute": decodeAs[Unmute, LoadEvent],
+		"pause":  decodeAs[Pause, LoadEvent],
+		"resume": decodeAs[Resume, LoadEvent],
 	}
 )
 

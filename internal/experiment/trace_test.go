@@ -122,7 +122,7 @@ func TestTraceReplayTransient(t *testing.T) {
 	}
 	text := fullTrace(t, func(tr *Trace, _ *Invariants) {
 		cfg.Observers = []ObserverFactory{tr.Observer}
-		if res := RunTransient(cfg); res.Lost > 0 {
+		if res := (&Runner{}).Transient(cfg); res.Lost > 0 {
 			t.Fatalf("lost probes: %+v", res)
 		}
 	})
@@ -187,6 +187,8 @@ var badHeaders = map[string]string{
 	"geo topology without sites":   `"topo":{"gen":"geo","n":3,"sites":0,"perSite":0}`,
 	"unknown plan kind":            `"plan":[{"kind":"meteor","at":5}]`,
 	"retired precrash kind":        `"plan":[{"kind":"precrash","p":1}]`,
+	"retired shardmix kind":        `"load":[{"kind":"shardmix","at":5,"fraction":0.5}]`,
+	"retired cliqueoverlap map":    `"groups":{"kind":"cliqueoverlap","n":3,"k":2}`,
 	"unknown load kind":            `"load":[{"kind":"flood"}]`,
 	"plan event of a load kind":    `"plan":[{"kind":"mute","sender":1}]`,
 	"event without a kind":         `"plan":[{"at":5,"p":1}]`,
@@ -205,6 +207,14 @@ var badHeaders = map[string]string{
 	"transient crash pre-crashed":  `"kind":"transient","crashed":[2],"crash":2,"sender":1`,
 }
 
+// retiredKinds holds the bad headers that name a kind the format no
+// longer has, with the error each must give: the kind by name.
+var retiredKinds = map[string]string{
+	"retired precrash kind":     `unknown plan event kind "precrash"`,
+	"retired shardmix kind":     `unknown load event kind "shardmix"`,
+	"retired cliqueoverlap map": `unknown group map kind "cliqueoverlap"`,
+}
+
 func badHeaderLine(extra string) string {
 	return `C {"kind":"steady","alg":1,"n":3,"throughput":10,"seed":1,"warmup":1,"measure":1,"drain":1,"replications":1,` + extra + "}"
 }
@@ -217,6 +227,8 @@ func TestReplayRejectsBadHeaders(t *testing.T) {
 		results, err := Replay(strings.NewReader(badHeaderLine(extra) + "\nE 0000000000000000\n"))
 		if err == nil {
 			t.Errorf("%s: replayed without error: %+v", name, results)
+		} else if want := retiredKinds[name]; !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: %v, want an error naming the kind (%s)", name, err, want)
 		}
 	}
 }
@@ -318,8 +330,6 @@ func goldenHeaderConfigs() (steady, transient Config) {
 			Unmute{At: 2100 * ms, Sender: AllSenders},
 			Pause{At: 3000 * ms},
 			Resume{At: 3100 * ms},
-			ShardMix{At: 3500 * ms, Fraction: 0.75},
-			ShardMix{At: 3600 * ms},
 		),
 	}
 	transient = Config{
@@ -341,13 +351,13 @@ func goldenHeaderConfigs() (steady, transient Config) {
 // the byte fence of the header format: never re-record them to make a
 // change pass.
 const (
-	goldenSteadyHeader    = `C {"kind":"steady","point":3,"rep":1,"alg":1,"n":8,"throughput":120,"lambda":2,"crashed":[7,5],"disableRenumber":true,"seed":42,"warmup":300000000,"measure":4000000000,"drain":6000000000,"replications":3,"hbInterval":5000000,"hbTimeout":15000000,"topo":{"gen":"geo","n":8,"sites":4,"perSite":2,"wan":{"delay":20000000,"loss":0.01}},"groups":{"kind":"raw","n":8,"raw":[[0,1],[2,3],[4,5],[6,7]]},"crossShard":0.25,"plan":[{"kind":"crash"},{"kind":"crash","at":1000000000,"p":3},{"kind":"recover","at":2000000000,"p":3},{"kind":"suspect","at":1500000000,"p":2,"for":50000000,"by":[0,1]},{"kind":"suspect","at":1600000000,"p":1},{"kind":"partition","at":2500000000,"groups":[[0,1,2,3],[4,5,6]]},{"kind":"heal","at":3000000000},{"kind":"link","at":3200000000,"from":1,"to":4,"loss":0.5,"delay":3000000},{"kind":"link","at":3400000000,"from":4},{"kind":"partition","at":3600000000,"groups":[[2,3,4,5],[0,1,6,7]]},{"kind":"heal","at":3700000000}],"load":[{"kind":"rate"},{"kind":"rate","at":1000000000,"sender":-1,"rate":300},{"kind":"burst","at":1200000000,"sender":2,"factor":4,"for":200000000},{"kind":"burst","at":1300000000,"sender":-1,"factor":0.5},{"kind":"mute"},{"kind":"mute","at":2000000000,"sender":3},{"kind":"unmute","at":2100000000,"sender":-1},{"kind":"pause","at":3000000000},{"kind":"resume","at":3100000000},{"kind":"shardmix","at":3500000000,"fraction":0.75},{"kind":"shardmix","at":3600000000}]}`
+	goldenSteadyHeader    = `C {"kind":"steady","point":3,"rep":1,"alg":1,"n":8,"throughput":120,"lambda":2,"crashed":[7,5],"disableRenumber":true,"seed":42,"warmup":300000000,"measure":4000000000,"drain":6000000000,"replications":3,"hbInterval":5000000,"hbTimeout":15000000,"topo":{"gen":"geo","n":8,"sites":4,"perSite":2,"wan":{"delay":20000000,"loss":0.01}},"groups":{"kind":"raw","n":8,"raw":[[0,1],[2,3],[4,5],[6,7]]},"crossShard":0.25,"plan":[{"kind":"crash"},{"kind":"crash","at":1000000000,"p":3},{"kind":"recover","at":2000000000,"p":3},{"kind":"suspect","at":1500000000,"p":2,"for":50000000,"by":[0,1]},{"kind":"suspect","at":1600000000,"p":1},{"kind":"partition","at":2500000000,"groups":[[0,1,2,3],[4,5,6]]},{"kind":"heal","at":3000000000},{"kind":"link","at":3200000000,"from":1,"to":4,"loss":0.5,"delay":3000000},{"kind":"link","at":3400000000,"from":4},{"kind":"partition","at":3600000000,"groups":[[2,3,4,5],[0,1,6,7]]},{"kind":"heal","at":3700000000}],"load":[{"kind":"rate"},{"kind":"rate","at":1000000000,"sender":-1,"rate":300},{"kind":"burst","at":1200000000,"sender":2,"factor":4,"for":200000000},{"kind":"burst","at":1300000000,"sender":-1,"factor":0.5},{"kind":"mute"},{"kind":"mute","at":2000000000,"sender":3},{"kind":"unmute","at":2100000000,"sender":-1},{"kind":"pause","at":3000000000},{"kind":"resume","at":3100000000}]}`
 	goldenTransientHeader = `C {"kind":"transient","point":0,"rep":0,"alg":2,"n":3,"throughput":30,"lambda":1,"td":10000000,"tmr":1000000000,"tm":2000000,"seed":1,"warmup":300000000,"measure":20000000000,"drain":8000000000,"replications":2,"hbInterval":10000000,"hbTimeout":30000000,"crash":2,"sender":1}`
 )
 
 // legacySteadyHeader is the steady C line as builds with sketch-mode
 // distributions wrote it. It is decode-only: replay ignores the key.
-const legacySteadyHeader = `C {"kind":"steady","point":3,"rep":1,"alg":1,"n":8,"throughput":120,"lambda":2,"crashed":[7,5],"disableRenumber":true,"distSketch":0.01,"seed":42,"warmup":300000000,"measure":4000000000,"drain":6000000000,"replications":3,"hbInterval":5000000,"hbTimeout":15000000,"topo":{"gen":"geo","n":8,"sites":4,"perSite":2,"wan":{"delay":20000000,"loss":0.01}},"groups":{"kind":"raw","n":8,"raw":[[0,1],[2,3],[4,5],[6,7]]},"crossShard":0.25,"plan":[{"kind":"crash"},{"kind":"crash","at":1000000000,"p":3},{"kind":"recover","at":2000000000,"p":3},{"kind":"suspect","at":1500000000,"p":2,"for":50000000,"by":[0,1]},{"kind":"suspect","at":1600000000,"p":1},{"kind":"partition","at":2500000000,"groups":[[0,1,2,3],[4,5,6]]},{"kind":"heal","at":3000000000},{"kind":"link","at":3200000000,"from":1,"to":4,"loss":0.5,"delay":3000000},{"kind":"link","at":3400000000,"from":4},{"kind":"partition","at":3600000000,"groups":[[2,3,4,5],[0,1,6,7]]},{"kind":"heal","at":3700000000}],"load":[{"kind":"rate"},{"kind":"rate","at":1000000000,"sender":-1,"rate":300},{"kind":"burst","at":1200000000,"sender":2,"factor":4,"for":200000000},{"kind":"burst","at":1300000000,"sender":-1,"factor":0.5},{"kind":"mute"},{"kind":"mute","at":2000000000,"sender":3},{"kind":"unmute","at":2100000000,"sender":-1},{"kind":"pause","at":3000000000},{"kind":"resume","at":3100000000},{"kind":"shardmix","at":3500000000,"fraction":0.75},{"kind":"shardmix","at":3600000000}]}`
+const legacySteadyHeader = `C {"kind":"steady","point":3,"rep":1,"alg":1,"n":8,"throughput":120,"lambda":2,"crashed":[7,5],"disableRenumber":true,"distSketch":0.01,"seed":42,"warmup":300000000,"measure":4000000000,"drain":6000000000,"replications":3,"hbInterval":5000000,"hbTimeout":15000000,"topo":{"gen":"geo","n":8,"sites":4,"perSite":2,"wan":{"delay":20000000,"loss":0.01}},"groups":{"kind":"raw","n":8,"raw":[[0,1],[2,3],[4,5],[6,7]]},"crossShard":0.25,"plan":[{"kind":"crash"},{"kind":"crash","at":1000000000,"p":3},{"kind":"recover","at":2000000000,"p":3},{"kind":"suspect","at":1500000000,"p":2,"for":50000000,"by":[0,1]},{"kind":"suspect","at":1600000000,"p":1},{"kind":"partition","at":2500000000,"groups":[[0,1,2,3],[4,5,6]]},{"kind":"heal","at":3000000000},{"kind":"link","at":3200000000,"from":1,"to":4,"loss":0.5,"delay":3000000},{"kind":"link","at":3400000000,"from":4},{"kind":"partition","at":3600000000,"groups":[[2,3,4,5],[0,1,6,7]]},{"kind":"heal","at":3700000000}],"load":[{"kind":"rate"},{"kind":"rate","at":1000000000,"sender":-1,"rate":300},{"kind":"burst","at":1200000000,"sender":2,"factor":4,"for":200000000},{"kind":"burst","at":1300000000,"sender":-1,"factor":0.5},{"kind":"mute"},{"kind":"mute","at":2000000000,"sender":3},{"kind":"unmute","at":2100000000,"sender":-1},{"kind":"pause","at":3000000000},{"kind":"resume","at":3100000000}]}`
 
 // TestTraceHeaderGolden pins the trace header byte for byte, and checks
 // the recorded bytes decode back to the configuration that wrote them.

@@ -13,10 +13,9 @@
 // The package has two halves:
 //
 //   - GroupMap (this file): the assignment of processes to groups, with
-//     generators spanning the overlap spectrum — Disjoint, Chained
-//     (adjacent groups share a bridge process), CliqueOverlap (every
-//     group shares one hub) — plus FromSites (a Geo topology's sites,
-//     1:1) and a compact Spec for trace headers;
+//     generators Disjoint and Chained (adjacent groups share a bridge
+//     process), plus FromSites (a Geo topology's sites, 1:1), raw member
+//     lists (New) and a compact Spec for trace headers;
 //   - Router (router.go): the per-process protocol layer that owns the
 //     per-group instances, disseminates destination-group-addressed
 //     messages, and merges the per-group timestamp streams into one
@@ -33,9 +32,9 @@ import (
 
 // GroupMap assigns the N processes of a simulation to groups. Groups may
 // overlap; every process must belong to at least one group. Build one
-// with a generator (Disjoint, Chained, CliqueOverlap, FromSites) or from
-// raw member lists via New, then carry it on Config.Groups /
-// ClusterConfig.Groups or sweep it via Sweep.GroupMaps.
+// with a generator (Disjoint, Chained, FromSites) or from raw member lists
+// via New, then carry it on Config.Groups / ClusterConfig.Groups or sweep
+// it via Sweep.GroupMaps.
 type GroupMap struct {
 	n      int
 	groups [][]proto.PID // per group, strictly ascending members
@@ -252,33 +251,6 @@ func Chained(n, k int) *GroupMap {
 	return m
 }
 
-// CliqueOverlap splits processes 1..n-1 into k near-equal shards and
-// puts process 0 in every group — a hub member through which every pair
-// of groups overlaps, the dense end of the overlap spectrum. It panics
-// unless k >= 1 and n >= k+1.
-func CliqueOverlap(n, k int) *GroupMap {
-	if k < 1 || n < k+1 {
-		panic(fmt.Sprintf("groups: CliqueOverlap(n=%d, k=%d) needs n >= k+1", n, k))
-	}
-	members := make([][]proto.PID, k)
-	rest := n - 1
-	start := 1
-	for g := 0; g < k; g++ {
-		size := rest / k
-		if g < rest%k {
-			size++
-		}
-		members[g] = append(members[g], 0)
-		for i := 0; i < size; i++ {
-			members[g] = append(members[g], proto.PID(start+i))
-		}
-		start += size
-	}
-	m := New(n, members)
-	m.gen = &Spec{Kind: "cliqueoverlap", N: n, K: k}
-	return m
-}
-
 // FromSites builds the group map induced by a topology's site groups —
 // each Geo site becomes one group, 1:1. It panics if the topology
 // declares no groups.
@@ -293,7 +265,7 @@ func FromSites(t *topo.Topology) *GroupMap {
 // generator call when the map came from one, raw member lists otherwise.
 // Trace headers embed it so a replay rebuilds the exact map.
 type Spec struct {
-	Kind string        `json:"kind"` // disjoint | chained | cliqueoverlap | raw
+	Kind string        `json:"kind"` // disjoint | chained | raw
 	N    int           `json:"n"`
 	K    int           `json:"k,omitempty"`   // group count for generated maps
 	Raw  [][]proto.PID `json:"raw,omitempty"` // member lists for raw maps
@@ -321,8 +293,6 @@ func FromSpec(s *Spec) (m *GroupMap, err error) {
 		return Disjoint(s.N, s.K), nil
 	case "chained":
 		return Chained(s.N, s.K), nil
-	case "cliqueoverlap":
-		return CliqueOverlap(s.N, s.K), nil
 	case "raw":
 		return New(s.N, s.Raw), nil
 	default:

@@ -1,6 +1,8 @@
 package groups
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/proto"
@@ -76,19 +78,6 @@ func TestChainedGeneratorBridges(t *testing.T) {
 	}
 }
 
-func TestCliqueOverlapHub(t *testing.T) {
-	m := CliqueOverlap(9, 4)
-	covers(t, m)
-	if len(m.GroupsOf(0)) != 4 {
-		t.Fatalf("hub in %d groups, want all 4", len(m.GroupsOf(0)))
-	}
-	for p := 1; p < 9; p++ {
-		if len(m.GroupsOf(proto.PID(p))) != 1 {
-			t.Fatalf("non-hub %d in %d groups, want 1", p, len(m.GroupsOf(proto.PID(p))))
-		}
-	}
-}
-
 func TestFromSitesMatchesGeo(t *testing.T) {
 	g := topo.Geo(topo.GeoConfig{Sites: 3, PerSite: 3})
 	m := FromSites(g)
@@ -151,7 +140,6 @@ func TestNewPanicsOnInvalidInput(t *testing.T) {
 		func() { New(3, [][]proto.PID{{0, 1}}) }, // process 2 uncovered
 		func() { Disjoint(3, 4) },
 		func() { Chained(3, 3) },
-		func() { CliqueOverlap(3, 3) },
 	}
 	for i, fn := range bad {
 		func() {
@@ -169,7 +157,6 @@ func TestSpecRoundTrip(t *testing.T) {
 	maps := []*GroupMap{
 		Disjoint(8, 4),
 		Chained(7, 3),
-		CliqueOverlap(9, 2),
 		New(4, [][]proto.PID{{0, 1, 2}, {2, 3}}),
 		FromSites(topo.Geo(topo.GeoConfig{Sites: 2, PerSite: 2})),
 	}
@@ -193,8 +180,12 @@ func TestSpecRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if _, err := FromSpec(&Spec{Kind: "bogus"}); err == nil {
-		t.Fatal("unknown kind accepted")
+	// A header naming a generator that no longer exists fails by its name.
+	for _, kind := range []string{"bogus", "cliqueoverlap"} {
+		want := fmt.Sprintf("unknown group map kind %q", kind)
+		if _, err := FromSpec(&Spec{Kind: kind, N: 7, K: 3}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("kind %q: err = %v, want %q", kind, err, want)
+		}
 	}
 	if _, err := FromSpec(&Spec{Kind: "disjoint", N: 2, K: 5}); err == nil {
 		t.Fatal("invalid generator parameters accepted")

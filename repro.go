@@ -18,8 +18,9 @@
 //
 // Two entry points:
 //
-//   - the experiment API (RunSteady, RunTransient) reproduces the paper's
-//     figures — see cmd/figures;
+//   - the experiment API (RunSteady, and a Runner for the crash-transient
+//     scenario and sweeps) reproduces the paper's figures — see
+//     cmd/figures;
 //   - the Cluster API drives a simulated cluster interactively: broadcast
 //     messages, crash processes, inject wrong suspicions, observe
 //     deliveries and views — see the examples directory.
@@ -82,14 +83,11 @@ type TransientResult = experiment.TransientResult
 // returns latency statistics with 95% confidence intervals.
 func RunSteady(cfg Config) Result { return experiment.RunSteady(cfg) }
 
-// RunTransient measures the crash-transient latency L(p, q): a probe
-// message A-broadcast at the instant of a forced crash.
-func RunTransient(cfg TransientConfig) TransientResult {
-	return experiment.RunTransient(cfg)
-}
-
-// Runner executes experiments, fanning independent replications out over
-// a bounded worker pool (Workers: 0 selects GOMAXPROCS, 1 is serial).
+// Runner executes experiments — steady points, crash-transient points
+// (Transient measures the latency L(p, q) of a probe A-broadcast at the
+// instant of a forced crash) and Sweep grids — fanning independent
+// replications out over a bounded worker pool (Workers: 0 selects
+// GOMAXPROCS, 1 is serial).
 // Results are merged in canonical (point, replication) order, so output
 // is bit-identical at any worker count. An optional Progress callback
 // reports completed replications.
@@ -100,14 +98,6 @@ type Runner = experiment.Runner
 // (internal/experiment/runner.go) states once; unset axes inherit the
 // Base config.
 type Sweep = experiment.Sweep
-
-// RunSweep runs every point of the grid on GOMAXPROCS workers and
-// returns results in the grid's canonical point order. Use a Runner
-// directly to bound the worker count or observe progress.
-func RunSweep(s Sweep) []Result {
-	var r Runner
-	return r.Sweep(s)
-}
 
 // Collector is a mergeable latency distribution: Welford moments plus
 // every raw observation, supporting exact quantiles, histograms and the
@@ -235,14 +225,13 @@ type PlanObserver = experiment.PlanObserver
 type LoadPlan = experiment.LoadPlan
 
 // NewLoadPlan creates a plan from the given events; the plan's chainable
-// helpers (Rate, Burst, Mute, Unmute, Pause, Resume, Mix) append further
-// ones.
+// helpers (Rate, Burst, Mute, Unmute, Pause, Resume) append further ones.
 func NewLoadPlan(events ...LoadEvent) *LoadPlan {
 	return experiment.NewLoadPlan(events...)
 }
 
 // LoadEvent is one typed event on a LoadPlan's timeline: one of
-// RateChange, Burst, Mute, Unmute, Pause, Resume or ShardMix.
+// RateChange, Burst, Mute, Unmute, Pause or Resume.
 type LoadEvent = experiment.LoadEvent
 
 // RateChange sets the A-broadcast rate: sender AllSenders re-spreads the
@@ -279,12 +268,12 @@ type LoadObserver = experiment.LoadObserver
 // or ClusterConfig.Heartbeat. Zero values select the defaults (10 ms
 // interval, 3x interval timeout).
 func HeartbeatDetector(intervalMs, timeoutMs float64) *HeartbeatConfig {
-	return &HeartbeatConfig{Interval: Milliseconds(intervalMs), Timeout: Milliseconds(timeoutMs)}
+	return &HeartbeatConfig{Interval: milliseconds(intervalMs), Timeout: milliseconds(timeoutMs)}
 }
 
-// Milliseconds converts a float millisecond count into a time.Duration —
-// a convenience mirroring the paper's habit of quoting everything in ms.
-func Milliseconds(ms float64) time.Duration {
+// milliseconds converts a float millisecond count into a time.Duration,
+// for the constructors that take the paper's unit.
+func milliseconds(ms float64) time.Duration {
 	return time.Duration(ms * float64(time.Millisecond))
 }
 
@@ -349,38 +338,21 @@ func Geo(cfg GeoConfig) *Topology { return topo.Geo(cfg) }
 // at the destinations. Carry one on Config.Groups, Sweep.GroupMaps or
 // ClusterConfig.Groups; nil (or any single-group map covering everyone)
 // is bit-identical to the paper's one-group broadcast path. Build one
-// with a generator below or NewGroupMap; see internal/groups for the
-// ordering protocol.
+// with a generator below; see internal/groups for the ordering protocol.
 type GroupMap = groups.GroupMap
 
 // GroupSpec is the compact self-describing form of a GroupMap that trace
 // headers embed, so a replayed trace rebuilds the exact map.
 type GroupSpec = groups.Spec
 
-// NewGroupMap builds a GroupMap from explicit member lists, one per
-// group. Every process must belong to at least one group. It panics on
-// invalid input.
-func NewGroupMap(n int, members [][]int) *GroupMap {
-	return groups.New(n, proto.PIDGroups(members))
-}
-
 // Disjoint partitions n processes into k equal (±1) disjoint groups —
 // the pure sharding end of the overlap spectrum.
 func Disjoint(n, k int) *GroupMap { return groups.Disjoint(n, k) }
 
 // Chained builds k groups where each adjacent pair shares exactly one
-// bridge process — the sparse-overlap middle of the spectrum.
+// bridge process — the sparse-overlap end of the spectrum.
 func Chained(n, k int) *GroupMap { return groups.Chained(n, k) }
-
-// CliqueOverlap builds k groups all sharing process 0 as a common hub —
-// the dense-overlap end of the spectrum.
-func CliqueOverlap(n, k int) *GroupMap { return groups.CliqueOverlap(n, k) }
 
 // GroupsFromSites derives a GroupMap from a Geo topology: one group per
 // site, containing exactly that site's processes.
 func GroupsFromSites(t *Topology) *GroupMap { return groups.FromSites(t) }
-
-// ShardMix is the LoadPlan event setting the cross-shard traffic
-// fraction mid-run (groups mode only); the plan's Mix helper appends
-// one.
-type ShardMix = experiment.ShardMix

@@ -169,21 +169,32 @@ func (a apiSource) doc(t *testing.T, dir string) *doc.Package {
 // module.
 func (a apiSource) target(t *testing.T, dir, name string) *doc.Type {
 	t.Helper()
-	for hops := 0; ; hops++ {
+	end, endName := a.resolve(t, dir, name)
+	if endName == "" || (end == dir && endName == name) {
+		return nil
+	}
+	for _, typ := range a.doc(t, end).Types {
+		if typ.Name == endName {
+			return typ
+		}
+	}
+	return nil
+}
+
+// resolve follows type name of the package in dir down its alias chain,
+// through the module's own packages, and returns the directory and name of
+// the type it ends at: dir and name themselves when name is no alias, ""
+// names when there is no such type or the chain leaves the module. It
+// reads declarations only, so the package's syntax keeps its bodies.
+func (a apiSource) resolve(t *testing.T, dir, name string) (string, string) {
+	t.Helper()
+	for {
 		ts, ok := a.load(t, dir).types[name]
 		if !ok {
-			return nil
+			return "", ""
 		}
 		if !ts.spec.Assign.IsValid() {
-			if hops == 0 {
-				return nil
-			}
-			for _, typ := range a.doc(t, dir).Types {
-				if typ.Name == name {
-					return typ
-				}
-			}
-			return nil
+			return dir, name
 		}
 		switch x := ts.spec.Type.(type) {
 		case *ast.Ident:
@@ -191,15 +202,15 @@ func (a apiSource) target(t *testing.T, dir, name string) *doc.Type {
 		case *ast.SelectorExpr:
 			qual, ok := x.X.(*ast.Ident)
 			if !ok {
-				return nil
+				return "", ""
 			}
 			path := importPath(ts.file, qual.Name)
 			if !strings.HasPrefix(path, "repro/") {
-				return nil
+				return "", ""
 			}
 			dir, name = strings.TrimPrefix(path, "repro/"), x.Sel.Name
 		default:
-			return nil
+			return "", ""
 		}
 	}
 }
@@ -355,12 +366,16 @@ func TestClusterValidation(t *testing.T) {
 }
 
 func TestHelpers(t *testing.T) {
-	if Milliseconds(1.5) != 1500*time.Microsecond {
-		t.Fatal("Milliseconds conversion wrong")
-	}
 	q := Detectors(10, 100, 5)
 	if q.TD != 10*time.Millisecond || q.TMR != 100*time.Millisecond || q.TM != 5*time.Millisecond {
 		t.Fatalf("Detectors = %+v", q)
+	}
+	ms := 1500 * time.Microsecond
+	if q := Detectors(1.5, 1.5, 1.5); q.TD != ms || q.TMR != ms || q.TM != ms {
+		t.Fatalf("Detectors(1.5, 1.5, 1.5) = %+v, want 1.5ms each", q)
+	}
+	if hb := HeartbeatDetector(1.5, 1.5); hb.Interval != ms || hb.Timeout != ms {
+		t.Fatalf("HeartbeatDetector(1.5, 1.5) = %+v, want 1.5ms each", hb)
 	}
 }
 
@@ -537,7 +552,6 @@ func TestShellsRejectAlike(t *testing.T) {
 		{"suspicion of a process by itself", Config{Algorithm: FD, N: 3, Plan: NewFaultPlan(SuspicionBurst{P: 1, By: []ProcessID{0, 1}})}, "p1 by itself"},
 		{"load names a missing sender", Config{Algorithm: FD, N: 3, Load: NewLoadPlan(Mute{Sender: 4})}, "sender 4"},
 		{"cross-shard without groups", Config{Algorithm: FD, N: 4, CrossShard: 0.5}, "CrossShard"},
-		{"shardmix without groups", Config{Algorithm: FD, N: 4, Load: NewLoadPlan(ShardMix{Fraction: 0.5})}, "shardmix"},
 		{"groups of another size", Config{Algorithm: FD, N: 4, Groups: Disjoint(6, 2)}, "6 processes"},
 		{"rejoining stack recovering in groups mode", Config{Algorithm: GM, N: 4, Groups: Disjoint(4, 2),
 			Plan: NewFaultPlan(Crash{At: time.Millisecond, P: 1}, Recover{At: time.Second, P: 1})}, "crash-recovery"},
@@ -591,9 +605,6 @@ func TestClusterRejectsInteractiveEventsAtTheCall(t *testing.T) {
 	}
 
 	plain := NewCluster(ClusterConfig{Algorithm: FD, N: 3})
-	if msg := rejection(func() { plain.ApplyLoad(ShardMix{At: time.Millisecond, Fraction: 0.5}) }); !strings.Contains(msg, "shardmix") {
-		t.Errorf("ShardMix without groups: %q, want the shardmix rejection", msg)
-	}
 	if msg := rejection(func() { plain.Apply(SuspicionBurst{P: 1, By: []ProcessID{}}) }); !strings.Contains(msg, "empty monitor list") {
 		t.Errorf("Apply of a suspicion by no monitor: %q, want the empty-monitor-list rejection", msg)
 	}

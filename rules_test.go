@@ -99,20 +99,44 @@ func packageDirs(t *testing.T, root string) []string {
 	return dirs
 }
 
-// TestKnobsHaveWriters holds the facade's knob types to the rule of
-// docs/ARCHITECTURE.md, "Options": every field of Sweep, Wire and GeoConfig
-// that golden/api.txt lists is set by name in a composite literal
-// (repro.Sweep{Field: …}) in a non-test file under cmd/ or examples/ — by a
-// command, an example or a benchmark workload. A field no such literal
-// sets is a knob nothing turns: delete it, or write it down here with its
-// reason.
+// TestKnobsHaveWriters holds the facade to the rule of docs/ARCHITECTURE.md,
+// "Options": every line of golden/api.txt of four kinds has a user in a
+// non-test file under cmd/ or examples/ — a command, an example or a
+// benchmark workload:
+//   - a field of Sweep, Wire or GeoConfig is set by name in a composite
+//     literal (repro.Sweep{Field: …});
+//   - a func, and an observer interface (a type named …Observer), is named
+//     by a selector repro.Name;
+//   - an event kind (a type planKinds or loadKinds decodes, the one list of
+//     them) is named by a selector repro.K, or a call names a facade method
+//     whose body builds a K{…} literal (c.SuspectAt builds a SuspicionBurst,
+//     plan.Pause(…) a Pause).
+//
+// Users are found by syntax, not text, so a name inside a string or a
+// comment is none. A line without a user is a name nothing uses: delete
+// it, or write it down here with its reason.
 func TestKnobsHaveWriters(t *testing.T) {
+	const overloadGolden = "overloadPlan() drives golden/digests.txt's load/overload/* lines; a fuzz target of ROADMAP 4"
+	const observers = "an optional observer interface, kept until ROADMAP 5 decides what Metrics implements"
 	exempt := map[string]string{
-		"Wire.Loss": "lossy wires stay for the lossy-network study (ROADMAP 23)",
+		"field Wire.Loss":        "lossy wires stay for the lossy-network study (ROADMAP 23)",
+		"type LinkFault":         "the loss fence of ROADMAP 27 and the lossy channels of ROADMAP 23, like Wire.Loss",
+		"type RateChange":        overloadGolden,
+		"type Resume":            overloadGolden,
+		"type BroadcastObserver": observers,
+		"type LoadObserver":      observers,
+		"type NetObserver":       observers,
+		"type PlanObserver":      observers,
 	}
-	knobType := regexp.MustCompile(`^field ((Sweep|Wire|GeoConfig)\.\w+)$`)
-	written := make(map[string]bool)
+	golden, err := os.ReadFile("golden/api.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	api := strings.Split(strings.TrimSuffix(string(golden), "\n"), "\n")
 	src := apiSource{}
+	kinds := eventKinds(t, src)
+	builds := kindBuilders(t, src, api, kinds)
+	used := make(map[string]bool)
 	for _, root := range []string{"cmd", "examples"} {
 		for _, dir := range packageDirs(t, root) {
 			pkg := src.load(t, dir)
@@ -121,10 +145,24 @@ func TestKnobsHaveWriters(t *testing.T) {
 					continue
 				}
 				ast.Inspect(f, func(n ast.Node) bool {
-					if lit, ok := n.(*ast.CompositeLit); ok && selects(lit.Type, "repro", "Sweep", "Wire", "GeoConfig") {
-						for _, elt := range lit.Elts {
-							if kv, ok := elt.(*ast.KeyValueExpr); ok {
-								written[nameOf(lit.Type)+"."+nameOf(kv.Key)] = true
+					switch n := n.(type) {
+					case *ast.CompositeLit:
+						if selects(n.Type, "repro", "Sweep", "Wire", "GeoConfig") {
+							for _, elt := range n.Elts {
+								if kv, ok := elt.(*ast.KeyValueExpr); ok {
+									used["field "+nameOf(n.Type)+"."+nameOf(kv.Key)] = true
+								}
+							}
+						}
+					case *ast.SelectorExpr:
+						if nameOf(n.X) == "repro" {
+							used["func "+n.Sel.Name] = true
+							used["type "+n.Sel.Name] = true
+						}
+					case *ast.CallExpr:
+						if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+							for _, k := range builds[sel.Sel.Name] {
+								used["type "+k] = true
 							}
 						}
 					}
@@ -133,27 +171,102 @@ func TestKnobsHaveWriters(t *testing.T) {
 			}
 		}
 	}
-	golden, err := os.ReadFile("golden/api.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range strings.Split(string(golden), "\n") {
-		m := knobType.FindStringSubmatch(line)
-		if m == nil {
+	checked := regexp.MustCompile(`^(field (Sweep|Wire|GeoConfig)\.\w+|func \w+|type \w*Observer)$`)
+	for _, line := range api {
+		name, isType := strings.CutPrefix(line, "type ")
+		if !checked.MatchString(line) && !(isType && kinds[name]) {
 			continue
 		}
-		field := m[1]
-		switch reason, ok := exempt[field]; {
-		case ok && written[field]:
-			t.Errorf("%s is exempt (%s), but a command now sets it: drop the exemption", field, reason)
-		case !ok && !written[field]:
-			t.Errorf("%s: no command, example or benchmark workload sets it (docs/ARCHITECTURE.md, \"Options\")", field)
+		switch reason, ok := exempt[line]; {
+		case ok && used[line]:
+			t.Errorf("%s is exempt (%s), but a command now uses it: drop the exemption", line, reason)
+		case !ok && !used[line]:
+			t.Errorf("%s: no command, example or benchmark workload uses it (docs/ARCHITECTURE.md, \"Options\")", line)
 		}
-		delete(exempt, field)
+		delete(exempt, line)
 	}
-	for field := range exempt {
-		t.Errorf("%s is exempt, but golden/api.txt lists no such field", field)
+	for line := range exempt {
+		t.Errorf("%s is exempt, but golden/api.txt lists no such line the test checks", line)
 	}
+}
+
+// eventKinds returns the event types that internal/experiment/trace.go's
+// planKinds and loadKinds decode: the type arguments of their decodeAs
+// entries.
+func eventKinds(t *testing.T, src apiSource) map[string]bool {
+	t.Helper()
+	kinds := make(map[string]bool)
+	pkg := src.load(t, "internal/experiment")
+	for _, f := range pkg.files {
+		if filepath.Base(pkg.fset.File(f.Pos()).Name()) != "trace.go" {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			spec, ok := n.(*ast.ValueSpec)
+			if !ok || len(spec.Names) != 1 || (spec.Names[0].Name != "planKinds" && spec.Names[0].Name != "loadKinds") {
+				return true
+			}
+			ast.Inspect(spec, func(m ast.Node) bool {
+				if x, ok := m.(*ast.IndexListExpr); ok && nameOf(x.X) == "decodeAs" {
+					kinds[nameOf(x.Indices[0])] = true
+				}
+				return true
+			})
+			return false
+		})
+	}
+	if len(kinds) == 0 {
+		t.Fatal("internal/experiment/trace.go: planKinds and loadKinds decode no event kind: the check checks nothing")
+	}
+	return kinds
+}
+
+// kindBuilders maps the name of each facade method (a "method T.M" line of
+// api) to the event kinds its body builds as composite literals. The
+// method is looked up where T's alias chain ends, in src's unedited
+// syntax: a source that built documentation has lost its bodies.
+func kindBuilders(t *testing.T, src apiSource, api []string, kinds map[string]bool) map[string][]string {
+	t.Helper()
+	builds := make(map[string][]string)
+	for _, line := range api {
+		rest, ok := strings.CutPrefix(line, "method ")
+		if !ok {
+			continue
+		}
+		typ, method, _ := strings.Cut(rest, ".")
+		dir, name := src.resolve(t, ".", typ)
+		if name == "" {
+			continue
+		}
+		pkg := src.load(t, dir)
+		for _, f := range pkg.files {
+			if strings.HasSuffix(pkg.fset.File(f.Pos()).Name(), "_test.go") {
+				continue
+			}
+			for _, decl := range f.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || fn.Recv == nil || fn.Body == nil || fn.Name.Name != method || receiverName(fn) != name {
+					continue
+				}
+				ast.Inspect(fn.Body, func(n ast.Node) bool {
+					if lit, ok := n.(*ast.CompositeLit); ok && kinds[nameOf(lit.Type)] {
+						builds[method] = append(builds[method], nameOf(lit.Type))
+					}
+					return true
+				})
+			}
+		}
+	}
+	return builds
+}
+
+// receiverName is the name of the type fn is a method of.
+func receiverName(fn *ast.FuncDecl) string {
+	x := fn.Recv.List[0].Type
+	if star, ok := x.(*ast.StarExpr); ok {
+		x = star.X
+	}
+	return nameOf(x)
 }
 
 // archRule is one design rule: what it refuses and where, why, and the
